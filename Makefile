@@ -4,7 +4,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test test-fast test-slowest bench bench-smoke bench-core serving
+.PHONY: check lint test test-fast test-slowest bench bench-smoke bench-core serving \
+	perfbench perfbench-compare perfbench-smoke
 
 check: lint test
 
@@ -49,3 +50,27 @@ bench-core:
 
 serving:
 	$(PYTHON) -m repro serving
+
+# perfbench (BENCHMARK.json): one set of gated runs — all four
+# workloads, seeds 0-9, ~20 s each — into results/perfbench/<LABEL>/.
+# To judge a change, run a set in a checkout of the parent commit and
+# one here (alternating which goes first), then
+# `make perfbench-compare A=<parent set> B=<change set>`; the exit code
+# is 1 on a regression beyond BENCHMARK.json's bounds.
+LABEL ?= local
+
+perfbench:
+	@for seed in 0 1 2 3 4 5 6 7 8 9; do \
+		$(PYTHON) benchmarks/perfbench/run.py --seed $$seed \
+			--out results/perfbench/$(LABEL)/$$seed > /dev/null || exit 1; \
+		echo "perfbench $(LABEL): seed $$seed done"; \
+	done
+
+perfbench-compare:
+	$(PYTHON) benchmarks/perfbench/compare.py $(A) $(B)
+
+# The CI step after tier-1: the harness's own tests (~9 s) and a short
+# story_turns run whose exit code checks the answer-agreement floor.
+perfbench-smoke:
+	$(PYTHON) -m pytest benchmarks/perfbench -q
+	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null

@@ -27,15 +27,18 @@ implements the paper's scale-out story (§3.1, last paragraph):
 CUDA streams, GPUs, FPGA lanes) merge with negligible synchronization
 cost — the merged state is ``O(nq x ed)`` regardless of ``ns``.
 
-The chunk loop itself is written allocation-free (DESIGN.md §10): all
-per-chunk intermediates live in workspaces preallocated once per call
-and filled with ``np.matmul(..., out=)`` / ``np.exp(..., out=)``, the
-no-skip path never materializes a keep-mask, and the running-max
-rescale short-circuits when no question's maximum grew.  Shifted
-scores are floored at ``log(tiny)`` before exponentiation so deeply
-improbable rows cost a normal-range multiply instead of a subnormal
-one (x86 handles subnormals in microcode, ~100x slower — on float32
-this turned the whole pass over).
+The first tile *initialises* the running state (its score maximum,
+exponential sum and weighted sum are the state) and only later tiles
+are folded into it, allocation-free (DESIGN.md §10): their
+intermediates reuse the first tile's arrays and fill them with
+``np.matmul(..., out=)`` / ``np.exp(..., out=)``, the no-skip path
+never materializes a keep-mask, and the running-max rescale
+short-circuits when no question's maximum grew.  A memory of at most
+one chunk therefore pays for one tile's arithmetic and nothing else.
+Shifted scores are floored at ``log(tiny)`` before exponentiation so
+deeply improbable rows cost a normal-range multiply instead of a
+subnormal one (x86 handles subnormals in microcode, ~100x slower — on
+float32 this turned the whole pass over).
 """
 
 from __future__ import annotations
@@ -91,9 +94,12 @@ def keep_mask(
     if zero_skip.mode == "exp":
         # Raw-score comparison: exact regardless of stabilization.
         return exp_mode_mask(scores, zero_skip.threshold)
-    # Running-probability mode: denominator known so far.
-    with np.errstate(divide="ignore"):
-        log_running = log_max + np.log(denom) if stable else np.log(denom)
+    # Running-probability mode: denominator known so far.  It already
+    # includes this block's floored (normal, positive) exponentials, so
+    # the logarithm never sees a zero.
+    log_running = np.log(denom)
+    if stable:
+        log_running += log_max
     return running_probability_mode_mask(
         scores, log_running, zero_skip.threshold
     )
@@ -115,25 +121,27 @@ def column_op_stats(
     """The column dataflow's operation ledger for one memory scan —
     the single accounting formula every kernel arrangement (per-shard
     chunk loop, fused tile kernel, worker-process shard) reports
-    through, so stats are comparable across execution backends."""
-    item = FLOAT_BYTES
-    skipped_rows = nq * ns - rows_kept
-    # Skipped rows leave their M_OUT rows unread (at chunk granularity
-    # the hardware still streams them; this counts the algorithmic
-    # bound the FPGA's per-row skip achieves).
-    kept_fraction = rows_kept / (nq * ns) if nq * ns else 0.0
+    through, so stats are comparable across execution backends.
+    ``bytes_read`` reflects the actual compute dtype (float32 halves
+    the streamed traffic); the modeled write/intermediate terms keep
+    the paper's 4-byte-float convention (``FLOAT_BYTES``)."""
+    rows = nq * ns
     # Matrix size from store metadata, not .nbytes — a row-subset
     # view would have to gather every row just to be measured.
     matrix_bytes = ns * ed * dtype.itemsize
+    # Skipped rows leave their M_OUT rows unread (at chunk granularity
+    # the hardware still streams them; this counts the algorithmic
+    # bound the FPGA's per-row skip achieves).
+    kept_bytes = int(matrix_bytes * (rows_kept / rows)) if rows else 0
     return OpStats(
-        flops=int(2 * nq * ns * ed + 2 * nq * ns + 2 * rows_kept * ed + nq * ed),
+        flops=2 * rows * ed + 2 * rows + 2 * rows_kept * ed + nq * ed,
         divisions=nq * ed,
-        exp_calls=nq * ns,
-        bytes_read=matrix_bytes + int(matrix_bytes * kept_fraction),
-        bytes_written=nq * ed * item,
-        intermediate_bytes=2 * nq * min(chunk_size, ns) * item,
+        exp_calls=rows,
+        bytes_read=matrix_bytes + kept_bytes,
+        bytes_written=nq * ed * FLOAT_BYTES,
+        intermediate_bytes=2 * nq * min(chunk_size, ns) * FLOAT_BYTES,
         rows_computed=rows_kept,
-        rows_skipped=skipped_rows,
+        rows_skipped=rows - rows_kept,
     )
 
 
@@ -204,7 +212,7 @@ class PartialOutput:
 
     def finalize(self) -> np.ndarray:
         """Apply the lazy softmax division (step 4 of Fig. 5b)."""
-        if np.any(self.denom <= 0.0):
+        if self.denom.min(initial=np.inf) <= 0.0:
             raise ValueError("cannot finalize a partial with an empty denominator")
         return self.weighted / self.denom[:, None]
 
@@ -342,39 +350,65 @@ class ColumnMemNN:
         nq, ed = u.shape
         ns = self.num_sentences
         dtype = self.dtype
-        c = min(self.chunk.chunk_size, ns) if ns else 1
         skipping = zero_skip is not None and zero_skip.enabled
+        floor = self._exp_floor
 
-        log_max = (
-            np.full(nq, -np.inf, dtype=dtype)
-            if stable
-            else np.zeros(nq, dtype=dtype)
-        )
-        denom = np.zeros(nq, dtype=dtype)
-        acc = np.zeros((nq, ed), dtype=dtype)
-        rows_kept = 0
-
-        # Workspaces reused by every chunk — the loop itself allocates
-        # nothing.  ``exp_ws`` exists only when zero-skipping needs the
-        # raw scores kept alive alongside the exponentials.
-        scores_ws = np.empty((nq, c), dtype=dtype)
-        contrib = np.empty((nq, ed), dtype=dtype)
-        chunk_max = np.empty(nq, dtype=dtype)
-        new_max = np.empty(nq, dtype=dtype)
-        exp_ws = np.empty((nq, c), dtype=dtype) if skipping else None
-
+        c = self.chunk.chunk_size
         if self._pipeline is not None:
-            chunk_source = self._pipeline.chunks()
+            chunks = self._pipeline.chunks()
         else:
             store = self._store
-            chunk_source = (
+            chunks = (
                 store.read_chunk(start, start + c) for start in range(0, ns, c)
             )
-        for chunk_in, chunk_out in chunk_source:
-            n = chunk_in.shape[0]
-            scores = scores_ws[:, :n]  # (nq, c) — fits on chip
-            np.matmul(u, chunk_in.T, out=scores)
+        tile = next(chunks, None)
+        if tile is None:
+            # Empty memory: the identity element of PartialOutput.merge.
+            partial = PartialOutput.empty(nq, ed, dtype)
+            if not stable:
+                partial.log_max = np.zeros(nq, dtype=dtype)
+            return partial, column_op_stats(nq, 0, ed, 0, c, dtype)
 
+        # The first tile *initialises* the running state: nothing has
+        # been accumulated yet, so there is nothing to rescale.
+        chunk_in, chunk_out = tile
+        scores = np.matmul(u, chunk_in.T)  # (nq, c) — fits on chip
+        if stable:
+            log_max = scores.max(axis=1)
+            exp_scores = np.subtract(
+                scores, log_max[:, None], out=None if skipping else scores
+            )
+        else:
+            log_max = np.zeros(nq, dtype=dtype)
+            exp_scores = scores.copy() if skipping else scores
+        np.maximum(exp_scores, floor, out=exp_scores)
+        np.exp(exp_scores, out=exp_scores)
+        denom = exp_scores.sum(axis=1)
+        # When skipping is off, `scores` aliases `exp_scores` (already
+        # exponentiated) — safe, because the no-skip path returns
+        # without reading them.
+        rows_kept = self._skip_rows(
+            scores, exp_scores, denom, log_max, stable, zero_skip
+        )
+        acc = np.matmul(exp_scores, chunk_out)
+
+        # Later tiles fold into that state allocation-free: the first
+        # tile's score/exponential arrays are their workspaces (a chunk
+        # source never yields a tile wider than its first), and the
+        # three small out= buffers exist only once a second tile does.
+        # A memory of at most one chunk never runs this loop.
+        scores_ws, exp_ws = scores, exp_scores
+        tile = next(chunks, None)
+        if tile is not None:
+            contrib = np.empty_like(acc)
+            chunk_max = np.empty_like(log_max)
+            new_max = np.empty_like(log_max)
+        while tile is not None:
+            chunk_in, chunk_out = tile
+            n = chunk_in.shape[0]
+            scores = scores_ws[:, :n]
+            np.matmul(u, chunk_in.T, out=scores)
+            exp_scores = exp_ws[:, :n] if skipping else scores
             if stable:
                 scores.max(axis=1, out=chunk_max)
                 np.maximum(log_max, chunk_max, out=new_max)
@@ -391,50 +425,38 @@ class ColumnMemNN:
                     denom *= scale
                     acc *= scale[:, None]
                     log_max[:] = new_max
-                exp_scores = exp_ws[:, :n] if skipping else scores
                 np.subtract(scores, log_max[:, None], out=exp_scores)
-            else:
-                exp_scores = exp_ws[:, :n] if skipping else scores
-                if exp_scores is not scores:
-                    np.copyto(exp_scores, scores)
-            np.maximum(exp_scores, self._exp_floor, out=exp_scores)
+            elif skipping:
+                np.copyto(exp_scores, scores)
+            np.maximum(exp_scores, floor, out=exp_scores)
             np.exp(exp_scores, out=exp_scores)
             denom += exp_scores.sum(axis=1)
-
-            # When skipping is off, `scores` may alias `exp_scores`
-            # (already exponentiated) — safe, because the no-skip path
-            # returns None without reading them.
-            keep = self._keep_mask(scores, denom, log_max, stable, zero_skip)
-            if keep is None:
-                rows_kept += nq * n
-            else:
-                rows_kept += int(np.count_nonzero(keep))
-                np.multiply(exp_scores, keep, out=exp_scores)
+            rows_kept += self._skip_rows(
+                scores, exp_scores, denom, log_max, stable, zero_skip
+            )
             np.matmul(exp_scores, chunk_out, out=contrib)
             acc += contrib
+            tile = next(chunks, None)
 
         partial = PartialOutput(weighted=acc, denom=denom, log_max=log_max)
-        stats = self._stats(nq, ns, ed, rows_kept)
-        return partial, stats
+        return partial, column_op_stats(nq, ns, ed, rows_kept, c, dtype)
 
-    def _keep_mask(
-        self,
+    @staticmethod
+    def _skip_rows(
         scores: np.ndarray,
+        exp_scores: np.ndarray,
         denom: np.ndarray,
         log_max: np.ndarray,
         stable: bool,
         zero_skip: ZeroSkipConfig | None,
-    ) -> np.ndarray | None:
-        """Keep-mask for the current chunk (see :func:`keep_mask`)."""
-        return keep_mask(scores, denom, log_max, stable, zero_skip)
-
-    def _stats(self, nq: int, ns: int, ed: int, rows_kept: int) -> OpStats:
-        # bytes_read reflects the actual compute dtype (float32 halves
-        # the streamed traffic); the modeled write/intermediate terms
-        # keep the paper's 4-byte-float convention (FLOAT_BYTES).
-        return column_op_stats(
-            nq, ns, ed, rows_kept, self.chunk.chunk_size, self.dtype
-        )
+    ) -> int:
+        """Zero the exponentials of the tile's skipped rows in place
+        (see :func:`keep_mask`); returns the number of rows kept."""
+        keep = keep_mask(scores, denom, log_max, stable, zero_skip)
+        if keep is None:
+            return exp_scores.size
+        np.multiply(exp_scores, keep, out=exp_scores)
+        return int(np.count_nonzero(keep))
 
     def _check_questions(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=self.dtype)

@@ -43,6 +43,7 @@ if TYPE_CHECKING:
 from .numerics import (
     PAD_ID,
     bow_embed,
+    bow_embed_each,
     position_encoding,
     softmax,
     unstable_softmax,
@@ -57,6 +58,17 @@ __all__ = [
     "HopTrace",
     "VectorCache",
 ]
+
+
+#: First capacity of an append buffer: a bAbI story (<= 50 sentences)
+#: told sentence by sentence reallocates once, not at 1, 2, 4, ... rows.
+_MIN_BUFFER_ROWS = 64
+
+
+def _readonly(view: np.ndarray) -> np.ndarray:
+    """Clear the writeable flag of a view the caller just made."""
+    view.flags.writeable = False
+    return view
 
 
 @dataclass
@@ -377,35 +389,66 @@ class MnnFastEngine:
         """Embed story sentences and append them to M_IN / M_OUT
         (every hop's pair under adjacent tying).
 
+        The rows land in engine-owned append buffers (grown
+        geometrically up to ``config.num_sentences``), so ingesting a
+        story sentence by sentence copies each row O(1) times.
+
         Args:
             sentences: ``(n, nw)`` padded word IDs.
         """
         sentences = self._check_sentences(sentences)
-        if self.num_stored_sentences + len(sentences) > self.config.num_sentences:
+        stored = self.num_stored_sentences
+        end = stored + len(sentences)
+        if end > self.config.num_sentences:
             raise ValueError(
                 "story overflows the configured memory: "
-                f"{self.num_stored_sentences} + {len(sentences)} > "
-                f"{self.config.num_sentences}"
+                f"{stored} + {len(sentences)} > {self.config.num_sentences}"
             )
-        for pair_index in range(self._num_pairs):
-            emb_a, emb_c = self.weights.hop_pair(pair_index, self.config.hops) \
-                if self.weights.hop_tables is not None \
-                else (self.weights.embedding_a, self.weights.embedding_c)
-            new_in = bow_embed(emb_a, sentences, self._encoding)
-            new_out = bow_embed(emb_c, sentences, self._encoding)
-            m_in, m_out = self._memories[pair_index]
-            self._memories[pair_index] = (
-                np.vstack([m_in, new_in]),
-                np.vstack([m_out, new_out]),
-            )
+        if end == stored:
+            return
+        tables = [
+            table
+            for pair_index in range(self._num_pairs)
+            for table in self.weights.hop_pair(pair_index, self.config.hops)
+        ]
+        buffers = self._reserve(end)
+        bow_embed_each(
+            tables,
+            sentences,
+            self._encoding,
+            outs=[buffer[stored:end] for pair in buffers for buffer in pair],
+        )
+        self._memories = [
+            (_readonly(buffer_in[:end]), _readonly(buffer_out[:end]))
+            for buffer_in, buffer_out in buffers
+        ]
         self._invalidate_solvers()
+
+    def _reserve(self, rows: int) -> list[list[np.ndarray]]:
+        """The append buffers, one ``[in, out]`` per memory pair, with
+        room for ``rows`` rows each.  A buffer too small (or not the
+        engine's: after :meth:`set_memories` / :meth:`clear_memories`
+        the capacity is zero) is replaced by a fresh one holding a copy
+        of the stored rows, one matrix at a time."""
+        for pair, stored in zip(self._buffers, self._memories):
+            for slot, buffer in enumerate(pair):
+                if rows > len(buffer):
+                    capacity = min(
+                        max(rows, 2 * len(buffer), _MIN_BUFFER_ROWS),
+                        self.config.num_sentences,
+                    )
+                    grown = np.empty((capacity, self.config.embedding_dim))
+                    grown[: len(stored[slot])] = stored[slot]
+                    pair[slot] = grown
+        return self._buffers
 
     def set_memories(self, m_in: np.ndarray, m_out: np.ndarray) -> None:
         """Install pre-embedded memories directly (§4.1.1: the knowledge
         database is usually prepared offline in internal format).
 
         Only meaningful under layer-wise tying, where one memory pair
-        serves every hop.
+        serves every hop.  The arrays are read, never written: a later
+        :meth:`store_story` copies them into an engine-owned buffer.
         """
         if self._num_pairs != 1:
             raise ValueError(
@@ -420,18 +463,24 @@ class MnnFastEngine:
             raise ValueError(
                 f"memory width {m_in.shape[1]} != ed {self.config.embedding_dim}"
             )
-        self._memories = [(m_in, m_out)]
-        self._invalidate_solvers()
+        self._install([(_readonly(m_in.view()), _readonly(m_out.view()))])
 
     def clear_memories(self) -> None:
-        empty = np.zeros((0, self.config.embedding_dim))
-        self._memories = [
-            (empty.copy(), empty.copy()) for _ in range(self._num_pairs)
-        ]
+        empty = _readonly(np.zeros((0, self.config.embedding_dim)))
+        self._install([(empty, empty)] * self._num_pairs)
+        self._solver_cache_config = self.engine_config
+
+    def _install(self, memories: list[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Replace the memories with arrays the engine does not own:
+        the append buffers restart at zero capacity, so the next
+        :meth:`store_story` allocates fresh ones and neither writes
+        into ``memories`` nor shows through views handed out earlier."""
+        self._memories = memories
+        no_capacity = np.empty((0, 0))
+        self._buffers = [[no_capacity, no_capacity] for _ in memories]
         # Solvers hold dtype-converted, shard-sliced copies of the
         # memories; every memory mutation invalidates them.
         self._invalidate_solvers()
-        self._solver_cache_config = self.engine_config
 
     def _invalidate_solvers(self) -> None:
         """Drop the solver cache, releasing backend resources first.
@@ -601,7 +650,7 @@ class MnnFastEngine:
             solver = self._solver(hop if self._num_pairs > 1 else 0)
             result = solver.output(u, zero_skip=zero_skip, stable=ec.stable_softmax)
             tiers = result.tier_stats()
-            stats = stats + result.stats
+            stats.accumulate(result.stats)
             hop_stats.append(result.stats)
             hop_shard_stats.append(list(tiers["shards"] or []))
             hop_store_stats.append(tiers["store"])
@@ -618,7 +667,7 @@ class MnnFastEngine:
             confidence, gate_stats = self._gate_confidence(
                 u, np.asarray(result.output, dtype=u.dtype), remaining, hop
             )
-            stats = stats + gate_stats
+            stats.accumulate(gate_stats)
             row = np.full(nq_total, np.nan)
             row[active] = confidence
             confidences.append(row)
@@ -664,7 +713,7 @@ class MnnFastEngine:
         nq, num_answers = logits.shape
         stats.flops += 2 * nq * num_answers * self.config.embedding_dim
         return AnswerResult(
-            answer_ids=np.argmax(logits, axis=1),
+            answer_ids=logits.argmax(axis=1),
             logits=logits,
             answer_probabilities=probabilities,
             response=u,

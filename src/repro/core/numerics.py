@@ -9,12 +9,15 @@ MemNN variants multiply into the word vectors before summation
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 __all__ = [
     "softmax",
     "unstable_softmax",
     "bow_embed",
+    "bow_embed_each",
     "position_encoding",
     "PAD_ID",
 ]
@@ -31,9 +34,10 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     ``e^{x_i} / sum_j e^{x_j}`` used in Eq. (1) of the paper.
     """
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
 
 
 def unstable_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -69,23 +73,55 @@ def bow_embed(
     Returns:
         ``(n, ed)`` internal state vectors.
     """
+    return bow_embed_each((embedding,), sentences, encoding)[0]
+
+
+def bow_embed_each(
+    embeddings: Sequence[np.ndarray],
+    sentences: np.ndarray,
+    encoding: np.ndarray | None = None,
+    outs: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """:func:`bow_embed` of the same sentences under several
+    equal-shaped dictionaries (a hop's ``A`` and ``C``): the word IDs
+    are range-checked once and the pad mask is built once, before any
+    result is written.
+
+    Args:
+        embeddings: ``(V, ed)`` dictionaries.
+        sentences: ``(n, nw)`` integer word IDs.
+        encoding: optional ``(nw, ed)`` position-encoding weights.
+        outs: optional ``(n, ed)`` arrays, one per dictionary, the sums
+            are written into (an append buffer's free rows).
+
+    Returns:
+        One ``(n, ed)`` array per dictionary (``outs`` when given).
+    """
     sentences = np.asarray(sentences)
     if sentences.ndim != 2:
         raise ValueError(f"sentences must be 2-D (n, nw), got shape {sentences.shape}")
-    if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= embedding.shape[0]:
+    vocab, ed = embeddings[0].shape
+    for embedding in embeddings:
+        if embedding.shape != (vocab, ed):
+            raise ValueError("embedding dictionaries must share a shape")
+    if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
         raise ValueError("sentence word IDs out of range for the embedding matrix")
-
-    vectors = embedding[sentences]  # (n, nw, ed)
+    if encoding is not None and encoding.shape != (sentences.shape[1], ed):
+        raise ValueError(
+            "encoding shape must be (nw, ed) = "
+            f"{(sentences.shape[1], ed)}, got {encoding.shape}"
+        )
     mask = (sentences != PAD_ID)[..., None]  # (n, nw, 1)
-    vectors = vectors * mask
-    if encoding is not None:
-        if encoding.shape != (sentences.shape[1], embedding.shape[1]):
-            raise ValueError(
-                "encoding shape must be (nw, ed) = "
-                f"{(sentences.shape[1], embedding.shape[1])}, got {encoding.shape}"
-            )
-        vectors = vectors * encoding[None, :, :]
-    return vectors.sum(axis=1)
+    results = []
+    for index, embedding in enumerate(embeddings):
+        vectors = embedding[sentences]  # (n, nw, ed) — a fresh gather
+        vectors *= mask
+        if encoding is not None:
+            vectors = vectors * encoding
+        results.append(
+            vectors.sum(axis=1, out=None if outs is None else outs[index])
+        )
+    return results
 
 
 def position_encoding(max_words: int, embedding_dim: int) -> np.ndarray:

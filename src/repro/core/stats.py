@@ -74,6 +74,19 @@ class OpStats:
             rows_skipped=self.rows_skipped + other.rows_skipped,
         )
 
+    def accumulate(self, other: "OpStats") -> None:
+        """``self = self + other`` in place, for a running total the
+        caller owns (no new object per term)."""
+        self.flops += other.flops
+        self.divisions += other.divisions
+        self.exp_calls += other.exp_calls
+        self.bytes_read += other.bytes_read
+        self.bytes_written += other.bytes_written
+        if other.intermediate_bytes > self.intermediate_bytes:
+            self.intermediate_bytes = other.intermediate_bytes
+        self.rows_computed += other.rows_computed
+        self.rows_skipped += other.rows_skipped
+
     def amortized(self, num_questions: int) -> "OpStats":
         """Fair per-question share of a batch's counters.
 

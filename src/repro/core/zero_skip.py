@@ -86,8 +86,11 @@ def running_probability_mode_mask(
             and including the current chunk.
         threshold: probability cutoff.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    log_p_hat = scores - np.asarray(log_running_sum)[:, None]
+    # One float64 subtraction whatever the compute dtype: the operands
+    # are widened exactly, so float32 kernels decide as float64 ones do.
+    log_p_hat = np.subtract(
+        scores, np.asarray(log_running_sum)[:, None], dtype=np.float64
+    )
     return log_p_hat >= _log_threshold(threshold)
 
 

@@ -71,6 +71,109 @@ class TestStoryStorage:
             eng.set_memories(m, m.copy())
 
 
+class TestAppendBuffers:
+    """The engine owns the buffers ``store_story`` appends into; nobody
+    else's arrays are written and no view handed out changes later."""
+
+    def test_ingest_in_slices_copies_each_row_a_bounded_number_of_times(
+        self, rng
+    ):
+        """N rows in N single-row slices: O(log N) reallocations and
+        O(N) rows copied between buffers — not the O(N^2) of re-stacking
+        the memory on every call."""
+        rows = 512
+        config = MemNNConfig(
+            embedding_dim=8, num_sentences=rows, vocab_size=50, max_words=4
+        )
+        eng = MnnFastEngine(config)
+        story = rng.integers(1, 50, size=(rows, 4))
+        buffers, copied = [], 0
+        for stored, sentence in enumerate(story):
+            eng.store_story(sentence[None, :])
+            buffer = eng.memories[0].base
+            if not buffers or buffer is not buffers[-1]:
+                buffers.append(buffer)  # kept alive: identities stay distinct
+                copied += stored
+        assert len(buffers) <= np.log2(rows) + 1
+        assert copied <= 2 * rows
+        assert len(buffers[-1]) == config.num_sentences  # growth is capped
+        bulk = MnnFastEngine(config, eng.weights)
+        bulk.store_story(story)
+        for grown, stacked in zip(eng.memories, bulk.memories):
+            np.testing.assert_array_equal(grown, stacked)
+
+    def test_append_after_set_memories_leaves_the_callers_arrays_alone(
+        self, config, rng
+    ):
+        # Views into larger arrays: an append that trusted spare room
+        # behind the installed rows would write into backing[20].
+        backing_in = rng.normal(size=(30, 16))
+        backing_out = rng.normal(size=(30, 16))
+        before_in, before_out = backing_in.copy(), backing_out.copy()
+        eng = MnnFastEngine(config)
+        eng.set_memories(backing_in[:20], backing_out[:20])
+        eng.store_story(rng.integers(1, 50, size=(3, 6)))
+        np.testing.assert_array_equal(backing_in, before_in)
+        np.testing.assert_array_equal(backing_out, before_out)
+        m_in, m_out = eng.memories
+        assert m_in.shape == m_out.shape == (23, 16)
+        np.testing.assert_array_equal(m_in[:20], before_in[:20])
+        np.testing.assert_array_equal(m_out[:20], before_out[:20])
+        assert not np.shares_memory(m_in, backing_in)
+
+    def test_views_handed_out_do_not_change_after_clear_and_append(
+        self, engine, rng
+    ):
+        m_in, m_out = engine.memories
+        held_in, held_out = m_in.copy(), m_out.copy()
+        engine.clear_memories()
+        engine.store_story(rng.integers(1, 50, size=(40, 6)))
+        np.testing.assert_array_equal(m_in, held_in)
+        np.testing.assert_array_equal(m_out, held_out)
+        assert not np.shares_memory(engine.memories[0], m_in)
+
+    def test_memories_are_read_only(self, engine, config, rng):
+        for memory in engine.memories:
+            assert not memory.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                memory[0, 0] = 1.0
+        installed = rng.normal(size=(5, 16))
+        engine.set_memories(installed, installed.copy())
+        assert not engine.memories[0].flags.writeable
+        assert installed.flags.writeable  # the caller's own array is untouched
+        engine.clear_memories()
+        assert not engine.memories[0].flags.writeable
+
+    def test_empty_story_is_a_no_op_that_keeps_the_solver(self, engine, rng):
+        questions = rng.integers(1, 50, size=(2, 6))
+        before = engine.answer(questions)
+        solver = engine._solver(0)
+        engine.store_story(np.zeros((0, 6), dtype=np.int64))
+        assert engine.num_stored_sentences == 40
+        assert engine._solver(0) is solver
+        np.testing.assert_array_equal(
+            engine.answer(questions).logits, before.logits
+        )
+
+    def test_rejected_story_writes_no_row(self, config, rng):
+        """Overflow and out-of-range word IDs raise before any row
+        reaches the buffers."""
+        eng = MnnFastEngine(config)
+        eng.store_story(rng.integers(1, 50, size=(90, 6)))
+        held = [memory.copy() for memory in eng.memories]
+        with pytest.raises(ValueError, match="overflows"):
+            eng.store_story(rng.integers(1, 50, size=(11, 6)))
+        bad = rng.integers(1, 50, size=(5, 6))
+        bad[3, 2] = 50
+        with pytest.raises(ValueError, match="out of range"):
+            eng.store_story(bad)
+        assert eng.num_stored_sentences == 90
+        for memory, kept in zip(eng.memories, held):
+            np.testing.assert_array_equal(memory, kept)
+        eng.store_story(rng.integers(1, 50, size=(10, 6)))  # exactly full
+        assert eng.num_stored_sentences == config.num_sentences
+
+
 class TestAnswering:
     def test_answer_shapes(self, engine, rng):
         questions = rng.integers(1, 50, size=(4, 6))

@@ -6,6 +6,7 @@ import pytest
 from repro.core.numerics import (
     PAD_ID,
     bow_embed,
+    bow_embed_each,
     position_encoding,
     softmax,
     unstable_softmax,
@@ -87,6 +88,41 @@ class TestBowEmbed:
         emb = rng.normal(size=(10, 4))
         with pytest.raises(ValueError, match="encoding"):
             bow_embed(emb, np.array([[1, 2]]), position_encoding(3, 4))
+
+
+class TestBowEmbedEach:
+    def test_matches_bow_embed_per_dictionary_bitwise(self, rng):
+        emb_a, emb_c = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        sentences = np.array([[1, 2, PAD_ID], [3, PAD_ID, PAD_ID], [9, 8, 7]])
+        for encoding in (None, position_encoding(3, 4)):
+            both = bow_embed_each((emb_a, emb_c), sentences, encoding)
+            for embedding, result in zip((emb_a, emb_c), both):
+                expected = bow_embed(embedding, sentences, encoding)
+                assert result.tobytes() == expected.tobytes()
+
+    def test_writes_into_the_given_rows(self, rng):
+        emb_a, emb_c = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+        sentences = np.array([[1, 2], [3, PAD_ID]])
+        buffers = [np.full((5, 4), np.nan), np.full((5, 4), np.nan)]
+        outs = [buffer[1:3] for buffer in buffers]
+        results = bow_embed_each((emb_a, emb_c), sentences, outs=outs)
+        for embedding, buffer, out, result in zip(
+            (emb_a, emb_c), buffers, outs, results
+        ):
+            assert result is out
+            np.testing.assert_array_equal(
+                buffer[1:3], bow_embed(embedding, sentences)
+            )
+            assert np.isnan(buffer[[0, 3, 4]]).all()
+
+    def test_bad_input_is_rejected_before_anything_is_written(self, rng):
+        emb = rng.normal(size=(10, 4))
+        outs = [np.full((1, 4), np.nan), np.full((1, 4), np.nan)]
+        with pytest.raises(ValueError, match="out of range"):
+            bow_embed_each((emb, emb), np.array([[1, -1]]), outs=outs)
+        with pytest.raises(ValueError, match="share a shape"):
+            bow_embed_each((emb, emb[:5]), np.array([[1, 2]]), outs=outs)
+        assert all(np.isnan(out).all() for out in outs)
 
 
 class TestPositionEncoding:

@@ -33,6 +33,18 @@ class TestOpStats:
         b = OpStats(intermediate_bytes=70)
         assert (a + b).intermediate_bytes == 100
 
+    def test_accumulate_is_addition_in_place(self):
+        parts = [
+            OpStats(1, 2, 3, 4, 5, 60, 7, 8),
+            OpStats(10, 20, 30, 40, 50, 600, 70, 80),
+            OpStats(5, 5, 5, 5, 5, 5, 5, 5),
+        ]
+        total = OpStats()
+        for part in parts:
+            total.accumulate(part)
+        assert total == parts[0] + parts[1] + parts[2]
+        assert parts[0] == OpStats(1, 2, 3, 4, 5, 60, 7, 8)  # terms untouched
+
     def test_skip_ratio(self):
         s = OpStats(rows_computed=25, rows_skipped=75)
         assert s.skip_ratio == pytest.approx(0.75)

@@ -17,6 +17,11 @@ asserts pairwise agreement under the documented tolerance bounds:
 * **cache**: attaching an embedding cache is a pure routing change —
   the embedded question (and hence every downstream number) is
   bitwise identical with and without it.
+* **ingestion**: how the rows got into memory — one bulk
+  ``store_story``, sentence by sentence, uneven slices that cross the
+  append buffers' growth steps (with answers in between), or
+  ``set_memories`` of the same rows — is invisible: bitwise-identical
+  logits on every path, under layer-wise and adjacent tying.
 """
 
 import itertools
@@ -108,6 +113,19 @@ def _engine_configs():
             execution=ExecutionConfig(fused=True),
         )
     return configs
+
+
+def _full_grid():
+    """The exact grid plus the store tier and the top-k tier."""
+    grid = dict(_engine_configs())
+    grid[("out-of-core", True)] = EngineConfig.out_of_core()
+    grid[("topk", True)] = EngineConfig(algorithm="column").with_topk(
+        nprobe=2, min_rows=0
+    )
+    grid[("sharded-topk", True)] = EngineConfig.sharded(
+        3, chunk_size=16
+    ).with_topk(nprobe=2, min_rows=0)
+    return grid
 
 
 class DictCache:
@@ -239,12 +257,7 @@ def test_disabled_gate_is_bit_identical_across_grid(seed):
     ``with_early_exit(0.0)``, and the emitted trace records zero
     exits."""
     config, weights, story, questions = _random_problem(seed)
-    grid = dict(_engine_configs())
-    grid[("out-of-core", True)] = EngineConfig.out_of_core()
-    grid[("topk", True)] = EngineConfig(algorithm="column").with_topk(
-        nprobe=2, min_rows=0
-    )
-    for key, engine_config in grid.items():
+    for key, engine_config in _full_grid().items():
         plain = MnnFastEngine(config, weights, engine_config=engine_config)
         gated = MnnFastEngine(
             config, weights,
@@ -288,3 +301,120 @@ def test_sharded_zero_skip_exact_at_zero_threshold():
         rtol=LOGIT_TOLERANCE,
         atol=LOGIT_TOLERANCE,
     )
+
+
+# --- ingestion axis: append-then-answer == build-from-scratch -----------------
+
+#: Slice lengths of the 159-row long story.  The append buffers start
+#: at 64 rows: call 2 fills them exactly, call 3 grows them to 128,
+#: call 4 lands in spare rows, call 5 grows them to the configured
+#: 200-row cap.
+UNEVEN_SLICES = (4, 60, 1, 41, 53)
+
+
+def _long_story(story):
+    return np.vstack([story, story[::-1], story])
+
+
+def _ingest_sentence_by_sentence(engine, story):
+    for sentence in story:
+        engine.store_story(sentence)
+
+
+def _ingest_uneven_slices(engine, story, questions):
+    """Answers between the writes, so every append invalidates a solver
+    that was really built over the shorter memory."""
+    start = 0
+    for length in UNEVEN_SLICES:
+        engine.store_story(story[start : start + length])
+        start += length
+        if start in (64, 106):
+            engine.answer(questions)
+    assert start == len(story)
+    # The slices really crossed both growth steps.
+    assert len(engine.memories[0].base) == engine.config.num_sentences
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_append_then_answer_is_bit_identical_to_bulk_ingest(seed):
+    config, weights, story, questions = _random_problem(seed)
+    story = _long_story(story)
+    for key, engine_config in _full_grid().items():
+        def engine():
+            return MnnFastEngine(config, weights, engine_config=engine_config)
+
+        bulk, by_sentence, by_slices, installed = (engine() for _ in range(4))
+        bulk.store_story(story)
+        _ingest_sentence_by_sentence(by_sentence, story)
+        _ingest_uneven_slices(by_slices, story, questions)
+        installed.set_memories(*bulk.memories)
+        reference = bulk.answer(questions)
+        for name, other in (
+            ("sentence by sentence", by_sentence),
+            ("uneven slices", by_slices),
+            ("set_memories", installed),
+        ):
+            for grown, stacked in zip(other.memories, bulk.memories):
+                np.testing.assert_array_equal(grown, stacked)
+            np.testing.assert_array_equal(
+                other.answer(questions).logits,
+                reference.logits,
+                err_msg=f"{name} ingestion changed the numbers on {key}",
+            )
+            other.close()
+        bulk.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_append_then_answer_under_adjacent_tying(seed):
+    """One (M_IN, M_OUT) pair per hop: every pair's buffers grow in
+    step and each hop reads its own."""
+    config, _, story, questions = _random_problem(seed)
+    story = _long_story(story)
+    rng = np.random.default_rng(seed + 100)
+    weights = EngineWeights.adjacent(
+        [
+            rng.normal(0.0, 0.1, (config.vocab_size, config.embedding_dim))
+            for _ in range(config.hops + 1)
+        ]
+    )
+    grid = _engine_configs()
+    for key in (
+        ("baseline", True),
+        ("column", True),
+        ("column", False),
+        ("sharded-strided", True),
+        ("sharded-fused", True),
+    ):
+        def engine():
+            return MnnFastEngine(config, weights, engine_config=grid[key])
+
+        bulk, by_sentence, by_slices = engine(), engine(), engine()
+        assert bulk._num_pairs == config.hops > 1
+        bulk.store_story(story)
+        _ingest_sentence_by_sentence(by_sentence, story)
+        _ingest_uneven_slices(by_slices, story, questions)
+        reference = bulk.answer(questions)
+        for other in (by_sentence, by_slices):
+            for pair, bulk_pair in zip(other._memories, bulk._memories):
+                for grown, stacked in zip(pair, bulk_pair):
+                    np.testing.assert_array_equal(grown, stacked)
+            np.testing.assert_array_equal(
+                other.answer(questions).logits,
+                reference.logits,
+                err_msg=f"append changed the numbers on {key}",
+            )
+
+
+def test_overflowing_append_raises_before_any_row_is_written():
+    config, weights, story, questions = _random_problem(0)
+    engine = MnnFastEngine(config, weights)
+    for _ in range(3):
+        engine.store_story(story)  # 159 of 200 rows
+    before = engine.answer(questions)
+    with pytest.raises(ValueError, match="overflows"):
+        engine.store_story(story[:42])
+    assert engine.num_stored_sentences == 159
+    np.testing.assert_array_equal(engine.answer(questions).logits, before.logits)
+    engine.store_story(story[:41])  # exactly full is fine
+    assert engine.num_stored_sentences == config.num_sentences
