@@ -69,8 +69,10 @@ perfbench:
 perfbench-compare:
 	$(PYTHON) benchmarks/perfbench/compare.py $(A) $(B)
 
-# The CI step after tier-1: the harness's own tests (~9 s) and a short
-# story_turns run whose exit code checks the answer-agreement floor.
+# The CI step after tier-1: the harness's own tests (~9 s) and short
+# story_turns and out_of_core_stream runs whose exit codes check the
+# answer-agreement floor.
 perfbench-smoke:
 	$(PYTHON) -m pytest benchmarks/perfbench -q
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
+	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --seconds 5 > /dev/null

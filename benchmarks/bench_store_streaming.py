@@ -12,7 +12,8 @@ deliberately larger than the configured resident budget:
 * ``mmap_demand`` — the same memories on disk, each chunk fetched
   synchronously when the kernel asks (prefetch off);
 * ``mmap_prefetch`` — depth-2 background prefetch plus the budgeted
-  chunk LRU (the double-buffered overlap).
+  resident-chunk tier (the double-buffered overlap; the first eighth
+  of the chunks stays in RAM across passes).
 
 Every path is exact (the store serves the identical bytes), so the
 differential acceptance is 1e-10, and the overlap acceptance is
@@ -93,6 +94,9 @@ def test_store_streaming_trajectory(benchmark, report, tmp_path):
         name: solvers[name].store_stats.snapshot()
         for name in ("mmap_demand", "mmap_prefetch")
     }
+    for solver in solvers.values():
+        solver.close()
+    store.close()
     prefetch_speedup = series["mmap_demand"] / series["mmap_prefetch"]
     resident_ratio = series["resident"] / series["mmap_prefetch"]
 

@@ -399,7 +399,7 @@ def _cmd_store(args: argparse.Namespace) -> None:
             ("resident arrays", ColumnMemNN(m_in, m_out)),
             ("mmap demand (depth 0)", ColumnMemNN(store=store)),
             (
-                "mmap prefetch depth 2 + LRU",
+                "mmap prefetch depth 2 + RAM tier",
                 ColumnMemNN(
                     store=store, resident_bytes=budget, prefetch_depth=2
                 ),
@@ -415,6 +415,7 @@ def _cmd_store(args: argparse.Namespace) -> None:
         rows = []
         for label, solver in variants:
             result = solver.output(u)
+            solver.close()
             delta = float(np.abs(result.output - reference).max())
             stats = result.tier_stats()["store"]
             if stats is None:
@@ -438,6 +439,7 @@ def _cmd_store(args: argparse.Namespace) -> None:
                 f"{budget / 1e6:.0f} MB RAM budget)"
             ),
         ))
+        store.close()
 
     print()
     latency_rows = []
@@ -447,7 +449,7 @@ def _cmd_store(args: argparse.Namespace) -> None:
          EngineConfig.out_of_core(resident_bytes=None, prefetch_depth=0)),
         ("out-of-core, prefetch depth 2",
          EngineConfig.out_of_core(resident_bytes=None)),
-        ("out-of-core, prefetch + 32 MB LRU", EngineConfig.out_of_core()),
+        ("out-of-core, prefetch + 32 MB RAM tier", EngineConfig.out_of_core()),
     ]:
         server = QaServer(ServerConfig(engine=engine))
         hop = server.hop_seconds()

@@ -308,10 +308,10 @@ class ColumnMemNN:
         return self._store.embedding_dim
 
     def close(self) -> None:
-        """Release solver-held resources (none here: this kernel owns
-        no worker pools or spill directories).  Kept for API symmetry
-        with :class:`~repro.core.sharded.ShardedMemNN` so callers can
-        close any solver uniformly."""
+        """Join the chunk pipeline's fetch thread, if it started one.
+        The store belongs to whoever passed it in.  Idempotent."""
+        if self._pipeline is not None:
+            self._pipeline.close()
 
     def output(
         self,

@@ -406,8 +406,9 @@ class StoreConfig:
             :class:`~repro.store.MmapStore` and streams them back).
         path: directory for the mmap backend's store shards; ``None``
             uses an engine-owned temporary directory.
-        resident_bytes: byte budget of the resident-chunk LRU that
-            fronts the backing tier (``None`` disables caching).
+        resident_bytes: byte budget of the resident-chunk tier that
+            fronts the backing tier (``None`` disables caching; below
+            the footprint, the first chunks that fit stay resident).
         prefetch_depth: chunks fetched ahead of the kernel by the
             background prefetch thread (``0`` disables lookahead;
             the paper's double buffering is depth 1–2).
@@ -1090,7 +1091,8 @@ class EngineConfig:
         tier: the engine spills its memories to an
         :class:`~repro.store.MmapStore` (under ``path``, or a
         temporary directory) and the kernel consumes them through a
-        ``resident_bytes``-budget chunk LRU with ``prefetch_depth``
+        ``resident_bytes``-budget resident-chunk tier (scan-resistant:
+        the first chunks that fit stay in RAM) with ``prefetch_depth``
         chunks of double-buffered lookahead.  Exactly equivalent to
         the resident path — only the tier the bytes come from changes.
         """

@@ -372,6 +372,8 @@ class MnnFastEngine:
         # (used when the engine config asks for out-of-core memories
         # without naming a path).
         self._spill_tmp: tempfile.TemporaryDirectory | None = None
+        #: Stores spilled for the cached solvers; closed with them.
+        self._spilled: list[MmapStore] = []
         self.clear_memories()
 
     # --- memory management ---------------------------------------------------
@@ -486,9 +488,11 @@ class MnnFastEngine:
         """Drop the solver cache, releasing backend resources first.
 
         Process-backed solvers own a worker pool and possibly a
-        spilled temp store; simply forgetting them would leave pool
-        teardown to GC timing, so invalidation closes every cached
-        solver that exposes ``close()`` before emptying the cache.
+        spilled temp store, out-of-core ones a fetch thread; simply
+        forgetting them would leave teardown to GC timing, so
+        invalidation closes every cached solver that exposes
+        ``close()`` before emptying the cache, then the descriptors of
+        the stores the engine spilled for them.
         """
         cache = getattr(self, "_solver_cache", None)
         if cache:
@@ -496,6 +500,8 @@ class MnnFastEngine:
                 close = getattr(solver, "close", None)
                 if close is not None:
                     close()
+        while self._spilled:
+            self._spilled.pop().close()
         self._solver_cache: dict[int, BaselineMemNN | ColumnMemNN | ShardedMemNN]
         self._solver_cache = {}
 
@@ -918,15 +924,15 @@ class MnnFastEngine:
             and not ec.topk.enabled
         )
         if spill:
-            tier = {
-                "store": MmapStore.save(
-                    self._spill_dir(pair_index),
-                    m_in,
-                    m_out,
-                    dtype=dtype,
-                    overwrite=True,
-                )
-            }
+            store = MmapStore.save(
+                self._spill_dir(pair_index),
+                m_in,
+                m_out,
+                dtype=dtype,
+                overwrite=True,
+            )
+            self._spilled.append(store)
+            tier = {"store": store}
         else:
             tier = {"m_in": m_in, "m_out": m_out, "dtype": dtype}
         if ec.topk.enabled:

@@ -160,6 +160,7 @@ def _worker_solver(spec: _ShardSpec) -> ColumnMemNN:
         store = MmapStore.open(spec.store_path)
         plan = ShardPlan(store.num_rows, spec.num_shards, spec.policy)
         m_in, m_out = store.map_rows(plan.indices(spec.shard))
+        store.close()  # the mappings outlive the read descriptors
         solver = ColumnMemNN(
             m_in,
             m_out,

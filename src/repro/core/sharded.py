@@ -211,6 +211,10 @@ class _FusedShardKernel:
     def store_stats(self) -> StoreStats | None:
         return self._pipeline.stats if self._pipeline is not None else None
 
+    def close(self) -> None:
+        if self._pipeline is not None:
+            self._pipeline.close()
+
     def _segments(self, t0: int, n: int):
         """``(shard, column selector)`` for every shard with rows in
         the tile ``[t0, t0 + n)`` — a contiguous sub-slice per shard
@@ -452,7 +456,7 @@ class ShardedMemNN:
                     prefix="repro-shard-spill-"
                 )
                 store_path = Path(self._spill_tmp.name) / "store"
-                MmapStore.save(store_path, m_in, m_out, dtype=dtype)
+                MmapStore.save(store_path, m_in, m_out, dtype=dtype).close()
             self._runner = ProcessShardRunner(
                 str(store_path),
                 self.plan.num_shards,
@@ -530,12 +534,16 @@ class ShardedMemNN:
 
     def close(self) -> None:
         """Release backend resources: the process backend's worker
-        pool and any self-spilled store directory.  Terminal — a
-        closed process-backed solver cannot serve further requests
-        (the engine drops and rebuilds solvers instead of reusing
-        closed ones).  No-op for the other backends; idempotent."""
+        pool, any self-spilled store directory and the chunk
+        pipelines' fetch threads.  Terminal for a process-backed
+        solver, which cannot serve further requests (the engine drops
+        and rebuilds solvers instead of reusing closed ones).
+        Idempotent."""
         if self._runner is not None:
             self._runner.close()
+        for kernel in (*self._shards, self._fused):
+            if kernel is not None:
+                kernel.close()
         spill, self._spill_tmp = self._spill_tmp, None
         if spill is not None:
             spill.cleanup()

@@ -183,6 +183,7 @@ class TopKMemNN:
             len(u_checked), index.nlist
         )
         self._absorb_subset_ledger(solver)
+        solver.close()
         elapsed = time.perf_counter() - start
 
         recall = None

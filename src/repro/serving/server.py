@@ -128,8 +128,8 @@ class ServerConfig:
         disk_bandwidth: sequential-stream bandwidth (bytes/s) of the
             disk tier an out-of-core engine pages ``M_IN``/``M_OUT``
             from (default 2 GB/s, NVMe-class).  Charged separately
-            from DRAM bandwidth: each hop streams the bytes the chunk
-            LRU cannot hold, and with prefetching the stream overlaps
+            from DRAM bandwidth: each hop streams the bytes the
+            resident-chunk tier cannot hold, and with prefetching the stream overlaps
             compute (the slower of the two bounds the hop) instead of
             serializing with it.
         deadline: per-attempt deadline in seconds — a request times out
@@ -366,11 +366,14 @@ class QaServer:
         """Per-hop disk-tier transfer time of an out-of-core engine.
 
         Each hop streams the whole ``M_IN``/``M_OUT`` footprint; the
-        chunk LRU holds ``resident_bytes`` of it in RAM, so only the
-        overflow pages in from disk — charged against the dedicated
-        ``disk_bandwidth``, not the DRAM channel model.  Zero for
-        resident engines.  ``num_rows`` overrides the row count — under
-        the top-k tier only the candidate rows page in.
+        resident-chunk tier holds ``resident_bytes`` of it in RAM, so
+        only the overflow pages in from disk — charged against the
+        dedicated ``disk_bandwidth``, not the DRAM channel model.  The
+        executed tier reads the same bytes on every pass after the
+        first, to within one chunk (the scan-resistant admission of
+        :meth:`~repro.store.prefetch.ChunkPrefetcher.chunks`).
+        Zero for resident engines.  ``num_rows`` overrides the row
+        count — under the top-k tier only the candidate rows page in.
         """
         store = self.config.engine.store
         if not store.out_of_core:

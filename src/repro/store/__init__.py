@@ -6,7 +6,8 @@
 * :mod:`repro.store.mmap_store` — dtype-aware on-disk shards with a
   ``save``/``open`` format.
 * :mod:`repro.store.prefetch` — double-buffered chunk prefetch plus a
-  budgeted resident-chunk LRU (the paper's §3.1 load/compute overlap).
+  budgeted, scan-resistant resident-chunk tier (the paper's §3.1
+  load/compute overlap).
 """
 
 from .base import (

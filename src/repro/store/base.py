@@ -18,8 +18,9 @@ Two backends implement the protocol today:
 
 :class:`~repro.store.prefetch.ChunkPrefetcher` sits on top of either
 backend and adds the paper's load/compute overlap (double-buffered
-background fetch) plus a budgeted resident-chunk LRU; its
-:class:`StoreStats` ledger records where every byte came from.
+background fetch) plus a budgeted, scan-resistant resident-chunk
+tier; its :class:`StoreStats` ledger records where every byte came
+from.
 
 The mergeable-partial design (Rae et al.'s sparse-access memories and
 Chandar et al.'s hierarchical memory networks treat large external

@@ -14,18 +14,23 @@ writes atomically-enough for a single writer — on any error the
 partially-written directory is removed, so a store directory either
 holds a complete, openable store or nothing.
 
-Chunk reads (:meth:`MmapStore.read_chunk`) go through ``np.fromfile``
-with an explicit offset rather than the mapping: a plain ``read(2)``
-into a fresh buffer releases the GIL for the whole transfer, which is
-what lets :class:`~repro.store.prefetch.ChunkPrefetcher`'s background
-thread genuinely overlap disk loads with the compute thread's BLAS
-calls (the paper's §3.1 load/compute overlap).  Row gathers for
-strided shards use the mapping (page-granular random access).
+Chunk reads (:meth:`MmapStore.read_chunk`) are positional reads on
+descriptors the store opens once and holds until
+:meth:`MmapStore.close` (whoever saved or opened the store closes it):
+one ``os.preadv`` per matrix lands the span in the ``(rows, ed)``
+array the kernel consumes.  A positional read has no shared file
+offset and releases the GIL for the whole transfer, so
+:class:`~repro.store.prefetch.ChunkPrefetcher`'s fetch thread overlaps
+the compute thread's BLAS calls (the paper's §3.1 load/compute
+overlap), and a file that shrank since :meth:`MmapStore.open` is an
+``OSError``, not a shorter chunk.  Row gathers for strided shards use
+the mapping (page-granular random access).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from pathlib import Path
 from typing import Sequence
@@ -42,6 +47,7 @@ FORMAT_VERSION = 1
 _META_NAME = "store.json"
 _M_IN_NAME = "m_in.bin"
 _M_OUT_NAME = "m_out.bin"
+_BIN_NAMES = (_M_IN_NAME, _M_OUT_NAME)
 
 #: Rows copied per step while persisting (bounds save()'s working set,
 #: so saving a larger-than-RAM conversion never materializes it).
@@ -56,11 +62,18 @@ class MmapStore:
     already-validated directory.
     """
 
+    #: Read descriptors of ``_BIN_NAMES``; ``None`` once closed (and
+    #: while ``__init__`` has not opened them, for the finaliser).
+    _fds: tuple[int, ...] | None = None
+
     def __init__(self, path: Path, rows: int, dim: int, dtype: np.dtype) -> None:
         self.path = Path(path)
         self._rows = rows
         self._dim = dim
         self._dtype = dtype
+        self._fds = tuple(
+            os.open(self.path / name, os.O_RDONLY) for name in _BIN_NAMES
+        )
         shape = (rows, dim)
         self.m_in = np.memmap(
             self.path / _M_IN_NAME, dtype=dtype, mode="r", shape=shape
@@ -68,6 +81,16 @@ class MmapStore:
         self.m_out = np.memmap(
             self.path / _M_OUT_NAME, dtype=dtype, mode="r", shape=shape
         )
+
+    def close(self) -> None:
+        """Release the chunk-read descriptors; :meth:`read_chunk` then
+        raises.  The ``m_in``/``m_out`` mappings (and row gathers
+        through them) are unaffected.  Idempotent."""
+        fds, self._fds = self._fds, None
+        for fd in fds or ():
+            os.close(fd)
+
+    __del__ = close
 
     # --- persistence ---------------------------------------------------------
 
@@ -158,7 +181,7 @@ class MmapStore:
             )
         dtype = check_dtype(meta["dtype"])
         rows, dim = int(meta["rows"]), int(meta["dim"])
-        for name in (_M_IN_NAME, _M_OUT_NAME):
+        for name in _BIN_NAMES:
             expected = rows * dim * dtype.itemsize
             actual = (path / name).stat().st_size
             if actual != expected:
@@ -191,21 +214,27 @@ class MmapStore:
     def read_chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Load a row span from disk into fresh contiguous buffers.
 
-        Uses ``np.fromfile`` + offset (a plain GIL-releasing read)
-        rather than touching the mapping, so a prefetch thread calling
-        this genuinely runs concurrently with compute.
+        One positional read per matrix on the held descriptors (no
+        shared offset, GIL released), so a prefetch thread calling
+        this genuinely runs concurrently with compute.  Raises
+        ``OSError`` when a file ends before the span does.
         """
+        if self._fds is None:
+            raise ValueError(f"store is closed: {self.path}")
         start = max(0, start)
-        stop = min(stop, self._rows)
-        count = max(0, stop - start) * self._dim
+        shape = (max(0, min(stop, self._rows) - start), self._dim)
         offset = start * self._dim * self._dtype.itemsize
-        chunk_in = np.fromfile(
-            self.path / _M_IN_NAME, dtype=self._dtype, count=count, offset=offset
-        ).reshape(-1, self._dim)
-        chunk_out = np.fromfile(
-            self.path / _M_OUT_NAME, dtype=self._dtype, count=count, offset=offset
-        ).reshape(-1, self._dim)
-        return chunk_in, chunk_out
+        pair = []
+        for fd, name in zip(self._fds, _BIN_NAMES):
+            chunk = np.empty(shape, dtype=self._dtype)
+            got = os.preadv(fd, [chunk], offset)
+            if got != chunk.nbytes:
+                raise OSError(
+                    f"{self.path / name}: short read at offset {offset}, "
+                    f"{chunk.nbytes - got} of {chunk.nbytes} bytes missing"
+                )
+            pair.append(chunk)
+        return pair[0], pair[1]
 
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         indices = np.asarray(indices, dtype=np.intp)

@@ -8,7 +8,9 @@ reference at 1e-10, the engine/config integration, and the
 """
 
 import json
+import os
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,13 @@ from validate_artifacts import main as validate_main  # noqa: E402
 from validate_artifacts import validate_artifact  # noqa: E402
 
 NS, ED, NQ = 257, 24, 5
+
+_HAS_PROC_FD = os.path.isdir("/proc/self/fd")
+
+
+def _open_fds() -> int:
+    """Open descriptors of this process (0 where /proc is missing)."""
+    return len(os.listdir("/proc/self/fd")) if _HAS_PROC_FD else 0
 
 
 @pytest.fixture
@@ -191,6 +200,46 @@ class TestMmapStoreRoundTrip:
         assert not (tmp_path / "empty").exists()
 
 
+class TestMmapStoreDescriptors:
+    def test_truncated_file_is_an_error_not_a_short_chunk(
+        self, mmap_store, memories
+    ):
+        """ROADMAP correctness (d): a file that shrinks after open()
+        used to come back as fewer rows, and the kernel computed on
+        them without complaint."""
+        row_bytes = ED * 8
+        with open(mmap_store.path / "m_out.bin", "r+b") as handle:
+            handle.truncate(NS * row_bytes - 100)
+        chunk_in, _ = mmap_store.read_chunk(0, 64)  # before the hole
+        np.testing.assert_array_equal(chunk_in, memories[0][:64])
+        offset = 256 * row_bytes
+        with pytest.raises(
+            OSError, match=rf"m_out\.bin.*offset {offset}.*100 of {row_bytes}"
+        ):
+            mmap_store.read_chunk(256, NS)
+
+    def test_closed_store_refuses_chunk_reads(self, mmap_store, memories):
+        mmap_store.read_chunk(0, 8)
+        mmap_store.close()
+        mmap_store.close()  # idempotent
+        with pytest.raises(ValueError, match="closed"):
+            mmap_store.read_chunk(0, 8)
+        # The mappings are independent of the read descriptors.
+        np.testing.assert_array_equal(
+            mmap_store.read_rows([3])[0], memories[0][[3]]
+        )
+
+    @pytest.mark.skipif(not _HAS_PROC_FD, reason="needs /proc/self/fd")
+    def test_close_releases_both_descriptors(self, memories, tmp_path):
+        before = _open_fds()
+        store = MmapStore.save(tmp_path / "fds", *memories)
+        opened = _open_fds()
+        store.close()
+        assert _open_fds() == opened - 2
+        del store  # the two mappings hold a descriptor each
+        assert _open_fds() == before
+
+
 class TestChunkPrefetcher:
     def test_demand_path_accounting(self, mmap_store):
         pipeline = ChunkPrefetcher(mmap_store, chunk_size=64)
@@ -233,6 +282,101 @@ class TestChunkPrefetcher:
         list(pipeline.chunks())
         assert pipeline.cached_bytes <= 2 * chunk_bytes
 
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    def test_budget_below_footprint_keeps_what_fits(
+        self, mmap_store, prefetch_depth
+    ):
+        """The regression test for hit share 0: under LRU a cyclic
+        scan one chunk larger than the budget never hit."""
+        chunk_bytes = 2 * 64 * ED * 8
+        budget = 2 * chunk_bytes + chunk_bytes // 2
+        pipeline = ChunkPrefetcher(
+            mmap_store, chunk_size=64, resident_bytes=budget,
+            prefetch_depth=prefetch_depth,
+        )
+        list(pipeline.chunks())
+        assert pipeline.stats.ram_bytes == 0
+        # Chunks 0 and 1 fill the budget; 2 and 3 do not fit; the
+        # one-row tail still does.
+        tail = ((256, 257),)
+        resident = ((0, 64), (64, 128)) + tail
+        assert pipeline.resident_spans() == resident
+        for _ in range(3):
+            before = pipeline.stats.snapshot()
+            list(pipeline.chunks())
+            ram = pipeline.stats.ram_bytes - before.ram_bytes
+            assert ram // chunk_bytes == budget // chunk_bytes == 2
+            assert pipeline.stats.disk_bytes - before.disk_bytes == 2 * chunk_bytes
+            assert pipeline.cached_bytes <= budget
+            assert pipeline.resident_spans() == resident
+        pipeline.close()
+
+    def test_fetch_still_evicts_lru_first(self, mmap_store):
+        chunk_bytes = 2 * 64 * ED * 8
+        pipeline = ChunkPrefetcher(
+            mmap_store, chunk_size=64, resident_bytes=2 * chunk_bytes
+        )
+        list(pipeline.chunks())  # admits chunks 0 and 1, then is full
+        assert pipeline.resident_chunk_ids() == {0, 1}
+        _, hit = pipeline.fetch((192, 256))
+        assert not hit
+        assert pipeline.resident_spans() == ((64, 128), (192, 256))
+        assert pipeline.cached_bytes <= 2 * chunk_bytes
+
+    def test_fetch_thread_lives_until_close(self, mmap_store):
+        started = threading.active_count()
+        pipeline = ChunkPrefetcher(mmap_store, chunk_size=64, prefetch_depth=2)
+        for _ in range(3):
+            list(pipeline.chunks())
+        assert threading.active_count() == started + 1  # one, not one per pass
+        pipeline.close()
+        pipeline.close()  # idempotent
+        assert threading.active_count() == started
+        assert len(list(pipeline.chunks())) == 5  # still usable
+        pipeline.close()
+
+    def test_resident_chunks_need_no_fetch_thread(self, mmap_store):
+        started = threading.active_count()
+        pipeline = ChunkPrefetcher(
+            mmap_store, chunk_size=64, resident_bytes=1 << 30, prefetch_depth=2
+        )
+        list(pipeline.chunks())  # fills the tier through the fetch thread
+        pipeline.close()
+        before = pipeline.stats.snapshot()
+        list(pipeline.chunks())  # every chunk is taken inline
+        assert threading.active_count() == started
+        stats = pipeline.stats
+        assert stats.prefetch_hits - before.prefetch_hits == 5
+        assert stats.prefetch_late == before.prefetch_late
+        assert stats.ram_bytes == stats.disk_bytes == before.disk_bytes
+
+    def test_fetch_thread_and_inline_hits_share_the_tier(
+        self, mmap_store, memories
+    ):
+        """The consumer reads the tier for inline hits while the fetch
+        thread admits misses into it: the byte count must stay the sum
+        of what is held, under an aggressive switch interval."""
+        row_pair_bytes = 2 * ED * 8
+        budget = int(5.5 * 16 * row_pair_bytes)
+        pipeline = ChunkPrefetcher(
+            mmap_store, chunk_size=16, resident_bytes=budget, prefetch_depth=3
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                served = np.vstack([c[0] for c in pipeline.chunks()])
+                np.testing.assert_array_equal(served, memories[0])
+                held = sum(
+                    (stop - start) * row_pair_bytes
+                    for start, stop in pipeline.resident_spans()
+                )
+                assert pipeline.cached_bytes == held <= budget
+        finally:
+            sys.setswitchinterval(interval)
+            pipeline.close()
+        assert len(pipeline.resident_spans()) == 6  # five chunks + the tail
+
     def test_chunks_match_the_store(self, mmap_store, memories):
         pipeline = ChunkPrefetcher(
             mmap_store, chunk_size=100, prefetch_depth=1
@@ -250,34 +394,45 @@ class TestChunkPrefetcher:
 
 
 #: One chunk pair at chunk_size=64: the "tiny" budget holds one chunk,
-#: the "large" budget holds the whole store.
+#: the "partial" budget three of the five (smaller than the footprint,
+#: so later passes mix resident and streamed chunks), the "large"
+#: budget the whole store.
 _CHUNK_PAIR_BYTES = 2 * 64 * ED * 8
 
 
 class TestDifferentialGrid:
-    """Store-backed inference must match resident inference exactly."""
+    """Store-backed inference must match resident inference exactly:
+    1e-10 against the one-chunk reference, and ``tobytes``-identical
+    to the resident path of the same chunk geometry on every pass
+    (the third is the first a warm, partly-resident tier serves)."""
 
     @pytest.mark.parametrize("prefetch_depth", [0, 1, 2])
     @pytest.mark.parametrize(
-        "resident_bytes", [None, _CHUNK_PAIR_BYTES, 1 << 30]
+        "resident_bytes",
+        [None, _CHUNK_PAIR_BYTES, 3 * _CHUNK_PAIR_BYTES, 1 << 30],
     )
     def test_column_mmap_grid(
         self, memories, questions, mmap_store, prefetch_depth, resident_bytes
     ):
+        chunk = ChunkConfig(chunk_size=64)
         reference = ColumnMemNN(*memories).output(questions).output
+        same_geometry = ColumnMemNN(*memories, chunk=chunk).output(questions)
         solver = ColumnMemNN(
             store=mmap_store,
-            chunk=ChunkConfig(chunk_size=64),
+            chunk=chunk,
             resident_bytes=resident_bytes,
             prefetch_depth=prefetch_depth,
         )
-        result = solver.output(questions)
+        for served in (5, 10, 15):
+            result = solver.output(questions)
+            assert result.output.tobytes() == same_geometry.output.tobytes()
+            store_stats = result.tier_stats()["store"]
+            assert store_stats is not None
+            assert store_stats.chunks_served == served
+        solver.close()
         np.testing.assert_allclose(
             result.output, reference, rtol=1e-10, atol=1e-10
         )
-        store_stats = result.tier_stats()["store"]
-        assert store_stats is not None
-        assert store_stats.chunks_served == 5
 
     @pytest.mark.parametrize("prefetch_depth", [0, 2])
     def test_column_resident_pipeline_grid(
@@ -299,22 +454,55 @@ class TestDifferentialGrid:
     def test_sharded_mmap_grid(
         self, memories, questions, mmap_store, num_shards, policy
     ):
+        self._check_sharded(
+            memories, questions, mmap_store, num_shards, policy,
+            resident_bytes=1 << 20, prefetch_depth=2,
+        )
+
+    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize("resident_bytes", [None, 3 * _CHUNK_PAIR_BYTES])
+    def test_sharded_mmap_budget_grid(
+        self, memories, questions, mmap_store, policy, prefetch_depth,
+        resident_bytes,
+    ):
+        # 3 * _CHUNK_PAIR_BYTES over two shards of ~2 chunks each: one
+        # chunk and the tail of every shard stay resident.
+        self._check_sharded(
+            memories, questions, mmap_store, 2, policy,
+            resident_bytes=resident_bytes, prefetch_depth=prefetch_depth,
+        )
+
+    @staticmethod
+    def _check_sharded(
+        memories, questions, mmap_store, num_shards, policy,
+        resident_bytes, prefetch_depth,
+    ):
+        chunk = ChunkConfig(chunk_size=64)
         reference = ColumnMemNN(*memories).output(questions).output
+        same_geometry = ShardedMemNN(
+            *memories, num_shards=num_shards, policy=policy, chunk=chunk
+        ).output(questions)
         solver = ShardedMemNN(
             store=mmap_store,
             num_shards=num_shards,
             policy=policy,
-            chunk=ChunkConfig(chunk_size=64),
-            resident_bytes=1 << 20,
-            prefetch_depth=2,
+            chunk=chunk,
+            resident_bytes=resident_bytes,
+            prefetch_depth=prefetch_depth,
         )
-        result = solver.output(questions)
+        for _ in range(3):
+            result = solver.output(questions)
+            assert result.output.tobytes() == same_geometry.output.tobytes()
+        solver.close()
         np.testing.assert_allclose(
             result.output, reference, rtol=1e-10, atol=1e-10
         )
         store_stats = result.tier_stats()["store"]
         assert store_stats is not None
         assert store_stats.chunks_served > 0
+        if resident_bytes is not None:
+            assert 0 < store_stats.ram_bytes
 
     def test_float32_store_matches_float32_resident(
         self, memories, questions, tmp_path
@@ -431,6 +619,25 @@ class TestEngineOutOfCore:
             rtol=1e-10, atol=1e-10,
         )
         assert not np.allclose(second.logits, first)
+
+
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_no_descriptor_or_thread_outlives_close(self, num_shards):
+        """The engine re-spills on every memory mutation; each spill
+        holds descriptors and (with lookahead) a fetch thread."""
+        engine, questions = self._setup(
+            EngineConfig.out_of_core(num_shards=num_shards)
+        )
+        engine.close()
+        fds, threads = _open_fds(), threading.active_count()
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            engine.store_story(rng.integers(1, 60, size=(2, 6)))
+            engine.answer(questions)
+        assert threading.active_count() > threads  # the lookahead ran
+        engine.close()
+        assert _open_fds() == fds
+        assert threading.active_count() == threads
 
 
 class TestArtifactValidator:

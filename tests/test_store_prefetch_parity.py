@@ -23,7 +23,10 @@ over generic hardware prefetching (the ``bench_ablation_*`` story).
 import numpy as np
 import pytest
 
+from repro.core import EngineConfig, MemNNConfig
+from repro.core.config import FLOAT_BYTES
 from repro.memsim.prefetcher import StridePrefetcher
+from repro.serving import QaServer, ServerConfig
 from repro.store import ChunkPrefetcher, MmapStore, ResidentStore, StoreStats
 from repro.store.base import iter_chunk_spans
 
@@ -153,3 +156,48 @@ class TestLedgerCompleteness:
         assert spans[0][0] == 0 and spans[-1][1] == NS
         for (_, stop), (start, _) in zip(spans, spans[1:]):
             assert stop == start
+
+
+class TestModelMatchesExecution:
+    """ROADMAP aim 1: the serving model charges a hop
+    ``max(0, footprint - resident_bytes)`` of disk traffic
+    (``QaServer.disk_stream_seconds``); once the resident tier is warm
+    the executed pipeline reads exactly that, to within the one chunk
+    that may not fit the budget's remainder."""
+
+    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize("budget_chunks", [0.5, 3.5, 7, 12])
+    def test_disk_bytes_per_pass(self, tmp_path, budget_chunks, prefetch_depth):
+        rng = np.random.default_rng(2)
+        store = MmapStore.save(
+            tmp_path / "f32",
+            rng.normal(size=(NS, ED)),
+            rng.normal(size=(NS, ED)),
+            dtype=np.float32,  # the model's FLOAT_BYTES convention
+        )
+        chunk_bytes = 2 * CHUNK * ED * FLOAT_BYTES
+        budget = int(budget_chunks * chunk_bytes)
+        server = QaServer(
+            ServerConfig(
+                network=MemNNConfig(
+                    vocab_size=50, embedding_dim=ED, num_sentences=NS,
+                    max_words=4, hops=1,
+                ),
+                engine=EngineConfig.out_of_core(
+                    resident_bytes=budget, prefetch_depth=prefetch_depth
+                ),
+            )
+        )
+        modeled = server.disk_stream_seconds() * server.config.disk_bandwidth
+        pipeline = ChunkPrefetcher(
+            store, chunk_size=CHUNK, resident_bytes=budget,
+            prefetch_depth=prefetch_depth,
+        )
+        list(pipeline.chunks())  # warm-up: everything comes from disk
+        assert pipeline.stats.disk_bytes == 2 * NS * ED * FLOAT_BYTES
+        for _ in range(2):
+            before = pipeline.stats.disk_bytes
+            list(pipeline.chunks())
+            executed = pipeline.stats.disk_bytes - before
+            assert abs(executed - modeled) < chunk_bytes
+        pipeline.close()
