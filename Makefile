@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test test-fast test-slowest bench bench-smoke bench-core serving \
-	perfbench perfbench-compare perfbench-smoke
+	perfbench perfbench-compare perfbench-smoke loc
 
 check: lint test
 
@@ -40,8 +40,8 @@ bench-smoke:
 	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_batching.py benchmarks/bench_serving.py benchmarks/bench_parallel_speedup.py benchmarks/bench_store_streaming.py benchmarks/bench_topk_recall.py benchmarks/bench_early_exit.py benchmarks/bench_cluster.py benchmarks/bench_docqa.py -q
 	$(PYTHON) benchmarks/validate_artifacts.py
 
-# Full-scale core-engine trajectory (serial vs thread/process/fused
-# backends) + artifact validation.  On a >= 4-CPU host this enforces
+# Full-scale core-engine trajectory (serial vs process/fused
+# arrangements) + artifact validation.  On a >= 4-CPU host this enforces
 # the multicore acceptance gates; below that BENCH_core.json records
 # an explicit parallel_gate.skipped_reason.
 bench-core:
@@ -69,10 +69,20 @@ perfbench:
 perfbench-compare:
 	$(PYTHON) benchmarks/perfbench/compare.py $(A) $(B)
 
-# The CI step after tier-1: the harness's own tests (~9 s) and short
+# The CI step after tier-1: the harness's own tests (~9 s), short
 # story_turns and out_of_core_stream runs whose exit codes check the
-# answer-agreement floor.
+# answer-agreement floor, and one traced table1_batch run (~12 s) — the
+# only caller of EngineConfig.fused(4), the 2-worker process config and
+# the vars(cls)[attr] span boundaries, so a refactor that moves a
+# method off its class fails here.
 perfbench-smoke:
 	$(PYTHON) -m pytest benchmarks/perfbench -q
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --seconds 5 > /dev/null
+	$(PYTHON) benchmarks/perfbench/run.py --workload table1_batch --trace 1 > /dev/null
+
+# Line counts ROADMAP.md tracks (aim 2: src/ should go down).
+loc:
+	@for dir in src tests benchmarks; do \
+		printf '%-11s %s\n' $$dir "$$(find $$dir -name '*.py' | xargs cat | wc -l)"; \
+	done

@@ -244,7 +244,7 @@ _CORE_NOISE = 0.10
 
 def _validate_core(payload: dict) -> list[str]:
     """Schema of ``BENCH_core.json`` (the ISSUE 9 acceptance artifact):
-    the serial/thread/process/fused wall-clock series plus the machine
+    the serial/process/fused wall-clock series plus the machine
     description (CPU count, BLAS implementation, effective worker
     thread limit), and a ``parallel_gate`` that is *either* enforced —
     process and fused never lose to serial, the multicore headline

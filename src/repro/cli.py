@@ -327,9 +327,6 @@ def _cmd_parallel(args: argparse.Namespace) -> None:
             f"sharded process x{workers}", EngineConfig.parallel(workers)
         ))
     configs.append((
-        "sharded thread x4", EngineConfig.parallel(4, backend="thread")
-    ))
-    configs.append((
         "sharded serial K=4", EngineConfig.sharded(num_shards=4)
     ))
     configs.append(("sharded fused K=4", EngineConfig.fused(4)))
@@ -930,7 +927,7 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[argparse.Namespace], None]]] = {
                 _cmd_serving),
     "sharded": ("§3.1 scale-out — sharded attention exact-merge check",
                 _cmd_sharded),
-    "parallel": ("§3.1 execution backend — process/thread/fused/dtype "
+    "parallel": ("§3.1 execution backend — process/fused/dtype "
                  "wall-clock sweep", _cmd_parallel),
     "batching": ("§5 nq amortization — continuous batching sweep",
                  _cmd_batching),

@@ -33,7 +33,7 @@ from .early_exit import (
     logit_margin_confidence,
 )
 from .engine import AnswerResult, BatchAnswer, EngineWeights, MnnFastEngine
-from .execution import FLOAT32_LOGIT_TOLERANCE, run_shard_partials
+from .execution import FLOAT32_LOGIT_TOLERANCE
 from .kv import InvertedIndex, KeyValueMemory, KVAnswer, KVMnnFast
 from .plan import InferencePlan, expected_hop_survivors, plan_inference
 from .sharded import SHARD_POLICIES, ShardedMemNN, ShardPlan
@@ -66,7 +66,6 @@ __all__ = [
     "attention_mass_confidence",
     "logit_margin_confidence",
     "FLOAT32_LOGIT_TOLERANCE",
-    "run_shard_partials",
     "CPU_CONFIG",
     "GPU_CONFIG",
     "FPGA_CONFIG",

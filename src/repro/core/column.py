@@ -27,10 +27,14 @@ implements the paper's scale-out story (§3.1, last paragraph):
 CUDA streams, GPUs, FPGA lanes) merge with negligible synchronization
 cost — the merged state is ``O(nq x ed)`` regardless of ``ns``.
 
-The first tile *initialises* the running state (its score maximum,
-exponential sum and weighted sum are the state) and only later tiles
-are folded into it, allocation-free (DESIGN.md §10): their
-intermediates reuse the first tile's arrays and fill them with
+That accumulation is written once, in :class:`TileState`: every
+arrangement — :class:`ColumnMemNN` over one memory, the per-shard
+kernels and the fused tile sweep of :mod:`repro.core.sharded`, the
+worker processes of :mod:`repro.core.execution` — scores a tile and
+folds it into a state (DESIGN.md §10).  The first fold *initialises*
+the state (the tile's score maximum, exponential sum and weighted sum
+are the state) and later folds rescale into it allocation-free: their
+intermediates reuse the first tile's arrays through
 ``np.matmul(..., out=)`` / ``np.exp(..., out=)``, the no-skip path
 never materializes a keep-mask, and the running-max rescale
 short-circuits when no question's maximum grew.  A memory of at most
@@ -43,6 +47,7 @@ float32 this turned the whole pass over).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -63,55 +68,23 @@ from .zero_skip import exp_mode_mask, running_probability_mode_mask
 __all__ = [
     "ColumnMemNN",
     "PartialOutput",
+    "TileState",
     "column_op_stats",
     "exp_floor",
-    "keep_mask",
     "partition_memory",
     "SUPPORTED_DTYPES",
     "check_dtype",
 ]
 
 
-def keep_mask(
-    scores: np.ndarray,
-    denom: np.ndarray,
-    log_max: np.ndarray,
-    stable: bool,
-    zero_skip: ZeroSkipConfig | None,
-) -> np.ndarray | None:
-    """Zero-skip keep-mask for one score block, or ``None`` for
-    keep-all.
-
-    ``None`` (zero-skipping disabled) lets the caller skip the mask
-    multiply entirely instead of paying a full ``(nq, c)`` elementwise
-    product against an all-ones mask.  Shared by the per-shard chunk
-    loop and the fused tile kernel: the mask semantics depend only on
-    the block's raw scores and the caller's running ``(denom,
-    log_max)`` state, not on how the block was produced.
-    """
-    if zero_skip is None or not zero_skip.enabled:
-        return None
-    if zero_skip.mode == "exp":
-        # Raw-score comparison: exact regardless of stabilization.
-        return exp_mode_mask(scores, zero_skip.threshold)
-    # Running-probability mode: denominator known so far.  It already
-    # includes this block's floored (normal, positive) exponentials, so
-    # the logarithm never sees a zero.
-    log_running = np.log(denom)
-    if stable:
-        log_running += log_max
-    return running_probability_mode_mask(
-        scores, log_running, zero_skip.threshold
-    )
-
-
+@functools.lru_cache(maxsize=None)
 def exp_floor(dtype: np.dtype):
     """Floor for shifted scores before ``exp``, a few ulps above
     ``log(smallest normal)`` so ``exp(floor)`` is safely *normal*: exp
     at the exact boundary rounds into subnormal range, and subnormal
     operands stall x86 pipelines ~100x per element (on float32 this
-    single effect dominated the whole pass).  Shared by the per-shard
-    chunk loop and the fused tile kernel so both clamp identically."""
+    single effect dominated the whole pass).  Cached per dtype: a
+    :class:`TileState` is built on every scan."""
     return dtype.type(np.log(np.finfo(dtype).tiny) + 2.0)
 
 
@@ -217,6 +190,156 @@ class PartialOutput:
         return self.weighted / self.denom[:, None]
 
 
+class TileState:
+    """The lazy-softmax running state ``(log_max, denom, acc)`` of one
+    memory scan — the one place that knows the fold arithmetic (Eq. 4
+    with the online running max).  Every arrangement drives it the same
+    way: score a tile, :meth:`fold` it, take :meth:`partial` at the end.
+
+    The first fold *initialises* the state from its tile (nothing has
+    been accumulated, so there is nothing to rescale); later folds
+    rescale into it through ``out=`` workspaces that exist only once a
+    second tile does, so a one-tile scan pays for one tile's arithmetic
+    and nothing else.
+
+    Args:
+        nq, ed: question count and embedding width (the shape of the
+            merge identity a zero-tile scan returns).
+        dtype: compute dtype of the scores that will be folded.
+        zero_skip: §3.2 zero-skipping applied to every folded tile.
+        stable: online running-max softmax vs raw exponentials.
+    """
+
+    __slots__ = (
+        "_shape", "_dtype", "_zero_skip", "_skipping", "_stable", "rows_kept",
+        "_log_max", "_denom", "_acc", "_exp_ws", "_fold_ws",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        nq: int,
+        ed: int,
+        dtype: np.dtype,
+        zero_skip: ZeroSkipConfig | None,
+        stable: bool,
+    ) -> None:
+        self._shape = (nq, ed)
+        self._dtype = dtype
+        self._zero_skip = zero_skip
+        self._skipping = zero_skip is not None and zero_skip.enabled
+        self._stable = stable
+        #: Question-row pairs whose exponential survived zero-skipping.
+        self.rows_kept = 0
+        self._log_max = self._denom = self._acc = None
+        # Workspaces: the exponentials (zero-skipping only — otherwise
+        # the scores are exponentiated in place) and, from the second
+        # tile on, the ``(contrib, tile_max, new_max)`` out= buffers of
+        # a rescaling fold.
+        self._exp_ws = self._fold_ws = None
+
+    def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
+        """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block
+        (overwritten when zero-skipping is off), ``tile_out`` its
+        ``(n, ed)`` output-memory rows."""
+        first = self._acc is None
+        if not first:
+            if self._fold_ws is None:
+                self._fold_ws = (
+                    np.empty_like(self._acc),
+                    np.empty_like(self._log_max),
+                    np.empty_like(self._log_max),
+                )
+            contrib, tile_max, new_max = self._fold_ws
+        if not self._skipping:
+            # The keep-mask is never built, so nothing reads the raw
+            # scores again: exponentiate them in place.
+            exp_scores = scores
+        elif first:
+            exp_scores = self._exp_ws = np.empty_like(scores)
+        else:
+            n = scores.shape[1]
+            if n > self._exp_ws.shape[1]:
+                # A chunk source's first tile is its widest; a fused
+                # shard's first segment need not be.
+                self._exp_ws = np.empty_like(scores)
+            exp_scores = self._exp_ws[:, :n]
+
+        if not self._stable:
+            if first:
+                self._log_max = np.zeros(scores.shape[0], dtype=scores.dtype)
+            if self._skipping:
+                np.copyto(exp_scores, scores)
+        elif first:
+            self._log_max = scores.max(axis=1)
+            np.subtract(scores, self._log_max[:, None], out=exp_scores)
+        else:
+            log_max = self._log_max
+            scores.max(axis=1, out=tile_max)
+            np.maximum(log_max, tile_max, out=new_max)
+            if not np.array_equal(new_max, log_max):
+                # Some question's running max grew: rescale the
+                # accumulated partials (the max is a finite score from
+                # the first fold on, so the scale is too).  When no max
+                # moved, every scale is exactly 1.0 — skip the no-op
+                # multiplies.
+                scale = np.exp(log_max - new_max)
+                self._denom *= scale
+                self._acc *= scale[:, None]
+                log_max[:] = new_max
+            np.subtract(scores, log_max[:, None], out=exp_scores)
+        np.maximum(exp_scores, exp_floor(scores.dtype), out=exp_scores)
+        np.exp(exp_scores, out=exp_scores)
+        if first:
+            self._denom = exp_scores.sum(axis=1)
+        else:
+            self._denom += exp_scores.sum(axis=1)
+
+        if not self._skipping:
+            # No mask to build, and no full ``(nq, n)`` product against
+            # an all-ones one.
+            self.rows_kept += exp_scores.size
+        else:
+            keep = self._keep_mask(scores)
+            np.multiply(exp_scores, keep, out=exp_scores)
+            self.rows_kept += int(np.count_nonzero(keep))
+
+        if first:
+            self._acc = np.matmul(exp_scores, tile_out)
+        else:
+            np.matmul(exp_scores, tile_out, out=contrib)
+            self._acc += contrib
+
+    def _keep_mask(self, scores: np.ndarray) -> np.ndarray:
+        """Zero-skip keep-mask of the tile just exponentiated.  It
+        depends only on the tile's raw scores and the running state,
+        not on which arrangement produced the tile."""
+        zero_skip = self._zero_skip
+        if zero_skip.mode == "exp":
+            # Raw-score comparison: exact regardless of stabilization.
+            return exp_mode_mask(scores, zero_skip.threshold)
+        # Running-probability mode: denominator known so far.  It
+        # already includes this tile's floored (normal, positive)
+        # exponentials, so the logarithm never sees a zero.
+        log_running = np.log(self._denom)
+        if self._stable:
+            log_running += self._log_max
+        return running_probability_mode_mask(
+            scores, log_running, zero_skip.threshold
+        )
+
+    def partial(self) -> PartialOutput:
+        """The folded state as a mergeable partial — the identity of
+        :meth:`PartialOutput.merge` when no tile was folded."""
+        if self._acc is None:
+            partial = PartialOutput.empty(*self._shape, self._dtype)
+            if not self._stable:
+                partial.log_max = np.zeros(self._shape[0], dtype=self._dtype)
+            return partial
+        return PartialOutput(
+            weighted=self._acc, denom=self._denom, log_max=self._log_max
+        )
+
+
 class ColumnMemNN:
     """Column-based inference over fixed input/output memories.
 
@@ -278,7 +401,6 @@ class ColumnMemNN:
                 resident_bytes=resident_bytes,
                 prefetch_depth=prefetch_depth,
             )
-        self._exp_floor = exp_floor(dtype)
 
     @property
     def store(self) -> MemoryStore:
@@ -346,119 +468,53 @@ class ColumnMemNN:
         each worker calls :meth:`partial_output` on its shard and the
         coordinator merges and finalizes.
         """
-        u = self._check_questions(u)
+        u = self.check_questions(u)
         nq, ed = u.shape
-        ns = self.num_sentences
-        dtype = self.dtype
-        skipping = zero_skip is not None and zero_skip.enabled
-        floor = self._exp_floor
+        state = TileState(nq, ed, self.dtype, zero_skip, stable)
+        for scores, chunk_out in self.scored_tiles(u):
+            state.fold(scores, chunk_out)
+        return state.partial(), column_op_stats(
+            nq,
+            self.num_sentences,
+            ed,
+            state.rows_kept,
+            self.chunk.chunk_size,
+            self.dtype,
+        )
 
-        c = self.chunk.chunk_size
+    def scored_tiles(
+        self, u: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Tile source -> score GEMM: ``(u @ chunk_in.T, chunk_out)``
+        for every chunk of the memory, in row order.
+
+        ``u`` must already be checked (:meth:`check_questions`).  The
+        first tile's score array is the later tiles' ``out=`` workspace
+        (a chunk source never yields a tile wider than its first), so a
+        yielded ``scores`` is only valid until the next tile is drawn —
+        and is the consumer's to overwrite (:meth:`TileState.fold`
+        exponentiates it in place when zero-skipping is off).
+        """
         if self._pipeline is not None:
             chunks = self._pipeline.chunks()
         else:
-            store = self._store
-            chunks = (
-                store.read_chunk(start, start + c) for start in range(0, ns, c)
+            # Resident arrays: zero-copy slices (the last stop may
+            # overshoot; slicing clamps it).
+            ns, c = self._store.num_rows, self.chunk.chunk_size
+            chunks = map(
+                self._store.read_chunk, range(0, ns, c), range(c, ns + c, c)
             )
-        tile = next(chunks, None)
-        if tile is None:
-            # Empty memory: the identity element of PartialOutput.merge.
-            partial = PartialOutput.empty(nq, ed, dtype)
-            if not stable:
-                partial.log_max = np.zeros(nq, dtype=dtype)
-            return partial, column_op_stats(nq, 0, ed, 0, c, dtype)
+        workspace = None
+        for chunk_in, chunk_out in chunks:
+            if workspace is None:
+                workspace = scores = np.matmul(u, chunk_in.T)  # (nq, c)
+            else:
+                scores = workspace[:, : chunk_in.shape[0]]
+                np.matmul(u, chunk_in.T, out=scores)
+            yield scores, chunk_out
 
-        # The first tile *initialises* the running state: nothing has
-        # been accumulated yet, so there is nothing to rescale.
-        chunk_in, chunk_out = tile
-        scores = np.matmul(u, chunk_in.T)  # (nq, c) — fits on chip
-        if stable:
-            log_max = scores.max(axis=1)
-            exp_scores = np.subtract(
-                scores, log_max[:, None], out=None if skipping else scores
-            )
-        else:
-            log_max = np.zeros(nq, dtype=dtype)
-            exp_scores = scores.copy() if skipping else scores
-        np.maximum(exp_scores, floor, out=exp_scores)
-        np.exp(exp_scores, out=exp_scores)
-        denom = exp_scores.sum(axis=1)
-        # When skipping is off, `scores` aliases `exp_scores` (already
-        # exponentiated) — safe, because the no-skip path returns
-        # without reading them.
-        rows_kept = self._skip_rows(
-            scores, exp_scores, denom, log_max, stable, zero_skip
-        )
-        acc = np.matmul(exp_scores, chunk_out)
-
-        # Later tiles fold into that state allocation-free: the first
-        # tile's score/exponential arrays are their workspaces (a chunk
-        # source never yields a tile wider than its first), and the
-        # three small out= buffers exist only once a second tile does.
-        # A memory of at most one chunk never runs this loop.
-        scores_ws, exp_ws = scores, exp_scores
-        tile = next(chunks, None)
-        if tile is not None:
-            contrib = np.empty_like(acc)
-            chunk_max = np.empty_like(log_max)
-            new_max = np.empty_like(log_max)
-        while tile is not None:
-            chunk_in, chunk_out = tile
-            n = chunk_in.shape[0]
-            scores = scores_ws[:, :n]
-            np.matmul(u, chunk_in.T, out=scores)
-            exp_scores = exp_ws[:, :n] if skipping else scores
-            if stable:
-                scores.max(axis=1, out=chunk_max)
-                np.maximum(log_max, chunk_max, out=new_max)
-                if not np.array_equal(new_max, log_max):
-                    # Some question's running max grew: rescale the
-                    # accumulated partials.  When no max moved, every
-                    # scale is exactly 1.0 — skip the no-op multiplies.
-                    with np.errstate(invalid="ignore"):
-                        scale = np.where(
-                            np.isneginf(log_max),
-                            0.0,
-                            np.exp(log_max - new_max),
-                        )
-                    denom *= scale
-                    acc *= scale[:, None]
-                    log_max[:] = new_max
-                np.subtract(scores, log_max[:, None], out=exp_scores)
-            elif skipping:
-                np.copyto(exp_scores, scores)
-            np.maximum(exp_scores, floor, out=exp_scores)
-            np.exp(exp_scores, out=exp_scores)
-            denom += exp_scores.sum(axis=1)
-            rows_kept += self._skip_rows(
-                scores, exp_scores, denom, log_max, stable, zero_skip
-            )
-            np.matmul(exp_scores, chunk_out, out=contrib)
-            acc += contrib
-            tile = next(chunks, None)
-
-        partial = PartialOutput(weighted=acc, denom=denom, log_max=log_max)
-        return partial, column_op_stats(nq, ns, ed, rows_kept, c, dtype)
-
-    @staticmethod
-    def _skip_rows(
-        scores: np.ndarray,
-        exp_scores: np.ndarray,
-        denom: np.ndarray,
-        log_max: np.ndarray,
-        stable: bool,
-        zero_skip: ZeroSkipConfig | None,
-    ) -> int:
-        """Zero the exponentials of the tile's skipped rows in place
-        (see :func:`keep_mask`); returns the number of rows kept."""
-        keep = keep_mask(scores, denom, log_max, stable, zero_skip)
-        if keep is None:
-            return exp_scores.size
-        np.multiply(exp_scores, keep, out=exp_scores)
-        return int(np.count_nonzero(keep))
-
-    def _check_questions(self, u: np.ndarray) -> np.ndarray:
+    def check_questions(self, u: np.ndarray) -> np.ndarray:
+        """``u`` as an ``(nq, ed)`` array of the compute dtype."""
         u = np.asarray(u, dtype=self.dtype)
         if u.ndim == 1:
             u = u[None, :]

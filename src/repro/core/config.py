@@ -249,54 +249,37 @@ class ExecutionConfig:
     """How the numerical engines execute (§3.1's scale-out, realized).
 
     The lazy-softmax partials merge exactly (DESIGN.md §8), so shard
-    work is embarrassingly parallel *in principle*.  Which backend
-    cashes that in matters — the measured trajectory (BENCH_core.json)
-    is blunt about it:
+    work is embarrassingly parallel *in principle*, and every
+    arrangement runs the same tile kernel
+    (:class:`~repro.core.column.TileState`, DESIGN.md §10).  Two of
+    them move the work off a single Python loop:
 
-    * ``"thread"`` fans shards over a ``ThreadPoolExecutor``.  The BLAS
-      calls release the GIL, but the Python-side chunk-loop bookkeeping
-      between them does not, and on the measured workload the thread
-      backend is a *slowdown* (0.79–0.99x vs serial across 1–4
-      workers).  Kept for API compatibility and as the measured
-      counterexample; do not reach for it expecting speedup.
     * ``"process"`` fans shards over a ``ProcessPoolExecutor`` whose
       workers map the engine's spilled
       :class:`~repro.store.MmapStore` read-only — no GIL sharing, and
       no pickling of the ``O(ns x ed)`` memories: only the
       ``O(nq x ed)`` question matrix and partial-output triples cross
-      the pipe.  This is the backend that actually scales with cores
-      (DESIGN.md §15).
-    * ``fused=True`` (serial backend only) is the other true-multicore
-      attack: the per-shard chunk GEMMs are restructured into one
-      batchxshard tile GEMM so BLAS's *own* thread pool does the
+      the pipe.
+    * ``fused=True`` (serial backend only) scores one batch x shard
+      tile per BLAS call so BLAS's *own* thread pool does the
       parallelism, with no Python fan-out at all.
 
     Attributes:
         backend: ``"serial"`` (shards run in a loop, the reference
-            behaviour), ``"thread"`` (GIL-bound pool, see above) or
-            ``"process"`` (multicore pool over the spilled store).
-        num_workers: pool width for the thread/process backends.  ``1``
-            runs sequentially even under a pool backend and is
+            behaviour) or ``"process"`` (multicore pool over the
+            spilled store).
+        num_workers: pool width for the process backend.  ``1`` runs
+            sequentially even under the pool backend and is
             bit-identical to ``"serial"`` (same kernel, same order).
         dtype: compute precision — ``"float64"`` (reference) or
             ``"float32"`` (half the memory traffic and roughly double
             the BLAS throughput; agrees with float64 to ~1e-5 on
             logits, see DESIGN.md §10).
-        fused: run the sharded algorithm through the fused batchxshard
-            tile kernel (one BLAS score call per tile across *all*
-            shards) instead of per-shard chunk loops.  Serial backend
-            only — the fused kernel hands parallelism to BLAS threads,
-            which a process/thread fan-out would oversubscribe.
-        fused_tile_rows: global memory rows per fused tile.  ``None``
-            (the default) keeps the historical geometry of
-            ``chunk_size x num_shards`` — one shard-chunk's worth from
-            every shard per tile, bit-identical to the pre-knob kernel.
-            An explicit value decouples the tile from the chunk
-            geometry: larger tiles amortize more bookkeeping per BLAS
-            call (and give BLAS's threads more rows to split), smaller
-            tiles bound the score-workspace footprint.  Tile size only
-            moves the running-max rescale boundaries, so any value
-            agrees with any other to the documented ~1e-10.
+        fused: run the sharded algorithm as one tiled sweep (one BLAS
+            score call per ``chunk_size x num_shards``-row tile across
+            *all* shards) instead of per-shard chunk loops.  Serial
+            backend only — the fused sweep hands parallelism to BLAS
+            threads, which a process fan-out would oversubscribe.
         blas_threads: BLAS thread-pool width each worker pins itself to
             (via :mod:`repro.core.thread_limits`).  ``None`` means: 1
             per process worker (P workers x 1 BLAS thread — never
@@ -307,10 +290,9 @@ class ExecutionConfig:
     num_workers: int = 1
     dtype: str = "float64"
     fused: bool = False
-    fused_tile_rows: int | None = None
     blas_threads: int | None = None
 
-    _BACKENDS = ("serial", "thread", "process")
+    _BACKENDS = ("serial", "process")
     _DTYPES = ("float64", "float32")
 
     def __post_init__(self) -> None:
@@ -324,8 +306,7 @@ class ExecutionConfig:
             )
         if self.num_workers > 1 and self.backend == "serial":
             raise ValueError(
-                "num_workers > 1 requires backend='thread' or 'process' "
-                f"(got {self.backend!r})"
+                f"num_workers > 1 requires backend='process' (got {self.backend!r})"
             )
         if self.dtype not in self._DTYPES:
             raise ValueError(
@@ -337,17 +318,6 @@ class ExecutionConfig:
                 "requires backend='serial' (a pool fan-out on top "
                 f"would oversubscribe P x T threads; got {self.backend!r})"
             )
-        if self.fused_tile_rows is not None:
-            if not isinstance(self.fused_tile_rows, int) or self.fused_tile_rows < 1:
-                raise ValueError(
-                    f"fused_tile_rows must be a positive integer or None, "
-                    f"got {self.fused_tile_rows!r}"
-                )
-            if not self.fused:
-                raise ValueError(
-                    "fused_tile_rows sizes the fused tile kernel and "
-                    "requires fused=True"
-                )
         if self.blas_threads is not None and (
             not isinstance(self.blas_threads, int) or self.blas_threads < 1
         ):
@@ -359,7 +329,7 @@ class ExecutionConfig:
     @property
     def parallel(self) -> bool:
         """True when shard work actually fans out over a pool."""
-        return self.backend in ("thread", "process") and self.num_workers > 1
+        return self.backend == "process" and self.num_workers > 1
 
     def worker_blas_threads(self) -> int | None:
         """BLAS pool width each execution worker pins itself to, or
@@ -377,11 +347,8 @@ class ExecutionConfig:
         the serving cost model may divide the fan-out by.
 
         The process backend delivers its pool width (separate
-        interpreters, no GIL).  The thread backend is charged 1: the
-        measured BENCH_core.json trajectory shows it at 0.79–0.99x
-        serial, so modeling it as parallel would promise latency the
-        engine never delivers.  Serial (fused or not) is 1 — the fused
-        kernel's BLAS-thread speedup shows up in per-GEMM throughput,
+        interpreters, no GIL).  Serial (fused or not) is 1 — the fused
+        sweep's BLAS-thread speedup shows up in per-GEMM throughput,
         not in shard-level concurrency.
         """
         if self.backend == "process":
@@ -665,7 +632,7 @@ class EngineConfig:
         batch: continuous-batching policy a serving layer applies when
             coalescing questions into engine passes.
         execution: how the engine runs — backend (serial vs
-            thread-over-shards), pool width, and compute dtype.
+            process-over-shards), pool width, and compute dtype.
         store: where the memories live (resident arrays vs an
             out-of-core disk tier) and the chunk prefetch policy.
         topk: the approximate top-k retrieval tier in front of exact
@@ -692,7 +659,7 @@ class EngineConfig:
     def __post_init__(self) -> None:
         # Only *own-field* validation happens at construction; the
         # cross-field constraints live in validate() so builder chains
-        # may pass through intermediate states (e.g. a thread-parallel
+        # may pass through intermediate states (e.g. a process-parallel
         # execution config before with_sharding() sets the shards).
         if self.algorithm not in self._ALGORITHMS:
             raise ValueError(
@@ -721,7 +688,7 @@ class EngineConfig:
             )
         if self.execution.parallel and self.algorithm != "sharded":
             raise ValueError(
-                "the thread/process backends parallelize over memory "
+                "the process backend parallelizes over memory "
                 "shards; num_workers > 1 requires algorithm='sharded' "
                 f"(got {self.algorithm!r})"
             )
@@ -809,7 +776,6 @@ class EngineConfig:
         num_workers=_UNSET,
         dtype=_UNSET,
         fused=_UNSET,
-        fused_tile_rows=_UNSET,
         blas_threads=_UNSET,
     ) -> "EngineConfig":
         """A copy with the execution backend changed.
@@ -838,11 +804,6 @@ class EngineConfig:
                 ),
                 dtype=ex.dtype if dtype is _UNSET else dtype,
                 fused=ex.fused if fused is _UNSET else fused,
-                fused_tile_rows=(
-                    ex.fused_tile_rows
-                    if fused_tile_rows is _UNSET
-                    else fused_tile_rows
-                ),
                 blas_threads=(
                     ex.blas_threads if blas_threads is _UNSET else blas_threads
                 ),
@@ -1008,18 +969,14 @@ class EngineConfig:
         chunk_size: int = 1000,
         threshold: float = 0.0,
         dtype: str = "float64",
-        backend: str = "process",
     ) -> "EngineConfig":
         """Sharded column algorithm with the shards executed
-        concurrently on a ``num_workers``-wide worker pool.
-
-        The default backend is ``"process"`` — the one that delivers
-        multicore speedup (the thread backend measures 0.79–0.99x
-        serial; see :class:`ExecutionConfig`).  One shard per worker by
-        default, so every worker owns exactly one ``partial_output``
-        call; pass ``num_shards`` explicitly to oversubscribe (more
-        shards than workers gives the pool load-balancing slack on
-        skewed machines).
+        concurrently on a ``num_workers``-wide process pool (see
+        :class:`ExecutionConfig`).  One shard per worker by default, so
+        every worker owns exactly one ``partial_output`` call; pass
+        ``num_shards`` explicitly to oversubscribe (more shards than
+        workers gives the pool load-balancing slack on skewed
+        machines).
         """
         return (
             cls.sharded(
@@ -1028,7 +985,7 @@ class EngineConfig:
                 chunk_size=chunk_size,
                 threshold=threshold,
             )
-            .with_execution(backend=backend, num_workers=num_workers, dtype=dtype)
+            .with_execution(backend="process", num_workers=num_workers, dtype=dtype)
         )
 
     @classmethod
@@ -1048,7 +1005,6 @@ class EngineConfig:
             num_shards=num_shards,
             chunk_size=chunk_size,
             dtype=dtype,
-            backend="process",
         )
 
     @classmethod
@@ -1059,19 +1015,16 @@ class EngineConfig:
         chunk_size: int = 1000,
         blas_threads: int | None = None,
         dtype: str = "float64",
-        tile_rows: int | None = None,
     ) -> "EngineConfig":
-        """Sharded algorithm through the fused batchxshard tile kernel:
-        one BLAS score call per tile across every shard, parallelism
-        delegated to BLAS's own ``blas_threads``-wide pool (library
-        default when ``None``).  ``tile_rows`` sizes the global tile
-        (``None`` keeps the historical ``chunk_size x num_shards``)."""
+        """Sharded algorithm as one fused batch x shard tile sweep: one
+        BLAS score call per ``chunk_size x num_shards``-row tile across
+        every shard, parallelism delegated to BLAS's own
+        ``blas_threads``-wide pool (library default when ``None``)."""
         return cls.sharded(
             num_shards, shard_policy=shard_policy, chunk_size=chunk_size
         ).with_execution(
             backend="serial",
             fused=True,
-            fused_tile_rows=tile_rows,
             dtype=dtype,
             blas_threads=blas_threads,
         )

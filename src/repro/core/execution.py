@@ -1,62 +1,49 @@
-"""Execution backends for sharded attention (§3.1, measured honestly).
+"""The process backend for sharded attention (§3.1, measured honestly).
 
-DESIGN.md §8 proves the lazy-softmax shard merge exact; this module
-holds the machinery that tries to turn that proof into wall-clock
-speedup, and is explicit about which attempt worked:
+DESIGN.md §8 proves the lazy-softmax shard merge exact; this module is
+the one arrangement that moves shard work off the calling interpreter.
+(The serial per-shard loop and the fused tile sweep live with
+:class:`~repro.core.sharded.ShardedMemNN`; a thread-pool fan-out was
+removed after measuring 0.79–0.99x serial in every run since it landed
+— the Python bookkeeping between a shard's BLAS calls holds the GIL —
+see DESIGN.md §10.)
 
-* **Thread backend** (:func:`run_shard_partials` with a ``"thread"``
-  config).  The BLAS calls inside
-  :meth:`~repro.core.column.ColumnMemNN.partial_output` release the
-  GIL, but the Python-level chunk-loop bookkeeping between them —
-  slicing workspaces, max/rescale branching, mask logic — does not,
-  and at realistic chunk sizes that bookkeeping is a large enough
-  fraction of each iteration to serialize the pool.  Measured
-  (BENCH_core.json, ``threaded_vs_serial``): **0.79–0.99x vs serial**
-  across 1–4 workers, i.e. a slowdown.  The backend is kept as API
-  surface and as the measured counterexample; it should not be chosen
-  for performance.
+Worker processes sidestep the GIL entirely.  The classic objection — a
+process pool must pickle the ``O(ns x ed)`` memories — is dissolved by
+the store tier: workers ``mmap`` the engine's spilled
+:class:`~repro.store.MmapStore` *read-only* and compute against
+zero-copy mapped shards (the OS page cache backs every worker with the
+same physical pages).  Only the ``O(nq x ed)`` question matrix crosses
+the pipe inbound and the ``O(nq x ed)``
+:class:`~repro.core.column.PartialOutput` triple outbound.  Workers
+pin their BLAS pools (:mod:`repro.core.thread_limits`) so P workers
+never run P x T BLAS threads.
 
-* **Process backend** (:class:`ProcessShardRunner`).  Worker processes
-  sidestep the GIL entirely.  The classic objection — a process pool
-  must pickle the ``O(ns x ed)`` memories — is dissolved by the store
-  tier: workers ``mmap`` the engine's spilled
-  :class:`~repro.store.MmapStore` *read-only* and compute against
-  zero-copy mapped shards (the OS page cache backs every worker with
-  the same physical pages).  Only the ``O(nq x ed)`` question matrix
-  crosses the pipe inbound and the ``O(nq x ed)``
-  :class:`~repro.core.column.PartialOutput` triple outbound.  Workers
-  pin their BLAS pools (:mod:`repro.core.thread_limits`) so P workers
-  never run P x T BLAS threads.
-
-Determinism: both backends collect shard results **in shard order**
-regardless of completion order, and the fold happens on the caller's
-side, so thread and process backends are bit-identical to the serial
-backend at every worker count (each worker runs the same
+Determinism: shard results are collected **in shard order** regardless
+of completion order, and the merge happens on the caller's side, so
+the process backend is bit-identical to the serial one at every worker
+count (each worker runs the same
 :class:`~repro.core.column.ColumnMemNN` kernel on the same shard
 bytes; the differential suite asserts equality, not closeness).
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol, Sequence
-
-import multiprocessing
 
 import numpy as np
 
 from .column import ColumnMemNN, PartialOutput
-from .config import ChunkConfig, ExecutionConfig, ZeroSkipConfig
+from .config import ChunkConfig, ZeroSkipConfig
 from .stats import OpStats
 from .thread_limits import apply_blas_limit
 
 __all__ = [
     "FLOAT32_LOGIT_TOLERANCE",
     "ProcessShardRunner",
-    "run_shard_partials",
 ]
 
 #: Documented agreement bound between the float32 compute path and the
@@ -68,53 +55,6 @@ FLOAT32_LOGIT_TOLERANCE = 1e-4
 #: "forkserver"); unset picks fork where available (no interpreter
 #: re-import per worker) and falls back to spawn.
 _START_METHOD_ENV = "REPRO_MP_START_METHOD"
-
-
-class _PartialWorker(Protocol):
-    def partial_output(
-        self,
-        u: np.ndarray,
-        zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
-    ) -> tuple[PartialOutput, OpStats]: ...
-
-
-def run_shard_partials(
-    shards: Sequence[_PartialWorker],
-    u: np.ndarray,
-    zero_skip: ZeroSkipConfig | None = None,
-    stable: bool = True,
-    execution: ExecutionConfig | None = None,
-) -> list[tuple[PartialOutput, OpStats]]:
-    """Compute every shard's ``(partial, stats)`` pair, in shard order.
-
-    With a parallel *thread* :class:`ExecutionConfig` the shards run on
-    a thread pool (`min(num_workers, len(shards))` wide); otherwise —
-    serial backend, one worker, or a single shard — they run in a loop
-    on the calling thread.  Both paths produce identical floats: the
-    kernel is deterministic per shard and the merge order is fixed by
-    the caller.  Note the thread pool is an *ordering* guarantee, not a
-    performance one — see the module docstring for the measured
-    regression.  (The process backend does not flow through here; it
-    needs a spilled store and lives in :class:`ProcessShardRunner`.)
-    """
-
-    def one(shard: _PartialWorker) -> tuple[PartialOutput, OpStats]:
-        return shard.partial_output(u, zero_skip=zero_skip, stable=stable)
-
-    if (
-        execution is None
-        or not execution.parallel
-        or execution.backend != "thread"
-        or len(shards) <= 1
-    ):
-        return [one(shard) for shard in shards]
-
-    workers = min(execution.num_workers, len(shards))
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-shard"
-    ) as pool:
-        return list(pool.map(one, shards))
 
 
 # --- process backend ---------------------------------------------------------

@@ -29,7 +29,10 @@ Two layers live here:
   The final output matches single-shard column mode to ~1e-15
   relative (the only reordering is the max-rescaling, which the
   differential suite in ``tests/test_core_sharded.py`` bounds at
-  1e-10).
+  1e-10).  Its three arrangements — a serial loop over per-shard
+  kernels, the same kernels in worker processes, one fused tile sweep
+  — all fold tiles into :class:`~repro.core.column.TileState`; none
+  of the softmax arithmetic lives here.
 """
 
 from __future__ import annotations
@@ -43,18 +46,16 @@ import numpy as np
 
 from ..store.base import MemoryStore, StoreStats
 from ..store.mmap_store import MmapStore
-from ..store.prefetch import ChunkPrefetcher
-from ..store.resident import ResidentStore
 from .column import (
     ColumnMemNN,
     PartialOutput,
+    TileState,
     check_dtype,
     column_op_stats,
-    exp_floor,
-    keep_mask,
+    merge_partials,
 )
 from .config import ChunkConfig, ExecutionConfig, ZeroSkipConfig
-from .execution import ProcessShardRunner, run_shard_partials
+from .execution import ProcessShardRunner
 from .results import InferenceResult
 from .stats import OpStats
 
@@ -105,6 +106,18 @@ class ShardPlan:
     def _bounds(self) -> np.ndarray:
         return np.linspace(0, self.num_rows, self.num_shards + 1, dtype=int)
 
+    def selectors(self) -> list[slice | np.ndarray]:
+        """Per-shard row selectors for indexing resident arrays: a
+        ``slice`` (zero-copy view) under range sharding, the index
+        array (one gather at plan time, then contiguous chunk reads)
+        under round-robin."""
+        if self.policy == "contiguous":
+            bounds = self._bounds()
+            return [
+                slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+        return list(self)
+
     def shard_rows(self, shard: int) -> int:
         """Number of rows in ``shard``."""
         return len(self.indices(shard))
@@ -128,103 +141,53 @@ class ShardPlan:
 
 
 class _FusedShardKernel:
-    """The fused batchxshard tile kernel (DESIGN.md §15).
+    """The fused batch x shard tile arrangement (DESIGN.md §10).
 
-    The per-shard chunk loop issues one ``(nq x c)`` score GEMM per
-    shard per chunk — ``K`` small BLAS calls per sweep step, with
-    GIL-bound Python bookkeeping between them.  This kernel
-    restructures the sweep: memory rows stream in *global tiles* of
-    ``chunk_size x K`` rows, each tile's scores against **all** shards
-    are one ``np.matmul`` (the nqxchunk matmul of ``answer_batch``,
-    extended to fold shards), and only the cheap ``O(nq)``-state
-    updates (running max, rescale, exp, per-shard second GEMM) happen
-    per shard segment.  Parallelism belongs to BLAS's own threads
-    inside that one big call — no Python fan-out, no GIL contention.
+    One :class:`~repro.core.column.ColumnMemNN` streams the *whole*
+    memory in global tiles of ``chunk_size x K`` rows — one score GEMM
+    per tile across every shard, where the per-shard arrangement issues
+    ``K`` small ones — and each shard's column segment of the tile is
+    folded into that shard's own :class:`~repro.core.column.TileState`.
+    Parallelism belongs to BLAS's own threads inside the one big call.
 
-    Per-shard partial semantics are preserved exactly: every shard
-    keeps its own ``(weighted, denom, log_max)`` accumulator and
-    row-kept counter, updated from its segment of each tile, so the
-    output is a list of per-shard ``(PartialOutput, OpStats)`` pairs
-    that merge in shard order like any other backend's.  The rescale
-    cadence differs from the per-shard loop (segments are tile∩shard,
-    not shard-local chunks), so agreement with the per-shard path is
-    the documented 1e-10 of any chunk-geometry change, not bitwise;
-    the kernel itself is deterministic.  One semantic caveat:
+    Per-shard partial semantics are preserved: the output is a list of
+    per-shard ``(PartialOutput, OpStats)`` pairs that merge in shard
+    order like any other arrangement's.  The rescale cadence differs
+    from the per-shard loop (segments are tile∩shard, not shard-local
+    chunks), so agreement with it is the documented 1e-10 of any
+    chunk-geometry change, not bitwise (at ``K = 1`` the segments *are*
+    the chunks and the two are bit-identical).  One semantic caveat:
     ``"probability"``-mode zero-skip decides against the running
     denominator *at decision time*, which any chunk-geometry change
     shifts (sharding itself already does, vs. unsharded column mode) —
     those masks agree to the skip approximation's threshold scale, not
     1e-10.  ``"exp"``-mode masks compare raw scores only and match the
     per-shard path exactly.
-
-    Works over resident arrays (zero-copy tile views) or a memory
-    store (tiles stream through a :class:`ChunkPrefetcher` sized to
-    the tile, keeping the LRU/prefetch ledger).
     """
 
-    def __init__(
-        self,
-        plan: ShardPlan,
-        chunk: ChunkConfig,
-        dtype,
-        m_in: np.ndarray | None = None,
-        m_out: np.ndarray | None = None,
-        store: MemoryStore | None = None,
-        resident_bytes: int | None = None,
-        prefetch_depth: int = 0,
-        tile_rows: int | None = None,
-    ) -> None:
+    def __init__(self, plan: ShardPlan, chunk_size: int, column: ColumnMemNN) -> None:
         self.plan = plan
-        self.chunk_size = chunk.chunk_size
-        #: Global rows per tile.  Default geometry: one shard-chunk's
-        #: worth from every shard, so a full sweep runs the same number
-        #: of tile steps as the per-shard loop runs chunk steps.  An
-        #: explicit ``tile_rows`` (ExecutionConfig.fused_tile_rows)
-        #: decouples the tile from the chunk geometry — tile size only
-        #: moves the running-max rescale boundaries (~1e-10 agreement).
-        self.tile_rows = (
-            tile_rows
-            if tile_rows is not None
-            else max(1, self.chunk_size * plan.num_shards)
-        )
-        if self.tile_rows < 1:
-            raise ValueError(f"tile_rows must be >= 1, got {self.tile_rows}")
-        self.dtype = dtype
-        if store is not None:
-            self._store: MemoryStore = store
-        else:
-            self._store = ResidentStore(m_in, m_out, dtype=dtype)
-        self._pipeline: ChunkPrefetcher | None = None
-        if store is not None or resident_bytes is not None or prefetch_depth > 0:
-            self._pipeline = ChunkPrefetcher(
-                self._store,
-                chunk_size=self.tile_rows,
-                resident_bytes=resident_bytes,
-                prefetch_depth=prefetch_depth,
-            )
-        self._exp_floor = exp_floor(dtype)
-        self._bounds = (
-            plan._bounds() if plan.policy == "contiguous" else None
-        )
+        #: The per-shard chunk size the op ledger reports against.
+        self.chunk_size = chunk_size
+        #: The whole memory, chunked in global tiles.
+        self._column = column
+        self._ranges = plan.selectors() if plan.policy == "contiguous" else None
 
     @property
     def store_stats(self) -> StoreStats | None:
-        return self._pipeline.stats if self._pipeline is not None else None
+        return self._column.store_stats
 
     def close(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.close()
+        self._column.close()
 
     def _segments(self, t0: int, n: int):
         """``(shard, column selector)`` for every shard with rows in
         the tile ``[t0, t0 + n)`` — a contiguous sub-slice per shard
         under range sharding, a ``step=K`` stride under round-robin.
         Selectors index both the tile's score columns and its rows."""
-        if self._bounds is not None:
-            bounds = self._bounds
-            for k in range(self.plan.num_shards):
-                lo = max(int(bounds[k]), t0)
-                hi = min(int(bounds[k + 1]), t0 + n)
+        if self._ranges is not None:
+            for k, rows in enumerate(self._ranges):
+                lo, hi = max(rows.start, t0), min(rows.stop, t0 + n)
                 if lo < hi:
                     yield k, slice(lo - t0, hi - t0)
         else:
@@ -241,106 +204,34 @@ class _FusedShardKernel:
         stable: bool = True,
     ) -> list[tuple[PartialOutput, OpStats]]:
         """Per-shard ``(partial, stats)`` pairs in shard order — the
-        same contract as the per-shard backends, produced by the tiled
-        sweep."""
-        u = np.asarray(u, dtype=self.dtype)
-        if u.ndim == 1:
-            u = u[None, :]
-        if u.ndim != 2 or u.shape[1] != self._store.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self._store.embedding_dim}), "
-                f"got {u.shape}"
-            )
+        same contract as the per-shard arrangements, produced by the
+        tiled sweep."""
+        column = self._column
+        u = column.check_questions(u)
         nq, ed = u.shape
-        ns = self.plan.num_rows
-        num_shards = self.plan.num_shards
-        dtype = self.dtype
-        skipping = zero_skip is not None and zero_skip.enabled
-        tile = min(self.tile_rows, ns) if ns else 1
-
-        # Per-shard accumulator state, exactly one ColumnMemNN partial
-        # per shard (rows are views into these stacked arrays).
-        log_max = (
-            np.full((num_shards, nq), -np.inf, dtype=dtype)
-            if stable
-            else np.zeros((num_shards, nq), dtype=dtype)
-        )
-        denom = np.zeros((num_shards, nq), dtype=dtype)
-        acc = np.zeros((num_shards, nq, ed), dtype=dtype)
-        rows_kept = [0] * num_shards
-
-        # Tile-wide workspaces (allocated once per sweep).
-        scores_ws = np.empty((nq, tile), dtype=dtype)
-        contrib = np.empty((nq, ed), dtype=dtype)
-        seg_max = np.empty(nq, dtype=dtype)
-        new_max = np.empty(nq, dtype=dtype)
-        exp_ws = np.empty((nq, tile), dtype=dtype) if skipping else None
-
-        if self._pipeline is not None:
-            tile_source = self._pipeline.chunks()
-        else:
-            store = self._store
-            tile_source = (
-                store.read_chunk(start, start + tile)
-                for start in range(0, ns, tile)
-            )
+        states = [
+            TileState(nq, ed, column.dtype, zero_skip, stable)
+            for _ in range(self.plan.num_shards)
+        ]
         t0 = 0
-        for tile_in, tile_out in tile_source:
-            n = tile_in.shape[0]
-            scores = scores_ws[:, :n]
-            # THE fused call: one score GEMM covering every shard's
-            # rows in this tile.
-            np.matmul(u, tile_in.T, out=scores)
+        for scores, tile_out in column.scored_tiles(u):
+            n = scores.shape[1]
             for k, sel in self._segments(t0, n):
-                seg = scores[:, sel]
-                k_log_max, k_denom, k_acc = log_max[k], denom[k], acc[k]
-                if stable:
-                    seg.max(axis=1, out=seg_max)
-                    np.maximum(k_log_max, seg_max, out=new_max)
-                    if not np.array_equal(new_max, k_log_max):
-                        with np.errstate(invalid="ignore"):
-                            scale = np.where(
-                                np.isneginf(k_log_max),
-                                0.0,
-                                np.exp(k_log_max - new_max),
-                            )
-                        k_denom *= scale
-                        k_acc *= scale[:, None]
-                        k_log_max[:] = new_max
-                    exp_seg = exp_ws[:, sel] if skipping else seg
-                    np.subtract(seg, k_log_max[:, None], out=exp_seg)
-                else:
-                    exp_seg = exp_ws[:, sel] if skipping else seg
-                    if exp_seg is not seg:
-                        np.copyto(exp_seg, seg)
-                np.maximum(exp_seg, self._exp_floor, out=exp_seg)
-                np.exp(exp_seg, out=exp_seg)
-                k_denom += exp_seg.sum(axis=1)
-                keep = keep_mask(seg, k_denom, k_log_max, stable, zero_skip)
-                if keep is None:
-                    rows_kept[k] += nq * seg.shape[1]
-                else:
-                    rows_kept[k] += int(np.count_nonzero(keep))
-                    np.multiply(exp_seg, keep, out=exp_seg)
-                np.matmul(exp_seg, tile_out[sel], out=contrib)
-                k_acc += contrib
+                states[k].fold(scores[:, sel], tile_out[sel])
             t0 += n
-
         return [
             (
-                PartialOutput(
-                    weighted=acc[k], denom=denom[k], log_max=log_max[k]
-                ),
+                state.partial(),
                 column_op_stats(
                     nq,
                     self.plan.shard_rows(k),
                     ed,
-                    rows_kept[k],
+                    state.rows_kept,
                     self.chunk_size,
-                    dtype,
+                    column.dtype,
                 ),
             )
-            for k in range(num_shards)
+            for k, state in enumerate(states)
         ]
 
 
@@ -361,16 +252,15 @@ class ShardedMemNN:
         policy: row-partition policy (see :class:`ShardPlan`).
         chunk: per-shard chunking configuration.
         dtype: compute precision, applied to every shard.
-        execution: execution backend.  ``"serial"``/``"thread"`` run
-            the per-shard chunk loop on the calling thread or a thread
-            pool (the latter measured *slower* — see
-            :mod:`repro.core.execution`); ``"process"`` fans shards
-            out to worker processes that ``mmap`` a spilled
-            :class:`~repro.store.MmapStore` (passed as ``store=``, or
-            spilled here from resident arrays into a solver-owned temp
-            directory); ``fused=True`` (serial only) runs the
-            batchxshard tile kernel.  All backends produce per-shard
-            partials that merge in shard order; process is
+        execution: execution backend.  ``"serial"`` loops over the
+            per-shard kernels on the calling thread; ``"process"`` fans
+            the same kernels out to worker processes that ``mmap`` a
+            spilled :class:`~repro.store.MmapStore` (passed as
+            ``store=``, or spilled here from resident arrays into a
+            solver-owned temp directory); ``fused=True`` (serial only)
+            sweeps the whole memory in ``chunk_size x K``-row tiles,
+            one score GEMM per tile.  Every arrangement produces
+            per-shard partials that merge in shard order; process is
             bit-identical to serial, fused agrees to ~1e-10 (tile
             boundaries reorder the running-max rescales).
         store: a :class:`~repro.store.MemoryStore` to shard instead of
@@ -466,16 +356,21 @@ class ShardedMemNN:
                 execution.worker_blas_threads(),
             )
         elif execution is not None and execution.fused:
+            # One column kernel over the whole memory whose chunk is the
+            # global tile: one shard-chunk's worth from every shard, so a
+            # sweep runs as many tile steps as a shard runs chunk steps.
             self._fused = _FusedShardKernel(
                 self.plan,
-                self.chunk,
-                dtype,
-                m_in=m_in,
-                m_out=m_out,
-                store=store,
-                resident_bytes=resident_bytes,
-                prefetch_depth=prefetch_depth,
-                tile_rows=execution.fused_tile_rows,
+                self.chunk.chunk_size,
+                ColumnMemNN(
+                    m_in,
+                    m_out,
+                    chunk=ChunkConfig(self.chunk.chunk_size * num_shards),
+                    dtype=dtype,
+                    store=store,
+                    resident_bytes=resident_bytes,
+                    prefetch_depth=prefetch_depth,
+                ),
             )
         elif store is not None:
             self._shards = [
@@ -490,14 +385,14 @@ class ShardedMemNN:
         else:
             self._shards = [
                 ColumnMemNN(
-                    m_in[idx],
-                    m_out[idx],
+                    m_in[rows],
+                    m_out[rows],
                     chunk=self.chunk,
                     dtype=dtype,
                     resident_bytes=shard_budget,
                     prefetch_depth=prefetch_depth,
                 )
-                for idx in self.plan
+                for rows in self.plan.selectors()
             ]
 
     @property
@@ -566,21 +461,18 @@ class ShardedMemNN:
         shards contribute the merge identity and zero counters.  The
         process backend computes them in worker processes against the
         spilled store, the fused kernel computes all of them in one
-        tiled sweep, and the serial/thread backends loop (or pool)
-        over per-shard kernels; results arrive in shard order in every
-        case, so downstream merges are order-deterministic.
+        tiled sweep, and the serial backend loops over per-shard
+        kernels; results arrive in shard order in every case, so
+        downstream merges are order-deterministic.
         """
         if self._runner is not None:
             return self._runner.run(u, zero_skip=zero_skip, stable=stable)
         if self._fused is not None:
             return self._fused.shard_partials(u, zero_skip=zero_skip, stable=stable)
-        return run_shard_partials(
-            self._shards,
-            u,
-            zero_skip=zero_skip,
-            stable=stable,
-            execution=self.execution,
-        )
+        return [
+            shard.partial_output(u, zero_skip=zero_skip, stable=stable)
+            for shard in self._shards
+        ]
 
     def partial_output(
         self,
@@ -623,9 +515,7 @@ class ShardedMemNN:
         stable: bool,
     ) -> tuple[PartialOutput, OpStats, list[OpStats]]:
         pairs = self.shard_partials(u, zero_skip=zero_skip, stable=stable)
-        merged = pairs[0][0]
-        for partial, _ in pairs[1:]:
-            merged = merged.merge(partial)
+        merged = merge_partials([partial for partial, _ in pairs])
         shard_stats = [stats for _, stats in pairs]
         total = OpStats()
         for stats in shard_stats:

@@ -4,7 +4,7 @@ The process execution backend runs ``P`` worker processes, each of
 which calls into NumPy's BLAS.  If every worker's BLAS also spins up
 its own ``T``-wide thread pool, the machine runs ``P x T`` compute
 threads on ``P``-ish cores and the "parallel" path loses to serial on
-context switches (the oversubscription failure mode DESIGN.md §15
+context switches (the oversubscription failure mode DESIGN.md §10
 documents).  This module is the knob that prevents it: each worker
 pins its BLAS pool to a configured width (default 1) at startup.
 

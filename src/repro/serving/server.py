@@ -27,16 +27,12 @@ shed / timeout) that feeds the metrics registry.
 The configuration surface is unified with the rest of the repo:
 :class:`ServerConfig` embeds an :class:`~repro.core.config.EngineConfig`
 (algorithm / chunking / zero-skip flow from one object) and an optional
-:class:`~repro.core.config.EmbeddingCacheConfig`.  The pre-unification
-fields (``algorithm`` string, ``use_embedding_cache``,
-``embedding_cache_bytes``) still construct a valid config but emit a
-``DeprecationWarning``.
+:class:`~repro.core.config.EmbeddingCacheConfig`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -45,7 +41,6 @@ from ..batching.batcher import ContinuousBatcher, FormedBatch
 
 from ..core.config import (
     FLOAT_BYTES,
-    ChunkConfig,
     EmbeddingCacheConfig,
     EngineConfig,
     MemNNConfig,
@@ -98,17 +93,6 @@ def cpu_algorithm(engine: EngineConfig) -> str:
     return "column_streaming"
 
 
-#: Pre-unification ``algorithm`` strings -> the equivalent EngineConfig.
-_LEGACY_ENGINES = {
-    "baseline": EngineConfig.baseline,
-    "column": lambda: EngineConfig(
-        algorithm="column", chunk=ChunkConfig(streaming=False)
-    ),
-    "column_streaming": lambda: EngineConfig(algorithm="column"),
-    "mnnfast": EngineConfig.mnnfast,
-}
-
-
 class ServerConfig:
     """Serving-side configuration (API v2).
 
@@ -139,12 +123,6 @@ class ServerConfig:
         retry: retry-with-backoff policy for shed/timed-out requests.
         degradation: graceful-degradation policy (tightens ``th_skip``
             and cuts hops as queue depth grows).
-
-    Deprecated (still accepted, with a ``DeprecationWarning``):
-        ``algorithm`` (a :data:`repro.perf.cpu.ALGORITHMS` string),
-        ``use_embedding_cache`` and ``embedding_cache_bytes`` — the
-        pre-unification surface, mapped onto ``engine`` /
-        ``embedding_cache``.
     """
 
     def __init__(
@@ -160,10 +138,6 @@ class ServerConfig:
         admission: AdmissionConfig | None = None,
         retry: RetryConfig | None = None,
         degradation: DegradationConfig | None = None,
-        *,
-        algorithm: str | None = None,
-        use_embedding_cache: bool | None = None,
-        embedding_cache_bytes: int | None = None,
     ) -> None:
         self.network = (
             network
@@ -174,53 +148,12 @@ class ServerConfig:
             )
         )
 
-        if algorithm is not None:
-            if engine is not None:
-                raise ValueError(
-                    "pass either engine= or the deprecated algorithm=, not both"
-                )
-            if algorithm not in _LEGACY_ENGINES:
-                raise ValueError(
-                    f"algorithm must be one of {tuple(_LEGACY_ENGINES)}, "
-                    f"got {algorithm!r}"
-                )
-            warnings.warn(
-                "ServerConfig(algorithm=...) is deprecated; pass an "
-                "EngineConfig via engine= (e.g. EngineConfig.mnnfast())",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            engine = _LEGACY_ENGINES[algorithm]()
         # Cross-field engine invariants (sharding x execution x store x
         # top-k) surface here, at composition time, not mid-simulation.
         self.engine = (
             engine if engine is not None else EngineConfig.mnnfast()
         ).validate()
-
-        if use_embedding_cache is not None or embedding_cache_bytes is not None:
-            if embedding_cache is not None:
-                raise ValueError(
-                    "pass either embedding_cache= or the deprecated "
-                    "use_embedding_cache=/embedding_cache_bytes=, not both"
-                )
-            warnings.warn(
-                "ServerConfig(use_embedding_cache=..., embedding_cache_bytes"
-                "=...) is deprecated; pass an EmbeddingCacheConfig via "
-                "embedding_cache= (None disables the cache)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if use_embedding_cache:
-                embedding_cache = EmbeddingCacheConfig(
-                    size_bytes=(
-                        embedding_cache_bytes
-                        if embedding_cache_bytes is not None
-                        else 64 * 1024
-                    ),
-                    embedding_dim=self.network.embedding_dim,
-                )
         self.embedding_cache = embedding_cache
-
         self.workers = workers
         self.contention_per_embedding_worker = contention_per_embedding_worker
         self.sram_lookup_seconds = sram_lookup_seconds
@@ -241,16 +174,10 @@ class ServerConfig:
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
 
-    # --- deprecated read surface ---------------------------------------------
-
     @property
     def algorithm(self) -> str:
         """The CPU-model variant name the engine config maps onto."""
         return cpu_algorithm(self.engine)
-
-    @property
-    def use_embedding_cache(self) -> bool:
-        return self.embedding_cache is not None
 
     def __repr__(self) -> str:
         return (
@@ -444,10 +371,8 @@ class QaServer:
         the shards execute in ``ceil(K / concurrency)`` waves, each
         wave as long as its largest shard, then the coordinator pays
         the merge cost of the exact lazy-softmax reduction.  Only the
-        process backend reports concurrency above 1 — the thread
-        backend measured a net slowdown (see
-        :mod:`repro.core.execution`), so serial/thread/fused shards
-        are costed sequentially.
+        process backend reports concurrency above 1; serial and fused
+        shards are costed sequentially.
 
         With an out-of-core store the hop additionally streams the
         non-resident ``M_IN``/``M_OUT`` bytes from the disk tier

@@ -5,8 +5,7 @@ knows exactly which chunk it needs next, so a background thread loads
 chunk ``i+1..i+depth`` from the store while the compute thread works
 on chunk ``i`` (the chunk fetches — positional reads on
 :class:`~repro.store.mmap_store.MmapStore`'s held descriptors —
-release the GIL, exactly like the BLAS calls in
-:mod:`repro.core.execution`'s thread-over-shards backend, so the
+release the GIL, exactly like the kernel's BLAS calls, so the
 overlap is genuine multicore concurrency).
 
 Between the fetcher and the backing store sits a resident-chunk tier

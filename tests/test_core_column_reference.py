@@ -1,17 +1,27 @@
-"""The column kernel against a textbook running-max loop, bitwise.
+"""The tile kernel against a textbook running-max loop, bitwise.
 
-``ColumnMemNN.partial_output`` lets its first tile *initialise* the
-running state and folds only the later tiles into it.  The reference
-below is the loop it replaced — ``-inf``/zero initial state, every
-chunk (the first included) rescaled into it — kept here so that any
-change to the kernel's arithmetic, its chunk boundaries or its
-zero-skip decisions shows up as a bit difference, not a tolerance.
+``TileState`` lets its first tile *initialise* the running state and
+folds only the later tiles into it.  The reference below is the loop
+it replaced — ``-inf``/zero initial state, every chunk (the first
+included) rescaled into it — kept here so that any change to the
+kernel's arithmetic, its chunk boundaries or its zero-skip decisions
+shows up as a bit difference, not a tolerance.
+
+Every comparison runs through all three ``K = 1`` arrangements of that
+kernel — ``ColumnMemNN``, a one-shard ``ShardedMemNN`` and its fused
+tile sweep — so "column is K = 1 of fused" is an assertion too.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import ChunkConfig, ColumnMemNN, ZeroSkipConfig
+from repro.core import (
+    ChunkConfig,
+    ColumnMemNN,
+    ExecutionConfig,
+    ShardedMemNN,
+    ZeroSkipConfig,
+)
 
 NS, NQ, ED = 13, 4, 8
 SKIPS = {
@@ -59,24 +69,43 @@ def seed_partial(m_in, m_out, u, chunk, dtype, stable, skip):
     return acc, denom, log_max, rows_kept
 
 
-def assert_bitwise(actual, expected):
-    assert actual.dtype == expected.dtype
-    assert actual.shape == expected.shape
-    assert actual.tobytes() == expected.tobytes()
+#: The K = 1 arrangements of the tile kernel: constructor + keywords.
+ARRANGEMENTS = {
+    "column": (ColumnMemNN, {}),
+    "sharded": (ShardedMemNN, {"num_shards": 1}),
+    "fused": (
+        ShardedMemNN,
+        {"num_shards": 1, "execution": ExecutionConfig(fused=True)},
+    ),
+}
+
+
+def assert_bitwise(actual, expected, what):
+    assert actual.dtype == expected.dtype, what
+    assert actual.shape == expected.shape, what
+    assert actual.tobytes() == expected.tobytes(), what
 
 
 def assert_matches_seed(m_in, m_out, u, chunk, dtype, stable, skip, **tier):
-    solver = ColumnMemNN(
-        m_in, m_out, chunk=ChunkConfig(chunk_size=chunk), dtype=dtype, **tier
-    )
-    partial, stats = solver.partial_output(u, zero_skip=skip, stable=stable)
+    """Every arrangement against the seed loop; returns the (common)
+    partial."""
     weighted, denom, log_max, rows_kept = seed_partial(
         m_in, m_out, np.atleast_2d(u), chunk, dtype, stable, skip
     )
-    assert_bitwise(partial.weighted, weighted)
-    assert_bitwise(partial.denom, denom)
-    assert_bitwise(partial.log_max, log_max)
-    assert stats.rows_computed == rows_kept
+    for name, (solver_type, arrangement) in ARRANGEMENTS.items():
+        solver = solver_type(
+            m_in,
+            m_out,
+            chunk=ChunkConfig(chunk_size=chunk),
+            dtype=dtype,
+            **arrangement,
+            **tier,
+        )
+        partial, stats = solver.partial_output(u, zero_skip=skip, stable=stable)
+        assert_bitwise(partial.weighted, weighted, name)
+        assert_bitwise(partial.denom, denom, name)
+        assert_bitwise(partial.log_max, log_max, name)
+        assert stats.rows_computed == rows_kept, name
     return partial
 
 

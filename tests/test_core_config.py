@@ -153,10 +153,6 @@ class TestBuilders:
             EngineConfig.sharded(4)
             .with_execution(backend="process", num_workers=4, dtype="float32")
         )
-        assert EngineConfig.parallel(4, backend="thread") == (
-            EngineConfig.sharded(4)
-            .with_execution(backend="thread", num_workers=4)
-        )
 
     def test_out_of_core_equals_builder_chain(self):
         assert EngineConfig.out_of_core(path="/tmp/m", num_shards=2) == (
@@ -187,8 +183,7 @@ class TestBuilders:
 
     def test_with_execution_upgrades_serial_to_process(self):
         # Multiple workers without an explicit backend pick the process
-        # backend — the one that measured a real speedup (the thread
-        # backend measured 0.79-0.99x vs serial).
+        # backend — the only one that fans out.
         config = EngineConfig().with_execution(num_workers=4)
         assert config.execution.backend == "process"
         assert config.execution.num_workers == 4

@@ -1,13 +1,9 @@
 """Execution-backend invariance: parallelism and precision are pure
 execution choices, never numeric ones.
 
-The contract under test:
+The contract under test (the process backend's bit-identity with
+serial lives in ``tests/test_core_multicore.py``):
 
-* the thread backend at any worker count produces the same numbers as
-  serial execution (shard partials are collected in shard order, and
-  the max-rescaled merge is associative over that order);
-* ``num_workers=1`` on the thread backend is *bit-identical* to
-  serial — same code path per shard, same merge;
 * float32 is an accuracy/throughput trade documented by
   :data:`FLOAT32_LOGIT_TOLERANCE`, holding across every algorithm,
   zero-skip and softmax-form combination;
@@ -32,9 +28,8 @@ from repro.core import (
     PartialOutput,
     ShardedMemNN,
     ZeroSkipConfig,
-    partition_memory,
-    run_shard_partials,
 )
+from repro.core.column import exp_floor
 
 #: Exact-path agreement bound (same as the differential harness).
 LOGIT_TOLERANCE = 1e-10
@@ -71,82 +66,16 @@ def _random_memories(seed=0, ns=300, ed=12, nq=5):
     return m_in, m_out, u
 
 
-# --- Thread backend invariance ----------------------------------------------
+# --- The parallel preset -----------------------------------------------------
 
 
-class TestThreadBackendInvariance:
-    @pytest.mark.parametrize("num_workers", (1, 2, 4))
-    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
-    def test_workers_match_serial_engine(self, num_workers, policy):
-        serial = _answer(
-            EngineConfig(
-                algorithm="sharded",
-                num_shards=4,
-                shard_policy=policy,
-                chunk=ChunkConfig(16),
-            )
-        )
-        threaded = _answer(
-            EngineConfig(
-                algorithm="sharded",
-                num_shards=4,
-                shard_policy=policy,
-                chunk=ChunkConfig(16),
-                execution=ExecutionConfig(
-                    backend="thread", num_workers=num_workers
-                ),
-            )
-        )
-        np.testing.assert_allclose(
-            threaded.logits,
-            serial.logits,
-            rtol=LOGIT_TOLERANCE,
-            atol=LOGIT_TOLERANCE,
-        )
-        np.testing.assert_array_equal(threaded.answer_ids, serial.answer_ids)
-
-    def test_single_worker_thread_backend_is_bit_identical(self):
-        """workers=1 never enters the pool: same loop, same bits."""
-        m_in, m_out, u = _random_memories()
-        serial = ShardedMemNN(m_in, m_out, num_shards=3, chunk=ChunkConfig(32))
-        threaded = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(backend="thread", num_workers=1),
-        )
-        np.testing.assert_array_equal(
-            threaded.output(u).output, serial.output(u).output
-        )
-
-    def test_pool_results_arrive_in_shard_order(self):
-        """The merge folds partials in shard order regardless of which
-        thread finishes first, so parallel == serial exactly."""
-        m_in, m_out, u = _random_memories(seed=3)
-        shards = list(partition_memory(m_in, m_out, parts=4))
-        serial = run_shard_partials(shards, u)
-        threaded = run_shard_partials(
-            shards,
-            u,
-            execution=ExecutionConfig(backend="thread", num_workers=4),
-        )
-        assert len(threaded) == len(serial)
-        for (pa, _), (pb, _) in zip(serial, threaded):
-            np.testing.assert_array_equal(pa.weighted, pb.weighted)
-            np.testing.assert_array_equal(pa.denom, pb.denom)
-            np.testing.assert_array_equal(pa.log_max, pb.log_max)
-
+class TestParallelPreset:
     def test_engine_config_parallel_factory(self):
         config = EngineConfig.parallel(4)
         assert config.algorithm == "sharded"
         assert config.num_shards == 4
-        # The preset defaults to the process backend (the one that
-        # measured a real speedup); the thread backend stays reachable
-        # explicitly.
         assert config.execution.backend == "process"
         assert config.execution.num_workers == 4
-        assert EngineConfig.parallel(4, backend="thread").execution.backend == "thread"
         oversubscribed = EngineConfig.parallel(2, num_shards=8)
         assert oversubscribed.num_shards == 8
         assert oversubscribed.execution.num_workers == 2
@@ -202,9 +131,7 @@ class TestFloat32Path:
         """The pre-exp clamp lands safely above the subnormal range
         (subnormal operands stall x86 pipelines ~100x per element)."""
         for dtype in (np.float32, np.float64):
-            m_in, m_out, _ = _random_memories()
-            solver = ColumnMemNN(m_in, m_out, dtype=dtype)
-            floored = np.exp(solver._exp_floor)
+            floored = np.exp(exp_floor(np.dtype(dtype)))
             assert floored >= np.finfo(dtype).tiny
 
     def test_rejects_unsupported_dtype(self):
@@ -228,6 +155,10 @@ class TestExecutionConfigValidation:
         with pytest.raises(ValueError, match="backend"):
             ExecutionConfig(backend="mpi")
 
+    def test_removed_thread_backend_names_the_remaining_two(self):
+        with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+            ExecutionConfig(backend="thread")
+
     def test_rejects_unknown_dtype(self):
         with pytest.raises(ValueError, match="dtype"):
             ExecutionConfig(dtype="float16")
@@ -245,7 +176,7 @@ class TestExecutionConfigValidation:
         # at construction — a builder chain may set the shards later.
         config = EngineConfig(
             algorithm="column",
-            execution=ExecutionConfig(backend="thread", num_workers=2),
+            execution=ExecutionConfig(backend="process", num_workers=2),
         )
         with pytest.raises(ValueError, match="sharded"):
             config.validate()

@@ -312,6 +312,33 @@ class TestFusedKernel:
         assert got.stats.flops == ref.stats.flops
         assert got.stats.rows_computed == ref.stats.rows_computed
 
+    @pytest.mark.parametrize(
+        "dtype,tolerance", ((np.float64, LOGIT_TOLERANCE), (np.float32, 1e-5))
+    )
+    @pytest.mark.parametrize("stable", (True, False))
+    def test_first_segment_narrower_than_later_ones(self, dtype, tolerance, stable):
+        """Range shards whose boundary falls just before a tile edge:
+        shard 1 owns rows [31, 62) and the tiles are 16 rows, so its
+        first segment is one row wide and its next sixteen — the
+        state's exponential workspace (zero-skip on) must grow."""
+        m_in, m_out, u = _random_memories(ns=62)
+        zero_skip = ZeroSkipConfig(0.5, mode="exp")
+        kwargs = dict(num_shards=2, chunk=ChunkConfig(8), dtype=dtype)
+        ref = ShardedMemNN(m_in, m_out, **kwargs).output(
+            u, zero_skip=zero_skip, stable=stable
+        )
+        got = ShardedMemNN(
+            m_in, m_out, execution=ExecutionConfig(fused=True), **kwargs
+        ).output(u, zero_skip=zero_skip, stable=stable)
+        assert got.output.dtype == dtype
+        np.testing.assert_allclose(
+            got.output, ref.output, rtol=tolerance, atol=tolerance
+        )
+        assert 0 < got.stats.rows_skipped == ref.stats.rows_skipped
+        assert [s.rows_computed for s in got.tier_stats()["shards"]] == [
+            s.rows_computed for s in ref.tier_stats()["shards"]
+        ]
+
     def test_fused_over_mmap_store_matches_resident_fused(self, tmp_path):
         m_in, m_out, u = _random_memories()
         store = MmapStore.save(tmp_path / "store", m_in, m_out)
@@ -379,34 +406,14 @@ class TestFusedKernel:
 
 
 class TestFusedTileRows:
-    def test_default_tile_equals_explicit_chunk_geometry_bitwise(self):
-        """``fused_tile_rows=None`` keeps the historical
-        ``chunk_size x num_shards`` geometry — an explicit value equal
-        to it must produce the identical tile sweep, bit for bit."""
-        m_in, m_out, u = _random_memories()
-        default = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True),
-        )
-        explicit = ShardedMemNN(
-            m_in,
-            m_out,
-            num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True, fused_tile_rows=32 * 3),
-        )
-        np.testing.assert_array_equal(
-            explicit.output(u).output, default.output(u).output
-        )
+    """The global tile is ``chunk_size x num_shards`` rows; the chunk
+    size is the only thing that moves it."""
 
-    @pytest.mark.parametrize("tile_rows", (1, 7, 64, 10_000))
-    def test_tile_size_only_moves_rescale_boundaries(self, tile_rows):
+    @pytest.mark.parametrize("chunk_size", (1, 7, 64, 10_000))
+    def test_tile_size_only_moves_rescale_boundaries(self, chunk_size):
         """Any tile size agrees with any other to the documented 1e-10
         (same class of difference as a chunk-size change), including a
-        degenerate 1-row tile and one larger than the whole memory."""
+        one-row-per-shard tile and one larger than the whole memory."""
         m_in, m_out, u = _random_memories()
         reference = ShardedMemNN(
             m_in,
@@ -414,26 +421,25 @@ class TestFusedTileRows:
             num_shards=3,
             chunk=ChunkConfig(32),
             execution=ExecutionConfig(fused=True),
-        )
-        tiled = ShardedMemNN(
+        ).output(u)
+        got = ShardedMemNN(
             m_in,
             m_out,
             num_shards=3,
-            chunk=ChunkConfig(32),
-            execution=ExecutionConfig(fused=True, fused_tile_rows=tile_rows),
-        )
-        got = tiled.output(u)
+            chunk=ChunkConfig(chunk_size),
+            execution=ExecutionConfig(fused=True),
+        ).output(u)
         np.testing.assert_allclose(
             got.output,
-            reference.output(u).output,
+            reference.output,
             rtol=LOGIT_TOLERANCE,
             atol=LOGIT_TOLERANCE,
         )
-        assert got.stats.flops == reference.output(u).stats.flops
+        assert got.stats.flops == reference.stats.flops
 
     def test_tile_rows_engine_answer_matches_default(self):
         default = _answer(EngineConfig.fused(4, chunk_size=16))
-        tiled = _answer(EngineConfig.fused(4, chunk_size=16, tile_rows=48))
+        tiled = _answer(EngineConfig.fused(4, chunk_size=12))
         np.testing.assert_allclose(
             tiled.logits,
             default.logits,
@@ -451,7 +457,7 @@ class TestFoldOrderInvariance:
         seed=st.integers(0, 2**16),
         num_shards=st.integers(1, 6),
         policy=st.sampled_from(("contiguous", "strided")),
-        backend=st.sampled_from(("serial", "thread", "fused")),
+        backend=st.sampled_from(("serial", "fused")),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
@@ -472,12 +478,7 @@ class TestFoldOrderInvariance:
         m_in = rng.uniform(-5, 5, size=(ns, ed))
         m_out = rng.uniform(-5, 5, size=(ns, ed))
         u = rng.uniform(-5, 5, size=(nq, ed))
-        if backend == "fused":
-            execution = ExecutionConfig(fused=True)
-        elif backend == "thread":
-            execution = ExecutionConfig(backend="thread", num_workers=2)
-        else:
-            execution = ExecutionConfig()
+        execution = ExecutionConfig(fused=backend == "fused")
         solver = ShardedMemNN(
             m_in,
             m_out,
@@ -509,8 +510,6 @@ class TestFoldOrderInvariance:
 class TestMulticoreConfig:
     def test_fused_requires_serial_backend(self):
         with pytest.raises(ValueError, match="fused"):
-            ExecutionConfig(backend="thread", num_workers=2, fused=True)
-        with pytest.raises(ValueError, match="fused"):
             ExecutionConfig(backend="process", num_workers=2, fused=True)
 
     def test_fused_requires_sharded_algorithm(self):
@@ -540,11 +539,7 @@ class TestMulticoreConfig:
 
     def test_shard_concurrency_reflects_measured_backends(self):
         assert ExecutionConfig().shard_concurrency() == 1
-        # Thread backend measured 0.79-0.99x vs serial: concurrency 1.
-        assert (
-            ExecutionConfig(backend="thread", num_workers=4).shard_concurrency()
-            == 1
-        )
+        assert ExecutionConfig(fused=True).shard_concurrency() == 1
         assert (
             ExecutionConfig(backend="process", num_workers=4).shard_concurrency()
             == 4
@@ -563,20 +558,6 @@ class TestMulticoreConfig:
         assert config.num_shards == 4
         assert config.execution.fused
         assert config.execution.backend == "serial"
-        assert config.execution.fused_tile_rows is None
-
-    def test_fused_preset_tile_rows_plumbs_through(self):
-        config = EngineConfig.fused(4, tile_rows=512)
-        assert config.execution.fused_tile_rows == 512
-
-    def test_tile_rows_requires_fused(self):
-        with pytest.raises(ValueError, match="fused_tile_rows"):
-            ExecutionConfig(fused_tile_rows=256)
-
-    def test_tile_rows_must_be_positive(self):
-        for bad in (0, -1, 2.5):
-            with pytest.raises(ValueError, match="fused_tile_rows"):
-                ExecutionConfig(fused=True, fused_tile_rows=bad)
 
 
 # --- BLAS thread-limit shim ---------------------------------------------------

@@ -272,6 +272,30 @@ class TestEngineSharded:
         )
         np.testing.assert_array_equal(sharded.answer_ids, baseline.answer_ids)
 
+    def test_contiguous_resident_shards_alias_the_engine_buffer(self, setup):
+        """Range shards are slice views of the engine's memory — no
+        per-shard copy at solver build — and a view computes the same
+        bits as the gathered copy it replaced.  Round-robin shards keep
+        their one gather (chunk reads need contiguous rows)."""
+        config, weights, story, questions = setup
+        engine = MnnFastEngine(config, weights, engine_config=EngineConfig.sharded(3))
+        engine.store_story(story)
+        m_in, m_out = engine.memories
+        solver = engine._solver(0)
+        assert [shard.num_sentences for shard in solver._shards] == [11, 11, 11]
+        u, _, _ = engine.embed_question(questions)
+        for shard, idx in zip(solver._shards, solver.plan):
+            assert np.shares_memory(shard.m_in, m_in)
+            assert np.shares_memory(shard.m_out, m_out)
+            copied = ColumnMemNN(m_in[idx], m_out[idx], chunk=solver.chunk)
+            assert not np.shares_memory(copied.m_in, m_in)
+            got, _ = shard.partial_output(u)
+            want, _ = copied.partial_output(u)
+            assert got.weighted.tobytes() == want.weighted.tobytes()
+            assert got.denom.tobytes() == want.denom.tobytes()
+        strided = ShardedMemNN(m_in, m_out, num_shards=3, policy="strided")
+        assert not any(np.shares_memory(s.m_in, m_in) for s in strided._shards)
+
     def test_engine_reports_per_hop_shard_stats(self, setup):
         result = self._answer(setup, EngineConfig.sharded(3))
         per_hop_shards = result.tier_stats()["shards"]

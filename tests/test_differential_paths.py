@@ -80,22 +80,6 @@ def _engine_configs():
         configs[("zero_skip_off", stable)] = EngineConfig(
             algorithm="column", zero_skip=zero_skip_off, stable_softmax=stable
         )
-        configs[("sharded-thread2", stable)] = EngineConfig(
-            algorithm="sharded",
-            num_shards=4,
-            shard_policy="contiguous",
-            chunk=ChunkConfig(16),
-            stable_softmax=stable,
-            execution=ExecutionConfig(backend="thread", num_workers=2),
-        )
-        configs[("sharded-strided-thread4", stable)] = EngineConfig(
-            algorithm="sharded",
-            num_shards=4,
-            shard_policy="strided",
-            chunk=ChunkConfig(16),
-            stable_softmax=stable,
-            execution=ExecutionConfig(backend="thread", num_workers=4),
-        )
         configs[("sharded-process2", stable)] = EngineConfig(
             algorithm="sharded",
             num_shards=4,

@@ -1,11 +1,10 @@
 """Compatibility tests for the unified engine/serving API (v2).
 
-Covers the deprecated surfaces — ``ServerConfig(algorithm=...)`` and
-the ``use_embedding_cache``/``embedding_cache_bytes`` flags — asserting
-both the ``DeprecationWarning`` and behavioral equivalence with the
-new-style API, plus the unified ``VectorCache`` protocol and the engine
-fixes that ride with it.  ``EmbeddingCache.touch()`` completed its
-deprecation cycle and is asserted *gone*.
+Covers the unified ``VectorCache`` protocol and the engine fixes that
+ride with it.  The pre-unification surfaces completed their
+deprecation cycles and are asserted *gone*: the
+``ServerConfig(algorithm=..., use_embedding_cache=...,
+embedding_cache_bytes=...)`` keywords and ``EmbeddingCache.touch()``.
 """
 
 import warnings
@@ -22,9 +21,8 @@ from repro.core import (
     TraceVectorCache,
     VectorCache,
 )
-from repro.core.config import ChunkConfig
 from repro.memsim.embedding_cache import EmbeddingCache
-from repro.serving import QaServer, ServerConfig, Workload, generate_workload
+from repro.serving import QaServer, ServerConfig, generate_workload
 
 
 def _small_network() -> MemNNConfig:
@@ -36,46 +34,16 @@ def _small_network() -> MemNNConfig:
 
 class TestServerConfigCompat:
     @pytest.mark.parametrize(
-        "algorithm", ["baseline", "column", "column_streaming", "mnnfast"]
+        "removed",
+        [
+            {"algorithm": "mnnfast"},
+            {"use_embedding_cache": True},
+            {"embedding_cache_bytes": 32768},
+        ],
     )
-    def test_legacy_algorithm_warns_and_maps(self, algorithm):
-        with pytest.warns(DeprecationWarning, match="algorithm"):
-            config = ServerConfig(algorithm=algorithm)
-        assert config.algorithm == algorithm
-        assert isinstance(config.engine, EngineConfig)
-
-    def test_legacy_cache_flags_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="use_embedding_cache"):
-            config = ServerConfig(use_embedding_cache=True, embedding_cache_bytes=32768)
-        assert config.use_embedding_cache is True
-        assert config.embedding_cache is not None
-        assert config.embedding_cache.size_bytes == 32768
-
-        with pytest.warns(DeprecationWarning):
-            config = ServerConfig(use_embedding_cache=False)
-        assert config.use_embedding_cache is False
-        assert config.embedding_cache is None
-
-    def test_mixing_old_and_new_raises(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(engine=EngineConfig.mnnfast(), algorithm="mnnfast")
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(
-                    embedding_cache=EmbeddingCacheConfig(
-                        size_bytes=64 * 1024, embedding_dim=48
-                    ),
-                    use_embedding_cache=True,
-                )
-
-    def test_unknown_legacy_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ServerConfig(algorithm="warp-drive")
+    def test_removed_keywords_are_rejected(self, removed):
+        with pytest.raises(TypeError, match=next(iter(removed))):
+            ServerConfig(**removed)
 
     def test_new_style_does_not_warn(self):
         with warnings.catch_warnings():
@@ -86,26 +54,6 @@ class TestServerConfigCompat:
                     size_bytes=64 * 1024, embedding_dim=48
                 ),
             )
-
-    def test_legacy_and_new_configs_serve_identically(self):
-        workload = generate_workload(
-            question_rate=5_000.0, story_rate=500.0, duration=0.02, seed=3
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = ServerConfig(
-                algorithm="mnnfast",
-                use_embedding_cache=True,
-                embedding_cache_bytes=64 * 1024,
-            )
-        modern = ServerConfig(
-            engine=EngineConfig.mnnfast(),
-            embedding_cache=EmbeddingCacheConfig(
-                size_bytes=64 * 1024, embedding_dim=48
-            ),
-        )
-        legacy_metrics = QaServer(legacy, seed=0).run(workload)
-        modern_metrics = QaServer(modern, seed=0).run(workload)
-        assert legacy_metrics.summary() == modern_metrics.summary()
 
 
 class TestCacheProtocolUnification:
@@ -217,10 +165,3 @@ class TestEngineUnification:
             warnings.simplefilter("error", DeprecationWarning)
             metrics = QaServer(ServerConfig()).run(workload)
         assert metrics.completed == metrics.arrivals > 0
-
-
-def test_chunk_config_reexport_used_by_legacy_mapping():
-    with pytest.warns(DeprecationWarning):
-        config = ServerConfig(algorithm="column")
-    assert config.engine.chunk == ChunkConfig(streaming=False)
-    assert isinstance(Workload(), Workload)
