@@ -71,15 +71,19 @@ perfbench-compare:
 
 # The CI step after tier-1: the harness's own tests (~9 s), short
 # story_turns and out_of_core_stream runs whose exit codes check the
-# answer-agreement floor, and one traced table1_batch run (~12 s) — the
-# only caller of EngineConfig.fused(4), the 2-worker process config and
-# the vars(cls)[attr] span boundaries, so a refactor that moves a
-# method off its class fails here.
+# answer-agreement floor, and two traced runs: table1_batch (~12 s) —
+# the only caller of EngineConfig.fused(4), the 2-worker process config
+# and the vars(cls)[attr] span boundaries, so a refactor that moves a
+# method off its class fails here — and docqa_sessions (~15 s), the
+# only traced run that crosses the index.*, early_exit.gate and
+# batching.* boundaries (IVFIndex.probe, the engine module's
+# logit_margin_confidence, ContinuousBatcher.submit/poll).
 perfbench-smoke:
 	$(PYTHON) -m pytest benchmarks/perfbench -q
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload table1_batch --trace 1 > /dev/null
+	$(PYTHON) benchmarks/perfbench/run.py --workload docqa_sessions --trace 1 > /dev/null
 
 # Line counts ROADMAP.md tracks (aim 2: src/ should go down).
 loc:

@@ -68,6 +68,7 @@ from .zero_skip import exp_mode_mask, running_probability_mode_mask
 __all__ = [
     "ColumnMemNN",
     "PartialOutput",
+    "RunRows",
     "TileState",
     "column_op_stats",
     "exp_floor",
@@ -75,6 +76,17 @@ __all__ = [
     "SUPPORTED_DTYPES",
     "check_dtype",
 ]
+
+
+#: Zero-skip readout rule (§3.2): a tile at least this wide whose kept
+#: columns — the rows any question kept — are at most one in
+#: ``SPARSE_MAX_KEPT_INVERSE`` has its weighted sum taken over those
+#: columns only, so skipped ``M_OUT`` rows are never read.  Narrower or
+#: denser tiles multiply by the keep-mask and run the dense GEMM: on a
+#: bAbI story (tiles of <= 13 columns) finding and gathering the kept
+#: columns costs more than the ~2 us GEMM it would replace.
+SPARSE_MIN_COLUMNS = 128
+SPARSE_MAX_KEPT_INVERSE = 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -102,9 +114,10 @@ def column_op_stats(
     # Matrix size from store metadata, not .nbytes — a row-subset
     # view would have to gather every row just to be measured.
     matrix_bytes = ns * ed * dtype.itemsize
-    # Skipped rows leave their M_OUT rows unread (at chunk granularity
-    # the hardware still streams them; this counts the algorithmic
-    # bound the FPGA's per-row skip achieves).
+    # Skipped rows leave their M_OUT rows unread: the per-row bound the
+    # FPGA's skip achieves, and what the sparse readout of a wide,
+    # mostly-skipped tile reads here too (a narrow or dense tile still
+    # streams its whole M_OUT slice through the GEMM).
     kept_bytes = int(matrix_bytes * (rows_kept / rows)) if rows else 0
     return OpStats(
         flops=2 * rows * ed + 2 * rows + 2 * rows_kept * ed + nq * ed,
@@ -240,7 +253,9 @@ class TileState:
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block
         (overwritten when zero-skipping is off), ``tile_out`` its
-        ``(n, ed)`` output-memory rows."""
+        ``(n, ed)`` output-memory rows — an array, or a lazy view
+        (:class:`RunRows`) that is indexed by the kept columns when the
+        readout goes sparse and converted to an array otherwise."""
         first = self._acc is None
         if not first:
             if self._fold_ws is None:
@@ -300,9 +315,24 @@ class TileState:
             self.rows_kept += exp_scores.size
         else:
             keep = self._keep_mask(scores)
-            np.multiply(exp_scores, keep, out=exp_scores)
             self.rows_kept += int(np.count_nonzero(keep))
+            n = scores.shape[1]
+            cols = (
+                np.flatnonzero(keep.any(axis=0))
+                if n >= SPARSE_MIN_COLUMNS
+                else None
+            )
+            if cols is None or len(cols) * SPARSE_MAX_KEPT_INVERSE > n:
+                np.multiply(exp_scores, keep, out=exp_scores)
+            else:
+                # Sparse readout: only the output rows some question
+                # kept are read, and only their columns multiplied.
+                exp_scores = exp_scores[:, cols]
+                exp_scores *= keep[:, cols]
+                tile_out = tile_out[cols]
 
+        # A lazy ``tile_out`` the sparse readout did not index is
+        # densified here, by ``np.matmul`` calling its ``__array__``.
         if first:
             self._acc = np.matmul(exp_scores, tile_out)
         else:
@@ -337,6 +367,43 @@ class TileState:
             return partial
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
+        )
+
+
+class RunRows:
+    """The output-memory rows under one tile of a run scan
+    (:meth:`ColumnMemNN.scored_tiles` with ``runs``), unread until
+    asked for: tile column ``j`` is row ``j + shift`` of ``rows``, with
+    one shift per run piece in the tile.  Indexing by tile columns
+    gathers just those rows (the sparse zero-skip readout); converting
+    to an array gathers the whole tile.
+
+    Args:
+        rows: the ``(ns, ed)`` memory the runs index.
+        bounds: ``(k + 1,)`` tile-column bounds of the ``k`` pieces.
+        shifts: ``(k,)`` row-minus-column offset of each piece.
+    """
+
+    __slots__ = ("_rows", "_bounds", "_shifts")
+
+    def __init__(
+        self, rows: np.ndarray, bounds: Sequence[int], shifts: Sequence[int]
+    ) -> None:
+        self._rows = rows
+        self._bounds = np.asarray(bounds, dtype=np.intp)
+        self._shifts = np.asarray(shifts, dtype=np.intp)
+
+    def __getitem__(self, cols: np.ndarray) -> np.ndarray:
+        piece = np.searchsorted(self._bounds, cols, side="right") - 1
+        return self._rows[cols + self._shifts[piece]]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        bounds = self._bounds
+        return np.concatenate(
+            [
+                self._rows[lo + shift : hi + shift]
+                for lo, hi, shift in zip(bounds[:-1], bounds[1:], self._shifts)
+            ]
         )
 
 
@@ -440,10 +507,15 @@ class ColumnMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
         stable: bool = True,
+        runs: np.ndarray | None = None,
     ) -> InferenceResult:
-        """Response vectors via the chunked lazy-softmax dataflow."""
+        """Response vectors via the chunked lazy-softmax dataflow —
+        over the whole memory, or over the ``(r, 2)`` row runs ``runs``
+        (see :meth:`scored_tiles`)."""
         start = time.perf_counter()
-        partial, stats = self.partial_output(u, zero_skip=zero_skip, stable=stable)
+        partial, stats = self.partial_output(
+            u, zero_skip=zero_skip, stable=stable, runs=runs
+        )
         output = partial.finalize()
         return InferenceResult(
             output=output,
@@ -461,6 +533,7 @@ class ColumnMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
         stable: bool = True,
+        runs: np.ndarray | None = None,
     ) -> tuple[PartialOutput, OpStats]:
         """Run all chunks and return the mergeable partial state.
 
@@ -471,11 +544,11 @@ class ColumnMemNN:
         u = self.check_questions(u)
         nq, ed = u.shape
         state = TileState(nq, ed, self.dtype, zero_skip, stable)
-        for scores, chunk_out in self.scored_tiles(u):
+        for scores, chunk_out in self.scored_tiles(u, runs):
             state.fold(scores, chunk_out)
         return state.partial(), column_op_stats(
             nq,
-            self.num_sentences,
+            self.num_sentences if runs is None else int(np.diff(runs).sum()),
             ed,
             state.rows_kept,
             self.chunk.chunk_size,
@@ -483,8 +556,8 @@ class ColumnMemNN:
         )
 
     def scored_tiles(
-        self, u: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        self, u: np.ndarray, runs: np.ndarray | None = None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | RunRows]]:
         """Tile source -> score GEMM: ``(u @ chunk_in.T, chunk_out)``
         for every chunk of the memory, in row order.
 
@@ -494,7 +567,17 @@ class ColumnMemNN:
         yielded ``scores`` is only valid until the next tile is drawn —
         and is the consumer's to overwrite (:meth:`TileState.fold`
         exponentiates it in place when zero-skipping is off).
+
+        With ``runs`` — ``(r, 2)`` disjoint ``[start, stop)`` row spans
+        of a resident memory, in scan order — only those rows are
+        scored: each run's GEMM writes straight from its ``M_IN`` slice
+        into the tile's score columns, runs are packed (and split) into
+        tiles of ``chunk_size`` columns, and the tile's output rows are
+        a :class:`RunRows` view, so nothing is copied to scan a subset.
         """
+        if runs is not None:
+            yield from self._scored_runs(u, runs)
+            return
         if self._pipeline is not None:
             chunks = self._pipeline.chunks()
         else:
@@ -512,6 +595,29 @@ class ColumnMemNN:
                 scores = workspace[:, : chunk_in.shape[0]]
                 np.matmul(u, chunk_in.T, out=scores)
             yield scores, chunk_out
+
+    def _scored_runs(
+        self, u: np.ndarray, runs: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, RunRows]]:
+        m_in, m_out = self.m_in, self.m_out
+        width = min(self.chunk.chunk_size, int(np.diff(runs).sum()))
+        workspace = np.empty((len(u), width), dtype=self.dtype)
+        n, bounds, shifts = 0, [0], []
+        for start, stop in runs.tolist():
+            while start < stop:
+                end = min(stop, start + width - n)
+                np.matmul(
+                    u, m_in[start:end].T, out=workspace[:, n : n + end - start]
+                )
+                shifts.append(start - n)
+                n += end - start
+                bounds.append(n)
+                start = end
+                if n == width:
+                    yield workspace, RunRows(m_out, bounds, shifts)
+                    n, bounds, shifts = 0, [0], []
+        if n:
+            yield workspace[:, :n], RunRows(m_out, bounds, shifts)
 
     def check_questions(self, u: np.ndarray) -> np.ndarray:
         """``u`` as an ``(nq, ed)`` array of the compute dtype."""

@@ -66,6 +66,7 @@ def logit_margin_confidence(
     last_output: np.ndarray,
     remaining_hops: int,
     answer_weight: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Softmax margin of the extrapolated terminal answer logits.
 
@@ -74,6 +75,11 @@ def logit_margin_confidence(
         last_output: ``(nq, ed)`` the hop's attention readout ``o_k``.
         remaining_hops: hops left if the question does not exit.
         answer_weight: ``(num_answers, ed)`` final FC layer ``W``.
+        out: optional ``(nq, num_answers)`` array that receives the
+            extrapolated logits.  A question that exits on this check
+            stops at exactly the state they were projected from, so
+            they are its final answer logits — the engine keeps them
+            instead of projecting that state a second time.
 
     Returns:
         ``(nq,)`` confidence in ``[0, 1]`` — top-1 minus top-2 softmax
@@ -81,7 +87,7 @@ def logit_margin_confidence(
         answer class the margin is defined as 1 (nothing to flip).
     """
     projected = u + remaining_hops * last_output
-    logits = projected @ answer_weight.T
+    logits = np.matmul(projected, answer_weight.T, out=out)
     if logits.shape[1] < 2:
         return np.ones(len(logits))
     probabilities = softmax(logits)

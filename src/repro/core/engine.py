@@ -13,6 +13,7 @@ question-embedding path to model (and measure) §3.3's dedicated cache.
 
 from __future__ import annotations
 
+import functools
 import tempfile
 import time
 from dataclasses import InitVar, dataclass, field
@@ -105,7 +106,13 @@ class EngineWeights:
         # The pad row must embed to zero for BoW masking to be exact.
         self.embedding_a = np.array(self.embedding_a, dtype=np.float64)
         self.embedding_c = np.array(self.embedding_c, dtype=np.float64)
-        self.answer_weight = np.array(self.answer_weight, dtype=np.float64)
+        # Column-major, so the answer layer's ``u @ W.T`` reads a
+        # row-contiguous ``(ed, num_answers)`` operand: a batch of a few
+        # questions is bound by streaming W, and BLAS streams the
+        # contiguous form ~1.5x faster than the transposed one.
+        self.answer_weight = np.array(
+            self.answer_weight, dtype=np.float64, order="F"
+        )
         self.embedding_a[PAD_ID] = 0.0
         self.embedding_c[PAD_ID] = 0.0
         if self.hop_tables is not None:
@@ -175,7 +182,9 @@ class AnswerResult:
     Attributes:
         answer_ids: ``(nq,)`` argmax answer token IDs.
         logits: ``(nq, num_answers)`` pre-softmax scores.
-        answer_probabilities: ``(nq, num_answers)`` softmax over answers.
+        answer_probabilities: ``(nq, num_answers)`` softmax over answers
+            — a property computed from ``logits`` on first read (the
+            serving path takes the argmax and never reads it).
         response: ``(nq, ed)`` final response vector (o + u of last hop).
         stats: aggregated operation counters across hops.
         hop_stats: per-hop operation counters, in hop order — the
@@ -208,7 +217,6 @@ class AnswerResult:
 
     answer_ids: np.ndarray
     logits: np.ndarray
-    answer_probabilities: np.ndarray
     response: np.ndarray
     stats: OpStats
     hop_stats: list[OpStats] = field(default_factory=list)
@@ -228,6 +236,10 @@ class AnswerResult:
         self._hop_shard_stats = (
             hop_shard_stats if hop_shard_stats is not None else []
         )
+
+    @functools.cached_property
+    def answer_probabilities(self) -> np.ndarray:
+        return softmax(self.logits)
 
     def tier_stats(self) -> Dict[str, Any]:
         """Per-tier statistics of this answer pass, one key per tier.
@@ -643,14 +655,18 @@ class MnnFastEngine:
         hop_index_stats: list[IndexStats | None] = []
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
         gated = ee.enabled and self.config.hops > 1
+        answer_weight = self.weights.answer_weight
         if gated:
             # Ragged-depth loop: exited questions are scattered into
             # final_u and dropped from u, so later hops shrink.
             nq_total = len(u)
             active = np.arange(nq_total, dtype=np.intp)
             final_u = np.empty_like(u)
+            # Answer logits, and the questions they are still owed to:
+            # an exit on the logit-margin gate settles its own.
+            logits = np.empty((nq_total, len(answer_weight)))
+            unanswered = np.ones(nq_total, dtype=bool)
             hops_run = np.zeros(nq_total, dtype=np.intp)
-            exit_reason = [EXIT_FULL_DEPTH] * nq_total
             confidences: list[np.ndarray] = []
         for hop in range(self.config.hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
@@ -663,15 +679,16 @@ class MnnFastEngine:
             hop_index_stats.append(tiers["index"])
             if hop_hook is not None:
                 hop_hook(hop, result.stats)
-            u = u + result.output  # u_{k+1} = u_k + o_k
+            output = np.asarray(result.output, dtype=u.dtype)
+            u = u + output  # u_{k+1} = u_k + o_k
             if not gated:
                 continue
             hops_run[active] += 1
             remaining = self.config.hops - (hop + 1)
             if remaining == 0 or hop + 1 < ee.min_hops:
                 continue
-            confidence, gate_stats = self._gate_confidence(
-                u, np.asarray(result.output, dtype=u.dtype), remaining, hop
+            confidence, gate_logits, gate_stats = self._gate_confidence(
+                u, output, remaining, hop
             )
             stats.accumulate(gate_stats)
             row = np.full(nq_total, np.nan)
@@ -684,14 +701,14 @@ class MnnFastEngine:
             # Fixed-point extrapolation: an exiting question stops
             # *attending* but keeps the predicted additive updates —
             # its terminal state is u_k + remaining * o_k, the same
-            # state the confidence signal judged.  With locked-on
+            # state the confidence signal judged (so the logits the
+            # gate projected from it are final).  With locked-on
             # attention each remaining hop would add ~o_k again, so
             # this approximates full depth instead of truncating it.
-            final_u[exited] = u[exiting] + remaining * np.asarray(
-                result.output, dtype=u.dtype
-            )[exiting]
-            for question in exited:
-                exit_reason[question] = EXIT_CONFIDENCE
+            final_u[exited] = u[exiting] + remaining * output[exiting]
+            if gate_logits is not None:
+                logits[exited] = gate_logits[exiting]
+                unanswered[exited] = False
             active = active[~exiting]
             u = u[~exiting]
             if len(active) == 0:
@@ -705,23 +722,28 @@ class MnnFastEngine:
                 metric=ee.metric,
                 hops_configured=self.config.hops,
                 hops_run=hops_run,
-                exit_reason=exit_reason,
+                # Only the gate retires a question before the last hop.
+                exit_reason=np.where(
+                    hops_run < self.config.hops, EXIT_CONFIDENCE, EXIT_FULL_DEPTH
+                ).tolist(),
                 confidence=confidences,
             )
+            projected = int(np.count_nonzero(unanswered))
+            if projected:
+                logits[unanswered] = u[unanswered] @ answer_weight.T
         else:
             hop_trace = HopTrace.full_depth(
                 len(u), self.config.hops,
                 threshold=ee.threshold, metric=ee.metric,
             )
-
-        logits = u @ self.weights.answer_weight.T
-        probabilities = softmax(logits)
-        nq, num_answers = logits.shape
-        stats.flops += 2 * nq * num_answers * self.config.embedding_dim
+            logits = u @ answer_weight.T
+            projected = len(u)
+        stats.flops += (
+            2 * projected * len(answer_weight) * self.config.embedding_dim
+        )
         return AnswerResult(
             answer_ids=logits.argmax(axis=1),
             logits=logits,
-            answer_probabilities=probabilities,
             response=u,
             stats=stats,
             hop_stats=hop_stats,
@@ -740,24 +762,32 @@ class MnnFastEngine:
         last_output: np.ndarray,
         remaining_hops: int,
         hop: int,
-    ) -> tuple[np.ndarray, OpStats]:
+    ) -> tuple[np.ndarray, np.ndarray | None, OpStats]:
         """The configured confidence signal for the active questions.
 
-        Returns the ``(len(u),)`` confidence array plus the gate's own
-        operation counters (the check is not free; the accounting keeps
-        the cost model honest).
+        Returns the ``(len(u),)`` confidence array, the extrapolated
+        answer logits the signal was read from (``None`` for a signal
+        that does not project answers) and the gate's own operation
+        counters (the check is not free; the accounting keeps the cost
+        model honest).
         """
         ee = self.engine_config.early_exit
         ed = self.config.embedding_dim
         nq = len(u)
         gate_stats = OpStats()
+        gate_logits = None
         if ee.metric == "logit_margin":
             num_answers = self.weights.answer_weight.shape[0]
             # Extrapolation (2*nq*ed) + answer GEMM + softmax.
             gate_stats.flops += 2 * nq * ed + 2 * nq * num_answers * ed
             gate_stats.exp_calls += nq * num_answers
+            gate_logits = np.empty((nq, num_answers))
             confidence = logit_margin_confidence(
-                u, last_output, remaining_hops, self.weights.answer_weight
+                u,
+                last_output,
+                remaining_hops,
+                self.weights.answer_weight,
+                out=gate_logits,
             )
         else:
             # The next hop's attention distribution, reconstructed from
@@ -771,7 +801,7 @@ class MnnFastEngine:
             confidence = attention_mass_confidence(
                 u, m_in, ee.attention_top_k
             )
-        return confidence, gate_stats
+        return confidence, gate_logits, gate_stats
 
     def answer_batch(
         self,
@@ -824,7 +854,6 @@ class MnnFastEngine:
             AnswerResult(
                 answer_ids=batch.answer_ids[i : i + 1],
                 logits=batch.logits[i : i + 1],
-                answer_probabilities=batch.answer_probabilities[i : i + 1],
                 response=batch.response[i : i + 1],
                 stats=share,
                 hop_stats=hop_share,

@@ -22,8 +22,11 @@ NumPy:
   embedding column instead of ``ufunc.at`` scatter-adds.
 * **Probe** — one ``(nq, nlist)`` GEMM against the centroids, an
   ``argpartition`` top-``nprobe`` per query, then the union of the
-  selected clusters' member lists across the batch (the column kernel
-  runs once per batch, so the batch shares one candidate set).
+  selected clusters across the batch (the column kernel runs once per
+  batch, so the batch shares one candidate set) as *runs* of the
+  member permutation: a memory stored in member order (cluster-major)
+  is scanned run by run with no gather, and the candidates' original
+  row ids are only materialized on request (:meth:`IVFIndex.rows`).
 
 Determinism: centroid seeding is driven by the config seed, ties in
 ``argmax``/``argpartition`` resolve the NumPy way, and member lists are
@@ -51,7 +54,9 @@ class IVFIndex:
     Build with :meth:`build`; query with :meth:`probe`.  The index
     holds only the ``(nlist, ed)`` centroid matrix and the member-row
     permutation — ``O(nlist * ed + ns)`` memory, independent of the
-    tier the rows themselves live on.
+    tier the rows themselves live on (a cluster-major copy of a
+    resident memory belongs to the tier that scans it,
+    :class:`~repro.index.topk.TopKMemNN`).
 
     Attributes:
         centroids: ``(nlist, ed)`` float64 cluster centroids.
@@ -83,9 +88,25 @@ class IVFIndex:
     def embedding_dim(self) -> int:
         return self.centroids.shape[1]
 
+    @property
+    def members(self) -> np.ndarray:
+        """The ``(ns,)`` member permutation: row ids cluster by cluster,
+        sorted within each cluster.  ``memory[members]`` is the
+        cluster-major layout the runs of :meth:`probe` index."""
+        return self._members
+
     def cluster_members(self, cluster: int) -> np.ndarray:
         """Sorted row indices assigned to ``cluster``."""
         return self._members[self._offsets[cluster] : self._offsets[cluster + 1]]
+
+    def rows(self, runs: np.ndarray) -> np.ndarray:
+        """Sorted original row ids of the members ``runs`` cover."""
+        if np.diff(runs).sum() == self.num_rows:
+            # Every member covered: a permutation of all rows.
+            return np.arange(self.num_rows, dtype=np.intp)
+        return np.sort(
+            np.concatenate([self._members[start:stop] for start, stop in runs])
+        )
 
     @property
     def cluster_sizes(self) -> np.ndarray:
@@ -159,7 +180,7 @@ class IVFIndex:
             np.argmax(scores, axis=1, out=out[start:stop])
 
     def probe(self, u: np.ndarray, nprobe: int) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate rows for a question batch.
+        """Candidate runs for a question batch.
 
         Each question scores every centroid under the attention inner
         product and selects its ``nprobe`` best clusters; the batch's
@@ -173,8 +194,10 @@ class IVFIndex:
             nprobe: clusters probed per question.
 
         Returns:
-            ``(candidates, clusters)`` — sorted unique candidate row
-            indices, and the sorted unique cluster ids they came from.
+            ``(runs, clusters)`` — the candidates as ``(r, 2)``
+            ``[start, stop)`` spans of the member permutation, ascending
+            and disjoint (adjacent probed clusters merge into one run),
+            and the sorted unique cluster ids they came from.
         """
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
@@ -190,11 +213,12 @@ class IVFIndex:
         else:
             top = np.argpartition(scores, -nprobe, axis=1)[:, -nprobe:]
             clusters = np.unique(top).astype(np.intp)
-        if len(clusters) == self.nlist:
-            # Every cluster probed: the members are a permutation of all
-            # rows, so the sorted candidate list is simply 0..ns-1.
-            return np.arange(self.num_rows, dtype=np.intp), clusters
-        candidates = np.sort(
-            np.concatenate([self.cluster_members(c) for c in clusters])
-        )
-        return candidates, clusters
+        starts, stops = self._offsets[clusters], self._offsets[clusters + 1]
+        # A run opens where a cluster does not start at its predecessor's
+        # end, and closes before the next opening.
+        opens = np.ones(len(clusters), dtype=bool)
+        np.not_equal(starts[1:], stops[:-1], out=opens[1:])
+        closes = np.ones(len(clusters), dtype=bool)
+        closes[:-1] = opens[1:]
+        runs = np.stack([starts[opens], stops[closes]], axis=1)
+        return runs[runs[:, 1] > runs[:, 0]], clusters

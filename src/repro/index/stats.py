@@ -29,8 +29,9 @@ class IndexStats:
             ``False`` means the exact-scan fallback ran (bit-exact).
         build_seconds: wall-clock spent building the index, charged to
             the first pass that triggered the build (``0.0`` after).
-        probe_seconds: wall-clock of the centroid probe + candidate
-            gather for this pass.
+        probe_seconds: wall-clock of the centroid probe and run
+            selection for this pass (the candidate scan itself is the
+            kernel's time, not the probe's).
         recall: mean attention-mass recall across the batch — the
             fraction of the exact softmax mass the candidate set
             captured (``None`` unless the config asked the tier to

@@ -3,11 +3,16 @@
 The solver wraps the existing exact kernels rather than replacing
 them: an :class:`~repro.index.ivf.IVFIndex` selects candidate rows per
 question batch, and the lazy-softmax column dataflow (or its sharded
-fan-out) runs *unchanged* on the candidate subset — via a plain row
-gather on resident memories, or a
-:class:`~repro.store.base.RowSubsetStore` view on an out-of-core tier
-(PR 5's gather substrate).  The only approximation is which rows are
-examined; the arithmetic on the examined rows is the exact kernel's.
+fan-out) runs *unchanged* on the candidate subset.  A resident,
+unsharded memory is copied once, at index-build time, into
+*cluster-major* order (each cluster's rows contiguous), so a probe's
+candidates are a few row runs of that copy and one long-lived
+:class:`~repro.core.column.ColumnMemNN` scans them in place — no
+per-hop gather, no per-hop solver.  An out-of-core tier is scanned
+through a :class:`~repro.store.base.RowSubsetStore` view and a sharded
+fan-out over gathered rows (PR 5's gather substrate).  The only
+approximation is which rows are examined; the arithmetic on the
+examined rows is the exact kernel's.
 
 Below ``TopKConfig.min_rows`` the solver skips the index entirely and
 delegates to the exact kernel over the full memory — *bit-exact* with
@@ -111,6 +116,9 @@ class TopKMemNN:
             self.dtype = check_dtype(dtype)
             self._base = ResidentStore(m_in, m_out, dtype=self.dtype)
         self._index: IVFIndex | None = None
+        #: The column kernel over the cluster-major copy of a resident
+        #: unsharded memory; built with the index.
+        self._cluster_scan: ColumnMemNN | None = None
         self._build_seconds = 0.0
         self._build_charged = False
         self._exact_solver: ColumnMemNN | ShardedMemNN | None = None
@@ -161,7 +169,8 @@ class TopKMemNN:
         zero_skip: ZeroSkipConfig | None = None,
         stable: bool = True,
     ) -> InferenceResult:
-        """Response vectors via probe -> gather -> exact attention.
+        """Response vectors via probe -> candidate scan with the exact
+        kernel.
 
         Mirrors the exact solvers' ``output`` signature so the engine
         dispatches to it interchangeably; the result additionally
@@ -174,16 +183,30 @@ class TopKMemNN:
         u_checked = self._check_questions(u)
         index = self._ensure_index()
         probe_start = time.perf_counter()
-        candidates, _ = index.probe(u_checked, self.config.nprobe)
-        solver = self._subset_solver(candidates)
+        runs, _ = index.probe(u_checked, self.config.nprobe)
         probe_seconds = time.perf_counter() - probe_start
 
-        result = solver.output(u_checked, zero_skip=zero_skip, stable=stable)
+        # Original row ids: what the gather paths read by, and
+        # measurement machinery on the run path.
+        candidates = None
+        if (
+            self._cluster_scan is None
+            or self.config.measure_recall
+            or self.config.record_candidates
+        ):
+            candidates = index.rows(runs)
+        if self._cluster_scan is not None:
+            result = self._cluster_scan.output(
+                u_checked, zero_skip=zero_skip, stable=stable, runs=runs
+            )
+        else:
+            solver = self._build_solver(candidates=candidates)
+            result = solver.output(u_checked, zero_skip=zero_skip, stable=stable)
+            self._absorb_subset_ledger(solver)
+            solver.close()
         result.stats = result.stats + self._probe_stats(
             len(u_checked), index.nlist
         )
-        self._absorb_subset_ledger(solver)
-        solver.close()
         elapsed = time.perf_counter() - start
 
         recall = None
@@ -194,7 +217,7 @@ class TopKMemNN:
         self._build_charged = True
         result.index_stats = IndexStats(
             num_rows=self.num_sentences,
-            candidate_rows=len(candidates),
+            candidate_rows=int(np.diff(runs).sum()),
             nlist=index.nlist,
             nprobe=self.config.nprobe,
             used_index=True,
@@ -246,6 +269,12 @@ class TopKMemNN:
                 kmeans_iters=self.config.kmeans_iters,
                 seed=self.config.seed,
             )
+            if not self._explicit_store and self.num_shards == 1:
+                self._cluster_scan = ColumnMemNN(
+                    *self._base.read_rows(self._index.members),
+                    chunk=self.chunk,
+                    dtype=self.dtype,
+                )
             self._build_seconds = time.perf_counter() - build_start
             self._build_charged = False
         return self._index
@@ -309,9 +338,6 @@ class TopKMemNN:
                 close()
             self._exact_solver = None
 
-    def _subset_solver(self, candidates: np.ndarray) -> ColumnMemNN | ShardedMemNN:
-        return self._build_solver(candidates=candidates)
-
     def _absorb_subset_ledger(self, solver: ColumnMemNN | ShardedMemNN) -> None:
         """Fold a transient subset solver's pipeline ledger into the
         tier-lifetime total (each subset solver serves one pass)."""
@@ -326,8 +352,8 @@ class TopKMemNN:
         )
 
     def _probe_stats(self, nq: int, nlist: int) -> OpStats:
-        """Countable cost of the centroid probe (the gather and the
-        candidate pass are already counted by the subset kernel)."""
+        """Countable cost of the centroid probe (the candidate pass is
+        already counted by the kernel that scanned it)."""
         ed = self.embedding_dim
         return OpStats(
             flops=2 * nq * nlist * ed,

@@ -9,7 +9,7 @@ from repro.core import (
     MemNNConfig,
     MnnFastEngine,
 )
-from repro.core.numerics import PAD_ID
+from repro.core.numerics import PAD_ID, softmax
 
 
 @pytest.fixture
@@ -182,6 +182,20 @@ class TestAnswering:
         assert result.logits.shape == (4, 50)
         assert result.response.shape == (4, 16)
         np.testing.assert_allclose(result.answer_probabilities.sum(axis=1), 1.0)
+
+    def test_answer_probabilities_are_computed_on_first_read(self, engine, rng):
+        """Nothing on the serving path reads the answer softmax, so it
+        is a cached property of the logits, on the batch result and on
+        each per-question view."""
+        batch = engine.answer_batch(rng.integers(1, 50, size=(3, 6)))
+        assert "answer_probabilities" not in vars(batch.batch)
+        probabilities = batch.batch.answer_probabilities
+        np.testing.assert_array_equal(probabilities, softmax(batch.batch.logits))
+        assert batch.batch.answer_probabilities is probabilities
+        for i, view in enumerate(batch.results):
+            np.testing.assert_array_equal(
+                view.answer_probabilities, probabilities[i : i + 1]
+            )
 
     def test_answer_without_story_raises(self, config, rng):
         eng = MnnFastEngine(config)

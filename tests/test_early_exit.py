@@ -18,6 +18,7 @@ from repro.core import (
     EngineWeights,
     MemNNConfig,
     MnnFastEngine,
+    softmax,
 )
 from repro.core.config import EarlyExitConfig
 from repro.core.early_exit import (
@@ -267,6 +268,115 @@ class TestEngineGate:
         assert gated.hop_trace.num_exited == 0
         assert gated.stats.flops > full.stats.flops
         assert gated.stats.exp_calls > full.stats.exp_calls
+
+
+def _reference_gated_pass(engine, questions):
+    """The gated hop recurrence written out plainly: dense softmax
+    attention, one confidence check per gate hop, every question's
+    answer logits projected from its terminal state at the end."""
+    m_in, m_out = engine.memories
+    answer_weight = engine.weights.answer_weight
+    hops = engine.config.hops
+    ee = engine.engine_config.early_exit
+    u, _, _ = engine.embed_question(questions)
+    active = np.arange(len(u))
+    final_u = np.empty_like(u)
+    hops_run = np.zeros(len(u), dtype=int)
+    confidences = []
+    for hop in range(hops):
+        output = softmax(u @ m_in.T) @ m_out
+        u = u + output
+        hops_run[active] += 1
+        remaining = hops - (hop + 1)
+        if remaining == 0 or hop + 1 < ee.min_hops:
+            continue
+        if ee.metric == "logit_margin":
+            confidence = logit_margin_confidence(u, output, remaining, answer_weight)
+        else:
+            confidence = attention_mass_confidence(u, m_in, ee.attention_top_k)
+        row = np.full(len(final_u), np.nan)
+        row[active] = confidence
+        confidences.append(row)
+        exiting = confidence >= ee.required_confidence
+        final_u[active[exiting]] = u[exiting] + remaining * output[exiting]
+        active, u = active[~exiting], u[~exiting]
+        if len(active) == 0:
+            break
+    final_u[active] = u
+    return final_u, final_u @ answer_weight.T, hops_run, confidences
+
+
+class TestGateLogitReuse:
+    """An exit on the logit-margin gate keeps the logits the gate
+    projected; only the survivors reach the answer layer."""
+
+    @pytest.mark.parametrize("metric", ["logit_margin", "attention_mass"])
+    def test_gated_pass_matches_the_plain_recurrence(self, metric):
+        config, weights, stories, questions = _calibrated_problem()
+        engine = MnnFastEngine(
+            config, weights,
+            engine_config=EngineConfig().with_early_exit(
+                0.2 if metric == "logit_margin" else 0.01, metric=metric
+            ),
+        )
+        engine.store_story(stories)
+        result = engine.answer(questions)
+        final_u, logits, hops_run, confidences = _reference_gated_pass(
+            engine, questions
+        )
+        trace = result.hop_trace
+        assert 0 < trace.num_exited < len(questions)
+        np.testing.assert_array_equal(trace.hops_run, hops_run)
+        assert trace.exit_reason == [
+            EXIT_CONFIDENCE if depth < config.hops else EXIT_FULL_DEPTH
+            for depth in hops_run
+        ]
+        assert len(trace.confidence) == len(confidences)
+        for checked, expected in zip(trace.confidence, confidences):
+            np.testing.assert_allclose(checked, expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(result.response, final_u, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(result.logits, logits, rtol=1e-10, atol=1e-10)
+        np.testing.assert_array_equal(result.answer_ids, logits.argmax(axis=1))
+
+    def test_exited_logits_are_the_terminal_state_projected(self):
+        config, weights, stories, questions = _calibrated_problem()
+        result = _run(
+            config, weights, stories, questions,
+            EngineConfig.mnnfast().with_early_exit(0.2),
+        )
+        exited = result.hop_trace.hops_run < config.hops
+        assert exited.any() and not exited.all()
+        np.testing.assert_allclose(
+            result.logits,
+            result.response @ weights.answer_weight.T,
+            rtol=1e-10, atol=1e-10,
+        )
+
+    def test_logit_margin_hands_its_logits_back(self, rng):
+        u, o = rng.normal(size=(2, 6, 8))
+        w = rng.normal(size=(5, 8))
+        logits = np.empty((6, 5))
+        conf = logit_margin_confidence(u, o, 3, w, out=logits)
+        np.testing.assert_array_equal(conf, logit_margin_confidence(u, o, 3, w))
+        np.testing.assert_array_equal(logits, (u + 3 * o) @ w.T)
+
+    def test_answer_layer_is_charged_for_survivors_only(self):
+        config, weights, stories, questions = _calibrated_problem()
+        result = _run(
+            config, weights, stories, questions,
+            EngineConfig().with_early_exit(0.2),
+        )
+        trace = result.hop_trace
+        num_answers, ed = weights.answer_weight.shape
+        checked = sum(int(np.sum(~np.isnan(c))) for c in trace.confidence)
+        gate_flops = checked * (2 * ed + 2 * num_answers * ed)
+        survivors = len(questions) - trace.num_exited
+        assert 0 < survivors < len(questions)
+        assert (
+            result.stats.flops
+            - sum(stats.flops for stats in result.hop_stats)
+            - gate_flops
+        ) == 2 * survivors * num_answers * ed
 
 
 class TestServingLever:

@@ -7,6 +7,7 @@ reference at 1e-10, the engine/config integration, and the
 ``BENCH_*.json`` artifact validator.
 """
 
+import gc
 import json
 import os
 import sys
@@ -629,15 +630,19 @@ class TestEngineOutOfCore:
             EngineConfig.out_of_core(num_shards=num_shards)
         )
         engine.close()
-        fds, threads = _open_fds(), threading.active_count()
+        # Engines earlier tests left unclosed lose their descriptors and
+        # fetch threads whenever the GC finds them: collect them now, and
+        # compare thread identities (their threads exit asynchronously).
+        gc.collect()
+        fds, threads = _open_fds(), set(threading.enumerate())
         rng = np.random.default_rng(5)
         for _ in range(50):
             engine.store_story(rng.integers(1, 60, size=(2, 6)))
             engine.answer(questions)
-        assert threading.active_count() > threads  # the lookahead ran
+        assert set(threading.enumerate()) - threads  # the lookahead ran
         engine.close()
         assert _open_fds() == fds
-        assert threading.active_count() == threads
+        assert not set(threading.enumerate()) - threads
 
 
 class TestArtifactValidator:
