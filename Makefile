@@ -35,9 +35,10 @@ bench:
 # Reduced-scale batching/serving/core/store benches (seconds, not
 # minutes) — the CI gate for the BENCH_*.json emission path.  The
 # validator then checks every emitted artifact parses and carries a
-# payload.
+# payload.  bench_serving_overload.py emits no artifact; it is here as
+# the only bench on the serving loop's retry + degradation path.
 bench-smoke:
-	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_batching.py benchmarks/bench_serving.py benchmarks/bench_parallel_speedup.py benchmarks/bench_store_streaming.py benchmarks/bench_topk_recall.py benchmarks/bench_early_exit.py benchmarks/bench_cluster.py benchmarks/bench_docqa.py -q
+	BENCH_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_batching.py benchmarks/bench_serving.py benchmarks/bench_serving_overload.py benchmarks/bench_parallel_speedup.py benchmarks/bench_store_streaming.py benchmarks/bench_topk_recall.py benchmarks/bench_early_exit.py benchmarks/bench_cluster.py benchmarks/bench_docqa.py -q
 	$(PYTHON) benchmarks/validate_artifacts.py
 
 # Full-scale core-engine trajectory (serial vs process/fused

@@ -39,7 +39,7 @@ def _sweep():
             question_rate=RATE, story_rate=STORY_RATE,
             duration=DURATION, seed=7,
         )
-        metrics = QaServer(config, seed=9).run_batched(workload)
+        metrics = QaServer(config, seed=9).run(workload)
         points.append({
             "max_batch_size": batch_size,
             "throughput": metrics.throughput("question"),

@@ -9,9 +9,9 @@ Two claims, one artifact:
    threshold while argmax answer agreement with the full-depth engine
    stays high.  Acceptance: some swept threshold reaches **>= 1.3x**
    batched throughput at **>= 0.98** agreement.  A serving-model p99
-   column rides along: each threshold's ``run_batched`` simulation at
-   a fixed offered load, where ragged-depth batches charge each hop at
-   its expected survivor count.
+   column rides along: each threshold's ``QaServer.run`` simulation
+   at a fixed offered load, where ragged-depth batches charge each hop
+   at the members still running (exits sampled per member).
 
 2. **Overload: shed hops before requests** — two identical batched
    deployments under ~2x-saturation load with bounded queue +
@@ -136,7 +136,7 @@ def _engine_sweep():
             question_rate=rate, story_rate=0.0,
             duration=SERVE_DURATION, seed=7,
         )
-        metrics = QaServer(_serving_config(threshold), seed=9).run_batched(
+        metrics = QaServer(_serving_config(threshold), seed=9).run(
             workload
         )
 
@@ -199,8 +199,8 @@ def _overload_pair():
         question_rate=rate, story_rate=0.0,
         duration=OVERLOAD_DURATION, seed=11,
     )
-    full = QaServer(config(False), seed=9).run_batched(workload)
-    gated = QaServer(config(True), seed=9).run_batched(workload)
+    full = QaServer(config(False), seed=9).run(workload)
+    gated = QaServer(config(True), seed=9).run(workload)
     return rate, full, gated
 
 

@@ -18,11 +18,13 @@ dimension into a serving discipline:
   baseline/column/sharded dataflows and returns per-question
   :class:`~repro.core.engine.AnswerResult` views plus batch-level
   :class:`~repro.core.stats.OpStats` showing the amortized traffic.
-* the **batched service mode** —
-  :meth:`repro.serving.server.QaServer.run_batched` forms batches with
-  this batcher and charges memory streaming once per batch but compute
-  per question; :class:`repro.serving.metrics.ServingMetrics` reports
-  batch occupancy and per-request queueing percentiles.
+* the **serving simulator** —
+  :meth:`repro.serving.server.QaServer.run` puts every question
+  through this batcher under the engine's ``BatchConfig`` (the default
+  ``max_batch_size=1`` serves batches of one) and charges memory
+  streaming once per batch but compute per question;
+  :class:`repro.serving.metrics.ServingMetrics` reports batch
+  occupancy and per-request queueing percentiles.
 
 ``python -m repro batching`` and ``benchmarks/bench_batching.py``
 sweep batch size against throughput and tail latency to reproduce the

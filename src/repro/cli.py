@@ -665,7 +665,7 @@ def _cmd_batching(args: argparse.Namespace) -> None:
         workload = generate_workload(
             question_rate=rate, story_rate=50.0, duration=duration, seed=7,
         )
-        metrics = server.run_batched(workload)
+        metrics = server.run(workload)
         sweep_rows.append([
             bs,
             format_percent(metrics.batch_occupancy),

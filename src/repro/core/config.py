@@ -60,11 +60,6 @@ __all__ = [
     "TABLE1",
 ]
 
-#: Sentinel distinguishing "not passed" from meaningful ``None`` values
-#: in the builder methods (``path=None`` and ``resident_bytes=None``
-#: are real settings).
-_UNSET = object()
-
 #: Bytes per value; the paper assumes ``float`` (4 bytes) throughout §3.1.
 FLOAT_BYTES = 4
 
@@ -725,23 +720,11 @@ class EngineConfig:
         """A copy running ``algorithm`` (``baseline``/``column``/``sharded``)."""
         return replace(self, algorithm=algorithm)
 
-    def with_chunking(
-        self, chunk_size=_UNSET, streaming=_UNSET
-    ) -> "EngineConfig":
-        """A copy with the column dataflow's chunking changed.
-
-        Omitted knobs keep their current values.
-        """
-        chunk = self.chunk
-        return replace(
-            self,
-            chunk=ChunkConfig(
-                chunk_size=(
-                    chunk.chunk_size if chunk_size is _UNSET else chunk_size
-                ),
-                streaming=chunk.streaming if streaming is _UNSET else streaming,
-            ),
-        )
+    def with_chunking(self, **changes) -> "EngineConfig":
+        """A copy with the column dataflow's chunking changed:
+        :class:`ChunkConfig` fields (``chunk_size``, ``streaming``) by
+        keyword; omitted ones keep their current values."""
+        return replace(self, chunk=replace(self.chunk, **changes))
 
     def with_sharding(
         self, num_shards: int, shard_policy: str = "contiguous"
@@ -770,143 +753,48 @@ class EngineConfig:
             batch=BatchConfig(max_batch_size=max_batch_size, max_wait=max_wait),
         )
 
-    def with_execution(
-        self,
-        backend=_UNSET,
-        num_workers=_UNSET,
-        dtype=_UNSET,
-        fused=_UNSET,
-        blas_threads=_UNSET,
-    ) -> "EngineConfig":
-        """A copy with the execution backend changed.
+    def with_execution(self, **changes) -> "EngineConfig":
+        """A copy with the execution backend changed:
+        :class:`ExecutionConfig` fields (``backend``, ``num_workers``,
+        ``dtype``, ``fused``, ``blas_threads``) by keyword; omitted
+        ones keep their current values.
 
-        Omitted knobs keep their current values; as a convenience,
-        asking for ``num_workers > 1`` without naming a backend
-        upgrades a serial backend to ``"process"`` (the backend that
-        actually parallelizes — see :class:`ExecutionConfig`), so
+        As a convenience, asking for ``num_workers > 1`` without naming
+        a backend upgrades a serial backend to ``"process"`` (the
+        backend that actually parallelizes — see
+        :class:`ExecutionConfig`), so
         ``.with_execution(num_workers=4)`` composes.
         """
-        ex = self.execution
-        if backend is _UNSET:
-            backend = ex.backend
-            if (
-                num_workers is not _UNSET
-                and num_workers > 1
-                and backend == "serial"
-            ):
-                backend = "process"
-        return replace(
-            self,
-            execution=ExecutionConfig(
-                backend=backend,
-                num_workers=(
-                    ex.num_workers if num_workers is _UNSET else num_workers
-                ),
-                dtype=ex.dtype if dtype is _UNSET else dtype,
-                fused=ex.fused if fused is _UNSET else fused,
-                blas_threads=(
-                    ex.blas_threads if blas_threads is _UNSET else blas_threads
-                ),
-            ),
-        )
+        if changes.get("num_workers", 1) > 1 and self.execution.backend == "serial":
+            changes.setdefault("backend", "process")
+        return replace(self, execution=replace(self.execution, **changes))
 
-    def with_store(
-        self,
-        backend=_UNSET,
-        path=_UNSET,
-        resident_bytes=_UNSET,
-        prefetch_depth=_UNSET,
-    ) -> "EngineConfig":
-        """A copy with the memory-store tier changed.
+    def with_store(self, **changes) -> "EngineConfig":
+        """A copy with the memory-store tier changed:
+        :class:`StoreConfig` fields (``backend``, ``path``,
+        ``resident_bytes``, ``prefetch_depth``) by keyword; omitted
+        ones keep their current values, and ``None`` is a real setting
+        for ``path``/``resident_bytes``."""
+        return replace(self, store=replace(self.store, **changes))
 
-        Omitted knobs keep their current values (``None`` is a real
-        setting for ``path``/``resident_bytes``, so only genuinely
-        omitted arguments are inherited).
-        """
-        sc = self.store
-        return replace(
-            self,
-            store=StoreConfig(
-                backend=sc.backend if backend is _UNSET else backend,
-                path=sc.path if path is _UNSET else path,
-                resident_bytes=(
-                    sc.resident_bytes
-                    if resident_bytes is _UNSET
-                    else resident_bytes
-                ),
-                prefetch_depth=(
-                    sc.prefetch_depth
-                    if prefetch_depth is _UNSET
-                    else prefetch_depth
-                ),
-            ),
-        )
-
-    def with_topk(
-        self,
-        nprobe: int = 8,
-        nlist=_UNSET,
-        min_rows=_UNSET,
-        kmeans_iters=_UNSET,
-        seed=_UNSET,
-        measure_recall=_UNSET,
-        record_candidates=_UNSET,
-    ) -> "EngineConfig":
+    def with_topk(self, nprobe: int = 8, **changes) -> "EngineConfig":
         """A copy with the approximate top-k retrieval tier enabled
-        (``nprobe`` clusters probed per question; 0 disables).
+        (``nprobe`` clusters probed per question; 0 disables).  The
+        other :class:`TopKConfig` fields (``nlist``, ``min_rows``,
+        ``kmeans_iters``, ``seed``, ``measure_recall``,
+        ``record_candidates``) go by keyword; omitted ones keep their
+        current values."""
+        return replace(self, topk=replace(self.topk, nprobe=nprobe, **changes))
 
-        Omitted knobs keep their current values.
-        """
-        tk = self.topk
-        return replace(
-            self,
-            topk=TopKConfig(
-                nprobe=nprobe,
-                nlist=tk.nlist if nlist is _UNSET else nlist,
-                min_rows=tk.min_rows if min_rows is _UNSET else min_rows,
-                kmeans_iters=(
-                    tk.kmeans_iters if kmeans_iters is _UNSET else kmeans_iters
-                ),
-                seed=tk.seed if seed is _UNSET else seed,
-                measure_recall=(
-                    tk.measure_recall
-                    if measure_recall is _UNSET
-                    else measure_recall
-                ),
-                record_candidates=(
-                    tk.record_candidates
-                    if record_candidates is _UNSET
-                    else record_candidates
-                ),
-            ),
-        )
-
-    def with_early_exit(
-        self,
-        threshold: float,
-        metric=_UNSET,
-        min_hops=_UNSET,
-        attention_top_k=_UNSET,
-    ) -> "EngineConfig":
+    def with_early_exit(self, threshold: float, **changes) -> "EngineConfig":
         """A copy with confidence-gated hop pruning at ``threshold``
         (the pruning aggressiveness; 0 disables — see
-        :class:`EarlyExitConfig`).
-
-        Omitted knobs keep their current values.
-        """
-        ee = self.early_exit
+        :class:`EarlyExitConfig`).  The other fields (``metric``,
+        ``min_hops``, ``attention_top_k``) go by keyword; omitted ones
+        keep their current values."""
         return replace(
             self,
-            early_exit=EarlyExitConfig(
-                threshold=threshold,
-                metric=ee.metric if metric is _UNSET else metric,
-                min_hops=ee.min_hops if min_hops is _UNSET else min_hops,
-                attention_top_k=(
-                    ee.attention_top_k
-                    if attention_top_k is _UNSET
-                    else attention_top_k
-                ),
-            ),
+            early_exit=replace(self.early_exit, threshold=threshold, **changes),
         )
 
     # --- presets (thin wrappers over the builders) ---------------------------
@@ -986,25 +874,6 @@ class EngineConfig:
                 threshold=threshold,
             )
             .with_execution(backend="process", num_workers=num_workers, dtype=dtype)
-        )
-
-    @classmethod
-    def multicore(
-        cls,
-        num_workers: int,
-        num_shards: int | None = None,
-        chunk_size: int = 1000,
-        dtype: str = "float32",
-    ) -> "EngineConfig":
-        """The fastest measured multicore composition: float32 compute
-        (half the streamed bytes, ~1.4x alone) x process-pool shard
-        fan-out over the engine's spilled store (no GIL, no memory
-        pickling).  The README's parallel quickstart."""
-        return cls.parallel(
-            num_workers,
-            num_shards=num_shards,
-            chunk_size=chunk_size,
-            dtype=dtype,
         )
 
     @classmethod

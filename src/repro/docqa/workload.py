@@ -16,7 +16,7 @@ can exploit:
 :func:`docqa_workload` generates the stream; the ``to_*`` adapters
 project it onto the existing request containers — serving
 (:class:`~repro.serving.requests.QuestionRequest` for
-``QaServer.run_batched``) and cluster
+``QaServer.run``) and cluster
 (:class:`~repro.cluster.workload.ClusterRequest` for ``ClusterSim``).
 A :class:`DocqaRequest` itself carries ``arrival``/``deadline``, so
 the stream also feeds :func:`~repro.batching.batcher.form_batches`
@@ -151,7 +151,8 @@ def to_serving_workload(requests: list[DocqaRequest]) -> Workload:
     :class:`~repro.serving.requests.QuestionRequest` whose ``words``
     is the query's non-pad word count (the quantity the serving cost
     model embeds) — feed the result to
-    :meth:`repro.serving.server.QaServer.run_batched`.
+    :meth:`repro.serving.server.QaServer.run` on a server whose
+    ``engine.batch`` sets the batch size.
     """
     return Workload(
         requests=[

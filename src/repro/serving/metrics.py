@@ -5,8 +5,8 @@ completed-request latency samples (p50/p95/p99, throughput) plus the
 robustness counters (arrivals / admissions / sheds / timeouts /
 retries), the degradation-controller summary, the full set of
 request-lifecycle traces from which the per-stage latency breakdown is
-aggregated, and — in the batched service mode — per-batch
-:class:`BatchSample` records from which batch occupancy and
+aggregated, and one :class:`BatchSample` per formed question batch
+(batches of one on an unbatched server) from which batch occupancy and
 per-request queueing percentiles are reported.
 """
 
@@ -45,7 +45,7 @@ class LatencySample:
 
 @dataclass(frozen=True)
 class BatchSample:
-    """One engine batch served by the batched service mode.
+    """One question batch formed by the serving simulator.
 
     Attributes:
         formed_at: when the batcher dispatched the batch.
@@ -54,15 +54,16 @@ class BatchSample:
         queue_waits: per-member seconds spent in the batcher.
         deadline_slacks: per-member ``deadline - formed_at`` for the
             members that carry deadlines.
-        service_start: when a worker began serving the batch.
-        service_end: when the batch finished.
+        service_start: when a worker began serving the batch (when it
+            gave up waiting for one, if every member timed out queued).
+        service_end: when the batch finished or was cancelled.
         served: members actually served (those still within deadline
             when the worker was granted).
-        hop_survivors: expected questions still running at each hop
-            under the early-exit cost model (empty when the batch was
-            charged full depth for every member).  A shrinking tuple is
-            the freed compute the batched mode accounts: hop ``h`` is
-            charged at ``hop_seconds(batch_size=hop_survivors[h])``.
+        hop_survivors: members still running at each hop the batch
+            started — the realised, per-member-sampled early-exit
+            counts (constant with the gate off, empty when nothing was
+            served).  A shrinking tuple is the freed compute: hop ``h``
+            is charged at ``hop_seconds(batch_size=hop_survivors[h])``.
     """
 
     formed_at: float
@@ -114,7 +115,7 @@ class ServingMetrics:
     question_hops_run: int = 0
     question_hops_full: int = 0
 
-    # --- batched-mode registry -----------------------------------------------
+    # --- batch registry ------------------------------------------------------
     batches: list[BatchSample] = field(default_factory=list)
 
     def add(self, sample: LatencySample) -> None:
@@ -250,20 +251,13 @@ class ServingMetrics:
 
     def summary(self) -> dict[str, float]:
         breakdown = self.stage_breakdown("question")
-        batched = (
-            {
-                "batches": float(len(self.batches)),
-                "batch_occupancy": self.batch_occupancy,
-                "mean_batch_size": self.mean_batch_size,
-                "batch_formation_wait": self.batch_formation_wait,
-                "queueing_p50": self.queueing_percentile(50.0),
-                "queueing_p99": self.queueing_percentile(99.0),
-            }
-            if self.batches
-            else {}
-        )
         return {
-            **batched,
+            "batches": float(len(self.batches)),
+            "batch_occupancy": self.batch_occupancy,
+            "mean_batch_size": self.mean_batch_size,
+            "batch_formation_wait": self.batch_formation_wait,
+            "queueing_p50": self.queueing_percentile(50.0),
+            "queueing_p99": self.queueing_percentile(99.0),
             "questions_completed": float(len(self.of_kind("question"))),
             "stories_completed": float(len(self.of_kind("story"))),
             "question_throughput": self.throughput("question"),

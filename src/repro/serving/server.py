@@ -1,44 +1,80 @@
 """A multi-tenant QA serving simulator (the §2.2.3 scenario, executable).
 
-Ties the repository's substrates together:
+Service times come from the platform models — inference cost from
+:class:`~repro.perf.cpu.CpuModel` for the configured engine, embedding
+cost per word from the DRAM model, through the dedicated embedding
+cache when one is attached (§3.3) — and queueing runs on the
+discrete-event kernel: a pool of workers serves the merged
+question/story stream.  :meth:`QaServer.run` is the only event loop,
+and every request lives one lifecycle in it::
 
-* **service times** come from the platform models: inference cost from
-  :class:`~repro.perf.cpu.CpuModel` for the configured engine,
-  embedding cost per word from the DRAM model — through the dedicated
-  embedding cache when one is attached (§3.3);
-* **queueing** runs on the discrete-event kernel: a pool of worker
-  threads serves the merged question/story stream;
-* **contention** follows Fig. 4: while story-ingest (embedding) work is
-  in service without isolation, concurrent inference service is slowed
-  by a per-embedding-worker factor (zero when the embedding cache
-  isolates the streams);
-* **robustness** comes from the policy layer: a bounded admission
-  queue sheds overload, per-request deadlines time requests out while
-  queued (deadline-aware ``Acquire``) or in service (kernel
-  cancellation via a watchdog process), shed/timed-out requests retry
-  with exponential backoff, and the degradation policy trades
-  attention fidelity (``th_skip``, hop count) for latency as queue
-  depth grows — shedding *compute* instead of *requests*.
+    arrive → admit (bounded backlog) → [questions: batcher] → queue for
+    a worker (deadline-aware) → embed → hop loop → release → outcome
+             ↑___ backoff ___ shed / timed out queued, attempts left
+
+A story is served on its own; a question is served in whatever batch
+the :class:`~repro.batching.ContinuousBatcher` forms under
+``config.engine.batch`` — at the default ``max_batch_size=1`` every
+question dispatches on submit, so an unbatched server is the same code
+serving batches of one.  The rules, identical for every batch size:
+
+* **admission** — ``admission.max_queue`` bounds, and the degradation
+  policy observes, the *backlog*: every admitted request (story,
+  question in the batcher, member of a formed batch) not yet granted a
+  worker.  An arrival at a full backlog is shed.
+* **deadlines** are per attempt (``enqueue + deadline``).  The batcher
+  never coalesces a question past its deadline; a batch (or story)
+  waits for a worker no longer than its *latest* member deadline;
+  members already expired at the grant are timed out without being
+  charged compute; a watchdog cancels the service, releasing the
+  worker, when the last live member's deadline passes; members whose
+  own deadline lapsed before the batch finished count as timed out
+  (the batch still ran — that compute is spent).
+* **retries** — a shed or queue-timed-out attempt with attempts left
+  backs off (``RetryConfig.backoff``) and re-enters admission; a
+  question re-enters through the batcher, into a later batch.  A
+  request timed out *in service* is not retried.
+* **service** — one worker per batch.  Embedding is charged per member
+  and each hop at ``hop_seconds(threshold, batch_size=<members still
+  running>)``: the memory stream once per batch, compute per question.
+  Following Fig. 4, inference slows by a per-story factor while story
+  ingest is in service and the streams share the LLC (zero when the
+  embedding cache isolates them).
+* **degradation** — the level in effect when a batch finishes
+  embedding sets ``th_skip``, the hop count and the early-exit
+  threshold for the whole batch, and is recorded on every member's
+  trace: the server sheds *compute* before it sheds *requests*.
+* **early exit** — after hops ``min_hops … hops-1`` each member still
+  running retires with probability ``exit_rate_for_threshold(effective
+  threshold)``, sampled from the server's ``rng``; the batch ends when
+  its last member retires and every member completes when the batch
+  does.  ``BatchSample.hop_survivors`` holds the realised counts;
+  :meth:`QaServer.expected_hop_survivors`, ``inference_seconds`` and
+  ``plan`` stay the pure expected model.
 
 Every request carries a :class:`~repro.serving.trace.RequestTrace`
-span record (enqueue → admit → embed → per-hop inference → respond /
-shed / timeout) that feeds the metrics registry.
-
-The configuration surface is unified with the rest of the repo:
-:class:`ServerConfig` embeds an :class:`~repro.core.config.EngineConfig`
-(algorithm / chunking / zero-skip flow from one object) and an optional
-:class:`~repro.core.config.EmbeddingCacheConfig`.
+span record (``queue`` → ``embed`` → ``hop<k>``, ``backoff`` between
+attempts, then completed / shed / timeout) that feeds the metrics
+registry, and every formed batch a
+:class:`~repro.serving.metrics.BatchSample`.  :class:`ServerConfig`
+embeds the repo-wide :class:`~repro.core.config.EngineConfig`
+(algorithm / chunking / zero-skip / batching flow from one object) and
+an optional :class:`~repro.core.config.EmbeddingCacheConfig`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..batching.batcher import ContinuousBatcher, FormedBatch
-
+from ..batching.batcher import (
+    _TIME_EPS,  # deadline comparisons share the batcher's float slop
+    BatchFormation,
+    ContinuousBatcher,
+    FormedBatch,
+)
 from ..core.config import (
     FLOAT_BYTES,
     EmbeddingCacheConfig,
@@ -52,12 +88,11 @@ from ..memsim.embedding_cache import EmbeddingCache
 from ..perf.cpu import CpuModel
 from ..perf.events import (
     Acquire,
-    Cancelled,
-    Process,
     Release,
     Resource,
     Simulator,
     Timeout,
+    WaitFor,
 )
 from .metrics import BatchSample, LatencySample, ServingMetrics
 from .policy import (
@@ -72,6 +107,17 @@ from .requests import QuestionRequest, StoryRequest, Workload
 from .trace import RequestTrace
 
 __all__ = ["ServerConfig", "QaServer", "cpu_algorithm"]
+
+
+@dataclass(frozen=True)
+class _Attempt:
+    """One admission attempt of one request: what the batcher queues
+    and a worker serves."""
+
+    request: QuestionRequest | StoryRequest
+    trace: RequestTrace
+    enqueued: float
+    deadline: float | None  # absolute: enqueued + the per-attempt budget
 
 
 def cpu_algorithm(engine: EngineConfig) -> str:
@@ -272,9 +318,8 @@ class QaServer:
         ``O(nq x ed)`` partials (numerator + denominator + running
         max), each round one partial-sized transfer plus an access.
 
-        ``batch_size`` overrides the network's ``nq`` (the batched
-        service mode merges one partial per shard for the whole
-        batch).
+        ``batch_size`` overrides the network's ``nq`` (a served batch
+        merges one partial per shard for the whole batch).
         """
         if plan.num_shards <= 1:
             return 0.0
@@ -362,8 +407,8 @@ class QaServer:
         overrides the network's question count ``nq``: the CPU model
         charges the ``M_IN``/``M_OUT`` stream once per *pass* while
         compute scales with ``nq``, so a larger batch amortizes the
-        memory traffic — the cost model the batched service mode
-        schedules with.
+        memory traffic — the cost model :meth:`run` charges
+        batches with.
 
         With a sharded engine the hop fans out over the execution
         backend's *measured* per-shard concurrency
@@ -449,9 +494,9 @@ class QaServer:
         :func:`repro.core.plan.expected_hop_survivors`, calibrating
         the gate threshold into a per-check exit rate with
         :func:`~repro.serving.policy.exit_rate_for_threshold` — entry
-        ``h`` is the batch size hop ``h`` is charged at, the
-        shrinking-GEMM accounting :meth:`run_batched` schedules with.
-        With the gate disabled (``exit_threshold`` 0) every entry is
+        ``h`` is the batch size hop ``h`` is expected to be charged at.
+        :meth:`run` samples exits per member instead and realises this
+        shape on average.  With the gate disabled (``exit_threshold`` 0) every entry is
         ``batch_size``.
         """
         if hops is None:
@@ -549,325 +594,138 @@ class QaServer:
     # --- simulation -------------------------------------------------------------------
 
     def run(self, workload: Workload) -> ServingMetrics:
-        """Serve a workload to completion; returns the metrics registry."""
-        config = self.config
-        sim = Simulator()
-        pool = Resource(sim, capacity=config.workers, name="workers")
-        metrics = ServingMetrics()
-        state = {"embedding_in_service": 0, "queued": 0}
-        isolated = self.embedding_cache is not None
-        policy = (
-            DegradationPolicy(config.degradation, config.engine, config.network.hops)
-            if config.degradation.enabled
-            else None
-        )
-        handles: dict[int, Process] = {}
+        """Serve a workload to completion; returns the metrics registry.
 
-        def deadline_watchdog(rid: int, fire_at: float, served: dict):
-            delay = fire_at - sim.now
-            if delay > 0:
-                yield Timeout(delay)
-            if not served["done"]:
-                sim.cancel(handles[rid], "deadline")
-
-        def request_process(rid: int, request):
-            if isinstance(request, QuestionRequest):
-                kind = "question"
-            elif isinstance(request, StoryRequest):
-                kind = "story"
-            else:
-                raise TypeError(f"unknown request type: {request!r}")
-            trace = RequestTrace(rid, kind, arrival=request.arrival)
-            metrics.traces.append(trace)
-            metrics.arrivals += 1
-            deadline = (
-                request.deadline if request.deadline is not None else config.deadline
-            )
-            yield Timeout(request.arrival)
-
-            attempt = 1
-            while True:
-                trace.attempts = attempt
-                enqueue_at = sim.now
-
-                # --- admission: bounded queue sheds overload -------------
-                if (
-                    config.admission.max_queue is not None
-                    and state["queued"] >= config.admission.max_queue
-                ):
-                    if attempt <= config.retry.max_retries:
-                        delay = config.retry.backoff(attempt)
-                        metrics.retries += 1
-                        trace.add_span("backoff", sim.now, sim.now + delay)
-                        attempt += 1
-                        yield Timeout(delay)
-                        continue
-                    trace.finish("shed")
-                    metrics.shed += 1
-                    return
-                if policy is not None:
-                    policy.observe(state["queued"])
-
-                # --- queue for a worker, deadline-aware ------------------
-                state["queued"] += 1
-                granted = yield Acquire(pool, timeout=deadline)
-                state["queued"] -= 1
-                trace.add_span("queue", enqueue_at, sim.now)
-                if granted is False:  # timed out while queued
-                    if attempt <= config.retry.max_retries:
-                        delay = config.retry.backoff(attempt)
-                        metrics.retries += 1
-                        trace.add_span("backoff", sim.now, sim.now + delay)
-                        attempt += 1
-                        yield Timeout(delay)
-                        continue
-                    trace.finish("timeout")
-                    metrics.timed_out += 1
-                    return
-
-                # --- in service ------------------------------------------
-                metrics.admitted += 1
-                start = sim.now
-                served = {"done": False}
-                watchdog = (
-                    sim.spawn(
-                        deadline_watchdog(rid, enqueue_at + deadline, served),
-                        name=f"watchdog-{rid}",
-                    )
-                    if deadline is not None
-                    else None
-                )
-                counted_embedding = False
-                try:
-                    if kind == "question":
-                        slowdown = 1.0
-                        if not isolated:
-                            slowdown += (
-                                config.contention_per_embedding_worker
-                                * state["embedding_in_service"]
-                            )
-                        t0 = sim.now
-                        yield Timeout(
-                            self.question_embed_seconds(request) * slowdown
-                        )
-                        trace.add_span("embed", t0, sim.now)
-                        if policy is not None:
-                            threshold, hops = policy.effective()
-                            exit_threshold = policy.effective_exit_threshold()
-                            trace.degradation_level = policy.level
-                        else:
-                            threshold = config.engine.zero_skip.threshold
-                            hops = config.network.hops
-                            exit_threshold = config.engine.early_exit.threshold
-                        exit_rate = exit_rate_for_threshold(exit_threshold)
-                        min_exit_hops = config.engine.early_exit.min_hops
-                        per_hop = self.hop_seconds(threshold) * slowdown
-                        hops_run = 0
-                        for hop in range(hops):
-                            t0 = sim.now
-                            yield Timeout(per_hop)
-                            trace.add_span(f"hop{hop}", t0, sim.now)
-                            hops_run += 1
-                            # Confidence-gated early exit, sampled at the
-                            # expected rate: the gate checks after hops
-                            # min_hops .. hops-1 (never the last hop).
-                            if (
-                                exit_rate > 0.0
-                                and min_exit_hops <= hop + 1 < hops
-                                and self.rng.random() < exit_rate
-                            ):
-                                break
-                        metrics.question_hops_run += hops_run
-                        metrics.question_hops_full += hops
-                    else:
-                        state["embedding_in_service"] += 1
-                        counted_embedding = True
-                        t0 = sim.now
-                        yield Timeout(self.story_service_seconds(request))
-                        trace.add_span("embed", t0, sim.now)
-                        state["embedding_in_service"] -= 1
-                        counted_embedding = False
-                except Cancelled:
-                    # Deadline expired mid-service: the watchdog threw us
-                    # out.  Release the worker and record the timeout.
-                    if counted_embedding:
-                        state["embedding_in_service"] -= 1
-                    yield Release(pool)
-                    trace.finish("timeout")
-                    metrics.timed_out += 1
-                    return
-
-                served["done"] = True
-                if watchdog is not None:
-                    sim.cancel(watchdog)
-                yield Release(pool)
-                trace.finish("completed")
-                metrics.completed += 1
-                metrics.add(LatencySample(kind, request.arrival, start, sim.now))
-                return
-
-        for rid, request in enumerate(workload.requests):
-            handles[rid] = sim.spawn(
-                request_process(rid, request), name=f"request-{rid}"
-            )
-
-        metrics.simulated_seconds = sim.run()
-        if policy is not None:
-            metrics.degradation_peak_level = policy.peak_level
-            metrics.degradation_transitions = policy.transitions
-            metrics.degradation_final_level = policy.level
-        metrics.reconcile()
-        return metrics
-
-    def run_batched(self, workload: Workload) -> ServingMetrics:
-        """Serve a workload with continuous question batching.
-
-        Questions are coalesced by a deadline-aware
-        :class:`~repro.batching.ContinuousBatcher` under the engine's
-        :class:`~repro.core.config.BatchConfig`
-        (``config.engine.batch``); each formed batch occupies **one**
-        worker and is charged the memory stream once per batch but
-        embedding and hop compute per question
-        (:meth:`hop_seconds` with ``batch_size`` — the amortized cost
-        model).  Story-ingest requests are served individually, as in
-        :meth:`run`.
-
-        Policy interaction:
-
-        * ``admission.max_queue`` bounds the questions awaiting service
-          (in the batcher plus in formed batches still waiting for a
-          worker) — arrivals beyond it are shed immediately (no
-          retries in batched mode);
-        * per-request deadlines are honored three times: at batch
-          formation (a request is never coalesced past its admission
-          deadline), at worker grant (already-expired members are
-          timed out without charging their compute) and at completion
-          (members whose deadline lapses mid-batch count as timed out
-          — the batch still runs; that compute is already spent);
-        * the degradation policy's *early-exit lever* is wired into
-          batched service: under backlog it raises the gate threshold
-          (:meth:`~repro.serving.policy.DegradationPolicy.effective_exit_threshold`)
-          and each hop is charged at its expected survivor count
-          (:meth:`expected_hop_survivors`) — a shrinking GEMM, so the
-          server sheds *hops* before it sheds *requests*.  The
-          ``th_skip``/hop-count levers apply as in :meth:`run`;
-          retries remain the unbatched mode's domain.
-
-        Batch formation is arrival-driven (dispatch on full /
-        ``max_wait`` / deadline — worker availability never delays
-        formation), run by a source process on the event kernel so
-        admission control can observe the live backlog.  Every served
-        batch lands in ``metrics.batches`` as a
-        :class:`~repro.serving.metrics.BatchSample`.
+        The one lifecycle and its rules are the module docstring's.
+        Batch formation is arrival-driven — dispatch on full /
+        ``max_wait`` / deadline, never delayed by worker availability —
+        and forced dispatches are timers on the event kernel, so a
+        retried question re-enters formation like a fresh arrival.
+        ``simulated_seconds`` is the time of the last outcome.  A
+        request that is neither a question nor a story raises
+        ``TypeError`` before the first event.
         """
         config = self.config
-        policy = config.engine.batch
+        for request in workload.requests:
+            if not isinstance(request, (QuestionRequest, StoryRequest)):
+                raise TypeError(f"unknown request type: {request!r}")
         sim = Simulator()
         pool = Resource(sim, capacity=config.workers, name="workers")
         metrics = ServingMetrics()
-        # queued_questions: submitted to the batcher but not yet granted
-        # a worker — the backlog admission control bounds.
-        state = {
-            "embedding_in_service": 0,
-            "queued_questions": 0,
-            "batches_launched": 0,
-        }
-        isolated = self.embedding_cache is not None
-        degradation = (
-            DegradationPolicy(config.degradation, config.engine, config.network.hops)
-            if config.degradation.enabled
-            else None
+        batcher = ContinuousBatcher(config.engine.batch)
+        # Never fed an observation when degradation is off, the policy
+        # stays at level 0: the engine's own thresholds and hop count.
+        policy = DegradationPolicy(
+            config.degradation, config.engine, config.network.hops
         )
+        isolated = self.embedding_cache is not None
+        state = {"backlog": 0, "embedding_in_service": 0}
 
-        rid_of: dict[int, int] = {}
-        for rid, request in enumerate(workload.requests):
-            if isinstance(request, QuestionRequest):
-                kind = "question"
-            elif isinstance(request, StoryRequest):
-                kind = "story"
+        def conclude(trace: RequestTrace, outcome: str) -> None:
+            trace.finish(outcome)
+            if outcome == "completed":
+                metrics.completed += 1
+            elif outcome == "shed":
+                metrics.shed += 1
             else:
-                raise TypeError(f"unknown request type: {request!r}")
-            metrics.traces.append(RequestTrace(rid, kind, arrival=request.arrival))
-            metrics.arrivals += 1
-            rid_of[id(request)] = rid
-
-        batcher = ContinuousBatcher(policy)
-
-        def launch(batch: FormedBatch) -> None:
-            index = state["batches_launched"]
-            state["batches_launched"] += 1
-            sim.spawn(batch_process(batch), name=f"batch-{index}")
-
-        def question_source():
-            """Walk the arrival stream, honoring forced dispatches.
-
-            Sleeps until each arrival, waking at every
-            ``next_forced_dispatch`` time on the way — the contract
-            that no request is coalesced past its deadline.
-            """
-            for request in workload.questions:
-                while True:
-                    forced = batcher.next_forced_dispatch()
-                    if forced is None or forced > request.arrival + 1e-12:
-                        break
-                    if forced > sim.now:
-                        yield Timeout(forced - sim.now)
-                    batch = batcher.poll(sim.now)
-                    if batch is not None:
-                        launch(batch)
-                if request.arrival > sim.now:
-                    yield Timeout(request.arrival - sim.now)
-                trace = metrics.traces[rid_of[id(request)]]
-                if (
-                    config.admission.max_queue is not None
-                    and state["queued_questions"] >= config.admission.max_queue
-                ):
-                    trace.finish("shed")
-                    metrics.shed += 1
-                    continue
-                if degradation is not None:
-                    degradation.observe(state["queued_questions"])
-                deadline = (
-                    request.deadline
-                    if request.deadline is not None
-                    else config.deadline
-                )
-                absolute = (
-                    request.arrival + deadline if deadline is not None else None
-                )
-                state["queued_questions"] += 1
-                batch = batcher.submit(request, now=sim.now, deadline=absolute)
-                if batch is not None:
-                    launch(batch)
-            # End of stream: drain the tail at its forced-dispatch times.
-            while batcher.queue_depth:
-                forced = batcher.next_forced_dispatch()
-                if forced is not None and forced > sim.now:
-                    yield Timeout(forced - sim.now)
-                batch = batcher.poll(sim.now)
-                if batch is None:  # pragma: no cover — poll fires at forced
-                    batch = batcher.flush(sim.now)
-                launch(batch)
-
-        def batch_process(batch: FormedBatch):
-            formation = batch.formation
-            yield Acquire(pool)
-            start = sim.now
-            state["queued_questions"] -= len(batch.entries)
-            live = [
-                entry
-                for entry in batch.entries
-                if entry.deadline is None or entry.deadline >= start - 1e-12
-            ]
-            for entry in batch.entries:
-                if entry in live:
-                    continue
-                trace = metrics.traces[rid_of[id(entry.item)]]
-                trace.add_span("queue", entry.item.arrival, entry.deadline)
-                trace.finish("timeout")
                 metrics.timed_out += 1
-            if not live:
+            # The run ends at its last outcome, not at whatever stale
+            # timer (watchdog, forced dispatch) drains from the heap last.
+            metrics.simulated_seconds = sim.now
+
+        def retry_or(request, trace: RequestTrace, outcome: str) -> None:
+            """Back off and re-enter admission, or settle on ``outcome``."""
+            if trace.attempts > config.retry.max_retries:
+                conclude(trace, outcome)
+                return
+            delay = config.retry.backoff(trace.attempts)
+            metrics.retries += 1
+            trace.add_span("backoff", sim.now, sim.now + delay)
+            trace.attempts += 1
+            sim.spawn(admit(request, trace, delay), name="retry")
+
+        def launch(batch: FormedBatch | None) -> None:
+            if batch is not None:
+                sim.spawn(serve(batch.items, batch.formation), name="batch")
+
+        def dispatch_due() -> None:
+            launch(batcher.poll(sim.now))
+
+        def admit(request, trace: RequestTrace, delay: float):
+            """One admission attempt, ``delay`` seconds from now."""
+            yield Timeout(delay)
+            max_queue = config.admission.max_queue
+            if max_queue is not None and state["backlog"] >= max_queue:
+                retry_or(request, trace, "shed")
+                return
+            if config.degradation.enabled:
+                policy.observe(state["backlog"])
+            state["backlog"] += 1
+            budget = config.deadline if request.deadline is None else request.deadline
+            attempt = _Attempt(
+                request, trace, sim.now, None if budget is None else sim.now + budget
+            )
+            if trace.kind == "story":
+                sim.spawn(serve((attempt,)), name="story")
+                return
+            batch = batcher.submit(attempt, now=sim.now, deadline=attempt.deadline)
+            launch(batch)
+            if batch is None:
+                # This submit fixed the queue's forced-dispatch time (a
+                # later one re-arms); a timer left behind by a batch
+                # that already went out polls to no effect.
+                sim.schedule(
+                    max(0.0, batcher.next_forced_dispatch() - sim.now), dispatch_due
+                )
+
+        def serve(members, formation: BatchFormation | None = None):
+            """Queue for a worker, serve, settle: one story (no
+            ``formation``) or one formed question batch."""
+            story = formation is None
+            deadlines = [m.deadline for m in members]
+            cutoff = None if None in deadlines else max(deadlines)
+            granted = yield Acquire(
+                pool, timeout=None if cutoff is None else max(0.0, cutoff - sim.now)
+            )
+            state["backlog"] -= len(members)
+            start = sim.now
+            live = []
+            for m in members:
+                if granted and (m.deadline is None or m.deadline >= start - _TIME_EPS):
+                    m.trace.add_span("queue", m.enqueued, start)
+                    live.append(m)
+                else:  # timed out queued: not charged, may retry
+                    m.trace.add_span("queue", m.enqueued, min(start, m.deadline))
+                    retry_or(m.request, m.trace, "timeout")
+            survivors: list[int] = []
+            if live:
+                metrics.admitted += len(live)
+                if story:
+                    state["embedding_in_service"] += 1
+                work = sim.spawn(service(live, story, survivors))
+                if cutoff is not None:
+                    # The deadline watchdog: cancelling a finished
+                    # process is a no-op.
+                    sim.schedule(
+                        max(0.0, cutoff - start),
+                        lambda: sim.cancel(work, "deadline"),
+                    )
+                yield WaitFor(work)
+                if story:
+                    state["embedding_in_service"] -= 1
                 yield Release(pool)
+                for m in live:
+                    lapsed = m.deadline is not None and m.deadline < sim.now - _TIME_EPS
+                    if work.cancelled or lapsed:
+                        conclude(m.trace, "timeout")
+                    else:
+                        conclude(m.trace, "completed")
+                        metrics.add(
+                            LatencySample(
+                                m.trace.kind, m.request.arrival, start, sim.now
+                            )
+                        )
+            if not story:
                 metrics.record_batch(
                     BatchSample(
                         formed_at=formation.formed_at,
@@ -876,115 +734,65 @@ class QaServer:
                         queue_waits=formation.queue_waits,
                         deadline_slacks=formation.deadline_slacks,
                         service_start=start,
-                        service_end=start,
-                        served=0,
+                        service_end=sim.now,
+                        served=len(live),
+                        hop_survivors=tuple(survivors),
                     )
                 )
+
+        def service(live, story: bool, survivors: list[int]):
+            """The cancellable part of :func:`serve`: the worker's compute."""
+            if story:
+                (m,) = live
+                t0 = sim.now
+                yield Timeout(self.story_service_seconds(m.request))
+                m.trace.add_span("embed", t0, sim.now)
                 return
-            metrics.admitted += len(live)
             slowdown = 1.0
             if not isolated:
                 slowdown += (
                     config.contention_per_embedding_worker
                     * state["embedding_in_service"]
                 )
-            embed_start = sim.now
+            t0 = sim.now
             yield Timeout(
-                sum(self.question_embed_seconds(e.item) for e in live) * slowdown
+                sum(self.question_embed_seconds(m.request) for m in live) * slowdown
             )
-            embed_end = sim.now
-            if degradation is not None:
-                threshold, hops = degradation.effective()
-                exit_threshold = degradation.effective_exit_threshold()
-            else:
-                threshold = config.engine.zero_skip.threshold
-                hops = config.network.hops
-                exit_threshold = config.engine.early_exit.threshold
-            # Ragged-depth accounting: hop h runs at its expected
-            # survivor count, so the GEMM (and its charged seconds)
-            # shrinks as gated questions retire.
-            survivors = self.expected_hop_survivors(
-                len(live), hops=hops, exit_threshold=exit_threshold
-            )
-            hop_spans = []
-            for hop, rows in enumerate(survivors):
-                if rows < 1:
+            threshold, hops = policy.effective()
+            exit_rate = exit_rate_for_threshold(policy.effective_exit_threshold())
+            for m in live:
+                m.trace.add_span("embed", t0, sim.now)
+                m.trace.degradation_level = policy.level
+            min_exit_hops = config.engine.early_exit.min_hops
+            running = live
+            for hop in range(hops):
+                if not running:
                     break
-                hop_start = sim.now
+                survivors.append(len(running))
+                t0 = sim.now
                 yield Timeout(
-                    self.hop_seconds(threshold, batch_size=rows) * slowdown
+                    self.hop_seconds(threshold, batch_size=len(running)) * slowdown
                 )
-                hop_spans.append((f"hop{hop}", hop_start, sim.now))
+                for m in running:
+                    m.trace.add_span(f"hop{hop}", t0, sim.now)
+                # Confidence-gated early exit, sampled per member at the
+                # expected rate: the gate checks after hops
+                # min_hops .. hops-1 (never the last hop).
+                if exit_rate > 0.0 and min_exit_hops <= hop + 1 < hops:
+                    running = [m for m in running if self.rng.random() >= exit_rate]
             metrics.question_hops_run += sum(survivors)
             metrics.question_hops_full += hops * len(live)
-            yield Release(pool)
-            finish = sim.now
-            for entry in live:
-                trace = metrics.traces[rid_of[id(entry.item)]]
-                trace.add_span("queue", entry.item.arrival, start)
-                trace.add_span("embed", embed_start, embed_end)
-                for name, hop_start, hop_end in hop_spans:
-                    trace.add_span(name, hop_start, hop_end)
-                if entry.deadline is not None and entry.deadline < finish - 1e-12:
-                    trace.finish("timeout")
-                    metrics.timed_out += 1
-                else:
-                    trace.finish("completed")
-                    metrics.completed += 1
-                    metrics.add(
-                        LatencySample(
-                            "question", entry.item.arrival, start, finish
-                        )
-                    )
-            metrics.record_batch(
-                BatchSample(
-                    formed_at=formation.formed_at,
-                    size=formation.size,
-                    capacity=formation.capacity,
-                    queue_waits=formation.queue_waits,
-                    deadline_slacks=formation.deadline_slacks,
-                    service_start=start,
-                    service_end=finish,
-                    served=len(live),
-                    hop_survivors=(
-                        tuple(survivors) if exit_threshold > 0.0 else ()
-                    ),
-                )
-            )
 
-        def story_process(request: StoryRequest):
-            trace = metrics.traces[rid_of[id(request)]]
-            deadline = (
-                request.deadline if request.deadline is not None else config.deadline
-            )
-            yield Timeout(request.arrival)
-            enqueue_at = sim.now
-            granted = yield Acquire(pool, timeout=deadline)
-            trace.add_span("queue", enqueue_at, sim.now)
-            if granted is False:
-                trace.finish("timeout")
-                metrics.timed_out += 1
-                return
-            metrics.admitted += 1
-            start = sim.now
-            state["embedding_in_service"] += 1
-            yield Timeout(self.story_service_seconds(request))
-            state["embedding_in_service"] -= 1
-            trace.add_span("embed", start, sim.now)
-            yield Release(pool)
-            trace.finish("completed")
-            metrics.completed += 1
-            metrics.add(LatencySample("story", request.arrival, start, sim.now))
+        for rid, request in enumerate(workload.requests):
+            kind = "question" if isinstance(request, QuestionRequest) else "story"
+            trace = RequestTrace(rid, kind, arrival=request.arrival)
+            metrics.traces.append(trace)
+            metrics.arrivals += 1
+            sim.spawn(admit(request, trace, request.arrival), name=f"request-{rid}")
 
-        sim.spawn(question_source(), name="question-source")
-        for request in workload.stories:
-            sim.spawn(
-                story_process(request), name=f"story-{rid_of[id(request)]}"
-            )
-        metrics.simulated_seconds = sim.run()
-        if degradation is not None:
-            metrics.degradation_peak_level = degradation.peak_level
-            metrics.degradation_transitions = degradation.transitions
-            metrics.degradation_final_level = degradation.level
+        sim.run()
+        metrics.degradation_peak_level = policy.peak_level
+        metrics.degradation_transitions = policy.transitions
+        metrics.degradation_final_level = policy.level
         metrics.reconcile()
         return metrics

@@ -10,8 +10,8 @@ The correctness story has three layers:
 * the :class:`ContinuousBatcher` must honor its dispatch rules —
   full / max_wait / deadline — and never coalesce a request past its
   admission deadline;
-* ``QaServer.run_batched`` must keep the lifecycle ledger consistent
-  (``reconcile()``) while showing the amortization: higher batch caps
+* ``QaServer.run`` on a batched server must keep the lifecycle
+  ledger consistent (``reconcile()``) while showing the amortization: higher batch caps
   buy strictly higher throughput past saturation.
 """
 
@@ -339,7 +339,7 @@ class TestFormBatches:
 
 
 # --------------------------------------------------------------------------
-# QaServer.run_batched
+# QaServer.run on a batched server
 # --------------------------------------------------------------------------
 
 
@@ -362,8 +362,8 @@ def _workload(rate=40_000.0, duration=0.02, story_rate=50.0):
 
 class TestRunBatched:
     def test_ledger_reconciles_and_occupancy_reported(self):
-        metrics = _batched_server(4).run_batched(_workload())
-        # run_batched calls reconcile() itself; re-assert the invariant.
+        metrics = _batched_server(4).run(_workload())
+        # run() calls reconcile() itself; re-assert the invariant.
         metrics.reconcile()
         assert metrics.arrivals == (
             metrics.completed + metrics.shed + metrics.timed_out
@@ -378,12 +378,12 @@ class TestRunBatched:
     def test_batching_raises_saturated_throughput(self):
         """Past single-question saturation, a bigger batch cap means
         strictly more questions served per second (Fig. 12 style)."""
-        solo = _batched_server(1).run_batched(_workload())
-        batched = _batched_server(8).run_batched(_workload())
+        solo = _batched_server(1).run(_workload())
+        batched = _batched_server(8).run(_workload())
         assert batched.throughput("question") > 1.5 * solo.throughput("question")
 
     def test_queueing_percentiles_ordered(self):
-        metrics = _batched_server(8).run_batched(_workload())
+        metrics = _batched_server(8).run(_workload())
         p = metrics.queueing_percentiles()
         assert p["p50"] <= p["p95"] <= p["p99"]
 
@@ -391,12 +391,12 @@ class TestRunBatched:
         metrics = _batched_server(
             2, admission=AdmissionConfig(max_queue=4),
             retry=RetryConfig(max_retries=0),
-        ).run_batched(_workload(rate=80_000.0))
+        ).run(_workload(rate=80_000.0))
         assert metrics.shed > 0
         metrics.reconcile()
 
     def test_tight_deadlines_time_out_not_crash(self):
-        metrics = _batched_server(8, deadline=1e-4).run_batched(
+        metrics = _batched_server(8, deadline=1e-4).run(
             _workload(rate=80_000.0)
         )
         assert metrics.timed_out > 0
@@ -404,21 +404,21 @@ class TestRunBatched:
 
     def test_deadline_members_never_coalesced_past_deadline(self):
         """Every formed batch ships with non-negative deadline slack."""
-        metrics = _batched_server(8, deadline=5e-3).run_batched(
+        metrics = _batched_server(8, deadline=5e-3).run(
             _workload(rate=20_000.0)
         )
         for batch in metrics.batches:
             assert all(s >= -1e-9 for s in batch.deadline_slacks)
 
     def test_questions_only_workload(self):
-        metrics = _batched_server(4).run_batched(
+        metrics = _batched_server(4).run(
             _workload(story_rate=0.0)
         )
         assert metrics.completed == metrics.arrivals
         assert not metrics.of_kind("story")
 
     def test_empty_workload(self):
-        metrics = _batched_server(4).run_batched(Workload())
+        metrics = _batched_server(4).run(Workload())
         assert metrics.arrivals == 0
         assert metrics.batches == []
         metrics.reconcile()

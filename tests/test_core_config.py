@@ -200,6 +200,20 @@ class TestBuilders:
         assert again.store.path == "/tmp/x"
         assert again.store.resident_bytes == 1024
 
+    def test_builders_reject_unknown_fields_and_keep_none_real(self):
+        # The multi-field builders are dataclasses.replace over their
+        # sub-config: a misspelt field is a TypeError, None is a value.
+        with pytest.raises(TypeError, match="chunk_rows"):
+            EngineConfig().with_chunking(chunk_rows=10)
+        with pytest.raises(TypeError, match="depth"):
+            EngineConfig().with_early_exit(0.2, depth=2)
+        spilled = EngineConfig.out_of_core(path="/tmp/m")
+        cleared = spilled.with_store(path=None, resident_bytes=None)
+        assert cleared.store.path is None
+        assert cleared.store.resident_bytes is None
+        assert cleared.store.prefetch_depth == spilled.store.prefetch_depth
+        assert EngineConfig().with_topk().topk.nprobe == 8
+
     def test_validate_returns_self_on_valid_configs(self):
         for config in (
             EngineConfig.baseline(),

@@ -546,7 +546,7 @@ class TestMulticoreConfig:
         )
 
     def test_multicore_preset_composition(self):
-        config = EngineConfig.multicore(4)
+        config = EngineConfig.parallel(4, dtype="float32")
         assert config.algorithm == "sharded"
         assert config.execution.backend == "process"
         assert config.execution.num_workers == 4
