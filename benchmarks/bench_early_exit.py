@@ -45,7 +45,10 @@ from repro.serving import (
 
 #: Gate thresholds swept (0 = disabled, the full-depth reference).
 THRESHOLDS = (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)
-NS = 2_048 if smoke_mode() else 8_192
+# Smoke: 4 096 float32 rows stream the bytes 2 048 float64 rows did;
+# below that the scan is too cheap next to the gate for the 1.3x floor
+# to have margin (1.4x at 2 048 rows, 1.6x at 4 096, 2.2x at full scale).
+NS = 4_096 if smoke_mode() else 8_192
 NQ = 64 if smoke_mode() else 256
 ED, NW, VOCAB, HOPS = 32, 8, 500, 4
 REPEATS = 3 if smoke_mode() else 5
@@ -121,12 +124,14 @@ def _engine_sweep():
 
     full_engine = engine_at(0.0)
     full = full_engine.answer(questions)
-    full_seconds = _best_of(lambda: full_engine.answer(questions))
 
     points = []
     for threshold in THRESHOLDS:
         engine = engine_at(threshold)
         result = engine.answer(questions)
+        # The reference is re-timed beside every point: the host drifts
+        # by more than the speed-up between the start of a sweep and its end.
+        full_seconds = _best_of(lambda: full_engine.answer(questions))
         seconds = _best_of(lambda: engine.answer(questions))
         trace = result.hop_trace
 

@@ -228,8 +228,8 @@ def _validate_cluster(payload: dict) -> list[str]:
 
 #: Series the core-engine trajectory must have timed to be diffable.
 _CORE_REQUIRED_SERIES = {
-    "seed_column", "column_serial", "sharded_serial", "fused_serial",
-    "fused_f32",
+    "seed_column", "column_f64_reference", "column_f32",
+    "sharded_serial", "fused_serial", "fused_f32",
     "sharded_process_1", "sharded_process_2", "sharded_process_4",
 }
 

@@ -30,8 +30,8 @@ class BaselineMemNN:
     Args:
         m_in: ``(ns, ed)`` input memory ``M_IN`` (embedded story).
         m_out: ``(ns, ed)`` output memory ``M_OUT``.
-        dtype: compute precision for the memories and score matrix
-            (the softmax itself runs in float64 either way).
+        dtype: precision of the memories, score matrix and weighted
+            sum (the softmax itself runs in float64 either way).
     """
 
     def __init__(
@@ -101,7 +101,8 @@ class BaselineMemNN:
             keep = np.ones_like(p, dtype=bool)
             weights = p
 
-        o = weights @ self.m_out
+        # Narrow the probabilities: a mixed GEMM would widen all of M_OUT.
+        o = weights.astype(self.dtype, copy=False) @ self.m_out
 
         kept = int(np.count_nonzero(keep))
         # bytes_read reflects the actual compute dtype via nbytes; the

@@ -107,9 +107,9 @@ def column_op_stats(
     the single accounting formula every kernel arrangement (per-shard
     chunk loop, fused tile kernel, worker-process shard) reports
     through, so stats are comparable across execution backends.
-    ``bytes_read`` reflects the actual compute dtype (float32 halves
-    the streamed traffic); the modeled write/intermediate terms keep
-    the paper's 4-byte-float convention (``FLOAT_BYTES``)."""
+    ``bytes_read`` counts the memory's own item size — ``FLOAT_BYTES``
+    under the default float32, the footprint ``InferencePlan`` models;
+    the write/intermediate terms are modeled at ``FLOAT_BYTES`` always."""
     rows = nq * ns
     # Matrix size from store metadata, not .nbytes — a row-subset
     # view would have to gather every row just to be measured.
@@ -137,7 +137,8 @@ class PartialOutput:
 
     Stores the weighted-sum numerator and the softmax denominator in a
     max-normalized form: the true quantities are
-    ``weighted * e^{log_max}`` and ``denom * e^{log_max}``.
+    ``weighted * e^{log_max}`` and ``denom * e^{log_max}``.  :meth:`merge`
+    and :meth:`finalize` compute in float64 whatever dtype they are handed.
 
     Attributes:
         weighted: ``(nq, ed)`` partial numerator.
@@ -152,15 +153,12 @@ class PartialOutput:
     log_max: np.ndarray
 
     @classmethod
-    def empty(
-        cls, num_questions: int, embedding_dim: int, dtype=np.float64
-    ) -> "PartialOutput":
+    def empty(cls, num_questions: int, embedding_dim: int) -> "PartialOutput":
         """Identity element for :meth:`merge`."""
-        dtype = check_dtype(dtype)
         return cls(
-            weighted=np.zeros((num_questions, embedding_dim), dtype=dtype),
-            denom=np.zeros(num_questions, dtype=dtype),
-            log_max=np.full(num_questions, -np.inf, dtype=dtype),
+            weighted=np.zeros((num_questions, embedding_dim)),
+            denom=np.zeros(num_questions),
+            log_max=np.full(num_questions, -np.inf),
         )
 
     def merge(self, other: "PartialOutput") -> "PartialOutput":
@@ -176,11 +174,13 @@ class PartialOutput:
             # so skipping its 0-scale is also exact) — skip the no-op
             # rescale multiplies.
             return PartialOutput(
-                weighted=self.weighted + other.weighted,
-                denom=self.denom + other.denom,
+                weighted=np.add(self.weighted, other.weighted, dtype=np.float64),
+                denom=np.add(self.denom, other.denom, dtype=np.float64),
                 log_max=self.log_max.copy(),
             )
-        new_max = np.maximum(self.log_max, other.log_max)
+        # float64 from here on (the maxima widen exactly), so everything
+        # the scales multiply is too.
+        new_max = np.maximum(self.log_max, other.log_max, dtype=np.float64)
         # exp(-inf - -inf) would be NaN; an empty partial contributes 0.
         with np.errstate(invalid="ignore"):
             scale_self = np.where(
@@ -197,10 +197,10 @@ class PartialOutput:
         )
 
     def finalize(self) -> np.ndarray:
-        """Apply the lazy softmax division (step 4 of Fig. 5b)."""
+        """The lazy softmax's one division (step 4 of Fig. 5b), in float64."""
         if self.denom.min(initial=np.inf) <= 0.0:
             raise ValueError("cannot finalize a partial with an empty denominator")
-        return self.weighted / self.denom[:, None]
+        return np.divide(self.weighted, self.denom[:, None], dtype=np.float64)
 
 
 class TileState:
@@ -215,16 +215,22 @@ class TileState:
     second tile does, so a one-tile scan pays for one tile's arithmetic
     and nothing else.
 
+    Two precisions (DESIGN.md §10): a tile's arithmetic runs in the
+    memory's dtype (``log_max`` is a score and keeps it); ``(denom,
+    acc)``, carried across tiles, are float64.  A float32 tile's sums
+    are exact float64 values, so the widening waits for a second tile:
+    a one-tile scan never casts, a 100 M-row scan adds its 10^5 tile
+    partials in float64.
+
     Args:
         nq, ed: question count and embedding width (the shape of the
             merge identity a zero-tile scan returns).
-        dtype: compute dtype of the scores that will be folded.
         zero_skip: §3.2 zero-skipping applied to every folded tile.
         stable: online running-max softmax vs raw exponentials.
     """
 
     __slots__ = (
-        "_shape", "_dtype", "_zero_skip", "_skipping", "_stable", "rows_kept",
+        "_shape", "_zero_skip", "_skipping", "_stable", "rows_kept",
         "_log_max", "_denom", "_acc", "_exp_ws", "_fold_ws",
     )  # fmt: skip
 
@@ -232,12 +238,10 @@ class TileState:
         self,
         nq: int,
         ed: int,
-        dtype: np.dtype,
         zero_skip: ZeroSkipConfig | None,
         stable: bool,
     ) -> None:
         self._shape = (nq, ed)
-        self._dtype = dtype
         self._zero_skip = zero_skip
         self._skipping = zero_skip is not None and zero_skip.enabled
         self._stable = stable
@@ -259,11 +263,15 @@ class TileState:
         first = self._acc is None
         if not first:
             if self._fold_ws is None:
+                # A second tile: the workspaces keep the tile dtype, the
+                # state it is about to be added into goes to float64.
                 self._fold_ws = (
                     np.empty_like(self._acc),
                     np.empty_like(self._log_max),
                     np.empty_like(self._log_max),
                 )
+                self._denom = self._denom.astype(np.float64, copy=False)
+                self._acc = self._acc.astype(np.float64, copy=False)
             contrib, tile_max, new_max = self._fold_ws
         if not self._skipping:
             # The keep-mask is never built, so nothing reads the raw
@@ -297,7 +305,7 @@ class TileState:
                 # the first fold on, so the scale is too).  When no max
                 # moved, every scale is exactly 1.0 — skip the no-op
                 # multiplies.
-                scale = np.exp(log_max - new_max)
+                scale = np.exp(np.subtract(log_max, new_max, dtype=np.float64))
                 self._denom *= scale
                 self._acc *= scale[:, None]
                 log_max[:] = new_max
@@ -361,9 +369,9 @@ class TileState:
         """The folded state as a mergeable partial — the identity of
         :meth:`PartialOutput.merge` when no tile was folded."""
         if self._acc is None:
-            partial = PartialOutput.empty(*self._shape, self._dtype)
+            partial = PartialOutput.empty(*self._shape)
             if not self._stable:
-                partial.log_max = np.zeros(self._shape[0], dtype=self._dtype)
+                partial.log_max = np.zeros(self._shape[0])
             return partial
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
@@ -423,9 +431,9 @@ class ColumnMemNN:
             is given).
         m_out: ``(ns, ed)`` output memory ``M_OUT``.
         chunk: chunking configuration (paper: 1000 sentences on CPU).
-        dtype: compute precision (``float64`` reference, ``float32``
-            halves memory traffic; converted once, here).  A ``store``
-            dictates its own dtype.
+        dtype: precision of the memory and of each tile's arithmetic
+            (other arrays are converted once, here; the running state
+            is float64 either way).  A ``store`` dictates its own.
         store: a :class:`~repro.store.MemoryStore` to stream the
             memories from instead of resident arrays.
         resident_bytes: byte budget of the resident-chunk LRU fronting
@@ -543,7 +551,7 @@ class ColumnMemNN:
         """
         u = self.check_questions(u)
         nq, ed = u.shape
-        state = TileState(nq, ed, self.dtype, zero_skip, stable)
+        state = TileState(nq, ed, zero_skip, stable)
         for scores, chunk_out in self.scored_tiles(u, runs):
             state.fold(scores, chunk_out)
         return state.partial(), column_op_stats(
@@ -620,7 +628,7 @@ class ColumnMemNN:
             yield workspace[:, :n], RunRows(m_out, bounds, shifts)
 
     def check_questions(self, u: np.ndarray) -> np.ndarray:
-        """``u`` as an ``(nq, ed)`` array of the compute dtype."""
+        """``u`` as an ``(nq, ed)`` array of the memory's dtype."""
         u = np.asarray(u, dtype=self.dtype)
         if u.ndim == 1:
             u = u[None, :]

@@ -266,10 +266,14 @@ class ExecutionConfig:
         num_workers: pool width for the process backend.  ``1`` runs
             sequentially even under the pool backend and is
             bit-identical to ``"serial"`` (same kernel, same order).
-        dtype: compute precision — ``"float64"`` (reference) or
-            ``"float32"`` (half the memory traffic and roughly double
-            the BLAS throughput; agrees with float64 to ~1e-5 on
-            logits, see DESIGN.md §10).
+        dtype: precision of the *memory* (engine buffers, spill, chunk
+            tier, cluster-major copy) and of each tile's GEMMs:
+            ``"float32"`` (default; the paper's single precision, half
+            the bytes of every tier) or ``"float64"`` (the reference
+            the bitwise grid pins and :meth:`EngineConfig.baseline`
+            runs).  ``(denom, acc)``, the one divide, the shard merge
+            and the hop state are float64 under either; float32 agrees
+            within ``FLOAT32_LOGIT_TOLERANCE`` (DESIGN.md §10).
         fused: run the sharded algorithm as one tiled sweep (one BLAS
             score call per ``chunk_size x num_shards``-row tile across
             *all* shards) instead of per-shard chunk loops.  Serial
@@ -283,7 +287,7 @@ class ExecutionConfig:
 
     backend: str = "serial"
     num_workers: int = 1
-    dtype: str = "float64"
+    dtype: str = "float32"
     fused: bool = False
     blas_threads: int | None = None
 
@@ -627,7 +631,7 @@ class EngineConfig:
         batch: continuous-batching policy a serving layer applies when
             coalescing questions into engine passes.
         execution: how the engine runs — backend (serial vs
-            process-over-shards), pool width, and compute dtype.
+            process-over-shards), pool width, and memory dtype.
         store: where the memories live (resident arrays vs an
             out-of-core disk tier) and the chunk prefetch policy.
         topk: the approximate top-k retrieval tier in front of exact
@@ -801,8 +805,10 @@ class EngineConfig:
 
     @classmethod
     def baseline(cls) -> "EngineConfig":
-        """The paper's baseline MemNN (no optimizations)."""
-        return cls().with_algorithm("baseline").with_chunking(streaming=False)
+        """The paper's baseline MemNN (no optimizations), in float64: the
+        referee of the differential grid and perfbench's ``answer_agreement``."""
+        baseline = cls().with_algorithm("baseline").with_chunking(streaming=False)
+        return baseline.with_execution(dtype="float64")
 
     @classmethod
     def mnnfast(
@@ -856,7 +862,7 @@ class EngineConfig:
         shard_policy: str = "contiguous",
         chunk_size: int = 1000,
         threshold: float = 0.0,
-        dtype: str = "float64",
+        dtype: str = "float32",
     ) -> "EngineConfig":
         """Sharded column algorithm with the shards executed
         concurrently on a ``num_workers``-wide process pool (see
@@ -883,7 +889,7 @@ class EngineConfig:
         shard_policy: str = "contiguous",
         chunk_size: int = 1000,
         blas_threads: int | None = None,
-        dtype: str = "float64",
+        dtype: str = "float32",
     ) -> "EngineConfig":
         """Sharded algorithm as one fused batch x shard tile sweep: one
         BLAS score call per ``chunk_size x num_shards``-row tile across

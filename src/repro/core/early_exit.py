@@ -105,7 +105,8 @@ def attention_mass_confidence(
     Args:
         u: ``(nq, ed)`` state after the hop just run (the next hop's
             input).
-        m_in: ``(ns, ed)`` input memory the next hop would attend over.
+        m_in: ``(ns, ed)`` input memory the next hop would attend over,
+            scored in its own dtype (``u`` is narrowed, never it widened).
         top_k: rows whose mass counts as "concentrated".
 
     Returns:
@@ -113,7 +114,7 @@ def attention_mass_confidence(
         ``top_k`` highest-probability rows carry.  With ``ns <= top_k``
         every row is in the top set and the confidence is exactly 1.
     """
-    probabilities = softmax(u @ m_in.T)
+    probabilities = softmax(np.asarray(u, dtype=m_in.dtype) @ m_in.T)
     k = min(top_k, probabilities.shape[1])
     top = np.partition(probabilities, -k, axis=1)[:, -k:]
     return top.sum(axis=1)

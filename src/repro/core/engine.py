@@ -396,8 +396,14 @@ class MnnFastEngine:
 
     @property
     def memories(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only views of the first hop's (M_IN, M_OUT)."""
+        """Read-only views of the first hop's (M_IN, M_OUT) — the one
+        resident copy: solvers and spills use these rows unconverted."""
         return self._memories[0]
+
+    @property
+    def _dtype(self) -> np.dtype:
+        """Storage dtype of the memories (``ExecutionConfig.dtype``)."""
+        return np.dtype(self.engine_config.execution.dtype)
 
     def store_story(self, sentences: np.ndarray) -> None:
         """Embed story sentences and append them to M_IN / M_OUT
@@ -405,12 +411,15 @@ class MnnFastEngine:
 
         The rows land in engine-owned append buffers (grown
         geometrically up to ``config.num_sentences``), so ingesting a
-        story sentence by sentence copies each row O(1) times.
+        story sentence by sentence copies each row O(1) times.  A bag
+        sum is accumulated in float64 and rounded once, into its row.
 
         Args:
             sentences: ``(n, nw)`` padded word IDs.
         """
         sentences = self._check_sentences(sentences)
+        if self._solver_cache_config is not self.engine_config:
+            self._sync_config()
         stored = self.num_stored_sentences
         end = stored + len(sentences)
         if end > self.config.num_sentences:
@@ -451,7 +460,9 @@ class MnnFastEngine:
                         max(rows, 2 * len(buffer), _MIN_BUFFER_ROWS),
                         self.config.num_sentences,
                     )
-                    grown = np.empty((capacity, self.config.embedding_dim))
+                    grown = np.empty(
+                        (capacity, self.config.embedding_dim), self._dtype
+                    )
                     grown[: len(stored[slot])] = stored[slot]
                     pair[slot] = grown
         return self._buffers
@@ -463,14 +474,14 @@ class MnnFastEngine:
         Only meaningful under layer-wise tying, where one memory pair
         serves every hop.  The arrays are read, never written: a later
         :meth:`store_story` copies them into an engine-owned buffer.
+        Arrays of another dtype are converted to the storage dtype once, here.
         """
         if self._num_pairs != 1:
             raise ValueError(
                 "set_memories requires layer-wise weights; adjacent tying "
                 "stores one embedded pair per hop (use store_story)"
             )
-        m_in = np.asarray(m_in, dtype=np.float64)
-        m_out = np.asarray(m_out, dtype=np.float64)
+        m_in, m_out = (np.asarray(m, dtype=self._dtype) for m in (m_in, m_out))
         if m_in.shape != m_out.shape or m_in.ndim != 2:
             raise ValueError("memories must be equal-shaped 2-D arrays")
         if m_in.shape[1] != self.config.embedding_dim:
@@ -480,7 +491,7 @@ class MnnFastEngine:
         self._install([(_readonly(m_in.view()), _readonly(m_out.view()))])
 
     def clear_memories(self) -> None:
-        empty = _readonly(np.zeros((0, self.config.embedding_dim)))
+        empty = _readonly(np.zeros((0, self.config.embedding_dim), self._dtype))
         self._install([(empty, empty)] * self._num_pairs)
         self._solver_cache_config = self.engine_config
 
@@ -492,9 +503,19 @@ class MnnFastEngine:
         self._memories = memories
         no_capacity = np.empty((0, 0))
         self._buffers = [[no_capacity, no_capacity] for _ in memories]
-        # Solvers hold dtype-converted, shard-sliced copies of the
-        # memories; every memory mutation invalidates them.
+        # Solvers hold views and shard slices of the memories; every
+        # memory mutation invalidates them.
         self._invalidate_solvers()
+
+    def _sync_config(self) -> None:
+        """``engine_config`` was swapped: the cached solvers go, and
+        rows stored in another ``dtype`` are re-cast, once (rows stored
+        as float32 do not regain precision by being widened)."""
+        self._solver_cache_config = self.engine_config
+        self._install([
+            tuple(_readonly(m.astype(self._dtype, copy=False)) for m in pair)
+            for pair in self._memories
+        ])
 
     def _invalidate_solvers(self) -> None:
         """Drop the solver cache, releasing backend resources first.
@@ -679,6 +700,7 @@ class MnnFastEngine:
             hop_index_stats.append(tiers["index"])
             if hop_hook is not None:
                 hop_hook(hop, result.stats)
+            # u stays float64: a solver narrows its own copy, once per hop.
             output = np.asarray(result.output, dtype=u.dtype)
             u = u + output  # u_{k+1} = u_k + o_k
             if not gated:
@@ -881,16 +903,15 @@ class MnnFastEngine:
     ) -> BaselineMemNN | ColumnMemNN | ShardedMemNN:
         """The answer-producing backend for one memory pair, cached.
 
-        Solver construction converts the memories to the compute dtype
-        and (in sharded mode) slices them into shards — work worth
-        paying once per stored story, not once per request.  The cache
-        is invalidated whenever the memories mutate
-        (:meth:`store_story` / :meth:`set_memories` /
-        :meth:`clear_memories`) or ``engine_config`` is swapped.
+        Solver construction spills the memories or (in sharded mode)
+        slices them into shards — work worth paying once per stored
+        story, not once per request.  The cache is invalidated whenever
+        the memories mutate (:meth:`store_story` /
+        :meth:`set_memories` / :meth:`clear_memories`) or
+        ``engine_config`` is swapped.
         """
         if self._solver_cache_config is not self.engine_config:
-            self._invalidate_solvers()
-            self._solver_cache_config = self.engine_config
+            self._sync_config()
         solver = self._solver_cache.get(pair_index)
         if solver is None:
             m_in, m_out = self._memories[pair_index]
@@ -930,14 +951,14 @@ class MnnFastEngine:
         memories are spilled to disk first (§4.1.1's offline knowledge
         database, here produced by the engine itself) and the solver
         streams them back through the chunk pipeline — the spilled
-        bytes are the converted memories, so the answers are exactly
-        those of the resident path.  An enabled
+        bytes are the stored rows, so the answers are exactly those of
+        the resident path.  An enabled
         :class:`~repro.core.config.TopKConfig` interposes the
         retrieval tier in front of whichever exact kernel the rest of
         the config selects.
         """
         ec = self.engine_config.validate()
-        dtype = np.dtype(ec.execution.dtype)
+        dtype = self._dtype
         if ec.algorithm == "baseline":
             return BaselineMemNN(m_in, m_out, dtype=dtype)
         sc = ec.store
@@ -1012,7 +1033,7 @@ class MnnFastEngine:
         m_in, m_out = self._memories[0]
         ec = self.engine_config
         if ec.algorithm == "baseline":
-            solver = BaselineMemNN(m_in, m_out, dtype=np.dtype(ec.execution.dtype))
+            solver = BaselineMemNN(m_in, m_out, dtype=self._dtype)
             result = solver.output(
                 u, stable=ec.stable_softmax, return_probabilities=True
             )
@@ -1023,7 +1044,8 @@ class MnnFastEngine:
         # probabilities equal softmax(u . M_IN^T) — reconstruct them
         # with the configured softmax form.  tests/test_core_engine.py
         # guards this shortcut against the baseline's explicit softmax.
-        scores = u @ m_in.T
+        # u is narrowed: a mixed GEMM would widen all of M_IN.
+        scores = np.asarray(u, dtype=m_in.dtype) @ m_in.T
         return softmax(scores) if ec.stable_softmax else unstable_softmax(scores)
 
     # --- helpers -------------------------------------------------------------

@@ -22,6 +22,9 @@ __all__ = [
     "PAD_ID",
 ]
 
+#: Sentences :func:`bow_embed_each` embeds into ``outs`` per pass.
+EMBED_BLOCK_ROWS = 512
+
 #: Word ID reserved for padding; its embedding row is forced to zero.
 PAD_ID = 0
 
@@ -92,7 +95,8 @@ def bow_embed_each(
         sentences: ``(n, nw)`` integer word IDs.
         encoding: optional ``(nw, ed)`` position-encoding weights.
         outs: optional ``(n, ed)`` arrays, one per dictionary, the sums
-            are written into (an append buffer's free rows).
+            are written into (an append buffer's free rows; a float32
+            row receives the float64 bag sum rounded once).
 
     Returns:
         One ``(n, ed)`` array per dictionary (``outs`` when given).
@@ -111,6 +115,15 @@ def bow_embed_each(
             "encoding shape must be (nw, ed) = "
             f"{(sentences.shape[1], ed)}, got {encoding.shape}"
         )
+    if outs is not None and len(sentences) > EMBED_BLOCK_ROWS:
+        # Slice by slice: the (rows, nw, ed) float64 temporaries stay
+        # cache-sized however many sentences a story brings at once.
+        for lo in range(0, len(sentences), EMBED_BLOCK_ROWS):
+            rows = slice(lo, lo + EMBED_BLOCK_ROWS)
+            bow_embed_each(
+                embeddings, sentences[rows], encoding, [out[rows] for out in outs]
+            )
+        return list(outs)
     mask = (sentences != PAD_ID)[..., None]  # (n, nw, 1)
     results = []
     for index, embedding in enumerate(embeddings):
@@ -118,9 +131,13 @@ def bow_embed_each(
         vectors *= mask
         if encoding is not None:
             vectors = vectors * encoding
-        results.append(
-            vectors.sum(axis=1, out=None if outs is None else outs[index])
-        )
+        out = None if outs is None else outs[index]
+        if out is None or out.dtype == vectors.dtype:
+            out = vectors.sum(axis=1, out=out)
+        else:
+            # A reduce that casts into ``out`` runs buffered, ~25 % slower.
+            out[...] = vectors.sum(axis=1)
+        results.append(out)
     return results
 
 

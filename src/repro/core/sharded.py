@@ -210,7 +210,7 @@ class _FusedShardKernel:
         u = column.check_questions(u)
         nq, ed = u.shape
         states = [
-            TileState(nq, ed, column.dtype, zero_skip, stable)
+            TileState(nq, ed, zero_skip, stable)
             for _ in range(self.plan.num_shards)
         ]
         t0 = 0

@@ -183,7 +183,8 @@ class TopKMemNN:
         u_checked = self._check_questions(u)
         index = self._ensure_index()
         probe_start = time.perf_counter()
-        runs, _ = index.probe(u_checked, self.config.nprobe)
+        # The few centroids are float64: only the scan takes u narrowed.
+        runs, _ = index.probe(u, self.config.nprobe)
         probe_seconds = time.perf_counter() - probe_start
 
         # Original row ids: what the gather paths read by, and
@@ -368,15 +369,16 @@ class TopKMemNN:
         base = self._base
         ns = base.num_rows
         nq = len(u)
-        u64 = np.asarray(u, dtype=np.float64)
         mask = np.zeros(ns, dtype=bool)
         mask[candidates] = True
         log_max = np.full(nq, -np.inf)
         denom = np.zeros(nq)
         cand_mass = np.zeros(nq)
         for start, stop in iter_chunk_spans(ns, RECALL_BLOCK_ROWS):
-            rows = np.asarray(base.read_chunk(start, stop)[0], dtype=np.float64)
-            scores = u64 @ rows.T
+            # The (nq, block) scores are widened, never the block.
+            scores = np.asarray(
+                u @ base.read_chunk(start, stop)[0].T, dtype=np.float64
+            )
             new_max = np.maximum(log_max, scores.max(axis=1))
             with np.errstate(invalid="ignore"):
                 scale = np.where(

@@ -3,12 +3,13 @@
 On-disk layout (one directory per store)::
 
     <path>/
-      store.json    # {"format": 1, "dtype": "float64", "rows": ns, "dim": ed}
+      store.json    # {"format": 1, "dtype": "float32", "rows": ns, "dim": ed}
       m_in.bin      # ns x ed row-major values, the meta dtype
       m_out.bin     # ns x ed row-major values, the meta dtype
 
-The format is dtype-aware (float64 reference or float32 half-traffic
-shards) and deliberately trivial: raw C-order matrices that
+The format is dtype-aware (float32, the engine's default and the
+``FLOAT_BYTES`` footprint the serving model charges, or the float64
+reference) and deliberately trivial: raw C-order matrices that
 ``np.memmap`` can map and any other tool can stream.  :meth:`MmapStore.save`
 writes atomically-enough for a single writer — on any error the
 partially-written directory is removed, so a store directory either

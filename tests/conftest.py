@@ -15,6 +15,8 @@ try:
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.core import EngineConfig  # noqa: E402
+
 #: Per-test wall-clock budget in seconds; unset/empty disables the
 #: gate.  CI exports it (see .github/workflows/ci.yml) so a single
 #: runaway test fails loudly instead of silently dragging the suite.
@@ -46,6 +48,18 @@ def pytest_runtest_call(item):
             f"PYTEST_MAX_TEST_SECONDS={budget:g}s budget",
             pytrace=False,
         )
+
+
+def float64(config: "EngineConfig | None" = None) -> EngineConfig:
+    """``config`` (default ``EngineConfig()``) pinned to the float64
+    reference precision.  The default config stores float32 memories;
+    a test that holds a path to ``BaselineMemNN`` / a float64 model /
+    another path at 1e-10 compares *reference* configs, and says so by
+    building them through here — never by widening its tolerance.  The
+    float32 cells of the grid live in ``tests/test_float32_grid.py``.
+    """
+    config = config if config is not None else EngineConfig()
+    return config.with_execution(dtype="float64")
 
 
 @pytest.fixture

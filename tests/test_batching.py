@@ -46,6 +46,8 @@ from repro.serving import (
     generate_workload,
 )
 
+from .conftest import float64
+
 LOGIT_TOLERANCE = 1e-10
 
 
@@ -55,7 +57,8 @@ LOGIT_TOLERANCE = 1e-10
 
 
 def _engine_grid():
-    """Every answer-producing path, at exact (th=0) settings."""
+    """Every answer-producing path, at exact (th=0) settings and the
+    float64 reference precision."""
     grid = {}
     for stable in (True, False):
         grid[("baseline", stable)] = EngineConfig(
@@ -76,7 +79,7 @@ def _engine_grid():
             chunk=ChunkConfig(16),
             stable_softmax=stable,
         )
-    return grid
+    return {key: float64(config) for key, config in grid.items()}
 
 
 def _problem(seed, nq):

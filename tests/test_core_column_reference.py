@@ -10,6 +10,11 @@ shows up as a bit difference, not a tolerance.
 Every comparison runs through all three ``K = 1`` arrangements of that
 kernel — ``ColumnMemNN``, a one-shard ``ShardedMemNN`` and its fused
 tile sweep — so "column is K = 1 of fused" is an assertion too.
+
+The reference states the two-precision rule outright: each tile's
+arithmetic in the memory's dtype, ``(denom, acc)`` float64 across
+tiles.  On a float64 memory that is the all-float64 seed loop, bit for
+bit what it was; on a float32 one it is what the kernel must equal.
 """
 
 import numpy as np
@@ -42,12 +47,18 @@ def seed_partial(m_in, m_out, u, chunk, dtype, stable, skip):
     acc = np.zeros((nq, ed), dtype=dtype)
     rows_kept = 0
     for lo in range(0, len(m_in), chunk):
+        if lo == chunk:
+            # A second tile: what crosses a tile boundary is float64
+            # whatever the memory is.
+            denom, acc = denom.astype(np.float64), acc.astype(np.float64)
         scores = u @ m_in[lo : lo + chunk].T
         if stable:
             new_max = np.maximum(log_max, scores.max(axis=1))
             with np.errstate(invalid="ignore"):
                 scale = np.where(
-                    np.isneginf(log_max), 0.0, np.exp(log_max - new_max)
+                    np.isneginf(log_max),
+                    0.0,
+                    np.exp(np.subtract(log_max, new_max, dtype=np.float64)),
                 )
             denom *= scale
             acc *= scale[:, None]

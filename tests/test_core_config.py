@@ -121,6 +121,7 @@ class TestBuilders:
             EngineConfig()
             .with_algorithm("baseline")
             .with_chunking(streaming=False)
+            .with_execution(dtype="float64")
         )
 
     def test_mnnfast_equals_builder_chain(self):

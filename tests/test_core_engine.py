@@ -11,6 +11,8 @@ from repro.core import (
 )
 from repro.core.numerics import PAD_ID, softmax
 
+from .conftest import float64
+
 
 @pytest.fixture
 def config():
@@ -110,7 +112,7 @@ class TestAppendBuffers:
         backing_in = rng.normal(size=(30, 16))
         backing_out = rng.normal(size=(30, 16))
         before_in, before_out = backing_in.copy(), backing_out.copy()
-        eng = MnnFastEngine(config)
+        eng = MnnFastEngine(config, engine_config=float64())
         eng.set_memories(backing_in[:20], backing_out[:20])
         eng.store_story(rng.integers(1, 50, size=(3, 6)))
         np.testing.assert_array_equal(backing_in, before_in)
@@ -210,7 +212,7 @@ class TestAnswering:
         outputs = {}
         for name, ecfg in {
             "baseline": EngineConfig.baseline(),
-            "column": EngineConfig(algorithm="column"),
+            "column": float64(),
         }.items():
             eng = MnnFastEngine(config, weights, engine_config=ecfg)
             eng.store_story(story)

@@ -31,6 +31,8 @@ from repro.core import (
 )
 from repro.core.column import exp_floor
 
+from .conftest import float64
+
 #: Exact-path agreement bound (same as the differential harness).
 LOGIT_TOLERANCE = 1e-10
 
@@ -105,7 +107,7 @@ class TestFloat32Path:
             kwargs["zero_skip"] = zero_skip
         if algorithm == "sharded":
             kwargs["num_shards"] = 3
-        reference = _answer(EngineConfig(**kwargs))
+        reference = _answer(float64(EngineConfig(**kwargs)))
         f32 = _answer(
             EngineConfig(**kwargs, execution=ExecutionConfig(dtype="float32"))
         )
@@ -144,12 +146,14 @@ class TestFloat32Path:
 
 
 class TestExecutionConfigValidation:
-    def test_defaults_are_serial_float64(self):
+    def test_defaults_are_serial_float32(self):
         config = ExecutionConfig()
         assert config.backend == "serial"
         assert config.num_workers == 1
-        assert config.dtype == "float64"
+        assert config.dtype == "float32"
         assert not config.parallel
+        # The referee stays the float64 reference.
+        assert EngineConfig.baseline().execution.dtype == "float64"
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):

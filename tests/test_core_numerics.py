@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.numerics import (
+    EMBED_BLOCK_ROWS,
     PAD_ID,
     bow_embed,
     bow_embed_each,
@@ -123,6 +124,34 @@ class TestBowEmbedEach:
         with pytest.raises(ValueError, match="share a shape"):
             bow_embed_each((emb, emb[:5]), np.array([[1, 2]]), outs=outs)
         assert all(np.isnan(out).all() for out in outs)
+
+    @pytest.mark.parametrize("out_dtype", [None, np.float64, np.float32])
+    def test_long_input_is_embedded_in_slices_bitwise(self, rng, out_dtype):
+        """More than ``EMBED_BLOCK_ROWS`` sentences are written into
+        ``outs`` slice by slice: the same sums (rounded once into float32
+        rows), and a bad ID in the last slice is still rejected before
+        any row is written."""
+        n = 2 * EMBED_BLOCK_ROWS + 7
+        emb_a, emb_c = rng.normal(size=(30, 4)), rng.normal(size=(30, 4))
+        sentences = rng.integers(0, 30, size=(n, 5))
+        expected = [
+            np.concatenate(
+                [bow_embed(emb, sentences[lo : lo + 100]) for lo in range(0, n, 100)]
+            )
+            for emb in (emb_a, emb_c)
+        ]
+        outs = None
+        if out_dtype is not None:
+            outs = [np.full((n, 4), np.nan, dtype=out_dtype) for _ in range(2)]
+            bad = sentences.copy()
+            bad[-1, 0] = 30
+            with pytest.raises(ValueError, match="out of range"):
+                bow_embed_each((emb_a, emb_c), bad, outs=outs)
+            assert all(np.isnan(out).all() for out in outs)
+        results = bow_embed_each((emb_a, emb_c), sentences, outs=outs)
+        for index, (result, want) in enumerate(zip(results, expected)):
+            assert outs is None or result is outs[index]
+            assert result.tobytes() == want.astype(out_dtype or np.float64).tobytes()
 
 
 class TestPositionEncoding:

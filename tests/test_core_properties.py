@@ -30,6 +30,8 @@ from repro.core import (
 )
 from repro.core.early_exit import EXIT_FULL_DEPTH
 
+from .conftest import float64
+
 # Bounded floats keep exp() in a comfortable range for the equality
 # tests; the stability tests in test_core_algorithms cover the extremes.
 value = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -267,7 +269,7 @@ def _gated_answer(config, weights, story, questions, threshold):
     engine = MnnFastEngine(
         config,
         weights,
-        engine_config=EngineConfig().with_early_exit(threshold),
+        engine_config=float64().with_early_exit(threshold),
     )
     engine.store_story(story)
     return engine.answer(questions)

@@ -24,6 +24,8 @@ from repro.core import (
 )
 from repro.core.column import PartialOutput
 
+from .conftest import float64
+
 #: Documented agreement bound between answer-producing paths.
 TOLERANCE = 1e-10
 
@@ -262,8 +264,10 @@ class TestEngineSharded:
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
     def test_engine_logits_match_all_paths(self, setup, num_shards, policy):
         baseline = self._answer(setup, EngineConfig.baseline())
-        column = self._answer(setup, EngineConfig(algorithm="column"))
-        sharded = self._answer(setup, EngineConfig.sharded(num_shards, policy))
+        column = self._answer(setup, float64())
+        sharded = self._answer(
+            setup, float64(EngineConfig.sharded(num_shards, policy))
+        )
         np.testing.assert_allclose(
             sharded.logits, column.logits, rtol=TOLERANCE, atol=TOLERANCE
         )
@@ -287,13 +291,17 @@ class TestEngineSharded:
         for shard, idx in zip(solver._shards, solver.plan):
             assert np.shares_memory(shard.m_in, m_in)
             assert np.shares_memory(shard.m_out, m_out)
-            copied = ColumnMemNN(m_in[idx], m_out[idx], chunk=solver.chunk)
+            copied = ColumnMemNN(
+                m_in[idx], m_out[idx], chunk=solver.chunk, dtype=m_in.dtype
+            )
             assert not np.shares_memory(copied.m_in, m_in)
             got, _ = shard.partial_output(u)
             want, _ = copied.partial_output(u)
             assert got.weighted.tobytes() == want.weighted.tobytes()
             assert got.denom.tobytes() == want.denom.tobytes()
-        strided = ShardedMemNN(m_in, m_out, num_shards=3, policy="strided")
+        strided = ShardedMemNN(
+            m_in, m_out, num_shards=3, policy="strided", dtype=m_in.dtype
+        )
         assert not any(np.shares_memory(s.m_in, m_in) for s in strided._shards)
 
     def test_engine_reports_per_hop_shard_stats(self, setup):

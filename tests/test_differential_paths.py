@@ -39,14 +39,19 @@ from repro.core import (
     ZeroSkipConfig,
 )
 
+from .conftest import float64
+
 #: Documented pairwise logit-agreement bound for exact paths.
 LOGIT_TOLERANCE = 1e-10
 
 SEEDS = (0, 1, 2)
 
 
-def _engine_configs():
-    """Every answer-producing engine path, at th_skip=0 (exact)."""
+def _engine_configs(pin=float64):
+    """Every answer-producing engine path, at th_skip=0 (exact).
+    ``pin`` fixes every cell's precision — the float64 reference here;
+    ``tests/test_float32_grid.py`` passes the identity and gets the
+    same cells at the default (float32) precision."""
     zero_skip_off = ZeroSkipConfig(0.0)
     zero_skip_zero_threshold = ZeroSkipConfig(0.0, mode="exp")
     configs = {}
@@ -96,12 +101,12 @@ def _engine_configs():
             stable_softmax=stable,
             execution=ExecutionConfig(fused=True),
         )
-    return configs
+    return {key: pin(config) for key, config in configs.items()}
 
 
-def _full_grid():
+def _full_grid(pin=float64):
     """The exact grid plus the store tier and the top-k tier."""
-    grid = dict(_engine_configs())
+    grid = _engine_configs(lambda config: config)
     grid[("out-of-core", True)] = EngineConfig.out_of_core()
     grid[("topk", True)] = EngineConfig(algorithm="column").with_topk(
         nprobe=2, min_rows=0
@@ -109,7 +114,7 @@ def _full_grid():
     grid[("sharded-topk", True)] = EngineConfig.sharded(
         3, chunk_size=16
     ).with_topk(nprobe=2, min_rows=0)
-    return grid
+    return {key: pin(config) for key, config in grid.items()}
 
 
 class DictCache:
@@ -268,10 +273,12 @@ def test_sharded_zero_skip_exact_at_zero_threshold():
     """Sharding composes with the zero-skip flag: at th=0 the skip
     mask keeps every row, so sharded+skip equals plain baseline."""
     config, weights, story, questions = _random_problem(1)
-    engine_config = EngineConfig(
-        algorithm="sharded",
-        num_shards=4,
-        zero_skip=ZeroSkipConfig(0.0, mode="exp"),
+    engine_config = float64(
+        EngineConfig(
+            algorithm="sharded",
+            num_shards=4,
+            zero_skip=ZeroSkipConfig(0.0, mode="exp"),
+        )
     )
     sharded = MnnFastEngine(config, weights, engine_config=engine_config)
     sharded.store_story(story)

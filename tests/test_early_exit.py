@@ -36,6 +36,8 @@ from repro.serving import (
     exit_rate_for_threshold,
 )
 
+from .conftest import float64
+
 
 class TestEarlyExitConfig:
     def test_defaults_disable_the_gate(self):
@@ -315,7 +317,7 @@ class TestGateLogitReuse:
         config, weights, stories, questions = _calibrated_problem()
         engine = MnnFastEngine(
             config, weights,
-            engine_config=EngineConfig().with_early_exit(
+            engine_config=float64().with_early_exit(
                 0.2 if metric == "logit_margin" else 0.01, metric=metric
             ),
         )

@@ -18,6 +18,8 @@ from repro.model import (
     to_engine_weights,
 )
 
+from .conftest import float64
+
 MAX_WORDS = 10
 
 
@@ -63,7 +65,7 @@ def test_engine_matches_model_logits(hops):
     # Model-side forward (no padding slots: trim to the story length).
     model_logits = model.forward(story_ids[None, :, :], question_ids).logits
 
-    engine = engine_for(model, example)
+    engine = engine_for(model, example, engine_config=float64())
     engine.store_story(story_ids)
     result = engine.answer(question_ids)
 

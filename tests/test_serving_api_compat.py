@@ -24,6 +24,8 @@ from repro.core import (
 from repro.memsim.embedding_cache import EmbeddingCache
 from repro.serving import QaServer, ServerConfig, generate_workload
 
+from .conftest import float64
+
 
 def _small_network() -> MemNNConfig:
     return MemNNConfig(
@@ -115,7 +117,7 @@ class TestEngineUnification:
     def test_attention_honors_algorithm_and_agrees(self):
         questions = self._questions()
         baseline = self._engine(EngineConfig.baseline()).attention(questions)
-        column = self._engine(EngineConfig.mnnfast()).attention(questions)
+        column = self._engine(float64(EngineConfig.mnnfast())).attention(questions)
         np.testing.assert_allclose(baseline, column, rtol=1e-12)
         np.testing.assert_allclose(baseline.sum(axis=1), 1.0)
 

@@ -35,6 +35,8 @@ from repro.store import (
     iter_chunk_spans,
 )
 
+from .conftest import float64
+
 sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "benchmarks")
 )
@@ -589,9 +591,9 @@ class TestEngineOutOfCore:
         )
 
     def test_sharded_out_of_core_matches_resident(self):
-        resident, questions = self._setup(EngineConfig())
+        resident, questions = self._setup(float64())
         streamed, _ = self._setup(
-            EngineConfig.out_of_core(num_shards=3, shard_policy="strided")
+            float64(EngineConfig.out_of_core(num_shards=3, shard_policy="strided"))
         )
         np.testing.assert_allclose(
             streamed.answer(questions).logits,
