@@ -7,7 +7,10 @@ ed=48, nq=16 workload of ``bench_algorithms.py`` through:
 * ``seed_column`` — a faithful reimplementation of the pre-optimization
   chunk loop (fresh allocations per chunk, all-ones keep-mask multiply,
   unconditional rescale), kept here as the fixed baseline the
-  kernel-optimized series is measured against;
+  kernel-optimized series is measured against.  It scans the row-major
+  ``(ns, ed)`` arrays this module generates, as it always has: it is
+  the historical yardstick, so its score GEMM stays the transposed-B
+  ``u @ chunk_in.T`` of a row-major memory;
 * ``column_f64_reference`` — today's allocation-free kernel over a
   float64 memory (``ExecutionConfig(dtype="float64")``, the reference
   precision the bitwise grid pins);
@@ -27,6 +30,12 @@ ed=48, nq=16 workload of ``bench_algorithms.py`` through:
 * ``multicore_f32_process_4`` — the composed headline: the default
   precision plus the 4-worker process backend (``EngineConfig
   .parallel(4)``, the README quickstart config).
+
+Every ``ColumnMemNN`` / ``ShardedMemNN`` series lays ``M_IN`` out
+feature-major once, at solver build (outside the timed calls), so
+since ISSUE 23 its speedup over ``seed_column`` includes the layout
+gain — a plain ``u @ B`` per tile instead of ``u @ B^T`` (DESIGN.md
+§10) — on top of the kernel's.
 
 Genuine multicore speedup requires physical cores, so the parallel
 acceptance gates activate only when ``os.cpu_count() >= GATE_CPUS``;

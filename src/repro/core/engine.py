@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict
 
 import numpy as np
 
-from ..store.base import StoreStats
+from ..store.base import StoreStats, feature_major
 from ..store.mmap_store import MmapStore
 from .baseline import BaselineMemNN
 from .cache import VectorCache
@@ -397,7 +397,9 @@ class MnnFastEngine:
     @property
     def memories(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the first hop's (M_IN, M_OUT) — the one
-        resident copy: solvers and spills use these rows unconverted."""
+        resident copy: solvers and spills use these rows unconverted.
+        ``M_IN`` is feature-major (``strides[0] == itemsize``, DESIGN.md
+        §10), ``M_OUT`` row-major; both index as ``(ns, ed)``."""
         return self._memories[0]
 
     @property
@@ -460,8 +462,11 @@ class MnnFastEngine:
                         max(rows, 2 * len(buffer), _MIN_BUFFER_ROWS),
                         self.config.num_sentences,
                     )
+                    # M_IN (slot 0) is feature-major (DESIGN.md §10).
                     grown = np.empty(
-                        (capacity, self.config.embedding_dim), self._dtype
+                        (capacity, self.config.embedding_dim),
+                        self._dtype,
+                        order="C" if slot else "F",
                     )
                     grown[: len(stored[slot])] = stored[slot]
                     pair[slot] = grown
@@ -474,14 +479,16 @@ class MnnFastEngine:
         Only meaningful under layer-wise tying, where one memory pair
         serves every hop.  The arrays are read, never written: a later
         :meth:`store_story` copies them into an engine-owned buffer.
-        Arrays of another dtype are converted to the storage dtype once, here.
+        Arrays of another dtype are converted to the storage dtype, and
+        a row-major ``m_in`` to feature-major, once, here.
         """
         if self._num_pairs != 1:
             raise ValueError(
                 "set_memories requires layer-wise weights; adjacent tying "
                 "stores one embedded pair per hop (use store_story)"
             )
-        m_in, m_out = (np.asarray(m, dtype=self._dtype) for m in (m_in, m_out))
+        m_in = feature_major(m_in, self._dtype)
+        m_out = np.asarray(m_out, dtype=self._dtype)
         if m_in.shape != m_out.shape or m_in.ndim != 2:
             raise ValueError("memories must be equal-shaped 2-D arrays")
         if m_in.shape[1] != self.config.embedding_dim:

@@ -11,11 +11,12 @@ see DESIGN.md §10.)
 Worker processes sidestep the GIL entirely.  The classic objection — a
 process pool must pickle the ``O(ns x ed)`` memories — is dissolved by
 the store tier: workers ``mmap`` the engine's spilled
-:class:`~repro.store.MmapStore` *read-only* and compute against
-zero-copy mapped shards (the OS page cache backs every worker with the
-same physical pages).  Only the ``O(nq x ed)`` question matrix crosses
-the pipe inbound and the ``O(nq x ed)``
-:class:`~repro.core.column.PartialOutput` triple outbound.  Workers
+:class:`~repro.store.MmapStore` *read-only* and compute against their
+mapped shards (``M_OUT`` zero-copy out of the shared page cache; the
+row-major ``M_IN`` laid out feature-major once, at solver build).
+Only the ``O(nq x ed)`` question matrix crosses the pipe inbound and
+the ``O(nq x ed)`` :class:`~repro.core.column.PartialOutput` triple
+outbound.  Workers
 pin their BLAS pools (:mod:`repro.core.thread_limits`) so P workers
 never run P x T BLAS threads.
 

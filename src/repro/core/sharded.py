@@ -246,7 +246,8 @@ class ShardedMemNN:
     is exact — not an approximation of single-shard column mode.
 
     Args:
-        m_in: ``(ns, ed)`` input memory ``M_IN``.
+        m_in: ``(ns, ed)`` input memory ``M_IN`` (contiguous shards
+            are views; a strided one is laid out feature-major once).
         m_out: ``(ns, ed)`` output memory ``M_OUT``.
         num_shards: shard count ``K``.
         policy: row-partition policy (see :class:`ShardPlan`).

@@ -5,8 +5,9 @@ them: an :class:`~repro.index.ivf.IVFIndex` selects candidate rows per
 question batch, and the lazy-softmax column dataflow (or its sharded
 fan-out) runs *unchanged* on the candidate subset.  A resident,
 unsharded memory is copied once, at index-build time, into
-*cluster-major* order (each cluster's rows contiguous), so a probe's
-candidates are a few row runs of that copy and one long-lived
+*cluster-major* order (each cluster's rows contiguous, ``M_IN``
+gathered feature-major), so a probe's candidates are a few row runs —
+plain per-run score GEMMs — of that copy and one long-lived
 :class:`~repro.core.column.ColumnMemNN` scans them in place — no
 per-hop gather, no per-hop solver.  An out-of-core tier is scanned
 through a :class:`~repro.store.base.RowSubsetStore` view and a sharded

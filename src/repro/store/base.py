@@ -39,6 +39,7 @@ import numpy as np
 __all__ = [
     "SUPPORTED_DTYPES",
     "check_dtype",
+    "feature_major",
     "MemoryStore",
     "RowSubsetStore",
     "StoreStats",
@@ -58,6 +59,17 @@ def check_dtype(dtype) -> np.dtype:
             f"got {dtype.name!r}"
         )
     return dtype
+
+
+def feature_major(m_in: np.ndarray, dtype=None) -> np.ndarray:
+    """``m_in`` in the in-RAM layout of ``M_IN``: an ``(n, ed)`` array
+    of ``dtype`` whose *features* are the contiguous axis (``strides[0]
+    == itemsize``) — itself when it already is one (an engine buffer, a
+    slice of one), else one transposed copy."""
+    m_in = np.asarray(m_in)
+    if m_in.ndim != 2 or m_in.strides[0] == m_in.itemsize:
+        return np.asarray(m_in, dtype=dtype)  # a cast keeps the stride order
+    return np.array(m_in.T, dtype=dtype, order="C").T
 
 
 @dataclass
@@ -148,11 +160,18 @@ class MemoryStore(Protocol):
         ...
 
     def read_chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(M_IN[start:stop], M_OUT[start:stop])`` as ``(n, ed)`` arrays."""
+        """``(M_IN[start:stop], M_OUT[start:stop])`` as ``(n, ed)`` arrays.
+
+        Layout rule (DESIGN.md §10): ``M_IN`` rows come feature-major
+        (:func:`feature_major`), so the score GEMM's ``chunk_in.T`` is
+        an operand BLAS takes untransposed; ``M_OUT`` rows C-contiguous
+        (the sparse readout gathers rows).  Breaking it costs time only.
+        """
         ...
 
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather arbitrary rows (the strided-shard access pattern)."""
+        """Gather arbitrary rows (the strided-shard access pattern),
+        laid out as :meth:`read_chunk` lays a span out."""
         ...
 
     def select(self, indices: Sequence[int]) -> "MemoryStore":

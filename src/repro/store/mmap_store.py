@@ -10,7 +10,10 @@ On-disk layout (one directory per store)::
 The format is dtype-aware (float32, the engine's default and the
 ``FLOAT_BYTES`` footprint the serving model charges, or the float64
 reference) and deliberately trivial: raw C-order matrices that
-``np.memmap`` can map and any other tool can stream.  :meth:`MmapStore.save`
+``np.memmap`` can map and any other tool can stream.  Both are
+row-major although ``M_IN`` is feature-major in RAM (DESIGN.md §10):
+a row is one extent an append-in-place write path can extend, and
+format 1 stores stay readable.  :meth:`MmapStore.save`
 writes atomically-enough for a single writer — on any error the
 partially-written directory is removed, so a store directory either
 holds a complete, openable store or nothing.
@@ -18,8 +21,12 @@ holds a complete, openable store or nothing.
 Chunk reads (:meth:`MmapStore.read_chunk`) are positional reads on
 descriptors the store opens once and holds until
 :meth:`MmapStore.close` (whoever saved or opened the store closes it):
-one ``os.preadv`` per matrix lands the span in the ``(rows, ed)``
-array the kernel consumes.  A positional read has no shared file
+one ``os.preadv`` per matrix lands the span in a ``(rows, ed)``
+array, and the ``M_IN`` one is then transposed: 27 us per 1000 x 48
+float32 chunk — once per chunk the resident tier admits, on the fetch
+thread under lookahead — against 25-35 us saved by each score GEMM
+over it at nq = 2 (unbudgeted streaming at nq = 1 alone does not earn
+it back: gemv 5.9 -> 5.6 us).  A positional read has no shared file
 offset and releases the GIL for the whole transfer, so
 :class:`~repro.store.prefetch.ChunkPrefetcher`'s fetch thread overlaps
 the compute thread's BLAS calls (the paper's §3.1 load/compute
@@ -38,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import RowSubsetStore, check_dtype
+from .base import RowSubsetStore, check_dtype, feature_major
 
 __all__ = ["MmapStore"]
 
@@ -213,7 +220,8 @@ class MmapStore:
         return False
 
     def read_chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Load a row span from disk into fresh contiguous buffers.
+        """Load a row span from disk into fresh buffers (``M_IN``
+        transposed to feature-major as it lands).
 
         One positional read per matrix on the held descriptors (no
         shared offset, GIL released), so a prefetch thread calling
@@ -235,11 +243,11 @@ class MmapStore:
                     f"{chunk.nbytes - got} of {chunk.nbytes} bytes missing"
                 )
             pair.append(chunk)
-        return pair[0], pair[1]
+        return feature_major(pair[0]), pair[1]
 
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         indices = np.asarray(indices, dtype=np.intp)
-        return np.asarray(self.m_in[indices]), np.asarray(self.m_out[indices])
+        return feature_major(self.m_in[indices]), np.asarray(self.m_out[indices])
 
     def map_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The worker-side open path of the process execution backend:

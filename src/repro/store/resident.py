@@ -6,24 +6,24 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import RowSubsetStore, check_dtype
+from .base import RowSubsetStore, check_dtype, feature_major
 
 __all__ = ["ResidentStore"]
 
 
 class ResidentStore:
-    """``M_IN``/``M_OUT`` fully resident as contiguous NumPy arrays.
+    """``M_IN``/``M_OUT`` fully resident as NumPy arrays: ``M_IN``
+    feature-major (kept when handed over that way — an engine buffer, a
+    slice of one — else transposed once, here), ``M_OUT`` C-contiguous.
 
     This is the backend every pre-store code path used implicitly; it
-    owns the dtype conversion and shape validation the kernels used to
-    do inline, and serves chunks as zero-copy views — a store-backed
-    :class:`~repro.core.column.ColumnMemNN` over a ``ResidentStore``
-    touches exactly the same bytes as the historical array path.
+    owns the dtype/layout conversion and shape validation the kernels
+    used to do inline, and serves chunks as zero-copy views.
     """
 
     def __init__(self, m_in: np.ndarray, m_out: np.ndarray, dtype=np.float64) -> None:
         dtype = check_dtype(dtype)
-        m_in = np.ascontiguousarray(m_in, dtype=dtype)
+        m_in = feature_major(m_in, dtype)
         m_out = np.ascontiguousarray(m_out, dtype=dtype)
         if m_in.ndim != 2 or m_out.ndim != 2:
             raise ValueError("memories must be 2-D (ns, ed)")
@@ -55,16 +55,19 @@ class ResidentStore:
 
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         indices = np.asarray(indices, dtype=np.intp)
-        return self.m_in[indices], self.m_out[indices]
+        features = self.m_in.T
+        # np.take lands feature-major in one pass, but would first copy
+        # a non-contiguous source (a buffer slice) whole.
+        if features.flags.c_contiguous:
+            return np.take(features, indices, axis=1).T, self.m_out[indices]
+        return feature_major(self.m_in[indices]), self.m_out[indices]
 
     def select(self, indices: Sequence[int]) -> "ResidentStore":
         """An eagerly-sliced sub-store (matches the historical
         ``m_in[idx]`` shard construction: one copy at plan time, then
         contiguous zero-copy chunk reads)."""
-        indices = np.asarray(indices, dtype=np.intp)
         store = ResidentStore.__new__(ResidentStore)
-        store.m_in = np.ascontiguousarray(self.m_in[indices])
-        store.m_out = np.ascontiguousarray(self.m_out[indices])
+        store.m_in, store.m_out = self.read_rows(indices)
         return store
 
     def lazy_select(self, indices: Sequence[int]) -> RowSubsetStore:
