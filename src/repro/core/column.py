@@ -33,12 +33,15 @@ kernels and the fused tile sweep of :mod:`repro.core.sharded`, the
 worker processes of :mod:`repro.core.execution` — scores a tile and
 folds it into a state (DESIGN.md §10).  The first fold *initialises*
 the state (the tile's score maximum, exponential sum and weighted sum
-are the state) and later folds rescale into it allocation-free: their
-intermediates reuse the first tile's arrays through
-``np.matmul(..., out=)`` / ``np.exp(..., out=)``, the no-skip path
-never materializes a keep-mask, and the running-max rescale
-short-circuits when no question's maximum grew.  A memory of at most
-one chunk therefore pays for one tile's arithmetic and nothing else.
+are the state) and later folds rescale into it allocation-free.  The
+tile's score block is the only ``(nq, n)`` float array of a fold: it is
+turned in place into shifted scores, then exponentials, and the
+zero-skip decision (§3.2) is taken on those exponentials — the ones the
+denominator just summed — as ``e >= th * S``; the no-skip path never
+materializes a keep-mask, ``(nq, ed)`` intermediates go through
+``np.matmul(..., out=)``, and the running-max rescale short-circuits
+when no question's maximum grew.  A memory of at most one chunk
+therefore pays for one tile's arithmetic and nothing else.
 Shifted scores are floored at ``log(tiny)`` before exponentiation so
 deeply improbable rows cost a normal-range multiply instead of a
 subnormal one (x86 handles subnormals in microcode, ~100x slower — on
@@ -63,7 +66,7 @@ from ..store.resident import ResidentStore
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
 from .results import InferenceResult
 from .stats import OpStats
-from .zero_skip import exp_mode_mask, running_probability_mode_mask
+from .zero_skip import exp_mode_mask
 
 __all__ = [
     "ColumnMemNN",
@@ -211,9 +214,10 @@ class TileState:
 
     The first fold *initialises* the state from its tile (nothing has
     been accumulated, so there is nothing to rescale); later folds
-    rescale into it through ``out=`` workspaces that exist only once a
-    second tile does, so a one-tile scan pays for one tile's arithmetic
-    and nothing else.
+    rescale into it through ``(nq, ed)`` ``out=`` workspaces that exist
+    only once a second tile does, so a one-tile scan pays for one
+    tile's arithmetic and nothing else.  No fold holds an ``(nq, n)``
+    float array of its own: the tile's score block is overwritten.
 
     Two precisions (DESIGN.md §10): a tile's arithmetic runs in the
     memory's dtype (``log_max`` is a score and keeps it); ``(denom,
@@ -231,7 +235,7 @@ class TileState:
 
     __slots__ = (
         "_shape", "_zero_skip", "_skipping", "_stable", "rows_kept",
-        "_log_max", "_denom", "_acc", "_exp_ws", "_fold_ws",
+        "_log_max", "_denom", "_acc", "_fold_ws",
     )  # fmt: skip
 
     def __init__(
@@ -248,18 +252,26 @@ class TileState:
         #: Question-row pairs whose exponential survived zero-skipping.
         self.rows_kept = 0
         self._log_max = self._denom = self._acc = None
-        # Workspaces: the exponentials (zero-skipping only — otherwise
-        # the scores are exponentiated in place) and, from the second
-        # tile on, the ``(contrib, tile_max, new_max)`` out= buffers of
-        # a rescaling fold.
-        self._exp_ws = self._fold_ws = None
+        # From the second tile on, the ``(contrib, tile_max, new_max)``
+        # out= buffers of a rescaling fold.
+        self._fold_ws = None
 
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
-        """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block
-        (overwritten when zero-skipping is off), ``tile_out`` its
-        ``(n, ed)`` output-memory rows — an array, or a lazy view
-        (:class:`RunRows`) that is indexed by the kept columns when the
-        readout goes sparse and converted to an array otherwise."""
+        """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
+        **overwritten** — it is the fold's only ``(nq, n)`` float array,
+        turned in place into shifted scores, then exponentials, then
+        (narrow or dense tiles under zero-skipping) masked exponentials;
+        ``tile_out`` its ``(n, ed)`` output-memory rows — an array, or
+        a lazy view (:class:`RunRows`) that is indexed by the kept
+        columns when the readout goes sparse and converted to an array
+        otherwise.
+
+        Zero-skipping in probability mode decides on the exponentials
+        it sums: a row is kept iff ``e >= th * S``, with ``S`` the
+        running denominator including this tile (under the running
+        max, like ``e``).  ``S`` never exceeds the final denominator,
+        so this skips a subset of what the exact rule
+        (:func:`~repro.core.zero_skip.probability_mode_mask`) would."""
         first = self._acc is None
         if not first:
             if self._fold_ws is None:
@@ -273,45 +285,35 @@ class TileState:
                 self._denom = self._denom.astype(np.float64, copy=False)
                 self._acc = self._acc.astype(np.float64, copy=False)
             contrib, tile_max, new_max = self._fold_ws
-        if not self._skipping:
-            # The keep-mask is never built, so nothing reads the raw
-            # scores again: exponentiate them in place.
-            exp_scores = scores
-        elif first:
-            exp_scores = self._exp_ws = np.empty_like(scores)
-        else:
-            n = scores.shape[1]
-            if n > self._exp_ws.shape[1]:
-                # A chunk source's first tile is its widest; a fused
-                # shard's first segment need not be.
-                self._exp_ws = np.empty_like(scores)
-            exp_scores = self._exp_ws[:, :n]
+        keep = None
+        if self._skipping and self._zero_skip.mode == "exp":
+            # A raw-score rule, exact regardless of stabilization: taken
+            # before the block stops holding raw scores.
+            keep = exp_mode_mask(scores, self._zero_skip.threshold)
 
         if not self._stable:
             if first:
                 self._log_max = np.zeros(scores.shape[0], dtype=scores.dtype)
-            if self._skipping:
-                np.copyto(exp_scores, scores)
         elif first:
             self._log_max = scores.max(axis=1)
-            np.subtract(scores, self._log_max[:, None], out=exp_scores)
+            scores -= self._log_max[:, None]
         else:
             log_max = self._log_max
             scores.max(axis=1, out=tile_max)
-            np.maximum(log_max, tile_max, out=new_max)
-            if not np.array_equal(new_max, log_max):
+            if (tile_max > log_max).any():
                 # Some question's running max grew: rescale the
                 # accumulated partials (the max is a finite score from
                 # the first fold on, so the scale is too).  When no max
                 # moved, every scale is exactly 1.0 — skip the no-op
                 # multiplies.
+                np.maximum(log_max, tile_max, out=new_max)
                 scale = np.exp(np.subtract(log_max, new_max, dtype=np.float64))
                 self._denom *= scale
                 self._acc *= scale[:, None]
                 log_max[:] = new_max
-            np.subtract(scores, log_max[:, None], out=exp_scores)
-        np.maximum(exp_scores, exp_floor(scores.dtype), out=exp_scores)
-        np.exp(exp_scores, out=exp_scores)
+            scores -= log_max[:, None]
+        np.maximum(scores, exp_floor(scores.dtype), out=scores)
+        exp_scores = np.exp(scores, out=scores)
         if first:
             self._denom = exp_scores.sum(axis=1)
         else:
@@ -322,22 +324,29 @@ class TileState:
             # an all-ones one.
             self.rows_kept += exp_scores.size
         else:
-            keep = self._keep_mask(scores)
-            self.rows_kept += int(np.count_nonzero(keep))
+            if keep is None:
+                # ``th * S`` in float64, then into the tile dtype one
+                # step toward zero: rounding the cut can keep a row the
+                # exact product would drop, never the reverse.
+                cut = np.multiply(
+                    self._denom, self._zero_skip.threshold, dtype=np.float64
+                ).astype(scores.dtype, copy=False)
+                keep = exp_scores >= np.nextafter(cut, 0)[:, None]
             n = scores.shape[1]
             cols = (
                 np.flatnonzero(keep.any(axis=0))
                 if n >= SPARSE_MIN_COLUMNS
                 else None
             )
-            if cols is None or len(cols) * SPARSE_MAX_KEPT_INVERSE > n:
-                np.multiply(exp_scores, keep, out=exp_scores)
-            else:
+            if cols is not None and len(cols) * SPARSE_MAX_KEPT_INVERSE <= n:
                 # Sparse readout: only the output rows some question
-                # kept are read, and only their columns multiplied.
+                # kept are read, and only their columns counted and
+                # multiplied.
+                keep = keep[:, cols]
                 exp_scores = exp_scores[:, cols]
-                exp_scores *= keep[:, cols]
                 tile_out = tile_out[cols]
+            self.rows_kept += int(np.count_nonzero(keep))
+            exp_scores *= keep
 
         # A lazy ``tile_out`` the sparse readout did not index is
         # densified here, by ``np.matmul`` calling its ``__array__``.
@@ -346,24 +355,6 @@ class TileState:
         else:
             np.matmul(exp_scores, tile_out, out=contrib)
             self._acc += contrib
-
-    def _keep_mask(self, scores: np.ndarray) -> np.ndarray:
-        """Zero-skip keep-mask of the tile just exponentiated.  It
-        depends only on the tile's raw scores and the running state,
-        not on which arrangement produced the tile."""
-        zero_skip = self._zero_skip
-        if zero_skip.mode == "exp":
-            # Raw-score comparison: exact regardless of stabilization.
-            return exp_mode_mask(scores, zero_skip.threshold)
-        # Running-probability mode: denominator known so far.  It
-        # already includes this tile's floored (normal, positive)
-        # exponentials, so the logarithm never sees a zero.
-        log_running = np.log(self._denom)
-        if self._stable:
-            log_running += self._log_max
-        return running_probability_mode_mask(
-            scores, log_running, zero_skip.threshold
-        )
 
     def partial(self) -> PartialOutput:
         """The folded state as a mergeable partial — the identity of
@@ -573,8 +564,8 @@ class ColumnMemNN:
         first tile's score array is the later tiles' ``out=`` workspace
         (a chunk source never yields a tile wider than its first), so a
         yielded ``scores`` is only valid until the next tile is drawn —
-        and is the consumer's to overwrite (:meth:`TileState.fold`
-        exponentiates it in place when zero-skipping is off).
+        and is always the consumer's to overwrite
+        (:meth:`TileState.fold` exponentiates it in place).
 
         With ``runs`` — ``(r, 2)`` disjoint ``[start, stop)`` row spans
         of a resident memory, in scan order — only those rows are

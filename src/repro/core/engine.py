@@ -283,19 +283,56 @@ class BatchAnswer:
         batch: the whole-batch :class:`AnswerResult` — its ``stats``
             are the batch-level ground truth (memory streamed once).
         results: per-question :class:`AnswerResult` views in question
-            order; numerically identical to answering each question
-            alone (the lazy softmax is row-independent), with
-            amortized per-question counters.  Embedding-cache counters
-            live on ``batch`` (hits depend on batch order, so a
-            per-question split would be arbitrary).
+            order, built on first read; numerically identical to
+            answering each question alone (the lazy softmax is
+            row-independent), with amortized per-question counters.
+            Embedding-cache counters live on ``batch`` (hits depend on
+            batch order, so a per-question split would be arbitrary).
     """
 
     batch: AnswerResult
-    results: list[AnswerResult]
+
+    @functools.cached_property
+    def results(self) -> list[AnswerResult]:
+        # Built on first read: the serving path takes ``answer_ids``
+        # off the batch and never asks for the per-question views.
+        batch = self.batch
+        nq = self.batch_size
+        batch_tiers = batch.tier_stats()
+        share = batch.stats.amortized(nq)
+        hop_share = [stats.amortized(nq) for stats in batch.hop_stats]
+        shard_share = [
+            [stats.amortized(nq) for stats in shard_stats]
+            for shard_stats in batch_tiers["shards"]
+        ]
+        return [
+            AnswerResult(
+                answer_ids=batch.answer_ids[i : i + 1],
+                logits=batch.logits[i : i + 1],
+                response=batch.response[i : i + 1],
+                stats=share,
+                hop_stats=hop_share,
+                hop_shard_stats=shard_share,
+                # Store ledgers and index probes are batch-scoped (one
+                # stream / one candidate set for the whole batch), so
+                # the per-question views share them rather than split.
+                hop_store_stats=batch_tiers["store"],
+                hop_index_stats=batch_tiers["index"],
+                # The gate record slices cleanly: each view carries its
+                # own hops_run / exit reason / confidence trajectory.
+                hop_trace=(
+                    batch.hop_trace.question(i)
+                    if batch.hop_trace is not None
+                    else None
+                ),
+                elapsed_seconds=batch.elapsed_seconds / nq,
+            )
+            for i in range(nq)
+        ]
 
     @property
     def batch_size(self) -> int:
-        return len(self.results)
+        return len(self.batch.answer_ids)
 
     @property
     def stats(self) -> OpStats:
@@ -870,40 +907,7 @@ class MnnFastEngine:
             batch-level :class:`~repro.core.stats.OpStats`) plus one
             per-question :class:`AnswerResult` view per question.
         """
-        batch = self.answer(questions, cache=cache, hop_hook=hop_hook)
-        nq = len(batch.answer_ids)
-        batch_tiers = batch.tier_stats()
-        share = batch.stats.amortized(nq)
-        hop_share = [stats.amortized(nq) for stats in batch.hop_stats]
-        shard_share = [
-            [stats.amortized(nq) for stats in shard_stats]
-            for shard_stats in batch_tiers["shards"]
-        ]
-        results = [
-            AnswerResult(
-                answer_ids=batch.answer_ids[i : i + 1],
-                logits=batch.logits[i : i + 1],
-                response=batch.response[i : i + 1],
-                stats=share,
-                hop_stats=hop_share,
-                hop_shard_stats=shard_share,
-                # Store ledgers and index probes are batch-scoped (one
-                # stream / one candidate set for the whole batch), so
-                # the per-question views share them rather than split.
-                hop_store_stats=batch_tiers["store"],
-                hop_index_stats=batch_tiers["index"],
-                # The gate record slices cleanly: each view carries its
-                # own hops_run / exit reason / confidence trajectory.
-                hop_trace=(
-                    batch.hop_trace.question(i)
-                    if batch.hop_trace is not None
-                    else None
-                ),
-                elapsed_seconds=batch.elapsed_seconds / nq,
-            )
-            for i in range(nq)
-        ]
-        return BatchAnswer(batch=batch, results=results)
+        return BatchAnswer(self.answer(questions, cache=cache, hop_hook=hop_hook))
 
     def _solver(
         self, pair_index: int

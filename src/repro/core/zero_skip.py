@@ -19,6 +19,14 @@ overflow-free even when the raw exponentials would not be representable
 — this is the reproduction's numerically robust equivalent of the
 hardware comparator.
 
+The column-based algorithm knows the softmax denominator only after
+its last chunk, so its single-pass probability rule decides against the
+*running* denominator, on the exponentials it is summing anyway: that
+rule lives in :meth:`repro.core.column.TileState.fold` (a running sum
+never exceeds the final one, so it skips a subset of what
+:func:`probability_mode_mask` — the referee, behind
+:class:`~repro.core.baseline.BaselineMemNN` — would).
+
 A mask value of ``True`` means *keep the row*.
 """
 
@@ -31,7 +39,6 @@ import numpy as np
 __all__ = [
     "exp_mode_mask",
     "probability_mode_mask",
-    "running_probability_mode_mask",
     "reduction_ratio",
 ]
 
@@ -63,35 +70,6 @@ def probability_mode_mask(scores: np.ndarray, threshold: float) -> np.ndarray:
     log_denom = np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
     log_p = shifted - log_denom
     return log_p >= _log_threshold(threshold)
-
-
-def running_probability_mode_mask(
-    scores: np.ndarray,
-    log_running_sum: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """Single-pass probability mask using a *running* denominator.
-
-    In the column-based algorithm the true softmax denominator is only
-    known after the last chunk, so a probability-mode skip decision must
-    use the denominator accumulated so far.  Because the running sum is
-    never larger than the final sum, the running probability estimate is
-    never smaller than the true probability — this mask therefore skips
-    a **subset** of what the exact mask would skip (conservative; it
-    never drops a row the exact rule would have kept).
-
-    Args:
-        scores: ``(nq, chunk)`` raw scores of the current chunk.
-        log_running_sum: ``(nq,)`` log of the exp-sum accumulated up to
-            and including the current chunk.
-        threshold: probability cutoff.
-    """
-    # One float64 subtraction whatever the compute dtype: the operands
-    # are widened exactly, so float32 kernels decide as float64 ones do.
-    log_p_hat = np.subtract(
-        scores, np.asarray(log_running_sum)[:, None], dtype=np.float64
-    )
-    return log_p_hat >= _log_threshold(threshold)
 
 
 def reduction_ratio(mask: np.ndarray) -> float:

@@ -127,13 +127,18 @@ def test_answer_batch_equals_sequential_loop(seed, nq):
 
 
 def test_answer_batch_views_slice_the_batch():
-    """Per-question results are row views of the batch result."""
+    """Per-question results are row views of the batch result, built
+    when first read (a caller that only takes the answers pays for no
+    views) and the same objects from then on."""
     config, weights, story, questions = _problem(3, 4)
     engine = MnnFastEngine(
         config, weights, engine_config=EngineConfig(algorithm="column")
     )
     engine.store_story(story)
     batched = engine.answer_batch(questions)
+    assert batched.batch_size == 4 and "results" not in vars(batched)
+    assert batched.results is batched.results
+    assert all(r.logits.base is batched.batch.logits for r in batched.results)
     np.testing.assert_array_equal(
         np.concatenate([r.logits for r in batched.results]),
         batched.batch.logits,

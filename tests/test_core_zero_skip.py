@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core import ChunkConfig, ColumnMemNN, ZeroSkipConfig
+from repro.core.column import TileState
 from repro.core.numerics import softmax
-from repro.core.zero_skip import (
-    exp_mode_mask,
-    probability_mode_mask,
-    reduction_ratio,
-    running_probability_mode_mask,
-)
+from repro.core.zero_skip import exp_mode_mask, probability_mode_mask, reduction_ratio
 
 
 class TestExpModeMask:
@@ -51,20 +48,67 @@ class TestProbabilityModeMask:
 
 
 class TestRunningProbabilityMask:
+    """The single-pass rule of ``TileState.fold``: a tile's rows are
+    decided against the denominator accumulated so far, which is never
+    larger than the final one."""
+
+    NS, ED, NQ = 3000, 16, 4
+    CHUNKS = (7, 64, 1000)
+
+    def problem(self, rng):
+        m_in = rng.normal(size=(self.NS, self.ED))
+        m_out = rng.normal(size=(self.NS, self.ED))
+        u = rng.normal(size=(self.NQ, self.ED))
+        return m_in, m_out, u
+
+    @staticmethod
+    def kept_rows(scores, chunk):
+        """The ``(nq, ns)`` kept set of a scan in tiles of ``chunk``
+        columns.  One-hot output rows: column i of the weighted sum is
+        row i's masked exponential, so the kept set is its support."""
+        nq, ns = scores.shape
+        state = TileState(nq, ns, ZeroSkipConfig(0.1), stable=True)
+        one_hot = np.eye(ns)
+        for lo in range(0, ns, chunk):
+            state.fold(scores[:, lo : lo + chunk].copy(), one_hot[lo : lo + chunk])
+        kept = state.partial().weighted != 0
+        assert state.rows_kept == kept.sum()
+        return kept
+
     def test_equals_exact_mask_when_sum_is_final(self, rng):
         scores = rng.normal(size=(2, 12))
-        log_sum = np.log(np.exp(scores).sum(axis=1))
-        running = running_probability_mode_mask(scores, log_sum, 0.1)
         exact = probability_mode_mask(scores, 0.1)
-        np.testing.assert_array_equal(running, exact)
+        np.testing.assert_array_equal(self.kept_rows(scores, chunk=12), exact)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_keeps_a_superset_of_the_exact_mask(self, rng, chunk):
+        m_in, _, u = self.problem(rng)
+        scores = u @ m_in.T
+        kept = self.kept_rows(scores, chunk)
+        exact = probability_mode_mask(scores, 0.1)
+        assert exact.any() and not (exact & ~kept).any()
+        assert kept.sum() > exact.sum()
 
     def test_smaller_denominator_keeps_more(self, rng):
-        scores = rng.normal(size=(1, 12))
-        full = np.log(np.exp(scores).sum(axis=1))
-        partial = full - 1.0  # running sum < final sum
-        kept_partial = running_probability_mode_mask(scores, partial, 0.1).sum()
-        kept_full = running_probability_mode_mask(scores, full, 0.1).sum()
-        assert kept_partial >= kept_full
+        """The same rows folded after a larger prefix meet a larger
+        running sum and keep fewer."""
+        m_in, m_out, u = self.problem(rng)
+        tail = np.arange(self.NS - 1000, self.NS)
+
+        def rows_kept(rows, chunk):
+            solver = ColumnMemNN(m_in[rows], m_out[rows], chunk=ChunkConfig(chunk))
+            _, stats = solver.partial_output(u, zero_skip=ZeroSkipConfig(0.1))
+            return stats.rows_computed
+
+        for chunk in self.CHUNKS:
+            # Prefixes of whole chunks, so the tail's tiles are the
+            # same; its kept rows are the scan's minus the prefix's own.
+            kept = [
+                rows_kept(np.r_[prefix, tail], chunk) - rows_kept(prefix, chunk)
+                for prefix in (np.arange(chunk * tiles) for tiles in (0, 1, 2))
+            ]
+            assert kept[0] >= kept[1] >= kept[2] > 0, chunk
+            assert kept[0] > kept[2], chunk
 
 
 class TestReductionRatio:

@@ -17,10 +17,15 @@ import pytest
 
 from repro.core import (
     BaselineMemNN,
+    ChunkConfig,
+    ColumnMemNN,
     EngineConfig,
     EngineWeights,
+    ExecutionConfig,
     MemNNConfig,
     MnnFastEngine,
+    ShardedMemNN,
+    ZeroSkipConfig,
 )
 from repro.core.config import FLOAT_BYTES
 from repro.index.ivf import IVFIndex
@@ -173,6 +178,59 @@ def test_no_float64_memory_is_resident_anywhere(
     for store in engine._spilled:
         assert store.dtype == np.float32
     engine.close()
+
+
+# --- one (nq, n) buffer per tile ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "zero_skip,stable",
+    (
+        (ZeroSkipConfig(0.1), True),
+        (ZeroSkipConfig(0.1, mode="exp"), True),
+        (ZeroSkipConfig(0.1), False),
+    ),
+    ids=("probability", "exp", "unstable"),
+)
+@pytest.mark.parametrize("arrangement", ("column", "fused"))
+def test_a_fold_holds_one_score_block_and_one_mask(arrangement, zero_skip, stable):
+    """Nine 16 x 1000 float32 tiles under zero-skipping: the scan's
+    peak is the score block (turned in place into the exponentials the
+    mask is decided on), one bool mask and ``(nq, ed)``-sized state —
+    no second float ``(nq, n)`` workspace and no float64 ``(nq, n)``
+    temporary.  Same through three fused shards cut so that a shard's
+    first segment of a global tile is narrower than its later ones."""
+    nq, ed = 16, 48
+    rng = np.random.default_rng(0)
+    m_in = rng.normal(size=(9000, ed)).astype(np.float32)
+    m_out = rng.normal(size=m_in.shape).astype(np.float32)
+    u = rng.normal(size=(nq, ed)).astype(np.float32)
+    if arrangement == "column":
+        tile = CHUNK
+        solver = ColumnMemNN(m_in, m_out, ChunkConfig(tile), np.float32)
+    else:
+        # Global tiles of 3 x 700 rows over shards of 3000: shard 1's
+        # segments are 1200 then 1800 columns, shard 2's 300, 2100, 600.
+        tile = 3 * 700
+        solver = ShardedMemNN(
+            m_in, m_out, num_shards=3, chunk=ChunkConfig(700),
+            dtype=np.float32, execution=ExecutionConfig(fused=True),
+        )  # fmt: skip
+    solver.partial_output(u, zero_skip=zero_skip, stable=stable)  # warm imports
+    # NumPy's ufunc buffers (32 KB an operand under a broadcast, a cast
+    # or a strided block) at their minimum: what is left is the kernel's.
+    bufsize = np.setbufsize(16)
+    try:
+        peak = _peak_bytes(
+            lambda: solver.partial_output(u, zero_skip=zero_skip, stable=stable)
+        )
+    finally:
+        np.setbufsize(bufsize)
+    block, mask = nq * tile * FLOAT_BYTES, nq * tile
+    # Per state: float64 (denom, acc), the tile-dtype contrib, the kept
+    # columns and their gathers — half a block of room (a third to two
+    # thirds of it used), so one more block of any dtype fails.
+    assert peak < block + mask + block // 2
 
 
 # --- silent whole-memory up-casts ---------------------------------------------

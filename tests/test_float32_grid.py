@@ -41,8 +41,8 @@ from repro.core import (
     ShardedMemNN,
     ZeroSkipConfig,
 )
-from repro.core.column import TileState
-from repro.core.zero_skip import running_probability_mode_mask
+from repro.core.column import SPARSE_MIN_COLUMNS, TileState, exp_floor
+from repro.core.zero_skip import probability_mode_mask
 
 from .conftest import float64
 from .test_differential_paths import (
@@ -260,22 +260,14 @@ def test_peaked_logits_stop_at_the_exp_floor(seed, scale, chunk, zero_skip):
     ``FLOAT32_LOGIT_TOLERANCE``, or one spacing of the largest score
     where float32 cannot represent the scores any finer than that."""
     m_in, m_out, u = _float32_memories(seed, ns=300, scale=scale)
-    seen = []
-
-    class Recording(TileState):
-        __slots__ = ()
-
-        def fold(self, scores, tile_out):
-            super().fold(scores, tile_out)
-            # With zero-skipping off the tile is exponentiated in place.
-            seen.append(scores if zero_skip is None else self._exp_ws)
-
-    state = Recording(len(u), m_in.shape[1], zero_skip, True)
+    state = TileState(len(u), m_in.shape[1], zero_skip, True)
     solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk), dtype=np.float32)
     for scores, tile_out in solver.scored_tiles(solver.check_questions(u)):
         state.fold(scores, tile_out)
-        exps = seen[-1][:, : scores.shape[1]]
-        nonzero = exps[exps != 0]
+        # The fold turned the block into its exponentials, in place —
+        # and, under zero-skipping, zeroed the skipped ones of a narrow
+        # or dense tile.
+        nonzero = scores[scores != 0]
         assert nonzero.dtype == np.float32
         assert nonzero.min(initial=np.inf) >= np.finfo(np.float32).tiny
     partial = state.partial()
@@ -293,29 +285,60 @@ def test_peaked_logits_stop_at_the_exp_floor(seed, scale, chunk, zero_skip):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
+    dtype=st.sampled_from((np.float32, np.float64)),
     threshold=st.sampled_from((0.5, 0.1, 0.01, 1e-6)),
     ulps=st.integers(-2, 2),
+    tiles=st.sampled_from(((50,), (20, 30), (150, 50))),
 )
-def test_probability_mask_decides_as_on_widened_scores(seed, threshold, ulps):
-    """One float64 comparison whatever the tile dtype: float32 scores
-    decide exactly as the same scores widened to float64, also when a
-    score sits within an ulp or two of ``log(th_skip)`` above the
-    running log-sum."""
+def test_probability_mask_keeps_exactly_the_exponentials_above_the_cut(
+    seed, dtype, threshold, ulps, tiles
+):
+    """The probability-mode rule, at the one place it is implemented:
+    after a fold a question-row is kept iff the exponential the fold
+    summed is ``>= nextafter(dtype(th * S), 0)``, ``S`` the running
+    denominator including the tile — also for a score planted within an
+    ulp or two of the cut — and every row the exact full-softmax rule
+    keeps is kept (the running ``S`` never exceeds the final one)."""
     rng = np.random.default_rng(seed)
-    scores = rng.normal(size=(4, 50)).astype(np.float32)
-    log_running = np.log(
-        np.exp(scores.astype(np.float64)).sum(axis=1)
-    ).astype(np.float32)
-    # Plant the boundary: a score `ulps` float32 steps off the cut.
-    edge = (log_running.astype(np.float64) + np.log(threshold)).astype(np.float32)
+    scores = rng.normal(size=(4, sum(tiles))).astype(dtype)
+    # Plant the boundary in the last tile, where the running denominator
+    # is (up to rounding) the final one: a score `ulps` steps off the cut.
+    log_sum = np.log(np.exp(scores.astype(np.float64)).sum(axis=1))
+    edge = (log_sum + np.log(threshold)).astype(dtype)
     for _ in range(abs(ulps)):
-        edge = np.nextafter(edge, np.float32(np.inf if ulps > 0 else -np.inf))
-    scores[:, 0] = edge
-    narrow = running_probability_mode_mask(scores, log_running, threshold)
-    wide = running_probability_mode_mask(
-        scores.astype(np.float64), log_running.astype(np.float64), threshold
-    )
-    np.testing.assert_array_equal(narrow, wide)
+        edge = np.nextafter(edge, dtype(np.inf if ulps > 0 else -np.inf))
+    scores[:, -1] = edge
+
+    # One-hot output rows: column i of the weighted sum is row i's
+    # masked exponential, so the kept set is its support.
+    ns = scores.shape[1]
+    state = TileState(len(scores), ns, ZeroSkipConfig(threshold), True)
+    one_hot = np.eye(ns, dtype=dtype)
+    kept_by_rule = 0
+    for lo, hi in zip(np.cumsum((0,) + tiles[:-1]), np.cumsum(tiles)):
+        tile = scores[:, lo:hi].copy()
+        state.fold(tile, one_hot[lo:hi])
+        partial = state.partial()
+        # The exponentials as the fold computed them, from the raw
+        # scores and the running max it reports.
+        shifted = scores[:, lo:hi] - partial.log_max[:, None]
+        exps = np.exp(np.maximum(shifted, exp_floor(np.dtype(dtype))))
+        assert exps.dtype == dtype
+        cut = np.nextafter((threshold * partial.denom).astype(dtype), dtype(0))
+        by_rule = exps >= cut[:, None]
+        kept_by_rule += int(by_rule.sum())
+        np.testing.assert_array_equal(partial.weighted[:, lo:hi] != 0, by_rule)
+        if hi - lo < SPARSE_MIN_COLUMNS:
+            # A narrow tile is masked in place: the block itself shows
+            # the kept exponentials are the ones recomputed here.
+            np.testing.assert_array_equal(tile, exps * by_rule)
+    assert state.rows_kept == kept_by_rule
+    kept = state.partial().weighted != 0
+    # Exact up to the rounding of the tile dtype's exponentials: a row
+    # whose true probability clears the threshold by 64 eps is kept.
+    margin = 1 + 64 * np.finfo(dtype).eps
+    exact = probability_mode_mask(scores, threshold * margin)
+    assert not (exact & ~kept).any()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
