@@ -36,8 +36,6 @@ Writes ``BENCH_docqa.json`` (see :mod:`emit`); ``BENCH_SMOKE`` shrinks
 the corpus for the CI gate.
 """
 
-import numpy as np
-
 from emit import emit, smoke_mode
 
 from repro.batching.batcher import form_batches

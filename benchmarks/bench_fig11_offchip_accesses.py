@@ -6,7 +6,7 @@ eliminates more than 60% of the off-chip accesses.
 """
 
 from repro.analysis import offchip_accesses
-from repro.report import format_percent, format_table
+from repro.report import format_table
 
 
 def test_fig11_offchip_accesses(benchmark, report):

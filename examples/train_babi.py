@@ -10,8 +10,6 @@ Run:  python examples/train_babi.py [task_id ...]
 
 import sys
 
-import numpy as np
-
 from repro.data import TASK_NAMES
 from repro.model import train_on_task
 from repro.report import format_percent, format_table

@@ -6,8 +6,6 @@ exactly the series each figure plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..core.config import CPU_CONFIG, MemNNConfig
 from ..perf.cpu import ALGORITHMS, CpuModel
 

@@ -26,7 +26,7 @@ latency cache affinity monetizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.plan import InferencePlan
 from ..serving.metrics import ServingMetrics

@@ -267,13 +267,13 @@ class ExecutionConfig:
             sequentially even under the pool backend and is
             bit-identical to ``"serial"`` (same kernel, same order).
         dtype: precision of the *memory* (engine buffers, spill, chunk
-            tier, cluster-major copy) and of each tile's GEMMs:
-            ``"float32"`` (default; the paper's single precision, half
-            the bytes of every tier) or ``"float64"`` (the reference
-            the bitwise grid pins and :meth:`EngineConfig.baseline`
-            runs).  ``(denom, acc)``, the one divide, the shard merge
-            and the hop state are float64 under either; float32 agrees
-            within ``FLOAT32_LOGIT_TOLERANCE`` (DESIGN.md §10).
+            tier, cluster-major copy), of the answer matrix ``W`` and of
+            the GEMMs reading them: ``"float32"`` (default; the paper's
+            single precision) or ``"float64"`` (the reference the
+            bitwise grid pins and :meth:`EngineConfig.baseline` runs).
+            ``(denom, acc)``, the divide, the shard merge, the hop
+            state, exit decisions and logits are float64 under either;
+            float32 agrees within ``FLOAT32_LOGIT_TOLERANCE`` (§10).
         fused: run the sharded algorithm as one tiled sweep (one BLAS
             score call per ``chunk_size x num_shards``-row tile across
             *all* shards) instead of per-shard chunk loops.  Serial

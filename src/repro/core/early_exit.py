@@ -68,31 +68,45 @@ def logit_margin_confidence(
     answer_weight: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Softmax margin of the extrapolated terminal answer logits.
+    """Softmax margin of the extrapolated terminal answer logits, read
+    off the top two ``l1 >= l2`` as ``(1 - e^(l2 - l1)) / sum_j
+    e^(l_j - l1)``: exponentials in the logits' dtype, the rest float64.
 
     Args:
         u: ``(nq, ed)`` state *after* the hop just run.
         last_output: ``(nq, ed)`` the hop's attention readout ``o_k``.
         remaining_hops: hops left if the question does not exit.
-        answer_weight: ``(num_answers, ed)`` final FC layer ``W``.
-        out: optional ``(nq, num_answers)`` array that receives the
-            extrapolated logits.  A question that exits on this check
-            stops at exactly the state they were projected from, so
-            they are its final answer logits — the engine keeps them
-            instead of projecting that state a second time.
+        answer_weight: ``(num_answers, ed)`` final FC layer ``W``; the
+            projection runs in its dtype (the state is narrowed to it).
+        out: optional ``(nq, num_answers)`` array of ``W``'s dtype that
+            receives the extrapolated logits.  A question that exits on
+            this check stops at exactly the state they were projected
+            from, so they are its final answer logits — the engine keeps
+            them instead of projecting that state a second time.
 
     Returns:
-        ``(nq,)`` confidence in ``[0, 1]`` — top-1 minus top-2 softmax
-        probability of ``(u + remaining * o_k) @ W^T``.  With a single
-        answer class the margin is defined as 1 (nothing to flip).
+        ``(nq,)`` float64 confidence in ``[0, 1]`` — top-1 minus top-2
+        softmax probability of ``(u + remaining * o_k) @ W^T`` (0 on a
+        tie).  With a single answer class the margin is defined as 1
+        (nothing to flip).
     """
     projected = u + remaining_hops * last_output
-    logits = np.matmul(projected, answer_weight.T, out=out)
-    if logits.shape[1] < 2:
-        return np.ones(len(logits))
-    probabilities = softmax(logits)
-    top2 = np.partition(probabilities, -2, axis=1)[:, -2:]
-    return top2[:, 1] - top2[:, 0]
+    logits = np.matmul(
+        projected.astype(answer_weight.dtype, copy=False), answer_weight.T, out=out
+    )
+    nq, num_answers = logits.shape
+    if num_answers < 2:
+        return np.ones(nq)
+    rows = np.arange(nq)
+    top = logits.argmax(axis=1)
+    l1 = logits[rows, top]
+    # The runner-up: the top entry masked, then restored bit for bit.
+    logits[rows, top] = -np.inf
+    l2 = logits.max(axis=1)
+    logits[rows, top] = l1
+    shifted = logits - l1[:, None]
+    total = np.exp(shifted, out=shifted).sum(axis=1, dtype=np.float64)
+    return (1.0 - np.exp(l2 - l1.astype(np.float64))) / total
 
 
 def attention_mass_confidence(

@@ -423,6 +423,9 @@ class MnnFastEngine:
         self._spill_tmp: tempfile.TemporaryDirectory | None = None
         #: Stores spilled for the cached solvers; closed with them.
         self._spilled: list[MmapStore] = []
+        self._solver_cache_config = self.engine_config
+        # Here, not on first use: DESIGN.md §10, "Where the copy of W is made".
+        self._cast_answer_weight()
         self.clear_memories()
 
     # --- memory management ---------------------------------------------------
@@ -443,6 +446,22 @@ class MnnFastEngine:
     def _dtype(self) -> np.dtype:
         """Storage dtype of the memories (``ExecutionConfig.dtype``)."""
         return np.dtype(self.engine_config.execution.dtype)
+
+    @property
+    def answer_weight(self) -> np.ndarray:
+        """``W`` as the engine multiplies it: column-major, in the
+        storage dtype (``weights.answer_weight`` itself under float64).
+        Cast at construction and on a ``dtype`` swap, again on first use
+        after :meth:`close` dropped it (DESIGN.md §10)."""
+        if self._answer_weight is None:
+            return self._cast_answer_weight()
+        return self._answer_weight
+
+    def _cast_answer_weight(self) -> np.ndarray:
+        self._answer_weight = self.weights.answer_weight.astype(
+            self._dtype, order="F", copy=False
+        )
+        return self._answer_weight
 
     def store_story(self, sentences: np.ndarray) -> None:
         """Embed story sentences and append them to M_IN / M_OUT
@@ -537,7 +556,6 @@ class MnnFastEngine:
     def clear_memories(self) -> None:
         empty = _readonly(np.zeros((0, self.config.embedding_dim), self._dtype))
         self._install([(empty, empty)] * self._num_pairs)
-        self._solver_cache_config = self.engine_config
 
     def _install(self, memories: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Replace the memories with arrays the engine does not own:
@@ -554,8 +572,10 @@ class MnnFastEngine:
     def _sync_config(self) -> None:
         """``engine_config`` was swapped: the cached solvers go, and
         rows stored in another ``dtype`` are re-cast, once (rows stored
-        as float32 do not regain precision by being widened)."""
+        as float32 do not regain precision by being widened; ``W`` is
+        re-cast from the float64 weights)."""
         self._solver_cache_config = self.engine_config
+        self._cast_answer_weight()
         self._install([
             tuple(_readonly(m.astype(self._dtype, copy=False)) for m in pair)
             for pair in self._memories
@@ -584,10 +604,11 @@ class MnnFastEngine:
 
     def close(self) -> None:
         """Release engine-held resources: cached solvers (worker
-        pools, self-spilled stores) and the engine's own spill
-        directory.  The engine stays usable — the next answer pass
-        rebuilds solvers (and re-spills) on demand.  Idempotent."""
+        pools, self-spilled stores), the cast ``W`` and the engine's own
+        spill directory.  The engine stays usable — the next answer pass
+        rebuilds them (and re-spills) on demand.  Idempotent."""
         self._invalidate_solvers()
+        self._answer_weight = None
         spill, self._spill_tmp = self._spill_tmp, None
         if spill is not None:
             spill.cleanup()
@@ -720,7 +741,7 @@ class MnnFastEngine:
         hop_index_stats: list[IndexStats | None] = []
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
         gated = ee.enabled and self.config.hops > 1
-        answer_weight = self.weights.answer_weight
+        num_answers = len(self.weights.answer_weight)
         if gated:
             # Ragged-depth loop: exited questions are scattered into
             # final_u and dropped from u, so later hops shrink.
@@ -729,7 +750,7 @@ class MnnFastEngine:
             final_u = np.empty_like(u)
             # Answer logits, and the questions they are still owed to:
             # an exit on the logit-margin gate settles its own.
-            logits = np.empty((nq_total, len(answer_weight)))
+            logits = np.empty((nq_total, num_answers))
             unanswered = np.ones(nq_total, dtype=bool)
             hops_run = np.zeros(nq_total, dtype=np.intp)
             confidences: list[np.ndarray] = []
@@ -796,17 +817,15 @@ class MnnFastEngine:
             )
             projected = int(np.count_nonzero(unanswered))
             if projected:
-                logits[unanswered] = u[unanswered] @ answer_weight.T
+                logits[unanswered] = self._project(u[unanswered])
         else:
             hop_trace = HopTrace.full_depth(
                 len(u), self.config.hops,
                 threshold=ee.threshold, metric=ee.metric,
             )
-            logits = u @ answer_weight.T
+            logits = self._project(u).astype(np.float64, copy=False)
             projected = len(u)
-        stats.flops += (
-            2 * projected * len(answer_weight) * self.config.embedding_dim
-        )
+        stats.flops += 2 * projected * num_answers * self.config.embedding_dim
         return AnswerResult(
             answer_ids=logits.argmax(axis=1),
             logits=logits,
@@ -821,6 +840,11 @@ class MnnFastEngine:
             cache_misses=misses,
             elapsed_seconds=time.perf_counter() - start_time,
         )
+
+    def _project(self, u: np.ndarray) -> np.ndarray:
+        """``u @ W.T`` in ``W``'s dtype: ``u`` narrowed, ``W`` never widened."""
+        answer_weight = self.answer_weight
+        return u.astype(answer_weight.dtype, copy=False) @ answer_weight.T
 
     def _gate_confidence(
         self,
@@ -843,17 +867,14 @@ class MnnFastEngine:
         gate_stats = OpStats()
         gate_logits = None
         if ee.metric == "logit_margin":
-            num_answers = self.weights.answer_weight.shape[0]
+            answer_weight = self.answer_weight
+            num_answers = answer_weight.shape[0]
             # Extrapolation (2*nq*ed) + answer GEMM + softmax.
             gate_stats.flops += 2 * nq * ed + 2 * nq * num_answers * ed
             gate_stats.exp_calls += nq * num_answers
-            gate_logits = np.empty((nq, num_answers))
+            gate_logits = np.empty((nq, num_answers), answer_weight.dtype)
             confidence = logit_margin_confidence(
-                u,
-                last_output,
-                remaining_hops,
-                self.weights.answer_weight,
-                out=gate_logits,
+                u, last_output, remaining_hops, answer_weight, out=gate_logits
             )
         else:
             # The next hop's attention distribution, reconstructed from

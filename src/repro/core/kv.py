@@ -21,13 +21,12 @@ the column-based scan even starts.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from ..data.kb import KnowledgeBase
-from ..data.vocab import Vocabulary
 from .column import ColumnMemNN
 from .config import ChunkConfig, ZeroSkipConfig
 from .results import InferenceResult

@@ -20,7 +20,7 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import FLOAT_BYTES, ChunkConfig, MemNNConfig
 

@@ -313,7 +313,7 @@ def _task_6(rng: np.random.Generator, story_scale: float = 1.0) -> Example:
     if rng.random() < 0.5:
         asked, answer = actual, "yes"
     else:
-        asked = _choice(rng, [l for l in LOCATIONS[:6] if l != actual])
+        asked = _choice(rng, [loc for loc in LOCATIONS[:6] if loc != actual])
         answer = "no"
     return Example(
         story,
@@ -412,13 +412,13 @@ def _task_10(rng: np.random.Generator) -> Example:
         if roll < 0.5:
             asked, answer = places[0], "yes"
         else:
-            asked = _choice(rng, [l for l in LOCATIONS[:6] if l not in places])
+            asked = _choice(rng, [loc for loc in LOCATIONS[:6] if loc not in places])
             answer = "no"
     else:
         if roll < 0.5:
             asked, answer = _choice(rng, places), "maybe"
         else:
-            asked = _choice(rng, [l for l in LOCATIONS[:6] if l not in places])
+            asked = _choice(rng, [loc for loc in LOCATIONS[:6] if loc not in places])
             answer = "no"
     return Example(
         story, _sentence(f"is {actor} in the {asked}"), answer, [index], task_id=10

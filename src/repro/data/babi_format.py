@@ -18,7 +18,7 @@ unchanged on the *real* bAbI files when they are available.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable
 
 from .babi import Example
 

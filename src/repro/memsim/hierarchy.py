@@ -9,7 +9,7 @@ enforces in hardware.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .block import lines_touched

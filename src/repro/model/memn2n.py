@@ -20,7 +20,7 @@ as the MnnFast engines do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

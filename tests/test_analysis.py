@@ -20,7 +20,6 @@ from repro.analysis import (
     threshold_sweep,
 )
 from repro.analysis.contention import DEFAULT_SCALES
-from repro.core.config import MemNNConfig
 
 
 class TestScalabilityDrivers:
@@ -160,7 +159,7 @@ class TestTrainedAnalyses:
         reductions = [p.computation_reduction for p in curve.points]
         assert reductions == sorted(reductions)
         losses = [p.accuracy_loss for p in curve.points]
-        assert all(0.0 <= l <= 1.0 for l in losses)
+        assert all(0.0 <= loss <= 1.0 for loss in losses)
 
     def test_fig7_requires_tasks(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,6 @@ The correctness story has three layers:
   buy strictly higher throughput past saturation.
 """
 
-import itertools
-
 import numpy as np
 import pytest
 

@@ -28,7 +28,7 @@ from repro.cluster import (
     skewed_workload,
     topic_chunks,
 )
-from repro.core import InferencePlan, expected_hop_survivors, plan_inference
+from repro.core import expected_hop_survivors, plan_inference
 from repro.core.config import EngineConfig, MemNNConfig
 from repro.core.engine import MnnFastEngine
 from repro.serving import QaServer, ServerConfig

@@ -6,7 +6,7 @@ import pytest
 from repro.core import ChunkConfig, ZeroSkipConfig
 from repro.core.column import ColumnMemNN
 from repro.core.kv import InvertedIndex, KeyValueMemory, KVMnnFast
-from repro.data.kb import Fact, generate_movie_kb
+from repro.data.kb import generate_movie_kb
 
 
 @pytest.fixture(scope="module")

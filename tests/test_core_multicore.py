@@ -36,7 +36,6 @@ from hypothesis import strategies as st
 
 from repro.core import (
     ChunkConfig,
-    ColumnMemNN,
     EngineConfig,
     EngineWeights,
     ExecutionConfig,

@@ -19,7 +19,6 @@ from repro.core import (
     BaselineMemNN,
     ChunkConfig,
     ColumnMemNN,
-    EngineConfig,
     EngineWeights,
     MemNNConfig,
     MnnFastEngine,

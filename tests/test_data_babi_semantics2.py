@@ -11,7 +11,6 @@ from repro.data import generate_task
 from repro.data.babi import (
     DROP_VERBS,
     GRAB_VERBS,
-    MOVE_VERBS,
     SCALABLE_TASKS,
     generate_example,
 )

@@ -11,6 +11,8 @@ serving-side cost model / degradation lever
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import early_exit_workload, sweep_early_exit
 from repro.core import (
@@ -344,7 +346,7 @@ class TestGateLogitReuse:
         config, weights, stories, questions = _calibrated_problem()
         result = _run(
             config, weights, stories, questions,
-            EngineConfig.mnnfast().with_early_exit(0.2),
+            float64(EngineConfig.mnnfast()).with_early_exit(0.2),
         )
         exited = result.hop_trace.hops_run < config.hops
         assert exited.any() and not exited.all()
@@ -353,6 +355,26 @@ class TestGateLogitReuse:
             result.response @ weights.answer_weight.T,
             rtol=1e-10, atol=1e-10,
         )
+
+    def test_float32_exited_logits_are_the_terminal_state_projected(self):
+        """Under the default precision the identity is exact: every row
+        of the logits — kept from the gate or projected at the end — is
+        the response narrowed, through the engine's float32 ``W``, then
+        widened."""
+        config, weights, stories, questions = _calibrated_problem()
+        engine = MnnFastEngine(
+            config, weights,
+            engine_config=EngineConfig.mnnfast().with_early_exit(0.2),
+        )
+        engine.store_story(stories)
+        result = engine.answer(questions)
+        exited = result.hop_trace.hops_run < config.hops
+        assert exited.any() and not exited.all()
+        answer_weight = engine.answer_weight
+        assert answer_weight.dtype == np.float32
+        projected = result.response.astype(np.float32) @ answer_weight.T
+        assert result.logits.dtype == np.float64
+        assert result.logits.tobytes() == projected.astype(np.float64).tobytes()
 
     def test_logit_margin_hands_its_logits_back(self, rng):
         u, o = rng.normal(size=(2, 6, 8))
@@ -379,6 +401,54 @@ class TestGateLogitReuse:
             - sum(stats.flops for stats in result.hop_stats)
             - gate_flops
         ) == 2 * survivors * num_answers * ed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    num_answers=st.sampled_from([1, 2, 5975]),
+    spread=st.floats(1e-3, 1e4),
+    ties=st.sampled_from(["none", "duplicate_rows", "zero_state"]),
+    nq=st.integers(1, 4),
+)
+def test_logit_margin_is_the_softmax_margin(
+    seed, dtype, num_answers, spread, ties, nq
+):
+    """``(1 - e^(l2 - l1)) / sum_j e^(l_j - l1)`` is ``p1 - p2`` of the
+    softmax: within 1e-12 (float64) / 1e-6 (float32), in ``[0, 1]``,
+    exactly 0 on a tie and 1 for a single answer — up to logit spreads
+    where most exponentials underflow — and the ``out=`` buffer holds
+    exactly what the GEMM wrote."""
+    rng = np.random.default_rng(seed)
+    ed = 8
+    u, o = rng.normal(size=(2, nq, ed))
+    if ties == "zero_state":
+        u[:], o[:] = 0.0, 0.0
+    w = rng.normal(0.0, spread / np.sqrt(ed), (num_answers, ed))
+    if ties == "duplicate_rows":
+        # Every logit appears twice, so the top two are equal.
+        w = np.repeat(w[: (num_answers + 1) // 2], 2, axis=0)[:num_answers]
+    w = np.asfortranarray(w.astype(dtype))
+    logits = np.empty((nq, num_answers), dtype)
+    margin = logit_margin_confidence(u, o, 2, w, out=logits)
+
+    gemm = (u + 2 * o).astype(dtype) @ w.T
+    assert logits.tobytes() == gemm.tobytes()
+    assert margin.dtype == np.float64 and margin.shape == (nq,)
+    assert np.all((margin >= 0.0) & (margin <= 1.0))
+    if num_answers == 1:
+        np.testing.assert_array_equal(margin, 1.0)
+        return
+    probabilities = softmax(logits.astype(np.float64))
+    top2 = np.sort(probabilities, axis=1)[:, -2:]
+    tolerance = 1e-12 if dtype == np.float64 else 1e-6
+    np.testing.assert_allclose(
+        margin, top2[:, 1] - top2[:, 0], rtol=0, atol=tolerance
+    )
+    ordered = np.sort(logits, axis=1)
+    tied = ordered[:, -1] == ordered[:, -2]
+    np.testing.assert_array_equal(margin[tied], 0.0)
 
 
 class TestServingLever:

@@ -272,6 +272,87 @@ def test_small_operand_is_cast_not_the_memory():
     assert _peak_bytes(lambda: u @ m_in.T) > widened_memory
 
 
+def test_answer_layer_operand_is_held_in_the_storage_dtype():
+    """One ``W`` per engine, column-major, in the memories' dtype — and
+    under the float64 reference config the weights' own array."""
+    engine, questions = _loaded(EngineConfig.mnnfast(CHUNK, 0.1))
+    answer_weight = engine.answer_weight
+    assert answer_weight.dtype == np.float32
+    assert answer_weight.flags.f_contiguous
+    np.testing.assert_array_equal(
+        answer_weight, engine.weights.answer_weight.astype(np.float32)
+    )
+    # close() drops the copy with the solvers; the next use casts it again.
+    before = engine.answer(questions).logits
+    engine.close()
+    assert engine.answer(questions).logits.tobytes() == before.tobytes()
+    assert engine.answer_weight is not answer_weight
+    reference, _ = _loaded(float64(EngineConfig.mnnfast(CHUNK, 0.1)))
+    assert reference.answer_weight is reference.weights.answer_weight
+
+
+def test_gated_answer_never_widens_the_answer_matrix():
+    """A gated pass against a docqa-sized ``(5 975, 64)`` ``W``
+    allocates less than half of one float32 ``W``: the gate and the
+    survivors' projection narrow the ``(nq, ed)`` state.  A mixed
+    ``float64 @ float32`` GEMM would copy all of ``W`` to float64."""
+    num_answers, ed, nq = 5975, 64, 4
+    network = MemNNConfig(
+        embedding_dim=ed, num_sentences=256, vocab_size=400, max_words=6, hops=3
+    )
+    rng = np.random.default_rng(0)
+    tables = EngineWeights.random(network, rng=rng)
+    # Wide logits, so the gate retires two of the four questions.
+    weights = EngineWeights(
+        tables.embedding_a,
+        tables.embedding_c,
+        rng.normal(0.0, 4.0, (num_answers, ed)),
+    )
+    engine = MnnFastEngine(
+        network, weights, EngineConfig.mnnfast(CHUNK, 0.1).with_early_exit(0.5)
+    )
+    engine.store_story(rng.integers(1, 400, size=(256, 6)))
+    questions = rng.integers(1, 400, size=(nq, 6))
+    first = engine.answer(questions)  # builds the solver
+    assert 0 < first.hop_trace.num_exited < nq  # both projections run
+    peak = _peak_bytes(lambda: engine.answer(questions))
+    one_w = num_answers * ed * FLOAT_BYTES
+    assert peak < one_w // 2
+    u, _, _ = engine.embed_question(questions)
+    assert _peak_bytes(lambda: u @ engine.answer_weight.T) > 2 * one_w
+
+
+def test_swapping_dtype_recasts_the_answer_layer_once():
+    """float32 -> float64 -> float32: ``W`` is re-cast once per swap,
+    from the float64 weights — after the swap to float64 the engine
+    answers bit for bit as a fresh float64 engine over the same rows."""
+    engine, questions = _loaded(EngineConfig.mnnfast(CHUNK, 0.0))
+    narrow = engine.answer_weight
+    engine.answer(questions)
+    assert engine.answer_weight is narrow  # not re-cast per pass
+
+    engine.engine_config = float64(engine.engine_config)
+    widened = engine.answer(questions)
+    assert engine.answer_weight is engine.weights.answer_weight
+    fresh = MnnFastEngine(engine.config, engine.weights, engine.engine_config)
+    fresh.set_memories(*engine.memories)
+    assert widened.logits.tobytes() == fresh.answer(questions).logits.tobytes()
+
+    engine.engine_config = engine.engine_config.with_execution(dtype="float32")
+    engine.answer(questions)
+    recast = engine.answer_weight
+    assert recast.dtype == np.float32 and recast is not narrow
+    np.testing.assert_array_equal(recast, narrow)
+    engine.answer(questions)
+    assert engine.answer_weight is recast
+
+    # A swap, then clear_memories: the next write still re-casts W.
+    engine.engine_config = float64(engine.engine_config)
+    engine.clear_memories()
+    engine.store_story(np.ones((2, 6), dtype=int))
+    assert engine.answer_weight is engine.weights.answer_weight
+
+
 def test_probe_scores_the_float64_state(monkeypatch):
     """The centroids are float64 and few: the probe takes ``u`` as the
     hop loop carries it, not the float32 copy made for the scan."""

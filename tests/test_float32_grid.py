@@ -1,9 +1,10 @@
 """The float32 cells of the differential grid.
 
-The default config stores float32 memories and runs each tile's
-arithmetic in float32; ``(denom, acc)``, the one deferred divide, the
-shard merge, the hop recurrence, the gate and the answer layer are
-float64 (DESIGN.md §10).  ``tests/test_differential_paths.py`` and
+The default config stores float32 memories and a float32 answer
+matrix and runs each tile's arithmetic and the answer GEMMs in
+float32; ``(denom, acc)``, the one deferred divide, the shard merge,
+the hop recurrence, the gates' decisions and the logits as returned
+are float64 (DESIGN.md §10).  ``tests/test_differential_paths.py`` and
 ``tests/test_core_column_reference.py`` hold the *float64* cells at
 1e-10 / ``tobytes``; this module restates the same grid for the default
 precision, as two statements:

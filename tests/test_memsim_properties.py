@@ -1,6 +1,5 @@
 """Property-based tests (hypothesis) for the memory-hierarchy substrate."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

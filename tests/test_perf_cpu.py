@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import CPU_CONFIG, ChunkConfig, MemNNConfig
+from repro.core.config import CPU_CONFIG, MemNNConfig
 from repro.core.stats import PHASES
 from repro.perf.cpu import ALGORITHMS, CpuModel
 from repro.perf.roofline import MachineRates, phase_time

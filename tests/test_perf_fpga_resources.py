@@ -1,8 +1,6 @@
 """Tests for the FPGA resource model (Table 1's scale-down rationale)."""
 
-import pytest
-
-from repro.core.config import FPGA_CONFIG, GPU_CONFIG, MemNNConfig
+from repro.core.config import FPGA_CONFIG, GPU_CONFIG
 from repro.perf.fpga import FpgaModel, FpgaResources, ZYNQ_7020
 
 

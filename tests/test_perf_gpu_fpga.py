@@ -1,9 +1,8 @@
 """GPU and FPGA model tests: the shapes of Figs. 12, 13 and 14, §5.5."""
 
-import numpy as np
 import pytest
 
-from repro.core.config import FPGA_CONFIG, GPU_CONFIG
+from repro.core.config import GPU_CONFIG
 from repro.perf import EnergyModel, FpgaModel, GpuModel
 
 
