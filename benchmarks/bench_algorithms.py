@@ -64,18 +64,10 @@ def test_column_inference(benchmark, workload):
     assert result.stats.intermediate_bytes <= 2 * NQ * 1000 * 4
 
 
-def test_column_unstable_paper_mode(benchmark, workload):
-    m_in, m_out, u = workload
-    engine = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=1000))
-    result = benchmark(engine.output, u, stable=False)
-    _record("column_unstable", result)
-    assert np.all(np.isfinite(result.output))
-
-
 def test_mnnfast_zero_skip(benchmark, workload):
     m_in, m_out, u = workload
     engine = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=1000))
-    skip = ZeroSkipConfig(threshold=1e-4, mode="probability")
+    skip = ZeroSkipConfig(threshold=1e-4)
     result = benchmark(engine.output, u, zero_skip=skip)
     _record("zero_skip", result)
     assert result.stats.rows_skipped > 0

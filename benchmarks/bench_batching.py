@@ -32,7 +32,7 @@ def _sweep():
     points = []
     for batch_size in BATCH_SIZES:
         config = ServerConfig(
-            engine=EngineConfig.batched(batch_size, max_wait=2e-3),
+            engine=EngineConfig.mnnfast().with_batching(batch_size, max_wait=2e-3),
             workers=WORKERS,
         )
         workload = generate_workload(

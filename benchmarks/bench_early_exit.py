@@ -88,7 +88,8 @@ def _serving_network() -> MemNNConfig:
 def _serving_config(exit_threshold: float) -> ServerConfig:
     return ServerConfig(
         network=_serving_network(),
-        engine=EngineConfig.batched(SERVE_BATCH, max_wait=1e-3)
+        engine=EngineConfig.mnnfast()
+        .with_batching(SERVE_BATCH, max_wait=1e-3)
         .with_early_exit(exit_threshold),
         workers=SERVE_WORKERS,
     )
@@ -177,7 +178,7 @@ def _overload_pair():
     def config(armed: bool) -> ServerConfig:
         return ServerConfig(
             network=network,
-            engine=EngineConfig.batched(SERVE_BATCH, max_wait=1e-3),
+            engine=EngineConfig.mnnfast().with_batching(SERVE_BATCH, max_wait=1e-3),
             workers=SERVE_WORKERS,
             deadline=5e-3,
             admission=AdmissionConfig(max_queue=64),

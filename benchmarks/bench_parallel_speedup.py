@@ -29,7 +29,8 @@ ed=48, nq=16 workload of ``bench_algorithms.py`` through:
   (``EngineConfig.fused(4)``);
 * ``multicore_f32_process_4`` — the composed headline: the default
   precision plus the 4-worker process backend (``EngineConfig
-  .parallel(4)``, the README quickstart config).
+  .sharded(4).with_execution(num_workers=4)``, the README quickstart
+  config).
 
 Every ``ColumnMemNN`` / ``ShardedMemNN`` series lays ``M_IN`` out
 feature-major once, at solver build (outside the timed calls), so

@@ -26,7 +26,7 @@ def main() -> None:
           f"{len(kb.vocabulary):,} vocabulary words\n")
 
     engine = KVMnnFast(
-        kb, zero_skip=ZeroSkipConfig(threshold=0.001, mode="probability")
+        kb, zero_skip=ZeroSkipConfig(threshold=0.001)
     )
 
     # A few sample questions end-to-end.

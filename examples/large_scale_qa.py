@@ -65,7 +65,7 @@ def main() -> None:
         f" | divisions {col_result.stats.divisions:,}"
     )
 
-    skip = ZeroSkipConfig(threshold=1e-4, mode="probability")
+    skip = ZeroSkipConfig(threshold=1e-4)
     mnn_result, _ = timed("mnnfast (column+zero-skip)", column.output, u, zero_skip=skip)
     print(
         f"   | rows skipped {mnn_result.stats.rows_skipped:,}"

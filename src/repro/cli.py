@@ -331,7 +331,10 @@ def _cmd_parallel(args: argparse.Namespace) -> None:
     ]
     for workers in (1, 2, 4):
         configs.append((
-            f"sharded process x{workers}", EngineConfig.parallel(workers)
+            f"sharded process x{workers}",
+            EngineConfig.sharded(workers).with_execution(
+                backend="process", num_workers=workers
+            ),
         ))
     configs.append((
         "sharded serial K=4", EngineConfig.sharded(num_shards=4)
@@ -619,7 +622,8 @@ def _cmd_batching(args: argparse.Namespace) -> None:
     weights = EngineWeights.random(config, rng=rng)
     story = rng.integers(1, config.vocab_size, size=(1500, config.max_words))
     engine = MnnFastEngine(
-        config, weights, engine_config=EngineConfig.batched(max_nq)
+        config, weights,
+        engine_config=EngineConfig.mnnfast().with_batching(max_nq, max_wait=1e-3),
     )
     engine.store_story(story)
 
@@ -663,7 +667,8 @@ def _cmd_batching(args: argparse.Namespace) -> None:
     bs = 1
     while bs <= max_nq:
         server = QaServer(ServerConfig(
-            engine=EngineConfig.batched(bs, max_wait=2e-3), workers=workers,
+            engine=EngineConfig.mnnfast().with_batching(bs, max_wait=2e-3),
+            workers=workers,
         ))
         workload = generate_workload(
             question_rate=rate, story_rate=50.0, duration=duration, seed=7,

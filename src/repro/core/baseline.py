@@ -16,10 +16,10 @@ import numpy as np
 
 from .column import check_dtype
 from .config import FLOAT_BYTES, ZeroSkipConfig
-from .numerics import softmax, unstable_softmax
+from .numerics import softmax
 from .results import InferenceResult
 from .stats import OpStats
-from .zero_skip import exp_mode_mask, probability_mode_mask
+from .zero_skip import probability_mode_mask
 
 __all__ = ["BaselineMemNN"]
 
@@ -67,7 +67,6 @@ class BaselineMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
         return_probabilities: bool = False,
     ) -> InferenceResult:
         """Response vectors ``o = softmax(u x M_IN) x M_OUT`` (Eq. 3).
@@ -78,8 +77,6 @@ class BaselineMemNN:
                 enabled, weighted-sum terms below the threshold are
                 dropped (the probability vector itself is *not*
                 renormalized, matching §4.1.1).
-            stable: use the numerically stable softmax. ``False``
-                selects the paper-faithful Eq. (1) form.
             return_probabilities: attach the full ``(nq, ns)``
                 probability matrix to the result.
         """
@@ -89,13 +86,10 @@ class BaselineMemNN:
         ns = self.num_sentences
 
         t_in = u @ self.m_in.T  # (nq, ns) intermediate #1
-        p = softmax(t_in) if stable else unstable_softmax(t_in)
+        p = softmax(t_in)
 
         if zero_skip is not None and zero_skip.enabled:
-            if zero_skip.mode == "probability":
-                keep = probability_mode_mask(t_in, zero_skip.threshold)
-            else:
-                keep = exp_mode_mask(t_in, zero_skip.threshold)
+            keep = probability_mode_mask(t_in, zero_skip.threshold)
             weights = np.where(keep, p, 0.0)
         else:
             keep = np.ones_like(p, dtype=bool)

@@ -11,15 +11,12 @@ divide exactly once at the end ("lazy softmax").  Intermediates shrink
 from ``nq x ns`` to ``nq x chunk`` and the division count drops from
 ``O(ns)`` to ``O(ed)`` per question.
 
-Two numerical modes:
-
-* ``stable=False`` — the paper-faithful Eq. (4): raw exponentials.
-  Overflows for large scores.
-* ``stable=True`` (default) — an *online softmax*: a running maximum is
-  maintained per question and previously accumulated partials are
-  rescaled when it grows.  Bit-for-bit this is the same rescaling trick
-  flash-attention later popularized; it preserves Eq. (4)'s single-pass
-  structure while matching the stable baseline.
+Eq. (4) is evaluated as an *online softmax*: a running maximum is
+maintained per question and previously accumulated partials are
+rescaled when it grows (the rescaling trick flash-attention later
+popularized), so the single-pass structure survives scores whose raw
+exponentials would overflow — past ~88 in float32.  The raw form stays
+as :func:`~repro.core.numerics.unstable_softmax`, for the ablation.
 
 Because partial results combine associatively, the same machinery
 implements the paper's scale-out story (§3.1, last paragraph):
@@ -66,7 +63,6 @@ from ..store.resident import ResidentStore
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
 from .results import InferenceResult
 from .stats import OpStats
-from .zero_skip import exp_mode_mask
 
 __all__ = [
     "ColumnMemNN",
@@ -146,9 +142,8 @@ class PartialOutput:
     Attributes:
         weighted: ``(nq, ed)`` partial numerator.
         denom: ``(nq,)`` partial denominator.
-        log_max: ``(nq,)`` normalization exponent (``0`` in the
-            paper-faithful unstable mode, the running score maximum in
-            stable mode).
+        log_max: ``(nq,)`` normalization exponent, the running score
+            maximum.
     """
 
     weighted: np.ndarray
@@ -229,26 +224,18 @@ class TileState:
     Args:
         nq, ed: question count and embedding width (the shape of the
             merge identity a zero-tile scan returns).
-        zero_skip: §3.2 zero-skipping applied to every folded tile.
-        stable: online running-max softmax vs raw exponentials.
+        threshold: §3.2 zero-skipping threshold applied to every folded
+            tile (0 keeps every row).
     """
 
     __slots__ = (
-        "_shape", "_zero_skip", "_skipping", "_stable", "rows_kept",
+        "_shape", "_threshold", "rows_kept",
         "_log_max", "_denom", "_acc", "_fold_ws",
     )  # fmt: skip
 
-    def __init__(
-        self,
-        nq: int,
-        ed: int,
-        zero_skip: ZeroSkipConfig | None,
-        stable: bool,
-    ) -> None:
+    def __init__(self, nq: int, ed: int, threshold: float = 0.0) -> None:
         self._shape = (nq, ed)
-        self._zero_skip = zero_skip
-        self._skipping = zero_skip is not None and zero_skip.enabled
-        self._stable = stable
+        self._threshold = threshold
         #: Question-row pairs whose exponential survived zero-skipping.
         self.rows_kept = 0
         self._log_max = self._denom = self._acc = None
@@ -266,14 +253,18 @@ class TileState:
         columns when the readout goes sparse and converted to an array
         otherwise.
 
-        Zero-skipping in probability mode decides on the exponentials
-        it sums: a row is kept iff ``e >= th * S``, with ``S`` the
-        running denominator including this tile (under the running
-        max, like ``e``).  ``S`` never exceeds the final denominator,
-        so this skips a subset of what the exact rule
-        (:func:`~repro.core.zero_skip.probability_mode_mask`) would."""
+        Zero-skipping decides on the exponentials it sums: a row is
+        kept iff ``e >= min(th * S, 1)``, with ``S`` the running
+        denominator including this tile (under the running max, like
+        ``e``).  ``S`` never exceeds the final denominator, and the
+        clamp only lowers the cut, so this skips a subset of what the
+        exact rule (:func:`~repro.core.zero_skip.probability_mode_mask`)
+        would."""
         first = self._acc is None
-        if not first:
+        if first:
+            self._log_max = scores.max(axis=1)
+            scores -= self._log_max[:, None]
+        else:
             if self._fold_ws is None:
                 # A second tile: the workspaces keep the tile dtype, the
                 # state it is about to be added into goes to float64.
@@ -285,19 +276,6 @@ class TileState:
                 self._denom = self._denom.astype(np.float64, copy=False)
                 self._acc = self._acc.astype(np.float64, copy=False)
             contrib, tile_max, new_max = self._fold_ws
-        keep = None
-        if self._skipping and self._zero_skip.mode == "exp":
-            # A raw-score rule, exact regardless of stabilization: taken
-            # before the block stops holding raw scores.
-            keep = exp_mode_mask(scores, self._zero_skip.threshold)
-
-        if not self._stable:
-            if first:
-                self._log_max = np.zeros(scores.shape[0], dtype=scores.dtype)
-        elif first:
-            self._log_max = scores.max(axis=1)
-            scores -= self._log_max[:, None]
-        else:
             log_max = self._log_max
             scores.max(axis=1, out=tile_max)
             if (tile_max > log_max).any():
@@ -319,19 +297,21 @@ class TileState:
         else:
             self._denom += exp_scores.sum(axis=1)
 
-        if not self._skipping:
+        if not self._threshold:
             # No mask to build, and no full ``(nq, n)`` product against
             # an all-ones one.
             self.rows_kept += exp_scores.size
         else:
-            if keep is None:
-                # ``th * S`` in float64, then into the tile dtype one
-                # step toward zero: rounding the cut can keep a row the
-                # exact product would drop, never the reverse.
-                cut = np.multiply(
-                    self._denom, self._zero_skip.threshold, dtype=np.float64
-                ).astype(scores.dtype, copy=False)
-                keep = exp_scores >= np.nextafter(cut, 0)[:, None]
+            # ``min(th * S, 1)`` in float64, then into the tile dtype one
+            # step toward zero: rounding the cut can keep a row the exact
+            # product would drop, never the reverse.  The clamp keeps a
+            # running-max row (``e = 1``) even when attention is too flat
+            # for any row to reach ``th``, so no question's scan keeps
+            # nothing.
+            cut = np.minimum(
+                np.multiply(self._denom, self._threshold, dtype=np.float64), 1.0
+            ).astype(scores.dtype, copy=False)
+            keep = exp_scores >= np.nextafter(cut, 0)[:, None]
             n = scores.shape[1]
             cols = (
                 np.flatnonzero(keep.any(axis=0))
@@ -360,10 +340,7 @@ class TileState:
         """The folded state as a mergeable partial — the identity of
         :meth:`PartialOutput.merge` when no tile was folded."""
         if self._acc is None:
-            partial = PartialOutput.empty(*self._shape)
-            if not self._stable:
-                partial.log_max = np.zeros(self._shape[0])
-            return partial
+            return PartialOutput.empty(*self._shape)
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
         )
@@ -505,16 +482,13 @@ class ColumnMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
         runs: np.ndarray | None = None,
     ) -> InferenceResult:
         """Response vectors via the chunked lazy-softmax dataflow —
         over the whole memory, or over the ``(r, 2)`` row runs ``runs``
         (see :meth:`scored_tiles`)."""
         start = time.perf_counter()
-        partial, stats = self.partial_output(
-            u, zero_skip=zero_skip, stable=stable, runs=runs
-        )
+        partial, stats = self.partial_output(u, zero_skip=zero_skip, runs=runs)
         output = partial.finalize()
         return InferenceResult(
             output=output,
@@ -531,7 +505,6 @@ class ColumnMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
         runs: np.ndarray | None = None,
     ) -> tuple[PartialOutput, OpStats]:
         """Run all chunks and return the mergeable partial state.
@@ -542,7 +515,7 @@ class ColumnMemNN:
         """
         u = self.check_questions(u)
         nq, ed = u.shape
-        state = TileState(nq, ed, zero_skip, stable)
+        state = TileState(nq, ed, zero_skip.threshold if zero_skip else 0.0)
         for scores, chunk_out in self.scored_tiles(u, runs):
             state.fold(scores, chunk_out)
         return state.partial(), column_op_stats(

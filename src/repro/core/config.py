@@ -145,23 +145,15 @@ class ZeroSkipConfig:
     """Zero-skipping of near-zero probability rows (§3.2).
 
     Attributes:
-        threshold: skip rows whose weight is below this value
+        threshold: skip rows whose softmax weight is below this value
             (paper sweeps 0.0001 - 0.5; CPU implementation uses 0.1).
-        mode: ``"probability"`` compares the post-softmax probability
-            (CPU/GPU §4.1) while ``"exp"`` compares the raw exponential
-            against a scaled threshold on the fly (FPGA §4.2).
     """
 
     threshold: float = 0.1
-    mode: str = "probability"
-
-    _MODES = ("probability", "exp")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
-        if self.mode not in self._MODES:
-            raise ValueError(f"mode must be one of {self._MODES}, got {self.mode!r}")
 
     @property
     def enabled(self) -> bool:
@@ -621,10 +613,8 @@ class EngineConfig:
             ``"sharded"`` (column on K disjoint memory shards with the
             exact max-rescaled merge).
         chunk: per-worker chunking of the column dataflow.
-        zero_skip: zero-skipping threshold/mode (applied per shard in
+        zero_skip: zero-skipping threshold (applied per shard in
             sharded mode).
-        stable_softmax: online running-max softmax vs the
-            paper-faithful raw-exponential form.
         num_shards: shard count ``K`` for the sharded algorithm (must
             be 1 otherwise).
         shard_policy: ``"contiguous"`` or ``"strided"`` row partition.
@@ -643,7 +633,6 @@ class EngineConfig:
     algorithm: str = "column"
     chunk: ChunkConfig = field(default_factory=ChunkConfig)
     zero_skip: ZeroSkipConfig = field(default_factory=lambda: ZeroSkipConfig(0.0))
-    stable_softmax: bool = True
     num_shards: int = 1
     shard_policy: str = "contiguous"
     batch: BatchConfig = field(default_factory=BatchConfig)
@@ -742,11 +731,9 @@ class EngineConfig:
             shard_policy=shard_policy,
         )
 
-    def with_zero_skip(
-        self, threshold: float, mode: str = "probability"
-    ) -> "EngineConfig":
+    def with_zero_skip(self, threshold: float) -> "EngineConfig":
         """A copy with §3.2 zero-skipping at ``threshold`` (0 disables)."""
-        return replace(self, zero_skip=ZeroSkipConfig(threshold, mode))
+        return replace(self, zero_skip=ZeroSkipConfig(threshold))
 
     def with_batching(
         self, max_batch_size: int, max_wait: float = 0.0
@@ -822,22 +809,6 @@ class EngineConfig:
         )
 
     @classmethod
-    def batched(
-        cls,
-        max_batch_size: int,
-        max_wait: float = 1e-3,
-        chunk_size: int = 1000,
-        threshold: float = 0.1,
-    ) -> "EngineConfig":
-        """Full MnnFast plus continuous question batching: memory
-        streams once per batch of up to ``max_batch_size`` questions,
-        held at most ``max_wait`` seconds while the batch fills."""
-        return (
-            cls.mnnfast(chunk_size=chunk_size, threshold=threshold)
-            .with_batching(max_batch_size, max_wait=max_wait)
-        )
-
-    @classmethod
     def sharded(
         cls,
         num_shards: int,
@@ -852,34 +823,6 @@ class EngineConfig:
             .with_chunking(chunk_size=chunk_size, streaming=True)
             .with_zero_skip(threshold)
             .with_sharding(num_shards, shard_policy=shard_policy)
-        )
-
-    @classmethod
-    def parallel(
-        cls,
-        num_workers: int,
-        num_shards: int | None = None,
-        shard_policy: str = "contiguous",
-        chunk_size: int = 1000,
-        threshold: float = 0.0,
-        dtype: str = "float32",
-    ) -> "EngineConfig":
-        """Sharded column algorithm with the shards executed
-        concurrently on a ``num_workers``-wide process pool (see
-        :class:`ExecutionConfig`).  One shard per worker by default, so
-        every worker owns exactly one ``partial_output`` call; pass
-        ``num_shards`` explicitly to oversubscribe (more shards than
-        workers gives the pool load-balancing slack on skewed
-        machines).
-        """
-        return (
-            cls.sharded(
-                num_shards if num_shards is not None else num_workers,
-                shard_policy=shard_policy,
-                chunk_size=chunk_size,
-                threshold=threshold,
-            )
-            .with_execution(backend="process", num_workers=num_workers, dtype=dtype)
         )
 
     @classmethod

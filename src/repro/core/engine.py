@@ -47,7 +47,6 @@ from .numerics import (
     bow_embed_each,
     position_encoding,
     softmax,
-    unstable_softmax,
 )
 from .stats import OpStats
 
@@ -756,7 +755,7 @@ class MnnFastEngine:
             confidences: list[np.ndarray] = []
         for hop in range(self.config.hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
-            result = solver.output(u, zero_skip=zero_skip, stable=ec.stable_softmax)
+            result = solver.output(u, zero_skip=zero_skip)
             tiers = result.tier_stats()
             stats.accumulate(result.stats)
             hop_stats.append(result.stats)
@@ -1056,29 +1055,25 @@ class MnnFastEngine:
     ) -> np.ndarray:
         """First-hop attention probabilities (for Fig. 6-style analysis).
 
-        Honors ``engine_config`` (algorithm and ``stable_softmax``) and
-        accepts the same optional embedding cache as :meth:`answer`.
+        Honors ``engine_config``'s algorithm and accepts the same
+        optional embedding cache as :meth:`answer`.
         """
         if self.num_stored_sentences == 0:
             raise ValueError("no story stored: call store_story/set_memories first")
         u, _, _ = self.embed_question(questions, cache)
         m_in, m_out = self._memories[0]
-        ec = self.engine_config
-        if ec.algorithm == "baseline":
+        if self.engine_config.algorithm == "baseline":
             solver = BaselineMemNN(m_in, m_out, dtype=self._dtype)
-            result = solver.output(
-                u, stable=ec.stable_softmax, return_probabilities=True
-            )
+            result = solver.output(u, return_probabilities=True)
             assert result.probabilities is not None
             return result.probabilities
         # Column/sharded paths: the lazy softmax normalizes once at the
         # end (after the exact shard merge, in sharded mode), so the
-        # probabilities equal softmax(u . M_IN^T) — reconstruct them
-        # with the configured softmax form.  tests/test_core_engine.py
-        # guards this shortcut against the baseline's explicit softmax.
+        # probabilities equal softmax(u . M_IN^T) — reconstruct them.
+        # tests/test_core_engine.py guards this shortcut against the
+        # baseline's explicit softmax.
         # u is narrowed: a mixed GEMM would widen all of M_IN.
-        scores = np.asarray(u, dtype=m_in.dtype) @ m_in.T
-        return softmax(scores) if ec.stable_softmax else unstable_softmax(scores)
+        return softmax(np.asarray(u, dtype=m_in.dtype) @ m_in.T)
 
     # --- helpers -------------------------------------------------------------
 

@@ -116,13 +116,10 @@ def _shard_task(
     spec: _ShardSpec,
     u: np.ndarray,
     zero_skip: ZeroSkipConfig | None,
-    stable: bool,
 ) -> tuple[PartialOutput, OpStats]:
     """One shard's partial, computed inside a worker process against
     its zero-copy mapped slice of the spilled store."""
-    return _worker_solver(spec).partial_output(
-        u, zero_skip=zero_skip, stable=stable
-    )
+    return _worker_solver(spec).partial_output(u, zero_skip=zero_skip)
 
 
 def _start_method() -> str:
@@ -203,7 +200,6 @@ class ProcessShardRunner:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> list[tuple[PartialOutput, OpStats]]:
         """Every shard's ``(partial, stats)``, collected in shard order.
 
@@ -215,7 +211,7 @@ class ProcessShardRunner:
         pool = self._ensure_pool()
         try:
             futures: list[Future] = [
-                pool.submit(_shard_task, spec, u, zero_skip, stable)
+                pool.submit(_shard_task, spec, u, zero_skip)
                 for spec in self._specs
             ]
             return [future.result() for future in futures]

@@ -157,12 +157,11 @@ class _FusedShardKernel:
     chunks), so agreement with it is the documented 1e-10 of any
     chunk-geometry change, not bitwise (at ``K = 1`` the segments *are*
     the chunks and the two are bit-identical).  One semantic caveat:
-    ``"probability"``-mode zero-skip decides against the running
-    denominator *at decision time*, which any chunk-geometry change
-    shifts (sharding itself already does, vs. unsharded column mode) —
-    those masks agree to the skip approximation's threshold scale, not
-    1e-10.  ``"exp"``-mode masks compare raw scores only and match the
-    per-shard path exactly.
+    zero-skip decides against the running denominator *at decision
+    time*, which any chunk-geometry change shifts (sharding itself
+    already does, vs. unsharded column mode) — those masks agree to the
+    skip approximation's threshold scale, not 1e-10; each is a superset
+    of the exact rule's.
     """
 
     def __init__(self, plan: ShardPlan, chunk_size: int, column: ColumnMemNN) -> None:
@@ -201,7 +200,6 @@ class _FusedShardKernel:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> list[tuple[PartialOutput, OpStats]]:
         """Per-shard ``(partial, stats)`` pairs in shard order — the
         same contract as the per-shard arrangements, produced by the
@@ -209,10 +207,8 @@ class _FusedShardKernel:
         column = self._column
         u = column.check_questions(u)
         nq, ed = u.shape
-        states = [
-            TileState(nq, ed, zero_skip, stable)
-            for _ in range(self.plan.num_shards)
-        ]
+        threshold = zero_skip.threshold if zero_skip else 0.0
+        states = [TileState(nq, ed, threshold) for _ in range(self.plan.num_shards)]
         t0 = 0
         for scores, tile_out in column.scored_tiles(u):
             n = scores.shape[1]
@@ -454,7 +450,6 @@ class ShardedMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> list[tuple[PartialOutput, OpStats]]:
         """Per-shard ``(partial, stats)`` pairs, in shard order.
 
@@ -467,19 +462,15 @@ class ShardedMemNN:
         downstream merges are order-deterministic.
         """
         if self._runner is not None:
-            return self._runner.run(u, zero_skip=zero_skip, stable=stable)
+            return self._runner.run(u, zero_skip=zero_skip)
         if self._fused is not None:
-            return self._fused.shard_partials(u, zero_skip=zero_skip, stable=stable)
-        return [
-            shard.partial_output(u, zero_skip=zero_skip, stable=stable)
-            for shard in self._shards
-        ]
+            return self._fused.shard_partials(u, zero_skip=zero_skip)
+        return [shard.partial_output(u, zero_skip=zero_skip) for shard in self._shards]
 
     def partial_output(
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> tuple[PartialOutput, OpStats]:
         """Merged partial state plus aggregate counters.
 
@@ -487,18 +478,17 @@ class ShardedMemNN:
         engine composes anywhere a column engine does (e.g. as one
         node of a larger cluster reduction).
         """
-        partial, stats, _ = self._merged(u, zero_skip, stable)
+        partial, stats, _ = self._merged(u, zero_skip)
         return partial, stats
 
     def output(
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> InferenceResult:
         """Response vectors via shard fan-out + exact merge."""
         start = time.perf_counter()
-        partial, stats, shard_stats = self._merged(u, zero_skip, stable)
+        partial, stats, shard_stats = self._merged(u, zero_skip)
         output = partial.finalize()
         store_stats = self.store_stats
         return InferenceResult(
@@ -513,9 +503,8 @@ class ShardedMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None,
-        stable: bool,
     ) -> tuple[PartialOutput, OpStats, list[OpStats]]:
-        pairs = self.shard_partials(u, zero_skip=zero_skip, stable=stable)
+        pairs = self.shard_partials(u, zero_skip=zero_skip)
         merged = merge_partials([partial for partial, _ in pairs])
         shard_stats = [stats for _, stats in pairs]
         total = OpStats()

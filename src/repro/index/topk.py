@@ -23,7 +23,8 @@ nothing.
 
 With ``measure_recall`` set, each pass also computes the attention-mass
 recall: the fraction of the exact softmax mass the candidate set
-captured, via one streaming online-softmax pass over the full memory.
+captured, from two threshold-0 scans of the column kernel: one over the
+candidates, one over the full memory.
 That is the metric the differential harness and the recall benchmark
 hold a floor on (answer agreement is checked separately at the
 answer-ID level); it costs the ``O(ns * ed)`` scan the tier exists to
@@ -43,16 +44,12 @@ from ..core.config import ChunkConfig, ExecutionConfig, TopKConfig, ZeroSkipConf
 from ..core.results import InferenceResult
 from ..core.sharded import ShardedMemNN
 from ..core.stats import OpStats
-from ..store.base import MemoryStore, StoreStats, iter_chunk_spans
+from ..store.base import MemoryStore, RowSubsetStore, StoreStats
 from ..store.resident import ResidentStore
 from .ivf import IVFIndex
 from .stats import IndexStats
 
 __all__ = ["TopKMemNN"]
-
-#: Rows per block of the streaming recall measurement.
-RECALL_BLOCK_ROWS = 16_384
-
 
 class TopKMemNN:
     """Top-k candidate retrieval feeding the exact column kernels.
@@ -168,7 +165,6 @@ class TopKMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-        stable: bool = True,
     ) -> InferenceResult:
         """Response vectors via probe -> candidate scan with the exact
         kernel.
@@ -178,7 +174,7 @@ class TopKMemNN:
         carries an :class:`~repro.index.stats.IndexStats`.
         """
         if not self.uses_index:
-            return self._exact_output(u, zero_skip, stable)
+            return self._exact_output(u, zero_skip)
 
         start = time.perf_counter()
         u_checked = self._check_questions(u)
@@ -199,11 +195,11 @@ class TopKMemNN:
             candidates = index.rows(runs)
         if self._cluster_scan is not None:
             result = self._cluster_scan.output(
-                u_checked, zero_skip=zero_skip, stable=stable, runs=runs
+                u_checked, zero_skip=zero_skip, runs=runs
             )
         else:
             solver = self._build_solver(candidates=candidates)
-            result = solver.output(u_checked, zero_skip=zero_skip, stable=stable)
+            result = solver.output(u_checked, zero_skip=zero_skip)
             self._absorb_subset_ledger(solver)
             solver.close()
         result.stats = result.stats + self._probe_stats(
@@ -245,13 +241,12 @@ class TopKMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None,
-        stable: bool,
     ) -> InferenceResult:
         """Exact-scan fallback: the configured kernel over every row,
         bit-identical to the tier being disabled."""
         if self._exact_solver is None:
             self._exact_solver = self._build_solver(full_memory=True)
-        result = self._exact_solver.output(u, zero_skip=zero_skip, stable=stable)
+        result = self._exact_solver.output(u, zero_skip=zero_skip)
         result.index_stats = IndexStats(
             num_rows=self.num_sentences,
             candidate_rows=self.num_sentences,
@@ -366,34 +361,16 @@ class TopKMemNN:
         self, u: np.ndarray, candidates: np.ndarray
     ) -> float:
         """Mean over questions of the exact softmax mass the candidate
-        set captures, via a streaming online softmax over all rows."""
-        base = self._base
-        ns = base.num_rows
-        nq = len(u)
-        mask = np.zeros(ns, dtype=bool)
-        mask[candidates] = True
-        log_max = np.full(nq, -np.inf)
-        denom = np.zeros(nq)
-        cand_mass = np.zeros(nq)
-        for start, stop in iter_chunk_spans(ns, RECALL_BLOCK_ROWS):
-            # The (nq, block) scores are widened, never the block.
-            scores = np.asarray(
-                u @ base.read_chunk(start, stop)[0].T, dtype=np.float64
-            )
-            new_max = np.maximum(log_max, scores.max(axis=1))
-            with np.errstate(invalid="ignore"):
-                scale = np.where(
-                    np.isneginf(log_max), 0.0, np.exp(log_max - new_max)
-                )
-            denom *= scale
-            cand_mass *= scale
-            log_max = new_max
-            exp_scores = np.exp(scores - log_max[:, None])
-            denom += exp_scores.sum(axis=1)
-            block_mask = mask[start:stop]
-            if block_mask.any():
-                cand_mass += exp_scores[:, block_mask].sum(axis=1)
-        return float(np.mean(cand_mass / denom))
+        set captures: the denominators of two unskipped column scans,
+        over the candidates and over every row, brought to one max."""
+        partials = []
+        for store in (RowSubsetStore(self._base, candidates), self._base):
+            scan = ColumnMemNN(store=store, chunk=self.chunk)
+            partials.append(scan.partial_output(u)[0])
+            scan.close()
+        cand, full = partials
+        shift = np.subtract(cand.log_max, full.log_max, dtype=np.float64)
+        return float(np.mean(cand.denom * np.exp(shift) / full.denom))
 
     def _check_questions(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=self.dtype)

@@ -15,7 +15,7 @@ try:
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import EngineConfig  # noqa: E402
+from repro.core import EngineConfig, ZeroSkipConfig  # noqa: E402
 
 #: Per-test wall-clock budget in seconds; unset/empty disables the
 #: gate.  CI exports it (see .github/workflows/ci.yml) so a single
@@ -60,6 +60,22 @@ def float64(config: "EngineConfig | None" = None) -> EngineConfig:
     """
     config = config if config is not None else EngineConfig()
     return config.with_execution(dtype="float64")
+
+
+def kept_rows(make_solver, m_in, u, threshold: float) -> np.ndarray:
+    """The ``(nq, ns)`` rows a zero-skipped scan keeps, read off its
+    response: ``make_solver(m_in, m_out)`` gets ``M_IN`` zero-padded to
+    ``ns`` columns and a one-hot ``M_OUT``, so the scores are unchanged
+    and response column ``i`` is row ``i``'s weight — 0 where skipped.
+    Works for any solver with ``output(u, zero_skip=)``."""
+    ns, ed = m_in.shape
+    width = max(ns, ed)
+    pad = ((0, 0), (0, width - ed))
+    solver = make_solver(np.pad(m_in, pad), np.eye(ns, width))
+    result = solver.output(np.pad(u, pad), zero_skip=ZeroSkipConfig(threshold))
+    kept = result.output[:, :ns] != 0
+    assert result.stats.rows_computed == kept.sum()
+    return kept
 
 
 @pytest.fixture

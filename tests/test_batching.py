@@ -32,7 +32,6 @@ from repro.core import (
     MemNNConfig,
     MnnFastEngine,
     OpStats,
-    ZeroSkipConfig,
 )
 from repro.serving import (
     AdmissionConfig,
@@ -57,26 +56,13 @@ LOGIT_TOLERANCE = 1e-10
 def _engine_grid():
     """Every answer-producing path, at exact (th=0) settings and the
     float64 reference precision."""
-    grid = {}
-    for stable in (True, False):
-        grid[("baseline", stable)] = EngineConfig(
-            algorithm="baseline", stable_softmax=stable
-        )
-        grid[("column", stable)] = EngineConfig(
-            algorithm="column", chunk=ChunkConfig(16), stable_softmax=stable
-        )
-        grid[("column+skip0", stable)] = EngineConfig(
-            algorithm="column",
-            chunk=ChunkConfig(16),
-            zero_skip=ZeroSkipConfig(0.0, mode="exp"),
-            stable_softmax=stable,
-        )
-        grid[("sharded", stable)] = EngineConfig(
-            algorithm="sharded",
-            num_shards=3,
-            chunk=ChunkConfig(16),
-            stable_softmax=stable,
-        )
+    grid = {
+        "baseline": EngineConfig(algorithm="baseline"),
+        "column": EngineConfig(algorithm="column", chunk=ChunkConfig(16)),
+        "sharded": EngineConfig(
+            algorithm="sharded", num_shards=3, chunk=ChunkConfig(16)
+        ),
+    }
     return {key: float64(config) for key, config in grid.items()}
 
 
@@ -150,7 +136,8 @@ def test_answer_batch_amortizes_memory_traffic():
     streams them nq times (the §5 amortization, in bytes)."""
     config, weights, story, questions = _problem(0, 8)
     engine = MnnFastEngine(
-        config, weights, engine_config=EngineConfig.batched(8)
+        config, weights,
+        engine_config=EngineConfig.mnnfast().with_batching(8, max_wait=1e-3),
     )
     engine.store_story(story)
     batched = engine.answer_batch(questions)
@@ -220,7 +207,7 @@ class TestBatchConfig:
             BatchConfig(max_wait=-1.0)
 
     def test_engineconfig_batched_constructor(self):
-        engine = EngineConfig.batched(8, max_wait=5e-3)
+        engine = EngineConfig.mnnfast().with_batching(8, max_wait=5e-3)
         assert engine.batch.max_batch_size == 8
         assert engine.batch.max_wait == 5e-3
         assert engine.algorithm == "column"
@@ -352,7 +339,9 @@ class TestFormBatches:
 def _batched_server(batch_size, **config_kwargs):
     return QaServer(
         ServerConfig(
-            engine=EngineConfig.batched(batch_size, max_wait=2e-3),
+            engine=EngineConfig.mnnfast().with_batching(
+                batch_size, max_wait=2e-3
+            ),
             workers=4,
             **config_kwargs,
         ),

@@ -77,8 +77,11 @@ class TestZeroSkipConfig:
             ZeroSkipConfig(-0.1)
 
     def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            ZeroSkipConfig(0.1, mode="magic")
+        # One skip rule: the raw-score mode is gone, and so is the field.
+        with pytest.raises(TypeError, match="mode"):
+            ZeroSkipConfig(0.1, mode="exp")
+        with pytest.raises(TypeError, match="mode"):
+            EngineConfig().with_zero_skip(0.1, mode="exp")
 
 
 class TestEmbeddingCacheConfig:
@@ -109,6 +112,13 @@ class TestEngineConfig:
         with pytest.raises(ValueError, match="algorithm"):
             EngineConfig(algorithm="quantum")
 
+    def test_removed_knobs_are_gone(self):
+        # One softmax and no alias presets: the builders spell them out.
+        with pytest.raises(TypeError, match="stable_softmax"):
+            EngineConfig(stable_softmax=True)
+        assert not hasattr(EngineConfig, "batched")
+        assert not hasattr(EngineConfig, "parallel")
+
 
 class TestBuilders:
     """The preset classmethods are thin wrappers over the ``with_*``
@@ -136,23 +146,12 @@ class TestBuilders:
             .with_zero_skip(0.2)
         )
 
-    def test_batched_equals_builder_chain(self):
-        assert EngineConfig.batched(16, max_wait=2e-3) == (
-            EngineConfig.mnnfast().with_batching(16, max_wait=2e-3)
-        )
-
     def test_sharded_equals_builder_chain(self):
         assert EngineConfig.sharded(4, shard_policy="strided") == (
             EngineConfig()
             .with_chunking(chunk_size=1000, streaming=True)
             .with_zero_skip(0.0)
             .with_sharding(4, shard_policy="strided")
-        )
-
-    def test_parallel_equals_builder_chain(self):
-        assert EngineConfig.parallel(4, dtype="float32") == (
-            EngineConfig.sharded(4)
-            .with_execution(backend="process", num_workers=4, dtype="float32")
         )
 
     def test_out_of_core_equals_builder_chain(self):
@@ -220,7 +219,7 @@ class TestBuilders:
             EngineConfig.baseline(),
             EngineConfig.mnnfast(),
             EngineConfig.sharded(4),
-            EngineConfig.parallel(2),
+            EngineConfig.sharded(2).with_execution(num_workers=2),
             EngineConfig.out_of_core(),
             EngineConfig.mnnfast().with_topk(nprobe=8),
         ):

@@ -268,27 +268,21 @@ class TestAttention:
         assert probs.shape == (3, 40)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0)
 
-    @pytest.mark.parametrize("stable", (True, False))
-    def test_attention_parity_across_algorithms(self, config, rng, stable):
+    def test_attention_parity_across_algorithms(self, config, rng):
         """The column/sharded attention() reconstruction shortcut must
-        reproduce the baseline's explicit softmax under both softmax
-        forms — first-hop probabilities are path-independent."""
+        reproduce the baseline's explicit softmax — first-hop
+        probabilities are path-independent."""
         weights = EngineWeights.random(config, rng=np.random.default_rng(7))
         story = rng.integers(1, 50, size=(30, 6))
         questions = rng.integers(1, 50, size=(3, 6))
 
         probs = {}
         for name, ecfg in {
-            "baseline": EngineConfig(algorithm="baseline", stable_softmax=stable),
-            "column": EngineConfig(algorithm="column", stable_softmax=stable),
-            "sharded-contig": EngineConfig(
-                algorithm="sharded", num_shards=4, stable_softmax=stable
-            ),
+            "baseline": EngineConfig(algorithm="baseline"),
+            "column": EngineConfig(algorithm="column"),
+            "sharded-contig": EngineConfig(algorithm="sharded", num_shards=4),
             "sharded-strided": EngineConfig(
-                algorithm="sharded",
-                num_shards=3,
-                shard_policy="strided",
-                stable_softmax=stable,
+                algorithm="sharded", num_shards=3, shard_policy="strided"
             ),
         }.items():
             eng = MnnFastEngine(config, weights, engine_config=ecfg)
@@ -301,7 +295,7 @@ class TestAttention:
                 probs["baseline"],
                 rtol=1e-10,
                 atol=1e-12,
-                err_msg=f"attention diverges on {name} (stable={stable})",
+                err_msg=f"attention diverges on {name}",
             )
 
     def test_attention_with_cache_is_identical(self, engine, rng):

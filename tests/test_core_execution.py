@@ -5,13 +5,10 @@ The contract under test (the process backend's bit-identity with
 serial lives in ``tests/test_core_multicore.py``):
 
 * float32 is an accuracy/throughput trade documented by
-  :data:`FLOAT32_LOGIT_TOLERANCE`, holding across every algorithm,
-  zero-skip and softmax-form combination;
+  :data:`FLOAT32_LOGIT_TOLERANCE`, holding across every algorithm;
 * the kernel short-circuits (skip-free keep mask, no-op rescale in
   :meth:`PartialOutput.merge`) are exact, not approximations.
 """
-
-import itertools
 
 import numpy as np
 import pytest
@@ -27,7 +24,6 @@ from repro.core import (
     MnnFastEngine,
     PartialOutput,
     ShardedMemNN,
-    ZeroSkipConfig,
 )
 from repro.core.column import exp_floor
 
@@ -68,43 +64,13 @@ def _random_memories(seed=0, ns=300, ed=12, nq=5):
     return m_in, m_out, u
 
 
-# --- The parallel preset -----------------------------------------------------
-
-
-class TestParallelPreset:
-    def test_engine_config_parallel_factory(self):
-        config = EngineConfig.parallel(4)
-        assert config.algorithm == "sharded"
-        assert config.num_shards == 4
-        assert config.execution.backend == "process"
-        assert config.execution.num_workers == 4
-        oversubscribed = EngineConfig.parallel(2, num_shards=8)
-        assert oversubscribed.num_shards == 8
-        assert oversubscribed.execution.num_workers == 2
-
-
 # --- float32 compute path ---------------------------------------------------
 
 
 class TestFloat32Path:
-    @pytest.mark.parametrize(
-        "algorithm,zero_skip,stable",
-        list(
-            itertools.product(
-                ("baseline", "column", "sharded"),
-                (None, ZeroSkipConfig(0.0, mode="exp")),
-                (True, False),
-            )
-        ),
-    )
-    def test_float32_matches_float64(self, algorithm, zero_skip, stable):
-        kwargs = dict(
-            algorithm=algorithm,
-            stable_softmax=stable,
-            chunk=ChunkConfig(16),
-        )
-        if zero_skip is not None:
-            kwargs["zero_skip"] = zero_skip
+    @pytest.mark.parametrize("algorithm", ("baseline", "column", "sharded"))
+    def test_float32_matches_float64(self, algorithm):
+        kwargs = dict(algorithm=algorithm, chunk=ChunkConfig(16))
         if algorithm == "sharded":
             kwargs["num_shards"] = 3
         reference = _answer(float64(EngineConfig(**kwargs)))

@@ -178,7 +178,7 @@ class TestKVMnnFast:
     def test_zero_skip_reduces_value_reads(self, movie_kb):
         kb, questions = movie_kb
         skipping = KVMnnFast(
-            kb, zero_skip=ZeroSkipConfig(threshold=0.01, mode="probability")
+            kb, zero_skip=ZeroSkipConfig(threshold=0.01)
         )
         answer = skipping.answer(questions[0].tokens, use_hashing=False)
         assert answer.stats.rows_skipped > 0

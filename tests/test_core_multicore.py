@@ -12,11 +12,10 @@ Two contracts, held at different strengths:
 * **Fused kernel == per-shard loop, 1e-10.**  The tile sweep regroups
   the chunk geometry (tile boundaries are not shard-chunk
   boundaries), which reorders the running-max rescales — the same
-  1e-10 class of difference as any chunk-size change.  Exp-mode
-  zero-skip masks depend only on raw scores and match exactly;
-  probability-mode masks read the running denominator and are
-  geometry-dependent by construction (excluded from the grid, as they
-  are for any cross-geometry comparison).
+  1e-10 class of difference as any chunk-size change.  Zero-skip masks
+  read the running denominator and are geometry-dependent by
+  construction, so under skipping each arrangement is held to the
+  exact rule instead: it keeps every row that rule keeps.
 
 Plus the failure mode: a worker process dying mid-computation must
 surface as a clean ``RuntimeError`` — never a hang — and the next
@@ -45,9 +44,10 @@ from repro.core import (
     ZeroSkipConfig,
 )
 from repro.core.thread_limits import apply_blas_limit, blas_thread_info
+from repro.core.zero_skip import probability_mode_mask
 from repro.store import MmapStore
 
-from .conftest import float64
+from .conftest import float64, kept_rows
 
 sys.path.insert(
     0, str(Path(__file__).resolve().parent.parent / "benchmarks")
@@ -153,14 +153,11 @@ class TestProcessBackendBitIdentity:
         finally:
             process.close()
 
-    @pytest.mark.parametrize(
-        "zero_skip",
-        (ZeroSkipConfig(1e-4, mode="exp"), ZeroSkipConfig(1e-4, mode="probability")),
-    )
+    @pytest.mark.parametrize("zero_skip", (ZeroSkipConfig(1e-4), ZeroSkipConfig(0.1)))
     def test_process_zero_skip_matches_serial_bitwise(self, zero_skip):
-        """Both skip modes: the workers run the identical per-shard
-        kernel, so even the geometry-sensitive probability mode makes
-        the identical keep decisions."""
+        """The workers run the identical per-shard kernel, so even the
+        geometry-sensitive skip rule makes the identical keep
+        decisions."""
         m_in, m_out, u = _random_memories(seed=5)
         serial = ShardedMemNN(m_in, m_out, num_shards=3, chunk=ChunkConfig(32))
         process = ShardedMemNN(
@@ -286,11 +283,7 @@ class TestProcessWorkerCrash:
 class TestFusedKernel:
     @pytest.mark.parametrize("policy", ("contiguous", "strided"))
     @pytest.mark.parametrize("num_shards", (1, 3, 4))
-    @pytest.mark.parametrize(
-        "zero_skip", (None, ZeroSkipConfig(1e-4, mode="exp"))
-    )
-    @pytest.mark.parametrize("stable", (True, False))
-    def test_fused_matches_per_shard(self, policy, num_shards, zero_skip, stable):
+    def test_fused_matches_per_shard(self, policy, num_shards):
         m_in, m_out, u = _random_memories()
         serial = ShardedMemNN(
             m_in, m_out, num_shards=num_shards, policy=policy, chunk=ChunkConfig(32)
@@ -303,43 +296,56 @@ class TestFusedKernel:
             chunk=ChunkConfig(32),
             execution=ExecutionConfig(fused=True),
         )
-        ref = serial.output(u, zero_skip=zero_skip, stable=stable)
-        got = fused.output(u, zero_skip=zero_skip, stable=stable)
+        ref = serial.output(u)
+        got = fused.output(u)
         np.testing.assert_allclose(
             got.output, ref.output, rtol=LOGIT_TOLERANCE, atol=LOGIT_TOLERANCE
         )
-        # The op ledger is arrangement-independent (exp-mode masks
-        # match exactly, so even rows_computed agrees).
+        # The op ledger is arrangement-independent.
         assert got.stats.flops == ref.stats.flops
         assert got.stats.rows_computed == ref.stats.rows_computed
+
+    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
+    @pytest.mark.parametrize("num_shards", (1, 3, 4))
+    def test_fused_zero_skip_keeps_exact_rows(self, policy, num_shards):
+        # The skip rule reads each tile's running denominator, so the
+        # fused and per-shard arrangements may keep different rows; both
+        # keep every row the exact rule keeps.
+        m_in, _, u = _random_memories()
+        exact = probability_mode_mask(u @ m_in.T, 1e-2)
+        assert exact.any()
+        for fused in (False, True):
+            kept = kept_rows(
+                lambda a, b: ShardedMemNN(
+                    a, b, num_shards=num_shards, policy=policy,
+                    chunk=ChunkConfig(32), execution=ExecutionConfig(fused=fused),
+                ),
+                m_in, u, 1e-2,
+            )  # fmt: skip
+            assert not (exact & ~kept).any()
 
     @pytest.mark.parametrize(
         "dtype,tolerance", ((np.float64, LOGIT_TOLERANCE), (np.float32, 1e-5))
     )
-    @pytest.mark.parametrize("stable", (True, False))
-    def test_first_segment_narrower_than_later_ones(self, dtype, tolerance, stable):
+    def test_first_segment_narrower_than_later_ones(self, dtype, tolerance):
         """Range shards whose boundary falls just before a tile edge:
         shard 1 owns rows [31, 62) and the tiles are 16 rows, so its
         first segment is one row wide and its next sixteen — the
-        state's exponential workspace (zero-skip on) must grow."""
+        state's workspaces must not assume the first width, skipping
+        or not."""
         m_in, m_out, u = _random_memories(ns=62)
-        zero_skip = ZeroSkipConfig(0.5, mode="exp")
         kwargs = dict(num_shards=2, chunk=ChunkConfig(8), dtype=dtype)
-        ref = ShardedMemNN(m_in, m_out, **kwargs).output(
-            u, zero_skip=zero_skip, stable=stable
-        )
-        got = ShardedMemNN(
-            m_in, m_out, execution=ExecutionConfig(fused=True), **kwargs
-        ).output(u, zero_skip=zero_skip, stable=stable)
+        fused = dict(kwargs, execution=ExecutionConfig(fused=True))
+        ref = ShardedMemNN(m_in, m_out, **kwargs).output(u)
+        got = ShardedMemNN(m_in, m_out, **fused).output(u)
         # The one deferred divide is float64 whatever the memory is.
         assert got.output.dtype == np.float64
         np.testing.assert_allclose(
             got.output, ref.output, rtol=tolerance, atol=tolerance
         )
-        assert 0 < got.stats.rows_skipped == ref.stats.rows_skipped
-        assert [s.rows_computed for s in got.tier_stats()["shards"]] == [
-            s.rows_computed for s in ref.tier_stats()["shards"]
-        ]
+        kept = kept_rows(lambda a, b: ShardedMemNN(a, b, **fused), m_in, u, 0.5)
+        exact = probability_mode_mask(u @ m_in.T, 0.5)
+        assert 0 < kept.sum() < kept.size and not (exact & ~kept).any()
 
     def test_fused_over_mmap_store_matches_resident_fused(self, tmp_path):
         m_in, m_out, u = _random_memories()
@@ -548,7 +554,7 @@ class TestMulticoreConfig:
         )
 
     def test_multicore_preset_composition(self):
-        config = EngineConfig.parallel(4, dtype="float32")
+        config = EngineConfig.sharded(4).with_execution(num_workers=4)
         assert config.algorithm == "sharded"
         assert config.execution.backend == "process"
         assert config.execution.num_workers == 4

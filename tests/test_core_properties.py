@@ -4,7 +4,8 @@ These encode the paper's correctness invariants:
 
 * Eq. (4) equals Eq. (3) for *any* memory contents and chunking.
 * Partial outputs form a commutative monoid under merge.
-* Zero-skipping is monotone in its threshold.
+* Zero-skipping is monotone in its threshold, keeps every row the
+  exact rule keeps, and never drops a question's whole attention.
 * The early-exit gate's exit sets are nested in the threshold, ragged
   batches fold exactly like per-question passes, and retiring rows
   never perturbs the survivors.
@@ -28,8 +29,9 @@ from repro.core import (
     softmax,
 )
 from repro.core.early_exit import EXIT_FULL_DEPTH
+from repro.core.zero_skip import probability_mode_mask
 
-from .conftest import float64
+from .conftest import float64, kept_rows
 
 # Bounded floats keep exp() in a comfortable range for the equality
 # tests; the stability tests in test_core_algorithms cover the extremes.
@@ -119,26 +121,64 @@ def test_zero_skip_monotone_in_threshold(data, threshold, factor):
     """A higher threshold never computes more weighted-sum rows."""
     m_in, m_out, u, chunk = data
     engine = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=chunk))
-    low = engine.output(
-        u, zero_skip=ZeroSkipConfig(threshold, mode="probability")
-    ).stats
+    low = engine.output(u, zero_skip=ZeroSkipConfig(threshold)).stats
     high = engine.output(
-        u, zero_skip=ZeroSkipConfig(min(threshold * factor, 0.999), mode="probability")
+        u, zero_skip=ZeroSkipConfig(min(threshold * factor, 0.999))
     ).stats
     assert high.rows_computed <= low.rows_computed
 
 
 @settings(max_examples=40, deadline=None)
 @given(problem(), st.floats(min_value=0.001, max_value=0.5))
-def test_exp_mode_skip_identical_across_engines(data, threshold):
-    m_in, m_out, u, chunk = data
-    cfg = ZeroSkipConfig(threshold, mode="exp")
-    base = BaselineMemNN(m_in, m_out).output(u, zero_skip=cfg)
-    col = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=chunk)).output(
-        u, zero_skip=cfg
+def test_running_skip_keeps_a_superset_of_the_exact_rule(data, threshold):
+    """The single-pass rule decides against a running denominator no
+    larger than the final one, in any tiling: it keeps every row the
+    exact rule (the baseline's mask) keeps — up to the rounding of a
+    differently ordered sum, hence the 1e-12 margin."""
+    m_in, _, u, chunk = data
+    exact = probability_mode_mask(u @ m_in.T, threshold * (1 + 1e-12))
+    kept = kept_rows(
+        lambda a, b: ColumnMemNN(a, b, chunk=ChunkConfig(chunk_size=chunk)),
+        m_in, u, threshold,
     )
-    assert base.stats.rows_skipped == col.stats.rows_skipped
-    np.testing.assert_allclose(col.output, base.output, rtol=1e-9, atol=1e-12)
+    assert not (exact & ~kept).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=1, max_value=60),
+    st.floats(min_value=-30.0, max_value=30.0),
+    st.floats(min_value=0.0, max_value=1e-3),
+    st.floats(min_value=1e-4, max_value=0.99),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_flat_attention_keeps_a_row_per_question(
+    nq, ns, chunk, level, spread, threshold, seed
+):
+    """Scores within ``spread`` of one level: with fewer than ``1/th``
+    similar rows every probability is below ``th``, yet each question
+    keeps at least one row per scan — the running-max row a tile holds
+    has ``e = 1`` and is never cut — so its response is a finite
+    average of kept rows, not an empty sum."""
+    rng = np.random.default_rng(seed)
+    ed = 4
+    m_in = np.zeros((ns, ed))
+    m_in[:, 0] = level + spread * rng.uniform(-1.0, 1.0, size=ns)
+    u = np.zeros((nq, ed))
+    u[:, 0] = 1.0
+    kept = kept_rows(
+        lambda a, b: ColumnMemNN(a, b, chunk=ChunkConfig(chunk_size=chunk)),
+        m_in, u, threshold,
+    )
+    assert kept.any(axis=1).all()
+    m_out = rng.normal(size=(ns, ed))
+    result = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=chunk)).output(
+        u, zero_skip=ZeroSkipConfig(threshold)
+    )
+    assert np.isfinite(result.output).all()
+    assert result.stats.rows_computed >= nq
 
 
 @settings(max_examples=40, deadline=None)

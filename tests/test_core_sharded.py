@@ -20,11 +20,11 @@ from repro.core import (
     MnnFastEngine,
     ShardedMemNN,
     ShardPlan,
-    ZeroSkipConfig,
 )
 from repro.core.column import PartialOutput
+from repro.core.zero_skip import probability_mode_mask
 
-from .conftest import float64
+from .conftest import float64, kept_rows
 
 #: Documented agreement bound between answer-producing paths.
 TOLERANCE = 1e-10
@@ -87,17 +87,16 @@ class TestShardPlan:
 class TestShardedMatchesSingleShard:
     @pytest.mark.parametrize("policy", POLICIES)
     @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("stable", (True, False))
     def test_output_matches_column_and_baseline(
-        self, memories, u, num_shards, policy, stable
+        self, memories, u, num_shards, policy
     ):
         m_in, m_out = memories
         chunk = ChunkConfig(16)
-        column = ColumnMemNN(m_in, m_out, chunk=chunk).output(u, stable=stable)
-        baseline = BaselineMemNN(m_in, m_out).output(u, stable=stable)
+        column = ColumnMemNN(m_in, m_out, chunk=chunk).output(u)
+        baseline = BaselineMemNN(m_in, m_out).output(u)
         sharded = ShardedMemNN(
             m_in, m_out, num_shards=num_shards, policy=policy, chunk=chunk
-        ).output(u, stable=stable)
+        ).output(u)
         np.testing.assert_allclose(
             sharded.output, column.output, rtol=TOLERANCE, atol=TOLERANCE
         )
@@ -106,19 +105,17 @@ class TestShardedMatchesSingleShard:
         )
 
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_exp_mode_zero_skip_matches_column(self, memories, u, policy):
-        # Exp-mode skipping decides per raw score, so the decision is
-        # shard-independent: sharded == single-shard even with skipping.
-        m_in, m_out = memories
-        skip = ZeroSkipConfig(threshold=0.01, mode="exp")
-        column = ColumnMemNN(m_in, m_out).output(u, zero_skip=skip)
-        sharded = ShardedMemNN(m_in, m_out, num_shards=4, policy=policy).output(
-            u, zero_skip=skip
+    def test_zero_skip_keeps_exact_rows(self, memories, u, policy):
+        # A shard decides against its own running denominator, never
+        # larger than the merged one: it keeps every row the exact rule
+        # keeps (and, the merge being exact, nothing else changes).
+        m_in, _ = memories
+        exact = probability_mode_mask(u @ m_in.T, 0.01)
+        kept = kept_rows(
+            lambda a, b: ShardedMemNN(a, b, num_shards=4, policy=policy),
+            m_in, u, 0.01,
         )
-        np.testing.assert_allclose(
-            sharded.output, column.output, rtol=TOLERANCE, atol=TOLERANCE
-        )
-        assert sharded.stats.rows_skipped == column.stats.rows_skipped
+        assert exact.any() and not (exact & ~kept).any()
 
     def test_shard_stats_reported_per_shard(self, memories, u):
         m_in, m_out = memories

@@ -75,8 +75,6 @@ def tiled_problem(draw):
         hot_counts,
         draw(st.integers(min_value=0, max_value=2**32 - 1)),
         draw(st.sampled_from([np.float64, np.float32])),
-        draw(st.booleans()),
-        draw(st.sampled_from(["exp", "probability"])),
         # 0 disables skipping; 1e-300 keeps every column; the others
         # keep the hot columns only.
         draw(st.sampled_from([0.0, 1e-300, 0.01, 0.5])),
@@ -86,15 +84,15 @@ def tiled_problem(draw):
 @settings(max_examples=80, deadline=None)
 @given(tiled_problem())
 def test_sparse_readout_equals_dense_readout(problem):
-    width, widths, hot_counts, seed, dtype, stable, mode, threshold = problem
+    width, widths, hot_counts, seed, dtype, threshold = problem
     u, m_in, m_out = _hot_cold_memory(
         np.random.default_rng(seed), widths, hot_counts
     )
-    skip = ZeroSkipConfig(threshold=threshold, mode=mode)
+    skip = ZeroSkipConfig(threshold=threshold)
     solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(width), dtype=dtype)
-    partial, stats = solver.partial_output(u, zero_skip=skip, stable=stable)
+    partial, stats = solver.partial_output(u, zero_skip=skip)
     weighted, denom, log_max, rows_kept = seed_partial(
-        m_in, m_out, u, width, dtype, stable, skip if skip.enabled else None
+        m_in, m_out, u, width, dtype, skip if skip.enabled else None
     )
     # The running state that decides the masks is untouched ...
     assert partial.denom.tobytes() == denom.tobytes()
@@ -124,14 +122,13 @@ ARRANGEMENTS = {
 
 
 @pytest.mark.parametrize("arrangement", ARRANGEMENTS.values(), ids=ARRANGEMENTS.keys())
-@pytest.mark.parametrize("mode", ["exp", "probability"])
-def test_skipped_output_rows_are_not_read(rng, arrangement, mode):
+def test_skipped_output_rows_are_not_read(rng, arrangement):
     """Poison every ``M_OUT`` row no question keeps: a readout that
     multiplies it by a zero weight turns the output into NaN, one that
     skips it never sees the poison."""
     width = 256
     u, m_in, m_out = _hot_cold_memory(rng, [width] * 4, [3, 0, 1, 2])
-    skip = ZeroSkipConfig(threshold=0.01, mode=mode)
+    skip = ZeroSkipConfig(threshold=0.01)
     kept = (u @ m_in.T > 0).any(axis=0)  # the hot rows
     assert 0 < kept.sum() <= len(kept) // SPARSE_MAX_KEPT_INVERSE
     poisoned = np.where(kept[:, None], m_out, np.nan)
@@ -154,11 +151,11 @@ def test_narrow_tiles_keep_the_dense_readout(rng):
     kept (finding and gathering them costs more than a narrow GEMM)."""
     width = SPARSE_MIN_COLUMNS - 1
     u, m_in, m_out = _hot_cold_memory(rng, [width, width], [1, 0])
-    skip = ZeroSkipConfig(0.01, mode="exp")
+    skip = ZeroSkipConfig(0.01)
     partial, _ = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(width)).partial_output(
         u, zero_skip=skip
     )
-    weighted, *_ = seed_partial(m_in, m_out, u, width, np.float64, True, skip)
+    weighted, *_ = seed_partial(m_in, m_out, u, width, np.float64, skip)
     assert partial.weighted.tobytes() == weighted.tobytes()
 
 
@@ -183,7 +180,7 @@ class TestRunRows:
         runs = np.array([[5, 140], [300, 301], [310, 700], [880, 900]])
         rows = np.concatenate([np.arange(a, b) for a, b in runs])
         chunk = ChunkConfig(SPARSE_MIN_COLUMNS)
-        for skip in (None, ZeroSkipConfig(0.2), ZeroSkipConfig(0.5, mode="exp")):
+        for skip in (None, ZeroSkipConfig(0.2), ZeroSkipConfig(0.5)):
             scanned = ColumnMemNN(m_in, m_out, chunk=chunk).output(
                 u, zero_skip=skip, runs=runs
             )

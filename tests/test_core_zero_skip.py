@@ -6,27 +6,7 @@ import pytest
 from repro.core import ChunkConfig, ColumnMemNN, ZeroSkipConfig
 from repro.core.column import TileState
 from repro.core.numerics import softmax
-from repro.core.zero_skip import exp_mode_mask, probability_mode_mask, reduction_ratio
-
-
-class TestExpModeMask:
-    def test_keeps_scores_above_log_threshold(self):
-        scores = np.array([[-3.0, 0.0, 2.0]])
-        mask = exp_mode_mask(scores, threshold=0.5)  # log(0.5) ~ -0.69
-        np.testing.assert_array_equal(mask, [[False, True, True]])
-
-    def test_zero_threshold_keeps_all(self, rng):
-        scores = rng.normal(size=(3, 10))
-        assert exp_mode_mask(scores, 0.0).all()
-
-    def test_no_overflow_for_huge_scores(self):
-        # e^{5000} is not representable; the log-space compare is exact.
-        mask = exp_mode_mask(np.array([5000.0, -5000.0]), threshold=0.1)
-        np.testing.assert_array_equal(mask, [True, False])
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValueError):
-            exp_mode_mask(np.zeros(3), 1.5)
+from repro.core.zero_skip import probability_mode_mask, reduction_ratio
 
 
 class TestProbabilityModeMask:
@@ -67,7 +47,7 @@ class TestRunningProbabilityMask:
         columns.  One-hot output rows: column i of the weighted sum is
         row i's masked exponential, so the kept set is its support."""
         nq, ns = scores.shape
-        state = TileState(nq, ns, ZeroSkipConfig(0.1), stable=True)
+        state = TileState(nq, ns, 0.1)
         one_hot = np.eye(ns)
         for lo in range(0, ns, chunk):
             state.fold(scores[:, lo : lo + chunk].copy(), one_hot[lo : lo + chunk])

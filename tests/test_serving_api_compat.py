@@ -121,16 +121,6 @@ class TestEngineUnification:
         np.testing.assert_allclose(baseline, column, rtol=1e-12)
         np.testing.assert_allclose(baseline.sum(axis=1), 1.0)
 
-    def test_attention_honors_stable_softmax_flag(self):
-        stable = self._engine(
-            EngineConfig(algorithm="column", stable_softmax=True)
-        ).attention(self._questions())
-        unstable = self._engine(
-            EngineConfig(algorithm="column", stable_softmax=False)
-        ).attention(self._questions())
-        # Well-conditioned scores: both softmax forms agree.
-        np.testing.assert_allclose(stable, unstable, rtol=1e-9)
-
     def test_attention_accepts_vector_cache(self):
         config = _small_network()
         cache = EmbeddingCache(

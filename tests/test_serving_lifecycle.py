@@ -40,7 +40,9 @@ def _server(batch_size=4, max_wait=10 * US, hops=1, **kwargs) -> QaServer:
     return QaServer(
         ServerConfig(
             network=_network(hops),
-            engine=EngineConfig.batched(batch_size, max_wait=max_wait),
+            engine=EngineConfig.mnnfast().with_batching(
+                batch_size, max_wait=max_wait
+            ),
             **kwargs,
         )
     )
@@ -77,7 +79,10 @@ class TestBatchOfOne:
         workload = generate_workload(30_000, 500, 0.01, seed=3)
         default = QaServer(ServerConfig(), seed=4).run(workload)
         capped = QaServer(
-            ServerConfig(engine=EngineConfig.batched(1, max_wait=2e-3)), seed=4
+            ServerConfig(
+                engine=EngineConfig.mnnfast().with_batching(1, max_wait=2e-3)
+            ),
+            seed=4,
         ).run(workload)
         assert [s.latency for s in capped.samples] == [
             s.latency for s in default.samples
@@ -227,9 +232,9 @@ class TestSampledExits:
         server = QaServer(
             ServerConfig(
                 network=_network(hops=4),
-                engine=EngineConfig.batched(8, max_wait=10 * US).with_early_exit(
-                    0.2, min_hops=1
-                ),
+                engine=EngineConfig.mnnfast()
+                .with_batching(8, max_wait=10 * US)
+                .with_early_exit(0.2, min_hops=1),
                 workers=2,
             ),
             seed=5,
@@ -270,7 +275,7 @@ class TestLedger:
         server = QaServer(
             ServerConfig(
                 network=_network(hops=2),
-                engine=EngineConfig.batched(
+                engine=EngineConfig.mnnfast().with_batching(
                     batch_size, max_wait=200 * US
                 ).with_early_exit(0.1, min_hops=1),
                 workers=2,

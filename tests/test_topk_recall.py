@@ -22,8 +22,16 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core import EngineConfig, EngineWeights, MemNNConfig, MnnFastEngine
-from repro.index import synthetic_topical_workload
+from repro.core import (
+    EngineConfig,
+    EngineWeights,
+    MemNNConfig,
+    MnnFastEngine,
+    TopKConfig,
+    ZeroSkipConfig,
+)
+from repro.core.zero_skip import probability_mode_mask
+from repro.index import TopKMemNN, synthetic_topical_workload
 
 AGREEMENT_FLOOR = 0.99
 RECALL_FLOOR = 0.95
@@ -32,14 +40,13 @@ LOGIT_TOLERANCE = 1e-10  # fallback mode — same bound as the exact paths
 NS, ED, NW, VOCAB = 4_096, 32, 8, 2_000
 NQ_BATCH, NUM_BATCHES = 8, 16  # 128 questions: floors hold a 1-miss slack
 
-#: Zero-skip grid dimension uses *exp-mode* thresholds: the keep
-#: decision depends only on raw scores, so it is identical on the
-#: candidate subset and the full memory (the same subset-independence
-#: the sharded suite relies on) and the grid isolates the retrieval
-#: approximation.  Probability-mode thresholds renormalize over the
-#: candidate set by definition — that interaction is pinned separately
-#: in :func:`test_probability_skip_renormalizes_over_candidates`.
-ZERO_SKIPS = (0.0, 0.01)
+#: Zero-skip grid dimension.  A candidate scan's running denominators
+#: never exceed the full memory's, so on the candidates it keeps every
+#: row the exact engine keeps; at 0.001 the floors hold with the
+#: retrieval approximation on top.  Thresholds that bite harder
+#: (0.01 already costs 4 of 128 answers) are pinned separately in
+#: :func:`test_probability_skip_renormalizes_over_candidates`.
+ZERO_SKIPS = (0.0, 0.001)
 STORES = ("resident", "mmap")
 SHARDS = (1, 3)
 
@@ -61,7 +68,7 @@ def workload():
 def _grid_config(zero_skip, store, shards, tmp_path) -> EngineConfig:
     config = EngineConfig(algorithm="column")
     if zero_skip:
-        config = config.with_zero_skip(zero_skip, mode="exp")
+        config = config.with_zero_skip(zero_skip)
     if shards > 1:
         config = config.with_sharding(shards)
     if store == "mmap":
@@ -134,6 +141,29 @@ def test_probability_skip_renormalizes_over_candidates(workload):
         for e, t in zip(exact, topk)
     )
     assert agree / len(questions) >= 0.95
+
+
+def test_candidate_scan_keeps_every_row_the_exact_rule_keeps():
+    """On the rows it scans, the tier's skip rule keeps every row the
+    exact rule keeps — a candidate scan's running denominators never
+    exceed the full memory's — and it reads no other row."""
+    rng = np.random.default_rng(3)
+    ns, ed = 512, 8
+    m_in, u = rng.normal(size=(ns, ed)), rng.normal(size=(4, ed))
+    exact = probability_mode_mask(u @ m_in.T, 0.01)
+    # One-hot M_OUT, M_IN and u zero-padded to match: response column i
+    # is row i's kept weight.
+    pad = ((0, 0), (0, ns - ed))
+    config = TopKConfig(nprobe=2, min_rows=0, record_candidates=True)
+    result = TopKMemNN(np.pad(m_in, pad), np.eye(ns), config=config).output(
+        np.pad(u, pad), zero_skip=ZeroSkipConfig(0.01)
+    )
+    kept = result.output != 0
+    scanned = np.zeros(ns, dtype=bool)
+    scanned[list(result.index_stats.candidates)] = True
+    assert 0 < scanned.sum() < ns and not kept[:, ~scanned].any()
+    assert exact[:, scanned].any()
+    assert not (exact[:, scanned] & ~kept[:, scanned]).any()
 
 
 @pytest.mark.parametrize(
