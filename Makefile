@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test test-fast test-slowest bench bench-smoke bench-core serving \
-	perfbench perfbench-compare perfbench-smoke loc
+	perfbench perfbench-compare perfbench-smoke loc kernel
 
 check: lint test
 
@@ -18,6 +18,13 @@ lint:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Build (or load from the cache) the compiled tile fold, src/repro/core/
+# _fold.c, and print which fold TileState runs: "c", or "numpy: <why>".
+# CI runs it before `make check`, so the first compile (about a second)
+# never lands inside one test's PYTEST_MAX_TEST_SECONDS budget.
+kernel:
+	@$(PYTHON) -c 'from repro.core import fold_backend; print("fold:", fold_backend())'
 
 # Skip the slow (model-training) tests for a quick local loop.
 test-fast:
@@ -86,8 +93,9 @@ perfbench-smoke:
 	$(PYTHON) benchmarks/perfbench/run.py --workload table1_batch --trace 1 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload docqa_sessions --trace 1 > /dev/null
 
-# Line counts ROADMAP.md tracks (aim 2: src/ should go down).
+# Line counts ROADMAP.md tracks (aim 2: src/ should go down); src/
+# counts its C source too.
 loc:
 	@for dir in src tests benchmarks; do \
-		printf '%-11s %s\n' $$dir "$$(find $$dir -name '*.py' | xargs cat | wc -l)"; \
+		printf '%-11s %s\n' $$dir "$$(find $$dir -name '*.py' -o -name '*.c' | xargs cat | wc -l)"; \
 	done

@@ -2,6 +2,7 @@
 
 * :mod:`repro.core.baseline` — the baseline MemNN dataflow (Fig. 5a).
 * :mod:`repro.core.column` — column-based algorithm + lazy softmax (Fig. 5b).
+* :mod:`repro.core.compiled_fold` — its tile fold in C, built on first use.
 * :mod:`repro.core.zero_skip` — zero-skipping masks (§3.2).
 * :mod:`repro.core.engine` — the end-to-end inference facade.
 """
@@ -9,6 +10,7 @@
 from .baseline import BaselineMemNN
 from .cache import TraceCacheMixin, TraceVectorCache, VectorCache
 from .column import ColumnMemNN, PartialOutput, merge_partials, partition_memory
+from .compiled_fold import fold_backend
 from .config import (
     CPU_CONFIG,
     FPGA_CONFIG,
@@ -47,6 +49,7 @@ __all__ = [
     "PartialOutput",
     "merge_partials",
     "partition_memory",
+    "fold_backend",
     "ShardedMemNN",
     "ShardPlan",
     "SHARD_POLICIES",

@@ -28,17 +28,19 @@ That accumulation is written once, in :class:`TileState`: every
 arrangement — :class:`ColumnMemNN` over one memory, the per-shard
 kernels and the fused tile sweep of :mod:`repro.core.sharded`, the
 worker processes of :mod:`repro.core.execution` — scores a tile and
-folds it into a state (DESIGN.md §10).  The first fold *initialises*
-the state (the tile's score maximum, exponential sum and weighted sum
-are the state) and later folds rescale into it allocation-free.  The
-tile's score block is the only ``(nq, n)`` float array of a fold: it is
-turned in place into shifted scores, then exponentials, and the
-zero-skip decision (§3.2) is taken on those exponentials — the ones the
-denominator just summed — as ``e >= th * S``; the no-skip path never
-materializes a keep-mask, ``(nq, ed)`` intermediates go through
-``np.matmul(..., out=)``, and the running-max rescale short-circuits
-when no question's maximum grew.  A memory of at most one chunk
-therefore pays for one tile's arithmetic and nothing else.
+folds it into a state (DESIGN.md §10).  The fold is a C loop per
+question row (``_fold.c``, built on first use by
+:mod:`repro.core.compiled_fold`), or NumPy passes where no C compiler
+is available.  The first fold *initialises* the state (the tile's score
+maximum, exponential sum and weighted sum are the state) and later
+folds rescale into it allocation-free.  The tile's score block is the
+only ``(nq, n)`` float array of a fold: it is turned in place into
+exponentials under the running max, and the zero-skip decision (§3.2)
+is taken on those exponentials — the ones the denominator just summed
+— as ``e >= th * S``, with only the kept rows' ``M_OUT`` read; the
+running-max rescale short-circuits when no question's maximum grew.  A
+memory of at most one chunk therefore pays for one tile's arithmetic
+and nothing else.
 Shifted scores are floored at ``log(tiny)`` before exponentiation so
 deeply improbable rows cost a normal-range multiply instead of a
 subnormal one (x86 handles subnormals in microcode, ~100x slower — on
@@ -47,6 +49,7 @@ float32 this turned the whole pass over).
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import time
 from dataclasses import dataclass
@@ -60,6 +63,7 @@ import numpy as np
 from ..store.base import SUPPORTED_DTYPES, MemoryStore, StoreStats, check_dtype
 from ..store.prefetch import ChunkPrefetcher
 from ..store.resident import ResidentStore
+from . import compiled_fold
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
 from .results import InferenceResult
 from .stats import OpStats
@@ -77,8 +81,9 @@ __all__ = [
 ]
 
 
-#: Zero-skip readout rule (§3.2): a tile at least this wide whose kept
-#: columns — the rows any question kept — are at most one in
+#: The NumPy fold's zero-skip readout rule (§3.2; the compiled fold reads
+#: the kept rows only, on every tile): a tile at least this wide whose
+#: kept columns — the rows any question kept — are at most one in
 #: ``SPARSE_MAX_KEPT_INVERSE`` has its weighted sum taken over those
 #: columns only, so skipped ``M_OUT`` rows are never read.  Narrower or
 #: denser tiles multiply by the keep-mask and run the dense GEMM: on a
@@ -207,19 +212,24 @@ class TileState:
     with the online running max).  Every arrangement drives it the same
     way: score a tile, :meth:`fold` it, take :meth:`partial` at the end.
 
-    The first fold *initialises* the state from its tile (nothing has
-    been accumulated, so there is nothing to rescale); later folds
-    rescale into it through ``(nq, ed)`` ``out=`` workspaces that exist
-    only once a second tile does, so a one-tile scan pays for one
-    tile's arithmetic and nothing else.  No fold holds an ``(nq, n)``
-    float array of its own: the tile's score block is overwritten.
+    Two folds implement it.  The compiled fold (``_fold.c``, loaded by
+    :mod:`~repro.core.compiled_fold`) runs wherever the system C
+    compiler could build it: one C loop per question row, the state in
+    one float64 buffer allocated, and its pointers taken, at the first
+    fold.  The NumPy fold runs otherwise, and referees the compiled one
+    in the tests.  The first fold *initialises* the state from its tile
+    (nothing has been accumulated, so there is nothing to rescale); the
+    NumPy fold's later folds rescale into it through ``(nq, ed)``
+    ``out=`` workspaces that exist only once a second tile does.  No
+    fold holds an ``(nq, n)`` float array of its own: the tile's score
+    block is overwritten.
 
     Two precisions (DESIGN.md §10): a tile's arithmetic runs in the
     memory's dtype (``log_max`` is a score and keeps it); ``(denom,
-    acc)``, carried across tiles, are float64.  A float32 tile's sums
-    are exact float64 values, so the widening waits for a second tile:
-    a one-tile scan never casts, a 100 M-row scan adds its 10^5 tile
-    partials in float64.
+    acc)``, carried across tiles, are float64.  The compiled fold sums
+    each tile's exponentials in float64; the NumPy fold sums a float32
+    tile in float32 — exact float64 values — and widens its state when
+    a second tile arrives.
 
     Args:
         nq, ed: question count and embedding width (the shape of the
@@ -230,7 +240,7 @@ class TileState:
 
     __slots__ = (
         "_shape", "_threshold", "rows_kept",
-        "_log_max", "_denom", "_acc", "_fold_ws",
+        "_log_max", "_denom", "_acc", "_fold_ws", "_kernels", "_compiled",
     )  # fmt: skip
 
     def __init__(self, nq: int, ed: int, threshold: float = 0.0) -> None:
@@ -239,19 +249,30 @@ class TileState:
         #: Question-row pairs whose exponential survived zero-skipping.
         self.rows_kept = 0
         self._log_max = self._denom = self._acc = None
-        # From the second tile on, the ``(contrib, tile_max, new_max)``
-        # out= buffers of a rescaling fold.
+        # NumPy fold: from the second tile on, the ``(contrib, tile_max,
+        # new_max)`` out= buffers of a rescaling fold.  Compiled fold:
+        # the tile-dtype ``(nq, ed)`` product of a no-skip tile.
         self._fold_ws = None
+        # The compiled fold by dtype (None: the NumPy fold), and from
+        # the first fold on ``(kernel, FoldState, its address)``.
+        self._kernels = compiled_fold.kernels()
+        self._compiled = None
 
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
-        **overwritten** — it is the fold's only ``(nq, n)`` float array,
-        turned in place into shifted scores, then exponentials, then
-        (narrow or dense tiles under zero-skipping) masked exponentials;
+        **overwritten** — it is the fold's only ``(nq, n)`` float array;
         ``tile_out`` its ``(n, ed)`` output-memory rows — an array, or
-        a lazy view (:class:`RunRows`) that is indexed by the kept
-        columns when the readout goes sparse and converted to an array
-        otherwise.
+        a lazy view (:class:`RunRows`) from which only the rows the
+        readout needs are read.
+
+        On return every cell of ``scores`` holds its floored exponential
+        under the running max, ``exp(max(s - log_max, exp_floor))`` in
+        the tile dtype — or 0, where zero-skipping dropped the cell and
+        the NumPy fold took the dense readout (a narrow or dense tile).
+        The compiled fold (:mod:`~repro.core.compiled_fold`) runs when
+        it is available, the NumPy fold (``_fold_numpy``) otherwise;
+        they agree to the tile dtype's rounding of ``exp`` and of the
+        sums (float32: ``FLOAT32_LOGIT_TOLERANCE`` on logits).
 
         Zero-skipping decides on the exponentials it sums: a row is
         kept iff ``e >= min(th * S, 1)``, with ``S`` the running
@@ -260,6 +281,72 @@ class TileState:
         clamp only lowers the cut, so this skips a subset of what the
         exact rule (:func:`~repro.core.zero_skip.probability_mode_mask`)
         would."""
+        if self._acc is None and self._kernels is not None:
+            self._start_compiled(scores.dtype)
+        if self._compiled is None:
+            self._fold_numpy(scores, tile_out)
+            return
+        kernel, _, address = self._compiled
+        pointer = compiled_fold.struct_pointer
+        # The capsules stay referenced until the call returns: each owns
+        # the struct its pointer addresses.  The kernel checks every
+        # array against the state before it reads or writes one.
+        block = scores.__array_struct__
+        if not self._threshold:
+            # Max, exp and sum in C; the dense weighted sum in BLAS.
+            kept = kernel(address, pointer(block, None), None, None, None)
+            if kept >= 0:
+                contrib = self._fold_ws
+                if contrib is None:
+                    contrib = self._fold_ws = np.empty(self._shape, scores.dtype)
+                np.matmul(scores, tile_out, out=contrib)
+                self._acc += contrib
+        elif type(tile_out) is RunRows:
+            rows = tile_out._rows.__array_struct__
+            bounds = tile_out._bounds.__array_struct__
+            shifts = tile_out._shifts.__array_struct__
+            kept = kernel(
+                address, pointer(block, None), pointer(rows, None),
+                pointer(bounds, None), pointer(shifts, None),
+            )  # fmt: skip
+        else:
+            rows = tile_out.__array_struct__
+            kept = kernel(
+                address, pointer(block, None), pointer(rows, None), None, None
+            )
+        if kept < 0:
+            raise ValueError(compiled_fold.FOLD_ERRORS[kept])
+        self.rows_kept += kept
+
+    def _start_compiled(self, dtype: np.dtype) -> None:
+        """Allocate the running state for the compiled fold (when it
+        has a kernel for ``dtype``) and take its pointers, once."""
+        kernel = self._kernels.get(dtype)
+        if kernel is None:
+            return
+        nq, ed = self._shape
+        # One zeroed buffer, one pointer: denom, acc, then log_max (in
+        # the tile dtype, one float64 slot per question).  (A ctypes
+        # buffer has a cheaper address but bypasses NumPy's small-block
+        # cache: it left out_of_core_stream's peak RSS 3 MB higher.)
+        state = np.zeros(nq * (ed + 2))
+        self._denom = state[:nq]
+        self._acc = state[nq : nq * (ed + 1)].reshape(nq, ed)
+        self._log_max = state[nq * (ed + 1) :].view(dtype)[:nq]
+        base = state.ctypes.data
+        fold_state = compiled_fold.FoldState(
+            nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1),
+            self._threshold, float(exp_floor(dtype)), 0,
+        )  # fmt: skip
+        self._compiled = (kernel, fold_state, ctypes.addressof(fold_state))
+
+    def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
+        """The fold in NumPy passes: the reference the compiled fold is
+        tested against, and the fold wherever it cannot be built.  A
+        float32 tile's sums are float32 here, so its state widens to
+        float64 when a second tile arrives; a narrow or dense tile
+        under zero-skipping is masked in place and read out by a dense
+        GEMM, a wide sparse one gathers its kept columns."""
         first = self._acc is None
         if first:
             self._log_max = scores.max(axis=1)
@@ -366,8 +453,9 @@ class RunRows:
         self, rows: np.ndarray, bounds: Sequence[int], shifts: Sequence[int]
     ) -> None:
         self._rows = rows
-        self._bounds = np.asarray(bounds, dtype=np.intp)
-        self._shifts = np.asarray(shifts, dtype=np.intp)
+        # int64 whatever the platform: the compiled fold reads them.
+        self._bounds = np.asarray(bounds, dtype=np.int64)
+        self._shifts = np.asarray(shifts, dtype=np.int64)
 
     def __getitem__(self, cols: np.ndarray) -> np.ndarray:
         piece = np.searchsorted(self._bounds, cols, side="right") - 1

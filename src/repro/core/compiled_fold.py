@@ -1,0 +1,260 @@
+"""The compiled tile fold: ``_fold.c``, built by the system C compiler
+on first use and loaded through :mod:`ctypes` (DESIGN.md §10,
+"Compiled fold").
+
+:class:`~repro.core.column.TileState` asks :func:`kernels` once per
+scan.  The library is built or loaded once per process, on the first
+fold; with no compiler, a failed build or a library that will not load,
+:func:`kernels` is ``None`` and the NumPy fold runs — :func:`fold_backend`
+says which fold is active and why.  There is no switch: the NumPy fold
+runs exactly when the C one cannot.
+
+Build and cache rules:
+
+* The source ships as package data (``repro/core/_fold.c``) and is
+  compiled with :data:`FLAGS` — tuned for the CPU it runs on.
+* The library is cached under ``$XDG_CACHE_HOME/repro`` (default
+  ``~/.cache/repro``), or a per-user directory in the temp dir when
+  that is not usable, as ``fold-<key>.so``.  The key digests the
+  source, the compiler binary, the flags, ``platform.machine()`` and
+  the CPU's ISA flags, so a cache hit runs no compiler and a library
+  built for one CPU is never loaded on another.
+* A build writes a temp file in the cache directory and ``os.replace``-s
+  it into place, so process workers building at once each end up with a
+  whole library.  A cached file shorter than its own ELF header says (a
+  truncated or overwritten library) is rebuilt, not loaded.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import importlib.resources
+import os
+import platform
+import shutil
+import struct
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+__all__ = ["FLAGS", "FoldState", "exp", "fold_backend", "kernels", "load"]
+
+#: ``-march=native``: the vector width and FMA of the host (a generic
+#: ``-O3`` build folds a 16-question tile at 1.7x the NumPy fold's
+#: speed, this one at 3.3x — DESIGN.md §10).  ``-ffp-contract=off``: the
+#: only fused multiply-adds are the ones ``_fold.c`` writes, so vector
+#: and scalar code round alike.
+FLAGS = (
+    "-O3", "-march=native", "-fopenmp-simd", "-ffp-contract=off",
+    "-fPIC", "-shared",
+)  # fmt: skip
+
+#: A build slower than this is abandoned (the NumPy fold runs).
+BUILD_TIMEOUT_S = 120
+
+_DTYPES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+
+#: ``repro_fold``'s negative returns: which argument failed its check.
+FOLD_ERRORS = {
+    -1: "scores must be a writable, aligned (nq, n) block of the state's dtype",
+    -2: "output rows must be an aligned (n, ed) array of the scores' dtype",
+    -3: "RunRows pieces must tile the block and index rows of the memory",
+}
+
+#: ``struct_pointer(array.__array_struct__, None)``: the address of the
+#: array's ``PyArrayInterface`` (NumPy's array interface protocol), valid
+#: while the capsule is alive.  It carries data pointer, shape, strides,
+#: dtype and flags in one ~0.4 us lookup — ``array.ctypes.data`` alone
+#: costs ~1.2 us, a quarter of a one-question tile's whole fold.
+struct_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+class FoldState(ctypes.Structure):
+    """``fold_state`` of ``_fold.c``: one scan's running state, by
+    pointer into the arrays a :class:`~repro.core.column.TileState`
+    owns (they must outlive it)."""
+
+    _fields_ = [
+        ("nq", ctypes.c_int64),
+        ("ed", ctypes.c_int64),
+        ("denom", ctypes.c_void_p),
+        ("acc", ctypes.c_void_p),
+        ("log_max", ctypes.c_void_p),
+        ("threshold", ctypes.c_double),
+        ("floor", ctypes.c_double),
+        ("folded", ctypes.c_int64),
+    ]
+
+
+def find_compiler() -> str | None:
+    """The system C compiler, or ``None``."""
+    return shutil.which("cc")
+
+
+def _cpu_flags() -> str:
+    """The CPU's ISA flags (``/proc/cpuinfo``), else its name."""
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _cache_dir() -> Path | None:
+    """The first usable cache directory: ours, writable, and writable
+    by no one else (a library loaded from it runs in this process)."""
+    base = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    uid = os.getuid() if hasattr(os, "getuid") else None
+    for directory in (
+        Path(base) / "repro",
+        Path(tempfile.gettempdir()) / f"repro-{uid if uid is not None else 'cache'}",
+    ):
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            status = directory.stat()
+        except OSError:
+            continue
+        private = uid is None or (
+            status.st_uid == uid and not status.st_mode & 0o022
+        )
+        if private and os.access(directory, os.W_OK):
+            return directory
+    return None
+
+
+def _key(compiler: str, source: bytes) -> str:
+    binary = os.path.realpath(compiler)
+    stat = os.stat(binary)
+    digest = hashlib.sha256()
+    for part in (
+        source,
+        f"{binary}:{stat.st_size}:{stat.st_mtime_ns}",
+        " ".join(FLAGS),
+        platform.machine(),
+        _cpu_flags(),
+    ):
+        digest.update(part if isinstance(part, bytes) else part.encode())
+        digest.update(b"\0")
+    return digest.hexdigest()[:32]
+
+
+def _intact(path: Path) -> bool:
+    """Whether an ELF library is as long as its header says: the
+    section header table a linker writes last must fit in the file.
+    (Other formats are left to the loader.)"""
+    with open(path, "rb") as file:
+        head = file.read(64)
+    if not sys.platform.startswith("linux"):
+        return True
+    if len(head) < 52 or head[:4] != b"\x7fELF" or head[4] not in (1, 2):
+        return False
+    order = "<" if head[5] == 1 else ">"
+    if head[4] == 1:
+        (offset,) = struct.unpack_from(order + "I", head, 0x20)
+        entry_size, entries = struct.unpack_from(order + "HH", head, 0x2E)
+    else:
+        (offset,) = struct.unpack_from(order + "Q", head, 0x28)
+        entry_size, entries = struct.unpack_from(order + "HH", head, 0x3A)
+    return path.stat().st_size >= offset + entry_size * entries
+
+
+def _build(compiler: str, source: Path, target: Path) -> str | None:
+    """Compile ``source`` into ``target``; the error, or ``None``."""
+    fd, partial = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
+    os.close(fd)
+    try:
+        done = subprocess.run(
+            [compiler, *FLAGS, "-o", partial, str(source), "-lm"],
+            capture_output=True, text=True, timeout=BUILD_TIMEOUT_S, check=False,
+        )  # fmt: skip
+        if done.returncode != 0:
+            lines = done.stderr.strip().splitlines() or [f"exit {done.returncode}"]
+            return f"build failed: {lines[-1]}"
+        os.replace(partial, target)
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"build failed: {exc}"
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
+def _open(path: Path) -> ctypes.CDLL | None:
+    """The library at ``path`` with its entry points declared, and its
+    folds by dtype as ``library.folds``; ``None`` if it will not load."""
+    try:
+        library = ctypes.CDLL(str(path))
+        library.folds = {}
+        for dtype, suffix in _DTYPES.items():
+            fold = getattr(library, f"repro_fold_{suffix}")
+            # (state, scores, rows, bounds, shifts): the FoldState's
+            # address, then array_interface() pointers (or None).
+            fold.argtypes = [ctypes.c_void_p] * 5
+            fold.restype = ctypes.c_int64
+            library.folds[dtype] = fold
+            exp_ = getattr(library, f"repro_exp_{suffix}")
+            exp_.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+            exp_.restype = None
+    except (OSError, AttributeError):
+        return None
+    return library
+
+
+@functools.lru_cache(maxsize=None)
+def load() -> tuple[ctypes.CDLL | None, str]:
+    """``(library, "c")``, or ``(None, reason)`` when the NumPy fold
+    must run.  Builds or loads once per process."""
+    compiler = find_compiler()
+    if compiler is None:
+        return None, "no C compiler (cc) on PATH"
+    directory = _cache_dir()
+    if directory is None:
+        return None, "no writable cache directory"
+    resource = importlib.resources.files(__package__).joinpath("_fold.c")
+    with importlib.resources.as_file(resource) as source:
+        target = directory / f"fold-{_key(compiler, source.read_bytes())}.so"
+        library = _open(target) if target.exists() and _intact(target) else None
+        if library is None:
+            error = _build(compiler, source, target)
+            if error is not None:
+                return None, error
+            library = _open(target)
+    if library is None:
+        return None, f"cannot load {target}"
+    return library, "c"
+
+
+def kernels() -> dict | None:
+    """The compiled fold by tile dtype, or ``None``."""
+    library = load()[0]
+    return None if library is None else library.folds
+
+
+def fold_backend() -> str:
+    """The active tile fold: ``"c"``, or ``"numpy: <reason>"``."""
+    library, reason = load()
+    return "c" if library is not None else f"numpy: {reason}"
+
+
+def exp(x: np.ndarray) -> np.ndarray:
+    """The compiled fold's exponential, elementwise (float32: the
+    polynomial of ``_fold.c``; float64: libm's ``exp``) — what the fold
+    computes from a floored shifted score.  Needs the library."""
+    library = load()[0]
+    if library is None:
+        raise RuntimeError(f"the compiled fold is not available ({fold_backend()})")
+    x = np.ascontiguousarray(x)
+    out = np.empty_like(x)
+    function = getattr(library, f"repro_exp_{_DTYPES[x.dtype]}")
+    function(x.ctypes.data, out.ctypes.data, x.size)
+    return out

@@ -94,14 +94,18 @@ class ShardPlan:
 
     def indices(self, shard: int) -> np.ndarray:
         """Row indices owned by ``shard`` (sorted, possibly empty)."""
+        rows = self._rows(shard)
+        return np.arange(rows.start, rows.stop, rows.step)
+
+    def _rows(self, shard: int) -> range:
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard must be in [0, {self.num_shards}), got {shard}"
             )
         if self.policy == "contiguous":
             bounds = self._bounds()
-            return np.arange(bounds[shard], bounds[shard + 1])
-        return np.arange(shard, self.num_rows, self.num_shards)
+            return range(bounds[shard], bounds[shard + 1])
+        return range(shard, self.num_rows, self.num_shards)
 
     def _bounds(self) -> np.ndarray:
         return np.linspace(0, self.num_rows, self.num_shards + 1, dtype=int)
@@ -119,8 +123,9 @@ class ShardPlan:
         return list(self)
 
     def shard_rows(self, shard: int) -> int:
-        """Number of rows in ``shard``."""
-        return len(self.indices(shard))
+        """Number of rows in ``shard`` — counted, not enumerated (the
+        fused sweep asks while its score block is still alive)."""
+        return len(self._rows(shard))
 
     @property
     def shard_sizes(self) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ try:
 except ImportError:  # pragma: no cover
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import EngineConfig, ZeroSkipConfig  # noqa: E402
+from repro.core import EngineConfig, ZeroSkipConfig, compiled_fold  # noqa: E402
 
 #: Per-test wall-clock budget in seconds; unset/empty disables the
 #: gate.  CI exports it (see .github/workflows/ci.yml) so a single
@@ -76,6 +76,18 @@ def kept_rows(make_solver, m_in, u, threshold: float) -> np.ndarray:
     kept = result.output[:, :ns] != 0
     assert result.stats.rows_computed == kept.sum()
     return kept
+
+
+@pytest.fixture
+def numpy_fold(monkeypatch):
+    """Pin ``TileState`` to the NumPy fold, as on a host without a C
+    compiler: the loader finds no compiler, and its per-process cache
+    is cleared on the way in and out."""
+    monkeypatch.setattr(compiled_fold, "find_compiler", lambda: None)
+    compiled_fold.load.cache_clear()
+    assert compiled_fold.fold_backend().startswith("numpy")
+    yield
+    compiled_fold.load.cache_clear()
 
 
 @pytest.fixture

@@ -1,0 +1,421 @@
+"""The compiled tile fold against its referee, the NumPy fold.
+
+``TileState.fold`` runs ``repro/core/_fold.c`` when the system C
+compiler can build it and the NumPy fold otherwise (DESIGN.md §10,
+"Compiled fold").  The two sum and exponentiate in different orders, so
+they are held to each other at a tolerance — float32 outputs within
+``FLOAT32_LOGIT_TOLERANCE``, float64 within 1e-10 — and their
+zero-skip decisions are held to be the same cells, except cells within
+one ulp of the cut, which the comparison names.  Then the float32
+polynomial ``exp`` on its own, and the build-and-load rules: fallback
+without a compiler, a damaged cache, concurrent builds, and spawn
+workers.
+"""
+
+import importlib.resources
+import os
+import subprocess
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.core import (
+    FLOAT32_LOGIT_TOLERANCE,
+    ChunkConfig,
+    ColumnMemNN,
+    EngineConfig,
+    ExecutionConfig,
+    MnnFastEngine,
+    ShardedMemNN,
+    ZeroSkipConfig,
+    compiled_fold,
+)
+from repro.core.column import RunRows, TileState, exp_floor
+
+from .test_differential_paths import _random_problem
+
+requires_compiler = pytest.mark.skipif(
+    compiled_fold.fold_backend() != "c", reason=compiled_fold.fold_backend()
+)
+
+TOLERANCE = {np.dtype(np.float32): FLOAT32_LOGIT_TOLERANCE, np.dtype(np.float64): 1e-10}
+EXP = {"c": compiled_fold.exp, "numpy": np.exp}
+
+
+def _state(nq, ed, threshold, backend):
+    """A ``TileState`` on ``backend``'s fold ("c" or "numpy")."""
+    with pytest.MonkeyPatch.context() as patch:
+        if backend == "numpy":
+            patch.setattr(compiled_fold, "kernels", lambda: None)
+        return TileState(nq, ed, threshold)
+
+
+def _tile_args(source, block, rows, rng):
+    """``(scores, tile_out)`` as a caller of ``source`` hands them to
+    ``fold``: a contiguous block; a fused shard's strided segment of a
+    wider tile (slice or index array); or a run scan's ``RunRows``."""
+    nq, width = block.shape
+    if source == "array":
+        return block.copy(), rows
+    if source in ("slice", "index"):
+        wide = np.zeros((nq, 2 * width), block.dtype)
+        wide_rows = np.zeros((2 * width, rows.shape[1]), rows.dtype)
+        wide[:, 1::2], wide_rows[1::2] = block, rows
+        sel = slice(1, None, 2) if source == "slice" else np.arange(1, 2 * width, 2)
+        return wide[:, sel], wide_rows[sel]
+    # Runs: the tile's columns in up to three pieces, each stored at its
+    # own offset in a larger memory.
+    cuts = np.unique(rng.integers(0, width + 1, size=2))
+    bounds = np.unique(np.concatenate([[0], cuts, [width]]))
+    memory = np.full((3 * width + 3, rows.shape[1]), np.nan, rows.dtype)
+    shifts, at = [], 0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at += int(rng.integers(0, 2))
+        memory[at : at + hi - lo] = rows[lo:hi]
+        shifts.append(at - lo)
+        at += hi - lo
+    return block.copy(), RunRows(memory, bounds, shifts)
+
+
+def _scan(scores, m_out, widths, threshold, backend, source, seed):
+    """Fold ``scores`` tile by tile; the state and, per tile, the
+    ``(log_max, denom)`` its decisions were taken against."""
+    nq, ed = len(scores), m_out.shape[1]
+    state = _state(nq, ed, threshold, backend)
+    rng = np.random.default_rng(seed)
+    snapshots, lo = [], 0
+    for width in widths:
+        hi = lo + width
+        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi], rng)
+        state.fold(block, tile_out)
+        # The block's cells are exponentials (or dropped zeros): normal.
+        assert not (block[block != 0] < np.finfo(scores.dtype).tiny).any()
+        partial = state.partial()
+        snapshots.append((lo, hi, partial.log_max.copy(), partial.denom.copy()))
+        lo = hi
+    return state, snapshots
+
+
+def _decisions(scores, snapshots, threshold, backend):
+    """Per cell: the exponential the fold computed, the cut it was held
+    to, and whether it was kept — recomputed from the raw scores."""
+    floor = exp_floor(scores.dtype)
+    exps, cuts = np.empty_like(scores), np.empty_like(scores)
+    for lo, hi, log_max, denom in snapshots:
+        shifted = np.maximum(scores[:, lo:hi] - log_max[:, None], floor)
+        exps[:, lo:hi] = EXP[backend](shifted)
+        cut = np.minimum(np.multiply(denom, threshold, dtype=np.float64), 1.0)
+        cuts[:, lo:hi] = np.nextafter(cut.astype(scores.dtype), 0)[:, None]
+    return exps, cuts, exps >= cuts
+
+
+@st.composite
+def scans(draw):
+    dtype = np.dtype(draw(st.sampled_from((np.float32, np.float64))))
+    nq = draw(st.sampled_from((0, 1, 16)))
+    # Up to three tiles of 1 to 1500 columns, the last often narrow.
+    widths = draw(st.lists(st.integers(1, 1500), min_size=1, max_size=2))
+    widths.append(draw(st.integers(1, 40)))
+    style = draw(st.sampled_from(("normal", "peaked", "flat", "ties")))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    ns = sum(widths)
+    scores = {
+        "normal": lambda: rng.normal(size=(nq, ns)) * 3,
+        # Hundreds below the row maximum: floored before exp.
+        "peaked": lambda: rng.normal(size=(nq, ns)) * 300,
+        # Fewer than 1/th rows near the max: the clamp keeps one.
+        "flat": lambda: 0.5 + rng.normal(size=(nq, ns)) * 1e-3,
+        "ties": lambda: np.round(rng.normal(size=(nq, ns)) * 2),
+    }[style]().astype(dtype)
+    threshold = draw(st.sampled_from((0.0, 0.5, 0.1, 0.01, 1e-6)))
+    ulps = draw(st.sampled_from((None, -2, -1, 0, 1, 2)))
+    if ulps is not None and threshold and nq:
+        # One score of the last tile `ulps` steps off the cut the
+        # final denominator sets.
+        wide = scores.astype(np.float64)
+        log_sum = np.log(np.exp(wide - wide.max(1, keepdims=True)).sum(1))
+        edge = (wide.max(1) + log_sum + np.log(threshold)).astype(dtype)
+        for _ in range(abs(ulps)):
+            edge = np.nextafter(edge, dtype.type(np.inf if ulps > 0 else -np.inf))
+        scores[:, -1] = edge
+    source = draw(st.sampled_from(("array", "slice", "index", "runs")))
+    m_out = rng.normal(size=(ns, 8)).astype(dtype)
+    return scores, m_out, widths, threshold, source, seed
+
+
+@requires_compiler
+@settings(max_examples=120, deadline=None)
+@given(scans())
+@example(
+    (
+        np.zeros((16, 30), np.float32),
+        np.ones((30, 8), np.float32),
+        [25, 5],
+        0.1,
+        "array",
+        0,
+    )
+)
+def test_compiled_fold_agrees_with_the_numpy_fold(scan):
+    scores, m_out, widths, threshold, source, seed = scan
+    dtype, tolerance = scores.dtype, TOLERANCE[scores.dtype]
+    states, kept = {}, {}
+    for backend in ("c", "numpy"):
+        state, snapshots = _scan(
+            scores, m_out, widths, threshold, backend, source, seed
+        )
+        exps, cuts, keep = _decisions(scores, snapshots, threshold, backend)
+        if threshold:
+            # Each fold kept exactly the cells its own rule keeps.
+            assert state.rows_kept == keep.sum(), backend
+            # The clamp keeps every question's running-max cell.
+            assert keep.any(axis=1).all(), backend
+            # Near the cut means within one ulp of it.
+            near = np.abs(exps - cuts) <= np.spacing(cuts)
+            kept[backend] = keep, near
+        else:
+            assert state.rows_kept == scores.size
+        # Every exponential the fold summed is a normal number.
+        assert exps.min(initial=np.inf) >= np.finfo(dtype).tiny
+        states[backend] = state.partial()
+    c, reference = states["c"], states["numpy"]
+    assert c.weighted.dtype == c.denom.dtype == np.float64
+    assert c.log_max.dtype == dtype
+    np.testing.assert_array_equal(c.log_max, reference.log_max)
+    flipped_mass = np.zeros(len(scores))
+    if threshold:
+        (keep_c, near_c), (keep_np, near_np) = kept["c"], kept["numpy"]
+        flipped = keep_c != keep_np
+        cells = list(zip(*np.nonzero(flipped)))
+        assert (near_c | near_np)[flipped].all(), f"flipped off the cut: {cells}"
+        # A flipped cell moves the output by at most its weight.
+        weight = np.exp(scores - c.log_max[:, None].astype(np.float64))
+        weight /= c.denom[:, None]
+        flipped_mass = (weight * flipped) @ np.abs(m_out).max(1)
+    if len(scores):
+        got, want = c.finalize(), reference.finalize()
+        bound = tolerance * (1 + np.abs(want)) + flipped_mass[:, None]
+        assert (np.abs(got - want) <= bound).all()
+
+
+@requires_compiler
+def test_a_nan_score_turns_its_question_nan_in_both_folds():
+    """A NaN score makes its question's denominator and output NaN —
+    as ``np.max``'s NaN does in the NumPy fold — and leaves the other
+    questions' arithmetic alone; tied maxima fold alike in both."""
+    rng = np.random.default_rng(0)
+    scores = np.round(rng.normal(size=(3, 40)) * 2).astype(np.float32)
+    scores[:, 3] = scores[:, 7] = scores.max() + 1  # ties at the maximum
+    scores[1, 22] = np.nan
+    m_out = rng.normal(size=(40, 8)).astype(np.float32)
+    for threshold in (0.0, 0.1):
+        outputs, kept = {}, {}
+        for backend in ("c", "numpy"):
+            state, _ = _scan(scores, m_out, [16, 24], threshold, backend, "array", 0)
+            partial = state.partial()
+            assert np.isnan(partial.denom[1])
+            assert not np.isnan(partial.denom[[0, 2]]).any()
+            outputs[backend], kept[backend] = partial.finalize(), state.rows_kept
+        assert kept["c"] == kept["numpy"]
+        nan = {backend: np.isnan(output) for backend, output in outputs.items()}
+        np.testing.assert_array_equal(nan["c"], nan["numpy"])
+        assert np.isnan(outputs["c"][1]).all()
+        np.testing.assert_allclose(
+            outputs["c"][[0, 2]], outputs["numpy"][[0, 2]], rtol=1e-5, atol=1e-6
+        )
+
+
+@requires_compiler
+def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
+    state = _state(2, 8, 0.1, "c")
+    block = np.zeros((2, 5), np.float32)
+    state.fold(block.copy(), np.zeros((5, 8), np.float32))
+    refused = [
+        (block.astype(np.float64), np.zeros((5, 8), np.float64)),  # dtype
+        (block[:1].copy(), np.zeros((5, 8), np.float32)),  # nq
+        (block.copy(), np.zeros((4, 8), np.float32)),  # rows
+        (block.copy(), np.zeros((5, 7), np.float32)),  # ed
+        (block.copy(), RunRows(np.zeros((5, 8), np.float32), [0, 5], [1])),
+    ]
+    read_only = block.copy()
+    read_only.flags.writeable = False
+    refused.append((read_only, np.zeros((5, 8), np.float32)))
+    for scores, tile_out in refused:
+        with pytest.raises(ValueError):
+            state.fold(scores, tile_out)
+    assert state.rows_kept == 10  # only the first fold counted
+
+
+# --- the float32 exp ------------------------------------------------------------
+
+
+@requires_compiler
+def test_float32_exp_is_within_two_ulps_of_the_rounded_exp():
+    """The polynomial against float64 ``exp`` rounded to float32, over
+    2^20 samples of ``[exp_floor, 0]`` plus both endpoints: at most 2
+    ulps apart (an exhaustive sweep of every float32 there measured 1),
+    never subnormal, and exactly 1 at 0 — the running-max row's
+    exponential, which the clamped cut keeps."""
+    floor = exp_floor(np.dtype(np.float32))
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [
+            rng.uniform(floor, 0, size=1 << 19).astype(np.float32),
+            -np.exp(rng.uniform(-30, np.log(-floor), size=1 << 19)).astype(np.float32),
+            [floor, np.float32(-0.0), np.float32(0.0)],
+        ]
+    )
+    x = np.clip(x, floor, 0)
+    got = compiled_fold.exp(x)
+    want = np.exp(x.astype(np.float64)).astype(np.float32)
+    ulps = np.abs(got.view(np.int32).astype(np.int64) - want.view(np.int32))
+    assert ulps.max() <= 2
+    assert got.min() >= np.finfo(np.float32).tiny
+    assert got[-1] == got[-2] == 1.0
+
+
+# --- build, cache and fallback --------------------------------------------------
+
+
+def test_the_source_ships_as_package_data():
+    source = importlib.resources.files("repro.core").joinpath("_fold.c")
+    assert source.is_file()
+    assert "repro_fold" in source.read_text()
+    pyproject = Path(repro.__file__).parents[2] / "pyproject.toml"
+    tomllib = pytest.importorskip("tomllib")
+    package_data = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]
+    assert "_fold.c" in package_data["package-data"]["repro.core"]
+
+
+@pytest.mark.usefixtures("numpy_fold")
+def test_without_a_compiler_answers_are_the_numpy_folds_bitwise(monkeypatch):
+    assert compiled_fold.fold_backend() == "numpy: no C compiler (cc) on PATH"
+    config, weights, story, questions = _random_problem(0)
+    answers = []
+    for _ in range(2):
+        engine = MnnFastEngine(config, weights, EngineConfig(chunk=ChunkConfig(16)))
+        engine.store_story(story)
+        answers.append(engine.answer(questions).logits)
+        engine.close()
+        # Second pass: every fold calls the NumPy fold by name.
+        monkeypatch.setattr(TileState, "fold", TileState._fold_numpy)
+    assert answers[0].tobytes() == answers[1].tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX permissions")
+def test_a_cache_directory_others_can_write_is_not_used(tmp_path, monkeypatch):
+    """A library loaded from the cache runs in this process, so a
+    directory another user could write to is passed over."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "home"))
+    monkeypatch.setattr(compiled_fold.tempfile, "gettempdir", lambda: str(tmp_path))
+    shared = tmp_path / "home" / "repro"
+    shared.mkdir(parents=True)
+    shared.chmod(0o777)
+    chosen = compiled_fold._cache_dir()
+    assert chosen == tmp_path / f"repro-{os.getuid()}"
+    assert chosen.stat().st_mode & 0o777 == 0o700
+
+
+def _in_a_fresh_process(cache: Path, code: str) -> str:
+    """Run ``code`` in a new interpreter whose cache directory is
+    ``cache``; its stdout."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=300,
+    ).stdout.strip()  # fmt: skip
+
+
+BACKEND = "from repro.core.compiled_fold import fold_backend; print(fold_backend())"
+
+
+@requires_compiler
+def test_a_damaged_library_in_the_cache_is_rebuilt(tmp_path):
+    """Garbage, or a library cut short, is rebuilt — never loaded."""
+    assert _in_a_fresh_process(tmp_path, BACKEND) == "c"
+    (library,) = (tmp_path / "repro").glob("fold-*.so")
+    whole = library.read_bytes()
+    for damaged in (b"not a shared object", whole[: len(whole) // 2], whole[:-1]):
+        replacement = library.with_suffix(".damaged")
+        replacement.write_bytes(damaged)
+        os.replace(replacement, library)  # a new file, as a crash would leave
+        assert _in_a_fresh_process(tmp_path, BACKEND) == "c"
+        assert library.read_bytes()[:4] == b"\x7fELF"
+        assert library.stat().st_size == len(whole)
+
+
+@requires_compiler
+def test_two_processes_building_at_once_both_load_a_whole_library(tmp_path):
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    processes = [
+        subprocess.Popen(
+            [sys.executable, "-c", BACKEND], env=env, stdout=subprocess.PIPE, text=True
+        )
+        for _ in range(2)
+    ]
+    outputs = [process.communicate(timeout=300)[0].strip() for process in processes]
+    assert outputs == ["c", "c"]
+    assert [path.suffix for path in (tmp_path / "repro").iterdir()] == [".so"]
+
+
+def _worker_scan(m_in, m_out, u):
+    """In a spawned worker: its fold backend and a column scan."""
+    solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(64), dtype=np.float32)
+    partial, stats = solver.partial_output(u, zero_skip=ZeroSkipConfig(0.1))
+    return compiled_fold.fold_backend(), partial, stats.rows_computed
+
+
+@requires_compiler
+@pytest.mark.process_pool
+def test_a_spawned_worker_loads_its_own_copy_and_folds_bitwise_alike():
+    rng = np.random.default_rng(0)
+    m_in, m_out = (rng.normal(size=(500, 16)).astype(np.float32) for _ in range(2))
+    u = rng.normal(size=(4, 16)).astype(np.float32)
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        backend, partial, kept = pool.submit(_worker_scan, m_in, m_out, u).result(
+            timeout=300
+        )
+    assert backend == "c"
+    _, here, kept_here = _worker_scan(m_in, m_out, u)
+    assert kept == kept_here
+    for name in ("weighted", "denom", "log_max"):
+        assert getattr(partial, name).tobytes() == getattr(here, name).tobytes()
+
+
+@requires_compiler
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("threshold", (0.0, 0.1))
+def test_one_shard_arrangements_are_bitwise_equal_on_the_compiled_fold(
+    dtype, threshold
+):
+    """Column ≡ one-shard sharded ≡ one-shard fused: the compiled fold's
+    reductions run in fixed lanes, so where a tile sits in memory
+    cannot show in the bits.  (Process ≡ serial shards is
+    ``tests/test_core_multicore.py``, on whichever fold is active.)"""
+    rng = np.random.default_rng(1)
+    m_in, m_out = rng.normal(size=(2, 700, 12))
+    u = rng.normal(size=(5, 12))
+    skip = ZeroSkipConfig(threshold)
+    kwargs = dict(chunk=ChunkConfig(96), dtype=dtype)
+    fused = ExecutionConfig(fused=True)
+    solvers = [
+        ColumnMemNN(m_in, m_out, **kwargs),
+        ShardedMemNN(m_in, m_out, num_shards=1, **kwargs),
+        ShardedMemNN(m_in, m_out, num_shards=1, execution=fused, **kwargs),
+    ]
+    outputs = [solver.output(u, zero_skip=skip).output.tobytes() for solver in solvers]
+    assert outputs[1:] == outputs[:1] * 2

@@ -11,6 +11,10 @@ Every comparison runs through all three ``K = 1`` arrangements of that
 kernel — ``ColumnMemNN``, a one-shard ``ShardedMemNN`` and its fused
 tile sweep — so "column is K = 1 of fused" is an assertion too.
 
+The module pins the NumPy fold: the compiled one sums and exponentiates
+in another order and is held to this reference at a tolerance instead
+(``tests/test_compiled_fold.py``), bitwise only to itself.
+
 The reference states the two-precision rule outright: each tile's
 arithmetic in the memory's dtype, ``(denom, acc)`` float64 across
 tiles.  On a float64 memory that is the all-float64 seed loop, bit for
@@ -27,6 +31,8 @@ from repro.core import (
     ShardedMemNN,
     ZeroSkipConfig,
 )
+
+pytestmark = pytest.mark.usefixtures("numpy_fold")
 
 NS, NQ, ED = 13, 4, 8
 #: The skip rules, by id; each id names the fold's softmax (the

@@ -8,6 +8,10 @@ multiplies by the keep-mask and runs the full GEMM: the two readouts
 sum the same products in a different order, so they agree to rounding,
 decide the same masks bit for bit (the denominator is accumulated
 before the readout) and report the same operation ledger.
+
+The two readouts are the NumPy fold's, so the tests that hold them to
+the seed loop pin it; the compiled fold reads only kept rows on every
+tile (``test_skipped_output_rows_are_not_read`` runs the active fold).
 """
 
 import numpy as np
@@ -81,6 +85,7 @@ def tiled_problem(draw):
     )
 
 
+@pytest.mark.usefixtures("numpy_fold")
 @settings(max_examples=80, deadline=None)
 @given(tiled_problem())
 def test_sparse_readout_equals_dense_readout(problem):
@@ -145,6 +150,7 @@ def test_skipped_output_rows_are_not_read(rng, arrangement):
     assert result.output.tobytes() == clean.output.tobytes()
 
 
+@pytest.mark.usefixtures("numpy_fold")
 def test_narrow_tiles_keep_the_dense_readout(rng):
     """Below the width guard the kernel multiplies by the mask and runs
     the full GEMM, bit for bit the seed loop — however few columns are

@@ -26,6 +26,7 @@ from repro.core import (
     MnnFastEngine,
     ShardedMemNN,
     ZeroSkipConfig,
+    compiled_fold,
 )
 from repro.core.config import FLOAT_BYTES
 from repro.index.ivf import IVFIndex
@@ -183,26 +184,33 @@ def test_no_float64_memory_is_resident_anywhere(
 # --- one (nq, n) buffer per tile ----------------------------------------------
 
 
+@pytest.mark.parametrize("fold", ("compiled", "numpy"))
 @pytest.mark.parametrize("arrangement", ("column", "fused"))
-def test_a_fold_holds_one_score_block_and_one_mask(arrangement):
-    """Nine 16 x 1000 float32 tiles under zero-skipping: the scan's
-    peak is the score block (turned in place into the exponentials the
-    mask is decided on), one bool mask and ``(nq, ed)``-sized state —
-    no second float ``(nq, n)`` workspace and no float64 ``(nq, n)``
-    temporary.  Same through three fused shards cut so that a shard's
-    first segment of a global tile is narrower than its later ones."""
+def test_a_fold_holds_one_score_block_and_its_state(arrangement, fold, request):
+    """Twelve 16 x 700 float32 tiles under zero-skipping: the compiled
+    fold's peak is the score block (turned in place into the
+    exponentials zero-skipping decides on) and each state's ``(nq,
+    ed + 2)`` float64 buffer — no bool mask, no second float ``(nq, n)``
+    workspace and no float64 ``(nq, n)`` temporary.  The NumPy fold
+    adds one bool mask and the gathers of a sparse readout.  Same
+    through three fused shards cut so that a shard's first segment of a
+    global tile is narrower than its later ones."""
+    if fold == "numpy":
+        request.getfixturevalue("numpy_fold")
+    elif compiled_fold.fold_backend() != "c":
+        pytest.skip(compiled_fold.fold_backend())
     nq, ed = 16, 48
     rng = np.random.default_rng(0)
-    m_in = rng.normal(size=(9000, ed)).astype(np.float32)
+    m_in = rng.normal(size=(8400, ed)).astype(np.float32)
     m_out = rng.normal(size=m_in.shape).astype(np.float32)
     u = rng.normal(size=(nq, ed)).astype(np.float32)
     if arrangement == "column":
-        tile = CHUNK
+        tile, states = 700, 1
         solver = ColumnMemNN(m_in, m_out, ChunkConfig(tile), np.float32)
     else:
-        # Global tiles of 3 x 700 rows over shards of 3000: shard 1's
-        # segments are 1200 then 1800 columns, shard 2's 300, 2100, 600.
-        tile = 3 * 700
+        # Global tiles of 3 x 700 rows over shards of 2800: shard 1's
+        # segments are 1400 and 1400 columns, shard 2's 700 then 2100.
+        tile, states = 3 * 700, 3
         solver = ShardedMemNN(
             m_in, m_out, num_shards=3, chunk=ChunkConfig(700),
             dtype=np.float32, execution=ExecutionConfig(fused=True),
@@ -219,10 +227,17 @@ def test_a_fold_holds_one_score_block_and_one_mask(arrangement):
     finally:
         np.setbufsize(bufsize)
     block, mask = nq * tile * FLOAT_BYTES, nq * tile
-    # Per state: float64 (denom, acc), the tile-dtype contrib, the kept
-    # columns and their gathers — half a block of room (a third to two
-    # thirds of it used), so one more block of any dtype fails.
-    assert peak < block + mask + block // 2
+    if fold == "compiled":
+        # The states' buffers and a few KB of Python objects: less room
+        # than the smallest mask (11 200 bytes, one column tile's).
+        state = states * nq * (ed + 2) * 8
+        assert peak < block + state + 10 * 1024
+    else:
+        # Per state: float64 (denom, acc), the tile-dtype contrib, the
+        # kept columns and their gathers — half a block of room (a
+        # third to two thirds of it used), so one more block of any
+        # dtype fails.
+        assert peak < block + mask + block // 2
 
 
 # --- silent whole-memory up-casts ---------------------------------------------

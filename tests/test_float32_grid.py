@@ -41,8 +41,9 @@ from repro.core import (
     MnnFastEngine,
     ShardedMemNN,
     ZeroSkipConfig,
+    compiled_fold,
 )
-from repro.core.column import SPARSE_MIN_COLUMNS, TileState, exp_floor
+from repro.core.column import TileState, exp_floor
 from repro.core.zero_skip import probability_mode_mask
 
 from .conftest import float64
@@ -54,6 +55,14 @@ from .test_differential_paths import (
     _long_story,
     _random_problem,
 )
+
+
+def fold_exp(x: np.ndarray) -> np.ndarray:
+    """The exponential the active tile fold computes from floored
+    shifted scores: the compiled fold's own, or NumPy's."""
+    if compiled_fold.fold_backend() == "c":
+        return compiled_fold.exp(x)
+    return np.exp(x)
 
 
 def default_precision(config: EngineConfig) -> EngineConfig:
@@ -252,14 +261,16 @@ def test_peaked_logits_stop_at_the_exp_floor(seed, scale, chunk, threshold):
     m_in, m_out, u = _float32_memories(seed, ns=300, scale=scale)
     state = TileState(len(u), m_in.shape[1], threshold)
     solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk), dtype=np.float32)
+    floor = exp_floor(np.dtype(np.float32))
     for scores, tile_out in solver.scored_tiles(solver.check_questions(u)):
+        raw = scores.copy()
         state.fold(scores, tile_out)
-        # The fold turned the block into its exponentials, in place —
-        # and, under zero-skipping, zeroed the skipped ones of a narrow
-        # or dense tile.
-        nonzero = scores[scores != 0]
-        assert nonzero.dtype == np.float32
-        assert nonzero.min(initial=np.inf) >= np.finfo(np.float32).tiny
+        # The exponentials the fold summed, recomputed from the raw
+        # scores and the running max: every one a normal float32.
+        log_max = state.partial().log_max
+        exps = fold_exp(np.maximum(raw - log_max[:, None], floor))
+        assert exps.dtype == np.float32
+        assert exps.min(initial=np.inf) >= np.finfo(np.float32).tiny
     partial = state.partial()
     assert partial.denom.min() > 0
     reference = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk)).output(
@@ -310,19 +321,18 @@ def test_probability_mask_keeps_exactly_the_exponentials_above_the_cut(
         state.fold(tile, one_hot[lo:hi])
         partial = state.partial()
         # The exponentials as the fold computed them, from the raw
-        # scores and the running max it reports.
+        # scores and the running max it reports, with its exp.
         shifted = scores[:, lo:hi] - partial.log_max[:, None]
-        exps = np.exp(np.maximum(shifted, exp_floor(np.dtype(dtype))))
+        exps = fold_exp(np.maximum(shifted, exp_floor(np.dtype(dtype))))
         assert exps.dtype == dtype
         cut = np.minimum(threshold * partial.denom, 1.0).astype(dtype)
         cut = np.nextafter(cut, dtype(0))
         by_rule = exps >= cut[:, None]
         kept_by_rule += int(by_rule.sum())
         np.testing.assert_array_equal(partial.weighted[:, lo:hi] != 0, by_rule)
-        if hi - lo < SPARSE_MIN_COLUMNS:
-            # A narrow tile is masked in place: the block itself shows
-            # the kept exponentials are the ones recomputed here.
-            np.testing.assert_array_equal(tile, exps * by_rule)
+        # The block holds what ``fold`` documents: each cell's
+        # exponential, or 0 where the cell was dropped.
+        assert ((tile == exps) | ((tile == 0) & ~by_rule)).all()
     assert state.rows_kept == kept_by_rule
     kept = state.partial().weighted != 0
     # Exact up to the rounding of the tile dtype's exponentials: a row
