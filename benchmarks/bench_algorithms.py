@@ -11,8 +11,6 @@ intermediates; zero-skipping pays off when the kept set is small).
 import numpy as np
 import pytest
 
-from emit import emit
-
 from repro.core import (
     BaselineMemNN,
     ChunkConfig,
@@ -21,19 +19,6 @@ from repro.core import (
 )
 
 NS, ED, NQ = 200_000, 48, 16
-
-#: Headline wall-clock per algorithm, accumulated across tests and
-#: re-emitted after each so the final BENCH_algorithms.json carries
-#: every series that ran (pytest offers no reliable "last test" hook).
-_HEADLINES: dict[str, float] = {}
-
-
-def _record(name: str, result) -> None:
-    _HEADLINES[name] = round(result.elapsed_seconds, 6)
-    emit("algorithms", {
-        "workload": {"ns": NS, "ed": ED, "nq": NQ},
-        "elapsed_seconds": dict(_HEADLINES),
-    })
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +35,6 @@ def test_baseline_inference(benchmark, workload):
     m_in, m_out, u = workload
     engine = BaselineMemNN(m_in, m_out)
     result = benchmark(engine.output, u)
-    _record("baseline", result)
     assert result.output.shape == (NQ, ED)
 
 
@@ -58,7 +42,6 @@ def test_column_inference(benchmark, workload):
     m_in, m_out, u = workload
     engine = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=1000))
     result = benchmark(engine.output, u)
-    _record("column", result)
     assert result.output.shape == (NQ, ED)
     # The whole point: chunk-sized intermediates instead of ns-sized.
     assert result.stats.intermediate_bytes <= 2 * NQ * 1000 * 4
@@ -69,5 +52,4 @@ def test_mnnfast_zero_skip(benchmark, workload):
     engine = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=1000))
     skip = ZeroSkipConfig(threshold=1e-4)
     result = benchmark(engine.output, u, zero_skip=skip)
-    _record("zero_skip", result)
     assert result.stats.rows_skipped > 0

@@ -6,12 +6,7 @@ algorithm streams ``M_IN``/``M_OUT`` once per batch, so throughput
 must rise monotonically with batch size until the pool turns
 compute-bound, while batching delay shows up in the latency
 percentiles — the amortization-vs-latency tradeoff curve.
-
-Writes ``BENCH_batching.json`` (see :mod:`emit`); ``BENCH_SMOKE``
-shrinks the sweep for the CI gate.
 """
-
-from emit import emit, smoke_mode
 
 from repro.core import EngineConfig
 from repro.report import format_table
@@ -22,8 +17,8 @@ from repro.serving import QaServer, ServerConfig, generate_workload
 RATE = 120_000
 WORKERS = 8
 STORY_RATE = 50
-BATCH_SIZES = (1, 2, 4) if smoke_mode() else (1, 2, 4, 8, 16)
-DURATION = 0.05 if smoke_mode() else 0.3
+BATCH_SIZES = (1, 2, 4, 8, 16)
+DURATION = 0.3
 #: Throughput may only dip by measurement noise between sweep points.
 MONOTONE_TOLERANCE = 0.02
 
@@ -45,10 +40,7 @@ def _sweep():
             "throughput": metrics.throughput("question"),
             "p50_ms": metrics.latency_percentile(50) * 1e3,
             "p99_ms": metrics.latency_percentile(99) * 1e3,
-            "queueing_p99_ms": metrics.queueing_percentile(99) * 1e3,
             "batch_occupancy": metrics.batch_occupancy,
-            "mean_batch_size": metrics.mean_batch_size,
-            "batches": len(metrics.batches),
         })
     return points
 
@@ -71,13 +63,6 @@ def test_batching_amortization_curve(benchmark, report):
             f"({WORKERS} workers, story ingestion co-tenant)",
         )
     )
-
-    emit("batching", {
-        "offered_rate": RATE,
-        "workers": WORKERS,
-        "duration": DURATION,
-        "sweep": points,
-    })
 
     benchmark.extra_info["max_throughput"] = round(
         max(p["throughput"] for p in points), 1

@@ -1,28 +1,24 @@
-"""Extension bench: cluster serving (ISSUE 8 acceptance).
+"""Extension bench: cluster serving, reported at full scale.
 
-Two claims, one artifact:
+Two measurements:
 
-1. **Cache-affinity routing beats round-robin** on a hot-chunk-skewed
-   workload (Zipf topic popularity, each topic a contiguous chunk
-   block, per-replica LRU budget well under the hot set).  Affinity
-   keeps same-topic plans on the replica that already cached their
-   chunks, so it must win on *both* cluster chunk hit-rate and p50
-   latency — strictly (the validator gates on it).  Least-backlog
-   rides along as the locality-blind load-aware reference.
+1. **Routing on a hot-chunk-skewed workload** (Zipf topic popularity,
+   each topic a contiguous chunk block, per-replica LRU budget well
+   under the hot set): cluster chunk hit-rate and latency for
+   round-robin, least-backlog (the locality-blind load-aware
+   reference) and cache-affinity routing, which keeps same-topic plans
+   on the replica that already cached their chunks.
 
-2. **Backlog-driven autoscaling absorbs a flash crowd**: replaying
-   the same burst trace (quiet baseline → rate step → quiet) against
-   a static fleet and an autoscaled one, the autoscaler must keep
-   deadline timeouts strictly below the static baseline while
-   returning to the floor after the burst (its decision + replica
-   traces land in the artifact next to the offered-load trace).  A
-   diurnal replay records the day-shaped tracking behaviour.
+2. **A flash crowd against a static and an autoscaled fleet**:
+   replaying one burst trace (quiet baseline → rate step → quiet),
+   deadline timeouts and mean fleet size for each.
 
-Writes ``BENCH_cluster.json`` (see :mod:`emit`); ``BENCH_SMOKE``
-shrinks the request streams for the CI gate.
+Both are simulations, so every number is deterministic; this bench only
+reports them.  ``tests/test_cluster.py`` gates the claims at a smaller
+scale: affinity wins on hit rate and p50 (``test_hit_rate_and_p50``),
+and the autoscaler times out fewer requests than the static fleet,
+scales, and comes back down (``test_autoscaled_burst_beats_static``).
 """
-
-from emit import emit, smoke_mode
 
 from repro.cluster import (
     Autoscaler,
@@ -30,7 +26,6 @@ from repro.cluster import (
     ClusterConfig,
     ClusterSim,
     burst_trace,
-    diurnal_trace,
     requests_from_trace,
     skewed_workload,
 )
@@ -46,13 +41,13 @@ LRU_BUDGET = 10 * CHUNK_BYTES
 NUM_TOPICS, CHUNKS_PER_TOPIC = 8, 8
 DISK_BW = 2e8  # backing-tier stream bandwidth misses are charged at
 
-ROUTING_REQUESTS = 300 if smoke_mode() else 2_000
+ROUTING_REQUESTS = 2_000
 ROUTING_RATE = 150.0
 ROUTING_REPLICAS = 4
 
 # Long enough past the burst for the scale-down cooldown (8 s) to
-# elapse, so the come-back-down assertion holds in both modes.
-BURST_DURATION = 21.0 if smoke_mode() else 30.0
+# elapse.
+BURST_DURATION = 30.0
 BURST_BASE, BURST_RATE = 20.0, 300.0
 DEADLINE = 0.10
 SCALE_FLOOR, SCALE_CEILING = 2, 10
@@ -86,32 +81,10 @@ def _autoscaler() -> Autoscaler:
 
 def _policy_summary(metrics) -> dict:
     return {
-        "chunk_hit_rate": round(metrics.chunk_hit_rate, 4),
+        "chunk_hit_rate": metrics.chunk_hit_rate,
         "latency_p50": metrics.latency_percentile(50),
         "latency_p95": metrics.latency_percentile(95),
-        "throughput_rps": round(metrics.throughput(), 2),
-        "completed": metrics.completed,
-        "shed": metrics.shed,
-    }
-
-
-def _scaling_summary(metrics) -> dict:
-    return {
-        "timed_out": metrics.timed_out,
-        "timeout_rate": round(metrics.timeout_rate, 4),
-        "completed": metrics.completed,
-        "shed": metrics.shed,
-        "mean_replicas": round(metrics.mean_replicas(), 2),
-        "replica_trace": [[t, n] for t, n in metrics.replica_trace],
-        "decisions": [
-            {
-                "time": d.time,
-                "before": d.replicas_before,
-                "after": d.replicas_after,
-                "signal": round(d.backlog_per_replica, 2),
-            }
-            for d in metrics.decisions
-        ],
+        "throughput_rps": metrics.throughput(),
     }
 
 
@@ -152,10 +125,6 @@ def test_cluster_serving(report):
             ),
         )
     )
-
-    affinity, rr = routing["cache_affinity"], routing["round_robin"]
-    assert affinity["chunk_hit_rate"] > rr["chunk_hit_rate"]
-    assert affinity["latency_p50"] < rr["latency_p50"]
 
     # --- claim 2: autoscaler vs static fleet under a burst --------------------
     trace = burst_trace(
@@ -206,68 +175,4 @@ def test_cluster_serving(report):
                 f"deadline, floor {SCALE_FLOOR} replicas)"
             ),
         )
-    )
-
-    assert autoscaled.timed_out < static.timed_out
-    assert autoscaled.decisions, "the burst must trigger scaling actions"
-    # The fleet must come back down after the burst drains.
-    assert autoscaled.replica_trace[-1][1] < max(
-        n for _, n in autoscaled.replica_trace
-    )
-
-    # --- diurnal tracking (recorded, not gated) -------------------------------
-    day = diurnal_trace(
-        duration=BURST_DURATION,
-        base_rate=BURST_BASE,
-        peak_rate=BURST_RATE / 2,
-    )
-    diurnal_requests = requests_from_trace(
-        day,
-        num_topics=NUM_TOPICS,
-        chunks_per_topic=CHUNKS_PER_TOPIC,
-        total_chunks=total_chunks,
-        deadline=DEADLINE,
-        seed=37,
-    )
-    diurnal = ClusterSim(
-        _config(SCALE_FLOOR),
-        policy="least_backlog",
-        autoscaler=_autoscaler(),
-        tick_interval=0.5,
-    ).run(diurnal_requests)
-
-    emit(
-        "cluster",
-        {
-            "routing": {
-                "workload": {
-                    "num_requests": ROUTING_REQUESTS,
-                    "num_topics": NUM_TOPICS,
-                    "chunks_per_topic": CHUNKS_PER_TOPIC,
-                    "total_chunks": total_chunks,
-                    "rate_rps": ROUTING_RATE,
-                    "replicas": ROUTING_REPLICAS,
-                    "lru_chunks_per_replica": LRU_BUDGET // CHUNK_BYTES,
-                },
-                "policies": routing,
-            },
-            "autoscaler": {
-                "burst": {
-                    "offered_trace": [
-                        [s.start, s.rate] for s in trace
-                    ],
-                    "num_requests": len(burst_requests),
-                    "deadline_seconds": DEADLINE,
-                    "static": _scaling_summary(static),
-                    "autoscaled": _scaling_summary(autoscaled),
-                },
-                "diurnal": {
-                    "offered_trace": [
-                        [s.start, round(s.rate, 2)] for s in day
-                    ],
-                    "num_requests": len(diurnal_requests),
-                    **_scaling_summary(diurnal),
-                },
-            },
-        },
     )

@@ -3,12 +3,7 @@
 Sweeps the offered question load across the three deployments and
 reports throughput and tail latency — the system-level consequence of
 the paper's optimizations.
-
-Writes ``BENCH_serving.json`` (see :mod:`emit`); ``BENCH_SMOKE``
-shrinks the run for the CI gate.
 """
-
-from emit import emit, smoke_mode
 
 from repro.core import EmbeddingCacheConfig, EngineConfig
 from repro.report import format_table
@@ -17,7 +12,7 @@ from repro.serving import QaServer, ServerConfig, generate_workload
 ENGINES = {"baseline": EngineConfig.baseline, "mnnfast": EngineConfig.mnnfast}
 
 RATE = 30_000  # past the baseline's saturation point
-DURATION = 0.05 if smoke_mode() else 0.2
+DURATION = 0.2
 
 
 def _run(algorithm: str, use_cache: bool):
@@ -66,20 +61,6 @@ def test_serving_mnnfast(benchmark, report):
         )
     )
     benchmark.extra_info["throughput"] = round(metrics.throughput(), 1)
-    emit("serving", {
-        "offered_rate": RATE,
-        "duration": DURATION,
-        "deployments": {
-            "baseline": {
-                "throughput": baseline.throughput(),
-                "p95_ms": baseline.latency_percentile(95) * 1e3,
-            },
-            "mnnfast_embcache": {
-                "throughput": metrics.throughput(),
-                "p95_ms": metrics.latency_percentile(95) * 1e3,
-            },
-        },
-    })
     # MnnFast must sustain the load the baseline cannot.
     assert metrics.throughput() > 1.5 * baseline.throughput()
     assert metrics.latency_percentile(95) < baseline.latency_percentile(95)

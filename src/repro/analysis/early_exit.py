@@ -121,7 +121,6 @@ def sweep_early_exit(
     config: MemNNConfig | None = None,
     num_questions: int = 128,
     thresholds: tuple[float, ...] = SWEEP_THRESHOLDS,
-    metric: str = "logit_margin",
     engine_config: EngineConfig | None = None,
     seed: int = 7,
 ) -> EarlyExitSweep:
@@ -151,7 +150,7 @@ def sweep_early_exit(
     full = run(base.with_early_exit(0.0))
     points = []
     for threshold in thresholds:
-        result = run(base.with_early_exit(threshold, metric=metric))
+        result = run(base.with_early_exit(threshold))
         trace = result.hop_trace
         points.append(
             EarlyExitPoint(

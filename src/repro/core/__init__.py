@@ -31,7 +31,6 @@ from .early_exit import (
     EXIT_CONFIDENCE,
     EXIT_FULL_DEPTH,
     HopTrace,
-    attention_mass_confidence,
     logit_margin_confidence,
 )
 from .engine import AnswerResult, BatchAnswer, EngineWeights, MnnFastEngine
@@ -66,7 +65,6 @@ __all__ = [
     "HopTrace",
     "EXIT_CONFIDENCE",
     "EXIT_FULL_DEPTH",
-    "attention_mass_confidence",
     "logit_margin_confidence",
     "FLOAT32_LOGIT_TOLERANCE",
     "CPU_CONFIG",

@@ -271,17 +271,12 @@ class ExecutionConfig:
             *all* shards) instead of per-shard chunk loops.  Serial
             backend only — the fused sweep hands parallelism to BLAS
             threads, which a process fan-out would oversubscribe.
-        blas_threads: BLAS thread-pool width each worker pins itself to
-            (via :mod:`repro.core.thread_limits`).  ``None`` means: 1
-            per process worker (P workers x 1 BLAS thread — never
-            P x T oversubscription), library default otherwise.
     """
 
     backend: str = "serial"
     num_workers: int = 1
     dtype: str = "float32"
     fused: bool = False
-    blas_threads: int | None = None
 
     _BACKENDS = ("serial", "process")
     _DTYPES = ("float64", "float32")
@@ -309,13 +304,6 @@ class ExecutionConfig:
                 "requires backend='serial' (a pool fan-out on top "
                 f"would oversubscribe P x T threads; got {self.backend!r})"
             )
-        if self.blas_threads is not None and (
-            not isinstance(self.blas_threads, int) or self.blas_threads < 1
-        ):
-            raise ValueError(
-                f"blas_threads must be a positive integer or None, "
-                f"got {self.blas_threads!r}"
-            )
 
     @property
     def parallel(self) -> bool:
@@ -323,12 +311,10 @@ class ExecutionConfig:
         return self.backend == "process" and self.num_workers > 1
 
     def worker_blas_threads(self) -> int | None:
-        """BLAS pool width each execution worker pins itself to, or
-        ``None`` for the library default.  The default policy caps
-        process-pool workers at 1 BLAS thread each (P x 1, never
-        P x T); explicit ``blas_threads`` overrides."""
-        if self.blas_threads is not None:
-            return self.blas_threads
+        """BLAS pool width each execution worker pins itself to (via
+        :mod:`repro.core.thread_limits`), or ``None`` for the library
+        default: 1 BLAS thread per process-pool worker when the pool
+        fans out (P x 1, never P x T), the default otherwise."""
         if self.backend == "process" and self.num_workers > 1:
             return 1
         return None
@@ -534,9 +520,15 @@ class EarlyExitConfig:
     inference work, and MnnFast's own zero-skipping data (§3.2, Fig. 6)
     proves the p-vector is peaked enough to read confidence from.
     After each hop (except the last, whose work is already spent) the
-    engine computes a cheap per-question confidence signal and retires
-    the questions that clear the gate from the remaining hops — later
-    hops run a shrinking ``nq x ed`` GEMM.
+    engine reads a cheap per-question confidence signal and retires the
+    questions that clear the gate from the remaining hops — later hops
+    run a shrinking ``nq x ed`` GEMM.  The signal is the softmax margin
+    of the answer layer applied to the *extrapolated terminal state*
+    ``u_k + (hops - k) * o_k`` (:func:`~repro.core.early_exit
+    .logit_margin_confidence`): if attention has locked onto its rows,
+    the remaining hops each add ≈ ``o_k``, so a wide margin there means
+    running them cannot flip the answer.  It costs
+    ``O(nq * num_answers * ed)`` per check, independent of ``ns``.
 
     ``threshold`` is the *pruning aggressiveness*: a question exits
     after hop ``k >= min_hops`` when its confidence reaches
@@ -549,47 +541,21 @@ class EarlyExitConfig:
     Attributes:
         threshold: pruning aggressiveness in ``[0, 1)``; a question
             exits when confidence ``>= 1 - threshold`` (0 disables).
-        metric: ``"logit_margin"`` (default) scores the softmax margin
-            of the answer layer applied to the *extrapolated terminal
-            state* ``u_k + (hops - k) * o_k`` — if attention has locked
-            onto its rows, the remaining hops each add ≈ ``o_k``, so a
-            wide margin there means running them cannot flip the
-            answer.  Costs ``O(nq * num_answers * ed)`` per check,
-            independent of ``ns``.  ``"attention_mass"`` scores the
-            top-``attention_top_k`` mass of the next hop's attention
-            distribution (Fig. 6's concentration, read directly); it
-            pays an extra ``O(nq * ns * ed)`` scoring pass per check,
-            so it is the analysis metric, not the production one.
         min_hops: hops every question must run before it may exit
             (>= 1; the gate never fires mid-first-hop).
-        attention_top_k: ``k`` of the ``attention_mass`` concentration
-            measure.
     """
 
     threshold: float = 0.0
-    metric: str = "logit_margin"
     min_hops: int = 1
-    attention_top_k: int = 4
-
-    _METRICS = ("logit_margin", "attention_mass")
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold < 1.0:
             raise ValueError(
                 f"threshold must be in [0, 1), got {self.threshold}"
             )
-        if self.metric not in self._METRICS:
-            raise ValueError(
-                f"metric must be one of {self._METRICS}, got {self.metric!r}"
-            )
         if not isinstance(self.min_hops, int) or self.min_hops < 1:
             raise ValueError(
                 f"min_hops must be a positive integer, got {self.min_hops!r}"
-            )
-        if not isinstance(self.attention_top_k, int) or self.attention_top_k < 1:
-            raise ValueError(
-                "attention_top_k must be a positive integer, "
-                f"got {self.attention_top_k!r}"
             )
 
     @property
@@ -747,8 +713,8 @@ class EngineConfig:
     def with_execution(self, **changes) -> "EngineConfig":
         """A copy with the execution backend changed:
         :class:`ExecutionConfig` fields (``backend``, ``num_workers``,
-        ``dtype``, ``fused``, ``blas_threads``) by keyword; omitted
-        ones keep their current values.
+        ``dtype``, ``fused``) by keyword; omitted ones keep their
+        current values.
 
         As a convenience, asking for ``num_workers > 1`` without naming
         a backend upgrades a serial backend to ``"process"`` (the
@@ -780,9 +746,8 @@ class EngineConfig:
     def with_early_exit(self, threshold: float, **changes) -> "EngineConfig":
         """A copy with confidence-gated hop pruning at ``threshold``
         (the pruning aggressiveness; 0 disables — see
-        :class:`EarlyExitConfig`).  The other fields (``metric``,
-        ``min_hops``, ``attention_top_k``) go by keyword; omitted ones
-        keep their current values."""
+        :class:`EarlyExitConfig`).  ``min_hops`` goes by keyword; when
+        omitted it keeps its current value."""
         return replace(
             self,
             early_exit=replace(self.early_exit, threshold=threshold, **changes),
@@ -831,21 +796,13 @@ class EngineConfig:
         num_shards: int,
         shard_policy: str = "contiguous",
         chunk_size: int = 1000,
-        blas_threads: int | None = None,
-        dtype: str = "float32",
     ) -> "EngineConfig":
         """Sharded algorithm as one fused batch x shard tile sweep: one
         BLAS score call per ``chunk_size x num_shards``-row tile across
-        every shard, parallelism delegated to BLAS's own
-        ``blas_threads``-wide pool (library default when ``None``)."""
+        every shard, parallelism delegated to BLAS's own thread pool."""
         return cls.sharded(
             num_shards, shard_policy=shard_policy, chunk_size=chunk_size
-        ).with_execution(
-            backend="serial",
-            fused=True,
-            dtype=dtype,
-            blas_threads=blas_threads,
-        )
+        ).with_execution(backend="serial", fused=True)
 
     @classmethod
     def out_of_core(

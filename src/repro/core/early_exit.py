@@ -4,9 +4,9 @@ A MemNN runs ``u_{k+1} = u_k + o_k`` for a *fixed* number of hops, but
 A2P-MANN shows per-question hop pruning preserves accuracy while
 cutting work, and MnnFast's own zero-skipping data (§3.2, Fig. 6)
 proves the attention vector of a trained MANN is peaked enough to read
-confidence from.  This module holds the two confidence signals the
-gate can read after a hop and the :class:`HopTrace` record every
-answer pass emits (surfaced through ``tier_stats()["hops"]``).
+confidence from.  This module holds the confidence signal the gate
+reads after a hop and the :class:`HopTrace` record every answer pass
+emits (surfaced through ``tier_stats()["hops"]``).
 
 **Confidence semantics** (see
 :class:`~repro.core.config.EarlyExitConfig`): a question exits after
@@ -15,28 +15,20 @@ threshold is the pruning *aggressiveness* — exit sets are nested in
 it, which makes exit depth monotone non-increasing in the threshold
 (the property the serving degradation lever relies on).
 
-**Metrics:**
+**The signal** is the softmax margin (top-1 minus top-2 probability)
+of the answer layer applied to the *extrapolated terminal state*
+``u_k + remaining * o_k``.  The recurrence adds one attention readout
+per hop; once the attention has locked onto its rows, each remaining
+hop adds approximately the same ``o_k`` again, so the extrapolation
+previews where the full-depth state is heading.  A wide margin there
+means running the remaining hops cannot flip the argmax — exactly the
+agreement-with-full-depth guarantee the tests hold.  Cost
+``O(nq * num_answers * ed)``, independent of ``ns``.
 
-* ``logit_margin`` — softmax margin (top-1 minus top-2 probability)
-  of the answer layer applied to the *extrapolated terminal state*
-  ``u_k + remaining * o_k``.  The recurrence adds one attention
-  readout per hop; once the attention has locked onto its rows, each
-  remaining hop adds approximately the same ``o_k`` again, so the
-  extrapolation previews where the full-depth state is heading.  A
-  wide margin there means running the remaining hops cannot flip the
-  argmax — exactly the agreement-with-full-depth guarantee the bench
-  holds.  Cost ``O(nq * num_answers * ed)``, independent of ``ns``.
-* ``attention_mass`` — the top-``k`` mass of the attention
-  distribution the *next* hop would produce, ``softmax(u . M_IN^T)``.
-  This is Fig. 6's concentration read directly: mass near 1 means the
-  next readout is determined by a handful of rows the state has
-  already absorbed.  It pays a full ``O(nq * ns * ed)`` scoring pass
-  per check, so it is the analysis metric, not the production one.
-
-Both signals are **row-independent over the question axis**: a
-question's confidence depends only on its own row of ``u``/``o``, so
-retiring exited rows between hops never perturbs the survivors (the
-property suite pins this).
+The signal is **row-independent over the question axis**: a question's
+confidence depends only on its own row of ``u``/``o``, so retiring
+exited rows between hops never perturbs the survivors (the property
+suite pins this).
 """
 
 from __future__ import annotations
@@ -45,12 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import softmax
-
 __all__ = [
     "HopTrace",
     "logit_margin_confidence",
-    "attention_mass_confidence",
     "EXIT_FULL_DEPTH",
     "EXIT_CONFIDENCE",
 ]
@@ -109,31 +98,6 @@ def logit_margin_confidence(
     return (1.0 - np.exp(l2 - l1.astype(np.float64))) / total
 
 
-def attention_mass_confidence(
-    u: np.ndarray,
-    m_in: np.ndarray,
-    top_k: int,
-) -> np.ndarray:
-    """Top-``k`` attention-mass concentration of the next hop.
-
-    Args:
-        u: ``(nq, ed)`` state after the hop just run (the next hop's
-            input).
-        m_in: ``(ns, ed)`` input memory the next hop would attend over,
-            scored in its own dtype (``u`` is narrowed, never it widened).
-        top_k: rows whose mass counts as "concentrated".
-
-    Returns:
-        ``(nq,)`` confidence in ``(0, 1]`` — the softmax mass the
-        ``top_k`` highest-probability rows carry.  With ``ns <= top_k``
-        every row is in the top set and the confidence is exactly 1.
-    """
-    probabilities = softmax(np.asarray(u, dtype=m_in.dtype) @ m_in.T)
-    k = min(top_k, probabilities.shape[1])
-    top = np.partition(probabilities, -k, axis=1)[:, -k:]
-    return top.sum(axis=1)
-
-
 @dataclass
 class HopTrace:
     """What the confidence gate did during one answer pass.
@@ -144,7 +108,6 @@ class HopTrace:
 
     Attributes:
         threshold: the gate's pruning aggressiveness (0 = disabled).
-        metric: confidence metric the gate read.
         hops_configured: hops a full-depth pass would run.
         hops_run: ``(nq,)`` int — hops each question actually ran.
         exit_reason: per-question :data:`EXIT_FULL_DEPTH` or
@@ -156,7 +119,6 @@ class HopTrace:
     """
 
     threshold: float
-    metric: str
     hops_configured: int
     hops_run: np.ndarray
     exit_reason: list[str]
@@ -164,13 +126,11 @@ class HopTrace:
 
     @classmethod
     def full_depth(
-        cls, num_questions: int, hops: int, threshold: float = 0.0,
-        metric: str = "logit_margin",
+        cls, num_questions: int, hops: int, threshold: float = 0.0
     ) -> "HopTrace":
         """The trace of a pass where every question ran every hop."""
         return cls(
             threshold=threshold,
-            metric=metric,
             hops_configured=hops,
             hops_run=np.full(num_questions, hops, dtype=np.intp),
             exit_reason=[EXIT_FULL_DEPTH] * num_questions,
@@ -208,7 +168,6 @@ class HopTrace:
         :class:`~repro.core.engine.AnswerResult` views of a batch)."""
         return HopTrace(
             threshold=self.threshold,
-            metric=self.metric,
             hops_configured=self.hops_configured,
             hops_run=self.hops_run[index : index + 1].copy(),
             exit_reason=[self.exit_reason[index]],

@@ -32,7 +32,6 @@ from .early_exit import (
     EXIT_CONFIDENCE,
     EXIT_FULL_DEPTH,
     HopTrace,
-    attention_mass_confidence,
     logit_margin_confidence,
 )
 from .plan import InferencePlan, plan_inference
@@ -747,10 +746,9 @@ class MnnFastEngine:
             nq_total = len(u)
             active = np.arange(nq_total, dtype=np.intp)
             final_u = np.empty_like(u)
-            # Answer logits, and the questions they are still owed to:
-            # an exit on the logit-margin gate settles its own.
+            # Answer logits: an exit settles its own from the gate's
+            # projection; the survivors are projected after the loop.
             logits = np.empty((nq_total, num_answers))
-            unanswered = np.ones(nq_total, dtype=bool)
             hops_run = np.zeros(nq_total, dtype=np.intp)
             confidences: list[np.ndarray] = []
         for hop in range(self.config.hops):
@@ -774,7 +772,7 @@ class MnnFastEngine:
             if remaining == 0 or hop + 1 < ee.min_hops:
                 continue
             confidence, gate_logits, gate_stats = self._gate_confidence(
-                u, output, remaining, hop
+                u, output, remaining
             )
             stats.accumulate(gate_stats)
             row = np.full(nq_total, np.nan)
@@ -792,9 +790,7 @@ class MnnFastEngine:
             # attention each remaining hop would add ~o_k again, so
             # this approximates full depth instead of truncating it.
             final_u[exited] = u[exiting] + remaining * output[exiting]
-            if gate_logits is not None:
-                logits[exited] = gate_logits[exiting]
-                unanswered[exited] = False
+            logits[exited] = gate_logits[exiting]
             active = active[~exiting]
             u = u[~exiting]
             if len(active) == 0:
@@ -802,10 +798,12 @@ class MnnFastEngine:
 
         if gated:
             final_u[active] = u
+            projected = len(active)
+            if projected:
+                logits[active] = self._project(u)
             u = final_u
             hop_trace = HopTrace(
                 threshold=ee.threshold,
-                metric=ee.metric,
                 hops_configured=self.config.hops,
                 hops_run=hops_run,
                 # Only the gate retires a question before the last hop.
@@ -814,13 +812,9 @@ class MnnFastEngine:
                 ).tolist(),
                 confidence=confidences,
             )
-            projected = int(np.count_nonzero(unanswered))
-            if projected:
-                logits[unanswered] = self._project(u[unanswered])
         else:
             hop_trace = HopTrace.full_depth(
-                len(u), self.config.hops,
-                threshold=ee.threshold, metric=ee.metric,
+                len(u), self.config.hops, threshold=ee.threshold
             )
             logits = self._project(u).astype(np.float64, copy=False)
             projected = len(u)
@@ -850,43 +844,26 @@ class MnnFastEngine:
         u: np.ndarray,
         last_output: np.ndarray,
         remaining_hops: int,
-        hop: int,
-    ) -> tuple[np.ndarray, np.ndarray | None, OpStats]:
-        """The configured confidence signal for the active questions.
+    ) -> tuple[np.ndarray, np.ndarray, OpStats]:
+        """The logit-margin confidence of the active questions.
 
         Returns the ``(len(u),)`` confidence array, the extrapolated
-        answer logits the signal was read from (``None`` for a signal
-        that does not project answers) and the gate's own operation
-        counters (the check is not free; the accounting keeps the cost
-        model honest).
+        answer logits it was read from (an exiting question's final
+        logits) and the gate's own operation counters (the check is not
+        free; the accounting keeps the cost model honest).
         """
-        ee = self.engine_config.early_exit
         ed = self.config.embedding_dim
         nq = len(u)
+        answer_weight = self.answer_weight
+        num_answers = answer_weight.shape[0]
         gate_stats = OpStats()
-        gate_logits = None
-        if ee.metric == "logit_margin":
-            answer_weight = self.answer_weight
-            num_answers = answer_weight.shape[0]
-            # Extrapolation (2*nq*ed) + answer GEMM + softmax.
-            gate_stats.flops += 2 * nq * ed + 2 * nq * num_answers * ed
-            gate_stats.exp_calls += nq * num_answers
-            gate_logits = np.empty((nq, num_answers), answer_weight.dtype)
-            confidence = logit_margin_confidence(
-                u, last_output, remaining_hops, answer_weight, out=gate_logits
-            )
-        else:
-            # The next hop's attention distribution, reconstructed from
-            # the resident memories (the engine keeps them in RAM even
-            # when a store tier backs the solver).
-            pair = hop + 1 if self._num_pairs > 1 else 0
-            m_in = self._memories[pair][0]
-            ns = m_in.shape[0]
-            gate_stats.flops += 2 * nq * ns * ed
-            gate_stats.exp_calls += nq * ns
-            confidence = attention_mass_confidence(
-                u, m_in, ee.attention_top_k
-            )
+        # Extrapolation (2*nq*ed) + answer GEMM + softmax.
+        gate_stats.flops += 2 * nq * ed + 2 * nq * num_answers * ed
+        gate_stats.exp_calls += nq * num_answers
+        gate_logits = np.empty((nq, num_answers), answer_weight.dtype)
+        confidence = logit_margin_confidence(
+            u, last_output, remaining_hops, answer_weight, out=gate_logits
+        )
         return confidence, gate_logits, gate_stats
 
     def answer_batch(

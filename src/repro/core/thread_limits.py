@@ -5,8 +5,9 @@ which calls into NumPy's BLAS.  If every worker's BLAS also spins up
 its own ``T``-wide thread pool, the machine runs ``P x T`` compute
 threads on ``P``-ish cores and the "parallel" path loses to serial on
 context switches (the oversubscription failure mode DESIGN.md §10
-documents).  This module is the knob that prevents it: each worker
-pins its BLAS pool to a configured width (default 1) at startup.
+documents).  This module is the knob that prevents it: each worker of
+a pool that fans out pins its BLAS pool to 1 thread at startup
+(:meth:`~repro.core.config.ExecutionConfig.worker_blas_threads`).
 
 ``threadpoolctl`` is the right tool for this job but is an optional
 dependency this environment may not have, so the implementation
@@ -23,9 +24,9 @@ degrades explicitly:
    exactly when the process backend needs them;
 4. a recorded no-op.
 
-:func:`blas_thread_info` reports which layer is in effect so the
-BENCH_core.json artifact can record the *actual* thread limits a
-measurement ran under, not the requested ones.
+:func:`blas_thread_info` reports which layer is in effect so
+``benchmarks/bench_parallel_speedup.py`` can record the *actual*
+thread limits a measurement ran under, not the requested ones.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ from repro.core.config import (
     GPU_CONFIG,
     TABLE1,
     ChunkConfig,
+    EarlyExitConfig,
     EmbeddingCacheConfig,
     EngineConfig,
+    ExecutionConfig,
     MemNNConfig,
     ZeroSkipConfig,
 )
@@ -118,6 +120,16 @@ class TestEngineConfig:
             EngineConfig(stable_softmax=True)
         assert not hasattr(EngineConfig, "batched")
         assert not hasattr(EngineConfig, "parallel")
+        # One early-exit signal (the logit margin) and one BLAS-thread
+        # policy (worker_blas_threads): neither is a setting.
+        with pytest.raises(TypeError, match="metric"):
+            EarlyExitConfig(metric="logit_margin")
+        with pytest.raises(TypeError, match="attention_top_k"):
+            EarlyExitConfig(attention_top_k=4)
+        with pytest.raises(TypeError, match="blas_threads"):
+            ExecutionConfig(blas_threads=1)
+        with pytest.raises(TypeError, match="dtype"):
+            EngineConfig.fused(4, dtype="float64")
 
 
 class TestBuilders:

@@ -1,5 +1,6 @@
 """The document-QA workload subsystem: corpus determinism, qrels
-completeness, metric arithmetic, and the traffic adapters.
+completeness, metric arithmetic, the traffic adapters, and the
+retrieval-quality gates.
 
 The subsystem's value rests on two invariants that make its scores
 trustworthy:
@@ -22,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.batching import BatchConfig, form_batches
-from repro.cluster import row_span_chunks
+from repro.cluster import ClusterConfig, ClusterSim, row_span_chunks
 from repro.core import EngineConfig, MnnFastEngine
 from repro.data import tokenize
 from repro.docqa import (
@@ -332,3 +333,97 @@ class TestWorkloadAdapters:
             row_span_chunks(5, 5, chunk_size=4)
         with pytest.raises(ValueError):
             row_span_chunks(0, 4, chunk_size=0)
+
+
+# --- quality gates (benchmarks/bench_docqa.py reports them at 32 x 128 rows) --
+
+#: The gates' scale: 1 024 rows at ed 32, two hops, recall@4.
+GATE_DOCS, GATE_ROWS, GATE_QUERIES, GATE_ED, GATE_HOPS, GATE_K = 16, 64, 24, 32, 2, 4
+
+
+@pytest.fixture(scope="module")
+def gate_problem():
+    corpus = synthetic_corpus(
+        num_docs=GATE_DOCS, rows_per_doc=GATE_ROWS, max_words=8, seed=3
+    )
+    queries, qrels = generate_queries(corpus, num_queries=GATE_QUERIES, seed=5)
+    network = docqa_network(corpus, embedding_dim=GATE_ED, hops=GATE_HOPS)
+    weights = docqa_weights(network, seed=7, scale=0.35, out_scale=0.2)
+
+    def evaluate(config):
+        return sweep_docqa_configs(
+            corpus, queries, qrels, {"gate": config},
+            network=network, weights=weights, k=GATE_K,
+        )["gate"]
+
+    return corpus, queries, evaluate
+
+
+class TestQualityGates:
+    """The deterministic gates of the document-QA bench: the
+    approximations keep the ranking quality, and the workload's
+    locality structure is real."""
+
+    BASE = EngineConfig.mnnfast(chunk_size=256)
+
+    def test_calibrated_topk_holds_recall_on_a_strict_subset(self, gate_problem):
+        _, _, evaluate = gate_problem
+        for nprobe in (2, 4, 8, 16, 32):
+            topk = evaluate(self.BASE.with_topk(
+                nprobe=nprobe, min_rows=0, record_candidates=True,
+                kmeans_iters=12,
+            ))
+            if topk.recall_at_k >= 0.95:
+                break
+        assert topk.num_queries == GATE_QUERIES
+        assert topk.recall_at_k >= 0.95
+        assert topk.mean_candidate_fraction < 1.0
+
+    def test_early_exit_keeps_span_hits_while_exiting(self, gate_problem):
+        _, _, evaluate = gate_problem
+        exact = evaluate(self.BASE)
+        early = evaluate(self.BASE.with_early_exit(0.8))
+        assert exact.num_queries == early.num_queries == GATE_QUERIES
+        assert abs(early.span_hit_rate - exact.span_hit_rate) <= 0.01
+        assert early.mean_hops < GATE_HOPS
+
+    def test_sessions_fill_batches_better_than_uniform(self, gate_problem):
+        _, queries, _ = gate_problem
+        policy = BatchConfig(max_batch_size=8, max_wait=0.02)
+        sessioned = docqa_workload(
+            queries, session_rate=20.0, questions_per_session=4,
+            intra_session_gap=0.002, num_sessions=32, seed=11,
+        )
+        uniform = docqa_workload(
+            queries, session_rate=80.0, questions_per_session=1,
+            num_sessions=len(sessioned), seed=11,
+        )
+
+        def fill(stream):
+            batches = form_batches(stream, policy)
+            return np.mean([batch.formation.fill_ratio for batch in batches])
+
+        assert fill(sessioned) > fill(uniform)
+
+    def test_affinity_routing_hits_at_least_round_robin(self, gate_problem):
+        corpus, queries, _ = gate_problem
+        chunk = 16
+        chunk_bytes = 2 * chunk * GATE_ED * 8
+        # Each replica's LRU holds three documents' chunks.
+        config = ClusterConfig(
+            num_rows=corpus.num_rows, embedding_dim=GATE_ED, chunk_size=chunk,
+            replicas=4, resident_bytes=3 * (GATE_ROWS // chunk) * chunk_bytes,
+            disk_bandwidth=2e8,
+        )
+        stream = docqa_workload(
+            queries, session_rate=150.0, questions_per_session=4,
+            num_sessions=250, seed=19,
+        )
+        requests = to_cluster_requests(
+            stream, corpus, chunk_size=chunk, total_chunks=config.total_chunks
+        )
+        hit_rate = {
+            policy: ClusterSim(config, policy=policy).run(requests).chunk_hit_rate
+            for policy in ("round_robin", "cache_affinity")
+        }
+        assert hit_rate["cache_affinity"] >= hit_rate["round_robin"]

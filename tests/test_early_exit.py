@@ -1,12 +1,12 @@
 """Confidence-gated early exit: config, gate behavior, serving lever.
 
 Covers the adaptive hop-pruning surface end to end: the
-:class:`EarlyExitConfig` validation and builder, the confidence
-signals and :class:`HopTrace` record, the engine gate's depth
-semantics (min_hops floor, never-on-last-hop, accounting), and the
+:class:`EarlyExitConfig` validation and builder, the logit-margin
+signal and :class:`HopTrace` record, the engine gate's depth
+semantics (min_hops floor, never-on-last-hop, accounting), the
 serving-side cost model / degradation lever
 (:func:`exit_rate_for_threshold`, ``expected_hop_survivors``,
-``effective_exit_threshold``).
+``effective_exit_threshold``), and the lever under overload.
 """
 
 import numpy as np
@@ -27,15 +27,17 @@ from repro.core.early_exit import (
     EXIT_CONFIDENCE,
     EXIT_FULL_DEPTH,
     HopTrace,
-    attention_mass_confidence,
     logit_margin_confidence,
 )
 from repro.serving import (
+    AdmissionConfig,
     DegradationConfig,
     DegradationPolicy,
     QaServer,
+    QuestionRequest,
     ServerConfig,
     exit_rate_for_threshold,
+    generate_workload,
 )
 
 from .conftest import float64
@@ -55,16 +57,9 @@ class TestEarlyExitConfig:
             EarlyExitConfig(threshold=1.0)
         assert EarlyExitConfig(threshold=0.999).enabled
 
-    def test_metric_names_validated(self):
-        with pytest.raises(ValueError, match="metric"):
-            EarlyExitConfig(metric="vibes")
-        EarlyExitConfig(metric="attention_mass")
-
-    def test_min_hops_and_top_k_positive_integers(self):
+    def test_min_hops_positive_integer(self):
         with pytest.raises(ValueError, match="min_hops"):
             EarlyExitConfig(min_hops=0)
-        with pytest.raises(ValueError, match="attention_top_k"):
-            EarlyExitConfig(attention_top_k=0)
 
     def test_required_confidence_is_one_minus_threshold(self):
         assert EarlyExitConfig(threshold=0.3).required_confidence == pytest.approx(0.7)
@@ -73,18 +68,14 @@ class TestEarlyExitConfig:
         base = EngineConfig.mnnfast()
         gated = base.with_early_exit(0.2)
         assert gated.early_exit.threshold == 0.2
-        assert gated.early_exit.metric == base.early_exit.metric
         assert gated.early_exit.min_hops == base.early_exit.min_hops
         # The rest of the engine config is untouched.
         assert gated.algorithm == base.algorithm
         assert gated.zero_skip == base.zero_skip
 
     def test_builder_partial_override_inherits(self):
-        first = EngineConfig().with_early_exit(
-            0.1, metric="attention_mass", min_hops=2
-        )
+        first = EngineConfig().with_early_exit(0.1, min_hops=2)
         second = first.with_early_exit(0.4)
-        assert second.early_exit.metric == "attention_mass"
         assert second.early_exit.min_hops == 2
         assert second.early_exit.threshold == 0.4
 
@@ -107,21 +98,6 @@ class TestConfidenceSignals:
         )
         np.testing.assert_array_equal(conf, 1.0)
 
-    def test_attention_mass_bounded_and_exact_when_k_covers_ns(self, rng):
-        u = rng.normal(size=(4, 8))
-        m_in = rng.normal(size=(20, 8))
-        conf = attention_mass_confidence(u, m_in, top_k=5)
-        assert np.all(conf > 0.0) and np.all(conf <= 1.0 + 1e-12)
-        covered = attention_mass_confidence(u, m_in, top_k=20)
-        np.testing.assert_allclose(covered, 1.0, rtol=1e-12)
-
-    def test_attention_mass_monotone_in_k(self, rng):
-        u = rng.normal(size=(4, 8))
-        m_in = rng.normal(size=(30, 8))
-        small = attention_mass_confidence(u, m_in, top_k=2)
-        large = attention_mass_confidence(u, m_in, top_k=8)
-        assert np.all(large >= small - 1e-15)
-
 
 class TestHopTrace:
     def test_full_depth_constructor(self):
@@ -136,7 +112,6 @@ class TestHopTrace:
     def test_derived_statistics(self):
         trace = HopTrace(
             threshold=0.2,
-            metric="logit_margin",
             hops_configured=4,
             hops_run=np.array([1, 4, 2, 1]),
             exit_reason=[
@@ -154,7 +129,6 @@ class TestHopTrace:
     def test_question_view_slices_all_fields(self):
         trace = HopTrace(
             threshold=0.2,
-            metric="logit_margin",
             hops_configured=3,
             hops_run=np.array([1, 3]),
             exit_reason=[EXIT_CONFIDENCE, EXIT_FULL_DEPTH],
@@ -246,19 +220,6 @@ class TestEngineGate:
             if exited_first.any():
                 assert np.isnan(trace.confidence[1][exited_first]).all()
 
-    def test_attention_mass_metric_path(self):
-        config, weights, stories, questions = _calibrated_problem()
-        result = _run(
-            config, weights, stories, questions,
-            EngineConfig().with_early_exit(0.5, metric="attention_mass"),
-        )
-        trace = result.hop_trace
-        assert trace.metric == "attention_mass"
-        assert trace.num_exited > 0
-        # Checks stop once every question has retired, so anywhere
-        # between 1 and hops-1 check records is legal.
-        assert 1 <= len(trace.confidence) <= config.hops - 1
-
     def test_gate_checks_are_accounted_in_opstats(self):
         # A tiny threshold arms the gate (checks run, costs accrue)
         # but is effectively unreachable, so no hop work is saved —
@@ -294,10 +255,7 @@ def _reference_gated_pass(engine, questions):
         remaining = hops - (hop + 1)
         if remaining == 0 or hop + 1 < ee.min_hops:
             continue
-        if ee.metric == "logit_margin":
-            confidence = logit_margin_confidence(u, output, remaining, answer_weight)
-        else:
-            confidence = attention_mass_confidence(u, m_in, ee.attention_top_k)
+        confidence = logit_margin_confidence(u, output, remaining, answer_weight)
         row = np.full(len(final_u), np.nan)
         row[active] = confidence
         confidences.append(row)
@@ -314,14 +272,10 @@ class TestGateLogitReuse:
     """An exit on the logit-margin gate keeps the logits the gate
     projected; only the survivors reach the answer layer."""
 
-    @pytest.mark.parametrize("metric", ["logit_margin", "attention_mass"])
-    def test_gated_pass_matches_the_plain_recurrence(self, metric):
+    def test_gated_pass_matches_the_plain_recurrence(self):
         config, weights, stories, questions = _calibrated_problem()
         engine = MnnFastEngine(
-            config, weights,
-            engine_config=float64().with_early_exit(
-                0.2 if metric == "logit_margin" else 0.01, metric=metric
-            ),
+            config, weights, engine_config=float64().with_early_exit(0.2)
         )
         engine.store_story(stories)
         result = engine.answer(questions)
@@ -577,5 +531,57 @@ class TestWorkloadDeterminism:
         zero = sweep.point_at(0.0)
         assert zero.agreement == 1.0
         assert zero.mean_hops == sweep.hops
+        # An armed gate that saves hops still agrees with full depth.
         aggressive = sweep.point_at(0.2)
-        assert aggressive.mean_hops <= zero.mean_hops
+        assert aggressive.mean_hops < zero.mean_hops
+        assert aggressive.agreement >= 0.98
+
+
+class TestOverload:
+    """Under 2x overload the exit lever sheds hops before requests: two
+    batched deployments on one question stream, bounded queue and
+    deadline, one with only the early-exit lever of the degradation
+    policy armed (zero-skip threshold and hop count parked)."""
+
+    def _pair(self):
+        network = MemNNConfig(
+            embedding_dim=48, num_sentences=20_000, num_questions=1,
+            vocab_size=30_000, hops=4,
+        )
+
+        def config(armed):
+            return ServerConfig(
+                network=network,
+                engine=EngineConfig.mnnfast().with_batching(8, max_wait=1e-3),
+                workers=4,
+                deadline=5e-3,
+                admission=AdmissionConfig(max_queue=64),
+                degradation=DegradationConfig(
+                    enabled=armed, high_watermark=16, low_watermark=4,
+                    max_level=3, threshold_factor=1.0, hop_step=0,
+                    exit_threshold_step=0.15,
+                ),
+            )
+
+        server = QaServer(config(False))
+        per_question = server.inference_seconds(batch_size=8) / 8 + (
+            server.question_embed_seconds(QuestionRequest(arrival=0.0, words=6))
+        )
+        workload = generate_workload(
+            question_rate=2.0 * 4 / per_question, story_rate=0.0,
+            duration=0.05, seed=11,
+        )
+        full = QaServer(config(False), seed=9).run(workload)
+        gated = QaServer(config(True), seed=9).run(workload)
+        return full, gated
+
+    def test_exit_lever_sheds_hops_before_requests(self):
+        full, gated = self._pair()
+        full.reconcile()
+        gated.reconcile()
+        assert full.timed_out > 0
+        assert gated.timed_out < full.timed_out
+        assert gated.shed <= full.shed
+        assert gated.completed > full.completed
+        assert gated.hops_saved_fraction > 0.0
+        assert gated.degradation_peak_level > 0

@@ -244,14 +244,13 @@ def test_a_fold_holds_one_score_block_and_its_state(arrangement, fold, request):
 
 
 def test_small_operand_is_cast_not_the_memory():
-    """Four calls hand NumPy a float64 ``(nq, ed)`` state and a float32
+    """Three calls hand NumPy a float64 ``(nq, ed)`` state and a float32
     ``(ns, ed)`` memory.  Each must narrow the state (or widen the
     ``(nq, block)`` scores), so its temporaries are O(nq x ns) — never
     the O(ns x ed x 8) float64 copy of the memory a mixed GEMM makes."""
     engine, questions = _loaded(
         EngineConfig.mnnfast(CHUNK, 0.1)
         .with_topk(nlist=16, nprobe=4, measure_recall=True)
-        .with_early_exit(0.3, metric="attention_mass")
     )
     widened_memory = NS * ED * 8
     scores_bytes = NQ * NS * 8
@@ -265,7 +264,6 @@ def test_small_operand_is_cast_not_the_memory():
 
     calls = {
         "attention": lambda: engine.attention(questions),
-        "gate": lambda: engine._gate_confidence(u, np.zeros_like(u), 1, 0),
         "recall": lambda: topk._attention_mass_recall(
             u.astype(np.float32), np.arange(0, NS, 7)
         ),

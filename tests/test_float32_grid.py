@@ -87,16 +87,13 @@ def _answer(seed, engine_config, **kwargs):
 
 
 def _gated_grid(pin):
-    """The full grid, and every non-baseline cell again behind each
-    early-exit gate, at thresholds that retire one or two of the random
-    problem's four questions after the first hop."""
+    """The full grid, and every non-baseline cell again behind the
+    early-exit gate, at a threshold that retires one or two of the
+    random problem's four questions after the first hop."""
     grid = _full_grid(pin)
     for name, config in list(grid.items()):
         if name != "baseline":
             grid[name + "+margin"] = config.with_early_exit(0.99875)
-            grid[name + "+mass"] = config.with_early_exit(
-                0.77, metric="attention_mass", attention_top_k=8
-            )
     return grid
 
 

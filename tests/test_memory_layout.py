@@ -27,7 +27,6 @@ from repro.core import (
     ShardedMemNN,
     TopKConfig,
 )
-from repro.core.early_exit import attention_mass_confidence
 from repro.index.topk import TopKMemNN
 from repro.store import ChunkPrefetcher, MmapStore, ResidentStore
 
@@ -272,9 +271,9 @@ def test_set_memories_converts_a_row_major_m_in_once(appended):
 
 
 def test_score_only_callers_take_m_in_as_it_is(appended):
-    """``engine.attention``, the attention-mass gate, the recall scan
-    and the baseline all write ``u @ m_in.T`` against the feature-major
-    rows; none forces a C-order copy of them."""
+    """``engine.attention``, the recall scan and the baseline all write
+    ``u @ m_in.T`` against the feature-major rows; none forces a C-order
+    copy of them."""
     engine, questions = appended
     m_in, m_out = engine.memories
     u, _, _ = engine.embed_question(questions)
@@ -286,7 +285,6 @@ def test_score_only_callers_take_m_in_as_it_is(appended):
     assert np.shares_memory(baseline.m_in, m_in)
     calls = {
         "attention": lambda: engine.attention(questions),
-        "gate": lambda: attention_mass_confidence(u, m_in, 4),
         "recall": lambda: recall._attention_mass_recall(
             u.astype(np.float32), np.arange(0, ROWS, 7)
         ),

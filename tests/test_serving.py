@@ -183,13 +183,15 @@ class TestSimulation:
         assert all(s.queueing < 1e-9 for s in metrics.samples)
 
     def test_overload_builds_queues(self):
-        """Past saturation, baseline latency explodes while MnnFast holds."""
+        """Past saturation, baseline latency explodes while MnnFast
+        sustains the load the baseline cannot."""
         rate = 30_000  # beyond the baseline's 4-worker capacity
         workload = generate_workload(rate, 0, 0.2, seed=0)
         base = QaServer(ServerConfig(engine=EngineConfig.baseline())).run(workload)
         fast = QaServer(ServerConfig(engine=EngineConfig.mnnfast())).run(workload)
         assert fast.mean_latency() < base.mean_latency()
-        assert fast.throughput() >= base.throughput()
+        assert fast.throughput() > 1.5 * base.throughput()
+        assert fast.latency_percentile(95) < base.latency_percentile(95)
 
     def test_contention_inflates_inference_latency(self):
         workload = generate_workload(500, 400, 1.0, seed=0)

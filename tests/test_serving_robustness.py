@@ -14,6 +14,7 @@ from repro.serving import (
     ServerConfig,
     StoryRequest,
     Workload,
+    run_overload_experiment,
     skip_ratio_for_threshold,
     stage_group,
 )
@@ -247,6 +248,17 @@ class TestDegradation:
         fast = QaServer(self._config(True)).run(self._workload())
         assert fast.latency_percentile(99) < slow.latency_percentile(99)
         assert fast.mean_latency() < slow.mean_latency()
+        # At 2x saturation behind a bounded queue and a deadline, the
+        # degraded server also sheds less, and the win is queueing time.
+        result = run_overload_experiment(duration=0.05, load_factor=2.0)
+        plain, degraded = result.no_policy, result.degraded
+        assert degraded.shed_rate < plain.shed_rate
+        assert degraded.latency_percentile(99) < plain.latency_percentile(99)
+        assert degraded.degradation_peak_level > 0
+        assert (
+            degraded.stage_breakdown("question")["queueing"]
+            < plain.stage_breakdown("question")["queueing"]
+        )
 
     def test_full_fidelity_without_pressure(self):
         # An underloaded server never degrades.

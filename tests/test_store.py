@@ -3,8 +3,7 @@
 Covers the store backends (resident / mmap round-trips, boundary
 geometry, error cleanup), the chunk pipeline's accounting, the
 differential grid that pins the out-of-core paths to the resident
-reference at 1e-10, the engine/config integration, and the
-``BENCH_*.json`` artifact validator.
+reference at 1e-10, and the engine/config integration.
 """
 
 import gc
@@ -12,7 +11,6 @@ import json
 import os
 import sys
 import threading
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,12 +34,6 @@ from repro.store import (
 )
 
 from .conftest import float64
-
-sys.path.insert(
-    0, str(Path(__file__).resolve().parent.parent / "benchmarks")
-)
-from validate_artifacts import main as validate_main  # noqa: E402
-from validate_artifacts import validate_artifact  # noqa: E402
 
 NS, ED, NQ = 257, 24, 5
 
@@ -645,48 +637,3 @@ class TestEngineOutOfCore:
         engine.close()
         assert _open_fds() == fds
         assert not set(threading.enumerate()) - threads
-
-
-class TestArtifactValidator:
-    def _write(self, path, payload):
-        path.write_text(json.dumps(payload))
-
-    def test_valid_artifact_passes(self, tmp_path):
-        self._write(
-            tmp_path / "BENCH_x.json",
-            {"smoke": True, "headline": 1.5},
-        )
-        assert validate_artifact(tmp_path / "BENCH_x.json") == []
-        assert validate_main(tmp_path) == 0
-
-    def test_unparseable_artifact_fails(self, tmp_path):
-        (tmp_path / "BENCH_bad.json").write_text("{not json")
-        problems = validate_artifact(tmp_path / "BENCH_bad.json")
-        assert problems and "JSON" in problems[0]
-        assert validate_main(tmp_path) == 1
-
-    def test_missing_smoke_key_fails(self, tmp_path):
-        self._write(tmp_path / "BENCH_x.json", {"headline": 1.5})
-        problems = validate_artifact(tmp_path / "BENCH_x.json")
-        assert any("smoke" in p for p in problems)
-
-    def test_empty_payload_fails(self, tmp_path):
-        self._write(
-            tmp_path / "BENCH_x.json",
-            {"smoke": True, "series": {}, "note": ""},
-        )
-        problems = validate_artifact(tmp_path / "BENCH_x.json")
-        assert any("payload" in p for p in problems)
-
-    def test_non_object_fails(self, tmp_path):
-        self._write(tmp_path / "BENCH_x.json", [1, 2, 3])
-        problems = validate_artifact(tmp_path / "BENCH_x.json")
-        assert any("object" in p for p in problems)
-
-    def test_no_artifacts_is_a_failure(self, tmp_path):
-        assert validate_main(tmp_path) == 1
-
-    def test_repo_artifacts_are_valid_if_present(self):
-        root = Path(__file__).resolve().parent.parent
-        for artifact in root.glob("BENCH_*.json"):
-            assert validate_artifact(artifact) == [], artifact.name
