@@ -21,6 +21,7 @@ test:
 
 # Build (or load from the cache) the compiled tile fold, src/repro/core/
 # _fold.c, and print which fold TileState runs: "c", or "numpy: <why>".
+# The bag-of-words embedding is in the same library and follows it.
 # CI runs it before `make check`, so the first compile (about a second)
 # never lands inside one test's PYTEST_MAX_TEST_SECONDS budget.
 kernel:

@@ -14,6 +14,11 @@
  * exponentials left in the block).  The NumPy fold in column.py is the
  * reference this file is tested against (tests/test_compiled_fold.py).
  *
+ * The bag-of-words embedding in front of the scan (repro_bow) lives
+ * here too, so a stored sentence costs one call: its sums equal the
+ * NumPy embedding's (numerics.bow_embed_each) to the bit
+ * (tests/test_compiled_bow.py).
+ *
  * Determinism: each reduction runs in LANES fixed lanes combined in a
  * fixed order, and the build turns FP contraction off (only the MADD
  * below fuses), so a tile folds to the same bits whatever its
@@ -41,7 +46,7 @@ typedef struct {
     void *log_max;    /* (nq,), in the tile dtype */
     double threshold; /* zero-skipping threshold, 0 = keep every row */
     double floor;     /* exp_floor(dtype): shifted scores are floored here */
-    int64_t folded;   /* tiles folded so far */
+    int64_t folded;   /* tiles folded so far; 0 starts a new scan */
 } fold_state;
 
 /* numpy's PyArrayInterface: what an ndarray's __array_struct__
@@ -74,6 +79,17 @@ static inline int is_array(
 #define FOLD_BAD_SCORES (-1)
 #define FOLD_BAD_ROWS (-2)
 #define FOLD_BAD_RUNS (-3)
+
+/* repro_bow's returns besides 0 (compiled_fold.BOW_BAD_WORD /
+ * BOW_REFUSED). */
+#define BOW_BAD_WORD (-1)
+#define BOW_REFUSED (-2)
+
+/* numerics.PAD_ID: the word ID whose vector is masked to zero. */
+#define PAD_ID 0
+
+/* Embedding columns a bag sum accumulates at a time. */
+#define BOW_BLOCK 256
 
 #define LANES 16
 
@@ -164,7 +180,11 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
      * NaN; a NaN score turns the row's sum NaN below.) */
     FOLD_T running = tile_max;
     if (first) {
+        /* A scan's first fold initialises the whole state: the buffer
+         * may hold a previous scan's (compiled_fold.FoldState). */
         st->denom[q] = 0.0;
+        for (k = 0; k < ed; k++)
+            acc[k] = 0.0;
     } else {
         running = log_max[q];
         if (tile_max > running) {
@@ -314,6 +334,100 @@ int64_t FOLD_NAME(repro_fold)(
                              out, orow, ocol, bound, shift);
     st->folded++;
     return kept;
+}
+
+/* Whether `out` can take an (n, ed) block of bag sums. */
+static inline int FOLD_NAME(bow_out)(const array_interface *out, int64_t n, int64_t ed)
+{
+    return is_array(out, 2, 'f', (int)sizeof(FOLD_T), ARRAY_WRITEABLE)
+        && out->shape[0] == n && out->shape[1] == ed;
+}
+
+/* The bag sums of n sentences under one (V, ed) float64 table, each
+ * rounded once into its row of `out` (strides in elements: a
+ * feature-major M_IN slice and a row-major M_OUT slice alike). */
+static void FOLD_NAME(bow_table)(
+    const int64_t *ids, ptrdiff_t srow, ptrdiff_t scol, int64_t n, int64_t nw,
+    const double *table, int64_t ed, const double *encoding,
+    FOLD_T *out, ptrdiff_t orow, ptrdiff_t ocol)
+{
+    double sum[BOW_BLOCK];
+    for (int64_t lo = 0; lo < ed; lo += BOW_BLOCK) {
+        const int64_t width = ed - lo < BOW_BLOCK ? ed - lo : BOW_BLOCK;
+        for (int64_t i = 0; i < n; i++) {
+            int64_t d;
+            for (d = 0; d < width; d++)
+                sum[d] = 0.0;
+            for (int64_t j = 0; j < nw; j++) {
+                const int64_t id = ids[i * srow + j * scol];
+                const double mask = id != PAD_ID ? 1.0 : 0.0;
+                const double *vector = table + id * ed + lo;
+                if (encoding != NULL) {
+                    const double *weight = encoding + j * ed + lo;
+                    for (d = 0; d < width; d++)
+                        sum[d] += vector[d] * mask * weight[d];
+                } else {
+                    for (d = 0; d < width; d++)
+                        sum[d] += vector[d] * mask;
+                }
+            }
+            FOLD_T *row = out + i * orow + lo * ocol;
+            for (d = 0; d < width; d++)
+                row[d * ocol] = (FOLD_T)sum[d];
+        }
+    }
+}
+
+/* Bag-of-words embedding (numerics.bow_embed_each): the (n, nw) int64
+ * word IDs of `sentences` under the float64 (V, ed) table `table_a`
+ * into `out_a`, and under `table_c` into `out_c` (both NULL: one
+ * table).  A word's vector is multiplied by its pad mask (0 for PAD_ID,
+ * else 1), then by its (nw, ed) `encoding` row when there is one, and
+ * a sentence's vectors are added to +0.0 in float64 position by
+ * position -- the NumPy embedding's arithmetic, to the bit.
+ * Every word ID is checked before any row is written.  Returns 0,
+ * BOW_BAD_WORD (an ID outside [0, V)), or BOW_REFUSED: an array this
+ * loop does not take (the caller embeds with NumPy instead). */
+int64_t FOLD_NAME(repro_bow)(
+    const array_interface *sentences, const array_interface *encoding,
+    const array_interface *table_a, const array_interface *out_a,
+    const array_interface *table_c, const array_interface *out_c)
+{
+    if (!is_array(sentences, 2, 'i', 8, 0)
+        || !is_array(table_a, 2, 'f', 8, ARRAY_C_CONTIGUOUS))
+        return BOW_REFUSED;
+    const int64_t n = sentences->shape[0], nw = sentences->shape[1];
+    const int64_t vocab = table_a->shape[0], ed = table_a->shape[1];
+    if (!FOLD_NAME(bow_out)(out_a, n, ed))
+        return BOW_REFUSED;
+    if ((table_c == NULL) != (out_c == NULL))
+        return BOW_REFUSED;
+    if (table_c != NULL
+        && (!is_array(table_c, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
+            || table_c->shape[0] != vocab || table_c->shape[1] != ed
+            || !FOLD_NAME(bow_out)(out_c, n, ed)))
+        return BOW_REFUSED;
+    if (encoding != NULL
+        && (!is_array(encoding, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
+            || encoding->shape[0] != nw || encoding->shape[1] != ed))
+        return BOW_REFUSED;
+    const int64_t *ids = sentences->data;
+    const ptrdiff_t srow = sentences->strides[0] / 8, scol = sentences->strides[1] / 8;
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t j = 0; j < nw; j++) {
+            const int64_t id = ids[i * srow + j * scol];
+            if (id < 0 || id >= vocab)
+                return BOW_BAD_WORD;
+        }
+    const double *weights = encoding != NULL ? encoding->data : NULL;
+    const ptrdiff_t size = (ptrdiff_t)sizeof(FOLD_T);
+    FOLD_NAME(bow_table)(ids, srow, scol, n, nw, table_a->data, ed, weights,
+                         out_a->data, out_a->strides[0] / size, out_a->strides[1] / size);
+    if (table_c != NULL)
+        FOLD_NAME(bow_table)(ids, srow, scol, n, nw, table_c->data, ed, weights,
+                             out_c->data, out_c->strides[0] / size,
+                             out_c->strides[1] / size);
+    return 0;
 }
 
 /* The fold's exponential over an array, for the tests. */

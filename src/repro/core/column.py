@@ -325,8 +325,8 @@ class TileState:
         if kernel is None:
             return
         nq, ed = self._shape
-        # One zeroed buffer, one pointer: denom, acc, then log_max (in
-        # the tile dtype, one float64 slot per question).  (A ctypes
+        # One buffer, one pointer: denom, acc, then log_max (in the tile
+        # dtype, one float64 slot per question).  (A ctypes
         # buffer has a cheaper address but bypasses NumPy's small-block
         # cache: it left out_of_core_stream's peak RSS 3 MB higher.)
         state = np.zeros(nq * (ed + 2))
@@ -423,10 +423,27 @@ class TileState:
             np.matmul(exp_scores, tile_out, out=contrib)
             self._acc += contrib
 
+    def restart(self) -> "TileState":
+        """This state, emptied for a new scan of the same shape.  The
+        compiled fold keeps its buffer and ``FoldState``: its next fold
+        is a first fold again, which initialises ``denom`` and ``acc``
+        and sets ``log_max``.  A partial taken before stops being valid:
+        it is a view of the buffer (DESIGN.md §10, "One fold state per
+        solver")."""
+        self.rows_kept = 0
+        if self._compiled is None:
+            self._log_max = self._denom = self._acc = self._fold_ws = None
+        else:
+            self._compiled[1].folded = 0
+        return self
+
     def partial(self) -> PartialOutput:
         """The folded state as a mergeable partial — the identity of
-        :meth:`PartialOutput.merge` when no tile was folded."""
-        if self._acc is None:
+        :meth:`PartialOutput.merge` when no tile was folded.  Its arrays
+        are the state's own, not copies."""
+        if self._acc is None or (
+            self._compiled is not None and not self._compiled[1].folded
+        ):
             return PartialOutput.empty(*self._shape)
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
@@ -520,6 +537,8 @@ class ColumnMemNN:
             dtype = check_dtype(dtype)
             self._store = ResidentStore(m_in, m_out, dtype=dtype)
         self.dtype = dtype
+        #: ``((nq, threshold), TileState)`` of the last :meth:`output`.
+        self._last_scan: tuple[tuple[int, float], TileState] | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -576,7 +595,16 @@ class ColumnMemNN:
         over the whole memory, or over the ``(r, 2)`` row runs ``runs``
         (see :meth:`scored_tiles`)."""
         start = time.perf_counter()
-        partial, stats = self.partial_output(u, zero_skip=zero_skip, runs=runs)
+        u = self.check_questions(u)
+        # The last scan's state, restarted, when the shape matches: its
+        # partial is finalized before anything can see it.
+        key = (len(u), zero_skip.threshold if zero_skip else 0.0)
+        if self._last_scan is not None and self._last_scan[0] == key:
+            state = self._last_scan[1].restart()
+        else:
+            state = TileState(*u.shape, key[1])
+            self._last_scan = (key, state)
+        partial, stats = self._scan(u, state, runs)
         output = partial.finalize()
         return InferenceResult(
             output=output,
@@ -599,13 +627,20 @@ class ColumnMemNN:
 
         This is the unit of work a scale-out deployment distributes:
         each worker calls :meth:`partial_output` on its shard and the
-        coordinator merges and finalizes.
+        coordinator merges and finalizes.  The partial is the caller's:
+        no later scan writes into it.
         """
         u = self.check_questions(u)
-        nq, ed = u.shape
-        state = TileState(nq, ed, zero_skip.threshold if zero_skip else 0.0)
+        state = TileState(*u.shape, zero_skip.threshold if zero_skip else 0.0)
+        return self._scan(u, state, runs)
+
+    def _scan(
+        self, u: np.ndarray, state: TileState, runs: np.ndarray | None
+    ) -> tuple[PartialOutput, OpStats]:
+        """Fold every tile of ``u``'s scan into ``state``."""
         for scores, chunk_out in self.scored_tiles(u, runs):
             state.fold(scores, chunk_out)
+        nq, ed = u.shape
         return state.partial(), column_op_stats(
             nq,
             self.num_sentences if runs is None else int(np.diff(runs).sum()),

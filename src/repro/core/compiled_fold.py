@@ -7,7 +7,10 @@ scan.  The library is built or loaded once per process, on the first
 fold; with no compiler, a failed build or a library that will not load,
 :func:`kernels` is ``None`` and the NumPy fold runs — :func:`fold_backend`
 says which fold is active and why.  There is no switch: the NumPy fold
-runs exactly when the C one cannot.
+runs exactly when the C one cannot.  The same library carries the
+bag-of-words embedding (:func:`bow_kernels`, used by
+:func:`~repro.core.numerics.bow_embed_each`), with the NumPy embedding
+as its fallback and referee.
 
 Build and cache rules:
 
@@ -42,7 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["FLAGS", "FoldState", "exp", "fold_backend", "kernels", "load"]
+__all__ = [
+    "FLAGS", "FoldState", "bow_kernels", "exp", "fold_backend", "kernels", "load",
+]  # fmt: skip
 
 #: ``-march=native``: the vector width and FMA of the host (a generic
 #: ``-O3`` build folds a 16-question tile at 1.7x the NumPy fold's
@@ -65,6 +70,11 @@ FOLD_ERRORS = {
     -2: "output rows must be an aligned (n, ed) array of the scores' dtype",
     -3: "RunRows pieces must tile the block and index rows of the memory",
 }
+
+#: ``repro_bow``'s returns: an out-of-range word ID (nothing written), and
+#: an array the C loop does not take (the NumPy embedding runs instead).
+BOW_BAD_WORD = -1
+BOW_REFUSED = -2
 
 #: ``struct_pointer(array.__array_struct__, None)``: the address of the
 #: array's ``PyArrayInterface`` (NumPy's array interface protocol), valid
@@ -190,11 +200,13 @@ def _build(compiler: str, source: Path, target: Path) -> str | None:
 
 
 def _open(path: Path) -> ctypes.CDLL | None:
-    """The library at ``path`` with its entry points declared, and its
-    folds by dtype as ``library.folds``; ``None`` if it will not load."""
+    """The library at ``path`` with its entry points declared, its
+    folds by tile dtype as ``library.folds`` and its bag-of-words
+    embeddings by output dtype as ``library.bows``; ``None`` if it will
+    not load."""
     try:
         library = ctypes.CDLL(str(path))
-        library.folds = {}
+        library.folds, library.bows = {}, {}
         for dtype, suffix in _DTYPES.items():
             fold = getattr(library, f"repro_fold_{suffix}")
             # (state, scores, rows, bounds, shifts): the FoldState's
@@ -202,6 +214,12 @@ def _open(path: Path) -> ctypes.CDLL | None:
             fold.argtypes = [ctypes.c_void_p] * 5
             fold.restype = ctypes.c_int64
             library.folds[dtype] = fold
+            bow = getattr(library, f"repro_bow_{suffix}")
+            # (sentences, encoding, table_a, out_a, table_c, out_c):
+            # array_interface() pointers (or None).
+            bow.argtypes = [ctypes.c_void_p] * 6
+            bow.restype = ctypes.c_int64
+            library.bows[dtype] = bow
             exp_ = getattr(library, f"repro_exp_{suffix}")
             exp_.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
             exp_.restype = None
@@ -238,6 +256,12 @@ def kernels() -> dict | None:
     """The compiled fold by tile dtype, or ``None``."""
     library = load()[0]
     return None if library is None else library.folds
+
+
+def bow_kernels() -> dict | None:
+    """The compiled bag-of-words embedding by output dtype, or ``None``."""
+    library = load()[0]
+    return None if library is None else library.bows
 
 
 def fold_backend() -> str:

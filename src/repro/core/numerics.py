@@ -13,6 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import compiled_fold
+
 __all__ = [
     "softmax",
     "unstable_softmax",
@@ -87,16 +89,25 @@ def bow_embed_each(
 ) -> list[np.ndarray]:
     """:func:`bow_embed` of the same sentences under several
     equal-shaped dictionaries (a hop's ``A`` and ``C``): the word IDs
-    are range-checked once and the pad mask is built once, before any
-    result is written.
+    are range-checked once, before any result is written.
+
+    A word's vector is multiplied by its pad mask (0 for :data:`PAD_ID`,
+    else 1), then by its position's ``encoding`` row, and a sentence's
+    vectors are added to zero position by position, in the dictionary's
+    dtype (float64 for an engine's); an ``out`` of another dtype
+    receives each sum rounded once.  The compiled embedding of
+    ``_fold.c`` (:func:`~repro.core.compiled_fold.bow_kernels`) does
+    exactly this arithmetic in one call per dictionary pair, without
+    temporaries, when it takes the arrays (int64 IDs, C-ordered float64
+    dictionaries and encoding, float32/float64 outputs); the NumPy
+    passes run otherwise and referee it (``tests/test_compiled_bow.py``).
 
     Args:
         embeddings: ``(V, ed)`` dictionaries.
         sentences: ``(n, nw)`` integer word IDs.
         encoding: optional ``(nw, ed)`` position-encoding weights.
         outs: optional ``(n, ed)`` arrays, one per dictionary, the sums
-            are written into (an append buffer's free rows; a float32
-            row receives the float64 bag sum rounded once).
+            are written into (an append buffer's free rows).
 
     Returns:
         One ``(n, ed)`` array per dictionary (``outs`` when given).
@@ -108,15 +119,22 @@ def bow_embed_each(
     for embedding in embeddings:
         if embedding.shape != (vocab, ed):
             raise ValueError("embedding dictionaries must share a shape")
-    if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
-        raise ValueError("sentence word IDs out of range for the embedding matrix")
     if encoding is not None and encoding.shape != (sentences.shape[1], ed):
         raise ValueError(
             "encoding shape must be (nw, ed) = "
             f"{(sentences.shape[1], ed)}, got {encoding.shape}"
         )
+    kernels = compiled_fold.bow_kernels()
+    if kernels is not None:
+        targets = outs
+        if targets is None:
+            targets = [np.empty((len(sentences), ed)) for _ in embeddings]
+        if _bow_compiled(kernels, embeddings, sentences, encoding, targets):
+            return list(targets)
+    if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
+        raise ValueError(_BAD_WORD)
     if outs is not None and len(sentences) > EMBED_BLOCK_ROWS:
-        # Slice by slice: the (rows, nw, ed) float64 temporaries stay
+        # Slice by slice: the (nw, rows, ed) float64 gather stays
         # cache-sized however many sentences a story brings at once.
         for lo in range(0, len(sentences), EMBED_BLOCK_ROWS):
             rows = slice(lo, lo + EMBED_BLOCK_ROWS)
@@ -124,21 +142,59 @@ def bow_embed_each(
                 embeddings, sentences[rows], encoding, [out[rows] for out in outs]
             )
         return list(outs)
-    mask = (sentences != PAD_ID)[..., None]  # (n, nw, 1)
+    mask = (sentences != PAD_ID).T[..., None]  # (nw, n, 1)
     results = []
     for index, embedding in enumerate(embeddings):
-        vectors = embedding[sentences]  # (n, nw, ed) — a fresh gather
+        vectors = embedding[sentences.T]  # (nw, n, ed) — a fresh gather
         vectors *= mask
         if encoding is not None:
-            vectors = vectors * encoding
-        out = None if outs is None else outs[index]
-        if out is None or out.dtype == vectors.dtype:
-            out = vectors.sum(axis=1, out=out)
+            vectors = vectors * encoding[:, None, :]
+        # Word by word from zero, not a reduction over the word axis:
+        # NumPy sums that pairwise when it is the contiguous one (ed == 1).
+        total = np.zeros(vectors.shape[1:], vectors.dtype)
+        for words in vectors:
+            total += words
+        if outs is None:
+            results.append(total)
         else:
-            # A reduce that casts into ``out`` runs buffered, ~25 % slower.
-            out[...] = vectors.sum(axis=1)
-        results.append(out)
+            outs[index][...] = total
+            results.append(outs[index])
     return results
+
+
+_BAD_WORD = "sentence word IDs out of range for the embedding matrix"
+
+
+def _bow_compiled(kernels, embeddings, sentences, encoding, outs) -> bool:
+    """:func:`bow_embed_each` by the compiled embedding, one call per
+    ``(A, C)`` pair of dictionaries; ``False`` once it refuses an array
+    (then the NumPy passes redo every output)."""
+    pointer = compiled_fold.struct_pointer
+    # Each capsule stays referenced until the call reading its pointer
+    # returns: it owns the struct the pointer addresses.
+    words = sentences.__array_struct__
+    weights = None if encoding is None else encoding.__array_struct__
+    words_at = pointer(words, None)
+    weights_at = None if weights is None else pointer(weights, None)
+    for lo in range(0, len(embeddings), 2):
+        kernel = kernels.get(outs[lo].dtype)
+        if kernel is None:
+            return False
+        table_a, out_a = embeddings[lo].__array_struct__, outs[lo].__array_struct__
+        table_c = out_c = None
+        if lo + 1 < len(embeddings):
+            table_c = embeddings[lo + 1].__array_struct__
+            out_c = outs[lo + 1].__array_struct__
+        status = kernel(
+            words_at, weights_at, pointer(table_a, None), pointer(out_a, None),
+            None if table_c is None else pointer(table_c, None),
+            None if out_c is None else pointer(out_c, None),
+        )  # fmt: skip
+        if status == compiled_fold.BOW_BAD_WORD:
+            raise ValueError(_BAD_WORD)
+        if status < 0:
+            return False
+    return True
 
 
 def position_encoding(max_words: int, embedding_dim: int) -> np.ndarray:

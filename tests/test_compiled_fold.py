@@ -270,6 +270,46 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
     assert state.rows_kept == 10  # only the first fold counted
 
 
+@pytest.mark.parametrize("backend", ("c", "numpy"))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_a_solver_reuses_its_fold_state_and_carries_nothing_over(
+    backend, dtype, monkeypatch
+):
+    """``ColumnMemNN.output`` restarts its last scan's ``TileState``
+    while nq and the threshold repeat, and builds a new one when either
+    changes.  Every answer is bitwise a fresh state's: a restarted first
+    fold re-initialises ``acc`` as well as ``denom`` (under zero-skipping
+    ``acc`` only ever adds kept rows, so a stale one would show).  A
+    partial handed out by ``partial_output`` is never written again."""
+    if backend == "c" and compiled_fold.fold_backend() != "c":
+        pytest.skip(compiled_fold.fold_backend())
+    if backend == "numpy":
+        monkeypatch.setattr(compiled_fold, "kernels", lambda: None)
+    rng = np.random.default_rng(5)
+    m_in, m_out = rng.normal(size=(2, 300, 12))
+    solver = ColumnMemNN(m_in * 2, m_out, chunk=ChunkConfig(64), dtype=dtype)
+    first, second, third = (rng.normal(size=(nq, 12)) for nq in (3, 3, 5))
+    kept = solver.partial_output(first, zero_skip=ZeroSkipConfig(0.1))[0]
+    kept_bytes = [kept.weighted.tobytes(), kept.denom.tobytes(), kept.log_max.tobytes()]
+    scans = [(first, 0.1), (second, 0.1), (third, 0.1), (third, 0.0), (third, 0.1)]
+    for index, (u, threshold) in enumerate(scans):
+        last = solver._last_scan
+        got = solver.output(u, zero_skip=ZeroSkipConfig(threshold))
+        if index == 1:
+            assert solver._last_scan[1] is last[1]  # same shape: restarted
+        if index in (2, 3, 4):
+            assert solver._last_scan[1] is not last[1]
+        fresh = TileState(len(u), 12, threshold)
+        for scores, tile_out in solver.scored_tiles(solver.check_questions(u)):
+            fresh.fold(scores, tile_out)
+        assert got.output.tobytes() == fresh.partial().finalize().tobytes()
+        assert got.stats.rows_computed == fresh.rows_kept
+        if threshold:
+            assert fresh.rows_kept < len(u) * 300  # rows were skipped
+    after = [kept.weighted.tobytes(), kept.denom.tobytes(), kept.log_max.tobytes()]
+    assert after == kept_bytes
+
+
 # --- the float32 exp ------------------------------------------------------------
 
 
