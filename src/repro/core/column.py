@@ -123,15 +123,16 @@ def column_op_stats(
     # mostly-skipped tile reads here too (a narrow or dense tile still
     # streams its whole M_OUT slice through the GEMM).
     kept_bytes = int(matrix_bytes * (rows_kept / rows)) if rows else 0
+    # Positional, in field order (keywords cost a bAbI hop ~0.7 us).
     return OpStats(
-        flops=2 * rows * ed + 2 * rows + 2 * rows_kept * ed + nq * ed,
-        divisions=nq * ed,
-        exp_calls=rows,
-        bytes_read=matrix_bytes + kept_bytes,
-        bytes_written=nq * ed * FLOAT_BYTES,
-        intermediate_bytes=2 * nq * min(chunk_size, ns) * FLOAT_BYTES,
-        rows_computed=rows_kept,
-        rows_skipped=rows - rows_kept,
+        2 * rows * ed + 2 * rows + 2 * rows_kept * ed + nq * ed,  # flops
+        nq * ed,  # divisions
+        rows,  # exp_calls
+        matrix_bytes + kept_bytes,  # bytes_read
+        nq * ed * FLOAT_BYTES,  # bytes_written
+        2 * nq * min(chunk_size, ns) * FLOAT_BYTES,  # intermediate_bytes
+        rows_kept,  # rows_computed
+        rows - rows_kept,  # rows_skipped
     )
 
 
@@ -241,6 +242,7 @@ class TileState:
     __slots__ = (
         "_shape", "_threshold", "rows_kept",
         "_log_max", "_denom", "_acc", "_fold_ws", "_kernels", "_compiled",
+        "_divisor",
     )  # fmt: skip
 
     def __init__(self, nq: int, ed: int, threshold: float = 0.0) -> None:
@@ -257,6 +259,8 @@ class TileState:
         # the first fold on ``(kernel, FoldState, its address)``.
         self._kernels = compiled_fold.kernels()
         self._compiled = None
+        # Compiled fold: ``denom`` as the ``(nq, 1)`` divisor of ``acc``.
+        self._divisor = None
 
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
@@ -333,6 +337,7 @@ class TileState:
         self._denom = state[:nq]
         self._acc = state[nq : nq * (ed + 1)].reshape(nq, ed)
         self._log_max = state[nq * (ed + 1) :].view(dtype)[:nq]
+        self._divisor = self._denom[:, None]
         base = state.ctypes.data
         fold_state = compiled_fold.FoldState(
             nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1),
@@ -441,13 +446,29 @@ class TileState:
         """The folded state as a mergeable partial — the identity of
         :meth:`PartialOutput.merge` when no tile was folded.  Its arrays
         are the state's own, not copies."""
-        if self._acc is None or (
-            self._compiled is not None and not self._compiled[1].folded
-        ):
+        if not self._folded():
             return PartialOutput.empty(*self._shape)
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
         )
+
+    def finalize(self) -> np.ndarray:
+        """``partial().finalize()`` without the partial: one float64
+        division.  A folded tile leaves every denominator positive (the
+        running-max row adds ``exp(0)``), so only a scan that folded
+        nothing meets the empty-denominator error."""
+        if not self._folded():
+            return self.partial().finalize()
+        if self._divisor is not None:  # float64 state
+            return np.divide(self._acc, self._divisor)
+        return np.divide(self._acc, self._denom[:, None], dtype=np.float64)
+
+    def _folded(self) -> bool:
+        """Whether a tile was folded since the state was built or
+        restarted."""
+        if self._compiled is not None:
+            return self._compiled[1].folded > 0
+        return self._acc is not None
 
 
 class RunRows:
@@ -479,13 +500,18 @@ class RunRows:
         return self._rows[cols + self._shifts[piece]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The tile's rows, gathered: always a new array, so NumPy 2's
+        ``copy=False`` (no copy allowed) is refused."""
+        if copy is False:
+            raise ValueError("RunRows gathers its rows: an array of them is a copy")
         bounds = self._bounds
-        return np.concatenate(
+        rows = np.concatenate(
             [
                 self._rows[lo + shift : hi + shift]
                 for lo, hi, shift in zip(bounds[:-1], bounds[1:], self._shifts)
             ]
         )
+        return rows if dtype is None else rows.astype(dtype, copy=False)
 
 
 class ColumnMemNN:
@@ -537,8 +563,9 @@ class ColumnMemNN:
             dtype = check_dtype(dtype)
             self._store = ResidentStore(m_in, m_out, dtype=dtype)
         self.dtype = dtype
-        #: ``((nq, threshold), TileState)`` of the last :meth:`output`.
-        self._last_scan: tuple[tuple[int, float], TileState] | None = None
+        #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
+        #: scanned with: as many as the distinct batch sizes it served.
+        self._scans: dict[tuple[int, float], TileState] = {}
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -579,6 +606,15 @@ class ColumnMemNN:
     def embedding_dim(self) -> int:
         return self._store.embedding_dim
 
+    def repoint(self, m_in: np.ndarray, m_out: np.ndarray) -> None:
+        """Scan ``(m_in, m_out)`` from now on — the engine's views after
+        a write — keeping the fold states (DESIGN.md §10, "Solvers
+        across writes").  Only a kernel without a chunk pipeline can: a
+        pipeline's LRU and lookahead hold chunks of the old rows."""
+        if self._pipeline is not None:
+            raise ValueError("a chunk pipeline cannot be re-pointed")
+        self._store = ResidentStore(m_in, m_out, dtype=self.dtype)
+
     def close(self) -> None:
         """Join the chunk pipeline's fetch thread, if it started one.
         The store belongs to whoever passed it in.  Idempotent."""
@@ -596,25 +632,21 @@ class ColumnMemNN:
         (see :meth:`scored_tiles`)."""
         start = time.perf_counter()
         u = self.check_questions(u)
-        # The last scan's state, restarted, when the shape matches: its
-        # partial is finalized before anything can see it.
+        # A state of this shape, restarted: it is divided out below,
+        # before anything can see it.
         key = (len(u), zero_skip.threshold if zero_skip else 0.0)
-        if self._last_scan is not None and self._last_scan[0] == key:
-            state = self._last_scan[1].restart()
+        state = self._scans.get(key)
+        if state is None:
+            state = self._scans[key] = TileState(*u.shape, key[1])
         else:
-            state = TileState(*u.shape, key[1])
-            self._last_scan = (key, state)
-        partial, stats = self._scan(u, state, runs)
-        output = partial.finalize()
+            state.restart()
+        stats = self._scan(u, state, runs)
+        pipeline = self._pipeline
         return InferenceResult(
-            output=output,
+            output=state.finalize(),
             stats=stats,
             elapsed_seconds=time.perf_counter() - start,
-            store_stats=(
-                self._pipeline.stats.snapshot()
-                if self._pipeline is not None
-                else None
-            ),
+            store_stats=pipeline.stats.snapshot() if pipeline is not None else None,
         )
 
     def partial_output(
@@ -632,22 +664,25 @@ class ColumnMemNN:
         """
         u = self.check_questions(u)
         state = TileState(*u.shape, zero_skip.threshold if zero_skip else 0.0)
-        return self._scan(u, state, runs)
+        stats = self._scan(u, state, runs)
+        return state.partial(), stats
 
     def _scan(
         self, u: np.ndarray, state: TileState, runs: np.ndarray | None
-    ) -> tuple[PartialOutput, OpStats]:
-        """Fold every tile of ``u``'s scan into ``state``."""
-        for scores, chunk_out in self.scored_tiles(u, runs):
-            state.fold(scores, chunk_out)
-        nq, ed = u.shape
-        return state.partial(), column_op_stats(
-            nq,
-            self.num_sentences if runs is None else int(np.diff(runs).sum()),
-            ed,
-            state.rows_kept,
-            self.chunk.chunk_size,
-            self.dtype,
+    ) -> OpStats:
+        """Fold every tile of ``u``'s scan into ``state``; its ledger."""
+        chunk_size = self.chunk.chunk_size
+        ns = self._store.num_rows if runs is None else int(np.diff(runs).sum())
+        if runs is None and self._pipeline is None and 0 < ns <= chunk_size:
+            # One resident tile: the GEMM the tile source would run, on
+            # the same arrays, without the generator around it.
+            store = self._store
+            state.fold(np.matmul(u, store.m_in.T), store.m_out)
+        else:
+            for scores, chunk_out in self.scored_tiles(u, runs):
+                state.fold(scores, chunk_out)
+        return column_op_stats(
+            len(u), ns, u.shape[1], state.rows_kept, chunk_size, self.dtype
         )
 
     def scored_tiles(

@@ -129,12 +129,10 @@ class HopTrace:
         cls, num_questions: int, hops: int, threshold: float = 0.0
     ) -> "HopTrace":
         """The trace of a pass where every question ran every hop."""
-        return cls(
-            threshold=threshold,
-            hops_configured=hops,
-            hops_run=np.full(num_questions, hops, dtype=np.intp),
-            exit_reason=[EXIT_FULL_DEPTH] * num_questions,
-        )
+        # Lean: this runs on every ungated answer.
+        hops_run = np.empty(num_questions, np.intp)
+        hops_run.fill(hops)
+        return cls(threshold, hops, hops_run, [EXIT_FULL_DEPTH] * num_questions, [])
 
     @property
     def num_questions(self) -> int:

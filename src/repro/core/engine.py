@@ -35,6 +35,7 @@ from .early_exit import (
     logit_margin_confidence,
 )
 from .plan import InferencePlan, plan_inference
+from .results import InferenceResult
 from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
@@ -63,10 +64,30 @@ __all__ = [
 #: told sentence by sentence reallocates once, not at 1, 2, 4, ... rows.
 _MIN_BUFFER_ROWS = 64
 
+#: Spare rows at the end of each feature column of an ``M_IN`` buffer
+#: whose column stride would be a multiple of 4 KiB: at 8 192 float32
+#: rows (32 KiB) OpenBLAS's sgemm over the tiles runs ~20 % slower
+#: (DESIGN.md §10).
+_M_IN_PAD_ROWS = 16
+
+
+def _feature_major_buffer(rows: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """An uninitialised ``(rows, width)`` feature-major buffer, its
+    column stride padded off a multiple of 4 KiB.  A padded buffer is
+    the ``base`` of the views cut from it, as an unpadded one is, so
+    ``len(view.base)`` is the capacity either way."""
+    if rows * dtype.itemsize % 4096:
+        return np.empty((rows, width), dtype, order="F")
+    column = rows + _M_IN_PAD_ROWS
+    storage = np.empty(column * width, dtype)
+    return np.lib.stride_tricks.as_strided(
+        storage, (rows, width), (dtype.itemsize, column * dtype.itemsize)
+    )
+
 
 def _readonly(view: np.ndarray) -> np.ndarray:
     """Clear the writeable flag of a view the caller just made."""
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 
@@ -415,6 +436,13 @@ class MnnFastEngine:
                 f"adjacent weights serve {self.weights.num_hops} hops, "
                 f"config asks for {config.hops}"
             )
+        #: Every memory pair's ``(A_k, C_k)``, in pair order: what a
+        #: stored sentence is embedded under.
+        self._pair_tables = [
+            table
+            for pair_index in range(self._num_pairs)
+            for table in self.weights.hop_pair(pair_index, config.hops)
+        ]
         # Lazily-created spill directory for the mmap store backend
         # (used when the engine config asks for out-of-core memories
         # without naming a path).
@@ -422,6 +450,7 @@ class MnnFastEngine:
         #: Stores spilled for the cached solvers; closed with them.
         self._spilled: list[MmapStore] = []
         self._solver_cache_config = self.engine_config
+        self._solver_cache: dict[int, BaselineMemNN | ColumnMemNN | ShardedMemNN] = {}
         # Here, not on first use: DESIGN.md §10, "Where the copy of W is made".
         self._cast_answer_weight()
         self.clear_memories()
@@ -485,14 +514,9 @@ class MnnFastEngine:
             )
         if end == stored:
             return
-        tables = [
-            table
-            for pair_index in range(self._num_pairs)
-            for table in self.weights.hop_pair(pair_index, self.config.hops)
-        ]
         buffers = self._reserve(end)
         bow_embed_each(
-            tables,
+            self._pair_tables,
             sentences,
             self._encoding,
             outs=[buffer[stored:end] for pair in buffers for buffer in pair],
@@ -501,7 +525,7 @@ class MnnFastEngine:
             (_readonly(buffer_in[:end]), _readonly(buffer_out[:end]))
             for buffer_in, buffer_out in buffers
         ]
-        self._invalidate_solvers()
+        self._memories_written()
 
     def _reserve(self, rows: int) -> list[list[np.ndarray]]:
         """The append buffers, one ``[in, out]`` per memory pair, with
@@ -517,12 +541,14 @@ class MnnFastEngine:
                         self.config.num_sentences,
                     )
                     # M_IN (slot 0) is feature-major (DESIGN.md §10).
-                    grown = np.empty(
-                        (capacity, self.config.embedding_dim),
-                        self._dtype,
-                        order="C" if slot else "F",
+                    shape = (capacity, self.config.embedding_dim)
+                    grown = (
+                        np.empty(shape, self._dtype)
+                        if slot
+                        else _feature_major_buffer(*shape, self._dtype)
                     )
-                    grown[: len(stored[slot])] = stored[slot]
+                    if len(stored[slot]):
+                        grown[: len(stored[slot])] = stored[slot]
                     pair[slot] = grown
         return self._buffers
 
@@ -563,9 +589,7 @@ class MnnFastEngine:
         self._memories = memories
         no_capacity = np.empty((0, 0))
         self._buffers = [[no_capacity, no_capacity] for _ in memories]
-        # Solvers hold views and shard slices of the memories; every
-        # memory mutation invalidates them.
-        self._invalidate_solvers()
+        self._memories_written()
 
     def _sync_config(self) -> None:
         """``engine_config`` was swapped: the cached solvers go, and
@@ -574,10 +598,28 @@ class MnnFastEngine:
         re-cast from the float64 weights)."""
         self._solver_cache_config = self.engine_config
         self._cast_answer_weight()
+        self._invalidate_solvers()
         self._install([
             tuple(_readonly(m.astype(self._dtype, copy=False)) for m in pair)
             for pair in self._memories
         ])
+
+    def _memories_written(self) -> None:
+        """The memories changed under the cached solvers.  Plain
+        resident column kernels (no chunk pipeline) are re-pointed at
+        the new views and keep their fold state; every other solver
+        holds something made from the old rows — a spill, a chunk LRU,
+        a worker pool, a shard plan, an index — and is dropped
+        (DESIGN.md §10, "Solvers across writes")."""
+        cache = self._solver_cache
+        if self._solver_cache_config is self.engine_config and all(
+            type(solver) is ColumnMemNN and solver.store_stats is None
+            for solver in cache.values()
+        ):
+            for pair_index, solver in cache.items():
+                solver.repoint(*self._memories[pair_index])
+        else:
+            self._invalidate_solvers()
 
     def _invalidate_solvers(self) -> None:
         """Drop the solver cache, releasing backend resources first.
@@ -589,15 +631,12 @@ class MnnFastEngine:
         ``close()`` before emptying the cache, then the descriptors of
         the stores the engine spilled for them.
         """
-        cache = getattr(self, "_solver_cache", None)
-        if cache:
-            for solver in cache.values():
-                close = getattr(solver, "close", None)
-                if close is not None:
-                    close()
+        for solver in self._solver_cache.values():
+            close = getattr(solver, "close", None)
+            if close is not None:
+                close()
         while self._spilled:
             self._spilled.pop().close()
-        self._solver_cache: dict[int, BaselineMemNN | ColumnMemNN | ShardedMemNN]
         self._solver_cache = {}
 
     def close(self) -> None:
@@ -733,10 +772,7 @@ class MnnFastEngine:
         ec = self.engine_config
         ee = ec.early_exit
         stats = OpStats()
-        hop_stats: list[OpStats] = []
-        hop_shard_stats: list[list[OpStats]] = []
-        hop_store_stats: list[StoreStats | None] = []
-        hop_index_stats: list[IndexStats | None] = []
+        hop_results: list[InferenceResult] = []
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
         gated = ee.enabled and self.config.hops > 1
         num_answers = len(self.weights.answer_weight)
@@ -754,12 +790,8 @@ class MnnFastEngine:
         for hop in range(self.config.hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
             result = solver.output(u, zero_skip=zero_skip)
-            tiers = result.tier_stats()
+            hop_results.append(result)
             stats.accumulate(result.stats)
-            hop_stats.append(result.stats)
-            hop_shard_stats.append(list(tiers["shards"] or []))
-            hop_store_stats.append(tiers["store"])
-            hop_index_stats.append(tiers["index"])
             if hop_hook is not None:
                 hop_hook(hop, result.stats)
             # u stays float64: a solver narrows its own copy, once per hop.
@@ -819,15 +851,16 @@ class MnnFastEngine:
             logits = self._project(u).astype(np.float64, copy=False)
             projected = len(u)
         stats.flops += 2 * projected * num_answers * self.config.embedding_dim
+        tiers = [result.tier_stats() for result in hop_results]
         return AnswerResult(
             answer_ids=logits.argmax(axis=1),
             logits=logits,
             response=u,
             stats=stats,
-            hop_stats=hop_stats,
-            hop_shard_stats=hop_shard_stats,
-            hop_store_stats=hop_store_stats,
-            hop_index_stats=hop_index_stats,
+            hop_stats=[result.stats for result in hop_results],
+            hop_shard_stats=[list(tier["shards"] or ()) for tier in tiers],
+            hop_store_stats=[tier["store"] for tier in tiers],
+            hop_index_stats=[tier["index"] for tier in tiers],
             hop_trace=hop_trace,
             cache_hits=hits,
             cache_misses=misses,
@@ -913,10 +946,11 @@ class MnnFastEngine:
 
         Solver construction spills the memories or (in sharded mode)
         slices them into shards — work worth paying once per stored
-        story, not once per request.  The cache is invalidated whenever
-        the memories mutate (:meth:`store_story` /
-        :meth:`set_memories` / :meth:`clear_memories`) or
-        ``engine_config`` is swapped.
+        story, not once per request.  When the memories mutate
+        (:meth:`store_story` / :meth:`set_memories` /
+        :meth:`clear_memories`) a plain resident column kernel is
+        re-pointed at the new rows and every other solver is dropped;
+        a swapped ``engine_config`` drops them all.
         """
         if self._solver_cache_config is not self.engine_config:
             self._sync_config()

@@ -275,12 +275,14 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
 def test_a_solver_reuses_its_fold_state_and_carries_nothing_over(
     backend, dtype, monkeypatch
 ):
-    """``ColumnMemNN.output`` restarts its last scan's ``TileState``
-    while nq and the threshold repeat, and builds a new one when either
-    changes.  Every answer is bitwise a fresh state's: a restarted first
-    fold re-initialises ``acc`` as well as ``denom`` (under zero-skipping
-    ``acc`` only ever adds kept rows, so a stale one would show).  A
-    partial handed out by ``partial_output`` is never written again."""
+    """``ColumnMemNN.output`` keeps one ``TileState`` per ``(nq,
+    threshold)`` it has scanned with and restarts it whenever that shape
+    comes back — also after scans of other shapes in between (a batcher
+    alternates batch sizes).  Every answer is bitwise a fresh state's: a
+    restarted first fold re-initialises ``acc`` as well as ``denom``
+    (under zero-skipping ``acc`` only ever adds kept rows, so a stale
+    one would show).  A partial handed out by ``partial_output`` is
+    never written again."""
     if backend == "c" and compiled_fold.fold_backend() != "c":
         pytest.skip(compiled_fold.fold_backend())
     if backend == "numpy":
@@ -288,17 +290,20 @@ def test_a_solver_reuses_its_fold_state_and_carries_nothing_over(
     rng = np.random.default_rng(5)
     m_in, m_out = rng.normal(size=(2, 300, 12))
     solver = ColumnMemNN(m_in * 2, m_out, chunk=ChunkConfig(64), dtype=dtype)
-    first, second, third = (rng.normal(size=(nq, 12)) for nq in (3, 3, 5))
+    first, second, third, fourth = (rng.normal(size=(nq, 12)) for nq in (3, 3, 5, 1))
     kept = solver.partial_output(first, zero_skip=ZeroSkipConfig(0.1))[0]
     kept_bytes = [kept.weighted.tobytes(), kept.denom.tobytes(), kept.log_max.tobytes()]
-    scans = [(first, 0.1), (second, 0.1), (third, 0.1), (third, 0.0), (third, 0.1)]
-    for index, (u, threshold) in enumerate(scans):
-        last = solver._last_scan
+    scans = [
+        (first, 0.1), (second, 0.1), (third, 0.1), (fourth, 0.1), (first, 0.1),
+        (third, 0.0), (fourth, 0.1), (third, 0.1), (second, 0.1), (third, 0.0),
+    ]  # fmt: skip
+    states = {}
+    for u, threshold in scans:
         got = solver.output(u, zero_skip=ZeroSkipConfig(threshold))
-        if index == 1:
-            assert solver._last_scan[1] is last[1]  # same shape: restarted
-        if index in (2, 3, 4):
-            assert solver._last_scan[1] is not last[1]
+        key = (len(u), threshold)
+        state = solver._scans[key]
+        assert states.setdefault(key, state) is state  # a shape seen: restarted
+        assert len(solver._scans) == len(states)  # one state per shape
         fresh = TileState(len(u), 12, threshold)
         for scores, tile_out in solver.scored_tiles(solver.check_questions(u)):
             fresh.fold(scores, tile_out)
@@ -306,6 +311,7 @@ def test_a_solver_reuses_its_fold_state_and_carries_nothing_over(
         assert got.stats.rows_computed == fresh.rows_kept
         if threshold:
             assert fresh.rows_kept < len(u) * 300  # rows were skipped
+    assert len(states) == 4
     after = [kept.weighted.tobytes(), kept.denom.tobytes(), kept.log_max.tobytes()]
     assert after == kept_bytes
 

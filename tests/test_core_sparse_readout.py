@@ -176,6 +176,26 @@ class TestRunRows:
         np.testing.assert_array_equal(view[cols], gathered[cols])
         assert view[np.array([], dtype=np.intp)].shape == (0, 4)
 
+    def test_the_array_protocol_gathers_a_copy_and_honours_dtype(self, rng):
+        """``__array__`` always gathers: ``copy=False`` (NumPy 2: no copy
+        allowed) raises instead of handing back a silent copy; ``dtype``
+        is the gathered rows' cast."""
+        rows = rng.normal(size=(20, 3))
+        view = RunRows(rows, bounds=[0, 2, 5], shifts=[4, 10])
+        gathered = rows[np.r_[4:6, 12:15]]
+        with pytest.raises(ValueError, match="copy"):
+            view.__array__(copy=False)
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            with pytest.raises(ValueError, match="copy"):
+                np.asarray(view, copy=False)
+        for copy in (None, True):
+            dense = view.__array__(copy=copy)
+            assert dense.tobytes() == gathered.tobytes()
+            assert not np.shares_memory(dense, rows)
+        narrow = np.asarray(view, dtype=np.float32)
+        assert narrow.dtype == np.float32
+        assert narrow.tobytes() == gathered.astype(np.float32).tobytes()
+
     def test_run_scan_equals_scan_of_the_gathered_rows(self, rng):
         """Runs packed and split into ``chunk_size`` tiles are the same
         tiles a kernel over the gathered rows scans (the score GEMM

@@ -220,6 +220,36 @@ def appended(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "dtype, capacity",
+    (("float32", 8192), ("float32", 1024), ("float32", 1008), ("float64", 512)),
+)
+def test_a_grown_m_in_buffer_has_no_4k_column_stride(dtype, capacity):
+    """A capacity whose feature column would span a multiple of 4 KiB
+    (``table1_batch``'s 8 192 float32 rows) still gets an ``M_IN``
+    column stride off it: OpenBLAS's sgemm over such tiles is slower
+    (DESIGN.md §10).  The answers are those of an unpadded copy."""
+    rng = np.random.default_rng(11)
+    network = MemNNConfig(
+        embedding_dim=WIDTH, num_sentences=capacity, vocab_size=60, max_words=5
+    )
+    engine = MnnFastEngine(
+        network,
+        EngineWeights.random(network, rng=rng),
+        engine_config=EngineConfig.mnnfast(1000, 0.1).with_execution(dtype=dtype),
+    )
+    engine.store_story(rng.integers(1, 60, size=(capacity, 5)))
+    m_in, m_out = engine.memories
+    assert buffer_rows(engine.memories) == capacity
+    assert m_in.strides[0] == m_in.itemsize
+    assert m_in.strides[1] % 4096 != 0
+    questions = rng.integers(1, 60, size=(NQ, 5))
+    expected = engine.answer(questions).logits
+    engine.set_memories(np.asfortranarray(m_in), m_out)  # unpadded
+    assert engine.memories[0].strides[1] == capacity * m_in.itemsize
+    assert engine.answer(questions).logits.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
     "engine_config",
     (
         EngineConfig.mnnfast(1000, 0.1),
