@@ -6,7 +6,7 @@
  *
  *   tile max -> rescale (denom, acc) by exp(old - new) if the running
  *   max grew -> floored exponentials written in place and summed in
- *   float64 -> cut = nextafter(dtype(min(th * S, 1)), 0) -> the output
+ *   float64 -> cut = nextafterf(float(min(th * S, 1)), 0) -> the output
  *   rows of the exponentials >= cut added into the float64 acc.
  *
  * The score GEMM before it stays in BLAS, and with zero-skipping off
@@ -25,13 +25,12 @@
  * alignment, stride or vector width -- column, sharded, fused and
  * process arrangements of one scan stay bitwise equal.
  *
- * Both dtypes come from the body at the end of this file, included
- * twice: once with FOLD_T float, once with FOLD_T double.
+ * The fold takes float32 tiles only: the paper's CPU kernel is single
+ * precision (float64 tiles, the reference precision, take the NumPy
+ * fold).  The embedding writes float32 or float64 outputs.
  *
  * Built and loaded by repro/core/compiled_fold.py.
  */
-#ifndef FOLD_T
-
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -43,9 +42,9 @@ typedef struct {
     int64_t nq, ed;
     double *denom;    /* (nq,) */
     double *acc;      /* (nq, ed), C order */
-    void *log_max;    /* (nq,), in the tile dtype */
+    float *log_max;   /* (nq,) */
     double threshold; /* zero-skipping threshold, 0 = keep every row */
-    double floor;     /* exp_floor(dtype): shifted scores are floored here */
+    double floor;     /* exp_floor(float32): shifted scores are floored here */
     int64_t folded;   /* tiles folded so far; 0 starts a new scan */
 } fold_state;
 
@@ -129,48 +128,27 @@ static inline float exp_poly(float x)
     return p * scale;
 }
 
-/* float64 tiles are the reference precision, not a timed path: libm. */
-static inline double exp_libm(double x) { return exp(x); }
-
-#define FOLD_T float
-#define FOLD_NAME(name) name##_f32
-#define FOLD_EXP exp_poly
-#define FOLD_NEXTAFTER nextafterf
-#include __FILE__
-#undef FOLD_T
-#undef FOLD_NAME
-#undef FOLD_EXP
-#undef FOLD_NEXTAFTER
-
-#define FOLD_T double
-#define FOLD_NAME(name) name##_f64
-#define FOLD_EXP exp_libm
-#define FOLD_NEXTAFTER nextafter
-#include __FILE__
-
-#else /* FOLD_T: the body, once per dtype */
-
 /* One question row.  cs, ocol: column strides in elements.  Inlined
  * into fold() twice, once with cs = 1, so the common case vectorizes. */
-static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
+static inline __attribute__((always_inline)) int64_t fold_row(
     fold_state *st, int64_t q, int first, int64_t n,
-    FOLD_T *s, ptrdiff_t cs,
-    const FOLD_T *out, ptrdiff_t orow, ptrdiff_t ocol,
+    float *s, ptrdiff_t cs,
+    const float *out, ptrdiff_t orow, ptrdiff_t ocol,
     const int64_t *bounds, const int64_t *shifts)
 {
-    FOLD_T *log_max = (FOLD_T *)st->log_max;
+    float *log_max = st->log_max;
     double *acc = st->acc + q * st->ed;
     const int64_t ed = st->ed, blocked = n - n % LANES;
     int64_t j, k;
 
     /* The tile max. */
-    FOLD_T lane_max[LANES];
+    float lane_max[LANES];
     for (k = 0; k < LANES; k++)
         lane_max[k] = -INFINITY;
     for (j = 0; j < blocked; j += LANES)
         for (k = 0; k < LANES; k++)
             lane_max[k] = s[(j + k) * cs] > lane_max[k] ? s[(j + k) * cs] : lane_max[k];
-    FOLD_T tile_max = -INFINITY;
+    float tile_max = -INFINITY;
     for (k = 0; k < LANES; k++)
         tile_max = lane_max[k] > tile_max ? lane_max[k] : tile_max;
     for (j = blocked; j < n; j++)
@@ -178,7 +156,7 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
 
     /* The running max, and the rescale when it grew.  (The max skips
      * NaN; a NaN score turns the row's sum NaN below.) */
-    FOLD_T running = tile_max;
+    float running = tile_max;
     if (first) {
         /* A scan's first fold initialises the whole state: the buffer
          * may hold a previous scan's (compiled_fold.FoldState). */
@@ -198,30 +176,30 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
     log_max[q] = running;
 
     /* Floored exponentials, in place, summed in float64. */
-    const FOLD_T floor_ = (FOLD_T)st->floor;
+    const float floor_ = (float)st->floor;
     double lane_sum[LANES];
-    FOLD_T lane_top[LANES];
+    float lane_top[LANES];
     for (k = 0; k < LANES; k++) {
         lane_sum[k] = 0.0;
         lane_top[k] = 0;
     }
     for (j = 0; j < blocked; j += LANES)
         for (k = 0; k < LANES; k++) {
-            FOLD_T x = s[(j + k) * cs] - running;
-            FOLD_T e = FOLD_EXP(x < floor_ ? floor_ : x);
+            float x = s[(j + k) * cs] - running;
+            float e = exp_poly(x < floor_ ? floor_ : x);
             s[(j + k) * cs] = e;
             lane_sum[k] += e;
             lane_top[k] = e > lane_top[k] ? e : lane_top[k];
         }
     double sum = 0.0;
-    FOLD_T top = 0;
+    float top = 0;
     for (k = 0; k < LANES; k++) {
         sum += lane_sum[k];
         top = lane_top[k] > top ? lane_top[k] : top;
     }
     for (j = blocked; j < n; j++) {
-        FOLD_T x = s[j * cs] - running;
-        FOLD_T e = FOLD_EXP(x < floor_ ? floor_ : x);
+        float x = s[j * cs] - running;
+        float e = exp_poly(x < floor_ ? floor_ : x);
         s[j * cs] = e;
         sum += e;
         top = e > top ? e : top;
@@ -234,12 +212,12 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
     if (st->threshold == 0.0)
         return n;
 
-    /* The cut, in float64, clamped to 1, then into the tile dtype one
+    /* The cut, in float64, clamped to 1, then into float32 one
      * step toward zero.  `c > 1` (not fmin) keeps a NaN a NaN. */
     double c = st->threshold * st->denom[q];
     if (c > 1.0)
         c = 1.0;
-    const FOLD_T cut = FOLD_NEXTAFTER((FOLD_T)c, (FOLD_T)0);
+    const float cut = nextafterf((float)c, 0.0f);
     /* No exponential of the row reaches the cut: nothing to compare. */
     if (!(top >= cut))
         return 0;
@@ -250,7 +228,7 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
     for (j = 0; j < n; j += LANES) {
         const int64_t end = j + LANES < n ? j + LANES : n;
         if (end - j == LANES) {
-            FOLD_T block_top = 0;
+            float block_top = 0;
             for (k = 0; k < LANES; k++)
                 block_top = s[(j + k) * cs] > block_top ? s[(j + k) * cs] : block_top;
             if (!(block_top >= cut))
@@ -265,7 +243,7 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
                     piece++;
                 shift = shifts[piece];
             }
-            const FOLD_T *row = out + (k + shift) * orow;
+            const float *row = out + (k + shift) * orow;
             int64_t d;
             if (ocol == 1)
                 for (d = 0; d < ed; d++)
@@ -285,17 +263,17 @@ static inline __attribute__((always_inline)) int64_t FOLD_NAME(row)(
  * unread when the threshold is 0.  Every array is checked against the
  * state before a pointer is followed.  Returns the question-rows kept,
  * or FOLD_BAD_SCORES / FOLD_BAD_ROWS / FOLD_BAD_RUNS. */
-int64_t FOLD_NAME(repro_fold)(
+int64_t repro_fold(
     fold_state *st, const array_interface *scores, const array_interface *rows,
     const array_interface *bounds, const array_interface *shifts)
 {
-    const int size = (int)sizeof(FOLD_T);
+    const int size = (int)sizeof(float);
     if (!is_array(scores, 2, 'f', size, ARRAY_WRITEABLE)
         || scores->shape[0] != st->nq)
         return FOLD_BAD_SCORES;
     const int64_t n = scores->shape[1];
     const int64_t *bound = NULL, *shift = NULL;
-    const FOLD_T *out = NULL;
+    const float *out = NULL;
     ptrdiff_t orow = 0, ocol = 0;
     if (st->threshold != 0.0) {
         if (!is_array(rows, 2, 'f', size, 0) || rows->shape[1] != st->ed)
@@ -322,35 +300,41 @@ int64_t FOLD_NAME(repro_fold)(
         orow = rows->strides[0] / size;
         ocol = rows->strides[1] / size;
     }
-    FOLD_T *s = scores->data;
+    float *s = scores->data;
     const ptrdiff_t rs = scores->strides[0] / size, cs = scores->strides[1] / size;
     const int first = st->folded == 0;
     int64_t kept = 0, q;
     for (q = 0; q < st->nq; q++)
         kept += cs == 1
-            ? FOLD_NAME(row)(st, q, first, n, s + q * rs, 1,
-                             out, orow, ocol, bound, shift)
-            : FOLD_NAME(row)(st, q, first, n, s + q * rs, cs,
-                             out, orow, ocol, bound, shift);
+            ? fold_row(st, q, first, n, s + q * rs, 1, out, orow, ocol, bound, shift)
+            : fold_row(st, q, first, n, s + q * rs, cs, out, orow, ocol, bound, shift);
     st->folded++;
     return kept;
 }
 
-/* Whether `out` can take an (n, ed) block of bag sums. */
-static inline int FOLD_NAME(bow_out)(const array_interface *out, int64_t n, int64_t ed)
+/* Whether `out` can take an (n, ed) block of bag sums: float32 (a
+ * memory buffer's rows) or float64 (a question's u). */
+static inline int bow_out(const array_interface *out, int64_t n, int64_t ed)
 {
-    return is_array(out, 2, 'f', (int)sizeof(FOLD_T), ARRAY_WRITEABLE)
+    return (is_array(out, 2, 'f', 4, ARRAY_WRITEABLE)
+            || is_array(out, 2, 'f', 8, ARRAY_WRITEABLE))
         && out->shape[0] == n && out->shape[1] == ed;
 }
 
 /* The bag sums of n sentences under one (V, ed) float64 table, each
- * rounded once into its row of `out` (strides in elements: a
- * feature-major M_IN slice and a row-major M_OUT slice alike). */
-static void FOLD_NAME(bow_table)(
+ * rounded once into its row of `out`: float32 when `single`, else
+ * float64 (strides in elements: a feature-major M_IN slice and a
+ * row-major M_OUT slice alike).  Kept out of line, and handed the
+ * data pointer rather than the array_interface: with gcc 12 an inlined
+ * copy embedded a stored story 3x slower, one reading the
+ * array_interface 10 % slower. */
+static __attribute__((noinline)) void bow_table(
     const int64_t *ids, ptrdiff_t srow, ptrdiff_t scol, int64_t n, int64_t nw,
     const double *table, int64_t ed, const double *encoding,
-    FOLD_T *out, ptrdiff_t orow, ptrdiff_t ocol)
+    void *out, int single, ptrdiff_t orow, ptrdiff_t ocol)
 {
+    float *out32 = out;
+    double *out64 = out;
     double sum[BOW_BLOCK];
     for (int64_t lo = 0; lo < ed; lo += BOW_BLOCK) {
         const int64_t width = ed - lo < BOW_BLOCK ? ed - lo : BOW_BLOCK;
@@ -371,9 +355,13 @@ static void FOLD_NAME(bow_table)(
                         sum[d] += vector[d] * mask;
                 }
             }
-            FOLD_T *row = out + i * orow + lo * ocol;
-            for (d = 0; d < width; d++)
-                row[d * ocol] = (FOLD_T)sum[d];
+            const ptrdiff_t at = i * orow + lo * ocol;
+            if (single)
+                for (d = 0; d < width; d++)
+                    out32[at + d * ocol] = (float)sum[d];
+            else
+                for (d = 0; d < width; d++)
+                    out64[at + d * ocol] = sum[d];
         }
     }
 }
@@ -388,7 +376,7 @@ static void FOLD_NAME(bow_table)(
  * Every word ID is checked before any row is written.  Returns 0,
  * BOW_BAD_WORD (an ID outside [0, V)), or BOW_REFUSED: an array this
  * loop does not take (the caller embeds with NumPy instead). */
-int64_t FOLD_NAME(repro_bow)(
+int64_t repro_bow(
     const array_interface *sentences, const array_interface *encoding,
     const array_interface *table_a, const array_interface *out_a,
     const array_interface *table_c, const array_interface *out_c)
@@ -398,14 +386,14 @@ int64_t FOLD_NAME(repro_bow)(
         return BOW_REFUSED;
     const int64_t n = sentences->shape[0], nw = sentences->shape[1];
     const int64_t vocab = table_a->shape[0], ed = table_a->shape[1];
-    if (!FOLD_NAME(bow_out)(out_a, n, ed))
+    if (!bow_out(out_a, n, ed))
         return BOW_REFUSED;
     if ((table_c == NULL) != (out_c == NULL))
         return BOW_REFUSED;
     if (table_c != NULL
         && (!is_array(table_c, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
             || table_c->shape[0] != vocab || table_c->shape[1] != ed
-            || !FOLD_NAME(bow_out)(out_c, n, ed)))
+            || !bow_out(out_c, n, ed)))
         return BOW_REFUSED;
     if (encoding != NULL
         && (!is_array(encoding, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
@@ -420,21 +408,19 @@ int64_t FOLD_NAME(repro_bow)(
                 return BOW_BAD_WORD;
         }
     const double *weights = encoding != NULL ? encoding->data : NULL;
-    const ptrdiff_t size = (ptrdiff_t)sizeof(FOLD_T);
-    FOLD_NAME(bow_table)(ids, srow, scol, n, nw, table_a->data, ed, weights,
-                         out_a->data, out_a->strides[0] / size, out_a->strides[1] / size);
-    if (table_c != NULL)
-        FOLD_NAME(bow_table)(ids, srow, scol, n, nw, table_c->data, ed, weights,
-                             out_c->data, out_c->strides[0] / size,
-                             out_c->strides[1] / size);
+    const array_interface *outs[2] = {out_a, out_c};
+    const array_interface *tables[2] = {table_a, table_c};
+    for (int t = 0; t < 2 && tables[t] != NULL; t++) {
+        const int size = outs[t]->itemsize;
+        bow_table(ids, srow, scol, n, nw, tables[t]->data, ed, weights, outs[t]->data,
+                  size == 4, outs[t]->strides[0] / size, outs[t]->strides[1] / size);
+    }
     return 0;
 }
 
 /* The fold's exponential over an array, for the tests. */
-void FOLD_NAME(repro_exp)(const FOLD_T *x, FOLD_T *y, int64_t n)
+void repro_exp(const float *x, float *y, int64_t n)
 {
     for (int64_t j = 0; j < n; j++)
-        y[j] = FOLD_EXP(x[j]);
+        y[j] = exp_poly(x[j]);
 }
-
-#endif /* FOLD_T */

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .column import check_dtype
+from ..store.base import check_dtype
 from .config import FLOAT_BYTES, ZeroSkipConfig
 from .numerics import softmax
 from .results import InferenceResult

@@ -28,11 +28,12 @@ That accumulation is written once, in :class:`TileState`: every
 arrangement — :class:`ColumnMemNN` over one memory, the per-shard
 kernels and the fused tile sweep of :mod:`repro.core.sharded`, the
 worker processes of :mod:`repro.core.execution` — scores a tile and
-folds it into a state (DESIGN.md §10).  The fold is a C loop per
-question row (``_fold.c``, built on first use by
-:mod:`repro.core.compiled_fold`), or NumPy passes where no C compiler
-is available.  The first fold *initialises* the state (the tile's score
-maximum, exponential sum and weighted sum are the state) and later
+folds it into a state (DESIGN.md §10).  A float32 tile's fold is a C
+loop per question row (``_fold.c``, built on first use by
+:mod:`repro.core.compiled_fold`); a float64 tile's, and every tile's
+where no C compiler is available, is NumPy passes.  The first fold
+*initialises* the state (the tile's score maximum, exponential sum and
+weighted sum are the state) and later
 folds rescale into it allocation-free.  The tile's score block is the
 only ``(nq, n)`` float array of a fold: it is turned in place into
 exponentials under the running max, and the zero-skip decision (§3.2)
@@ -57,10 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-# The canonical dtype validation lives with the store tier (the two
-# must agree on what a memory may contain); re-exported here because
-# this module has always been its home.
-from ..store.base import SUPPORTED_DTYPES, MemoryStore, StoreStats, check_dtype
+from ..store.base import MemoryStore, StoreStats, check_dtype
 from ..store.prefetch import ChunkPrefetcher
 from ..store.resident import ResidentStore
 from . import compiled_fold
@@ -76,8 +74,6 @@ __all__ = [
     "column_op_stats",
     "exp_floor",
     "partition_memory",
-    "SUPPORTED_DTYPES",
-    "check_dtype",
 ]
 
 
@@ -213,13 +209,16 @@ class TileState:
     with the online running max).  Every arrangement drives it the same
     way: score a tile, :meth:`fold` it, take :meth:`partial` at the end.
 
-    Two folds implement it.  The compiled fold (``_fold.c``, loaded by
-    :mod:`~repro.core.compiled_fold`) runs wherever the system C
-    compiler could build it: one C loop per question row, the state in
-    one float64 buffer allocated, and its pointers taken, at the first
-    fold.  The NumPy fold runs otherwise, and referees the compiled one
-    in the tests.  The first fold *initialises* the state from its tile
-    (nothing has been accumulated, so there is nothing to rescale); the
+    Two folds implement it, and the tile's dtype picks one.  The
+    compiled fold (``_fold.c``, loaded by
+    :mod:`~repro.core.compiled_fold`) folds float32 tiles wherever the
+    system C compiler could build it: one C loop per question row, the
+    state in one float64 buffer allocated, and its pointers taken, at
+    the first fold.  The NumPy fold folds float64 tiles — the reference
+    precision — always, and float32 tiles where there is no library; it
+    referees the compiled one in the tests.  The first fold
+    *initialises* the state from its tile (nothing has been
+    accumulated, so there is nothing to rescale); the
     NumPy fold's later folds rescale into it through ``(nq, ed)``
     ``out=`` workspaces that exist only once a second tile does.  No
     fold holds an ``(nq, n)`` float array of its own: the tile's score
@@ -241,7 +240,7 @@ class TileState:
 
     __slots__ = (
         "_shape", "_threshold", "rows_kept",
-        "_log_max", "_denom", "_acc", "_fold_ws", "_kernels", "_compiled",
+        "_log_max", "_denom", "_acc", "_fold_ws", "_kernel", "_compiled",
         "_divisor",
     )  # fmt: skip
 
@@ -255,9 +254,9 @@ class TileState:
         # new_max)`` out= buffers of a rescaling fold.  Compiled fold:
         # the tile-dtype ``(nq, ed)`` product of a no-skip tile.
         self._fold_ws = None
-        # The compiled fold by dtype (None: the NumPy fold), and from
-        # the first fold on ``(kernel, FoldState, its address)``.
-        self._kernels = compiled_fold.kernels()
+        # The compiled float32 fold (None: the NumPy fold), and from a
+        # compiled first fold on ``(kernel, FoldState, its address)``.
+        self._kernel = compiled_fold.kernels()
         self._compiled = None
         # Compiled fold: ``denom`` as the ``(nq, 1)`` divisor of ``acc``.
         self._divisor = None
@@ -273,9 +272,10 @@ class TileState:
         under the running max, ``exp(max(s - log_max, exp_floor))`` in
         the tile dtype — or 0, where zero-skipping dropped the cell and
         the NumPy fold took the dense readout (a narrow or dense tile).
-        The compiled fold (:mod:`~repro.core.compiled_fold`) runs when
-        it is available, the NumPy fold (``_fold_numpy``) otherwise;
-        they agree to the tile dtype's rounding of ``exp`` and of the
+        The compiled fold (:mod:`~repro.core.compiled_fold`) runs a
+        float32 tile when it is available, the NumPy fold
+        (``_fold_numpy``) a float64 tile and any tile otherwise; they
+        agree to the tile dtype's rounding of ``exp`` and of the
         sums (float32: ``FLOAT32_LOGIT_TOLERANCE`` on logits).
 
         Zero-skipping decides on the exponentials it sums: a row is
@@ -285,7 +285,7 @@ class TileState:
         clamp only lowers the cut, so this skips a subset of what the
         exact rule (:func:`~repro.core.zero_skip.probability_mode_mask`)
         would."""
-        if self._acc is None and self._kernels is not None:
+        if self._acc is None and self._kernel is not None:
             self._start_compiled(scores.dtype)
         if self._compiled is None:
             self._fold_numpy(scores, tile_out)
@@ -323,14 +323,13 @@ class TileState:
         self.rows_kept += kept
 
     def _start_compiled(self, dtype: np.dtype) -> None:
-        """Allocate the running state for the compiled fold (when it
-        has a kernel for ``dtype``) and take its pointers, once."""
-        kernel = self._kernels.get(dtype)
-        if kernel is None:
+        """Allocate the running state for the compiled fold (a float32
+        tile's) and take its pointers, once."""
+        if dtype != np.float32:
             return
         nq, ed = self._shape
-        # One buffer, one pointer: denom, acc, then log_max (in the tile
-        # dtype, one float64 slot per question).  (A ctypes
+        # One buffer, one pointer: denom, acc, then log_max (float32,
+        # one float64 slot per question).  (A ctypes
         # buffer has a cheaper address but bypasses NumPy's small-block
         # cache: it left out_of_core_stream's peak RSS 3 MB higher.)
         state = np.zeros(nq * (ed + 2))
@@ -343,7 +342,7 @@ class TileState:
             nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1),
             self._threshold, float(exp_floor(dtype)), 0,
         )  # fmt: skip
-        self._compiled = (kernel, fold_state, ctypes.addressof(fold_state))
+        self._compiled = (self._kernel, fold_state, ctypes.addressof(fold_state))
 
     def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """The fold in NumPy passes: the reference the compiled fold is

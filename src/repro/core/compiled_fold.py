@@ -3,14 +3,17 @@ on first use and loaded through :mod:`ctypes` (DESIGN.md §10,
 "Compiled fold").
 
 :class:`~repro.core.column.TileState` asks :func:`kernels` once per
-scan.  The library is built or loaded once per process, on the first
-fold; with no compiler, a failed build or a library that will not load,
-:func:`kernels` is ``None`` and the NumPy fold runs — :func:`fold_backend`
-says which fold is active and why.  There is no switch: the NumPy fold
-runs exactly when the C one cannot.  The same library carries the
-bag-of-words embedding (:func:`bow_kernels`, used by
-:func:`~repro.core.numerics.bow_embed_each`), with the NumPy embedding
-as its fallback and referee.
+scan.  The fold is single precision, as the paper's CPU kernel is: a
+float32 tile runs it, a float64 tile (the reference precision) always
+runs the NumPy fold.  The library is built or loaded once per process,
+on the first fold; with no compiler, a failed build or a library that
+will not load, :func:`kernels` is ``None`` and the NumPy fold runs
+float32 tiles too — :func:`fold_backend` says which fold is active and
+why.  There is no switch: the tile's dtype and whether the library
+loads decide.  The same library carries the bag-of-words embedding
+(:func:`bow_kernels`, used by
+:func:`~repro.core.numerics.bow_embed_each`; float32 and float64
+outputs), with the NumPy embedding as its fallback and referee.
 
 Build and cache rules:
 
@@ -62,12 +65,10 @@ FLAGS = (
 #: A build slower than this is abandoned (the NumPy fold runs).
 BUILD_TIMEOUT_S = 120
 
-_DTYPES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-
 #: ``repro_fold``'s negative returns: which argument failed its check.
 FOLD_ERRORS = {
-    -1: "scores must be a writable, aligned (nq, n) block of the state's dtype",
-    -2: "output rows must be an aligned (n, ed) array of the scores' dtype",
+    -1: "scores must be a writable, aligned (nq, n) float32 block",
+    -2: "output rows must be an aligned (n, ed) float32 array",
     -3: "RunRows pieces must tile the block and index rows of the memory",
 }
 
@@ -200,29 +201,20 @@ def _build(compiler: str, source: Path, target: Path) -> str | None:
 
 
 def _open(path: Path) -> ctypes.CDLL | None:
-    """The library at ``path`` with its entry points declared, its
-    folds by tile dtype as ``library.folds`` and its bag-of-words
-    embeddings by output dtype as ``library.bows``; ``None`` if it will
-    not load."""
+    """The library at ``path`` with its entry points declared; ``None``
+    if it will not load."""
     try:
         library = ctypes.CDLL(str(path))
-        library.folds, library.bows = {}, {}
-        for dtype, suffix in _DTYPES.items():
-            fold = getattr(library, f"repro_fold_{suffix}")
-            # (state, scores, rows, bounds, shifts): the FoldState's
-            # address, then array_interface() pointers (or None).
-            fold.argtypes = [ctypes.c_void_p] * 5
-            fold.restype = ctypes.c_int64
-            library.folds[dtype] = fold
-            bow = getattr(library, f"repro_bow_{suffix}")
-            # (sentences, encoding, table_a, out_a, table_c, out_c):
-            # array_interface() pointers (or None).
-            bow.argtypes = [ctypes.c_void_p] * 6
-            bow.restype = ctypes.c_int64
-            library.bows[dtype] = bow
-            exp_ = getattr(library, f"repro_exp_{suffix}")
-            exp_.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-            exp_.restype = None
+        # (state, scores, rows, bounds, shifts): the FoldState's address,
+        # then array_interface() pointers (or None).
+        library.repro_fold.argtypes = [ctypes.c_void_p] * 5
+        library.repro_fold.restype = ctypes.c_int64
+        # (sentences, encoding, table_a, out_a, table_c, out_c):
+        # array_interface() pointers (or None).
+        library.repro_bow.argtypes = [ctypes.c_void_p] * 6
+        library.repro_bow.restype = ctypes.c_int64
+        library.repro_exp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+        library.repro_exp.restype = None
     except (OSError, AttributeError):
         return None
     return library
@@ -252,16 +244,16 @@ def load() -> tuple[ctypes.CDLL | None, str]:
     return library, "c"
 
 
-def kernels() -> dict | None:
-    """The compiled fold by tile dtype, or ``None``."""
+def kernels():
+    """The compiled float32 fold, ``repro_fold``, or ``None``."""
     library = load()[0]
-    return None if library is None else library.folds
+    return None if library is None else library.repro_fold
 
 
-def bow_kernels() -> dict | None:
-    """The compiled bag-of-words embedding by output dtype, or ``None``."""
+def bow_kernels():
+    """The compiled bag-of-words embedding, ``repro_bow``, or ``None``."""
     library = load()[0]
-    return None if library is None else library.bows
+    return None if library is None else library.repro_bow
 
 
 def fold_backend() -> str:
@@ -271,14 +263,15 @@ def fold_backend() -> str:
 
 
 def exp(x: np.ndarray) -> np.ndarray:
-    """The compiled fold's exponential, elementwise (float32: the
-    polynomial of ``_fold.c``; float64: libm's ``exp``) — what the fold
-    computes from a floored shifted score.  Needs the library."""
+    """The compiled fold's exponential of float32 ``x``, elementwise:
+    the polynomial of ``_fold.c``, what the fold computes from a floored
+    shifted score.  Needs the library."""
     library = load()[0]
     if library is None:
         raise RuntimeError(f"the compiled fold is not available ({fold_backend()})")
     x = np.ascontiguousarray(x)
+    if x.dtype != np.float32:
+        raise TypeError(f"the compiled exp takes float32, got {x.dtype}")
     out = np.empty_like(x)
-    function = getattr(library, f"repro_exp_{_DTYPES[x.dtype]}")
-    function(x.ctypes.data, out.ctypes.data, x.size)
+    library.repro_exp(x.ctypes.data, out.ctypes.data, x.size)
     return out

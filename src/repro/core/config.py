@@ -43,6 +43,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from ..store.base import SUPPORTED_DTYPES
+
 __all__ = [
     "MemNNConfig",
     "ChunkConfig",
@@ -279,7 +281,6 @@ class ExecutionConfig:
     fused: bool = False
 
     _BACKENDS = ("serial", "process")
-    _DTYPES = ("float64", "float32")
 
     def __post_init__(self) -> None:
         if self.backend not in self._BACKENDS:
@@ -294,10 +295,9 @@ class ExecutionConfig:
             raise ValueError(
                 f"num_workers > 1 requires backend='process' (got {self.backend!r})"
             )
-        if self.dtype not in self._DTYPES:
-            raise ValueError(
-                f"dtype must be one of {self._DTYPES}, got {self.dtype!r}"
-            )
+        dtypes = tuple(dtype.name for dtype in SUPPORTED_DTYPES)
+        if self.dtype not in dtypes:
+            raise ValueError(f"dtype must be one of {dtypes}, got {self.dtype!r}")
         if self.fused and self.backend != "serial":
             raise ValueError(
                 "fused=True hands parallelism to BLAS threads and "

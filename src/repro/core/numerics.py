@@ -124,12 +124,12 @@ def bow_embed_each(
             "encoding shape must be (nw, ed) = "
             f"{(sentences.shape[1], ed)}, got {encoding.shape}"
         )
-    kernels = compiled_fold.bow_kernels()
-    if kernels is not None:
+    kernel = compiled_fold.bow_kernels()
+    if kernel is not None:
         targets = outs
         if targets is None:
             targets = [np.empty((len(sentences), ed)) for _ in embeddings]
-        if _bow_compiled(kernels, embeddings, sentences, encoding, targets):
+        if _bow_compiled(kernel, embeddings, sentences, encoding, targets):
             return list(targets)
     if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
         raise ValueError(_BAD_WORD)
@@ -165,7 +165,7 @@ def bow_embed_each(
 _BAD_WORD = "sentence word IDs out of range for the embedding matrix"
 
 
-def _bow_compiled(kernels, embeddings, sentences, encoding, outs) -> bool:
+def _bow_compiled(kernel, embeddings, sentences, encoding, outs) -> bool:
     """:func:`bow_embed_each` by the compiled embedding, one call per
     ``(A, C)`` pair of dictionaries; ``False`` once it refuses an array
     (then the NumPy passes redo every output)."""
@@ -177,9 +177,6 @@ def _bow_compiled(kernels, embeddings, sentences, encoding, outs) -> bool:
     words_at = pointer(words, None)
     weights_at = None if weights is None else pointer(weights, None)
     for lo in range(0, len(embeddings), 2):
-        kernel = kernels.get(outs[lo].dtype)
-        if kernel is None:
-            return False
         table_a, out_a = embeddings[lo].__array_struct__, outs[lo].__array_struct__
         table_c = out_c = None
         if lo + 1 < len(embeddings):

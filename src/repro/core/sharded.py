@@ -44,13 +44,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..store.base import MemoryStore, StoreStats
+from ..store.base import MemoryStore, StoreStats, check_dtype
 from ..store.mmap_store import MmapStore
 from .column import (
     ColumnMemNN,
     PartialOutput,
     TileState,
-    check_dtype,
     column_op_stats,
     merge_partials,
 )

@@ -39,12 +39,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..core.column import ColumnMemNN, check_dtype
+from ..core.column import ColumnMemNN
 from ..core.config import ChunkConfig, ExecutionConfig, TopKConfig, ZeroSkipConfig
 from ..core.results import InferenceResult
 from ..core.sharded import ShardedMemNN
 from ..core.stats import OpStats
-from ..store.base import MemoryStore, RowSubsetStore, StoreStats
+from ..store.base import MemoryStore, RowSubsetStore, StoreStats, check_dtype
 from ..store.resident import ResidentStore
 from .ivf import IVFIndex
 from .stats import IndexStats

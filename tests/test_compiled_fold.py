@@ -1,16 +1,16 @@
 """The compiled tile fold against its referee, the NumPy fold.
 
-``TileState.fold`` runs ``repro/core/_fold.c`` when the system C
-compiler can build it and the NumPy fold otherwise (DESIGN.md §10,
-"Compiled fold").  The two sum and exponentiate in different orders, so
-they are held to each other at a tolerance — float32 outputs within
-``FLOAT32_LOGIT_TOLERANCE``, float64 within 1e-10 — and their
+``TileState.fold`` runs ``repro/core/_fold.c`` on a float32 tile when
+the system C compiler can build it, and the NumPy fold otherwise — on
+every float64 tile (DESIGN.md §10, "Compiled fold").  The two sum and
+exponentiate in different orders, so they are held to each other at a
+tolerance — outputs within ``FLOAT32_LOGIT_TOLERANCE`` — and their
 zero-skip decisions are held to be the same cells, except cells within
 one ulp of the band between the two folds' cuts, which the comparison
-names; the band is bounded by the tile's summation roundoff.  Then the float32
+names; the band is bounded by the tile's summation roundoff.  Then the
 polynomial ``exp`` on its own, and the build-and-load rules: fallback
-without a compiler, a damaged cache, concurrent builds, and spawn
-workers.
+without a compiler, a failed build, a damaged cache, concurrent builds,
+and spawn workers.
 """
 
 import importlib.resources
@@ -40,13 +40,13 @@ from repro.core import (
 )
 from repro.core.column import RunRows, TileState, exp_floor
 
+from .conftest import float64
 from .test_differential_paths import _random_problem
 
 requires_compiler = pytest.mark.skipif(
     compiled_fold.fold_backend() != "c", reason=compiled_fold.fold_backend()
 )
 
-TOLERANCE = {np.dtype(np.float32): FLOAT32_LOGIT_TOLERANCE, np.dtype(np.float64): 1e-10}
 EXP = {"c": compiled_fold.exp, "numpy": np.exp}
 
 
@@ -119,7 +119,7 @@ def _decisions(scores, snapshots, threshold, backend):
 
 @st.composite
 def scans(draw):
-    dtype = np.dtype(draw(st.sampled_from((np.float32, np.float64))))
+    dtype = np.dtype(np.float32)
     nq = draw(st.sampled_from((0, 1, 16)))
     # Up to three tiles of 1 to 1500 columns, the last often narrow.
     widths = draw(st.lists(st.integers(1, 1500), min_size=1, max_size=2))
@@ -167,7 +167,7 @@ def scans(draw):
 )
 def test_compiled_fold_agrees_with_the_numpy_fold(scan):
     scores, m_out, widths, threshold, source, seed = scan
-    dtype, tolerance = scores.dtype, TOLERANCE[scores.dtype]
+    dtype, tolerance = scores.dtype, FLOAT32_LOGIT_TOLERANCE
     states, kept = {}, {}
     for backend in ("c", "numpy"):
         state, snapshots = _scan(
@@ -357,19 +357,41 @@ def test_the_source_ships_as_package_data():
     assert "_fold.c" in package_data["package-data"]["repro.core"]
 
 
-@pytest.mark.usefixtures("numpy_fold")
-def test_without_a_compiler_answers_are_the_numpy_folds_bitwise(monkeypatch):
-    assert compiled_fold.fold_backend() == "numpy: no C compiler (cc) on PATH"
+def _logits(engine_config: EngineConfig) -> bytes:
+    """The logits of one engine over ``_random_problem(0)``, as bytes."""
     config, weights, story, questions = _random_problem(0)
+    engine = MnnFastEngine(config, weights, engine_config)
+    engine.store_story(story)
+    logits = engine.answer(questions).logits
+    engine.close()
+    return logits.tobytes()
+
+
+#: The float64 reference precision, column and one-shard sharded, with
+#: zero-skipping off and on.
+FLOAT64_CONFIGS = [
+    float64(config.with_zero_skip(threshold))
+    for config in (
+        EngineConfig(chunk=ChunkConfig(16)),
+        EngineConfig.sharded(1, chunk_size=16),
+    )
+    for threshold in (0.0, 0.1)
+]
+
+
+def test_without_a_compiler_answers_are_the_numpy_folds_bitwise(monkeypatch, request):
+    # A float64 tile folds in NumPy whether or not the library loads:
+    # the loader's logits are the compiler-less ones, bit for bit.
+    loaded = [_logits(config) for config in FLOAT64_CONFIGS]
+    request.getfixturevalue("numpy_fold")
+    assert compiled_fold.fold_backend() == "numpy: no C compiler (cc) on PATH"
+    assert [_logits(config) for config in FLOAT64_CONFIGS] == loaded
     answers = []
     for _ in range(2):
-        engine = MnnFastEngine(config, weights, EngineConfig(chunk=ChunkConfig(16)))
-        engine.store_story(story)
-        answers.append(engine.answer(questions).logits)
-        engine.close()
+        answers.append(_logits(EngineConfig(chunk=ChunkConfig(16))))
         # Second pass: every fold calls the NumPy fold by name.
         monkeypatch.setattr(TileState, "fold", TileState._fold_numpy)
-    assert answers[0].tobytes() == answers[1].tobytes()
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.skipif(not hasattr(os, "getuid"), reason="POSIX permissions")
@@ -386,10 +408,10 @@ def test_a_cache_directory_others_can_write_is_not_used(tmp_path, monkeypatch):
     assert chosen.stat().st_mode & 0o777 == 0o700
 
 
-def _in_a_fresh_process(cache: Path, code: str) -> str:
+def _in_a_fresh_process(cache: Path, code: str, **env_vars: str) -> str:
     """Run ``code`` in a new interpreter whose cache directory is
-    ``cache``; its stdout."""
-    env = dict(os.environ, XDG_CACHE_HOME=str(cache))
+    ``cache`` (and environment ``env_vars`` on top); its stdout."""
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
@@ -400,6 +422,42 @@ def _in_a_fresh_process(cache: Path, code: str) -> str:
 
 
 BACKEND = "from repro.core.compiled_fold import fold_backend; print(fold_backend())"
+
+#: In a fresh interpreter: the fold backend, then ``_logits`` of the
+#: default config.
+BACKEND_AND_LOGITS = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).parents[1])!r})
+{BACKEND}
+from repro.core import ChunkConfig, EngineConfig
+from tests.test_compiled_fold import _logits
+print(_logits(EngineConfig(chunk=ChunkConfig(16))).hex())
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a shell-script compiler")
+def test_a_failed_build_runs_the_numpy_fold_and_leaves_no_partial_library(
+    tmp_path, request
+):
+    """A ``cc`` that exits non-zero: the loader says why, answers are
+    the NumPy fold's bit for bit, and the build's temp file is gone."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    compiler = bin_dir / "cc"
+    compiler.write_text(
+        "#!/bin/sh\necho 'cc: error: no space left on device' >&2\nexit 1\n"
+    )
+    compiler.chmod(0o755)
+    path = os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")])
+    cache = tmp_path / "cache"
+    output = _in_a_fresh_process(cache, BACKEND_AND_LOGITS, PATH=path)
+    backend, logits = output.splitlines()
+    assert backend.startswith("numpy: build failed"), backend
+    assert "no space left on device" in backend
+    request.getfixturevalue("numpy_fold")
+    assert bytes.fromhex(logits) == _logits(EngineConfig(chunk=ChunkConfig(16)))
+    # No library and no partial ``*.so.tmp`` is left behind.
+    assert list((cache / "repro").iterdir()) == []
 
 
 @requires_compiler
@@ -459,11 +517,8 @@ def test_a_spawned_worker_loads_its_own_copy_and_folds_bitwise_alike():
 
 
 @requires_compiler
-@pytest.mark.parametrize("dtype", (np.float32, np.float64))
 @pytest.mark.parametrize("threshold", (0.0, 0.1))
-def test_one_shard_arrangements_are_bitwise_equal_on_the_compiled_fold(
-    dtype, threshold
-):
+def test_one_shard_arrangements_are_bitwise_equal_on_the_compiled_fold(threshold):
     """Column ≡ one-shard sharded ≡ one-shard fused: the compiled fold's
     reductions run in fixed lanes, so where a tile sits in memory
     cannot show in the bits.  (Process ≡ serial shards is
@@ -472,7 +527,7 @@ def test_one_shard_arrangements_are_bitwise_equal_on_the_compiled_fold(
     m_in, m_out = rng.normal(size=(2, 700, 12))
     u = rng.normal(size=(5, 12))
     skip = ZeroSkipConfig(threshold)
-    kwargs = dict(chunk=ChunkConfig(96), dtype=dtype)
+    kwargs = dict(chunk=ChunkConfig(96), dtype=np.float32)
     fused = ExecutionConfig(fused=True)
     solvers = [
         ColumnMemNN(m_in, m_out, **kwargs),

@@ -58,9 +58,10 @@ from .test_differential_paths import (
 
 
 def fold_exp(x: np.ndarray) -> np.ndarray:
-    """The exponential the active tile fold computes from floored
-    shifted scores: the compiled fold's own, or NumPy's."""
-    if compiled_fold.fold_backend() == "c":
+    """The exponential the tile fold of ``x``'s dtype computes from
+    floored shifted scores: the compiled fold's own for float32 when the
+    library loads, else NumPy's (a float64 tile always folds in NumPy)."""
+    if x.dtype == np.float32 and compiled_fold.fold_backend() == "c":
         return compiled_fold.exp(x)
     return np.exp(x)
 
