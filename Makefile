@@ -23,12 +23,15 @@ test:
 # _fold.c, and print which fold TileState runs: "c", or "numpy: <why>".
 # The bag-of-words embedding is in the same library and follows it.
 # Where cc exists it first checks the source from the repo root with
-# warnings as errors, so a warning or a path-dependent include fails
-# here.  CI runs it before `make check`, so the first compile (about a
-# second) never lands inside one test's PYTEST_MAX_TEST_SECONDS budget.
+# warnings as errors and the loader's own flags (compiled_fold.FLAGS:
+# without -fopenmp-simd, -Wall rejects the `omp simd` pragmas the build
+# honours), so a warning or a path-dependent include fails here.  CI
+# runs it before `make check`, so the first compile (about a second)
+# never lands inside one test's PYTEST_MAX_TEST_SECONDS budget.
 kernel:
 	@if command -v cc >/dev/null 2>&1; then \
-		cc -Wall -Wextra -Werror -fsyntax-only src/repro/core/_fold.c; \
+		cc $$($(PYTHON) -c 'from repro.core.compiled_fold import FLAGS; print(*FLAGS)') \
+			-Wall -Wextra -Werror -fsyntax-only src/repro/core/_fold.c; \
 	fi
 	@$(PYTHON) -c 'from repro.core import fold_backend; print("fold:", fold_backend())'
 

@@ -5,9 +5,11 @@
  * pass over the row for the arithmetic and one for the decision:
  *
  *   tile max -> rescale (denom, acc) by exp(old - new) if the running
- *   max grew -> floored exponentials written in place and summed in
- *   float64 -> cut = nextafterf(float(min(th * S, 1)), 0) -> the output
- *   rows of the exponentials >= cut added into the float64 acc.
+ *   max grew -> exponentials written in place and summed in float64,
+ *   exactly 0 where the shifted score is below the floor (so neither
+ *   the sum nor the weighted sum ever meets a subnormal) -> cut =
+ *   nextafterf(float(min(th * S, 1)), 0) -> the output rows of the
+ *   exponentials >= cut added into the float64 acc.
  *
  * The score GEMM before it stays in BLAS, and with zero-skipping off
  * the weighted sum after it too (the caller's np.matmul over the
@@ -105,8 +107,9 @@ static inline int is_array(
  * polynomial (1 + r + r^2 q(r), q a degree-4 minimax fit, relative
  * error 4e-9 before rounding), times 2^n built in the exponent bits.
  * Branch-free, so the loops calling it vectorize.  Every x the fold
- * passes is >= the floor, so n >= -123 and the result is a normal
- * float: no subnormal is made. */
+ * passes is clamped to >= the floor (a clamped cell's result is then
+ * multiplied by 0), so n >= -123 and the result is a normal float: no
+ * subnormal is made. */
 static inline float exp_poly(float x)
 {
     const float shifter = 0x1.8p23f; /* adding it rounds to an integer */
@@ -141,11 +144,13 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     const int64_t ed = st->ed, blocked = n - n % LANES;
     int64_t j, k;
 
-    /* The tile max. */
+    /* The tile max.  (A max is exact in any order: `omp simd` only
+     * lets the 16-lane scans vectorize, here and in the block tops.) */
     float lane_max[LANES];
     for (k = 0; k < LANES; k++)
         lane_max[k] = -INFINITY;
     for (j = 0; j < blocked; j += LANES)
+#pragma omp simd
         for (k = 0; k < LANES; k++)
             lane_max[k] = s[(j + k) * cs] > lane_max[k] ? s[(j + k) * cs] : lane_max[k];
     float tile_max = -INFINITY;
@@ -175,7 +180,12 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     }
     log_max[q] = running;
 
-    /* Floored exponentials, in place, summed in float64. */
+    /* Exponentials, in place, summed in float64.  A shifted score below
+     * the floor is written as 0: exp of it would be subnormal, and even
+     * exp(floor) ~ 8.7e-38 times an M_OUT entry below 0.135 is, in the
+     * weighted-sum GEMM.  The argument stays clamped, so no lane leaves
+     * exp_poly's range, and the zero is a multiply, not a branch, so
+     * the loop stays vectorized. */
     const float floor_ = (float)st->floor;
     double lane_sum[LANES];
     float lane_top[LANES];
@@ -186,7 +196,7 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     for (j = 0; j < blocked; j += LANES)
         for (k = 0; k < LANES; k++) {
             float x = s[(j + k) * cs] - running;
-            float e = exp_poly(x < floor_ ? floor_ : x);
+            float e = exp_poly(x < floor_ ? floor_ : x) * (x < floor_ ? 0.0f : 1.0f);
             s[(j + k) * cs] = e;
             lane_sum[k] += e;
             lane_top[k] = e > lane_top[k] ? e : lane_top[k];
@@ -199,7 +209,7 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     }
     for (j = blocked; j < n; j++) {
         float x = s[j * cs] - running;
-        float e = exp_poly(x < floor_ ? floor_ : x);
+        float e = exp_poly(x < floor_ ? floor_ : x) * (x < floor_ ? 0.0f : 1.0f);
         s[j * cs] = e;
         sum += e;
         top = e > top ? e : top;
@@ -229,6 +239,7 @@ static inline __attribute__((always_inline)) int64_t fold_row(
         const int64_t end = j + LANES < n ? j + LANES : n;
         if (end - j == LANES) {
             float block_top = 0;
+#pragma omp simd reduction(max : block_top)
             for (k = 0; k < LANES; k++)
                 block_top = s[(j + k) * cs] > block_top ? s[(j + k) * cs] : block_top;
             if (!(block_top >= cut))

@@ -42,10 +42,14 @@ is taken on those exponentials — the ones the denominator just summed
 running-max rescale short-circuits when no question's maximum grew.  A
 memory of at most one chunk therefore pays for one tile's arithmetic
 and nothing else.
-Shifted scores are floored at ``log(tiny)`` before exponentiation so
-deeply improbable rows cost a normal-range multiply instead of a
-subnormal one (x86 handles subnormals in microcode, ~100x slower — on
-float32 this turned the whole pass over).
+Shifted scores are floored at ``log(tiny)`` before exponentiation, and
+the compiled fold writes a floored cell as exactly 0, so deeply
+improbable rows cost a normal-range multiply instead of a subnormal one
+— in ``exp`` and in the weighted sum after it (x86 handles subnormals
+in microcode, ~100x slower — on float32 this turned the whole pass
+over).  The NumPy fold keeps ``exp(floor)`` in those cells: it runs
+float64 tiles, whose floor lies ~706 below the row maximum, and float32
+tiles only where no compiler is.
 """
 
 from __future__ import annotations
@@ -270,8 +274,11 @@ class TileState:
 
         On return every cell of ``scores`` holds its floored exponential
         under the running max, ``exp(max(s - log_max, exp_floor))`` in
-        the tile dtype — or 0, where zero-skipping dropped the cell and
-        the NumPy fold took the dense readout (a narrow or dense tile).
+        the tile dtype — or 0: where the compiled fold floored the
+        shifted score (so no cell the weighted sum multiplies is below
+        ``exp(exp_floor)``), and where zero-skipping dropped the cell
+        and the NumPy fold took the dense readout (a narrow or dense
+        tile).
         The compiled fold (:mod:`~repro.core.compiled_fold`) runs a
         float32 tile when it is available, the NumPy fold
         (``_fold_numpy``) a float64 tile and any tile otherwise; they

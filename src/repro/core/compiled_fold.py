@@ -264,8 +264,9 @@ def fold_backend() -> str:
 
 def exp(x: np.ndarray) -> np.ndarray:
     """The compiled fold's exponential of float32 ``x``, elementwise:
-    the polynomial of ``_fold.c``, what the fold computes from a floored
-    shifted score.  Needs the library."""
+    the polynomial of ``_fold.c``, what the fold computes from a shifted
+    score at or above ``exp_floor`` (a cell below it, the fold writes as
+    0).  Needs the library."""
     library = load()[0]
     if library is None:
         raise RuntimeError(f"the compiled fold is not available ({fold_backend()})")

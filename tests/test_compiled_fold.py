@@ -47,7 +47,15 @@ requires_compiler = pytest.mark.skipif(
     compiled_fold.fold_backend() != "c", reason=compiled_fold.fold_backend()
 )
 
-EXP = {"c": compiled_fold.exp, "numpy": np.exp}
+#: Each fold's exponential of a raw shifted score: both floor it, and
+#: the compiled fold writes 0 where it did (DESIGN.md §10, "The
+#: subnormal cliff").
+EXP = {
+    "c": lambda shifted, floor: np.where(
+        shifted < floor, 0, compiled_fold.exp(np.maximum(shifted, floor))
+    ),
+    "numpy": lambda shifted, floor: np.exp(np.maximum(shifted, floor)),
+}
 
 
 def _state(nq, ed, threshold, backend):
@@ -110,8 +118,7 @@ def _decisions(scores, snapshots, threshold, backend):
     floor = exp_floor(scores.dtype)
     exps, cuts = np.empty_like(scores), np.empty_like(scores)
     for lo, hi, log_max, denom in snapshots:
-        shifted = np.maximum(scores[:, lo:hi] - log_max[:, None], floor)
-        exps[:, lo:hi] = EXP[backend](shifted)
+        exps[:, lo:hi] = EXP[backend](scores[:, lo:hi] - log_max[:, None], floor)
         cut = np.minimum(np.multiply(denom, threshold, dtype=np.float64), 1.0)
         cuts[:, lo:hi] = np.nextafter(cut.astype(scores.dtype), 0)[:, None]
     return exps, cuts, exps >= cuts
@@ -182,8 +189,8 @@ def test_compiled_fold_agrees_with_the_numpy_fold(scan):
             kept[backend] = keep, exps, cuts
         else:
             assert state.rows_kept == scores.size
-        # Every exponential the fold summed is a normal number.
-        assert exps.min(initial=np.inf) >= np.finfo(dtype).tiny
+        # Every exponential the fold summed is 0 or a normal number.
+        assert not (exps[exps != 0] < np.finfo(dtype).tiny).any()
         states[backend] = state.partial()
     c, reference = states["c"], states["numpy"]
     assert c.weighted.dtype == c.denom.dtype == np.float64
@@ -220,6 +227,44 @@ def test_compiled_fold_agrees_with_the_numpy_fold(scan):
         got, want = c.finalize(), reference.finalize()
         bound = tolerance * (1 + np.abs(want)) + flipped_mass[:, None]
         assert (np.abs(got - want) <= bound).all()
+
+
+def _peaked_scan():
+    """A ``scans()`` draw in ``out_of_core_stream``'s regime: th 0, 16
+    questions, scores hundreds below each row's max, and ``M_OUT`` at
+    the N(0, 0.1) scale whose products with exp(floor) are subnormal."""
+    rng = np.random.default_rng(3)
+    scores = (rng.normal(size=(16, 1000)) * 300).astype(np.float32)
+    m_out = (rng.normal(size=(1000, 8)) * 0.1).astype(np.float32)
+    return scores, m_out, [600, 400], 0.0, "array", 3
+
+
+@requires_compiler
+@settings(max_examples=60, deadline=None)
+@given(scans())
+@example(_peaked_scan())
+def test_the_compiled_fold_writes_zero_below_the_floor(scan):
+    """After every compiled fold, a cell whose shifted score is below
+    ``exp_floor`` holds exactly 0 and every other cell at least
+    ``exp(floor)``, so the block the readout multiplies by ``M_OUT``
+    holds no ``exp(floor)`` whose products with small entries would be
+    subnormal.  At th 0 every question-row still counts as kept."""
+    scores, m_out, widths, threshold, source, seed = scan
+    floor = exp_floor(scores.dtype)
+    smallest = compiled_fold.exp(np.array([floor]))[0]
+    state = _state(len(scores), m_out.shape[1], threshold, "c")
+    rng = np.random.default_rng(seed)
+    lo = 0
+    for width in widths:
+        hi = lo + width
+        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi], rng)
+        state.fold(block, tile_out)
+        shifted = scores[:, lo:hi] - state.partial().log_max[:, None]
+        assert (block[shifted < floor] == 0).all()
+        assert not (block[block != 0] < smallest).any()
+        lo = hi
+    if not threshold:
+        assert state.rows_kept == scores.size
 
 
 @requires_compiler
@@ -458,6 +503,31 @@ def test_a_failed_build_runs_the_numpy_fold_and_leaves_no_partial_library(
     assert bytes.fromhex(logits) == _logits(EngineConfig(chunk=ChunkConfig(16)))
     # No library and no partial ``*.so.tmp`` is left behind.
     assert list((cache / "repro").iterdir()) == []
+
+
+@requires_compiler
+@pytest.mark.skipif(not hasattr(os, "getuid"), reason="a per-user temp directory")
+def test_with_no_usable_cache_directory_the_numpy_fold_runs(tmp_path, request):
+    """Neither cache directory can be made: ``$XDG_CACHE_HOME`` lies
+    under a regular file, and so does the per-user one in the temp dir
+    (its ``repro-<uid>`` is a regular file; a ``TMPDIR`` under a file
+    would only send ``tempfile`` back to ``/tmp``).  The loader says so
+    and answers are the NumPy fold's bit for bit.  With the temp dir
+    usable, it builds there and loads."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    per_user = temp / f"repro-{os.getuid()}"
+    per_user.write_text("")
+    cache, env = blocker / "cache", {"TMPDIR": str(temp)}
+    backend, logits = _in_a_fresh_process(cache, BACKEND_AND_LOGITS, **env).splitlines()
+    assert backend == "numpy: no writable cache directory"
+    request.getfixturevalue("numpy_fold")
+    assert bytes.fromhex(logits) == _logits(EngineConfig(chunk=ChunkConfig(16)))
+    per_user.unlink()
+    assert _in_a_fresh_process(cache, BACKEND, **env) == "c"
+    assert [path.suffix for path in per_user.iterdir()] == [".so"]
 
 
 @requires_compiler

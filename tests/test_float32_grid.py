@@ -251,24 +251,32 @@ def _float32_memories(seed, ns, ed=16, nq=3, scale=1.0):
 @example(seed=522, scale=40.0, chunk=64, threshold=0.0)
 def test_peaked_logits_stop_at_the_exp_floor(seed, scale, chunk, threshold):
     """Scores tens to thousands below the row maximum: every shifted
-    score is floored before ``exp``, so no subnormal reaches the
-    weighted-sum GEMM and each question's denominator stays positive —
-    and the answer stays within the float32 bound of the float64 one:
+    score is floored before ``exp`` — and the compiled fold writes a
+    floored cell as 0 — so the block the weighted sum multiplies holds
+    no subnormal, each question's denominator stays positive, and the
+    answer stays within the float32 bound of the float64 one:
     ``FLOAT32_LOGIT_TOLERANCE``, or one spacing of the largest score
     where float32 cannot represent the scores any finer than that."""
     m_in, m_out, u = _float32_memories(seed, ns=300, scale=scale)
     state = TileState(len(u), m_in.shape[1], threshold)
     solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk), dtype=np.float32)
-    floor = exp_floor(np.dtype(np.float32))
+    floor, tiny = exp_floor(np.dtype(np.float32)), np.finfo(np.float32).tiny
+    compiled = compiled_fold.fold_backend() == "c"
     for scores, tile_out in solver.scored_tiles(solver.check_questions(u)):
         raw = scores.copy()
         state.fold(scores, tile_out)
-        # The exponentials the fold summed, recomputed from the raw
-        # scores and the running max: every one a normal float32.
-        log_max = state.partial().log_max
-        exps = fold_exp(np.maximum(raw - log_max[:, None], floor))
+        # The exponentials of the floored scores, recomputed from the
+        # raw scores and the running max: every one a normal float32.
+        shifted = raw - state.partial().log_max[:, None]
+        exps = fold_exp(np.maximum(shifted, floor))
         assert exps.dtype == np.float32
-        assert exps.min(initial=np.inf) >= np.finfo(np.float32).tiny
+        assert exps.min(initial=np.inf) >= tiny
+        # The block the readout multiplies by M_OUT: 0 or normal.  The
+        # compiled fold leaves every cell's exponential there, 0 where
+        # the score was floored.
+        if compiled:
+            np.testing.assert_array_equal(scores, np.where(shifted < floor, 0, exps))
+        assert not (scores[scores != 0] < tiny).any()
     partial = state.partial()
     assert partial.denom.min() > 0
     reference = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk)).output(
