@@ -16,6 +16,12 @@
  * exponentials left in the block).  The NumPy fold in column.py is the
  * reference this file is tested against (tests/test_compiled_fold.py).
  *
+ * repro_hop ends a hop in the same call: the divide and the hop
+ * recurrence u += acc / denom, then u narrowed to float32 for the next
+ * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.  The
+ * score GEMM stays in BLAS: a C dot loop is not held to sgemm's bits,
+ * and every arrangement meeting a one-tile memory would need it too.
+ *
  * The bag-of-words embedding in front of the scan (repro_bow) lives
  * here too, so a stored sentence costs one call: its sums equal the
  * NumPy embedding's (numerics.bow_embed_each) to the bit
@@ -80,6 +86,9 @@ static inline int is_array(
 #define FOLD_BAD_SCORES (-1)
 #define FOLD_BAD_ROWS (-2)
 #define FOLD_BAD_RUNS (-3)
+#define FOLD_BAD_U (-4)
+#define FOLD_BAD_U_TILE (-5)
+#define FOLD_EMPTY (-6)
 
 /* repro_bow's returns besides 0 (compiled_fold.BOW_BAD_WORD /
  * BOW_REFUSED). */
@@ -323,13 +332,48 @@ int64_t repro_fold(
     return kept;
 }
 
-/* Whether `out` can take an (n, ed) block of bag sums: float32 (a
- * memory buffer's rows) or float64 (a question's u). */
-static inline int bow_out(const array_interface *out, int64_t n, int64_t ed)
+/* End a hop: fold `scores` (the last tile; NULL: all are folded), then
+ * o = acc / denom left in acc, u += o and u_tile = (float)u, with `u`
+ * the C-ordered (nq, ed) float64 hop state, checked before any write as
+ * `u_tile` is.  Returns repro_fold's count (0 with no tile) or error. */
+int64_t repro_hop(
+    fold_state *st, const array_interface *scores, const array_interface *rows,
+    const array_interface *u, const array_interface *u_tile)
+{
+    const int flags = ARRAY_C_CONTIGUOUS | ARRAY_WRITEABLE;
+    const int64_t nq = st->nq, ed = st->ed;
+    if (!is_array(u, 2, 'f', 8, flags) || u->shape[0] != nq || u->shape[1] != ed)
+        return FOLD_BAD_U;
+    if (!is_array(u_tile, 2, 'f', 4, flags) || u_tile->shape[0] != nq
+        || u_tile->shape[1] != ed)
+        return FOLD_BAD_U_TILE;
+    int64_t kept = 0;
+    if (scores != NULL) {
+        kept = repro_fold(st, scores, rows, NULL, NULL);
+        if (kept < 0)
+            return kept;
+    } else if (st->folded == 0) {
+        return FOLD_EMPTY;
+    }
+    double *state = u->data;
+    float *narrow = u_tile->data;
+    for (int64_t q = 0; q < nq; q++)
+        for (int64_t k = q * ed; k < (q + 1) * ed; k++) {
+            st->acc[k] = st->acc[k] / st->denom[q];
+            state[k] = state[k] + st->acc[k];
+            narrow[k] = (float)state[k];
+        }
+    return kept;
+}
+
+/* Whether `out` can take an (n, ed) block of bag sums from row
+ * `start` on: float32 (a memory buffer) or float64 (a question's u). */
+static inline int bow_out(
+    const array_interface *out, int64_t start, int64_t n, int64_t ed)
 {
     return (is_array(out, 2, 'f', 4, ARRAY_WRITEABLE)
             || is_array(out, 2, 'f', 8, ARRAY_WRITEABLE))
-        && out->shape[0] == n && out->shape[1] == ed;
+        && start >= 0 && out->shape[0] >= start + n && out->shape[1] == ed;
 }
 
 /* The bag sums of n sentences under one (V, ed) float64 table, each
@@ -379,32 +423,33 @@ static __attribute__((noinline)) void bow_table(
 
 /* Bag-of-words embedding (numerics.bow_embed_each): the (n, nw) int64
  * word IDs of `sentences` under the float64 (V, ed) table `table_a`
- * into `out_a`, and under `table_c` into `out_c` (both NULL: one
- * table).  A word's vector is multiplied by its pad mask (0 for PAD_ID,
- * else 1), then by its (nw, ed) `encoding` row when there is one, and
- * a sentence's vectors are added to +0.0 in float64 position by
- * position -- the NumPy embedding's arithmetic, to the bit.
+ * into rows [start, start + n) of `out_a`, and under `table_c` into
+ * those of `out_c` (both NULL: one table).  A word's vector is
+ * multiplied by its pad mask (0 for PAD_ID, else 1), then by its
+ * (nw, ed) `encoding` row when there is one, and a sentence's vectors
+ * are added to +0.0 in float64 position by position -- the NumPy
+ * embedding's arithmetic, to the bit.
  * Every word ID is checked before any row is written.  Returns 0,
  * BOW_BAD_WORD (an ID outside [0, V)), or BOW_REFUSED: an array this
  * loop does not take (the caller embeds with NumPy instead). */
 int64_t repro_bow(
     const array_interface *sentences, const array_interface *encoding,
     const array_interface *table_a, const array_interface *out_a,
-    const array_interface *table_c, const array_interface *out_c)
+    const array_interface *table_c, const array_interface *out_c, int64_t start)
 {
     if (!is_array(sentences, 2, 'i', 8, 0)
         || !is_array(table_a, 2, 'f', 8, ARRAY_C_CONTIGUOUS))
         return BOW_REFUSED;
     const int64_t n = sentences->shape[0], nw = sentences->shape[1];
     const int64_t vocab = table_a->shape[0], ed = table_a->shape[1];
-    if (!bow_out(out_a, n, ed))
+    if (!bow_out(out_a, start, n, ed))
         return BOW_REFUSED;
     if ((table_c == NULL) != (out_c == NULL))
         return BOW_REFUSED;
     if (table_c != NULL
         && (!is_array(table_c, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
             || table_c->shape[0] != vocab || table_c->shape[1] != ed
-            || !bow_out(out_c, n, ed)))
+            || !bow_out(out_c, start, n, ed)))
         return BOW_REFUSED;
     if (encoding != NULL
         && (!is_array(encoding, 2, 'f', 8, ARRAY_C_CONTIGUOUS)
@@ -423,7 +468,8 @@ int64_t repro_bow(
     const array_interface *tables[2] = {table_a, table_c};
     for (int t = 0; t < 2 && tables[t] != NULL; t++) {
         const int size = outs[t]->itemsize;
-        bow_table(ids, srow, scol, n, nw, tables[t]->data, ed, weights, outs[t]->data,
+        char *rows = (char *)outs[t]->data + start * outs[t]->strides[0];
+        bow_table(ids, srow, scol, n, nw, tables[t]->data, ed, weights, rows,
                   size == 4, outs[t]->strides[0] / size, outs[t]->strides[1] / size);
     }
     return 0;

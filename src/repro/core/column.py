@@ -41,7 +41,10 @@ is taken on those exponentials — the ones the denominator just summed
 — as ``e >= th * S``, with only the kept rows' ``M_OUT`` read; the
 running-max rescale short-circuits when no question's maximum grew.  A
 memory of at most one chunk therefore pays for one tile's arithmetic
-and nothing else.
+and nothing else: an engine hop over a resident one is one score GEMM
+into a kept workspace and one C call that folds the tile, takes the
+divide and advances the hop recurrence ``u += o`` with its float32
+narrowing (:meth:`TileState.recur`).
 Shifted scores are floored at ``log(tiny)`` before exponentiation, and
 the compiled fold writes a floored cell as exactly 0, so deeply
 improbable rows cost a normal-range multiply instead of a subnormal one
@@ -245,7 +248,7 @@ class TileState:
     __slots__ = (
         "_shape", "_threshold", "rows_kept",
         "_log_max", "_denom", "_acc", "_fold_ws", "_kernel", "_compiled",
-        "_divisor",
+        "_hop_args",
     )  # fmt: skip
 
     def __init__(self, nq: int, ed: int, threshold: float = 0.0) -> None:
@@ -258,12 +261,13 @@ class TileState:
         # new_max)`` out= buffers of a rescaling fold.  Compiled fold:
         # the tile-dtype ``(nq, ed)`` product of a no-skip tile.
         self._fold_ws = None
-        # The compiled float32 fold (None: the NumPy fold), and from a
-        # compiled first fold on ``(kernel, FoldState, its address)``.
+        # The compiled float32 fold's library (None: the NumPy fold), and
+        # from a compiled first fold on ``(repro_fold, repro_hop,
+        # FoldState, its address)``.
         self._kernel = compiled_fold.kernels()
         self._compiled = None
-        # Compiled fold: ``denom`` as the ``(nq, 1)`` divisor of ``acc``.
-        self._divisor = None
+        # recur()'s last arrays, their capsules and struct pointers.
+        self._hop_args = None
 
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
@@ -297,7 +301,7 @@ class TileState:
         if self._compiled is None:
             self._fold_numpy(scores, tile_out)
             return
-        kernel, _, address = self._compiled
+        kernel, _, _, address = self._compiled
         pointer = compiled_fold.struct_pointer
         # The capsules stay referenced until the call returns: each owns
         # the struct its pointer addresses.  The kernel checks every
@@ -343,13 +347,16 @@ class TileState:
         self._denom = state[:nq]
         self._acc = state[nq : nq * (ed + 1)].reshape(nq, ed)
         self._log_max = state[nq * (ed + 1) :].view(dtype)[:nq]
-        self._divisor = self._denom[:, None]
         base = state.ctypes.data
         fold_state = compiled_fold.FoldState(
             nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1),
             self._threshold, float(exp_floor(dtype)), 0,
         )  # fmt: skip
-        self._compiled = (self._kernel, fold_state, ctypes.addressof(fold_state))
+        library = self._kernel
+        self._compiled = (
+            library.repro_fold, library.repro_hop, fold_state,
+            ctypes.addressof(fold_state),
+        )  # fmt: skip
 
     def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """The fold in NumPy passes: the reference the compiled fold is
@@ -445,8 +452,58 @@ class TileState:
         if self._compiled is None:
             self._log_max = self._denom = self._acc = self._fold_ws = None
         else:
-            self._compiled[1].folded = 0
+            self._compiled[2].folded = 0
         return self
+
+    def recur(
+        self,
+        u: np.ndarray,
+        u_tile: np.ndarray,
+        scores: np.ndarray | None = None,
+        tile_out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """End a hop of ``u_{k+1} = u_k + o_k``, in place: fold the last
+        tile when given, take the divide ``o = acc / denom``, add ``o``
+        into ``u`` (the float64 hop state) and write ``u`` narrowed into
+        ``u_tile``, the next GEMM's operand (``u`` itself under float64).
+        Returns ``o`` — on the compiled fold the state's ``acc``, valid
+        until the next scan.  The compiled fold is one C call (two at
+        threshold 0: a GEMM comes between), refusing a bad ``u`` or
+        ``u_tile`` before any write; the NumPy fold runs ``np.add(u, o,
+        out=u)`` and ``u_tile[...] = u``, the same IEEE operations."""
+        if scores is not None:
+            if self._acc is None and self._kernel is not None:
+                self._start_compiled(scores.dtype)
+            compiled = self._compiled is not None and self._threshold
+            if not compiled or type(tile_out) is not np.ndarray:
+                self.fold(scores, tile_out)
+                scores = tile_out = None
+        if self._compiled is None:
+            output = self.finalize()
+            np.add(u, output, out=u)
+            if u_tile is not u:
+                u_tile[...] = u
+            return output
+        # Pointers are taken for new arrays only: a hop with the last
+        # hop's u over the same memory reuses them.
+        args = self._hop_args
+        if (
+            args is None or args[0] is not u or args[1] is not u_tile
+            or args[2] is not scores or args[3] is not tile_out
+        ):  # fmt: skip
+            arrays = (u, u_tile, scores, tile_out)
+            args = self._hop_args = (*arrays, *compiled_fold.structs(arrays))
+        u_at, tile_at, scores_at, rows_at = args[5]
+        _, hop, _, address = self._compiled
+        kept = hop(address, scores_at, rows_at, u_at, tile_at)
+        if kept < 0:
+            raise ValueError(compiled_fold.FOLD_ERRORS[kept])
+        self.rows_kept += kept
+        return self._acc
+
+    def forget(self) -> None:
+        """Drop :meth:`recur`'s references to its last call's arrays."""
+        self._hop_args = None
 
     def partial(self) -> PartialOutput:
         """The folded state as a mergeable partial — the identity of
@@ -460,20 +517,20 @@ class TileState:
 
     def finalize(self) -> np.ndarray:
         """``partial().finalize()`` without the partial: one float64
-        division.  A folded tile leaves every denominator positive (the
-        running-max row adds ``exp(0)``), so only a scan that folded
-        nothing meets the empty-denominator error."""
+        division into a new array, for an :class:`InferenceResult` (an
+        engine hop ends with :meth:`recur`, which takes the same divide).
+        A folded tile leaves every denominator positive (the running-max
+        row adds ``exp(0)``), so only a scan that folded nothing meets
+        the empty-denominator error."""
         if not self._folded():
             return self.partial().finalize()
-        if self._divisor is not None:  # float64 state
-            return np.divide(self._acc, self._divisor)
         return np.divide(self._acc, self._denom[:, None], dtype=np.float64)
 
     def _folded(self) -> bool:
         """Whether a tile was folded since the state was built or
         restarted."""
         if self._compiled is not None:
-            return self._compiled[1].folded > 0
+            return self._compiled[2].folded > 0
         return self._acc is not None
 
 
@@ -572,6 +629,9 @@ class ColumnMemNN:
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
+        # A resident one-tile memory's ``(score workspace, M_IN.T,
+        # M_OUT)``, kept until the next re-point.
+        self._tile: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -616,10 +676,17 @@ class ColumnMemNN:
         """Scan ``(m_in, m_out)`` from now on — the engine's views after
         a write — keeping the fold states (DESIGN.md §10, "Solvers
         across writes").  Only a kernel without a chunk pipeline can: a
-        pipeline's LRU and lookahead hold chunks of the old rows."""
+        pipeline's LRU and lookahead hold chunks of the old rows.  The
+        views are taken as they are, unconverted and unchecked: an
+        engine buffer's dtype and layout (feature-major ``M_IN``) are
+        the solver's, fixed when the buffer was allocated."""
         if self._pipeline is not None:
             raise ValueError("a chunk pipeline cannot be re-pointed")
-        self._store = ResidentStore(m_in, m_out, dtype=self.dtype)
+        store = self._store
+        store.m_in, store.m_out = m_in, m_out
+        self._tile = None
+        for state in self._scans.values():
+            state.forget()
 
     def close(self) -> None:
         """Join the chunk pipeline's fetch thread, if it started one.
@@ -632,25 +699,47 @@ class ColumnMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
         runs: np.ndarray | None = None,
-    ) -> InferenceResult:
+        u_tile: np.ndarray | None = None,
+    ) -> InferenceResult | tuple[np.ndarray, int, int]:
         """Response vectors via the chunked lazy-softmax dataflow —
         over the whole memory, or over the ``(r, 2)`` row runs ``runs``
-        (see :meth:`scored_tiles`)."""
-        start = time.perf_counter()
-        u = self.check_questions(u)
+        (see :meth:`scored_tiles`).
+
+        With ``u_tile`` this is one hop of the engine's recurrence, on a
+        kernel without a chunk pipeline: ``u`` is the ``(nq, ed)``
+        float64 hop state and ``u_tile`` its narrowing to the memory
+        dtype, the score GEMM's operand; :meth:`TileState.recur`
+        advances both in place.  The hop's ``(o, rows scanned, rows
+        kept)`` come back instead of an :class:`InferenceResult` — ``o``
+        valid until the next scan; the engine builds the hop's
+        :func:`column_op_stats` from the ints when they are read.  Over a
+        resident memory of at most one tile the hop is one ``np.matmul``
+        and one C call."""
+        if u_tile is None:
+            start = time.perf_counter()
+            u = self.check_questions(u)
+        key = (len(u), zero_skip.threshold if zero_skip else 0.0)
         # A state of this shape, restarted: it is divided out below,
         # before anything can see it.
-        key = (len(u), zero_skip.threshold if zero_skip else 0.0)
         state = self._scans.get(key)
         if state is None:
             state = self._scans[key] = TileState(*u.shape, key[1])
         else:
             state.restart()
-        stats = self._scan(u, state, runs)
+        if u_tile is not None:
+            ns, tile = self._scan(u_tile, state, runs)
+            output = state.recur(u, u_tile, *tile) if tile else state.recur(u, u_tile)
+            return output, ns, state.rows_kept
+        ns, tile = self._scan(u, state, runs)
+        if tile:
+            state.fold(*tile)
         pipeline = self._pipeline
         return InferenceResult(
             output=state.finalize(),
-            stats=stats,
+            stats=column_op_stats(
+                len(u), ns, u.shape[1], state.rows_kept, self.chunk.chunk_size,
+                self.dtype,
+            ),  # fmt: skip
             elapsed_seconds=time.perf_counter() - start,
             store_stats=pipeline.stats.snapshot() if pipeline is not None else None,
         )
@@ -670,26 +759,36 @@ class ColumnMemNN:
         """
         u = self.check_questions(u)
         state = TileState(*u.shape, zero_skip.threshold if zero_skip else 0.0)
-        stats = self._scan(u, state, runs)
+        ns, tile = self._scan(u, state, runs)
+        if tile:
+            state.fold(*tile)
+        stats = column_op_stats(
+            len(u), ns, u.shape[1], state.rows_kept, self.chunk.chunk_size, self.dtype
+        )
         return state.partial(), stats
 
     def _scan(
         self, u: np.ndarray, state: TileState, runs: np.ndarray | None
-    ) -> OpStats:
-        """Fold every tile of ``u``'s scan into ``state``; its ledger."""
+    ) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
+        """Fold ``u``'s scan into ``state``; the rows scanned, and the
+        ``(scores, rows)`` of a resident one-tile memory, left to the
+        caller to fold (with the hop's end, :meth:`TileState.recur`)."""
         chunk_size = self.chunk.chunk_size
         ns = self._store.num_rows if runs is None else int(np.diff(runs).sum())
         if runs is None and self._pipeline is None and 0 < ns <= chunk_size:
             # One resident tile: the GEMM the tile source would run, on
-            # the same arrays, without the generator around it.
-            store = self._store
-            state.fold(np.matmul(u, store.m_in.T), store.m_out)
-        else:
-            for scores, chunk_out in self.scored_tiles(u, runs):
-                state.fold(scores, chunk_out)
-        return column_op_stats(
-            len(u), ns, u.shape[1], state.rows_kept, chunk_size, self.dtype
-        )
+            # the same arrays, without the generator around it, into a
+            # workspace kept until the next re-point.
+            tile = self._tile
+            if tile is None or len(tile[0]) != len(u):
+                store = self._store
+                scores = np.empty((len(u), ns), self.dtype)
+                tile = self._tile = (scores, store.m_in.T, store.m_out)
+            scores, m_in_t, m_out = tile
+            return ns, (np.matmul(u, m_in_t, out=scores), m_out)
+        for scores, chunk_out in self.scored_tiles(u, runs):
+            state.fold(scores, chunk_out)
+        return ns, None
 
     def scored_tiles(
         self, u: np.ndarray, runs: np.ndarray | None = None

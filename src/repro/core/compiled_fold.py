@@ -50,6 +50,7 @@ import numpy as np
 
 __all__ = [
     "FLAGS", "FoldState", "bow_kernels", "exp", "fold_backend", "kernels", "load",
+    "structs",
 ]  # fmt: skip
 
 #: ``-march=native``: the vector width and FMA of the host (a generic
@@ -65,11 +66,15 @@ FLAGS = (
 #: A build slower than this is abandoned (the NumPy fold runs).
 BUILD_TIMEOUT_S = 120
 
-#: ``repro_fold``'s negative returns: which argument failed its check.
+#: ``repro_fold``'s and ``repro_hop``'s negative returns: which
+#: argument failed its check (nothing was written), or an empty scan.
 FOLD_ERRORS = {
     -1: "scores must be a writable, aligned (nq, n) float32 block",
     -2: "output rows must be an aligned (n, ed) float32 array",
     -3: "RunRows pieces must tile the block and index rows of the memory",
+    -4: "u must be a writable, C-ordered (nq, ed) float64 array",
+    -5: "u_tile must be a writable, C-ordered (nq, ed) float32 array",
+    -6: "cannot finalize a partial with an empty denominator",
 }
 
 #: ``repro_bow``'s returns: an out-of-range word ID (nothing written), and
@@ -85,6 +90,14 @@ BOW_REFUSED = -2
 struct_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi)
 )
+
+
+def structs(arrays) -> tuple[list, list]:
+    """The ``__array_struct__`` capsules of ``arrays`` and their
+    addresses (``None`` for ``None``).  An address is valid while its
+    capsule is referenced: keep the capsules as long as the addresses."""
+    capsules = [None if a is None else a.__array_struct__ for a in arrays]
+    return capsules, [None if c is None else struct_pointer(c, None) for c in capsules]
 
 
 class FoldState(ctypes.Structure):
@@ -209,9 +222,12 @@ def _open(path: Path) -> ctypes.CDLL | None:
         # then array_interface() pointers (or None).
         library.repro_fold.argtypes = [ctypes.c_void_p] * 5
         library.repro_fold.restype = ctypes.c_int64
+        # (state, scores, rows, u, u_tile): as repro_fold's.
+        library.repro_hop.argtypes = [ctypes.c_void_p] * 5
+        library.repro_hop.restype = ctypes.c_int64
         # (sentences, encoding, table_a, out_a, table_c, out_c):
-        # array_interface() pointers (or None).
-        library.repro_bow.argtypes = [ctypes.c_void_p] * 6
+        # array_interface() pointers (or None), then the first out row.
+        library.repro_bow.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64]
         library.repro_bow.restype = ctypes.c_int64
         library.repro_exp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
         library.repro_exp.restype = None
@@ -244,10 +260,10 @@ def load() -> tuple[ctypes.CDLL | None, str]:
     return library, "c"
 
 
-def kernels():
-    """The compiled float32 fold, ``repro_fold``, or ``None``."""
-    library = load()[0]
-    return None if library is None else library.repro_fold
+def kernels() -> ctypes.CDLL | None:
+    """The library of the compiled float32 fold (``repro_fold``, and
+    ``repro_hop``, which ends a hop), or ``None``."""
+    return load()[0]
 
 
 def bow_kernels():

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import tempfile
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict
 
@@ -26,7 +26,8 @@ from ..store.base import StoreStats, feature_major
 from ..store.mmap_store import MmapStore
 from .baseline import BaselineMemNN
 from .cache import VectorCache
-from .column import ColumnMemNN
+from . import compiled_fold
+from .column import ColumnMemNN, column_op_stats
 from .config import EngineConfig, MemNNConfig
 from .early_exit import (
     EXIT_CONFIDENCE,
@@ -41,13 +42,7 @@ from .sharded import ShardedMemNN
 if TYPE_CHECKING:
     from ..index.stats import IndexStats
     from ..index.topk import TopKMemNN
-from .numerics import (
-    PAD_ID,
-    bow_embed,
-    bow_embed_each,
-    position_encoding,
-    softmax,
-)
+from .numerics import PAD_ID, BowEmbedder, position_encoding, softmax
 from .stats import OpStats
 
 __all__ = [
@@ -89,6 +84,14 @@ def _readonly(view: np.ndarray) -> np.ndarray:
     """Clear the writeable flag of a view the caller just made."""
     view.setflags(write=False)
     return view
+
+
+@functools.lru_cache(maxsize=None)
+def _empty_pair(width: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A read-only ``(0, width)`` ``(M_IN, M_OUT)`` pair — ``M_IN``
+    feature-major — for :meth:`MnnFastEngine.clear_memories` to view."""
+    m_in = _readonly(np.empty((0, width), dtype, order="F"))
+    return m_in, _readonly(np.empty((0, width), dtype))
 
 
 @dataclass
@@ -194,7 +197,22 @@ class EngineWeights:
         )
 
 
-@dataclass
+class _Record:
+    """An :class:`AnswerResult` record built on first read, then kept as
+    an instance attribute (which later reads find first).
+    ``functools.cached_property`` does the same under a lock on Python
+    < 3.12: ~2 µs a record, as much as building one."""
+
+    def __init__(self, build: Callable[[Any], Any]) -> None:
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, result: Any, owner: type | None = None) -> Any:
+        if result is None:
+            return self
+        value = result.__dict__[self.name] = self.build(result)
+        return value
+
+
 class AnswerResult:
     """Answers for one question batch.
 
@@ -209,10 +227,6 @@ class AnswerResult:
         hop_stats: per-hop operation counters, in hop order — the
             request-lifecycle observability hook the serving trace
             consumes (``stats`` is their sum plus the answer layer).
-        hop_shard_stats: constructor-only — read through
-            ``tier_stats()["shards"]``.  Per-hop, per-shard operation
-            counters on the sharded path (one inner list per hop, in
-            shard order; empty inner lists on unsharded paths).
         hop_store_stats: per-hop memory-store ledger snapshots
             (cumulative at each hop; ``None`` entries off the store
             path).  Prefer ``tier_stats()["store"]``.
@@ -232,33 +246,86 @@ class AnswerResult:
             from ``stats``.  On per-question views of a batched pass
             this is the fair ``1/nq`` share of the batch wall-clock
             (mirroring :meth:`~repro.core.stats.OpStats.amortized`).
+
+    The records — ``stats``, ``hop_stats``, ``tier_stats()`` and
+    ``hop_trace`` — are built on first read from what the pass kept of
+    each hop: a solver's :class:`~repro.core.results.InferenceResult`,
+    or a resident column scan's row counts.  An answer nobody inspects
+    pays for none of them; every counter has the value the pass
+    produced.  (The per-question views of a batch are given theirs.)
     """
 
-    answer_ids: np.ndarray
-    logits: np.ndarray
-    response: np.ndarray
-    stats: OpStats
-    hop_stats: list[OpStats] = field(default_factory=list)
-    hop_shard_stats: InitVar[list[list[OpStats]] | None] = None
-    hop_store_stats: list[StoreStats | None] = field(default_factory=list)
-    hop_index_stats: "list[IndexStats | None]" = field(default_factory=list)
-    hop_trace: HopTrace | None = None
-    cache_hits: int = 0
-    cache_misses: int = 0
-    elapsed_seconds: float = 0.0
-
-    def __post_init__(
-        self, hop_shard_stats: list[list[OpStats]] | None
+    def __init__(
+        self,
+        answer_ids: np.ndarray,
+        logits: np.ndarray,
+        response: np.ndarray,
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+        elapsed_seconds: float = 0.0,
+        ledger: tuple | None = None,
+        **records: Any,
     ) -> None:
-        # Constructor keyword without a public attribute (the shim over
-        # the old read surface is gone): tier_stats() is the accessor.
-        self._hop_shard_stats = (
-            hop_shard_stats if hop_shard_stats is not None else []
-        )
+        self.answer_ids, self.logits, self.response = answer_ids, logits, response
+        self.cache_hits, self.cache_misses = cache_hits, cache_misses
+        self.elapsed_seconds = elapsed_seconds
+        # answer()'s (hops, column, answers, checks, projected, trace).
+        self._ledger = ledger
+        # Given records shadow the properties below.
+        self.__dict__.update(records)
 
     @functools.cached_property
     def answer_probabilities(self) -> np.ndarray:
         return softmax(self.logits)
+
+    @_Record
+    def hop_stats(self) -> list[OpStats]:
+        hops, column = self._ledger[:2]
+        return [_hop_stats(hop, column) for hop in hops]
+
+    @_Record
+    def stats(self) -> OpStats:
+        """The hops' sum, plus each gate check (extrapolation, answer
+        GEMM, softmax) and the answer layer."""
+        total = OpStats()
+        for stats in self.hop_stats:
+            total.accumulate(stats)
+        _, (ed, _, _), answers, checks, projected, _ = self._ledger
+        for nq in checks:
+            total.flops += 2 * nq * ed + 2 * nq * answers * ed
+            total.exp_calls += nq * answers
+        total.flops += 2 * projected * answers * ed
+        return total
+
+    @_Record
+    def _tiers(self) -> tuple[list, list, list]:
+        """Per hop: shard counters (empty off the sharded path), store
+        ledger and index statistics (``None`` where the tier did not
+        run; a resident column hop runs none)."""
+        hops = self._ledger[0]
+        tiers = [None if type(hop) is tuple else hop.tier_stats() for hop in hops]
+        return (
+            [list(tier["shards"] or ()) if tier else [] for tier in tiers],
+            [tier and tier["store"] for tier in tiers],
+            [tier and tier["index"] for tier in tiers],
+        )
+
+    @property
+    def hop_store_stats(self) -> list[StoreStats | None]:
+        return self._tiers[1]
+
+    @property
+    def hop_index_stats(self) -> "list[IndexStats | None]":
+        return self._tiers[2]
+
+    @_Record
+    def hop_trace(self) -> HopTrace:
+        threshold, hops, nq, hops_run, confidences = self._ledger[5]
+        if hops_run is None:
+            return HopTrace.full_depth(nq, hops, threshold=threshold)
+        # Only the gate retires a question before the last hop.
+        exits = np.where(hops_run < hops, EXIT_CONFIDENCE, EXIT_FULL_DEPTH)
+        return HopTrace(threshold, hops, hops_run, exits.tolist(), confidences)
 
     def tier_stats(self) -> Dict[str, Any]:
         """Per-tier statistics of this answer pass, one key per tier.
@@ -272,17 +339,18 @@ class AnswerResult:
             not run); ``"hops"`` is the confidence-gate record
             (per-question depth, exit reasons, per-check confidence).
         """
-        return {
-            "shards": self._hop_shard_stats,
-            "store": self.hop_store_stats,
-            "index": self.hop_index_stats,
-            "hops": self.hop_trace,
-        }
+        shards, store, index = self._tiers
+        return {"shards": shards, "store": store, "index": index,
+                "hops": self.hop_trace}  # fmt: skip
 
 
-# Drop the lingering ``InitVar`` default so ``result.hop_shard_stats``
-# is a hard AttributeError rather than a silent class-attribute read.
-del AnswerResult.hop_shard_stats
+def _hop_stats(hop: InferenceResult | tuple[int, int, int], column: tuple) -> OpStats:
+    """A hop's counters: its solver's, or those of a resident column
+    scan from its ``(nq, rows scanned, rows kept)`` and the solver's
+    ``(ed, chunk_size, dtype)``."""
+    if type(hop) is tuple:
+        return column_op_stats(hop[0], hop[1], column[0], hop[2], *column[1:])
+    return hop.stats
 
 
 @dataclass
@@ -331,12 +399,10 @@ class BatchAnswer:
                 response=batch.response[i : i + 1],
                 stats=share,
                 hop_stats=hop_share,
-                hop_shard_stats=shard_share,
                 # Store ledgers and index probes are batch-scoped (one
                 # stream / one candidate set for the whole batch), so
                 # the per-question views share them rather than split.
-                hop_store_stats=batch_tiers["store"],
-                hop_index_stats=batch_tiers["index"],
+                _tiers=(shard_share, batch_tiers["store"], batch_tiers["index"]),
                 # The gate record slices cleanly: each view carries its
                 # own hops_run / exit reason / confidence trajectory.
                 hop_trace=(
@@ -436,13 +502,18 @@ class MnnFastEngine:
                 f"adjacent weights serve {self.weights.num_hops} hops, "
                 f"config asks for {config.hops}"
             )
-        #: Every memory pair's ``(A_k, C_k)``, in pair order: what a
-        #: stored sentence is embedded under.
-        self._pair_tables = [
-            table
-            for pair_index in range(self._num_pairs)
-            for table in self.weights.hop_pair(pair_index, config.hops)
-        ]
+        # The embeddings of a stored sentence — under every memory
+        # pair's ``(A_k, C_k)``, in pair order — and of a question (under
+        # ``A``), their dictionaries checked and pointed at once.
+        self._story_bow = BowEmbedder(
+            [
+                table
+                for pair_index in range(self._num_pairs)
+                for table in self.weights.hop_pair(pair_index, config.hops)
+            ],
+            self._encoding,
+        )
+        self._question_bow = BowEmbedder([self.weights.embedding_a], self._encoding)
         # Lazily-created spill directory for the mmap store backend
         # (used when the engine config asks for out-of-core memories
         # without naming a path).
@@ -498,6 +569,9 @@ class MnnFastEngine:
         geometrically up to ``config.num_sentences``), so ingesting a
         story sentence by sentence copies each row O(1) times.  A bag
         sum is accumulated in float64 and rounded once, into its row.
+        A write that fits the buffers embeds in one compiled call per
+        memory pair, cuts the new read-only views and re-points a
+        surviving solver: nothing else.
 
         Args:
             sentences: ``(n, nw)`` padded word IDs.
@@ -514,43 +588,38 @@ class MnnFastEngine:
             )
         if end == stored:
             return
-        buffers = self._reserve(end)
-        bow_embed_each(
-            self._pair_tables,
-            sentences,
-            self._encoding,
-            outs=[buffer[stored:end] for pair in buffers for buffer in pair],
-        )
-        self._memories = [
-            (_readonly(buffer_in[:end]), _readonly(buffer_out[:end]))
-            for buffer_in, buffer_out in buffers
-        ]
+        if end > self._capacity:
+            self._reserve(end)
+        buffers, bound = self._bound
+        self._story_bow(sentences, buffers, stored, bound)
+        # Views of the read-only views are read-only: a slice is all.
+        self._memories = [(m_in[:end], m_out[:end]) for m_in, m_out in self._readable]
         self._memories_written()
 
-    def _reserve(self, rows: int) -> list[list[np.ndarray]]:
-        """The append buffers, one ``[in, out]`` per memory pair, with
-        room for ``rows`` rows each.  A buffer too small (or not the
-        engine's: after :meth:`set_memories` / :meth:`clear_memories`
-        the capacity is zero) is replaced by a fresh one holding a copy
-        of the stored rows, one matrix at a time."""
-        for pair, stored in zip(self._buffers, self._memories):
-            for slot, buffer in enumerate(pair):
-                if rows > len(buffer):
-                    capacity = min(
-                        max(rows, 2 * len(buffer), _MIN_BUFFER_ROWS),
-                        self.config.num_sentences,
-                    )
-                    # M_IN (slot 0) is feature-major (DESIGN.md §10).
-                    shape = (capacity, self.config.embedding_dim)
-                    grown = (
-                        np.empty(shape, self._dtype)
-                        if slot
-                        else _feature_major_buffer(*shape, self._dtype)
-                    )
-                    if len(stored[slot]):
-                        grown[: len(stored[slot])] = stored[slot]
-                    pair[slot] = grown
-        return self._buffers
+    def _reserve(self, rows: int) -> None:
+        """New append buffers with room for ``rows`` rows each (the
+        capacity at least doubles), holding a copy of the stored rows,
+        one matrix at a time; the old ones are never written again."""
+        capacity = min(
+            max(rows, 2 * self._capacity, _MIN_BUFFER_ROWS), self.config.num_sentences
+        )
+        shape = (capacity, self.config.embedding_dim)
+        buffers = []
+        for pair in self._memories:
+            for slot, stored in enumerate(pair):
+                # M_IN (slot 0) is feature-major (DESIGN.md §10).
+                grown = (
+                    np.empty(shape, self._dtype)
+                    if slot
+                    else _feature_major_buffer(*shape, self._dtype)
+                )
+                grown[: len(stored)] = stored
+                buffers.append(grown)
+        readable = [_readonly(buffer.view()) for buffer in buffers]
+        self._capacity = capacity
+        self._buffers = list(zip(buffers[::2], buffers[1::2]))
+        self._readable = list(zip(readable[::2], readable[1::2]))
+        self._bound = (buffers, compiled_fold.structs(buffers))
 
     def set_memories(self, m_in: np.ndarray, m_out: np.ndarray) -> None:
         """Install pre-embedded memories directly (§4.1.1: the knowledge
@@ -578,8 +647,11 @@ class MnnFastEngine:
         self._install([(_readonly(m_in.view()), _readonly(m_out.view()))])
 
     def clear_memories(self) -> None:
-        empty = _readonly(np.zeros((0, self.config.embedding_dim), self._dtype))
-        self._install([(empty, empty)] * self._num_pairs)
+        """Forget every stored row.  The memories become new views of
+        one cached empty read-only pair: nothing is allocated, and no
+        array handed out before is the one installed now."""
+        m_in, m_out = _empty_pair(self.config.embedding_dim, self._dtype)
+        self._install([(m_in[:], m_out[:]) for _ in range(self._num_pairs)])
 
     def _install(self, memories: list[tuple[np.ndarray, np.ndarray]]) -> None:
         """Replace the memories with arrays the engine does not own:
@@ -587,8 +659,8 @@ class MnnFastEngine:
         :meth:`store_story` allocates fresh ones and neither writes
         into ``memories`` nor shows through views handed out earlier."""
         self._memories = memories
-        no_capacity = np.empty((0, 0))
-        self._buffers = [[no_capacity, no_capacity] for _ in memories]
+        self._capacity = 0
+        self._buffers, self._readable, self._bound = [], None, None
         self._memories_written()
 
     def _sync_config(self) -> None:
@@ -713,11 +785,9 @@ class MnnFastEngine:
         """
         questions = self._check_sentences(questions)
         if cache is None:
-            return (
-                bow_embed(self.weights.embedding_a, questions, self._encoding),
-                0,
-                0,
-            )
+            u = np.empty((len(questions), self.config.embedding_dim))
+            self._question_bow(questions, [u])
+            return u, 0, 0
 
         hits = misses = 0
         u = np.zeros((len(questions), self.config.embedding_dim))
@@ -771,15 +841,23 @@ class MnnFastEngine:
 
         ec = self.engine_config
         ee = ec.early_exit
-        stats = OpStats()
-        hop_results: list[InferenceResult] = []
+        hops = self.config.hops
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
-        gated = ee.enabled and self.config.hops > 1
+        gated = ee.enabled and hops > 1
         num_answers = len(self.weights.answer_weight)
+        nq_total = len(u)
+        # u is the float64 hop state, updated in place; u_tile is u
+        # narrowed to the memory dtype (u itself under float64): the
+        # operand of every score GEMM and of the answer layer.
+        dtype = self._dtype
+        u_tile = u.astype(dtype, copy=False)
+        # What the records are built from when read (AnswerResult).
+        hop_records: list = []
+        column = (self.config.embedding_dim, ec.chunk.chunk_size, dtype)
+        checks: list[int] = []
         if gated:
             # Ragged-depth loop: exited questions are scattered into
             # final_u and dropped from u, so later hops shrink.
-            nq_total = len(u)
             active = np.arange(nq_total, dtype=np.intp)
             final_u = np.empty_like(u)
             # Answer logits: an exit settles its own from the gate's
@@ -787,26 +865,30 @@ class MnnFastEngine:
             logits = np.empty((nq_total, num_answers))
             hops_run = np.zeros(nq_total, dtype=np.intp)
             confidences: list[np.ndarray] = []
-        for hop in range(self.config.hops):
+        for hop in range(hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
-            result = solver.output(u, zero_skip=zero_skip)
-            hop_results.append(result)
-            stats.accumulate(result.stats)
+            # u_{k+1} = u_k + o_k: a resident column kernel ends its hop
+            # with it (TileState.recur), here it is the same two steps.
+            if type(solver) is ColumnMemNN and solver.store_stats is None:
+                output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile)
+                record = (len(u), rows, kept)
+            else:
+                record = solver.output(u, zero_skip=zero_skip)
+                output = record.output
+                np.add(u, output, out=u)
+                if u_tile is not u:
+                    u_tile[...] = u
+            hop_records.append(record)
             if hop_hook is not None:
-                hop_hook(hop, result.stats)
-            # u stays float64: a solver narrows its own copy, once per hop.
-            output = np.asarray(result.output, dtype=u.dtype)
-            u = u + output  # u_{k+1} = u_k + o_k
+                hop_hook(hop, _hop_stats(record, column))
             if not gated:
                 continue
             hops_run[active] += 1
-            remaining = self.config.hops - (hop + 1)
+            remaining = hops - (hop + 1)
             if remaining == 0 or hop + 1 < ee.min_hops:
                 continue
-            confidence, gate_logits, gate_stats = self._gate_confidence(
-                u, output, remaining
-            )
-            stats.accumulate(gate_stats)
+            confidence, gate_logits = self._gate_confidence(u, output, remaining)
+            checks.append(len(u))
             row = np.full(nq_total, np.nan)
             row[active] = confidence
             confidences.append(row)
@@ -824,7 +906,9 @@ class MnnFastEngine:
             final_u[exited] = u[exiting] + remaining * output[exiting]
             logits[exited] = gate_logits[exiting]
             active = active[~exiting]
+            narrowed = u_tile is not u
             u = u[~exiting]
+            u_tile = u_tile[~exiting] if narrowed else u
             if len(active) == 0:
                 break
 
@@ -832,39 +916,20 @@ class MnnFastEngine:
             final_u[active] = u
             projected = len(active)
             if projected:
-                logits[active] = self._project(u)
+                logits[active] = self._project(u_tile)
             u = final_u
-            hop_trace = HopTrace(
-                threshold=ee.threshold,
-                hops_configured=self.config.hops,
-                hops_run=hops_run,
-                # Only the gate retires a question before the last hop.
-                exit_reason=np.where(
-                    hops_run < self.config.hops, EXIT_CONFIDENCE, EXIT_FULL_DEPTH
-                ).tolist(),
-                confidence=confidences,
-            )
         else:
-            hop_trace = HopTrace.full_depth(
-                len(u), self.config.hops, threshold=ee.threshold
-            )
-            logits = self._project(u).astype(np.float64, copy=False)
-            projected = len(u)
-        stats.flops += 2 * projected * num_answers * self.config.embedding_dim
-        tiers = [result.tier_stats() for result in hop_results]
+            logits = self._project(u_tile).astype(np.float64, copy=False)
+            projected, hops_run, confidences = nq_total, None, None
+        trace = (ee.threshold, hops, nq_total, hops_run, confidences)
         return AnswerResult(
-            answer_ids=logits.argmax(axis=1),
-            logits=logits,
-            response=u,
-            stats=stats,
-            hop_stats=[result.stats for result in hop_results],
-            hop_shard_stats=[list(tier["shards"] or ()) for tier in tiers],
-            hop_store_stats=[tier["store"] for tier in tiers],
-            hop_index_stats=[tier["index"] for tier in tiers],
-            hop_trace=hop_trace,
+            logits.argmax(axis=1),
+            logits,
+            u,
             cache_hits=hits,
             cache_misses=misses,
             elapsed_seconds=time.perf_counter() - start_time,
+            ledger=(hop_records, column, num_answers, checks, projected, trace),
         )
 
     def _project(self, u: np.ndarray) -> np.ndarray:
@@ -877,27 +942,20 @@ class MnnFastEngine:
         u: np.ndarray,
         last_output: np.ndarray,
         remaining_hops: int,
-    ) -> tuple[np.ndarray, np.ndarray, OpStats]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The logit-margin confidence of the active questions.
 
-        Returns the ``(len(u),)`` confidence array, the extrapolated
+        Returns the ``(len(u),)`` confidence array and the extrapolated
         answer logits it was read from (an exiting question's final
-        logits) and the gate's own operation counters (the check is not
-        free; the accounting keeps the cost model honest).
+        logits).  The check is not free: the pass's ``stats`` count it
+        (extrapolation, answer GEMM, softmax: ``AnswerResult.stats``).
         """
-        ed = self.config.embedding_dim
-        nq = len(u)
         answer_weight = self.answer_weight
-        num_answers = answer_weight.shape[0]
-        gate_stats = OpStats()
-        # Extrapolation (2*nq*ed) + answer GEMM + softmax.
-        gate_stats.flops += 2 * nq * ed + 2 * nq * num_answers * ed
-        gate_stats.exp_calls += nq * num_answers
-        gate_logits = np.empty((nq, num_answers), answer_weight.dtype)
+        gate_logits = np.empty((len(u), answer_weight.shape[0]), answer_weight.dtype)
         confidence = logit_margin_confidence(
             u, last_output, remaining_hops, answer_weight, out=gate_logits
         )
-        return confidence, gate_logits, gate_stats
+        return confidence, gate_logits
 
     def answer_batch(
         self,

@@ -20,6 +20,7 @@ __all__ = [
     "unstable_softmax",
     "bow_embed",
     "bow_embed_each",
+    "BowEmbedder",
     "position_encoding",
     "PAD_ID",
 ]
@@ -166,32 +167,60 @@ _BAD_WORD = "sentence word IDs out of range for the embedding matrix"
 
 
 def _bow_compiled(kernel, embeddings, sentences, encoding, outs) -> bool:
-    """:func:`bow_embed_each` by the compiled embedding, one call per
-    ``(A, C)`` pair of dictionaries; ``False`` once it refuses an array
-    (then the NumPy passes redo every output)."""
-    pointer = compiled_fold.struct_pointer
-    # Each capsule stays referenced until the call reading its pointer
-    # returns: it owns the struct the pointer addresses.
-    words = sentences.__array_struct__
-    weights = None if encoding is None else encoding.__array_struct__
-    words_at = pointer(words, None)
-    weights_at = None if weights is None else pointer(weights, None)
-    for lo in range(0, len(embeddings), 2):
-        table_a, out_a = embeddings[lo].__array_struct__, outs[lo].__array_struct__
-        table_c = out_c = None
-        if lo + 1 < len(embeddings):
-            table_c = embeddings[lo + 1].__array_struct__
-            out_c = outs[lo + 1].__array_struct__
-        status = kernel(
-            words_at, weights_at, pointer(table_a, None), pointer(out_a, None),
-            None if table_c is None else pointer(table_c, None),
-            None if out_c is None else pointer(out_c, None),
-        )  # fmt: skip
-        if status == compiled_fold.BOW_BAD_WORD:
-            raise ValueError(_BAD_WORD)
-        if status < 0:
+    """:func:`bow_embed_each` by the compiled embedding ``kernel``;
+    ``False`` once it refuses an array (then the NumPy passes redo every
+    output)."""
+    return BowEmbedder(embeddings, encoding, kernel).compiled(sentences, outs)
+
+
+class BowEmbedder:
+    """:func:`bow_embed_each` under dictionaries fixed for good (an
+    engine's): their shapes are checked, and the compiled embedding's
+    struct pointers to them taken, once.  A call embeds into rows
+    ``start ...`` of whole ``outs`` (an engine's append buffers), one
+    compiled call per ``(A, C)`` pair, bitwise as
+    :func:`bow_embed_each` into those rows."""
+
+    def __init__(self, embeddings, encoding=None, kernel=None) -> None:
+        if any(table.shape != embeddings[0].shape for table in embeddings):
+            raise ValueError("embedding dictionaries must share a shape")
+        self._embeddings, self._encoding = list(embeddings), encoding
+        self._kernel = kernel if kernel is not None else compiled_fold.bow_kernels()
+        self._held, at = compiled_fold.structs([encoding, *embeddings])
+        self._weights_at, self._tables_at = at[0], at[1:]
+
+    def __call__(self, sentences, outs, start=0, bound=None) -> None:
+        """Embed ``(n, nw)`` word IDs into rows ``[start, start + n)`` of
+        ``outs``; ``bound`` is ``compiled_fold.structs(outs)``, kept by a
+        caller that embeds into the same arrays again."""
+        if not self.compiled(sentences, outs, start, bound):
+            rows = slice(start, start + len(sentences))
+            bow_embed_each(
+                self._embeddings, sentences, self._encoding, [o[rows] for o in outs]
+            )
+
+    def compiled(self, sentences, outs, start=0, bound=None) -> bool:
+        """:meth:`__call__` by the compiled embedding, one call per
+        ``(A, C)`` pair; ``False`` when there is none or it refuses an
+        array.  An out-of-range word ID raises before a row is written."""
+        if self._kernel is None:
             return False
-    return True
+        # The capsules stay referenced until the calls return: each owns
+        # the struct its pointer addresses.
+        held = bound or compiled_fold.structs(outs)
+        words = sentences.__array_struct__
+        words_at = compiled_fold.struct_pointer(words, None)
+        tables, outs_at = self._tables_at + [None], held[1] + [None]
+        for lo in range(0, len(tables) - 1, 2):
+            status = self._kernel(
+                words_at, self._weights_at, tables[lo], outs_at[lo],
+                tables[lo + 1], outs_at[lo + 1], start,
+            )  # fmt: skip
+            if status == compiled_fold.BOW_BAD_WORD:
+                raise ValueError(_BAD_WORD)
+            if status < 0:
+                return False
+        return True
 
 
 def position_encoding(max_words: int, embedding_dim: int) -> np.ndarray:

@@ -1,0 +1,118 @@
+"""What an answer hands back, and where a traced run sees it happen.
+
+``MnnFastEngine.answer`` builds its records — ``stats``, ``hop_stats``,
+the tier lists, ``hop_trace`` — when they are first read, and a
+resident column hop advances the question state in place (DESIGN.md
+§10, "Solvers across writes").  So an earlier answer must not change
+when the same engine answers and writes again before anyone reads it.
+Then the span boundaries perfbench patches (``spans.py`` wraps
+``vars(cls)[attr]``) must still be crossed once per hop and once per
+answer.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.core import ColumnMemNN, EngineConfig, MnnFastEngine, compiled_fold
+
+from .test_dialogue_writes import _weights
+from .test_differential_paths import _random_problem
+
+CONFIGS = {
+    "mnnfast": EngineConfig.mnnfast(),
+    "zero_skip_off": EngineConfig.mnnfast(threshold=0.0),
+    "several_tiles": EngineConfig.mnnfast(chunk_size=4),
+    "gated": EngineConfig.mnnfast().with_early_exit(0.99875),
+    "sharded": EngineConfig.sharded(2, chunk_size=4, threshold=0.1),
+}
+
+
+def _trace_fields(trace):
+    return (
+        trace.threshold,
+        trace.hops_configured,
+        trace.hops_run.tobytes(),
+        trace.exit_reason,
+        [c.tobytes() for c in trace.confidence],
+    )
+
+
+@pytest.mark.parametrize("fold", ("compiled", "numpy"))
+@pytest.mark.parametrize("tying", ("layer-wise", "adjacent"))
+@pytest.mark.parametrize("key", sorted(CONFIGS))
+def test_an_earlier_answer_is_unchanged_by_later_calls(key, tying, fold, request):
+    """Every record of an answer is read only after the engine answered
+    other batches, stored, cleared and stored again; each equals what a
+    fresh engine over the same rows answers."""
+    if fold == "numpy":
+        request.getfixturevalue("numpy_fold")
+    elif compiled_fold.fold_backend() != "c":
+        pytest.skip(compiled_fold.fold_backend())
+    config, weights, story, questions = _random_problem(4)
+    weights = _weights(tying, config, weights, 4)
+
+    def engine():
+        return MnnFastEngine(config, weights, engine_config=CONFIGS[key])
+
+    busy = engine()
+    busy.store_story(story[:9])
+    earlier = busy.answer(questions)
+    busy.answer(questions[::-1])
+    busy.store_story(story[9:12])
+    busy.answer(questions[:1])
+    busy.clear_memories()
+    busy.store_story(story[20:26])
+    busy.answer(questions)
+    busy.close()
+
+    fresh = engine()
+    fresh.store_story(story[:9])
+    want = fresh.answer(questions)
+    fresh.close()
+    assert earlier.logits.tobytes() == want.logits.tobytes()
+    assert earlier.response.tobytes() == want.response.tobytes()
+    assert earlier.stats == want.stats
+    assert earlier.hop_stats == want.hop_stats
+    assert _trace_fields(earlier.hop_trace) == _trace_fields(want.hop_trace)
+    assert earlier.tier_stats()["shards"] == want.tier_stats()["shards"]
+
+
+@pytest.mark.parametrize("tying", ("layer-wise", "adjacent"))
+def test_a_dialogue_crosses_the_traced_boundaries(tying, monkeypatch):
+    """A bAbI-shaped dialogue on ``EngineConfig.mnnfast()``: with the
+    class attributes perfbench wraps replaced by counters, every hop is
+    one ``ColumnMemNN.output`` call and every answer one
+    ``embed_question`` call; the writes go through ``store_story`` and
+    ``clear_memories`` on the class."""
+    counts = Counter()
+    for owner, attr in (
+        (ColumnMemNN, "output"),
+        (MnnFastEngine, "embed_question"),
+        (MnnFastEngine, "store_story"),
+        (MnnFastEngine, "clear_memories"),
+    ):
+        original = vars(owner)[attr]
+
+        def counted(*args, _original=original, _attr=attr, **kwargs):
+            counts[_attr] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    config, weights, story, questions = _random_problem(5)
+    engine = MnnFastEngine(
+        config, _weights(tying, config, weights, 5), EngineConfig.mnnfast()
+    )
+    answers = 0
+    for turn in range(2):
+        engine.clear_memories()
+        for index, sentence in enumerate(story[turn * 7 : turn * 7 + 7]):
+            engine.store_story(sentence)
+            if index % 2:
+                engine.answer(questions[turn : turn + 1])
+                answers += 1
+    engine.close()
+    assert counts["output"] == answers * config.hops
+    assert counts["embed_question"] == answers
+    assert counts["store_story"] == 14
+    assert counts["clear_memories"] == 2 + 1  # the constructor clears once

@@ -15,6 +15,7 @@ and spawn workers.
 
 import importlib.resources
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -313,6 +314,60 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
         with pytest.raises(ValueError):
             state.fold(scores, tile_out)
     assert state.rows_kept == 10  # only the first fold counted
+
+
+@requires_compiler
+def test_the_recurrence_refuses_a_bad_hop_state_and_writes_nothing():
+    """``TileState.recur``'s crossing (``repro_hop``) checks ``u`` and
+    ``u_tile`` against the state before it folds or divides: a wrong
+    shape, dtype, order or writability raises the ``ValueError``
+    ``FOLD_ERRORS`` names, and the tile, the state and both arrays are
+    left as they were — with a last tile to fold and without one.  Good
+    arrays then get the NumPy recurrence's bits."""
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(5, 8)).astype(np.float32)
+    block = rng.normal(size=(2, 5)).astype(np.float32)
+    state = _state(2, 8, 0.1, "c")
+    state.fold(block.copy(), rows)
+    u = rng.normal(size=(2, 8))
+    u_tile = u.astype(np.float32)
+
+    def read_only(array):
+        array = array.copy()
+        array.flags.writeable = False
+        return array
+
+    bad_u, bad_tile = compiled_fold.FOLD_ERRORS[-4], compiled_fold.FOLD_ERRORS[-5]
+    refused = [
+        (u[:1].copy(), u_tile, bad_u),  # nq
+        (u[:, :7].copy(), u_tile, bad_u),  # ed
+        (u.astype(np.float32), u_tile, bad_u),  # dtype
+        (np.asfortranarray(u), u_tile, bad_u),  # order
+        (read_only(u), u_tile, bad_u),
+        (u, u_tile[:, :7].copy(), bad_tile),
+        (u, u, bad_tile),
+        (u, np.asfortranarray(u_tile), bad_tile),
+        (u, read_only(u_tile), bad_tile),
+    ]
+    partial, kept = state.partial(), state.rows_kept
+    kept_state = [partial.weighted.tobytes(), partial.denom.tobytes()]
+    for hop_u, hop_tile, message in refused:
+        before = [hop_u.tobytes(), hop_tile.tobytes()]
+        for tile in ((), (block.copy(), rows)):
+            scores = [array.tobytes() for array in tile[:1]]
+            with pytest.raises(ValueError, match=re.escape(message)):
+                state.recur(hop_u, hop_tile, *tile)
+            assert [array.tobytes() for array in tile[:1]] == scores
+            assert [hop_u.tobytes(), hop_tile.tobytes()] == before
+            assert [partial.weighted.tobytes(), partial.denom.tobytes()] == kept_state
+    assert state.rows_kept == kept
+
+    want_o = partial.weighted / partial.denom[:, None]
+    want_u = u + want_o
+    output = state.recur(u, u_tile)
+    assert output.tobytes() == want_o.tobytes()
+    assert u.tobytes() == want_u.tobytes()
+    assert u_tile.tobytes() == want_u.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("backend", ("c", "numpy"))

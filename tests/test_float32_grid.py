@@ -72,10 +72,16 @@ def default_precision(config: EngineConfig) -> EngineConfig:
     return config
 
 
-def _engine(seed, engine_config, long_story=False):
+#: Rows of a story that fits one 16-row tile: the resident column hop
+#: is then one score GEMM and one compiled call, fold and recurrence.
+ONE_TILE = 12
+
+
+def _engine(seed, engine_config, long_story=False, rows=None):
     config, weights, story, questions = _random_problem(seed)
     engine = MnnFastEngine(config, weights, engine_config=engine_config)
-    engine.store_story(_long_story(story) if long_story else story)
+    story = _long_story(story) if long_story else story
+    engine.store_story(story[:rows])
     return engine, questions
 
 
@@ -85,6 +91,14 @@ def _answer(seed, engine_config, **kwargs):
         return engine.answer(questions)
     finally:
         engine.close()
+
+
+def _assert_same_answer(got, want):
+    """Bitwise the same answer, and the same counters, hop by hop."""
+    assert got.logits.tobytes() == want.logits.tobytes()
+    assert got.response.tobytes() == want.response.tobytes()
+    assert got.stats == want.stats
+    assert got.hop_stats == want.hop_stats
 
 
 def _gated_grid(pin):
@@ -133,15 +147,16 @@ def test_one_shard_arrangements_are_bitwise_equal(seed, threshold):
     float32 rows — several tiles, so the float64 widening is on the
     path."""
     base = EngineConfig(chunk=ChunkConfig(16)).with_zero_skip(threshold)
-    column = _answer(seed, base)
-    for one_shard in (
-        base.with_algorithm("sharded"),
-        base.with_algorithm("sharded").with_execution(fused=True),
-    ):
-        assert one_shard.num_shards == 1
-        got = _answer(seed, one_shard)
-        assert got.logits.tobytes() == column.logits.tobytes()
-        assert got.stats == column.stats
+    # Several tiles, then one: the resident column hop that ends in one
+    # compiled call must keep the NumPy recurrence's bits.
+    for rows in (None, ONE_TILE):
+        column = _answer(seed, base, rows=rows)
+        for one_shard in (
+            base.with_algorithm("sharded"),
+            base.with_algorithm("sharded").with_execution(fused=True),
+        ):
+            assert one_shard.num_shards == 1
+            _assert_same_answer(_answer(seed, one_shard, rows=rows), column)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -154,18 +169,13 @@ def test_out_of_core_is_bitwise_equal_to_resident(
     read from — disk, the resident tier, a lookahead buffer — cannot
     show in the answer."""
     kwargs = dict(chunk_size=16, threshold=0.01)
-    resident = _answer(seed, EngineConfig.mnnfast(**kwargs), long_story=True)
-    streamed = _answer(
-        seed,
-        EngineConfig.out_of_core(
-            resident_bytes=resident_bytes,
-            prefetch_depth=prefetch_depth,
-            **kwargs,
-        ),
-        long_story=True,
+    streaming = EngineConfig.out_of_core(
+        resident_bytes=resident_bytes, prefetch_depth=prefetch_depth, **kwargs
     )
-    assert streamed.logits.tobytes() == resident.logits.tobytes()
-    assert streamed.stats == resident.stats
+    # The long story, then one tile's worth of rows.
+    for story in (dict(long_story=True), dict(rows=ONE_TILE)):
+        resident = _answer(seed, EngineConfig.mnnfast(**kwargs), **story)
+        _assert_same_answer(_answer(seed, streaming, **story), resident)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
