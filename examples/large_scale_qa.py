@@ -20,9 +20,9 @@ from repro import (
     BaselineMemNN,
     ChunkConfig,
     ColumnMemNN,
+    ShardedMemNN,
     ZeroSkipConfig,
     merge_partials,
-    partition_memory,
 )
 
 NS, ED, NQ = 400_000, 48, 16
@@ -77,15 +77,14 @@ def main() -> None:
 
     # --- scale-out: shard, compute partials, merge (§3.1) --------------------------
     print("\nScale-out across 4 workers (the multi-GPU pattern of §5.3):")
-    shards = list(
-        partition_memory(m_in, m_out, parts=4, chunk=ChunkConfig(chunk_size=1000))
+    sharded = ShardedMemNN(
+        m_in, m_out, num_shards=4, chunk=ChunkConfig(chunk_size=1000)
     )
     partials = []
-    for worker, shard in enumerate(shards):
-        partial, stats = shard.partial_output(u)
+    for worker, (partial, _) in enumerate(sharded.shard_partials(u)):
         partials.append(partial)
         print(
-            f"  worker {worker}: {shard.num_sentences:,} sentences, "
+            f"  worker {worker}: {sharded.plan.shard_rows(worker):,} sentences, "
             f"partial state {partial.weighted.nbytes + partial.denom.nbytes:,} bytes"
         )
     merged = merge_partials(partials).finalize()

@@ -45,7 +45,6 @@ from .core import (
     StoreConfig,
     ZeroSkipConfig,
     merge_partials,
-    partition_memory,
 )
 from .data import Vocabulary, ZipfCorpus, generate_mixed, generate_task
 from .store import ChunkPrefetcher, MmapStore, ResidentStore, StoreStats
@@ -75,7 +74,6 @@ __all__ = [
     "ShardedMemNN",
     "ShardPlan",
     "merge_partials",
-    "partition_memory",
     "StoreConfig",
     "ResidentStore",
     "MmapStore",

@@ -9,7 +9,7 @@
 
 from .baseline import BaselineMemNN
 from .cache import TraceCacheMixin, TraceVectorCache, VectorCache
-from .column import ColumnMemNN, PartialOutput, merge_partials, partition_memory
+from .column import ColumnMemNN, PartialOutput, merge_partials
 from .compiled_fold import fold_backend
 from .config import (
     CPU_CONFIG,
@@ -47,7 +47,6 @@ __all__ = [
     "ColumnMemNN",
     "PartialOutput",
     "merge_partials",
-    "partition_memory",
     "fold_backend",
     "ShardedMemNN",
     "ShardPlan",

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ..store.base import check_dtype
+from ..store.base import check_dtype, check_questions
 from .config import FLOAT_BYTES, ZeroSkipConfig
 from .numerics import softmax
 from .results import InferenceResult
@@ -60,7 +60,7 @@ class BaselineMemNN:
 
     def scores(self, u: np.ndarray) -> np.ndarray:
         """Inner-product scores ``u x M_IN^T`` (step 1 of Fig. 5a)."""
-        u = self._check_questions(u)
+        u = check_questions(u, self.dtype, self.embedding_dim)
         return u @ self.m_in.T
 
     def output(
@@ -81,7 +81,7 @@ class BaselineMemNN:
                 probability matrix to the result.
         """
         start_time = time.perf_counter()
-        u = self._check_questions(u)
+        u = check_questions(u, self.dtype, self.embedding_dim)
         nq, ed = u.shape
         ns = self.num_sentences
 
@@ -121,13 +121,3 @@ class BaselineMemNN:
             probabilities=p if return_probabilities else None,
             elapsed_seconds=time.perf_counter() - start_time,
         )
-
-    def _check_questions(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=self.dtype)
-        if u.ndim == 1:
-            u = u[None, :]
-        if u.ndim != 2 or u.shape[1] != self.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self.embedding_dim}), got {u.shape}"
-            )
-        return u

@@ -65,9 +65,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..store.base import MemoryStore, StoreStats, check_dtype
+from ..store.base import MemoryStore, StoreStats, check_questions
 from ..store.prefetch import ChunkPrefetcher
-from ..store.resident import ResidentStore
+from ..store.resident import memory_store
 from . import compiled_fold
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
 from .results import InferenceResult
@@ -80,7 +80,7 @@ __all__ = [
     "TileState",
     "column_op_stats",
     "exp_floor",
-    "partition_memory",
+    "merge_partials",
 ]
 
 
@@ -615,17 +615,8 @@ class ColumnMemNN:
         prefetch_depth: int = 0,
     ) -> None:
         self.chunk = chunk if chunk is not None else ChunkConfig()
-        if store is not None:
-            if m_in is not None or m_out is not None:
-                raise ValueError("pass either (m_in, m_out) or store=, not both")
-            dtype = check_dtype(store.dtype)
-            self._store: MemoryStore = store
-        else:
-            if m_in is None or m_out is None:
-                raise ValueError("memories required: pass (m_in, m_out) or store=")
-            dtype = check_dtype(dtype)
-            self._store = ResidentStore(m_in, m_out, dtype=dtype)
-        self.dtype = dtype
+        self._store = memory_store(m_in, m_out, store, dtype)
+        self.dtype = self._store.dtype
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
@@ -856,37 +847,7 @@ class ColumnMemNN:
 
     def check_questions(self, u: np.ndarray) -> np.ndarray:
         """``u`` as an ``(nq, ed)`` array of the memory's dtype."""
-        u = np.asarray(u, dtype=self.dtype)
-        if u.ndim == 1:
-            u = u[None, :]
-        if u.ndim != 2 or u.shape[1] != self.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self.embedding_dim}), got {u.shape}"
-            )
-        return u
-
-
-def partition_memory(
-    m_in: np.ndarray,
-    m_out: np.ndarray,
-    parts: int,
-    chunk: ChunkConfig | None = None,
-    dtype=np.float64,
-) -> Iterator[ColumnMemNN]:
-    """Shard the memories across ``parts`` column-based workers.
-
-    Used by the multi-GPU model (§5.3): each worker computes a
-    :class:`PartialOutput` on its shard; partials merge associatively.
-    Shards are contiguous and cover every sentence exactly once.
-    """
-    if parts <= 0:
-        raise ValueError(f"parts must be positive, got {parts}")
-    ns = np.asarray(m_in).shape[0]
-    if parts > ns:
-        raise ValueError(f"cannot split {ns} sentences into {parts} parts")
-    bounds = np.linspace(0, ns, parts + 1, dtype=int)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        yield ColumnMemNN(m_in[lo:hi], m_out[lo:hi], chunk=chunk, dtype=dtype)
+        return check_questions(u, self.dtype, self.embedding_dim)
 
 
 def merge_partials(partials: Sequence[PartialOutput]) -> PartialOutput:
@@ -897,6 +858,3 @@ def merge_partials(partials: Sequence[PartialOutput]) -> PartialOutput:
     for partial in partials[1:]:
         merged = merged.merge(partial)
     return merged
-
-
-__all__.append("merge_partials")

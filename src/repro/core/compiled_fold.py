@@ -11,9 +11,10 @@ will not load, :func:`kernels` is ``None`` and the NumPy fold runs
 float32 tiles too — :func:`fold_backend` says which fold is active and
 why.  There is no switch: the tile's dtype and whether the library
 loads decide.  The same library carries the bag-of-words embedding
-(:func:`bow_kernels`, used by
-:func:`~repro.core.numerics.bow_embed_each`; float32 and float64
-outputs), with the NumPy embedding as its fallback and referee.
+(:func:`bow_kernels`; float32 and float64 outputs), whose one caller
+is :class:`~repro.core.numerics.BowEmbedder`, with the NumPy embedding
+(:func:`~repro.core.numerics.bow_embed_each`) as its fallback and
+referee.
 
 Build and cache rules:
 

@@ -244,8 +244,9 @@ class ExecutionConfig:
     them move the work off a single Python loop:
 
     * ``"process"`` fans shards over a ``ProcessPoolExecutor`` whose
-      workers map the engine's spilled
-      :class:`~repro.store.MmapStore` read-only — no GIL sharing, and
+      workers map an :class:`~repro.store.MmapStore` read-only (the
+      mmap store, or the resident rows the solver spills itself) — no
+      GIL sharing, and
       no pickling of the ``O(ns x ed)`` memories: only the
       ``O(nq x ed)`` question matrix and partial-output triples cross
       the pipe.

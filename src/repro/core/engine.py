@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict
 
 import numpy as np
 
-from ..store.base import StoreStats, feature_major
+from ..store.base import feature_major
 from ..store.mmap_store import MmapStore
 from .baseline import BaselineMemNN
 from .cache import VectorCache
@@ -35,12 +35,11 @@ from .early_exit import (
     HopTrace,
     logit_margin_confidence,
 )
-from .plan import InferencePlan, plan_inference
+from .plan import InferencePlan, plan_engine_pass
 from .results import InferenceResult
 from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
-    from ..index.stats import IndexStats
     from ..index.topk import TopKMemNN
 from .numerics import PAD_ID, BowEmbedder, position_encoding, softmax
 from .stats import OpStats
@@ -227,12 +226,6 @@ class AnswerResult:
         hop_stats: per-hop operation counters, in hop order — the
             request-lifecycle observability hook the serving trace
             consumes (``stats`` is their sum plus the answer layer).
-        hop_store_stats: per-hop memory-store ledger snapshots
-            (cumulative at each hop; ``None`` entries off the store
-            path).  Prefer ``tier_stats()["store"]``.
-        hop_index_stats: per-hop top-k retrieval statistics (``None``
-            entries off the top-k path).  Prefer
-            ``tier_stats()["index"]``.
         hop_trace: what the confidence gate did — per-question
             ``hops_run``, exit reasons and per-check confidence
             (:class:`~repro.core.early_exit.HopTrace`; present on every
@@ -247,7 +240,8 @@ class AnswerResult:
             this is the fair ``1/nq`` share of the batch wall-clock
             (mirroring :meth:`~repro.core.stats.OpStats.amortized`).
 
-    The records — ``stats``, ``hop_stats``, ``tier_stats()`` and
+    The records — ``stats``, ``hop_stats``, ``tier_stats()`` (the one
+    read surface of the per-hop shard, store and index statistics) and
     ``hop_trace`` — are built on first read from what the pass kept of
     each hop: a solver's :class:`~repro.core.results.InferenceResult`,
     or a resident column scan's row counts.  An answer nobody inspects
@@ -309,14 +303,6 @@ class AnswerResult:
             [tier and tier["store"] for tier in tiers],
             [tier and tier["index"] for tier in tiers],
         )
-
-    @property
-    def hop_store_stats(self) -> list[StoreStats | None]:
-        return self._tiers[1]
-
-    @property
-    def hop_index_stats(self) -> "list[IndexStats | None]":
-        return self._tiers[2]
 
     @_Record
     def hop_trace(self) -> HopTrace:
@@ -745,26 +731,9 @@ class MnnFastEngine:
         narrows the planned chunk set below full coverage when the
         caller knows the pass's rows cluster (topic locality).
         """
-        network = self.config
-        engine = self.engine_config
-        rows = max(1, self.num_stored_sentences or network.num_sentences)
-        candidates = (
-            engine.topk.expected_candidates(rows, batch_size=batch_size)
-            if engine.topk.enabled
-            else rows
-        )
-        return plan_inference(
-            num_rows=rows,
-            embedding_dim=network.embedding_dim,
-            batch_size=batch_size,
-            chunk_size=engine.chunk.chunk_size,
-            hops=network.hops,
-            min_hops=engine.early_exit.min_hops,
-            exit_rate=exit_rate if engine.early_exit.enabled else 0.0,
-            candidate_rows=candidates,
-            chunks=chunks,
-            num_shards=engine.num_shards,
-            shard_policy=engine.shard_policy,
+        rows = max(1, self.num_stored_sentences or self.config.num_sentences)
+        return plan_engine_pass(
+            self.config, self.engine_config, rows, batch_size, exit_rate, chunks
         )
 
     # --- question path -------------------------------------------------------
@@ -1052,7 +1021,9 @@ class MnnFastEngine:
         database, here produced by the engine itself) and the solver
         streams them back through the chunk pipeline — the spilled
         bytes are the stored rows, so the answers are exactly those of
-        the resident path.  An enabled
+        the resident path.  That is the engine's only spill: every
+        other config hands the solver the resident rows, and a
+        process-backed sharded solver spills them itself.  An enabled
         :class:`~repro.core.config.TopKConfig` interposes the
         retrieval tier in front of whichever exact kernel the rest of
         the config selects.
@@ -1062,18 +1033,11 @@ class MnnFastEngine:
         if ec.algorithm == "baseline":
             return BaselineMemNN(m_in, m_out, dtype=dtype)
         sc = ec.store
-        # Spill-on-demand: the process backend's workers need an
-        # on-disk store to mmap, so a resident-store config with a
-        # process execution backend spills exactly as the mmap backend
-        # would (same bytes, same answers).  The top-k tier keeps its
-        # resident arrays — its full-memory sharded fallback self-spills
-        # and its transient per-pass subset solvers run serial.
-        spill = sc.backend == "mmap" or (
-            ec.execution.backend == "process"
-            and ec.algorithm == "sharded"
-            and not ec.topk.enabled
-        )
-        if spill:
+        # Only the mmap backend spills here.  A process-backed sharded
+        # solver handed resident rows spills them itself, into a
+        # directory it owns and removes on close (DESIGN.md §10,
+        # "Spill-on-demand").
+        if sc.backend == "mmap":
             store = MmapStore.save(
                 self._spill_dir(pair_index),
                 m_in,

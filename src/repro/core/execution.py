@@ -10,8 +10,9 @@ see DESIGN.md §10.)
 
 Worker processes sidestep the GIL entirely.  The classic objection — a
 process pool must pickle the ``O(ns x ed)`` memories — is dissolved by
-the store tier: workers ``mmap`` the engine's spilled
-:class:`~repro.store.MmapStore` *read-only* and compute against their
+the store tier: workers ``mmap`` a :class:`~repro.store.MmapStore` —
+the one passed in, or the resident rows the solver spilled itself —
+*read-only* and compute against their
 mapped shards (``M_OUT`` zero-copy out of the shared page cache; the
 row-major ``M_IN`` laid out feature-major once, at solver build).
 Only the ``O(nq x ed)`` question matrix crosses the pipe inbound and

@@ -96,12 +96,11 @@ def bow_embed_each(
     else 1), then by its position's ``encoding`` row, and a sentence's
     vectors are added to zero position by position, in the dictionary's
     dtype (float64 for an engine's); an ``out`` of another dtype
-    receives each sum rounded once.  The compiled embedding of
-    ``_fold.c`` (:func:`~repro.core.compiled_fold.bow_kernels`) does
-    exactly this arithmetic in one call per dictionary pair, without
-    temporaries, when it takes the arrays (int64 IDs, C-ordered float64
-    dictionaries and encoding, float32/float64 outputs); the NumPy
-    passes run otherwise and referee it (``tests/test_compiled_bow.py``).
+    receives each sum rounded once.  This is the NumPy referee: the
+    compiled embedding of ``_fold.c`` does exactly this arithmetic in one
+    call per dictionary pair, without temporaries, and is reached only
+    through :class:`BowEmbedder`, which falls back here for arrays it
+    refuses (``tests/test_compiled_bow.py``).
 
     Args:
         embeddings: ``(V, ed)`` dictionaries.
@@ -125,13 +124,6 @@ def bow_embed_each(
             "encoding shape must be (nw, ed) = "
             f"{(sentences.shape[1], ed)}, got {encoding.shape}"
         )
-    kernel = compiled_fold.bow_kernels()
-    if kernel is not None:
-        targets = outs
-        if targets is None:
-            targets = [np.empty((len(sentences), ed)) for _ in embeddings]
-        if _bow_compiled(kernel, embeddings, sentences, encoding, targets):
-            return list(targets)
     if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
         raise ValueError(_BAD_WORD)
     if outs is not None and len(sentences) > EMBED_BLOCK_ROWS:
@@ -166,13 +158,6 @@ def bow_embed_each(
 _BAD_WORD = "sentence word IDs out of range for the embedding matrix"
 
 
-def _bow_compiled(kernel, embeddings, sentences, encoding, outs) -> bool:
-    """:func:`bow_embed_each` by the compiled embedding ``kernel``;
-    ``False`` once it refuses an array (then the NumPy passes redo every
-    output)."""
-    return BowEmbedder(embeddings, encoding, kernel).compiled(sentences, outs)
-
-
 class BowEmbedder:
     """:func:`bow_embed_each` under dictionaries fixed for good (an
     engine's): their shapes are checked, and the compiled embedding's
@@ -181,11 +166,11 @@ class BowEmbedder:
     compiled call per ``(A, C)`` pair, bitwise as
     :func:`bow_embed_each` into those rows."""
 
-    def __init__(self, embeddings, encoding=None, kernel=None) -> None:
+    def __init__(self, embeddings, encoding=None) -> None:
         if any(table.shape != embeddings[0].shape for table in embeddings):
             raise ValueError("embedding dictionaries must share a shape")
         self._embeddings, self._encoding = list(embeddings), encoding
-        self._kernel = kernel if kernel is not None else compiled_fold.bow_kernels()
+        self._kernel = compiled_fold.bow_kernels()
         self._held, at = compiled_fold.structs([encoding, *embeddings])
         self._weights_at, self._tables_at = at[0], at[1:]
 

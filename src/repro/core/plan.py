@@ -21,9 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import FLOAT_BYTES
+from .config import FLOAT_BYTES, EngineConfig, MemNNConfig
 
-__all__ = ["InferencePlan", "expected_hop_survivors", "plan_inference"]
+__all__ = [
+    "InferencePlan", "expected_hop_survivors", "plan_engine_pass", "plan_inference"
+]
 
 
 def expected_hop_survivors(
@@ -205,4 +207,37 @@ def plan_inference(
         num_shards=num_shards,
         shard_policy=shard_policy,
         dtype_bytes=dtype_bytes,
+    )
+
+
+def plan_engine_pass(
+    network: MemNNConfig,
+    engine: EngineConfig,
+    rows: int,
+    batch_size: int,
+    exit_rate: float,
+    chunks: tuple[int, ...] | None = None,
+) -> InferencePlan:
+    """:func:`plan_inference` of one pass of ``network`` under
+    ``engine`` over ``rows`` memory rows — what
+    :meth:`~repro.core.engine.MnnFastEngine.plan` and
+    :meth:`~repro.serving.server.QaServer.plan` both describe.  The
+    top-k tier narrows the candidate rows when enabled, and
+    ``exit_rate`` counts only when the early-exit gate is."""
+    return plan_inference(
+        num_rows=rows,
+        embedding_dim=network.embedding_dim,
+        batch_size=batch_size,
+        chunk_size=engine.chunk.chunk_size,
+        hops=network.hops,
+        min_hops=engine.early_exit.min_hops,
+        exit_rate=exit_rate if engine.early_exit.enabled else 0.0,
+        candidate_rows=(
+            engine.topk.expected_candidates(rows, batch_size=batch_size)
+            if engine.topk.enabled
+            else rows
+        ),
+        chunks=chunks,
+        num_shards=engine.num_shards,
+        shard_policy=engine.shard_policy,
     )

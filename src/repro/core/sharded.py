@@ -44,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..store.base import MemoryStore, StoreStats, check_dtype
+from ..store.base import MemoryStore, StoreStats
 from ..store.mmap_store import MmapStore
+from ..store.resident import memory_store
 from .column import (
     ColumnMemNN,
     PartialOutput,
@@ -291,27 +292,13 @@ class ShardedMemNN:
     ) -> None:
         self.chunk = chunk if chunk is not None else ChunkConfig()
         self.execution = execution
-        if store is not None:
-            if m_in is not None or m_out is not None:
-                raise ValueError("pass either (m_in, m_out) or store=, not both")
-            dtype = check_dtype(store.dtype)
-            self.plan = ShardPlan(store.num_rows, num_shards, policy)
-            self._embedding_dim = store.embedding_dim
-        else:
-            if m_in is None or m_out is None:
-                raise ValueError("memories required: pass (m_in, m_out) or store=")
-            dtype = check_dtype(dtype)
-            m_in = np.asarray(m_in)
-            m_out = np.asarray(m_out)
-            if m_in.ndim != 2 or m_out.ndim != 2:
-                raise ValueError("memories must be 2-D (ns, ed)")
-            if m_in.shape != m_out.shape:
-                raise ValueError(
-                    f"M_IN and M_OUT shapes differ: {m_in.shape} vs {m_out.shape}"
-                )
-            self.plan = ShardPlan(m_in.shape[0], num_shards, policy)
-            self._embedding_dim = m_in.shape[1]
-        self.dtype = dtype
+        # Arrays reach the kernels below as arrays (no chunk pipeline);
+        # only an explicit store is handed on as a store.
+        explicit = store is not None
+        store = memory_store(m_in, m_out, store, dtype)
+        self.plan = ShardPlan(store.num_rows, num_shards, policy)
+        self._embedding_dim = store.embedding_dim
+        self.dtype = store.dtype
         # The LRU budget is a whole-memory budget: split it across the
         # shards' pipelines (a too-small share disables caching rather
         # than thrashing single-chunk entries).
@@ -325,7 +312,7 @@ class ShardedMemNN:
         self._fused: _FusedShardKernel | None = None
         self._spill_tmp: tempfile.TemporaryDirectory | None = None
         if execution is not None and execution.backend == "process":
-            if store is not None and not isinstance(store, MmapStore):
+            if explicit and not isinstance(store, MmapStore):
                 raise ValueError(
                     "the process backend computes against a spilled "
                     f"MmapStore workers can map; got {type(store).__name__} "
@@ -347,7 +334,7 @@ class ShardedMemNN:
                     prefix="repro-shard-spill-"
                 )
                 store_path = Path(self._spill_tmp.name) / "store"
-                MmapStore.save(store_path, m_in, m_out, dtype=dtype).close()
+                MmapStore.save(store_path, store.m_in, store.m_out).close()
             self._runner = ProcessShardRunner(
                 str(store_path),
                 self.plan.num_shards,
@@ -360,20 +347,22 @@ class ShardedMemNN:
             # One column kernel over the whole memory whose chunk is the
             # global tile: one shard-chunk's worth from every shard, so a
             # sweep runs as many tile steps as a shard runs chunk steps.
+            whole = (
+                {"store": store}
+                if explicit
+                else {"m_in": store.m_in, "m_out": store.m_out, "dtype": self.dtype}
+            )
             self._fused = _FusedShardKernel(
                 self.plan,
                 self.chunk.chunk_size,
                 ColumnMemNN(
-                    m_in,
-                    m_out,
+                    **whole,
                     chunk=ChunkConfig(self.chunk.chunk_size * num_shards),
-                    dtype=dtype,
-                    store=store,
                     resident_bytes=resident_bytes,
                     prefetch_depth=prefetch_depth,
                 ),
             )
-        elif store is not None:
+        elif explicit:
             self._shards = [
                 ColumnMemNN(
                     store=store.select(idx),
@@ -386,10 +375,10 @@ class ShardedMemNN:
         else:
             self._shards = [
                 ColumnMemNN(
-                    m_in[rows],
-                    m_out[rows],
+                    store.m_in[rows],
+                    store.m_out[rows],
                     chunk=self.chunk,
-                    dtype=dtype,
+                    dtype=self.dtype,
                     resident_bytes=shard_budget,
                     prefetch_depth=prefetch_depth,
                 )

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..store.base import MemoryStore, iter_chunk_spans
+from ..store.base import MemoryStore, check_questions, iter_chunk_spans
 
 __all__ = ["IVFIndex"]
 
@@ -201,11 +201,7 @@ class IVFIndex:
         """
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-        u = np.atleast_2d(np.asarray(u, dtype=np.float64))
-        if u.shape[1] != self.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self.embedding_dim}), got {u.shape}"
-            )
+        u = check_questions(u, np.float64, self.embedding_dim)
         nprobe = min(nprobe, self.nlist)
         scores = u @ self.centroids.T
         if nprobe == self.nlist:

@@ -44,8 +44,8 @@ from ..core.config import ChunkConfig, ExecutionConfig, TopKConfig, ZeroSkipConf
 from ..core.results import InferenceResult
 from ..core.sharded import ShardedMemNN
 from ..core.stats import OpStats
-from ..store.base import MemoryStore, RowSubsetStore, StoreStats, check_dtype
-from ..store.resident import ResidentStore
+from ..store.base import MemoryStore, RowSubsetStore, StoreStats, check_questions
+from ..store.resident import memory_store
 from .ivf import IVFIndex
 from .stats import IndexStats
 
@@ -103,16 +103,8 @@ class TopKMemNN:
         # passes run through the chunk pipeline and its ledger); plain
         # arrays keep the pipeline-free hot path of the array kernels.
         self._explicit_store = store is not None
-        if store is not None:
-            if m_in is not None or m_out is not None:
-                raise ValueError("pass either (m_in, m_out) or store=, not both")
-            self.dtype = check_dtype(store.dtype)
-            self._base: MemoryStore = store
-        else:
-            if m_in is None or m_out is None:
-                raise ValueError("memories required: pass (m_in, m_out) or store=")
-            self.dtype = check_dtype(dtype)
-            self._base = ResidentStore(m_in, m_out, dtype=self.dtype)
+        self._base = memory_store(m_in, m_out, store, dtype)
+        self.dtype = self._base.dtype
         self._index: IVFIndex | None = None
         #: The column kernel over the cluster-major copy of a resident
         #: unsharded memory; built with the index.
@@ -177,7 +169,7 @@ class TopKMemNN:
             return self._exact_output(u, zero_skip)
 
         start = time.perf_counter()
-        u_checked = self._check_questions(u)
+        u_checked = check_questions(u, self.dtype, self.embedding_dim)
         index = self._ensure_index()
         probe_start = time.perf_counter()
         # The few centroids are float64: only the scan takes u narrowed.
@@ -296,25 +288,15 @@ class TopKMemNN:
             # long-lived full-memory fallback only, and subset passes
             # run the serial per-shard loop.
             execution = replace(execution, backend="serial", num_workers=1)
+        source = self._base if full_memory else self._base.select(candidates)
+        tier = {
+            "resident_bytes": self._resident_bytes,
+            "prefetch_depth": self._prefetch_depth,
+        }
         if self._explicit_store:
-            source = self._base if full_memory else self._base.select(candidates)
-            tier = {
-                "store": source,
-                "resident_bytes": self._resident_bytes,
-                "prefetch_depth": self._prefetch_depth,
-            }
+            tier["store"] = source
         else:
-            if full_memory:
-                m_in, m_out = self._base.m_in, self._base.m_out  # type: ignore[attr-defined]
-            else:
-                m_in, m_out = self._base.read_rows(candidates)
-            tier = {
-                "m_in": m_in,
-                "m_out": m_out,
-                "dtype": self.dtype,
-                "resident_bytes": self._resident_bytes,
-                "prefetch_depth": self._prefetch_depth,
-            }
+            tier.update(m_in=source.m_in, m_out=source.m_out, dtype=self.dtype)
         if self.num_shards > 1:
             return ShardedMemNN(
                 num_shards=self.num_shards,
@@ -330,9 +312,7 @@ class TopKMemNN:
         (worker pool / self-spilled store).  The tier stays usable —
         the next exact-fallback pass rebuilds the solver."""
         if self._exact_solver is not None:
-            close = getattr(self._exact_solver, "close", None)
-            if close is not None:
-                close()
+            self._exact_solver.close()
             self._exact_solver = None
 
     def _absorb_subset_ledger(self, solver: ColumnMemNN | ShardedMemNN) -> None:
@@ -371,13 +351,3 @@ class TopKMemNN:
         cand, full = partials
         shift = np.subtract(cand.log_max, full.log_max, dtype=np.float64)
         return float(np.mean(cand.denom * np.exp(shift) / full.denom))
-
-    def _check_questions(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=self.dtype)
-        if u.ndim == 1:
-            u = u[None, :]
-        if u.ndim != 2 or u.shape[1] != self.embedding_dim:
-            raise ValueError(
-                f"questions must be (nq, {self.embedding_dim}), got {u.shape}"
-            )
-        return u

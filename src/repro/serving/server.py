@@ -81,7 +81,7 @@ from ..core.config import (
     EngineConfig,
     MemNNConfig,
 )
-from ..core.plan import InferencePlan, plan_inference
+from ..core.plan import InferencePlan, plan_engine_pass
 from ..core.plan import expected_hop_survivors as _plan_survivors
 from ..core.sharded import ShardPlan
 from ..memsim.embedding_cache import EmbeddingCache
@@ -526,31 +526,14 @@ class QaServer:
         configured gate threshold.  ``chunks`` narrows planned chunk
         coverage when the caller knows the pass's rows cluster.
         """
-        network = self.config.network
-        engine = self.config.engine
-        nq = batch_size if batch_size is not None else network.num_questions
-        rows = network.num_sentences
-        candidates = (
-            engine.topk.expected_candidates(rows, batch_size=nq)
-            if engine.topk.enabled
-            else rows
-        )
-        return plan_inference(
-            num_rows=rows,
-            embedding_dim=network.embedding_dim,
-            batch_size=nq,
-            chunk_size=engine.chunk.chunk_size,
-            hops=network.hops,
-            min_hops=engine.early_exit.min_hops,
-            exit_rate=(
-                exit_rate_for_threshold(engine.early_exit.threshold)
-                if engine.early_exit.enabled
-                else 0.0
-            ),
-            candidate_rows=candidates,
-            chunks=chunks,
-            num_shards=engine.num_shards,
-            shard_policy=engine.shard_policy,
+        network, engine = self.config.network, self.config.engine
+        return plan_engine_pass(
+            network,
+            engine,
+            network.num_sentences,
+            batch_size if batch_size is not None else network.num_questions,
+            exit_rate_for_threshold(engine.early_exit.threshold),
+            chunks,
         )
 
     def inference_seconds(

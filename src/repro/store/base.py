@@ -39,6 +39,7 @@ import numpy as np
 __all__ = [
     "SUPPORTED_DTYPES",
     "check_dtype",
+    "check_questions",
     "feature_major",
     "MemoryStore",
     "RowSubsetStore",
@@ -59,6 +60,17 @@ def check_dtype(dtype) -> np.dtype:
             f"got {dtype.name!r}"
         )
     return dtype
+
+
+def check_questions(u, dtype, width: int) -> np.ndarray:
+    """``u`` as an ``(nq, width)`` array of ``dtype`` (one question may
+    come 1-D): how every solver and the IVF probe take a batch."""
+    u = np.asarray(u, dtype=dtype)
+    if u.ndim == 1:
+        u = u[None, :]
+    if u.ndim != 2 or u.shape[1] != width:
+        raise ValueError(f"questions must be (nq, {width}), got {u.shape}")
+    return u
 
 
 def feature_major(m_in: np.ndarray, dtype=None) -> np.ndarray:

@@ -6,9 +6,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import RowSubsetStore, check_dtype, feature_major
+from .base import MemoryStore, RowSubsetStore, check_dtype, feature_major
 
-__all__ = ["ResidentStore"]
+__all__ = ["ResidentStore", "memory_store"]
+
+
+def memory_store(
+    m_in: np.ndarray | None, m_out: np.ndarray | None, store: MemoryStore | None, dtype
+) -> MemoryStore:
+    """How a solver receives its memory: ``store`` as given (it
+    dictates the dtype), or ``(m_in, m_out)`` wrapped in a
+    :class:`ResidentStore` of ``dtype`` — exactly one of the two."""
+    if store is not None:
+        if m_in is not None or m_out is not None:
+            raise ValueError("pass either (m_in, m_out) or store=, not both")
+        check_dtype(store.dtype)
+        return store
+    if m_in is None or m_out is None:
+        raise ValueError("memories required: pass (m_in, m_out) or store=")
+    return ResidentStore(m_in, m_out, dtype=dtype)
 
 
 class ResidentStore:

@@ -1,8 +1,9 @@
 """The compiled bag-of-words embedding against its referee, the NumPy one.
 
-``bow_embed_each`` runs ``repro_bow`` of ``repro/core/_fold.c`` when the
-compiled library loads and takes the arrays, and NumPy passes otherwise
-(DESIGN.md §10, "Compiled embedding").  The two do the same float64
+``BowEmbedder`` runs ``repro_bow`` of ``repro/core/_fold.c`` when the
+compiled library loads and takes the arrays, and falls back to
+``bow_embed_each``, the NumPy passes, otherwise (DESIGN.md §10,
+"Compiled embedding").  The two do the same float64
 arithmetic in the same order — mask, encoding, then a sum from zero
 position by position, rounded once into the output — so they are held
 to each other bitwise, not to a tolerance: over output dtypes and
@@ -19,8 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineConfig, EngineWeights, MnnFastEngine, compiled_fold
-from repro.core import numerics
-from repro.core.numerics import PAD_ID, bow_embed_each
+from repro.core.numerics import PAD_ID, BowEmbedder, bow_embed_each
 
 from .test_differential_paths import _random_problem
 
@@ -29,19 +29,14 @@ requires_compiler = pytest.mark.skipif(
 )
 
 
-def _numpy_bow(*args, **kwargs):
-    """``bow_embed_each`` on the NumPy passes, as without a compiler."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compiled_fold, "bow_kernels", lambda: None)
-        return bow_embed_each(*args, **kwargs)
+_numpy_bow = bow_embed_each
 
 
 def _compiled_bow(tables, sentences, encoding, outs):
     """The compiled embedding alone: it must take the arrays."""
     if outs is None:
         outs = [np.empty((len(sentences), tables[0].shape[1])) for _ in tables]
-    kernels = compiled_fold.bow_kernels()
-    assert numerics._bow_compiled(kernels, tables, sentences, encoding, outs)
+    assert BowEmbedder(tables, encoding).compiled(sentences, outs)
     return outs
 
 
@@ -131,26 +126,24 @@ def test_the_reference_sums_word_positions_in_order(rng):
 @requires_compiler
 def test_arrays_the_loop_does_not_take_go_to_numpy(rng):
     """int32 IDs, a float32 or strided table, and a float16 output are
-    refused by the C loop before it writes, and embedded by NumPy."""
+    refused by the C loop before it writes, and ``BowEmbedder`` embeds
+    them by NumPy."""
     table = rng.normal(size=(20, 6))
     sentences = rng.integers(0, 20, size=(5, 4))
-    kernels = compiled_fold.bow_kernels()
     cases = [
-        ((table,), sentences.astype(np.int32)),
-        ((table.astype(np.float32),), sentences),
-        ((np.asfortranarray(table),), sentences),
+        ((table,), sentences.astype(np.int32), np.float64),
+        ((table.astype(np.float32),), sentences, np.float64),
+        ((np.asfortranarray(table),), sentences, np.float64),
+        ((table,), sentences, np.float16),
     ]
-    for tables, ids in cases:
-        target = [np.full((5, 6), np.nan)]
-        assert not numerics._bow_compiled(kernels, tables, ids, None, target)
+    for tables, ids, dtype in cases:
+        embedder = BowEmbedder(tables)
+        target = [np.full((5, 6), np.nan, dtype)]
+        assert not embedder.compiled(ids, target)
         assert np.isnan(target[0]).all()
-        got, want = bow_embed_each(tables, ids), _numpy_bow(tables, ids)
-        assert got[0].tobytes() == want[0].tobytes()
-    half = [np.empty((5, 6), np.float16)]
-    bow_embed_each((table,), sentences, outs=half)
-    assert half[0].tobytes() == _numpy_bow((table,), sentences)[0].astype(
-        np.float16
-    ).tobytes()
+        embedder(ids, target)
+        want = _numpy_bow(tables, ids)[0].astype(dtype)
+        assert target[0].tobytes() == want.tobytes()
 
 
 def _engine_bits(config, weights, story, questions, dtype):

@@ -15,9 +15,9 @@ from repro.core import (
     ChunkConfig,
     ColumnMemNN,
     PartialOutput,
+    ShardedMemNN,
     ZeroSkipConfig,
     merge_partials,
-    partition_memory,
     softmax,
     unstable_softmax,
 )
@@ -130,16 +130,15 @@ class TestPartialOutput:
     def test_merge_of_shards_equals_whole(self, small_memories, questions):
         m_in, m_out = small_memories
         whole = ColumnMemNN(m_in, m_out).output(questions).output
-        shards = list(partition_memory(m_in, m_out, parts=4))
-        partials = [s.partial_output(questions)[0] for s in shards]
+        solver = ShardedMemNN(m_in, m_out, num_shards=4)
+        partials = [partial for partial, _ in solver.shard_partials(questions)]
         merged = merge_partials(partials)
         np.testing.assert_allclose(merged.finalize(), whole, rtol=1e-10)
 
     def test_merge_is_commutative(self, small_memories, questions):
         m_in, m_out = small_memories
-        shards = list(partition_memory(m_in, m_out, parts=2))
-        a = shards[0].partial_output(questions)[0]
-        b = shards[1].partial_output(questions)[0]
+        solver = ShardedMemNN(m_in, m_out, num_shards=2)
+        (a, _), (b, _) = solver.shard_partials(questions)
         np.testing.assert_allclose(
             a.merge(b).finalize(), b.merge(a).finalize(), rtol=1e-12
         )
@@ -160,15 +159,11 @@ class TestPartialOutput:
         with pytest.raises(ValueError, match="shapes"):
             PartialOutput.empty(2, 3).merge(PartialOutput.empty(2, 4))
 
-    def test_partition_covers_all_sentences(self, small_memories):
+    def test_partition_covers_all_sentences(self, small_memories, questions):
         m_in, m_out = small_memories
-        shards = list(partition_memory(m_in, m_out, parts=3))
-        assert sum(s.num_sentences for s in shards) == 64
-
-    def test_partition_rejects_too_many_parts(self, small_memories):
-        m_in, m_out = small_memories
-        with pytest.raises(ValueError, match="split"):
-            list(partition_memory(m_in, m_out, parts=65))
+        pairs = ShardedMemNN(m_in, m_out, num_shards=3).shard_partials(questions)
+        scanned = sum(stats.rows_computed + stats.rows_skipped for _, stats in pairs)
+        assert scanned == len(questions) * 64
 
     def test_merge_partials_requires_input(self):
         with pytest.raises(ValueError):

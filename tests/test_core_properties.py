@@ -23,9 +23,9 @@ from repro.core import (
     EngineWeights,
     MemNNConfig,
     MnnFastEngine,
+    ShardedMemNN,
     ZeroSkipConfig,
     merge_partials,
-    partition_memory,
     softmax,
 )
 from repro.core.early_exit import EXIT_FULL_DEPTH
@@ -36,6 +36,12 @@ from .conftest import float64, kept_rows
 # Bounded floats keep exp() in a comfortable range for the equality
 # tests; the stability tests in test_core_algorithms cover the extremes.
 value = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+def _partials(m_in, m_out, parts, u, chunk=None):
+    """Per-shard partials of ``u`` over ``parts`` contiguous shards."""
+    solver = ShardedMemNN(m_in, m_out, num_shards=parts, chunk=chunk)
+    return [partial for partial, _ in solver.shard_partials(u)]
 
 
 def memory_pair(ns: int, ed: int):
@@ -87,12 +93,7 @@ def test_sharded_merge_equals_whole(data, parts):
     whole = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(chunk_size=chunk)).output(
         u
     ).output
-    partials = [
-        shard.partial_output(u)[0]
-        for shard in partition_memory(
-            m_in, m_out, parts, chunk=ChunkConfig(chunk_size=chunk)
-        )
-    ]
+    partials = _partials(m_in, m_out, parts, u, chunk=ChunkConfig(chunk_size=chunk))
     np.testing.assert_allclose(
         merge_partials(partials).finalize(), whole, rtol=1e-9, atol=1e-12
     )
@@ -104,8 +105,7 @@ def test_merge_order_does_not_matter(data):
     m_in, m_out, u, _ = data
     if m_in.shape[0] < 3:
         return
-    shards = list(partition_memory(m_in, m_out, parts=3))
-    a, b, c = (s.partial_output(u)[0] for s in shards)
+    a, b, c = _partials(m_in, m_out, 3, u)
     left = a.merge(b).merge(c).finalize()
     right = a.merge(b.merge(c)).finalize()
     np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-12)
@@ -216,9 +216,7 @@ def multiq_problem(draw):
 def test_multiquestion_merge_shard_order_invariant(data, rnd):
     """Merging nq>1 partials in any shard order gives the same fold."""
     m_in, m_out, u, parts = data
-    partials = [
-        s.partial_output(u)[0] for s in partition_memory(m_in, m_out, parts)
-    ]
+    partials = _partials(m_in, m_out, parts, u)
     reference = merge_partials(partials).finalize()
     shuffled = list(partials)
     rnd.shuffle(shuffled)
@@ -233,9 +231,7 @@ def test_multiquestion_merge_grouping_invariant(data, split):
     """((a·b)·(c·d)) == (((a·b)·c)·d) for nq>1 partials — merge is
     associative, so any tree shape folds to the same batch output."""
     m_in, m_out, u, parts = data
-    partials = [
-        s.partial_output(u)[0] for s in partition_memory(m_in, m_out, parts)
-    ]
+    partials = _partials(m_in, m_out, parts, u)
     split = min(split, len(partials) - 1)
     sequential = merge_partials(partials).finalize()
     grouped = merge_partials(
@@ -250,13 +246,11 @@ def test_multiquestion_partials_row_independent(data):
     """Each question's row of the batched fold equals the fold of that
     question alone — the invariant answer_batch() is built on."""
     m_in, m_out, u, parts = data
-    shards = list(partition_memory(m_in, m_out, parts))
-    batch = merge_partials(
-        [s.partial_output(u)[0] for s in shards]
-    ).finalize()
+    solver = ShardedMemNN(m_in, m_out, num_shards=parts)
+    batch = merge_partials([p for p, _ in solver.shard_partials(u)]).finalize()
     for i in range(u.shape[0]):
         solo = merge_partials(
-            [s.partial_output(u[i : i + 1])[0] for s in shards]
+            [p for p, _ in solver.shard_partials(u[i : i + 1])]
         ).finalize()
         np.testing.assert_allclose(
             batch[i : i + 1], solo, rtol=1e-10, atol=1e-12
