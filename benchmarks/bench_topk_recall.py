@@ -21,7 +21,9 @@ calibrated point:
 * **attention wall-clock**, solver-level (index already built, recall
   measurement off), exact column kernel vs. the top-k tier, over
   small question batches — candidates are a *batch union*, so small
-  batches are where the tier's candidate set stays tight;
+  batches are where the tier's candidate set stays tight.  Both run
+  the hop the engine serves: float32 memories (the compiled fold) and
+  the in-place ``u += o`` of ``output(u, zero_skip, u_tile=...)``;
 * the quality metrics themselves (agreement via engine answers,
   recall via a separate ``measure_recall`` engine, so the timed path
   never pays the full-scan audit).
@@ -31,6 +33,12 @@ sublinearly — the largest/smallest time ratio stays under half the
 64x size ratio.  The floors are deterministic and tier-1 holds them
 on a smaller grid (``tests/test_topk_recall.py``); the time ratio and
 the speed-up are wall-clock and live only here.
+
+A second, ungated table times one hop at the shape perfbench's
+``docqa_sessions`` serves (4 096 rows, nlist 64, nprobe 16, the
+``EngineConfig.mnnfast()`` zero-skip threshold, nq 1/4/8): top-k hop
+time over exact hop time, the crossover ``TopKConfig.min_rows`` should
+follow.
 """
 
 import time
@@ -39,6 +47,7 @@ import numpy as np
 
 from repro.core import ChunkConfig, ColumnMemNN, EngineConfig, EngineWeights, MemNNConfig
 from repro.core.engine import MnnFastEngine
+from repro.docqa import docqa_network, docqa_weights, generate_queries, synthetic_corpus
 from repro.index import TopKMemNN
 from repro.index.harness import synthetic_topical_workload
 from repro.report import format_table
@@ -77,6 +86,14 @@ def _best_of(fn):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def _hop(solver, u, zero_skip=None):
+    """One engine hop over ``solver``: the float64 state ``u`` (copied)
+    and its float32 narrowing advance in place, as
+    :meth:`MnnFastEngine.answer` runs them."""
+    state = u.copy()
+    solver.output(state, zero_skip, u_tile=state.astype(np.float32))
 
 
 def _quality_at(nprobe, config, weights, stories, batches):
@@ -141,13 +158,15 @@ def _measure_size(ns: int) -> dict:
     topk_cfg = EngineConfig(algorithm="column").with_topk(
         nprobe=nprobe, min_rows=0, kmeans_iters=KMEANS_ITERS
     )
-    exact_solver = ColumnMemNN(m_in, m_out, chunk=chunk)
-    topk_solver = TopKMemNN(m_in, m_out, config=topk_cfg.topk, chunk=chunk)
+    exact_solver = ColumnMemNN(m_in, m_out, chunk=chunk, dtype=np.float32)
+    topk_solver = TopKMemNN(
+        m_in, m_out, config=topk_cfg.topk, chunk=chunk, dtype=np.float32
+    )
     u_batches = [exact_engine.embed_question(batch)[0] for batch in batches]
 
     def run(solver):
         for u in u_batches:
-            solver.output(u)
+            _hop(solver, u)
 
     exact_seconds = _best_of(lambda: run(exact_solver))
     topk_seconds = _best_of(lambda: run(topk_solver))
@@ -214,3 +233,58 @@ def test_topk_sublinear_at_recall_floor(benchmark, report):
         f"sweep is not sublinear"
     )
     assert sweep[-1]["speedup"] > 1.0, "top-k slower than exact at max size"
+
+
+def test_topk_hop_over_exact_hop_at_docqa_shape(benchmark, report):
+    """The docqa_sessions memory (32 documents x 128 rows, ed 64) behind
+    the tier it serves through, ``with_topk(nlist=64, nprobe=16)``: one
+    hop's time over an exact hop's, per batch size.  No gate — the
+    ratio is the measured crossover ROADMAP item 5 asks for."""
+    corpus = synthetic_corpus(num_docs=32, rows_per_doc=128, max_words=8, seed=0)
+    queries, _ = generate_queries(corpus, 256, seed=1)
+    network = docqa_network(corpus, embedding_dim=64, hops=2)
+    weights = docqa_weights(network, seed=2, scale=0.7, out_scale=0.02)
+    config = EngineConfig.mnnfast().with_topk(nlist=64, nprobe=16)
+    engine = MnnFastEngine(network, weights, engine_config=config)
+    engine.store_story(corpus.rows)
+    questions = np.stack([query.words for query in queries])
+    m_in, m_out = engine.memories
+    solvers = (
+        TopKMemNN(
+            m_in, m_out, config=config.topk, chunk=config.chunk, dtype=np.float32
+        ),
+        ColumnMemNN(m_in, m_out, chunk=config.chunk, dtype=np.float32),
+    )
+    zero_skip = config.zero_skip
+
+    def measure():
+        rows = []
+        for nq in (1, 4, 8):
+            u_batches = [
+                engine.embed_question(questions[start : start + nq])[0]
+                for start in range(0, 16 * nq, nq)
+            ]
+            # _best_of's warm-up call builds the index and its copy.
+            seconds = [
+                _best_of(lambda: [_hop(solver, u, zero_skip) for u in u_batches])
+                / len(u_batches)
+                for solver in solvers
+            ]
+            rows.append((nq, *seconds))
+        return rows
+
+    rows = benchmark.pedantic(measure, iterations=1, rounds=1)
+    report(format_table(
+        ["nq", "top-k hop", "exact hop", "top-k / exact"],
+        [
+            [nq, f"{t * 1e6:.0f} us", f"{e * 1e6:.0f} us", f"{t / e:.2f}x"]
+            for nq, t, e in rows
+        ],
+        title=(
+            f"One hop at docqa_sessions' shape ({engine.num_stored_sentences:,} "
+            f"rows, nlist 64, nprobe 16, float32)"
+        ),
+    ))
+    for nq, topk, exact in rows:
+        benchmark.extra_info[f"topk_over_exact_nq{nq}"] = round(topk / exact, 3)
+    engine.close()

@@ -764,9 +764,8 @@ class ColumnMemNN:
         """Fold ``u``'s scan into ``state``; the rows scanned, and the
         ``(scores, rows)`` of a resident one-tile memory, left to the
         caller to fold (with the hop's end, :meth:`TileState.recur`)."""
-        chunk_size = self.chunk.chunk_size
-        ns = self._store.num_rows if runs is None else int(np.diff(runs).sum())
-        if runs is None and self._pipeline is None and 0 < ns <= chunk_size:
+        ns = self._store.num_rows
+        if runs is None and self._pipeline is None and 0 < ns <= self.chunk.chunk_size:
             # One resident tile: the GEMM the tile source would run, on
             # the same arrays, without the generator around it, into a
             # workspace kept until the next re-point.
@@ -777,7 +776,9 @@ class ColumnMemNN:
                 tile = self._tile = (scores, store.m_in.T, store.m_out)
             scores, m_in_t, m_out = tile
             return ns, (np.matmul(u, m_in_t, out=scores), m_out)
+        ns = 0
         for scores, chunk_out in self.scored_tiles(u, runs):
+            ns += scores.shape[1]
             state.fold(scores, chunk_out)
         return ns, None
 
@@ -826,10 +827,11 @@ class ColumnMemNN:
         self, u: np.ndarray, runs: np.ndarray
     ) -> Iterator[tuple[np.ndarray, RunRows]]:
         m_in, m_out = self.m_in, self.m_out
-        width = min(self.chunk.chunk_size, int(np.diff(runs).sum()))
+        runs = runs.tolist()
+        width = min(self.chunk.chunk_size, sum(stop - start for start, stop in runs))
         workspace = np.empty((len(u), width), dtype=self.dtype)
         n, bounds, shifts = 0, [0], []
-        for start, stop in runs.tolist():
+        for start, stop in runs:
             while start < stop:
                 end = min(stop, start + width - n)
                 np.matmul(

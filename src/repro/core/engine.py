@@ -244,7 +244,8 @@ class AnswerResult:
     read surface of the per-hop shard, store and index statistics) and
     ``hop_trace`` — are built on first read from what the pass kept of
     each hop: a solver's :class:`~repro.core.results.InferenceResult`,
-    or a resident column scan's row counts.  An answer nobody inspects
+    or a resident column scan's row counts (with the probe's record, on
+    a top-k hop over the cluster-major copy).  An answer nobody inspects
     pays for none of them; every counter has the value the pass
     produced.  (The per-question views of a batch are given theirs.)
     """
@@ -295,9 +296,10 @@ class AnswerResult:
     def _tiers(self) -> tuple[list, list, list]:
         """Per hop: shard counters (empty off the sharded path), store
         ledger and index statistics (``None`` where the tier did not
-        run; a resident column hop runs none)."""
+        run; a resident column hop runs none, a top-k hop over the
+        cluster-major copy only the index)."""
         hops = self._ledger[0]
-        tiers = [None if type(hop) is tuple else hop.tier_stats() for hop in hops]
+        tiers = [_hop_tiers(hop) for hop in hops]
         return (
             [list(tier["shards"] or ()) if tier else [] for tier in tiers],
             [tier and tier["store"] for tier in tiers],
@@ -330,13 +332,33 @@ class AnswerResult:
                 "hops": self.hop_trace}  # fmt: skip
 
 
-def _hop_stats(hop: InferenceResult | tuple[int, int, int], column: tuple) -> OpStats:
+def _hop_stats(hop: InferenceResult | tuple, column: tuple) -> OpStats:
     """A hop's counters: its solver's, or those of a resident column
     scan from its ``(nq, rows scanned, rows kept)`` and the solver's
-    ``(ed, chunk_size, dtype)``."""
-    if type(hop) is tuple:
-        return column_op_stats(hop[0], hop[1], column[0], hop[2], *column[1:])
-    return hop.stats
+    ``(ed, chunk_size, dtype)`` — plus the centroid probe's, for a top-k
+    hop's ``(nq, rows, kept, (num_rows, nlist, ...))``."""
+    if type(hop) is not tuple:
+        return hop.stats
+    stats = column_op_stats(hop[0], hop[1], column[0], hop[2], *column[1:])
+    if len(hop) == 3:
+        return stats
+    from ..index.topk import probe_stats
+
+    return stats + probe_stats(hop[0], hop[3][1], column[0])
+
+
+def _hop_tiers(hop: InferenceResult | tuple) -> Dict[str, Any] | None:
+    """A hop's ``tier_stats()``: its solver's, none for a resident
+    column scan, and the index's alone for a top-k hop's record."""
+    if type(hop) is not tuple:
+        return hop.tier_stats()
+    if len(hop) == 3:
+        return None
+    from ..index.stats import IndexStats
+
+    num_rows, nlist, nprobe, build, probe = hop[3]
+    index = IndexStats(num_rows, hop[1], nlist, nprobe, True, build, probe)
+    return {"shards": None, "store": None, "index": index}
 
 
 @dataclass
@@ -813,6 +835,8 @@ class MnnFastEngine:
         hops = self.config.hops
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
         gated = ee.enabled and hops > 1
+        # The solvers are TopKMemNN tiers, which take the hop pair too.
+        indexed = ec.topk.enabled
         num_answers = len(self.weights.answer_weight)
         nq_total = len(u)
         # u is the float64 hop state, updated in place; u_tile is u
@@ -836,17 +860,25 @@ class MnnFastEngine:
             confidences: list[np.ndarray] = []
         for hop in range(hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
-            # u_{k+1} = u_k + o_k: a resident column kernel ends its hop
-            # with it (TileState.recur), here it is the same two steps.
+            # u_{k+1} = u_k + o_k: a resident column kernel, and the
+            # top-k tier's scan of its cluster-major copy, end the hop
+            # with it (TileState.recur); here it is the same two steps.
             if type(solver) is ColumnMemNN and solver.store_stats is None:
                 output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile)
                 record = (len(u), rows, kept)
             else:
-                record = solver.output(u, zero_skip=zero_skip)
-                output = record.output
-                np.add(u, output, out=u)
-                if u_tile is not u:
-                    u_tile[...] = u
+                if indexed:
+                    record = solver.output(u, zero_skip, u_tile=u_tile)
+                else:
+                    record = solver.output(u, zero_skip=zero_skip)
+                if type(record) is tuple:
+                    output, rows, kept, tier = record
+                    record = (len(u), rows, kept, tier)
+                else:
+                    output = record.output
+                    np.add(u, output, out=u)
+                    if u_tile is not u:
+                        u_tile[...] = u
             hop_records.append(record)
             if hop_hook is not None:
                 hop_hook(hop, _hop_stats(record, column))

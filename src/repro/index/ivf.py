@@ -75,6 +75,8 @@ class IVFIndex:
             raise ValueError("centroids must be 2-D (nlist, ed)")
         if len(self._offsets) != len(self.centroids) + 1:
             raise ValueError("offsets must have nlist + 1 entries")
+        if np.any(self._offsets[1:] <= self._offsets[:-1]):
+            raise ValueError("offsets must strictly increase: no cluster is empty")
 
     @property
     def nlist(self) -> int:
@@ -124,8 +126,11 @@ class IVFIndex:
         """Cluster the store's ``M_IN`` rows into ``nlist`` cells.
 
         Rows stream through in ``block_rows`` slices, so the build
-        works unchanged over out-of-core stores.  Empty clusters keep
-        their previous centroid (they simply attract no probes).
+        works unchanged over out-of-core stores.  A cluster left empty
+        by a k-means step keeps its centroid for the next one; clusters
+        still empty after the final assignment are dropped, so every
+        cluster of the index has a member (``nlist`` may come out
+        smaller than asked).
         """
         ns = store.num_rows
         if ns == 0:
@@ -158,10 +163,18 @@ class IVFIndex:
         # One final assignment so membership matches the centroids a
         # probe will score (the loop updates centroids after assigning).
         cls._assign(store, centroids, assignments, block_rows)
+        counts = np.bincount(assignments, minlength=nlist)
+        if not counts.all():
+            # Drop the clusters that ended empty (duplicate rows can seed
+            # two identical centroids, and one wins every row): a probe
+            # that picked one would cover no row.
+            kept = counts > 0
+            assignments = (np.cumsum(kept) - 1)[assignments]
+            centroids, counts = centroids[kept], counts[kept]
 
         order = np.argsort(assignments, kind="stable")
-        offsets = np.zeros(nlist + 1, dtype=np.intp)
-        np.cumsum(np.bincount(assignments, minlength=nlist), out=offsets[1:])
+        offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
         return cls(centroids, order, offsets)
 
     @staticmethod
@@ -202,19 +215,13 @@ class IVFIndex:
         if nprobe < 1:
             raise ValueError(f"nprobe must be >= 1, got {nprobe}")
         u = check_questions(u, np.float64, self.embedding_dim)
-        nprobe = min(nprobe, self.nlist)
-        scores = u @ self.centroids.T
-        if nprobe == self.nlist:
-            clusters = np.arange(self.nlist, dtype=np.intp)
-        else:
-            top = np.argpartition(scores, -nprobe, axis=1)[:, -nprobe:]
-            clusters = np.unique(top).astype(np.intp)
-        starts, stops = self._offsets[clusters], self._offsets[clusters + 1]
-        # A run opens where a cluster does not start at its predecessor's
-        # end, and closes before the next opening.
-        opens = np.ones(len(clusters), dtype=bool)
-        np.not_equal(starts[1:], stops[:-1], out=opens[1:])
-        closes = np.ones(len(clusters), dtype=bool)
-        closes[:-1] = opens[1:]
-        runs = np.stack([starts[opens], stops[closes]], axis=1)
-        return runs[runs[:, 1] > runs[:, 0]], clusters
+        nlist = self.nlist
+        top = np.argpartition(u @ self.centroids.T, -min(nprobe, nlist), axis=1)
+        # chosen[c + 1]: whether any question probes cluster c.  Clusters
+        # are consecutive in member order and none is empty, so a run
+        # opens at a probed cluster after an unprobed one (or the False
+        # end) and closes at the next unprobed one.
+        chosen = np.zeros(nlist + 2, dtype=bool)
+        chosen[1:][top[:, -nprobe:]] = True
+        edges = np.flatnonzero(chosen[1:] != chosen[:-1])
+        return self._offsets[edges].reshape(-1, 2), np.flatnonzero(chosen[1:-1])

@@ -49,7 +49,7 @@ from ..store.resident import memory_store
 from .ivf import IVFIndex
 from .stats import IndexStats
 
-__all__ = ["TopKMemNN"]
+__all__ = ["TopKMemNN", "probe_stats"]
 
 class TopKMemNN:
     """Top-k candidate retrieval feeding the exact column kernels.
@@ -157,33 +157,53 @@ class TopKMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
-    ) -> InferenceResult:
+        u_tile: np.ndarray | None = None,
+    ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
         """Response vectors via probe -> candidate scan with the exact
         kernel.
 
         Mirrors the exact solvers' ``output`` signature so the engine
         dispatches to it interchangeably; the result additionally
         carries an :class:`~repro.index.stats.IndexStats`.
+
+        With ``u_tile``, an indexed pass over the cluster-major copy
+        that records no recall or candidates is an engine hop, as in
+        ``ColumnMemNN.output``: ``u`` and ``u_tile`` advance in place and
+        ``(o, rows, kept, (num_rows, nlist, nprobe, build_seconds,
+        probe_seconds))`` comes back, the engine's to build records from.
         """
         if not self.uses_index:
             return self._exact_output(u, zero_skip)
 
         start = time.perf_counter()
-        u_checked = check_questions(u, self.dtype, self.embedding_dim)
         index = self._ensure_index()
+        build_seconds = 0.0 if self._build_charged else self._build_seconds
+        self._build_charged = True
+        config = self.config
+        recorded = config.measure_recall or config.record_candidates
+        # An engine hop's one question check is the probe's: the scan
+        # takes the hop state as it is and advances it in place.
+        hop = u_tile is not None and self._cluster_scan is not None and not recorded
+        if not hop:
+            u_checked = check_questions(u, self.dtype, self.embedding_dim)
         probe_start = time.perf_counter()
         # The few centroids are float64: only the scan takes u narrowed.
-        runs, _ = index.probe(u, self.config.nprobe)
+        runs, _ = index.probe(u, config.nprobe)
         probe_seconds = time.perf_counter() - probe_start
+        if hop:
+            output, rows, kept = self._cluster_scan.output(
+                u, zero_skip, runs=runs, u_tile=u_tile
+            )
+            tier = (
+                self.num_sentences, index.nlist, config.nprobe,
+                build_seconds, probe_seconds,
+            )  # fmt: skip
+            return output, rows, kept, tier
 
         # Original row ids: what the gather paths read by, and
         # measurement machinery on the run path.
         candidates = None
-        if (
-            self._cluster_scan is None
-            or self.config.measure_recall
-            or self.config.record_candidates
-        ):
+        if self._cluster_scan is None or recorded:
             candidates = index.rows(runs)
         if self._cluster_scan is not None:
             result = self._cluster_scan.output(
@@ -194,29 +214,27 @@ class TopKMemNN:
             result = solver.output(u_checked, zero_skip=zero_skip)
             self._absorb_subset_ledger(solver)
             solver.close()
-        result.stats = result.stats + self._probe_stats(
-            len(u_checked), index.nlist
+        result.stats = result.stats + probe_stats(
+            len(u_checked), index.nlist, self.embedding_dim
         )
         elapsed = time.perf_counter() - start
 
         recall = None
-        if self.config.measure_recall:
+        if config.measure_recall:
             # Diagnostics-only O(ns*ed) pass, outside the timed window.
             recall = self._attention_mass_recall(u_checked, candidates)
-        build_seconds = 0.0 if self._build_charged else self._build_seconds
-        self._build_charged = True
         result.index_stats = IndexStats(
             num_rows=self.num_sentences,
             candidate_rows=int(np.diff(runs).sum()),
             nlist=index.nlist,
-            nprobe=self.config.nprobe,
+            nprobe=config.nprobe,
             used_index=True,
             build_seconds=build_seconds,
             probe_seconds=probe_seconds,
             recall=recall,
             candidates=(
                 tuple(int(row) for row in candidates)
-                if self.config.record_candidates
+                if config.record_candidates
                 else None
             ),
         )
@@ -328,15 +346,6 @@ class TopKMemNN:
             else self._subset_store_stats + snapshot
         )
 
-    def _probe_stats(self, nq: int, nlist: int) -> OpStats:
-        """Countable cost of the centroid probe (the candidate pass is
-        already counted by the kernel that scanned it)."""
-        ed = self.embedding_dim
-        return OpStats(
-            flops=2 * nq * nlist * ed,
-            bytes_read=nlist * ed * np.dtype(np.float64).itemsize,
-        )
-
     def _attention_mass_recall(
         self, u: np.ndarray, candidates: np.ndarray
     ) -> float:
@@ -351,3 +360,12 @@ class TopKMemNN:
         cand, full = partials
         shift = np.subtract(cand.log_max, full.log_max, dtype=np.float64)
         return float(np.mean(cand.denom * np.exp(shift) / full.denom))
+
+
+def probe_stats(nq: int, nlist: int, ed: int) -> OpStats:
+    """Countable cost of the centroid probe (the candidate pass is
+    already counted by the kernel that scanned it)."""
+    return OpStats(
+        flops=2 * nq * nlist * ed,
+        bytes_read=nlist * ed * np.dtype(np.float64).itemsize,
+    )

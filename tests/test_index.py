@@ -10,6 +10,8 @@ exact-scan fallback, which must be *bit-exact* with the column kernel
 """
 
 import tracemalloc
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core import (
     EngineConfig,
     MnnFastEngine,
     TopKConfig,
+    compiled_fold,
 )
 from repro.docqa import (
     docqa_network,
@@ -184,6 +187,72 @@ class TestIVFIndex:
         row = 17
         runs, _ = index.probe(m_in[row][None, :] * 2.0, nprobe=8)
         assert row in index.rows(runs)
+
+    def test_build_drops_empty_clusters(self):
+        """Duplicate rows can seed two identical centroids; one wins
+        every row and the other ends empty.  A probe at ``nprobe=1``
+        that picked the empty twin used to return no run, and the pass
+        raised on an empty denominator."""
+        rng = np.random.default_rng(0)
+        distinct_in, distinct_out = rng.normal(size=(2, 8, 8))
+        pick = rng.integers(0, 8, size=64)
+        m_in, m_out = distinct_in[pick], distinct_out[pick]
+        u = rng.normal(size=(1, 8))
+        for seed in range(20):
+            solver = TopKMemNN(
+                m_in, m_out,
+                config=TopKConfig(nprobe=1, nlist=16, min_rows=0, seed=seed),
+            )
+            result = solver.output(u)
+            index = solver.index
+            assert index.nlist <= 8
+            assert np.all(index.cluster_sizes > 0)
+            assert result.index_stats.nlist == index.nlist
+            assert result.index_stats.candidate_rows > 0
+
+    @pytest.mark.parametrize("nq", (1, 3, 8))
+    def test_probe_returns_what_it_returned(self, nq):
+        """The probe's runs, clusters and candidate rows equal those of
+        the ``np.unique``/``np.stack`` probe it replaced, kept here."""
+
+        def reference(index, u, nprobe):
+            nprobe = min(nprobe, index.nlist)
+            offsets = np.concatenate([[0], np.cumsum(index.cluster_sizes)])
+            scores = u @ index.centroids.T
+            if nprobe == index.nlist:
+                clusters = np.arange(index.nlist, dtype=np.intp)
+            else:
+                top = np.argpartition(scores, -nprobe, axis=1)[:, -nprobe:]
+                clusters = np.unique(top).astype(np.intp)
+            starts, stops = offsets[clusters], offsets[clusters + 1]
+            opens = np.ones(len(clusters), dtype=bool)
+            np.not_equal(starts[1:], stops[:-1], out=opens[1:])
+            closes = np.ones(len(clusters), dtype=bool)
+            closes[:-1] = opens[1:]
+            runs = np.stack([starts[opens], stops[closes]], axis=1)
+            runs = runs[runs[:, 1] > runs[:, 0]]
+            rows = np.sort(np.concatenate([index.members[a:b] for a, b in runs]))
+            return runs, clusters, rows
+
+        rng = np.random.default_rng(nq)
+        for trial in range(6):
+            ns, nlist = rng.integers(40, 400), rng.integers(4, 33)
+            m_in, m_out = _memories(rng, ns=ns, ed=8)
+            index = IVFIndex.build(
+                ColumnMemNN(m_in, m_out).store, nlist=nlist, seed=trial
+            )
+            nlist = index.nlist
+            u = rng.normal(size=(nq, 8))
+            for nprobe in {1, max(1, nlist // 4), nlist - 1, nlist, nlist + 3}:
+                if nprobe < 1:
+                    continue
+                runs, clusters = index.probe(u, nprobe)
+                want_runs, want_clusters, want_rows = reference(index, u, nprobe)
+                np.testing.assert_array_equal(runs, want_runs)
+                np.testing.assert_array_equal(clusters, want_clusters)
+                assert runs.dtype == want_runs.dtype
+                assert clusters.dtype == want_clusters.dtype
+                np.testing.assert_array_equal(index.rows(runs), want_rows)
 
 
 class TestTopKMemNNDispatch:
@@ -366,6 +435,72 @@ class TestClusterMajorScan:
         assert scan._solver(0)._cluster_scan is not None
         assert gather._solver(0)._cluster_scan is None
         gather.close()
+
+    @pytest.mark.parametrize("fold", ("compiled", "numpy"))
+    def test_a_lean_hop_equals_the_full_shape_hop(self, fold, request, monkeypatch):
+        """An engine hop through the tier ends in place over the
+        cluster-major copy and keeps a bare record; recording the
+        candidates keeps the full ``InferenceResult``.  Read after later
+        answers, the two engines' answers and records are the same but
+        for timings and the recorded candidates, and each indexed hop
+        crosses the three boundaries perfbench wraps once."""
+        if fold == "numpy":
+            request.getfixturevalue("numpy_fold")
+        elif compiled_fold.fold_backend() != "c":
+            pytest.skip(compiled_fold.fold_backend())
+        problem = _docqa_surrogate()
+        config = (
+            EngineConfig.mnnfast(chunk_size=256)
+            .with_topk(nprobe=6, nlist=24, min_rows=0)
+            .with_early_exit(0.2)
+        )
+        lean = _docqa_engine(problem, config)
+        full = _docqa_engine(
+            problem, config.with_topk(nprobe=6, record_candidates=True)
+        )
+        calls = Counter()
+        for owner, attr in (
+            (TopKMemNN, "output"), (IVFIndex, "probe"), (ColumnMemNN, "output"),
+        ):  # fmt: skip
+            original = vars(owner)[attr]
+
+            def counted(*args, _original=original, _owner=owner, **kwargs):
+                calls[_owner] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        questions = problem[3]
+        batches = [questions[start : start + 4] for start in range(0, 24, 4)]
+        answers = [lean.answer(batch) for batch in batches]
+        hops = sum(len(answer._ledger[0]) for answer in answers)
+        assert calls == {TopKMemNN: hops, IVFIndex: hops, ColumnMemNN: hops}
+        # Every hop took the lean path: no InferenceResult was kept.
+        assert all(type(hop) is tuple for a in answers for hop in a._ledger[0])
+        wants = [full.answer(batch) for batch in batches]
+
+        def untimed(index):
+            return replace(
+                index, build_seconds=0.0, probe_seconds=0.0, candidates=None
+            )
+
+        for got, want in zip(answers, wants):
+            assert got.logits.tobytes() == want.logits.tobytes()
+            assert got.answer_ids.tobytes() == want.answer_ids.tobytes()
+            trace, want_trace = got.hop_trace, want.hop_trace
+            assert trace.hops_run.tobytes() == want_trace.hops_run.tobytes()
+            assert [c.tobytes() for c in trace.confidence] == [
+                c.tobytes() for c in want_trace.confidence
+            ]
+            assert got.stats == want.stats
+            assert got.hop_stats == want.hop_stats
+            tiers, want_tiers = got.tier_stats(), want.tier_stats()
+            assert [untimed(i) for i in tiers["index"]] == [
+                untimed(i) for i in want_tiers["index"]
+            ]
+            assert tiers["shards"] == want_tiers["shards"]
+            assert tiers["store"] == want_tiers["store"]
+        build = [a.tier_stats()["index"][0].build_seconds for a in answers]
+        assert build[0] > 0 and not any(build[1:])
 
     def test_append_rebuilds_the_cluster_major_copy(self):
         """``store_story`` after an indexed pass drops the permuted
