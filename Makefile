@@ -21,7 +21,8 @@ test:
 
 # Build (or load from the cache) the compiled tile fold, src/repro/core/
 # _fold.c, and print which fold TileState runs: "c", or "numpy: <why>".
-# The bag-of-words embedding is in the same library and follows it.
+# The bag-of-words embedding and the float32 answer layer are in the
+# same library and follow it.
 # Where cc exists it first checks the source from the repo root with
 # warnings as errors and the loader's own flags (compiled_fold.FLAGS:
 # without -fopenmp-simd, -Wall rejects the `omp simd` pragmas the build

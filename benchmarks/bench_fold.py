@@ -1,5 +1,6 @@
-"""The subnormal cliff of the compiled tile fold: a peaked tile must fold
-at a flat one's cost (DESIGN.md §10, "The subnormal cliff").
+"""The subnormal cliff of the compiled tile fold and of the gate's
+softmax margin, and the answer layer's per-call cost (DESIGN.md §10,
+"The subnormal cliff" and "The answer layer").
 
 A question copied from a memory row scores its own row ~100 above most
 others, so most shifted scores of its tile fall below ``exp_floor``.
@@ -13,8 +14,19 @@ The gate replays one peaked and one flat 16 x 1000 float32 tile (the
 shape ``table1_batch`` and ``out_of_core_stream`` fold; ``M_OUT`` rows
 are bags of N(0, 0.1) vectors) through ``TileState.fold`` at th 0 and
 0.1, alternating the four cases round by round and keeping each one's
-fastest fold.  It is wall-clock, so it runs by hand (``make bench``),
-and only on the compiled fold.
+fastest fold.
+
+The answer layer's rows time one projection (logits and argmax) and one
+gate check (logits and softmax margin) per call, BLAS + NumPy against
+the compiled layer, at the ``W`` shapes of docqa, table1 and story: hot,
+and cold after a sweep that evicts L2.  Its gate mirrors the fold's: a
+check of peaked logits (most shifted logits below ``exp_floor``) may
+cost at most 1.25x a flat one, under both layers.
+
+Everything here is wall-clock, so it runs by hand (``make bench``), and
+only where the compiled fold builds; run it with
+``OPENBLAS_NUM_THREADS=1``, as perfbench runs, or a two-thread ``sgemm``
+on a two-vCPU host reads milliseconds.
 """
 
 import time
@@ -24,6 +36,7 @@ import pytest
 
 from repro.core import compiled_fold
 from repro.core.column import TileState, exp_floor
+from repro.core.early_exit import AnswerLayer
 from repro.report import format_table
 
 pytestmark = pytest.mark.skipif(
@@ -109,3 +122,126 @@ def test_a_peaked_tile_folds_at_a_flat_ones_cost(benchmark, report):
         f"a peaked tile folds at {ratio:.2f}x a flat one's cost at th 0 "
         f"(gate {GATE}x)"
     )
+
+
+#: ``W`` shapes (answers, ed) of the workloads' answer layers.
+ANSWER_SHAPES = {"docqa": (5975, 64), "table1": (2048, 48), "story": (140, 48)}
+ANSWER_NQ = (1, 2, 4, 8, 16)
+#: Bytes read between cold calls: twice a 2 MiB L2.
+SWEEP_BYTES = 4 << 20
+CALLS = 50
+
+
+def _answer_layers(monkeypatch, weight):
+    """``{"numpy": ..., "c": ...}``: the same float32 layer as BLAS +
+    NumPy (the library hidden while it is made) and compiled."""
+    with monkeypatch.context() as patch:
+        patch.setattr(compiled_fold, "kernels", lambda: None)
+        numpy_layer = AnswerLayer(weight, np.float32)
+    return {"numpy": numpy_layer, "c": AnswerLayer(weight, np.float32)}
+
+
+def _per_call(call, cold, sweep):
+    """Median seconds of CALLS calls, each after a sweep when ``cold``."""
+    seconds = []
+    for _ in range(CALLS):
+        if cold:
+            sweep.sum()
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+    return float(np.median(seconds))
+
+
+def test_answer_layer_per_call(monkeypatch, benchmark, report):
+    rng = np.random.default_rng(0)
+    sweep = np.ones(SWEEP_BYTES // 8)
+    cases = []
+    for name, (na, ed) in ANSWER_SHAPES.items():
+        weight = np.asfortranarray(rng.normal(0.0, 1 / np.sqrt(ed), (na, ed)))
+        layers = _answer_layers(monkeypatch, weight)
+        for nq in ANSWER_NQ:
+            states = rng.normal(size=(nq, ed))
+            logits = np.empty((nq, na), np.float32)
+            cases.append((name, nq, layers, states, logits))
+
+    def run():
+        rows = []
+        for name, nq, layers, states, logits in cases:
+            row = [name, nq]
+            for cold in (False, True):
+                for layer in layers.values():
+                    row.append(_per_call(lambda: layer.project(states), cold, sweep))
+                for layer in layers.values():
+                    row.append(
+                        _per_call(lambda: layer.margin(states, logits), cold, sweep)
+                    )
+            rows.append(row)
+        return rows
+
+    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    report(format_table(
+        ["W", "nq", *(
+            f"{what} {layer} {heat}"
+            for heat in ("hot", "cold")
+            for what in ("project", "gate")
+            for layer in ("numpy", "c")
+        )],
+        [[name, nq, *(f"{t * 1e6:.1f}" for t in times)] for name, nq, *times in rows],
+        title="Answer layer per call (us, median of 50): BLAS + NumPy vs compiled",
+    ))  # fmt: skip
+
+
+def test_a_peaked_gate_check_costs_a_flat_ones(monkeypatch, benchmark, report):
+    """The margin of peaked logits (most cells' exp below the float32
+    normal range) at a flat one's cost: NumPy's float32 exp slows ~6x on
+    subnormal outputs unless the shifted logits are floored."""
+    na, ed = ANSWER_SHAPES["docqa"]
+    nq = 4
+    rng = np.random.default_rng(1)
+    weight = np.asfortranarray(rng.normal(0.0, 1 / np.sqrt(ed), (na, ed)))
+    layers = _answer_layers(monkeypatch, weight)
+    direction = rng.normal(size=(nq, ed))
+    states = {"peaked": 40 * direction, "flat": 0.1 * direction}
+    logits = np.empty((nq, na), np.float32)
+    cases = [(kind, layer) for layer in layers for kind in states]
+
+    def run():
+        best = dict.fromkeys(cases, float("inf"))
+        for round_ in range(ROUNDS):
+            for kind, layer in cases if round_ % 2 == 0 else cases[::-1]:
+                for _ in range(REPLAYS):
+                    start = time.perf_counter()
+                    layers[layer].margin(states[kind], logits)
+                    seconds = time.perf_counter() - start
+                    best[kind, layer] = min(best[kind, layer], seconds)
+        return best
+
+    best = benchmark.pedantic(run, iterations=1, rounds=1)
+    floored = {}
+    for kind, u in states.items():
+        shifted, _ = layers["numpy"].project(u)
+        shifted -= shifted.max(axis=1, keepdims=True)
+        floored[kind] = float(np.mean(shifted < exp_floor(np.dtype(np.float32))))
+    ratios = {layer: best["peaked", layer] / best["flat", layer] for layer in layers}
+    report(format_table(
+        ["logits", "below the floor", *(f"{layer} gate" for layer in layers)],
+        [
+            [kind, f"{floored[kind]:.0%}",
+             *(f"{best[kind, layer] * 1e6:.1f} us" for layer in layers)]
+            for kind in states
+        ],
+        title=(
+            f"Gate check, {nq} x {na}, best of {ROUNDS} x {REPLAYS}: peaked / flat "
+            + ", ".join(f"{layer} {ratio:.2f}x" for layer, ratio in ratios.items())
+        ),
+    ))  # fmt: skip
+    benchmark.extra_info["gate_peaked_vs_flat"] = {
+        layer: round(ratio, 3) for layer, ratio in ratios.items()
+    }
+    assert floored["peaked"] > 0.5 and floored["flat"] == 0
+    for layer, ratio in ratios.items():
+        assert ratio <= GATE, (
+            f"a peaked gate check costs {ratio:.2f}x a flat one under the "
+            f"{layer} layer (gate {GATE}x)"
+        )

@@ -19,8 +19,17 @@
  * repro_hop ends a hop in the same call: the divide and the hop
  * recurrence u += acc / denom, then u narrowed to float32 for the next
  * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.  The
- * score GEMM stays in BLAS: a C dot loop is not held to sgemm's bits,
- * and every arrangement meeting a one-tile memory would need it too.
+ * score GEMM stays in BLAS: every arrangement meeting a one-tile memory
+ * would need a C loop of its own to stay bitwise equal to the others.
+ *
+ * repro_answer is the answer layer after the last hop (and the early-exit
+ * gate's check): logits u W^T against a copy of W packed once in
+ * 16-answer panels, each logit one MADD chain over k from 0 -- the same
+ * bits alone or in any batch, and for many shapes sgemm's own (OpenBLAS
+ * 0.3.31: docqa's 5975 x 64 W at nq >= 3, table1's and story's W at every
+ * nq; a few ulps off where NumPy reaches gemv, another kernel or a K
+ * split) -- and in the same call each row's argmax, or the gate's
+ * softmax margin.
  *
  * The bag-of-words embedding in front of the scan (repro_bow) lives
  * here too, so a stored sentence costs one call: its sums equal the
@@ -42,6 +51,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The running state of one scan, owned by a TileState (its ctypes
@@ -119,7 +129,7 @@ static inline int is_array(
  * passes is clamped to >= the floor (a clamped cell's result is then
  * multiplied by 0), so n >= -123 and the result is a normal float: no
  * subnormal is made. */
-static inline float exp_poly(float x)
+static inline __attribute__((always_inline)) float exp_poly(float x)
 {
     const float shifter = 0x1.8p23f; /* adding it rounds to an integer */
     float t = MADDF(x, 0x1.715476p+0f, shifter);
@@ -364,6 +374,238 @@ int64_t repro_hop(
             narrow[k] = (float)state[k];
         }
     return kept;
+}
+
+/* The answer layer W, packed once by its owner
+ * (early_exit.AnswerLayer; ctypes twin compiled_fold.AnswerState):
+ * answer j's weight k at packed[((j / LANES) * ed + k) * LANES + j % LANES],
+ * zero past na, with `panels` a multiple of 4. */
+typedef struct {
+    int64_t na, ed, panels;
+    const float *packed;
+    double floor; /* exp_floor(float32), as the fold's */
+} answer_layer;
+
+/* repro_answer's errors (compiled_fold.ANSWER_ERRORS). */
+#define ANSWER_BAD_U (-1)
+#define ANSWER_BAD_LOGITS (-2)
+#define ANSWER_BAD_TOP (-3)
+#define ANSWER_BAD_CONFIDENCE (-4)
+#define ANSWER_NO_MEMORY (-5)
+
+/* LANES floats; a load through it needs no alignment. */
+typedef float lanes_t __attribute__((vector_size(LANES * sizeof(float)), aligned(4), may_alias));
+
+/* Logits of `rows` question rows from row q (narrowed, C order, ed
+ * apart) against `panels` panels from panel p, each one MADDF chain over
+ * k from 0, so that a logit's bits depend on its row and answer alone;
+ * the first `stored` rows are written into the (nq, na) logits, float32
+ * or (wide) float64. */
+static inline __attribute__((always_inline)) void answer_block(
+    const answer_layer *w, const float *u, int rows, int panels, int64_t q,
+    int stored, int64_t p, void *logits, int wide, ptrdiff_t stride)
+{
+    const int64_t ed = w->ed;
+    const float *packed = w->packed + p * ed * LANES;
+    lanes_t acc[16]; /* rows * panels <= 16 */
+    int i, l;
+    for (i = 0; i < rows * panels; i++)
+        acc[i] = (lanes_t){0};
+    for (int64_t k = 0; k < ed; k++)
+        for (int b = 0; b < panels; b++) {
+            const lanes_t v = *(const lanes_t *)(packed + (b * ed + k) * LANES);
+            for (int r = 0; r < rows; r++) {
+                const float x = u[(q + r) * ed + k];
+                lanes_t *a = &acc[r * panels + b];
+#pragma omp simd
+                for (l = 0; l < LANES; l++)
+                    (*a)[l] = MADDF(x, v[l], (*a)[l]);
+            }
+        }
+    for (int r = 0; r < stored; r++)
+        for (int b = 0; b < panels; b++) {
+            const int64_t j = (p + b) * LANES;
+            const int n = w->na - j < LANES ? (int)(w->na - j) : LANES;
+            const ptrdiff_t at = (q + r) * stride + j;
+            const lanes_t a = acc[r * panels + b];
+            if (wide)
+                for (l = 0; l < n; l++)
+                    ((double *)logits)[at + l] = a[l];
+            else if (n == LANES)
+                *(lanes_t *)((float *)logits + at) = a;
+            else
+                for (l = 0; l < n; l++)
+                    ((float *)logits)[at + l] = a[l];
+        }
+}
+
+/* The two block shapes, out of line so that each unrolls with its
+ * accumulators in registers: 4 rows x 4 panels, and a lone row with 8
+ * panels' chains in flight. */
+static __attribute__((noinline)) void answer_4x4(
+    const answer_layer *w, const float *u, int64_t q, int stored, int64_t p,
+    void *logits, int wide, ptrdiff_t stride)
+{
+    answer_block(w, u, 4, 4, q, stored, p, logits, wide, stride);
+}
+
+static __attribute__((noinline)) void answer_1x8(
+    const answer_layer *w, const float *u, int64_t p, void *logits, int wide)
+{
+    answer_block(w, u, 1, 8, 0, 1, p, logits, wide, 0);
+}
+
+/* Every row's logits, the packed panels walked once: a group of 8
+ * panels stays in L1 while each block of 4 rows (`u` holds zero rows up
+ * to a multiple of 4) reads it. */
+static void answer_logits(
+    const answer_layer *w, const float *u, int64_t nq, void *logits, int wide,
+    ptrdiff_t stride)
+{
+    for (int64_t p = 0; p < w->panels; p += 8) {
+        const int64_t end = w->panels - p >= 8 ? p + 8 : p + 4;
+        if (nq == 1 && end == p + 8) {
+            answer_1x8(w, u, p, logits, wide);
+            continue;
+        }
+        for (int64_t q = 0; q < nq; q += 4)
+            for (int64_t b = p; b < end; b += 4)
+                answer_4x4(w, u, q, nq - q < 4 ? (int)(nq - q) : 4, b, logits, wide, stride);
+    }
+}
+
+/* One row of na logits, float32 or (wide) float64: its argmax into
+ * *top -- the first maximum, and the first NaN if there is one, as
+ * np.argmax -- and, with `confidence`, the softmax margin
+ * (1 - e^(l2 - l1)) / sum_j e^(l_j - l1) of its top two l1 >= l2. */
+static inline __attribute__((always_inline)) void answer_row(
+    const void *row, int wide, int64_t na, double floor_, int64_t *top,
+    double *confidence)
+{
+#define LOGIT(j) (wide ? (float)((const double *)row)[j] : ((const float *)row)[j])
+    float best[LANES], second[LANES], finite[LANES];
+    int32_t where[LANES];
+    int64_t j;
+    int l;
+    for (l = 0; l < LANES; l++) {
+        best[l] = second[l] = -INFINITY;
+        where[l] = INT32_MAX;
+        finite[l] = 0;
+    }
+    /* Per lane: the first maximum, and the largest of the rest. */
+    for (j = 0; j < na; j += LANES) {
+        const int n = na - j < LANES ? (int)(na - j) : LANES;
+#pragma omp simd
+        for (l = 0; l < n; l++) {
+            const float x = LOGIT(j + l);
+            const int above = x > best[l];
+            second[l] = above ? best[l] : (x > second[l] ? x : second[l]);
+            best[l] = above ? x : best[l];
+            where[l] = above ? (int32_t)(j + l) : where[l];
+            finite[l] += x * 0.0f; /* NaN from then on at a NaN or an inf */
+        }
+    }
+    int win = 0, clean = 1;
+    for (l = 0; l < LANES; l++) {
+        clean &= finite[l] == 0;
+        if (best[l] > best[win] || (best[l] == best[win] && where[l] < where[win]))
+            win = l;
+    }
+    float l1 = best[win], l2 = second[win];
+    int64_t at = where[win];
+    for (l = 0; l < LANES; l++)
+        if (l != win && best[l] > l2)
+            l2 = best[l];
+    if (!clean) {
+        /* A NaN or an inf: np.argmax's scan (its NaN turns the sum
+         * below NaN, so l2 then no longer matters). */
+        at = 0;
+        for (j = 1; j < na && LOGIT(at) == LOGIT(at); j++)
+            if (LOGIT(j) > LOGIT(at) || LOGIT(j) != LOGIT(j))
+                at = j;
+        l1 = LOGIT(at);
+        l2 = -INFINITY;
+        for (j = 0; j < na; j++)
+            if (j != at && LOGIT(j) > l2)
+                l2 = LOGIT(j);
+    }
+    if (top != NULL)
+        *top = at;
+    if (confidence == NULL)
+        return;
+    /* The sum, as the fold's: shifted logits below the floor add 0. */
+    const float floor_f = (float)floor_;
+    double lane_sum[LANES], sum = 0.0;
+    for (l = 0; l < LANES; l++)
+        lane_sum[l] = 0.0;
+    for (j = 0; j < na; j += LANES) {
+        const int n = na - j < LANES ? (int)(na - j) : LANES;
+#pragma omp simd
+        for (l = 0; l < n; l++) {
+            const float x = LOGIT(j + l) - l1;
+            lane_sum[l] += exp_poly(x < floor_f ? floor_f : x) * (x < floor_f ? 0.0f : 1.0f);
+        }
+    }
+    for (l = 0; l < LANES; l++)
+        sum += lane_sum[l];
+    /* With one answer there is nothing to flip. */
+    *confidence = na < 2 ? 1.0 : (1.0 - exp((double)l2 - (double)l1)) / sum;
+#undef LOGIT
+}
+
+/* The answer layer on (nq, ed) float32 or float64 question rows `u`
+ * (narrowed to float32 first): their logits into the (nq, na) float32
+ * or float64 `logits` (unit column stride); with `top`, each row's
+ * argmax ((nq,) int64); with `confidence`, its softmax margin ((nq,)
+ * float64).  Every array is checked before a write.  Returns 0 or an
+ * ANSWER_* error. */
+int64_t repro_answer(
+    const answer_layer *w, const array_interface *u, const array_interface *logits,
+    const array_interface *top, const array_interface *confidence)
+{
+    const int flags = ARRAY_C_CONTIGUOUS | ARRAY_WRITEABLE;
+    if (!(is_array(u, 2, 'f', 4, 0) || is_array(u, 2, 'f', 8, 0))
+        || u->shape[1] != w->ed)
+        return ANSWER_BAD_U;
+    const int64_t nq = u->shape[0];
+    if (!(is_array(logits, 2, 'f', 4, ARRAY_WRITEABLE)
+          || is_array(logits, 2, 'f', 8, ARRAY_WRITEABLE))
+        || logits->shape[0] != nq || logits->shape[1] != w->na
+        || (nq > 0 && w->na > 1 && logits->strides[1] != logits->itemsize))
+        return ANSWER_BAD_LOGITS;
+    if (top != NULL && (!is_array(top, 1, 'i', 8, flags) || top->shape[0] != nq))
+        return ANSWER_BAD_TOP;
+    if (confidence != NULL
+        && (!is_array(confidence, 1, 'f', 8, flags) || confidence->shape[0] != nq))
+        return ANSWER_BAD_CONFIDENCE;
+    if (nq == 0)
+        return 0;
+    const int64_t padded = (nq + 3) / 4 * 4;
+    float *narrow = calloc((size_t)(padded * w->ed), sizeof(float));
+    if (narrow == NULL)
+        return ANSWER_NO_MEMORY;
+    const ptrdiff_t rs = u->strides[0] / u->itemsize, cs = u->strides[1] / u->itemsize;
+    for (int64_t q = 0; q < nq; q++)
+        for (int64_t k = 0; k < w->ed; k++)
+            narrow[q * w->ed + k] = u->itemsize == 4
+                ? ((const float *)u->data)[q * rs + k * cs]
+                : (float)((const double *)u->data)[q * rs + k * cs];
+    const int wide = logits->itemsize == 8;
+    const ptrdiff_t stride = logits->strides[0] / logits->itemsize;
+    answer_logits(w, narrow, nq, logits->data, wide, stride);
+    free(narrow);
+    if (top == NULL && confidence == NULL)
+        return 0;
+    for (int64_t q = 0; q < nq; q++) {
+        const char *row = (const char *)logits->data + q * logits->strides[0];
+        int64_t *at = top != NULL ? (int64_t *)top->data + q : NULL;
+        double *margin = confidence != NULL ? (double *)confidence->data + q : NULL;
+        if (wide)
+            answer_row(row, 1, w->na, w->floor, at, margin);
+        else
+            answer_row(row, 0, w->na, w->floor, at, margin);
+    }
+    return 0;
 }
 
 /* Whether `out` can take an (n, ed) block of bag sums from row

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from ..store.base import check_dtype, check_questions
+from ..store.base import check_dtype, check_pair, check_questions
 from .config import FLOAT_BYTES, ZeroSkipConfig
 from .numerics import softmax
 from .results import InferenceResult
@@ -40,12 +40,7 @@ class BaselineMemNN:
         dtype = check_dtype(dtype)
         m_in = np.asarray(m_in, dtype=dtype)
         m_out = np.asarray(m_out, dtype=dtype)
-        if m_in.ndim != 2 or m_out.ndim != 2:
-            raise ValueError("memories must be 2-D (ns, ed)")
-        if m_in.shape != m_out.shape:
-            raise ValueError(
-                f"M_IN and M_OUT shapes differ: {m_in.shape} vs {m_out.shape}"
-            )
+        check_pair(m_in, m_out)
         self.m_in = m_in
         self.m_out = m_out
         self.dtype = dtype

@@ -14,7 +14,9 @@ loads decide.  The same library carries the bag-of-words embedding
 (:func:`bow_kernels`; float32 and float64 outputs), whose one caller
 is :class:`~repro.core.numerics.BowEmbedder`, with the NumPy embedding
 (:func:`~repro.core.numerics.bow_embed_each`) as its fallback and
-referee.
+referee, and the float32 answer layer (``repro_answer``), whose one
+caller is :class:`~repro.core.early_exit.AnswerLayer`, with ``u @ W.T``
+and the NumPy margin as its fallback and referee.
 
 Build and cache rules:
 
@@ -50,8 +52,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FLAGS", "FoldState", "bow_kernels", "exp", "fold_backend", "kernels", "load",
-    "structs",
+    "FLAGS", "AnswerState", "FoldState", "bow_kernels", "exp", "fold_backend",
+    "kernels", "load", "structs",
 ]  # fmt: skip
 
 #: ``-march=native``: the vector width and FMA of the host (a generic
@@ -76,6 +78,16 @@ FOLD_ERRORS = {
     -4: "u must be a writable, C-ordered (nq, ed) float64 array",
     -5: "u_tile must be a writable, C-ordered (nq, ed) float32 array",
     -6: "cannot finalize a partial with an empty denominator",
+}
+
+#: ``repro_answer``'s negative returns: which argument failed its check
+#: (nothing was written).
+ANSWER_ERRORS = {
+    -1: "u must be an aligned (nq, ed) float32 or float64 array",
+    -2: "logits must be a writable (nq, na) float32 or float64 array, column stride 1",
+    -3: "top must be a writable, C-ordered (nq,) int64 array",
+    -4: "confidence must be a writable, C-ordered (nq,) float64 array",
+    -5: "out of memory",
 }
 
 #: ``repro_bow``'s returns: an out-of-range word ID (nothing written), and
@@ -115,6 +127,20 @@ class FoldState(ctypes.Structure):
         ("threshold", ctypes.c_double),
         ("floor", ctypes.c_double),
         ("folded", ctypes.c_int64),
+    ]
+
+
+class AnswerState(ctypes.Structure):
+    """``answer_layer`` of ``_fold.c``: the answer matrix ``W`` packed in
+    16-answer panels, by pointer into an array its
+    :class:`~repro.core.early_exit.AnswerLayer` owns."""
+
+    _fields_ = [
+        ("na", ctypes.c_int64),
+        ("ed", ctypes.c_int64),
+        ("panels", ctypes.c_int64),
+        ("packed", ctypes.c_void_p),
+        ("floor", ctypes.c_double),
     ]
 
 
@@ -226,6 +252,10 @@ def _open(path: Path) -> ctypes.CDLL | None:
         # (state, scores, rows, u, u_tile): as repro_fold's.
         library.repro_hop.argtypes = [ctypes.c_void_p] * 5
         library.repro_hop.restype = ctypes.c_int64
+        # (layer, u, logits, top, confidence): the AnswerState's address,
+        # then array_interface() pointers (or None).
+        library.repro_answer.argtypes = [ctypes.c_void_p] * 5
+        library.repro_answer.restype = ctypes.c_int64
         # (sentences, encoding, table_a, out_a, table_c, out_c):
         # array_interface() pointers (or None), then the first out row.
         library.repro_bow.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_int64]
@@ -263,7 +293,8 @@ def load() -> tuple[ctypes.CDLL | None, str]:
 
 def kernels() -> ctypes.CDLL | None:
     """The library of the compiled float32 fold (``repro_fold``, and
-    ``repro_hop``, which ends a hop), or ``None``."""
+    ``repro_hop``, which ends a hop) and answer layer (``repro_answer``),
+    or ``None``."""
     return load()[0]
 
 

@@ -32,6 +32,7 @@ from .config import EngineConfig, MemNNConfig
 from .early_exit import (
     EXIT_CONFIDENCE,
     EXIT_FULL_DEPTH,
+    AnswerLayer,
     HopTrace,
     logit_margin_confidence,
 )
@@ -554,20 +555,18 @@ class MnnFastEngine:
         return np.dtype(self.engine_config.execution.dtype)
 
     @property
-    def answer_weight(self) -> np.ndarray:
-        """``W`` as the engine multiplies it: column-major, in the
-        storage dtype (``weights.answer_weight`` itself under float64).
-        Cast at construction and on a ``dtype`` swap, again on first use
+    def answer_layer(self) -> AnswerLayer:
+        """``W`` as the engine multiplies it, in the storage dtype
+        (holding ``weights.answer_weight`` itself under float64).  Made
+        at construction and on a ``dtype`` swap, again on first use
         after :meth:`close` dropped it (DESIGN.md §10)."""
-        if self._answer_weight is None:
+        if self._answer_layer is None:
             return self._cast_answer_weight()
-        return self._answer_weight
+        return self._answer_layer
 
-    def _cast_answer_weight(self) -> np.ndarray:
-        self._answer_weight = self.weights.answer_weight.astype(
-            self._dtype, order="F", copy=False
-        )
-        return self._answer_weight
+    def _cast_answer_weight(self) -> AnswerLayer:
+        self._answer_layer = AnswerLayer(self.weights.answer_weight, self._dtype)
+        return self._answer_layer
 
     def store_story(self, sentences: np.ndarray) -> None:
         """Embed story sentences and append them to M_IN / M_OUT
@@ -725,7 +724,7 @@ class MnnFastEngine:
         spill directory.  The engine stays usable — the next answer pass
         rebuilds them (and re-spills) on demand.  Idempotent."""
         self._invalidate_solvers()
-        self._answer_weight = None
+        self._answer_layer = None
         spill, self._spill_tmp = self._spill_tmp, None
         if spill is not None:
             spill.cleanup()
@@ -917,14 +916,15 @@ class MnnFastEngine:
             final_u[active] = u
             projected = len(active)
             if projected:
-                logits[active] = self._project(u_tile)
+                logits[active] = self.answer_layer.project(u_tile)[0]
             u = final_u
+            answer_ids = logits.argmax(axis=1)
         else:
-            logits = self._project(u_tile).astype(np.float64, copy=False)
+            logits, answer_ids = self.answer_layer.project(u_tile)
             projected, hops_run, confidences = nq_total, None, None
         trace = (ee.threshold, hops, nq_total, hops_run, confidences)
         return AnswerResult(
-            logits.argmax(axis=1),
+            answer_ids,
             logits,
             u,
             cache_hits=hits,
@@ -932,11 +932,6 @@ class MnnFastEngine:
             elapsed_seconds=time.perf_counter() - start_time,
             ledger=(hop_records, column, num_answers, checks, projected, trace),
         )
-
-    def _project(self, u: np.ndarray) -> np.ndarray:
-        """``u @ W.T`` in ``W``'s dtype: ``u`` narrowed, ``W`` never widened."""
-        answer_weight = self.answer_weight
-        return u.astype(answer_weight.dtype, copy=False) @ answer_weight.T
 
     def _gate_confidence(
         self,
@@ -951,10 +946,10 @@ class MnnFastEngine:
         logits).  The check is not free: the pass's ``stats`` count it
         (extrapolation, answer GEMM, softmax: ``AnswerResult.stats``).
         """
-        answer_weight = self.answer_weight
-        gate_logits = np.empty((len(u), answer_weight.shape[0]), answer_weight.dtype)
+        layer = self.answer_layer
+        gate_logits = np.empty((len(u), layer.num_answers), layer.dtype)
         confidence = logit_margin_confidence(
-            u, last_output, remaining_hops, answer_weight, out=gate_logits
+            u, last_output, remaining_hops, layer, out=gate_logits
         )
         return confidence, gate_logits
 

@@ -39,6 +39,7 @@ import numpy as np
 __all__ = [
     "SUPPORTED_DTYPES",
     "check_dtype",
+    "check_pair",
     "check_questions",
     "feature_major",
     "MemoryStore",
@@ -60,6 +61,17 @@ def check_dtype(dtype) -> np.dtype:
             f"got {dtype.name!r}"
         )
     return dtype
+
+
+def check_pair(m_in: np.ndarray, m_out: np.ndarray) -> None:
+    """Raise unless ``(m_in, m_out)`` is a memory pair: two equal-shaped
+    ``(ns, ed)`` arrays (every store and the baseline take it so)."""
+    if m_in.ndim != 2 or m_out.ndim != 2:
+        raise ValueError("memories must be 2-D (ns, ed)")
+    if m_in.shape != m_out.shape:
+        raise ValueError(
+            f"M_IN and M_OUT shapes differ: {m_in.shape} vs {m_out.shape}"
+        )
 
 
 def check_questions(u, dtype, width: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import RowSubsetStore, check_dtype, feature_major
+from .base import RowSubsetStore, check_dtype, check_pair, feature_major
 
 __all__ = ["MmapStore"]
 
@@ -127,12 +127,7 @@ class MmapStore:
         """
         m_in = np.asarray(m_in)
         m_out = np.asarray(m_out)
-        if m_in.ndim != 2 or m_out.ndim != 2:
-            raise ValueError("memories must be 2-D (ns, ed)")
-        if m_in.shape != m_out.shape:
-            raise ValueError(
-                f"M_IN and M_OUT shapes differ: {m_in.shape} vs {m_out.shape}"
-            )
+        check_pair(m_in, m_out)
         if m_in.shape[0] == 0:
             raise ValueError("cannot save an empty store (0 rows)")
         if dtype is None:

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import MemoryStore, RowSubsetStore, check_dtype, feature_major
+from .base import MemoryStore, check_dtype, check_pair, feature_major
 
 __all__ = ["ResidentStore", "memory_store"]
 
@@ -41,12 +41,7 @@ class ResidentStore:
         dtype = check_dtype(dtype)
         m_in = feature_major(m_in, dtype)
         m_out = np.ascontiguousarray(m_out, dtype=dtype)
-        if m_in.ndim != 2 or m_out.ndim != 2:
-            raise ValueError("memories must be 2-D (ns, ed)")
-        if m_in.shape != m_out.shape:
-            raise ValueError(
-                f"M_IN and M_OUT shapes differ: {m_in.shape} vs {m_out.shape}"
-            )
+        check_pair(m_in, m_out)
         self.m_in = m_in
         self.m_out = m_out
 
@@ -85,7 +80,3 @@ class ResidentStore:
         store = ResidentStore.__new__(ResidentStore)
         store.m_in, store.m_out = self.read_rows(indices)
         return store
-
-    def lazy_select(self, indices: Sequence[int]) -> RowSubsetStore:
-        """A view-based subset (no copy; chunk reads gather rows)."""
-        return RowSubsetStore(self, indices)

@@ -26,6 +26,7 @@ from repro.core.config import EarlyExitConfig
 from repro.core.early_exit import (
     EXIT_CONFIDENCE,
     EXIT_FULL_DEPTH,
+    AnswerLayer,
     HopTrace,
     logit_margin_confidence,
 )
@@ -313,8 +314,27 @@ class TestGateLogitReuse:
     def test_float32_exited_logits_are_the_terminal_state_projected(self):
         """Under the default precision the identity is exact: every row
         of the logits — kept from the gate or projected at the end — is
-        the response narrowed, through the engine's float32 ``W``, then
-        widened."""
+        the response narrowed, through the engine's float32 answer
+        layer, then widened (a row's logits do not depend on its batch)."""
+        engine, result, exited = self._float32_gated_pass()
+        layer = engine.answer_layer
+        assert layer.dtype == np.float32
+        assert result.logits.dtype == np.float64
+        projected, answer_ids = layer.project(result.response)
+        assert result.logits.tobytes() == projected.tobytes()
+        np.testing.assert_array_equal(result.answer_ids, answer_ids)
+
+    def test_float32_exited_logits_are_blas_under_the_numpy_fold(self, numpy_fold):
+        """Without the compiled layer BLAS is the exact referee: the
+        response narrowed, times the float32 ``W``, widened."""
+        engine, result, _ = self._float32_gated_pass()
+        weight = engine.answer_layer.weight
+        assert weight.dtype == np.float32
+        projected = result.response.astype(np.float32) @ weight.T
+        assert result.logits.tobytes() == projected.astype(np.float64).tobytes()
+
+    @staticmethod
+    def _float32_gated_pass():
         config, weights, stories, questions = _calibrated_problem()
         engine = MnnFastEngine(
             config, weights,
@@ -324,11 +344,7 @@ class TestGateLogitReuse:
         result = engine.answer(questions)
         exited = result.hop_trace.hops_run < config.hops
         assert exited.any() and not exited.all()
-        answer_weight = engine.answer_weight
-        assert answer_weight.dtype == np.float32
-        projected = result.response.astype(np.float32) @ answer_weight.T
-        assert result.logits.dtype == np.float64
-        assert result.logits.tobytes() == projected.astype(np.float64).tobytes()
+        return engine, result, exited
 
     def test_logit_margin_hands_its_logits_back(self, rng):
         u, o = rng.normal(size=(2, 6, 8))
@@ -373,7 +389,8 @@ def test_logit_margin_is_the_softmax_margin(
     softmax: within 1e-12 (float64) / 1e-6 (float32), in ``[0, 1]``,
     exactly 0 on a tie and 1 for a single answer — up to logit spreads
     where most exponentials underflow — and the ``out=`` buffer holds
-    exactly what the GEMM wrote."""
+    exactly the answer layer's projection (BLAS's GEMM where the
+    compiled layer does not run: float64, or no compiler)."""
     rng = np.random.default_rng(seed)
     ed = 8
     u, o = rng.normal(size=(2, nq, ed))
@@ -387,8 +404,12 @@ def test_logit_margin_is_the_softmax_margin(
     logits = np.empty((nq, num_answers), dtype)
     margin = logit_margin_confidence(u, o, 2, w, out=logits)
 
-    gemm = (u + 2 * o).astype(dtype) @ w.T
-    assert logits.tobytes() == gemm.tobytes()
+    layer = AnswerLayer(w)
+    if layer.packed is None:
+        projected = (u + 2 * o).astype(dtype) @ w.T
+    else:
+        projected = layer.project(u + 2 * o)[0].astype(dtype)
+    assert logits.tobytes() == projected.tobytes()
     assert margin.dtype == np.float64 and margin.shape == (nq,)
     assert np.all((margin >= 0.0) & (margin <= 1.0))
     if num_answers == 1:

@@ -278,22 +278,31 @@ def test_small_operand_is_cast_not_the_memory():
 
 
 def test_answer_layer_operand_is_held_in_the_storage_dtype():
-    """One ``W`` per engine, column-major, in the memories' dtype — and
-    under the float64 reference config the weights' own array."""
+    """One ``W`` per engine, in the memories' dtype — packed in
+    16-answer panels where the compiled layer runs (the pack replaces
+    the cast), column-major elsewhere — and under the float64 reference
+    config the weights' own array."""
     engine, questions = _loaded(EngineConfig.mnnfast(CHUNK, 0.1))
-    answer_weight = engine.answer_weight
-    assert answer_weight.dtype == np.float32
-    assert answer_weight.flags.f_contiguous
-    np.testing.assert_array_equal(
-        answer_weight, engine.weights.answer_weight.astype(np.float32)
-    )
-    # close() drops the copy with the solvers; the next use casts it again.
+    layer = engine.answer_layer
+    assert layer.dtype == np.float32
+    narrow = engine.weights.answer_weight.astype(np.float32)
+    if compiled_fold.kernels() is None:
+        assert layer.packed is None and layer.weight.flags.f_contiguous
+        np.testing.assert_array_equal(layer.weight, narrow)
+    else:
+        assert layer.weight is None
+        panels, ed, lanes = layer.packed.shape
+        assert panels % 4 == 0 and lanes == 16
+        unpacked = layer.packed.transpose(0, 2, 1).reshape(-1, ed)
+        np.testing.assert_array_equal(unpacked[: len(narrow)], narrow)
+        assert not unpacked[len(narrow) :].any()
+    # close() drops the layer with the solvers; the next use makes it again.
     before = engine.answer(questions).logits
     engine.close()
     assert engine.answer(questions).logits.tobytes() == before.tobytes()
-    assert engine.answer_weight is not answer_weight
+    assert engine.answer_layer is not layer
     reference, _ = _loaded(float64(EngineConfig.mnnfast(CHUNK, 0.1)))
-    assert reference.answer_weight is reference.weights.answer_weight
+    assert reference.answer_layer.weight is reference.weights.answer_weight
 
 
 def test_gated_answer_never_widens_the_answer_matrix():
@@ -324,7 +333,8 @@ def test_gated_answer_never_widens_the_answer_matrix():
     one_w = num_answers * ed * FLOAT_BYTES
     assert peak < one_w // 2
     u, _, _ = engine.embed_question(questions)
-    assert _peak_bytes(lambda: u @ engine.answer_weight.T) > 2 * one_w
+    narrow = engine.weights.answer_weight.astype(np.float32)
+    assert _peak_bytes(lambda: u @ narrow.T) > 2 * one_w
 
 
 def test_swapping_dtype_recasts_the_answer_layer_once():
@@ -332,30 +342,31 @@ def test_swapping_dtype_recasts_the_answer_layer_once():
     from the float64 weights — after the swap to float64 the engine
     answers bit for bit as a fresh float64 engine over the same rows."""
     engine, questions = _loaded(EngineConfig.mnnfast(CHUNK, 0.0))
-    narrow = engine.answer_weight
+    narrow = engine.answer_layer
     engine.answer(questions)
-    assert engine.answer_weight is narrow  # not re-cast per pass
+    assert engine.answer_layer is narrow  # not re-cast per pass
 
     engine.engine_config = float64(engine.engine_config)
     widened = engine.answer(questions)
-    assert engine.answer_weight is engine.weights.answer_weight
+    assert engine.answer_layer.weight is engine.weights.answer_weight
     fresh = MnnFastEngine(engine.config, engine.weights, engine.engine_config)
     fresh.set_memories(*engine.memories)
     assert widened.logits.tobytes() == fresh.answer(questions).logits.tobytes()
 
     engine.engine_config = engine.engine_config.with_execution(dtype="float32")
     engine.answer(questions)
-    recast = engine.answer_weight
+    recast = engine.answer_layer
     assert recast.dtype == np.float32 and recast is not narrow
-    np.testing.assert_array_equal(recast, narrow)
+    for held in ("weight", "packed"):
+        np.testing.assert_array_equal(getattr(recast, held), getattr(narrow, held))
     engine.answer(questions)
-    assert engine.answer_weight is recast
+    assert engine.answer_layer is recast
 
     # A swap, then clear_memories: the next write still re-casts W.
     engine.engine_config = float64(engine.engine_config)
     engine.clear_memories()
     engine.store_story(np.ones((2, 6), dtype=int))
-    assert engine.answer_weight is engine.weights.answer_weight
+    assert engine.answer_layer.weight is engine.weights.answer_weight
 
 
 def test_probe_scores_the_float64_state(monkeypatch):

@@ -28,7 +28,7 @@ from repro.core import (
     TopKConfig,
 )
 from repro.index.topk import TopKMemNN
-from repro.store import ChunkPrefetcher, MmapStore, ResidentStore
+from repro.store import ChunkPrefetcher, MmapStore, ResidentStore, RowSubsetStore
 
 from .test_float32_bytes import _peak_bytes
 
@@ -78,7 +78,7 @@ def _resident_select(m_in, m_out, tmp_path):
 
 def _row_subset(m_in, m_out, tmp_path):
     held = _in_capacity_buffer(m_in)
-    subset = ResidentStore(held, m_out, dtype=m_in.dtype).lazy_select(STRIDED)
+    subset = RowSubsetStore(ResidentStore(held, m_out, dtype=m_in.dtype), STRIDED)
     yield STRIDED[10:90], *subset.read_chunk(10, 90)
     yield STRIDED[[4, 2, 9]], *subset.read_rows([4, 2, 9])
     every_other = subset.select(np.arange(0, len(STRIDED), 2))

@@ -85,10 +85,9 @@ class TestResidentStore:
         sub = store.select(np.arange(3, 60, 7))
         np.testing.assert_array_equal(sub.m_in, memories[0][3:60:7])
 
-    def test_lazy_select_is_a_view(self, memories):
+    def test_row_subset_is_a_view(self, memories):
         store = ResidentStore(*memories)
-        sub = store.lazy_select([5, 2, 9])
-        assert isinstance(sub, RowSubsetStore)
+        sub = RowSubsetStore(store, [5, 2, 9])
         assert sub.num_rows == 3
         chunk_in, _ = sub.read_chunk(0, 2)
         np.testing.assert_array_equal(chunk_in, memories[0][[5, 2]])
