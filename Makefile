@@ -5,7 +5,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test test-fast test-slowest bench bench-core serving \
-	perfbench perfbench-compare perfbench-smoke loc kernel
+	perfbench perfbench-compare perfbench-smoke loc kernel topk-crossover
 
 check: lint test
 
@@ -89,9 +89,11 @@ perfbench-compare:
 # the only caller of EngineConfig.fused(4), the 2-worker process config
 # and the vars(cls)[attr] span boundaries, so a refactor that moves a
 # method off its class fails here — and docqa_sessions (~15 s), the
-# only traced run that crosses the index.*, early_exit.gate and
-# batching.* boundaries (IVFIndex.probe, the engine module's
-# logit_margin_confidence, ContinuousBatcher.submit/poll).
+# only traced run that crosses the early_exit.gate and batching.*
+# boundaries (the engine module's logit_margin_confidence,
+# ContinuousBatcher.submit/poll).  Its 4 096 rows are below
+# TopKConfig.min_rows, so it reads index.fallback_share 1.0 and never
+# reaches IVFIndex.build/probe: tests/test_index.py holds those.
 perfbench-smoke:
 	$(PYTHON) -m pytest benchmarks/perfbench -q
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
@@ -99,6 +101,13 @@ perfbench-smoke:
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --trace 1 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload table1_batch --trace 1 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload docqa_sessions --trace 1 > /dev/null
+
+# The sweep TopKConfig.min_rows is set from (DESIGN.md §12):
+# engine.answer, exact scan vs the top-k tier at two sizings, 2 048 to
+# 32 768 rows, nq 1/4/8, in host-reference units (~10 s).  BLAS is
+# pinned to one thread, as perfbench pins it.
+topk-crossover:
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest benchmarks/bench_topk_recall.py -q -s -k crossover
 
 # Line counts ROADMAP.md tracks (aim 2: src/ should go down); src/
 # counts its C source too.

@@ -34,23 +34,34 @@ sublinearly — the largest/smallest time ratio stays under half the
 on a smaller grid (``tests/test_topk_recall.py``); the time ratio and
 the speed-up are wall-clock and live only here.
 
-A second, ungated table times one hop at the shape perfbench's
-``docqa_sessions`` serves (4 096 rows, nlist 64, nprobe 16, the
-``EngineConfig.mnnfast()`` zero-skip threshold, nq 1/4/8): top-k hop
-time over exact hop time, the crossover ``TopKConfig.min_rows`` should
-follow.
+The second bench, ``test_topk_crossover`` (``make topk-crossover``),
+is the sweep ``TopKConfig.min_rows`` is set from: ``engine.answer``
+time, exact scan against the tier, on perfbench's ``docqa_sessions``
+surrogate grown from 2 048 to 32 768 rows, at nq 1/4/8, each call next
+to one host-reference call (``perfbench/host_ref.py``).  The tier runs
+at ``with_topk()``'s sizing and at docqa's (nlist 64, nprobe 16).  Its
+gate: at twice ``min_rows`` the default-sized tier answers nq 4 no
+slower than the exact scan.  Run it with ``OPENBLAS_NUM_THREADS=1``, as
+perfbench pins BLAS.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from repro.core import ChunkConfig, ColumnMemNN, EngineConfig, EngineWeights, MemNNConfig
+from repro.core import (
+    ChunkConfig, ColumnMemNN, EngineConfig, EngineWeights, MemNNConfig, TopKConfig,
+)  # fmt: skip
 from repro.core.engine import MnnFastEngine
 from repro.docqa import docqa_network, docqa_weights, generate_queries, synthetic_corpus
 from repro.index import TopKMemNN
 from repro.index.harness import synthetic_topical_workload
 from repro.report import format_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
+from host_ref import HostRef, RefSpec  # noqa: E402
 
 #: Memory sizes swept — largest is 64x the smallest.
 SIZES = (4_096, 32_768, 262_144)
@@ -70,6 +81,11 @@ NUM_BATCHES = 16  # 128 questions per size for the agreement statistic
 NPROBE_LADDER = (4, 8, 16, 32, 64)
 REPEATS = 5
 WEIGHT_SCALE = 0.35  # peaked-attention operating point (cf. Fig. 6)
+
+#: The crossover sweep: memory sizes, batch sizes, timed rounds per cell.
+CROSSOVER_SIZES = (2_048, 4_096, 8_192, 16_384, 32_768)
+CROSSOVER_NQ = (1, 4, 8)
+CROSSOVER_ROUNDS = 40
 
 RECALL_FLOOR = 0.95
 AGREEMENT_FLOOR = 0.99
@@ -235,56 +251,113 @@ def test_topk_sublinear_at_recall_floor(benchmark, report):
     assert sweep[-1]["speedup"] > 1.0, "top-k slower than exact at max size"
 
 
-def test_topk_hop_over_exact_hop_at_docqa_shape(benchmark, report):
-    """The docqa_sessions memory (32 documents x 128 rows, ed 64) behind
-    the tier it serves through, ``with_topk(nlist=64, nprobe=16)``: one
-    hop's time over an exact hop's, per batch size.  No gate — the
-    ratio is the measured crossover ROADMAP item 5 asks for."""
-    corpus = synthetic_corpus(num_docs=32, rows_per_doc=128, max_words=8, seed=0)
-    queries, _ = generate_queries(corpus, 256, seed=1)
+def _crossover_engines(ns: int):
+    """The docqa_sessions surrogate grown to ``ns`` rows (128-row
+    documents), behind the exact scan and the tier at both sizings."""
+    corpus = synthetic_corpus(
+        num_docs=ns // 128, rows_per_doc=128, max_words=8, seed=0
+    )
+    queries, _ = generate_queries(corpus, 16 * max(CROSSOVER_NQ), seed=1)
     network = docqa_network(corpus, embedding_dim=64, hops=2)
     weights = docqa_weights(network, seed=2, scale=0.7, out_scale=0.02)
-    config = EngineConfig.mnnfast().with_topk(nlist=64, nprobe=16)
-    engine = MnnFastEngine(network, weights, engine_config=config)
-    engine.store_story(corpus.rows)
-    questions = np.stack([query.words for query in queries])
-    m_in, m_out = engine.memories
-    solvers = (
-        TopKMemNN(
-            m_in, m_out, config=config.topk, chunk=config.chunk, dtype=np.float32
-        ),
-        ColumnMemNN(m_in, m_out, chunk=config.chunk, dtype=np.float32),
+    exact = EngineConfig.mnnfast()
+    engines = {
+        name: MnnFastEngine(network, weights, engine_config=config)
+        for name, config in (
+            ("exact", exact),
+            ("default", exact.with_topk(min_rows=0)),
+            ("docqa", exact.with_topk(nlist=64, nprobe=16, min_rows=0)),
+        )
+    }
+    for engine in engines.values():
+        engine.store_story(corpus.rows)
+    return engines, np.stack([query.words for query in queries])
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _crossover_sweep() -> dict:
+    """``{(ns, nq): {sizing: median ref units per engine.answer}}``:
+    each answer is timed next to one host-reference call and divided by
+    it, so the host's slow and fast phases cancel."""
+    ref = HostRef(RefSpec(ed=64, nq=4, chunk=1000, hops=2, rows=2048))
+    sweep = {}
+    for ns in CROSSOVER_SIZES:
+        engines, questions = _crossover_engines(ns)
+        for nq in CROSSOVER_NQ:
+            batches = [
+                questions[start : start + nq] for start in range(0, 16 * nq, nq)
+            ]
+            for engine in engines.values():
+                engine.answer(batches[0])  # builds the index and its copy
+            rel = {name: [] for name in engines}
+            for round_ in range(CROSSOVER_ROUNDS):
+                batch = batches[round_ % len(batches)]
+                for name, engine in engines.items():
+                    seconds = _timed(lambda: engine.answer(batch))
+                    rel[name].append(seconds / _timed(ref))
+            sweep[ns, nq] = {name: float(np.median(r)) for name, r in rel.items()}
+        for engine in engines.values():
+            engine.close()
+    ref.close()
+    return sweep
+
+
+def _crossover_rule(speedups: dict) -> int:
+    """``TopKConfig.min_rows`` by the sweep's rule: the largest swept
+    size at which the default-sized tier is not faster than the exact
+    scan at every nq (``speedups[ns, nq]`` = exact time / top-k time)."""
+    return max(
+        (
+            ns for ns in CROSSOVER_SIZES
+            if any(speedups[ns, nq] <= 1.0 for nq in CROSSOVER_NQ)
+        ),  # fmt: skip
+        default=0,
     )
-    zero_skip = config.zero_skip
 
-    def measure():
-        rows = []
-        for nq in (1, 4, 8):
-            u_batches = [
-                engine.embed_question(questions[start : start + nq])[0]
-                for start in range(0, 16 * nq, nq)
-            ]
-            # _best_of's warm-up call builds the index and its copy.
-            seconds = [
-                _best_of(lambda: [_hop(solver, u, zero_skip) for u in u_batches])
-                / len(u_batches)
-                for solver in solvers
-            ]
-            rows.append((nq, *seconds))
-        return rows
 
-    rows = benchmark.pedantic(measure, iterations=1, rounds=1)
+def test_topk_crossover(benchmark, report):
+    """engine.answer, the exact scan against the tier at ``with_topk()``'s
+    sizing (nprobe 8, nlist sqrt(ns)) and at docqa_sessions' (nlist 64,
+    nprobe 16), on the docqa surrogate from 2 048 to 32 768 rows.  The
+    rule's size is what ``TopKConfig.min_rows`` is set to; the gate is
+    that at twice that size the default-sized tier answers nq 4 no
+    slower than the exact scan."""
+    sweep = benchmark.pedantic(_crossover_sweep, iterations=1, rounds=1)
+    speedups = {
+        (key, sizing): cell["exact"] / cell[sizing]
+        for key, cell in sweep.items()
+        for sizing in ("default", "docqa")
+    }
     report(format_table(
-        ["nq", "top-k hop", "exact hop", "top-k / exact"],
+        ["ns", "nq", "exact", "top-k sqrt(ns)/8", "exact / top-k",
+         "top-k 64/16", "exact / top-k"],
         [
-            [nq, f"{t * 1e6:.0f} us", f"{e * 1e6:.0f} us", f"{t / e:.2f}x"]
-            for nq, t, e in rows
+            [
+                f"{ns:,}", nq, f"{cell['exact']:.3f}",
+                f"{cell['default']:.3f}", f"{speedups[(ns, nq), 'default']:.2f}x",
+                f"{cell['docqa']:.3f}", f"{speedups[(ns, nq), 'docqa']:.2f}x",
+            ]
+            for (ns, nq), cell in sweep.items()
         ],
         title=(
-            f"One hop at docqa_sessions' shape ({engine.num_stored_sentences:,} "
-            f"rows, nlist 64, nprobe 16, float32)"
+            "engine.answer in host-ref units (median of "
+            f"{CROSSOVER_ROUNDS}), exact scan vs the top-k tier, docqa "
+            "surrogate, float32, 2 hops"
         ),
     ))
-    for nq, topk, exact in rows:
-        benchmark.extra_info[f"topk_over_exact_nq{nq}"] = round(topk / exact, 3)
-    engine.close()
+    default = {key: speedups[key, "default"] for key in sweep}
+    rule = _crossover_rule(default)
+    min_rows = TopKConfig().min_rows
+    report(f"crossover by the rule: {rule:,} rows; TopKConfig.min_rows: {min_rows:,}")
+    for (ns, nq), speedup in default.items():
+        benchmark.extra_info[f"exact_over_topk_ns{ns}_nq{nq}"] = round(speedup, 3)
+    benchmark.extra_info["crossover_rule"] = rule
+    assert default[2 * min_rows, 4] >= 1.0, (
+        f"at {2 * min_rows:,} rows the default-sized tier answers nq 4 "
+        f"{1 / default[2 * min_rows, 4]:.2f}x slower than the exact scan"
+    )

@@ -418,10 +418,13 @@ class TopKConfig:
         nlist: cluster count of the index; ``None`` picks
             ``round(sqrt(ns))`` at build time (the classic IVF sizing,
             which balances probe cost against candidate-list length).
-        min_rows: below this many memory rows the index falls back to
-            an exact scan over all rows (small memories are cheaper to
-            scan than to cluster — and the fallback is bit-exact, which
-            the differential suite relies on).
+        min_rows: at or below this many memory rows the tier falls
+            back to the exact scan over all rows, bit-exact with the tier
+            off, and builds no index.  8 192 is the measured crossover
+            (``make topk-crossover``, DESIGN.md §12): the largest size at
+            which the default-sized tier did not beat the exact scan at
+            every nq of 1/4/8 (0.83–1.15× exact time over top-k time
+            there, 1.2–1.6× at 16 384 rows).
         kmeans_iters: Lloyd iterations when building the index.
         seed: RNG seed for centroid initialization (deterministic
             builds — same memories, same index).
@@ -440,7 +443,7 @@ class TopKConfig:
 
     nprobe: int = 0
     nlist: int | None = None
-    min_rows: int = 2048
+    min_rows: int = 8192
     kmeans_iters: int = 4
     seed: int = 0
     measure_recall: bool = False

@@ -245,10 +245,11 @@ class AnswerResult:
     read surface of the per-hop shard, store and index statistics) and
     ``hop_trace`` — are built on first read from what the pass kept of
     each hop: a solver's :class:`~repro.core.results.InferenceResult`,
-    or a resident column scan's row counts (with the probe's record, on
-    a top-k hop over the cluster-major copy).  An answer nobody inspects
-    pays for none of them; every counter has the value the pass
-    produced.  (The per-question views of a batch are given theirs.)
+    or a resident column scan's row counts (with the tier's record, on
+    a top-k hop: over the cluster-major copy, or below ``min_rows``).
+    An answer nobody inspects pays for none of them; every counter has
+    the value the pass produced.  (The per-question views of a batch are
+    given theirs.)
     """
 
     def __init__(
@@ -350,7 +351,8 @@ def _hop_stats(hop: InferenceResult | tuple, column: tuple) -> OpStats:
 
 def _hop_tiers(hop: InferenceResult | tuple) -> Dict[str, Any] | None:
     """A hop's ``tier_stats()``: its solver's, none for a resident
-    column scan, and the index's alone for a top-k hop's record."""
+    column scan, and the index's alone for a top-k hop's record (``nlist``
+    0: the tier's exact fallback, which probed nothing)."""
     if type(hop) is not tuple:
         return hop.tier_stats()
     if len(hop) == 3:
@@ -358,7 +360,7 @@ def _hop_tiers(hop: InferenceResult | tuple) -> Dict[str, Any] | None:
     from ..index.stats import IndexStats
 
     num_rows, nlist, nprobe, build, probe = hop[3]
-    index = IndexStats(num_rows, hop[1], nlist, nprobe, True, build, probe)
+    index = IndexStats(num_rows, hop[1], nlist, nprobe, nlist > 0, build, probe)
     return {"shards": None, "store": None, "index": index}
 
 
@@ -860,8 +862,9 @@ class MnnFastEngine:
         for hop in range(hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
             # u_{k+1} = u_k + o_k: a resident column kernel, and the
-            # top-k tier's scan of its cluster-major copy, end the hop
-            # with it (TileState.recur); here it is the same two steps.
+            # top-k tier's scan of its cluster-major copy or its exact
+            # fallback, end the hop with it (TileState.recur); here it
+            # is the same two steps.
             if type(solver) is ColumnMemNN and solver.store_stats is None:
                 output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile)
                 record = (len(u), rows, kept)

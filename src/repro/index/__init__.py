@@ -16,8 +16,9 @@ which rows are examined.
 * :class:`TopKMemNN` — the solver the engine dispatches to: probe,
   gather (resident rows or a lazy
   :class:`~repro.store.base.RowSubsetStore` view of a disk tier),
-  exact attention, with a bit-exact full-scan fallback below
-  ``TopKConfig.min_rows``.
+  exact attention, with a bit-exact full-scan fallback at or below
+  ``TopKConfig.min_rows`` (8 192 rows, the measured crossover of
+  ``make topk-crossover``: the exact scan is faster below it).
 * :class:`IndexStats` — per-pass observability (candidates examined,
   probe/build time, attention-mass recall).
 * :func:`compare_topk_vs_exact` / :func:`synthetic_topical_workload` —

@@ -15,11 +15,11 @@ fan-out over gathered rows (PR 5's gather substrate).  The only
 approximation is which rows are examined; the arithmetic on the
 examined rows is the exact kernel's.
 
-Below ``TopKConfig.min_rows`` the solver skips the index entirely and
-delegates to the exact kernel over the full memory — *bit-exact* with
-the non-topk path (the differential suite pins this at 1e-10), so the
-tier can be left enabled unconditionally and small memories pay
-nothing.
+At or below ``TopKConfig.min_rows`` (the measured crossover) the
+solver builds no index and delegates to the exact kernel over the full
+memory — *bit-exact* with the non-topk path; an engine hop there is
+that kernel's own hop — so the tier can be left enabled
+unconditionally and small memories pay nothing.
 
 With ``measure_recall`` set, each pass also computes the attention-mass
 recall: the fraction of the exact softmax mass the candidate set
@@ -171,9 +171,11 @@ class TopKMemNN:
         ``ColumnMemNN.output``: ``u`` and ``u_tile`` advance in place and
         ``(o, rows, kept, (num_rows, nlist, nprobe, build_seconds,
         probe_seconds))`` comes back, the engine's to build records from.
+        So is a pass below ``min_rows`` over a plain resident memory,
+        with ``nlist`` 0 (see :meth:`_exact_output`).
         """
         if not self.uses_index:
-            return self._exact_output(u, zero_skip)
+            return self._exact_output(u, zero_skip, u_tile)
 
         start = time.perf_counter()
         index = self._ensure_index()
@@ -251,12 +253,23 @@ class TopKMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None,
-    ) -> InferenceResult:
+        u_tile: np.ndarray | None,
+    ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
         """Exact-scan fallback: the configured kernel over every row,
-        bit-identical to the tier being disabled."""
+        bit-identical to the tier being disabled.  An engine hop over a
+        plain resident kernel is that kernel's own (one matmul and one C
+        call per tile) and comes back as an indexed hop's record, with
+        ``nlist`` 0: no index ran."""
         if self._exact_solver is None:
             self._exact_solver = self._build_solver(full_memory=True)
-        result = self._exact_solver.output(u, zero_skip=zero_skip)
+        exact = self._exact_solver
+        if (
+            u_tile is not None and not self.config.measure_recall
+            and type(exact) is ColumnMemNN and exact.store_stats is None
+        ):  # fmt: skip
+            tier = (self.num_sentences, 0, self.config.nprobe, 0.0, 0.0)
+            return *exact.output(u, zero_skip, u_tile=u_tile), tier
+        result = exact.output(u, zero_skip=zero_skip)
         result.index_stats = IndexStats(
             num_rows=self.num_sentences,
             candidate_rows=self.num_sentences,

@@ -125,9 +125,16 @@ def test_resident_column_bytes_equal_the_plan():
         # Strided shards gather their rows — a copy, in float32.
         (EngineConfig.sharded(3, "strided", chunk_size=CHUNK), False),
         (EngineConfig.out_of_core(resident_bytes=1 << 20, chunk_size=CHUNK), False),
-        (EngineConfig.mnnfast(CHUNK, 0.1).with_topk(nlist=16, nprobe=4), False),
+        # min_rows=0: NS is below the measured crossover, and these two
+        # cells must reach the indexed path.
         (
-            EngineConfig.out_of_core(chunk_size=CHUNK).with_topk(nlist=16, nprobe=4),
+            EngineConfig.mnnfast(CHUNK, 0.1).with_topk(nlist=16, nprobe=4, min_rows=0),
+            False,
+        ),
+        (
+            EngineConfig.out_of_core(chunk_size=CHUNK).with_topk(
+                nlist=16, nprobe=4, min_rows=0
+            ),
             False,
         ),
     ),
@@ -250,7 +257,7 @@ def test_small_operand_is_cast_not_the_memory():
     the O(ns x ed x 8) float64 copy of the memory a mixed GEMM makes."""
     engine, questions = _loaded(
         EngineConfig.mnnfast(CHUNK, 0.1)
-        .with_topk(nlist=16, nprobe=4, measure_recall=True)
+        .with_topk(nlist=16, nprobe=4, min_rows=0, measure_recall=True)
     )
     widened_memory = NS * ED * 8
     scores_bytes = NQ * NS * 8
@@ -373,7 +380,7 @@ def test_probe_scores_the_float64_state(monkeypatch):
     """The centroids are float64 and few: the probe takes ``u`` as the
     hop loop carries it, not the float32 copy made for the scan."""
     engine, questions = _loaded(
-        EngineConfig.mnnfast(CHUNK, 0.1).with_topk(nlist=16, nprobe=4)
+        EngineConfig.mnnfast(CHUNK, 0.1).with_topk(nlist=16, nprobe=4, min_rows=0)
     )
     probed = []
     probe = IVFIndex.probe

@@ -578,3 +578,98 @@ class TestClusterMajorScan:
         candidates = min(s.candidate_rows for s in batch.tier_stats()["index"])
         candidate_matrix = candidates * engine.config.embedding_dim * 8
         assert max(hop_peaks) < candidate_matrix / 2, (hop_peaks, candidate_matrix)
+
+
+# --- below the crossover -------------------------------------------------------
+
+
+class TestBelowTheCrossover:
+    """At or below ``TopKConfig.min_rows`` an engine hop through the tier
+    is the exact column kernel's own: no index, no cluster-major copy,
+    one ``ColumnMemNN.output(u_tile=...)`` per hop."""
+
+    CONFIG = (
+        EngineConfig.mnnfast(chunk_size=256)
+        .with_topk(nprobe=6, nlist=24)
+        .with_early_exit(0.2)
+    )
+
+    @pytest.mark.parametrize("fold", ("compiled", "numpy"))
+    def test_a_fallback_hop_is_the_tier_off_hop(self, fold, request):
+        """Logits, answers, depths and gate confidences are the tier-off
+        engine's bytes; each hop's record reads no index and every row
+        a candidate, and the counters hold no probe."""
+        if fold == "numpy":
+            request.getfixturevalue("numpy_fold")
+        elif compiled_fold.fold_backend() != "c":
+            pytest.skip(compiled_fold.fold_backend())
+        problem = _docqa_surrogate()
+        ns = len(problem[2])
+        assert not self.CONFIG.topk.uses_index(ns)
+        tier = _docqa_engine(problem, self.CONFIG)
+        off = _docqa_engine(problem, self.CONFIG.with_topk(nprobe=0))
+        questions = problem[3]
+        for start in range(0, 24, 4):
+            got = tier.answer(questions[start : start + 4])
+            want = off.answer(questions[start : start + 4])
+            assert got.logits.tobytes() == want.logits.tobytes()
+            assert got.answer_ids.tobytes() == want.answer_ids.tobytes()
+            trace, want_trace = got.hop_trace, want.hop_trace
+            assert trace.hops_run.tobytes() == want_trace.hops_run.tobytes()
+            assert [c.tobytes() for c in trace.confidence] == [
+                c.tobytes() for c in want_trace.confidence
+            ]
+            assert got.stats == want.stats
+            assert got.hop_stats == want.hop_stats
+            records = got.tier_stats()["index"]
+            assert len(records) == len(got.hop_stats)
+            for record in records:
+                assert not record.used_index
+                assert record.candidate_rows == record.num_rows == ns
+                assert record.nlist == 0
+        solver = tier._solver(0)
+        assert solver.index is None and solver._cluster_scan is None
+
+    def test_a_fallback_hop_builds_and_probes_nothing(self, monkeypatch):
+        problem = _docqa_surrogate()
+        engine = _docqa_engine(problem, self.CONFIG)
+        calls = Counter()
+        for owner, attr in (
+            (IVFIndex, "build"), (IVFIndex, "probe"), (ColumnMemNN, "output"),
+        ):  # fmt: skip
+            original = vars(owner)[attr]
+            if isinstance(original, classmethod):
+                original = getattr(owner, attr)
+
+            def counted(*args, _original=original, _attr=attr, **kwargs):
+                hop = kwargs.get("u_tile") is not None
+                calls[_attr + (" hop" if hop else "")] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        questions = problem[3]
+        answers = [
+            engine.answer(questions[start : start + 4]) for start in range(0, 24, 4)
+        ]
+        hops = sum(len(answer._ledger[0]) for answer in answers)
+        assert calls == {"output hop": hops}
+        assert all(type(hop) is tuple for a in answers for hop in a._ledger[0])
+
+    def test_a_story_grown_across_min_rows_switches_to_the_index(self):
+        """``store_story`` past ``min_rows`` drops the fallback solver;
+        the next pass probes an index over the longer memory, as an
+        engine that ingested the story whole does."""
+        problem = _docqa_surrogate()
+        config = self.CONFIG.with_topk(nprobe=6, min_rows=700)
+        stories, questions = problem[2], problem[3][:8]
+        grown = _docqa_engine(problem, config, rows=700)
+        before = grown.answer(questions).tier_stats()["index"]
+        assert not any(record.used_index for record in before)
+        grown.store_story(stories[700:])
+        result = grown.answer(questions)
+        assert all(record.used_index for record in result.tier_stats()["index"])
+        assert grown._solver(0).index.num_rows == len(stories)
+        whole = _docqa_engine(problem, config).answer(questions)
+        assert result.logits.tobytes() == whole.logits.tobytes()
+        assert result.answer_ids.tobytes() == whole.answer_ids.tobytes()
+        assert result.hop_trace.hops_run.tobytes() == whole.hop_trace.hops_run.tobytes()
