@@ -1,6 +1,7 @@
 """The subnormal cliff of the compiled tile fold and of the gate's
-softmax margin, and the answer layer's per-call cost (DESIGN.md §10,
-"The subnormal cliff" and "The answer layer").
+softmax margin, the answer layer's per-call cost, and what an engine hop
+pays beside its GEMMs and compiled calls (DESIGN.md §10, "The subnormal
+cliff", "The answer layer" and "Tile plan").
 
 A question copied from a memory row scores its own row ~100 above most
 others, so most shifted scores of its tile fall below ``exp_floor``.
@@ -23,18 +24,27 @@ and cold after a sweep that evicts L2.  Its gate mirrors the fold's: a
 check of peaked logits (most shifted logits below ``exp_floor``) may
 cost at most 1.25x a flat one, under both layers.
 
+The hop gate times ``ColumnMemNN.output(u, zero_skip, u_tile=...)`` over
+the ``table1_batch`` memory (8 192 rows in 9 tiles, 16 questions, th
+0.1) against a bare loop of the same ``np.matmul`` calls and compiled
+calls on pointers taken beforehand, and against the GEMMs alone, the
+three taking turns replay by replay: in the median round the hop may
+cost at most 1.10x the bare loop.  Its table splits a tile into GEMM,
+fold and Python glue.
+
 Everything here is wall-clock, so it runs by hand (``make bench``), and
 only where the compiled fold builds; run it with
 ``OPENBLAS_NUM_THREADS=1``, as perfbench runs, or a two-thread ``sgemm``
 on a two-vCPU host reads milliseconds.
 """
 
+import ctypes
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import compiled_fold
+from repro.core import ChunkConfig, ColumnMemNN, ZeroSkipConfig, compiled_fold
 from repro.core.column import TileState, exp_floor
 from repro.core.early_exit import AnswerLayer
 from repro.report import format_table
@@ -245,3 +255,121 @@ def test_a_peaked_gate_check_costs_a_flat_ones(monkeypatch, benchmark, report):
             f"a peaked gate check costs {ratio:.2f}x a flat one under the "
             f"{layer} layer (gate {GATE}x)"
         )
+
+
+#: The ``table1_batch`` memory: rows, chunk, threshold.
+HOP_ROWS, HOP_CHUNK, HOP_THRESHOLD = 8192, 1000, 0.1
+#: A hop may cost at most this many bare loops of its GEMMs and calls.
+HOP_GATE = 1.10
+HOP_ROUNDS = 21
+
+
+def _table1_hop():
+    """``(solver, u)``: a resident ``table1_batch``-shaped memory and 16
+    questions copied from its rows."""
+    rng = np.random.default_rng(0)
+    words = rng.integers(1, VOCAB, size=(HOP_ROWS, WORDS))
+    m_in = rng.normal(0.0, 0.5, (VOCAB, ED))[words].sum(axis=1).astype(np.float32)
+    m_out = rng.normal(0.0, 0.1, (VOCAB, ED))[words].sum(axis=1).astype(np.float32)
+    solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(HOP_CHUNK), dtype=np.float32)
+    return solver, m_in[rng.integers(0, HOP_ROWS, size=NQ)].astype(np.float64)
+
+
+def _bare_hop(solver, u, u_tile):
+    """``(hop, gemms)``: the hop's score GEMMs and compiled calls with
+    nothing around them — views, workspace, fold state and pointers made
+    here, once — and its GEMMs alone."""
+    library = compiled_fold.kernels()
+    m_in, m_out = solver.store.m_in, solver.store.m_out
+    starts = range(0, HOP_ROWS, HOP_CHUNK)
+    tiles_in = [m_in[a : a + HOP_CHUNK].T for a in starts]
+    tiles_out = [m_out[a : a + HOP_CHUNK] for a in starts]
+    workspace = np.empty((NQ, HOP_CHUNK), np.float32)
+    blocks = [workspace[:, : len(out)] for out in tiles_out]
+    state = np.zeros(NQ * (ED + 2))
+    base = state.ctypes.data
+    fold_state = compiled_fold.FoldState(
+        NQ, ED, base, base + 8 * NQ, base + 8 * NQ * (ED + 1), HOP_THRESHOLD,
+        float(exp_floor(np.dtype(np.float32))), 0,
+    )  # fmt: skip
+    address = ctypes.addressof(fold_state)
+    capsules, pointers = compiled_fold.structs([*blocks, *tiles_out, u, u_tile])
+    scores_at, rows_at = pointers[: len(blocks)], pointers[len(blocks) : -2]
+    fold, finish = library.repro_fold, library.repro_hop
+    matmul, last = np.matmul, len(blocks) - 1
+    calls = list(zip(tiles_in, blocks, scores_at, rows_at))
+
+    def hop():
+        fold_state.folded = 0
+        for tile_in, block, block_at, rows in calls[:last]:
+            matmul(u_tile, tile_in, out=block)
+            fold(address, block_at, rows, None, None)
+        tile_in, block, block_at, rows = calls[last]
+        matmul(u_tile, tile_in, out=block)
+        finish(address, block_at, rows, *pointers[-2:])
+
+    def gemms():
+        for tile_in, block, _, _ in calls:
+            matmul(u_tile, tile_in, out=block)
+
+    hop.keep = (capsules, state, fold_state)
+    return hop, gemms
+
+
+def test_a_hop_costs_its_gemms_and_compiled_calls(benchmark, report):
+    solver, start = _table1_hop()
+    zero_skip = ZeroSkipConfig(HOP_THRESHOLD)
+    states = {name: (start.copy(), start.astype(np.float32)) for name in ("hop", "bare")}
+    bare, gemms = _bare_hop(solver, *states["bare"])
+    u, u_tile = states["hop"]
+    runs = {
+        "hop": lambda: solver.output(u, zero_skip, u_tile=u_tile),
+        "bare": bare,
+        "gemms": gemms,
+    }
+    # The same arithmetic: the hop and the bare loop end in equal states.
+    for name in ("hop", "bare"):
+        runs[name]()
+    assert states["hop"][0].tobytes() == states["bare"][0].tobytes()
+
+    def run():
+        """Per round, each case's fastest of REPLAYS, the cases taking
+        turns replay by replay so that a round's three minimums see the
+        same host."""
+        rounds = []
+        for round_ in range(HOP_ROUNDS):
+            best = dict.fromkeys(runs, float("inf"))
+            for _ in range(REPLAYS):
+                for name in runs if round_ % 2 == 0 else list(runs)[::-1]:
+                    for hop_u, hop_tile in states.values():
+                        np.copyto(hop_u, start)
+                        np.copyto(hop_tile, start)
+                    began = time.perf_counter()
+                    runs[name]()
+                    best[name] = min(best[name], time.perf_counter() - began)
+            rounds.append(best)
+        return rounds
+
+    rounds = benchmark.pedantic(run, iterations=1, rounds=1)
+    tiles = -(-HOP_ROWS // HOP_CHUNK)
+    ratio = float(np.median([best["hop"] / best["bare"] for best in rounds]))
+    parts = {
+        "GEMM": [best["gemms"] for best in rounds],
+        "fold": [best["bare"] - best["gemms"] for best in rounds],
+        "glue": [best["hop"] - best["bare"] for best in rounds],
+    }
+    per_hop = {part: float(np.median(times)) for part, times in parts.items()}
+    report(format_table(
+        ["part", "per tile", "per hop"],
+        [[part, f"{t / tiles * 1e6:.1f} us", f"{t * 1e6:.1f} us"] for part, t in per_hop.items()],
+        title=(
+            f"A {tiles}-tile hop, {NQ} x {HOP_ROWS} float32, th {HOP_THRESHOLD}, "
+            f"median over {HOP_ROUNDS} rounds of each round's best of {REPLAYS}: "
+            f"hop / bare loop = {ratio:.3f}x"
+        ),
+    ))  # fmt: skip
+    benchmark.extra_info["hop_vs_bare"] = round(ratio, 3)
+    assert ratio <= HOP_GATE, (
+        f"a hop costs {ratio:.3f}x the bare loop of its GEMMs and compiled "
+        f"calls (gate {HOP_GATE}x)"
+    )

@@ -13,8 +13,9 @@
  *
  * The score GEMM before it stays in BLAS, and with zero-skipping off
  * the weighted sum after it too (the caller's np.matmul over the
- * exponentials left in the block).  The NumPy fold in column.py is the
- * reference this file is tested against (tests/test_compiled_fold.py).
+ * exponentials left in the block, added into acc by the next call).
+ * The NumPy fold in column.py is the reference this file is tested
+ * against (tests/test_compiled_fold.py).
  *
  * repro_hop ends a hop in the same call: the divide and the hop
  * recurrence u += acc / denom, then u narrowed to float32 for the next
@@ -53,6 +54,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
 /* The running state of one scan, owned by a TileState (its ctypes
  * twin is compiled_fold.FoldState). */
@@ -64,6 +68,8 @@ typedef struct {
     double threshold; /* zero-skipping threshold, 0 = keep every row */
     double floor;     /* exp_floor(float32): shifted scores are floored here */
     int64_t folded;   /* tiles folded so far; 0 starts a new scan */
+    const float *contrib; /* (nq, ed), C order: threshold 0's weighted sum */
+    int64_t pending;      /* contrib is still to be added into acc */
 } fold_state;
 
 /* numpy's PyArrayInterface: what an ndarray's __array_struct__
@@ -148,6 +154,22 @@ static inline __attribute__((always_inline)) float exp_poly(float x)
     float scale;
     memcpy(&scale, &scale_bits, sizeof scale);
     return p * scale;
+}
+
+/* Whether an exponential of the LANES from `s` (column stride cs)
+ * reaches the cut: one vector compare where they are adjacent. */
+static inline __attribute__((always_inline)) int block_reaches(
+    const float *s, ptrdiff_t cs, float cut)
+{
+#ifdef __AVX512F__
+    if (cs == 1)
+        return _mm512_cmp_ps_mask(_mm512_loadu_ps(s), _mm512_set1_ps(cut), _CMP_GE_OQ) != 0;
+#endif
+    int reached = 0;
+#pragma omp simd reduction(| : reached)
+    for (int k = 0; k < LANES; k++)
+        reached |= s[k * cs] >= cut;
+    return reached;
 }
 
 /* One question row.  cs, ocol: column strides in elements.  Inlined
@@ -256,14 +278,8 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     int64_t kept = 0, piece = 0, shift = 0;
     for (j = 0; j < n; j += LANES) {
         const int64_t end = j + LANES < n ? j + LANES : n;
-        if (end - j == LANES) {
-            float block_top = 0;
-#pragma omp simd reduction(max : block_top)
-            for (k = 0; k < LANES; k++)
-                block_top = s[(j + k) * cs] > block_top ? s[(j + k) * cs] : block_top;
-            if (!(block_top >= cut))
-                continue;
-        }
+        if (end - j == LANES && !block_reaches(s + j * cs, cs, cut))
+            continue;
         for (k = j; k < end; k++) {
             const double e = s[k * cs];
             if (!(e >= cut))
@@ -287,12 +303,22 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     return kept;
 }
 
+/* acc += contrib (NumPy's adds): a threshold-0 tile's weighted sum. */
+static void add_pending(fold_state *st)
+{
+    for (int64_t k = 0; st->pending && k < st->nq * st->ed; k++)
+        st->acc[k] += (double)st->contrib[k];
+    st->pending = 0;
+}
+
 /* Fold one tile: `scores` the writable (nq, n) score block (overwritten
  * with its exponentials), `rows` the tile's (n, ed) output rows -- or,
  * with `bounds`/`shifts`, the (ns, ed) memory a RunRows view indexes --
- * unread when the threshold is 0.  Every array is checked against the
- * state before a pointer is followed.  Returns the question-rows kept,
- * or FOLD_BAD_SCORES / FOLD_BAD_ROWS / FOLD_BAD_RUNS. */
+ * unread when the threshold is 0 (the caller's GEMM then leaves the
+ * tile's weighted sum pending in contrib, added by the next call).
+ * Every array is checked against the state before a pointer is
+ * followed.  Returns the question-rows kept, or FOLD_BAD_SCORES /
+ * FOLD_BAD_ROWS / FOLD_BAD_RUNS. */
 int64_t repro_fold(
     fold_state *st, const array_interface *scores, const array_interface *rows,
     const array_interface *bounds, const array_interface *shifts)
@@ -330,6 +356,8 @@ int64_t repro_fold(
         orow = rows->strides[0] / size;
         ocol = rows->strides[1] / size;
     }
+    /* Before any rescale (a scan's first fold then zeroes acc). */
+    add_pending(st);
     float *s = scores->data;
     const ptrdiff_t rs = scores->strides[0] / size, cs = scores->strides[1] / size;
     const int first = st->folded == 0;
@@ -342,10 +370,11 @@ int64_t repro_fold(
     return kept;
 }
 
-/* End a hop: fold `scores` (the last tile; NULL: all are folded), then
- * o = acc / denom left in acc, u += o and u_tile = (float)u, with `u`
- * the C-ordered (nq, ed) float64 hop state, checked before any write as
- * `u_tile` is.  Returns repro_fold's count (0 with no tile) or error. */
+/* End a hop: fold `scores` (the last tile; NULL: all are folded), add
+ * a pending weighted sum, then o = acc / denom left in acc, u += o and
+ * u_tile = (float)u, with `u` the C-ordered (nq, ed) float64 hop state,
+ * checked before any write as `u_tile` is.  Returns repro_fold's count
+ * (0 with no tile) or error. */
 int64_t repro_hop(
     fold_state *st, const array_interface *scores, const array_interface *rows,
     const array_interface *u, const array_interface *u_tile)
@@ -365,6 +394,7 @@ int64_t repro_hop(
     } else if (st->folded == 0) {
         return FOLD_EMPTY;
     }
+    add_pending(st);
     double *state = u->data;
     float *narrow = u_tile->data;
     for (int64_t q = 0; q < nq; q++)

@@ -40,10 +40,9 @@ exponentials under the running max, and the zero-skip decision (§3.2)
 is taken on those exponentials — the ones the denominator just summed
 — as ``e >= th * S``, with only the kept rows' ``M_OUT`` read; the
 running-max rescale short-circuits when no question's maximum grew.  A
-memory of at most one chunk therefore pays for one tile's arithmetic
-and nothing else: an engine hop over a resident one is one score GEMM
-into a kept workspace and one C call that folds the tile, takes the
-divide and advances the hop recurrence ``u += o`` with its float32
+resident memory is scanned over a tile plan built once per batch size,
+so a tile costs one score GEMM and one C call, and an engine hop's last
+call also takes the divide and advances ``u += o`` with its float32
 narrowing (:meth:`TileState.recur`).
 Shifted scores are floored at ``log(tiny)`` before exponentiation, and
 the compiled fold writes a floored cell as exactly 0, so deeply
@@ -70,6 +69,7 @@ from ..store.prefetch import ChunkPrefetcher
 from ..store.resident import memory_store
 from . import compiled_fold
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
+from .compiled_fold import struct_pointer
 from .results import InferenceResult
 from .stats import OpStats
 
@@ -259,17 +259,17 @@ class TileState:
         self._log_max = self._denom = self._acc = None
         # NumPy fold: from the second tile on, the ``(contrib, tile_max,
         # new_max)`` out= buffers of a rescaling fold.  Compiled fold:
-        # the tile-dtype ``(nq, ed)`` product of a no-skip tile.
+        # a no-skip tile's ``(nq, ed)`` product, added by the next call.
         self._fold_ws = None
         # The compiled float32 fold's library (None: the NumPy fold), and
         # from a compiled first fold on ``(repro_fold, repro_hop,
         # FoldState, its address)``.
         self._kernel = compiled_fold.kernels()
         self._compiled = None
-        # recur()'s last arrays, their capsules and struct pointers.
+        # recur()'s last ``(u, u_tile)``, their capsules and pointers.
         self._hop_args = None
 
-    def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
+    def fold(self, scores: np.ndarray, tile_out: np.ndarray, at=None) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
         **overwritten** — it is the fold's only ``(nq, n)`` float array;
         ``tile_out`` its ``(n, ed)`` output-memory rows — an array, or
@@ -295,42 +295,31 @@ class TileState:
         ``e``).  ``S`` never exceeds the final denominator, and the
         clamp only lowers the cut, so this skips a subset of what the
         exact rule (:func:`~repro.core.zero_skip.probability_mode_mask`)
-        would."""
+        would.
+
+        ``at``: the compiled fold's four pointers, taken by a tile plan."""
         if self._acc is None and self._kernel is not None:
             self._start_compiled(scores.dtype)
         if self._compiled is None:
             self._fold_numpy(scores, tile_out)
             return
-        kernel, _, _, address = self._compiled
-        pointer = compiled_fold.struct_pointer
-        # The capsules stay referenced until the call returns: each owns
-        # the struct its pointer addresses.  The kernel checks every
-        # array against the state before it reads or writes one.
-        block = scores.__array_struct__
-        if not self._threshold:
-            # Max, exp and sum in C; the dense weighted sum in BLAS.
-            kept = kernel(address, pointer(block, None), None, None, None)
-            if kept >= 0:
-                contrib = self._fold_ws
-                if contrib is None:
-                    contrib = self._fold_ws = np.empty(self._shape, scores.dtype)
-                np.matmul(scores, tile_out, out=contrib)
-                self._acc += contrib
-        elif type(tile_out) is RunRows:
-            rows = tile_out._rows.__array_struct__
-            bounds = tile_out._bounds.__array_struct__
-            shifts = tile_out._shifts.__array_struct__
-            kept = kernel(
-                address, pointer(block, None), pointer(rows, None),
-                pointer(bounds, None), pointer(shifts, None),
-            )  # fmt: skip
-        else:
-            rows = tile_out.__array_struct__
-            kept = kernel(
-                address, pointer(block, None), pointer(rows, None), None, None
-            )
+        kernel, _, fold_state, address = self._compiled
+        if at is None:
+            # The capsules stay referenced until the call returns: each
+            # owns the struct its pointer addresses.  The kernel checks
+            # every array against the state before it reads or writes one.
+            arrays = (scores, tile_out, None, None)
+            if type(tile_out) is RunRows:
+                arrays = (scores, tile_out._rows, tile_out._bounds, tile_out._shifts)
+            capsules, at = compiled_fold.structs(arrays)
+        kept = kernel(address, *at)
         if kept < 0:
             raise ValueError(compiled_fold.FOLD_ERRORS[kept])
+        if not self._threshold:
+            # Max, exp and sum were C's; the dense weighted sum is BLAS's,
+            # added into acc by the next compiled call.
+            np.matmul(scores, tile_out, out=self._fold_ws)
+            fold_state.pending = 1
         self.rows_kept += kept
 
     def _start_compiled(self, dtype: np.dtype) -> None:
@@ -348,9 +337,10 @@ class TileState:
         self._acc = state[nq : nq * (ed + 1)].reshape(nq, ed)
         self._log_max = state[nq * (ed + 1) :].view(dtype)[:nq]
         base = state.ctypes.data
+        self._fold_ws = np.empty(self._shape, dtype)
         fold_state = compiled_fold.FoldState(
-            nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1),
-            self._threshold, float(exp_floor(dtype)), 0,
+            nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1), self._threshold,
+            float(exp_floor(dtype)), 0, self._fold_ws.ctypes.data, 0,
         )  # fmt: skip
         library = self._kernel
         self._compiled = (
@@ -358,9 +348,10 @@ class TileState:
             ctypes.addressof(fold_state),
         )  # fmt: skip
 
-    def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
-        """The fold in NumPy passes: the reference the compiled fold is
-        tested against, and the fold wherever it cannot be built.  A
+    def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray, *_) -> None:
+        """The fold in NumPy passes (:meth:`fold`'s arguments): the
+        reference the compiled fold is tested against, and the fold
+        wherever it cannot be built.  A
         float32 tile's sums are float32 here, so its state widens to
         float64 when a second tile arrives; a narrow or dense tile
         under zero-skipping is masked in place and read out by a dense
@@ -461,49 +452,47 @@ class TileState:
         u_tile: np.ndarray,
         scores: np.ndarray | None = None,
         tile_out: np.ndarray | None = None,
+        at: tuple | None = None,
     ) -> np.ndarray:
         """End a hop of ``u_{k+1} = u_k + o_k``, in place: fold the last
-        tile when given, take the divide ``o = acc / denom``, add ``o``
-        into ``u`` (the float64 hop state) and write ``u`` narrowed into
-        ``u_tile``, the next GEMM's operand (``u`` itself under float64).
-        Returns ``o`` — on the compiled fold the state's ``acc``, valid
-        until the next scan.  The compiled fold is one C call (two at
-        threshold 0: a GEMM comes between), refusing a bad ``u`` or
-        ``u_tile`` before any write; the NumPy fold runs ``np.add(u, o,
-        out=u)`` and ``u_tile[...] = u``, the same IEEE operations."""
+        tile when given (as :meth:`fold`), take the divide ``o = acc /
+        denom``, add ``o`` into ``u`` (the float64 hop state) and write
+        ``u`` narrowed into ``u_tile``, the next GEMM's operand (``u``
+        itself under float64).  Returns ``o`` — on the compiled fold the
+        state's ``acc``, valid until the next scan.  The compiled fold is
+        one C call (two at threshold 0: a GEMM comes between), refusing a
+        bad ``u`` or ``u_tile`` before any write; the NumPy fold runs
+        ``np.add(u, o, out=u)`` and ``u_tile[...] = u``, the same IEEE
+        operations."""
         if scores is not None:
             if self._acc is None and self._kernel is not None:
                 self._start_compiled(scores.dtype)
             compiled = self._compiled is not None and self._threshold
             if not compiled or type(tile_out) is not np.ndarray:
-                self.fold(scores, tile_out)
-                scores = tile_out = None
+                self.fold(scores, tile_out, at)
+                scores = None
         if self._compiled is None:
             output = self.finalize()
             np.add(u, output, out=u)
             if u_tile is not u:
                 u_tile[...] = u
             return output
-        # Pointers are taken for new arrays only: a hop with the last
-        # hop's u over the same memory reuses them.
+        # Pointers are taken for a new u only: an answer's hops share it.
         args = self._hop_args
-        if (
-            args is None or args[0] is not u or args[1] is not u_tile
-            or args[2] is not scores or args[3] is not tile_out
-        ):  # fmt: skip
-            arrays = (u, u_tile, scores, tile_out)
-            args = self._hop_args = (*arrays, *compiled_fold.structs(arrays))
-        u_at, tile_at, scores_at, rows_at = args[5]
+        if args is None or args[0] is not u or args[1] is not u_tile:
+            held = (u.__array_struct__, u_tile.__array_struct__)
+            at_u = (struct_pointer(held[0], None), struct_pointer(held[1], None))
+            args = self._hop_args = (u, u_tile, held, *at_u)
+        if scores is None:
+            at = (None, None)
+        elif at is None:  # (the capsules outlive the call)
+            capsules, at = compiled_fold.structs((scores, tile_out))
         _, hop, _, address = self._compiled
-        kept = hop(address, scores_at, rows_at, u_at, tile_at)
+        kept = hop(address, at[0], at[1], args[3], args[4])
         if kept < 0:
             raise ValueError(compiled_fold.FOLD_ERRORS[kept])
         self.rows_kept += kept
         return self._acc
-
-    def forget(self) -> None:
-        """Drop :meth:`recur`'s references to its last call's arrays."""
-        self._hop_args = None
 
     def partial(self) -> PartialOutput:
         """The folded state as a mergeable partial — the identity of
@@ -511,6 +500,7 @@ class TileState:
         are the state's own, not copies."""
         if not self._folded():
             return PartialOutput.empty(*self._shape)
+        self._add_pending()
         return PartialOutput(
             weighted=self._acc, denom=self._denom, log_max=self._log_max
         )
@@ -524,7 +514,14 @@ class TileState:
         the empty-denominator error."""
         if not self._folded():
             return self.partial().finalize()
+        self._add_pending()
         return np.divide(self._acc, self._denom[:, None], dtype=np.float64)
+
+    def _add_pending(self) -> None:
+        """Add a pending threshold-0 weighted sum into ``acc``."""
+        if self._compiled is not None and self._compiled[2].pending:
+            self._acc += self._fold_ws
+            self._compiled[2].pending = 0
 
     def _folded(self) -> bool:
         """Whether a tile was folded since the state was built or
@@ -620,9 +617,9 @@ class ColumnMemNN:
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
-        # A resident one-tile memory's ``(score workspace, M_IN.T,
-        # M_OUT)``, kept until the next re-point.
-        self._tile: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # The tile plans per batch size, and the pipeline's chunks they use.
+        self._plans: dict[int, tuple] = {}
+        self._plan_source: tuple | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -675,9 +672,7 @@ class ColumnMemNN:
             raise ValueError("a chunk pipeline cannot be re-pointed")
         store = self._store
         store.m_in, store.m_out = m_in, m_out
-        self._tile = None
-        for state in self._scans.values():
-            state.forget()
+        self._plans = {}
 
     def close(self) -> None:
         """Join the chunk pipeline's fetch thread, if it started one.
@@ -704,8 +699,8 @@ class ColumnMemNN:
         kept)`` come back instead of an :class:`InferenceResult` — ``o``
         valid until the next scan; the engine builds the hop's
         :func:`column_op_stats` from the ints when they are read.  Over a
-        resident memory of at most one tile the hop is one ``np.matmul``
-        and one C call."""
+        resident memory the hop is one ``np.matmul`` and one C call per
+        tile (:meth:`_plan`)."""
         if u_tile is None:
             start = time.perf_counter()
             u = self.check_questions(u)
@@ -718,12 +713,9 @@ class ColumnMemNN:
         else:
             state.restart()
         if u_tile is not None:
-            ns, tile = self._scan(u_tile, state, runs)
-            output = state.recur(u, u_tile, *tile) if tile else state.recur(u, u_tile)
-            return output, ns, state.rows_kept
-        ns, tile = self._scan(u, state, runs)
-        if tile:
-            state.fold(*tile)
+            ns, last = self._scan(u_tile, state, runs, hop=True)
+            return state.recur(u, u_tile, *last), ns, state.rows_kept
+        ns, _ = self._scan(u, state, runs)
         pipeline = self._pipeline
         return InferenceResult(
             output=state.finalize(),
@@ -750,37 +742,84 @@ class ColumnMemNN:
         """
         u = self.check_questions(u)
         state = TileState(*u.shape, zero_skip.threshold if zero_skip else 0.0)
-        ns, tile = self._scan(u, state, runs)
-        if tile:
-            state.fold(*tile)
+        ns, _ = self._scan(u, state, runs)
         stats = column_op_stats(
             len(u), ns, u.shape[1], state.rows_kept, self.chunk.chunk_size, self.dtype
         )
         return state.partial(), stats
 
     def _scan(
-        self, u: np.ndarray, state: TileState, runs: np.ndarray | None
-    ) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
-        """Fold ``u``'s scan into ``state``; the rows scanned, and the
-        ``(scores, rows)`` of a resident one-tile memory, left to the
-        caller to fold (with the hop's end, :meth:`TileState.recur`)."""
-        ns = self._store.num_rows
-        if runs is None and self._pipeline is None and 0 < ns <= self.chunk.chunk_size:
-            # One resident tile: the GEMM the tile source would run, on
-            # the same arrays, without the generator around it, into a
-            # workspace kept until the next re-point.
-            tile = self._tile
-            if tile is None or len(tile[0]) != len(u):
-                store = self._store
-                scores = np.empty((len(u), ns), self.dtype)
-                tile = self._tile = (scores, store.m_in.T, store.m_out)
-            scores, m_in_t, m_out = tile
-            return ns, (np.matmul(u, m_in_t, out=scores), m_out)
-        ns = 0
-        for scores, chunk_out in self.scored_tiles(u, runs):
-            ns += scores.shape[1]
-            state.fold(scores, chunk_out)
-        return ns, None
+        self, u: np.ndarray, state: TileState, runs: np.ndarray | None,
+        hop: bool = False,
+    ) -> tuple[int, tuple]:
+        """Fold ``u``'s scan into ``state``; the rows scanned, and for a
+        ``hop`` over a tile plan its last tile, scored and left for
+        :meth:`TileState.recur` to fold."""
+        # A resident plan without a call; a pipeline's per pass (a miss: no charge).
+        plan = self._plans.get(len(u)) if self._pipeline is None else None
+        if plan is None and runs is None:
+            plan = self._plan(len(u))
+        if plan is None or runs is not None:
+            ns = 0
+            for scores, tile_out in self.scored_tiles(u, runs):
+                ns += scores.shape[1]
+                state.fold(scores, tile_out)
+            return ns, ()
+        head, last_in, last, ns, _ = plan
+        for tile_in, scores, tile_out, at in head:
+            np.matmul(u, tile_in, out=scores)
+            state.fold(scores, tile_out, at)
+        if last is None:  # an empty memory
+            return 0, ()
+        np.matmul(u, last_in, out=last[0])
+        if hop:
+            return ns, last
+        state.fold(*last)
+        return ns, ()
+
+    def _plan(self, nq: int) -> tuple | None:
+        """The tile plan of ``nq``-question scans, ``(head, last M_IN.T,
+        last, rows, capsules)`` (DESIGN.md §10, "Tile plan"): per tile
+        ``M_IN.T``, then its columns of one ``(nq, chunk)`` workspace,
+        ``M_OUT`` and the fold's pointers to both.  Dropped by
+        :meth:`repoint`; behind a pipeline, cut from the chunks its
+        resident tier holds (``resident_pass`` charges the pass), else
+        ``None``: the pass streams."""
+        pairs = None
+        if self._pipeline is not None:
+            pairs = self._pipeline.resident_pass()
+            if pairs is not self._plan_source:
+                self._plans, self._plan_source = {}, pairs
+            if pairs is None:
+                return None
+        plan = self._plans.get(nq)
+        if plan is not None:
+            return plan
+        store = self._store
+        ns, c = store.num_rows, self.chunk.chunk_size
+        if pairs is None and 0 < ns <= c:
+            # One tile, the whole memory: rebuilt after each dialogue write.
+            scores, m_out = np.empty((nq, ns), self.dtype), store.m_out
+            held = (scores.__array_struct__, m_out.__array_struct__)
+            at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
+            plan = self._plans[nq] = ((), store.m_in.T, (scores, m_out, at), ns, held)
+            return plan
+        if pairs is None:  # zero-copy slices
+            pairs = [store.read_chunk(start, start + c) for start in range(0, ns, c)]
+        # The first tile is the widest: the workspace itself.
+        workspace = np.empty((nq, pairs[0][0].shape[0] if pairs else 0), self.dtype)
+        head, capsules, last_in, last = [], [], None, None
+        for chunk_in, chunk_out in pairs:
+            if last is not None:
+                head.append((last_in, *last))
+            scores = workspace[:, : chunk_in.shape[0]] if capsules else workspace
+            # Each capsule owns the struct its pointer addresses.
+            held = (scores.__array_struct__, chunk_out.__array_struct__)
+            capsules.append(held)
+            at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
+            last_in, last = chunk_in.T, (scores, chunk_out, at)
+        plan = self._plans[nq] = (tuple(head), last_in, last, ns, capsules)
+        return plan
 
     def scored_tiles(
         self, u: np.ndarray, runs: np.ndarray | None = None
@@ -788,12 +827,13 @@ class ColumnMemNN:
         """Tile source -> score GEMM: ``(u @ chunk_in.T, chunk_out)``
         for every chunk of the memory, in row order.
 
-        ``u`` must already be checked (:meth:`check_questions`).  The
-        first tile's score array is the later tiles' ``out=`` workspace
-        (a chunk source never yields a tile wider than its first), so a
-        yielded ``scores`` is only valid until the next tile is drawn —
-        and is always the consumer's to overwrite
-        (:meth:`TileState.fold` exponentiates it in place).
+        ``u`` must already be checked (:meth:`check_questions`).  Every
+        tile's score array is a view of one workspace (a chunk source
+        never yields a tile wider than its first), so a yielded
+        ``scores`` is only valid until the next tile is drawn — and is
+        always the consumer's to overwrite (:meth:`TileState.fold`
+        exponentiates it in place).  Resident chunks come from the tile
+        plan (:meth:`_plan`).
 
         With ``runs`` — ``(r, 2)`` disjoint ``[start, stop)`` row spans
         of a resident memory, in scan order — only those rows are
@@ -802,20 +842,20 @@ class ColumnMemNN:
         tiles of ``chunk_size`` columns, and the tile's output rows are
         a :class:`RunRows` view, so nothing is copied to scan a subset.
         """
+        plan = self._plan(len(u)) if runs is None else None
+        if plan is not None:
+            head, last_in, last, _, _ = plan
+            for tile_in, scores, tile_out, _ in head:
+                yield np.matmul(u, tile_in, out=scores), tile_out
+            if last is not None:
+                yield np.matmul(u, last_in, out=last[0]), last[1]
+            return
         if runs is not None:
             yield from self._scored_runs(u, runs)
             return
-        if self._pipeline is not None:
-            chunks = self._pipeline.chunks()
-        else:
-            # Resident arrays: zero-copy slices (the last stop may
-            # overshoot; slicing clamps it).
-            ns, c = self._store.num_rows, self.chunk.chunk_size
-            chunks = map(
-                self._store.read_chunk, range(0, ns, c), range(c, ns + c, c)
-            )
+        # A pipeline pass that reads past its resident tier.
         workspace = None
-        for chunk_in, chunk_out in chunks:
+        for chunk_in, chunk_out in self._pipeline.chunks():
             if workspace is None:
                 workspace = scores = np.matmul(u, chunk_in.T)  # (nq, c)
             else:

@@ -116,7 +116,7 @@ def structs(arrays) -> tuple[list, list]:
 class FoldState(ctypes.Structure):
     """``fold_state`` of ``_fold.c``: one scan's running state, by
     pointer into the arrays a :class:`~repro.core.column.TileState`
-    owns (they must outlive it)."""
+    owns (they must outlive it); ``pending``: add ``contrib`` into ``acc``."""
 
     _fields_ = [
         ("nq", ctypes.c_int64),
@@ -127,6 +127,8 @@ class FoldState(ctypes.Structure):
         ("threshold", ctypes.c_double),
         ("floor", ctypes.c_double),
         ("folded", ctypes.c_int64),
+        ("contrib", ctypes.c_void_p),
+        ("pending", ctypes.c_int64),
     ]
 
 

@@ -485,8 +485,10 @@ class TopKConfig:
 
     def uses_index(self, num_rows: int) -> bool:
         """True when a memory of this size goes through the index
-        (enabled and above the exact-scan fallback threshold)."""
-        return self.enabled and num_rows > self.min_rows
+        (enabled, above the exact-scan fallback threshold, and probing
+        fewer clusters than it has: all of them is the exact scan)."""
+        nlist = self.effective_nlist(num_rows)
+        return self.enabled and num_rows > self.min_rows and self.nprobe < nlist
 
     def expected_candidates(self, num_rows: int, batch_size: int = 1) -> int:
         """Expected candidate rows per pass — the cost model's ``ns``.

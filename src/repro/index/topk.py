@@ -15,11 +15,12 @@ fan-out over gathered rows (PR 5's gather substrate).  The only
 approximation is which rows are examined; the arithmetic on the
 examined rows is the exact kernel's.
 
-At or below ``TopKConfig.min_rows`` (the measured crossover) the
-solver builds no index and delegates to the exact kernel over the full
-memory — *bit-exact* with the non-topk path; an engine hop there is
-that kernel's own hop — so the tier can be left enabled
-unconditionally and small memories pay nothing.
+At or below ``TopKConfig.min_rows`` (the measured crossover), and
+when ``nprobe`` reaches the cluster count, the solver builds no index
+and delegates to the exact kernel over the full memory — *bit-exact*
+with the non-topk path; an engine hop there is that kernel's own hop —
+so the tier can be left enabled unconditionally and small memories
+pay nothing.
 
 With ``measure_recall`` set, each pass also computes the attention-mass
 recall: the fraction of the exact softmax mass the candidate set

@@ -83,9 +83,12 @@ class ChunkPrefetcher:
         self.resident_bytes = resident_bytes
         self.prefetch_depth = prefetch_depth
         self.stats = StoreStats()
+        self._spans = tuple(iter_chunk_spans(store.num_rows, chunk_size))
         self._lru: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
         self._lru = OrderedDict()
         self._lru_bytes = 0
+        # resident_pass()'s chunks while the LRU holds them all.
+        self._held: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
@@ -101,7 +104,7 @@ class ChunkPrefetcher:
     def chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """One full in-order pass over the store, chunk by chunk;
         admits chunks while the budget has room, never evicts."""
-        spans = list(iter_chunk_spans(self.store.num_rows, self.chunk_size))
+        spans = self._spans
         if self.prefetch_depth < 1:
             for span in spans:
                 began = time.perf_counter()
@@ -132,6 +135,27 @@ class ChunkPrefetcher:
             else:
                 self.stats.prefetch_late += 1
             yield pair
+
+    def resident_pass(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+        """One in-order pass's chunks when the resident tier holds them
+        all, charged to the ledger and LRU recency as a :meth:`chunks`
+        pass of hits is (with no stall); else ``None``, nothing charged.
+        The same tuple comes back until an eviction."""
+        with self._lock:
+            held = self._held
+            if held is None:
+                held = tuple(map(self._lru.get, self._spans))
+                if None in held:
+                    return None
+                self._held = held
+            for span in self._spans:
+                self._lru.move_to_end(span)
+        stats, n = self.stats, len(held)
+        stats.ram_bytes += sum(a.nbytes + b.nbytes for a, b in held)
+        stats.chunks_served += n
+        stats.demand_fetches += n if self.prefetch_depth < 1 else 0
+        stats.prefetch_hits += n if self.prefetch_depth >= 1 else 0
+        return held
 
     def _fetch_ahead(self, span: tuple[int, int]) -> Future:
         """Start serving ``span`` ahead of demand: a chunk already in
@@ -214,6 +238,7 @@ class ChunkPrefetcher:
                 while self._lru_bytes > self.resident_bytes:
                     _, evicted = self._lru.popitem(last=False)
                     self._lru_bytes -= evicted[0].nbytes + evicted[1].nbytes
+                    self._held = None
         return pair, self.store.resident
 
     def _account(

@@ -75,6 +75,13 @@ class TestTopKConfigValidation:
         assert not config.uses_index(100)
         assert config.uses_index(101)
 
+    def test_probing_every_cluster_uses_no_index(self):
+        config = TopKConfig(nprobe=16, nlist=16, min_rows=0)
+        assert not config.uses_index(600)
+        assert TopKConfig(nprobe=15, nlist=16, min_rows=0).uses_index(600)
+        # nlist is capped by the rows: 10 rows hold at most 10 clusters.
+        assert not TopKConfig(nprobe=10, nlist=32, min_rows=0).uses_index(10)
+
     def test_expected_candidates_single_question(self):
         config = TopKConfig(nprobe=10, nlist=100, min_rows=0)
         assert config.expected_candidates(10_000) == 1_000
@@ -386,14 +393,17 @@ class TestClusterMajorScan:
         u = rng.normal(size=(3, m_in.shape[1]))
         chunk = ChunkConfig(128)
         exact = ColumnMemNN(m_in, m_out, chunk=chunk).output(u)
-        scanned = TopKMemNN(
+        tier = TopKMemNN(
             m_in, m_out, chunk=chunk,
             config=TopKConfig(nprobe=16, nlist=16, min_rows=0),
-        ).output(u)
-        assert scanned.index_stats.candidate_rows == m_in.shape[0]
-        np.testing.assert_allclose(
-            scanned.output, exact.output, rtol=1e-10, atol=1e-10
         )
+        scanned = tier.output(u)
+        # Probing every cluster is the exact scan itself: no index, no
+        # cluster-major copy, the same bytes.
+        assert tier.index is None
+        assert scanned.index_stats.candidate_rows == m_in.shape[0]
+        assert not scanned.index_stats.used_index
+        assert scanned.output.tobytes() == exact.output.tobytes()
 
     def test_matches_the_gather_path_on_the_docqa_surrogate(self, tmp_path):
         """Same candidates, recall and answers as the gather path an
