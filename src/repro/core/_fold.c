@@ -54,9 +54,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#ifdef __AVX512F__
-#include <immintrin.h>
-#endif
 
 /* The running state of one scan, owned by a TileState (its ctypes
  * twin is compiled_fold.FoldState). */
@@ -157,14 +154,10 @@ static inline __attribute__((always_inline)) float exp_poly(float x)
 }
 
 /* Whether an exponential of the LANES from `s` (column stride cs)
- * reaches the cut: one vector compare where they are adjacent. */
+ * reaches the cut: a compare per lane, or-reduced. */
 static inline __attribute__((always_inline)) int block_reaches(
     const float *s, ptrdiff_t cs, float cut)
 {
-#ifdef __AVX512F__
-    if (cs == 1)
-        return _mm512_cmp_ps_mask(_mm512_loadu_ps(s), _mm512_set1_ps(cut), _CMP_GE_OQ) != 0;
-#endif
     int reached = 0;
 #pragma omp simd reduction(| : reached)
     for (int k = 0; k < LANES; k++)

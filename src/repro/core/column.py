@@ -69,7 +69,6 @@ from ..store.prefetch import ChunkPrefetcher
 from ..store.resident import memory_store
 from . import compiled_fold
 from .config import FLOAT_BYTES, ChunkConfig, ZeroSkipConfig
-from .compiled_fold import struct_pointer
 from .results import InferenceResult
 from .stats import OpStats
 
@@ -480,9 +479,8 @@ class TileState:
         # Pointers are taken for a new u only: an answer's hops share it.
         args = self._hop_args
         if args is None or args[0] is not u or args[1] is not u_tile:
-            held = (u.__array_struct__, u_tile.__array_struct__)
-            at_u = (struct_pointer(held[0], None), struct_pointer(held[1], None))
-            args = self._hop_args = (u, u_tile, held, *at_u)
+            held, at_u = compiled_fold.pair_structs(u, u_tile)
+            args = self._hop_args = (u, u_tile, held, *at_u[:2])
         if scores is None:
             at = (None, None)
         elif at is None:  # (the capsules outlive the call)
@@ -617,9 +615,9 @@ class ColumnMemNN:
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
-        # The tile plans per batch size, and the pipeline's chunks they use.
+        #: The tile plans per batch size, as many as :attr:`_scans` has
+        #: (a chunk pipeline keeps them with the chunks they are cut from).
         self._plans: dict[int, tuple] = {}
-        self._plan_source: tuple | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -755,44 +753,39 @@ class ColumnMemNN:
         """Fold ``u``'s scan into ``state``; the rows scanned, and for a
         ``hop`` over a tile plan its last tile, scored and left for
         :meth:`TileState.recur` to fold."""
-        # A resident plan without a call; a pipeline's per pass (a miss: no charge).
-        plan = self._plans.get(len(u)) if self._pipeline is None else None
-        if plan is None and runs is None:
-            plan = self._plan(len(u))
-        if plan is None or runs is not None:
+        nq = len(u)  # (a resident memory's plan comes without a call)
+        plan = None if runs is not None else self._plans.get(nq) or self._plan(nq)
+        if plan is None:
             ns = 0
-            for scores, tile_out in self.scored_tiles(u, runs):
+            for scores, tile_out in self._streamed_tiles(u, runs):
                 ns += scores.shape[1]
                 state.fold(scores, tile_out)
             return ns, ()
-        head, last_in, last, ns, _ = plan
-        for tile_in, scores, tile_out, at in head:
-            np.matmul(u, tile_in, out=scores)
-            state.fold(scores, tile_out, at)
-        if last is None:  # an empty memory
-            return 0, ()
-        np.matmul(u, last_in, out=last[0])
-        if hop:
-            return ns, last
-        state.fold(*last)
+        tiles, ns, _ = plan
+        last = tiles[-1][1] if hop and tiles else None
+        for tile_in, fold_args in tiles:
+            np.matmul(u, tile_in, out=fold_args[0])
+            if fold_args is last:
+                return ns, last
+            state.fold(*fold_args)
         return ns, ()
 
     def _plan(self, nq: int) -> tuple | None:
-        """The tile plan of ``nq``-question scans, ``(head, last M_IN.T,
-        last, rows, capsules)`` (DESIGN.md §10, "Tile plan"): per tile
-        ``M_IN.T``, then its columns of one ``(nq, chunk)`` workspace,
-        ``M_OUT`` and the fold's pointers to both.  Dropped by
-        :meth:`repoint`; behind a pipeline, cut from the chunks its
-        resident tier holds (``resident_pass`` charges the pass), else
-        ``None``: the pass streams."""
-        pairs = None
+        """The tile plan of ``nq``-question scans, ``(tiles, rows,
+        capsules)`` (DESIGN.md §10, "Tile plan"): per tile ``M_IN.T``
+        and :meth:`TileState.fold`'s arguments — its columns of one
+        ``(nq, chunk)`` workspace, ``M_OUT``, the pointers to both.
+        Dropped by :meth:`repoint`; behind a pipeline, cut from the
+        chunks its resident tier holds and dropped with them
+        (``resident_pass`` charges the pass), else ``None``: the pass
+        streams."""
+        plans, pairs = self._plans, None
         if self._pipeline is not None:
-            pairs = self._pipeline.resident_pass()
-            if pairs is not self._plan_source:
-                self._plans, self._plan_source = {}, pairs
-            if pairs is None:
+            held = self._pipeline.resident_pass()
+            if held is None:
                 return None
-        plan = self._plans.get(nq)
+            pairs, plans = held
+        plan = plans.get(nq)
         if plan is not None:
             return plan
         store = self._store
@@ -800,25 +793,20 @@ class ColumnMemNN:
         if pairs is None and 0 < ns <= c:
             # One tile, the whole memory: rebuilt after each dialogue write.
             scores, m_out = np.empty((nq, ns), self.dtype), store.m_out
-            held = (scores.__array_struct__, m_out.__array_struct__)
-            at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
-            plan = self._plans[nq] = ((), store.m_in.T, (scores, m_out, at), ns, held)
+            held, at = compiled_fold.pair_structs(scores, m_out)
+            plan = plans[nq] = (((store.m_in.T, (scores, m_out, at)),), ns, held)
             return plan
         if pairs is None:  # zero-copy slices
             pairs = [store.read_chunk(start, start + c) for start in range(0, ns, c)]
         # The first tile is the widest: the workspace itself.
-        workspace = np.empty((nq, pairs[0][0].shape[0] if pairs else 0), self.dtype)
-        head, capsules, last_in, last = [], [], None, None
+        workspace = np.empty((nq, len(pairs[0][0]) if pairs else 0), self.dtype)
+        tiles, capsules = [], []
         for chunk_in, chunk_out in pairs:
-            if last is not None:
-                head.append((last_in, *last))
-            scores = workspace[:, : chunk_in.shape[0]] if capsules else workspace
-            # Each capsule owns the struct its pointer addresses.
-            held = (scores.__array_struct__, chunk_out.__array_struct__)
-            capsules.append(held)
-            at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
-            last_in, last = chunk_in.T, (scores, chunk_out, at)
-        plan = self._plans[nq] = (tuple(head), last_in, last, ns, capsules)
+            scores = workspace[:, : len(chunk_in)] if tiles else workspace
+            held, at = compiled_fold.pair_structs(scores, chunk_out)
+            capsules.append(held)  # each owns the struct its pointer addresses
+            tiles.append((chunk_in.T, (scores, chunk_out, at)))
+        plan = plans[nq] = (tuple(tiles), ns, capsules)
         return plan
 
     def scored_tiles(
@@ -843,17 +831,20 @@ class ColumnMemNN:
         a :class:`RunRows` view, so nothing is copied to scan a subset.
         """
         plan = self._plan(len(u)) if runs is None else None
-        if plan is not None:
-            head, last_in, last, _, _ = plan
-            for tile_in, scores, tile_out, _ in head:
-                yield np.matmul(u, tile_in, out=scores), tile_out
-            if last is not None:
-                yield np.matmul(u, last_in, out=last[0]), last[1]
+        if plan is None:
+            yield from self._streamed_tiles(u, runs)
             return
+        for tile_in, (scores, tile_out, _) in plan[0]:
+            yield np.matmul(u, tile_in, out=scores), tile_out
+
+    def _streamed_tiles(
+        self, u: np.ndarray, runs: np.ndarray | None
+    ) -> Iterator[tuple[np.ndarray, np.ndarray | RunRows]]:
+        """The tiles no plan holds: ``runs``' rows, or a pipeline pass
+        that reads past its resident tier."""
         if runs is not None:
             yield from self._scored_runs(u, runs)
             return
-        # A pipeline pass that reads past its resident tier.
         workspace = None
         for chunk_in, chunk_out in self._pipeline.chunks():
             if workspace is None:

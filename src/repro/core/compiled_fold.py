@@ -113,6 +113,14 @@ def structs(arrays) -> tuple[list, list]:
     return capsules, [None if c is None else struct_pointer(c, None) for c in capsules]
 
 
+def pair_structs(a, b) -> tuple[tuple, tuple]:
+    """``structs((a, b, None, None))`` without its loops (≈ 0.5 us less;
+    taken per solver on every dialogue write and answer)."""
+    held = (a.__array_struct__, b.__array_struct__)
+    at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
+    return held, at
+
+
 class FoldState(ctypes.Structure):
     """``fold_state`` of ``_fold.c``: one scan's running state, by
     pointer into the arrays a :class:`~repro.core.column.TileState`

@@ -87,8 +87,8 @@ class ChunkPrefetcher:
         self._lru: OrderedDict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
         self._lru = OrderedDict()
         self._lru_bytes = 0
-        # resident_pass()'s chunks while the LRU holds them all.
-        self._held: tuple[tuple[np.ndarray, np.ndarray], ...] | None = None
+        # resident_pass()'s (chunks, what is cut from them, bytes), if held.
+        self._held: tuple[tuple, dict, int] | None = None
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
@@ -109,8 +109,7 @@ class ChunkPrefetcher:
             for span in spans:
                 began = time.perf_counter()
                 pair, from_ram = self._fetch(span)
-                self._account(pair, from_ram, stalled=time.perf_counter() - began)
-                self.stats.demand_fetches += 1
+                self._account(_nbytes(pair), from_ram, time.perf_counter() - began)
                 yield pair
             return
 
@@ -129,33 +128,28 @@ class ChunkPrefetcher:
             span = next(upcoming, None)
             if span is not None:
                 in_flight.append(self._fetch_ahead(span))
-            self._account(pair, from_ram, stalled=stalled)
-            if ready:
-                self.stats.prefetch_hits += 1
-            else:
-                self.stats.prefetch_late += 1
+            self._account(_nbytes(pair), from_ram, stalled, ready=ready)
             yield pair
 
-    def resident_pass(self) -> tuple[tuple[np.ndarray, np.ndarray], ...] | None:
+    def resident_pass(self) -> tuple[tuple, dict] | None:
         """One in-order pass's chunks when the resident tier holds them
         all, charged to the ledger and LRU recency as a :meth:`chunks`
         pass of hits is (with no stall); else ``None``, nothing charged.
-        The same tuple comes back until an eviction."""
+        Returns ``(chunks, derived)``: the same pair until an eviction
+        drops both, ``derived`` a dict the caller keeps what it builds
+        from the chunks in (a kernel's tile plans)."""
         with self._lock:
             held = self._held
             if held is None:
-                held = tuple(map(self._lru.get, self._spans))
-                if None in held:
+                chunks = tuple(map(self._lru.get, self._spans))
+                if None in chunks:
                     return None
-                self._held = held
+                held = self._held = (chunks, {}, sum(map(_nbytes, chunks)))
             for span in self._spans:
                 self._lru.move_to_end(span)
-        stats, n = self.stats, len(held)
-        stats.ram_bytes += sum(a.nbytes + b.nbytes for a, b in held)
-        stats.chunks_served += n
-        stats.demand_fetches += n if self.prefetch_depth < 1 else 0
-        stats.prefetch_hits += n if self.prefetch_depth >= 1 else 0
-        return held
+        ready = True if self.prefetch_depth else None
+        self._account(held[2], True, 0.0, served=len(held[0]), ready=ready)
+        return held[0], held[1]
 
     def _fetch_ahead(self, span: tuple[int, int]) -> Future:
         """Start serving ``span`` ahead of demand: a chunk already in
@@ -193,8 +187,7 @@ class ChunkPrefetcher:
             was_cached = span in self._lru
         began = time.perf_counter()
         pair, from_ram = self._fetch(span, evict=True)
-        self._account(pair, from_ram, stalled=time.perf_counter() - began)
-        self.stats.demand_fetches += 1
+        self._account(_nbytes(pair), from_ram, time.perf_counter() - began)
         return pair, was_cached
 
     def resident_spans(self) -> tuple[tuple[int, int], ...]:
@@ -229,7 +222,7 @@ class ChunkPrefetcher:
                 self._lru.move_to_end(span)
                 return cached, True
         pair = self.store.read_chunk(*span)
-        size = pair[0].nbytes + pair[1].nbytes
+        size = _nbytes(pair)
         with self._lock:
             room = self.resident_bytes - (0 if evict else self._lru_bytes)
             if size <= room and span not in self._lru:
@@ -237,25 +230,39 @@ class ChunkPrefetcher:
                 self._lru_bytes += size
                 while self._lru_bytes > self.resident_bytes:
                     _, evicted = self._lru.popitem(last=False)
-                    self._lru_bytes -= evicted[0].nbytes + evicted[1].nbytes
+                    self._lru_bytes -= _nbytes(evicted)
                     self._held = None
         return pair, self.store.resident
 
     def _account(
         self,
-        pair: tuple[np.ndarray, np.ndarray],
+        size: int,
         from_ram: bool,
         stalled: float,
+        served: int = 1,
+        ready: bool | None = None,
     ) -> None:
-        size = pair[0].nbytes + pair[1].nbytes
+        """Charge ``served`` chunks of ``size`` bytes in all: demand fetches,
+        or a lookahead pass's, prefetch hits if ``ready`` (fetched in time)."""
+        stats = self.stats
         if from_ram:
-            self.stats.ram_bytes += size
+            stats.ram_bytes += size
         else:
-            self.stats.disk_bytes += size
-        self.stats.stall_seconds += stalled
-        self.stats.chunks_served += 1
+            stats.disk_bytes += size
+        stats.stall_seconds += stalled
+        stats.chunks_served += served
+        if ready is None:
+            stats.demand_fetches += served
+        elif ready:
+            stats.prefetch_hits += served
+        else:
+            stats.prefetch_late += served
 
     @property
     def cached_bytes(self) -> int:
         """Bytes currently held by the resident-chunk LRU."""
         return self._lru_bytes
+
+
+def _nbytes(pair: tuple[np.ndarray, np.ndarray]) -> int:
+    return pair[0].nbytes + pair[1].nbytes

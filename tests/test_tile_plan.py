@@ -9,6 +9,8 @@ bit for bit, count what a hop calls, drop the plan on every write, and
 check that a cached pipeline pass charges the ledger as a chunk stream.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,25 @@ def test_a_cached_pipeline_charges_the_ledger_as_its_chunk_stream(
     # evicts to re-admit the evicted chunk), and the last fetch brought
     # it back, evicting the odd span instead.
     assert held == [False, True, True, True, False, False, True]
+
+
+def test_an_eviction_drops_the_plans_cut_from_the_held_chunks(tmp_path):
+    """A ``fetch`` that evicts frees the evicted chunk then and there:
+    the plans cut from the held chunks go with them, so the pipeline
+    never holds more than its budget between scans."""
+    m_in, m_out = _memories(2 * CHUNK, seed=4)
+    store = MmapStore.save(tmp_path / "m", m_in, m_out)
+    solver = ColumnMemNN(
+        store=store, chunk=ChunkConfig(CHUNK), resident_bytes=2 * CHUNK * ED * 4 * 2
+    )
+    pipeline = solver._pipeline
+    for nq in (1, 2, 2):  # the first pass admits, the others run over plans
+        solver.output(_questions(m_in, nq, nq), ZeroSkipConfig(0.1))
+    assert pipeline._held is not None
+    evicted = weakref.ref(pipeline.fetch((CHUNK, 2 * CHUNK))[0][1])
+    pipeline.fetch((0, CHUNK))  # now the coldest is the other chunk
+    pipeline.fetch((10, 20))  # a new span: evicts it
+    assert (CHUNK, 2 * CHUNK) not in pipeline.resident_spans()
+    assert evicted() is None
+    solver.close()
+    store.close()
