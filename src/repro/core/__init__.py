@@ -35,7 +35,6 @@ from .early_exit import (
 )
 from .engine import AnswerResult, BatchAnswer, EngineWeights, MnnFastEngine
 from .execution import FLOAT32_LOGIT_TOLERANCE
-from .kv import InvertedIndex, KeyValueMemory, KVAnswer, KVMnnFast
 from .plan import InferencePlan, expected_hop_survivors, plan_inference
 from .sharded import SHARD_POLICIES, ShardedMemNN, ShardPlan
 from .numerics import bow_embed, position_encoding, softmax, unstable_softmax
@@ -77,10 +76,6 @@ __all__ = [
     "VectorCache",
     "TraceVectorCache",
     "TraceCacheMixin",
-    "KVMnnFast",
-    "KeyValueMemory",
-    "InvertedIndex",
-    "KVAnswer",
     "InferenceResult",
     "InferencePlan",
     "plan_inference",

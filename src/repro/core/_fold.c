@@ -12,16 +12,19 @@
  *   exponentials >= cut added into the float64 acc.
  *
  * The score GEMM before it stays in BLAS, and with zero-skipping off
- * the weighted sum after it too (the caller's np.matmul over the
- * exponentials left in the block, added into acc by the next call).
- * The NumPy fold in column.py is the reference this file is tested
- * against (tests/test_compiled_fold.py).
+ * the weighted sum after it too (the exponentials left in the block times
+ * the tile's output rows, added into acc by the next call).  The NumPy
+ * fold in column.py is the reference this file is tested against
+ * (tests/test_compiled_fold.py).
  *
- * repro_hop ends a hop in the same call: the divide and the hop
+ * repro_scan walks a whole resident memory in one call: per tile the
+ * score product, the fold (and at threshold 0 the weighted-sum product),
+ * the products made by NumPy's own BLAS as np.matmul makes them (matmul).
+ * repro_hop and a hop's repro_scan end with the divide and the hop
  * recurrence u += acc / denom, then u narrowed to float32 for the next
- * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.  The
- * score GEMM stays in BLAS: every arrangement meeting a one-tile memory
- * would need a C loop of its own to stay bitwise equal to the others.
+ * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.
+ * repro_pass is a whole float32 answer: the question's embedding, every
+ * hop's scan and the answer layer.
  *
  * repro_answer is the answer layer after the last hop (and the early-exit
  * gate's check): logits u W^T against a copy of W packed once in
@@ -65,9 +68,31 @@ typedef struct {
     double threshold; /* zero-skipping threshold, 0 = keep every row */
     double floor;     /* exp_floor(float32): shifted scores are floored here */
     int64_t folded;   /* tiles folded so far; 0 starts a new scan */
-    const float *contrib; /* (nq, ed), C order: threshold 0's weighted sum */
+    float *contrib;       /* (nq, ed), C order: threshold 0's weighted sum */
     int64_t pending;      /* contrib is still to be added into acc */
+    const struct blas_entries *blas; /* repro_scan's products */
 } fold_state;
+
+/* The BLAS entries np.matmul calls (compiled_fold resolves them in the
+ * library NumPy loaded): CBLAS, with integers of `width` bits. */
+typedef struct blas_entries {
+    void *sdot, *sgemv, *sgemm;
+    int64_t width;
+} blas_entries;
+
+#define BLAS_TYPES(I, w)                                                        \
+    typedef float sdot##w(I, const float *, I, const float *, I);               \
+    typedef void sgemv##w(int, int, I, I, float, const float *, I,              \
+                          const float *, I, float, float *, I);                 \
+    typedef void sgemm##w(int, int, int, I, I, I, float, const float *, I,      \
+                          const float *, I, float, float *, I);
+BLAS_TYPES(int64_t, 64)
+BLAS_TYPES(int32_t, 32)
+#define BLAS(b, f, ...) ((b)->width == 64 ? ((f##64 *)(b)->f)(__VA_ARGS__) \
+                                          : ((f##32 *)(b)->f)(__VA_ARGS__))
+#define ROW_MAJOR 101
+#define NO_TRANS 111
+#define TRANS 112
 
 /* numpy's PyArrayInterface: what an ndarray's __array_struct__
  * capsule points at (the array interface protocol, version 3). */
@@ -102,6 +127,7 @@ static inline int is_array(
 #define FOLD_BAD_U (-4)
 #define FOLD_BAD_U_TILE (-5)
 #define FOLD_EMPTY (-6)
+#define FOLD_BAD_MEMORY (-7)
 
 /* repro_bow's returns besides 0 (compiled_fold.BOW_BAD_WORD /
  * BOW_REFUSED). */
@@ -304,6 +330,51 @@ static void add_pending(fold_state *st)
     st->pending = 0;
 }
 
+/* c = a b as np.matmul computes it (NumPy 2's matmul.c.src): a (m, k)
+ * and c (m, n) with row strides lda, ldc, b (k, n) with row stride ldb,
+ * all with unit column stride.  NumPy's choice, copied: dot for a 1 x 1
+ * product, its own loop for k = 1, gemv for one row or one column, gemm
+ * else -- any other call rounds differently (tests/test_scan_blas.py). */
+static void matmul(const blas_entries *b, int64_t m, int64_t n, int64_t k,
+                   const float *x, int64_t lda, const float *y, int64_t ldb,
+                   float *c, int64_t ldc)
+{
+    if (m == 0 || n == 0) /* (NumPy calls no BLAS either) */
+        return;
+    if (m == 1 && n == 1)
+        c[0] = BLAS(b, sdot, k, x, 1, y, ldb);
+    else if (k == 1)
+        for (int64_t i = 0; i < m; i++)
+            for (int64_t j = 0; j < n; j++)
+                c[i * ldc + j] = 0.0f + x[i * lda] * y[j];
+    else if (m == 1)
+        BLAS(b, sgemv, ROW_MAJOR, TRANS, k, n, 1.0f, y, ldb, x, 1, 0.0f, c, 1);
+    else if (n == 1)
+        BLAS(b, sgemv, ROW_MAJOR, NO_TRANS, m, k, 1.0f, x, lda, y, ldb, 0.0f, c, ldc);
+    else
+        BLAS(b, sgemm, ROW_MAJOR, NO_TRANS, NO_TRANS, m, n, k, 1.0f, x, lda, y, ldb,
+             0.0f, c, ldc);
+}
+
+/* Fold the (nq, n) block s (row and column strides rs, cs) against its
+ * output rows; repro_fold's arithmetic, its arguments checked. */
+static int64_t fold_tile(
+    fold_state *st, float *s, ptrdiff_t rs, ptrdiff_t cs, int64_t n,
+    const float *out, ptrdiff_t orow, ptrdiff_t ocol,
+    const int64_t *bound, const int64_t *shift)
+{
+    /* Before any rescale (a scan's first fold then zeroes acc). */
+    add_pending(st);
+    const int first = st->folded == 0;
+    int64_t kept = 0, q;
+    for (q = 0; q < st->nq; q++)
+        kept += cs == 1
+            ? fold_row(st, q, first, n, s + q * rs, 1, out, orow, ocol, bound, shift)
+            : fold_row(st, q, first, n, s + q * rs, cs, out, orow, ocol, bound, shift);
+    st->folded++;
+    return kept;
+}
+
 /* Fold one tile: `scores` the writable (nq, n) score block (overwritten
  * with its exponentials), `rows` the tile's (n, ed) output rows -- or,
  * with `bounds`/`shifts`, the (ns, ed) memory a RunRows view indexes --
@@ -349,53 +420,113 @@ int64_t repro_fold(
         orow = rows->strides[0] / size;
         ocol = rows->strides[1] / size;
     }
-    /* Before any rescale (a scan's first fold then zeroes acc). */
-    add_pending(st);
-    float *s = scores->data;
-    const ptrdiff_t rs = scores->strides[0] / size, cs = scores->strides[1] / size;
-    const int first = st->folded == 0;
-    int64_t kept = 0, q;
-    for (q = 0; q < st->nq; q++)
-        kept += cs == 1
-            ? fold_row(st, q, first, n, s + q * rs, 1, out, orow, ocol, bound, shift)
-            : fold_row(st, q, first, n, s + q * rs, cs, out, orow, ocol, bound, shift);
-    st->folded++;
-    return kept;
+    return fold_tile(st, scores->data, scores->strides[0] / size,
+                     scores->strides[1] / size, n, out, orow, ocol, bound, shift);
 }
 
-/* End a hop: fold `scores` (the last tile; NULL: all are folded), add
- * a pending weighted sum, then o = acc / denom left in acc, u += o and
- * u_tile = (float)u, with `u` the C-ordered (nq, ed) float64 hop state,
- * checked before any write as `u_tile` is.  Returns repro_fold's count
- * (0 with no tile) or error. */
-int64_t repro_hop(
-    fold_state *st, const array_interface *scores, const array_interface *rows,
-    const array_interface *u, const array_interface *u_tile)
+/* Whether `u` is the C-ordered, writable (nq, ed) float64 hop state and
+ * `u_tile` its float32 twin: 0, or FOLD_BAD_U / FOLD_BAD_U_TILE. */
+static int64_t hop_arrays(
+    const fold_state *st, const array_interface *u, const array_interface *u_tile)
 {
     const int flags = ARRAY_C_CONTIGUOUS | ARRAY_WRITEABLE;
-    const int64_t nq = st->nq, ed = st->ed;
-    if (!is_array(u, 2, 'f', 8, flags) || u->shape[0] != nq || u->shape[1] != ed)
+    if (!is_array(u, 2, 'f', 8, flags) || u->shape[0] != st->nq || u->shape[1] != st->ed)
         return FOLD_BAD_U;
-    if (!is_array(u_tile, 2, 'f', 4, flags) || u_tile->shape[0] != nq
-        || u_tile->shape[1] != ed)
+    if (!is_array(u_tile, 2, 'f', 4, flags) || u_tile->shape[0] != st->nq
+        || u_tile->shape[1] != st->ed)
         return FOLD_BAD_U_TILE;
-    int64_t kept = 0;
-    if (scores != NULL) {
-        kept = repro_fold(st, scores, rows, NULL, NULL);
-        if (kept < 0)
-            return kept;
-    } else if (st->folded == 0) {
-        return FOLD_EMPTY;
-    }
+    return 0;
+}
+
+/* Add a pending weighted sum, then o = acc / denom left in acc, u += o
+ * and u_tile = (float)u. */
+static void recurrence(fold_state *st, double *u, float *u_tile)
+{
     add_pending(st);
-    double *state = u->data;
-    float *narrow = u_tile->data;
-    for (int64_t q = 0; q < nq; q++)
-        for (int64_t k = q * ed; k < (q + 1) * ed; k++) {
+    for (int64_t q = 0; q < st->nq; q++)
+        for (int64_t k = q * st->ed; k < (q + 1) * st->ed; k++) {
             st->acc[k] = st->acc[k] / st->denom[q];
-            state[k] = state[k] + st->acc[k];
-            narrow[k] = (float)state[k];
+            u[k] = u[k] + st->acc[k];
+            u_tile[k] = (float)u[k];
         }
+}
+
+/* End a hop whose tiles are folded: the recurrence, with `u` the hop
+ * state, checked before any write as `u_tile` is.  Returns 0 or error. */
+int64_t repro_hop(fold_state *st, const array_interface *u, const array_interface *u_tile)
+{
+    const int64_t status = hop_arrays(st, u, u_tile);
+    if (status < 0)
+        return status;
+    if (st->folded == 0)
+        return FOLD_EMPTY;
+    recurrence(st, u->data, u_tile->data);
+    return 0;
+}
+
+/* A memory's tiles (compiled_fold.ScanPlan): `pieces` (M_IN, M_OUT)
+ * pairs of (n, ed) float32 arrays, M_IN feature-major, cut into tiles of
+ * at most `chunk` rows, each scored into the workspace `scores`. */
+typedef struct {
+    int64_t pieces, chunk;
+    const array_interface *const *memory; /* M_IN, M_OUT of each piece */
+    const array_interface *scores;
+} scan_plan;
+
+/* A new scan of `st` over `plan` with the C-ordered (nq, ed) float32
+ * questions `u_tile`; with the hop state `u` (u_tile its narrowing) the
+ * hop ends in the same call, as repro_hop's.  Arrays are checked before
+ * they are read; u and u_tile are written after the last fold.  Returns
+ * the question-rows kept, or a FOLD_* error. */
+int64_t repro_scan(
+    fold_state *st, const scan_plan *plan, const array_interface *u_tile,
+    const array_interface *u)
+{
+    const int64_t nq = st->nq, ed = st->ed, size = (int64_t)sizeof(float);
+    const array_interface *ws = plan->scores;
+    const int64_t bad = u != NULL ? hop_arrays(st, u, u_tile)
+        : !is_array(u_tile, 2, 'f', size, ARRAY_C_CONTIGUOUS) || u_tile->shape[0] != nq
+                || u_tile->shape[1] != ed ? FOLD_BAD_U_TILE : 0;
+    if (bad < 0)
+        return bad;
+    if (!is_array(ws, 2, 'f', size, ARRAY_WRITEABLE) || ws->shape[0] < nq
+        || ws->strides[1] != size)
+        return FOLD_BAD_SCORES;
+    float *scores = ws->data;
+    const int64_t ld = ws->strides[0] / size;
+    int64_t kept = 0;
+    st->folded = 0;
+    for (int64_t p = 0; p < plan->pieces; p++) {
+        const array_interface *in = plan->memory[2 * p], *out = plan->memory[2 * p + 1];
+        if (!is_array(in, 2, 'f', size, 0) || in->shape[1] != ed
+            || !is_array(out, 2, 'f', size, 0) || out->shape[0] != in->shape[0]
+            || out->shape[1] != ed)
+            return FOLD_BAD_MEMORY;
+        if (in->shape[0] == 0) /* (an empty array's strides may be anything) */
+            continue;
+        if (in->strides[0] != size || out->strides[1] != size)
+            return FOLD_BAD_MEMORY;
+        const int64_t rows = in->shape[0], ldi = in->strides[1] / size;
+        const int64_t ldo = out->strides[0] / size;
+        for (int64_t lo = 0; lo < rows; lo += plan->chunk) {
+            const int64_t n = rows - lo < plan->chunk ? rows - lo : plan->chunk;
+            const float *tile_out = (const float *)out->data + lo * ldo;
+            if (n > ws->shape[1])
+                return FOLD_BAD_SCORES;
+            matmul(st->blas, nq, n, ed, u_tile->data, ed, (const float *)in->data + lo,
+                   ldi, scores, ld);
+            kept += fold_tile(st, scores, ld, 1, n, tile_out, ldo, 1, NULL, NULL);
+            if (st->threshold == 0.0) {
+                matmul(st->blas, nq, ed, n, scores, ld, tile_out, ldo, st->contrib, ed);
+                st->pending = 1;
+            }
+        }
+    }
+    if (u == NULL)
+        return kept;
+    if (st->folded == 0)
+        return FOLD_EMPTY;
+    recurrence(st, u->data, u_tile->data);
     return kept;
 }
 
@@ -738,6 +869,52 @@ int64_t repro_bow(
                   size == 4, outs[t]->strides[0] / size, outs[t]->strides[1] / size);
     }
     return 0;
+}
+
+/* One resident float32 answer (compiled_fold.AnswerPass, held by the
+ * engine per batch size): the questions' bag sums under `table` (and
+ * `encoding`) into the (nq, ed) float64 hop state u, u_tile = (float)u,
+ * each hop's scan of its plan with its state, then the answer layer's
+ * logits and argmax of u_tile; `kept` takes each hop's kept count. */
+typedef struct {
+    int64_t hops;
+    fold_state *const *states;
+    const scan_plan *const *plans;
+    const answer_layer *layer;
+    const array_interface *encoding, *table, *u, *u_tile, *logits, *top;
+    int64_t *kept;
+} answer_pass;
+
+/* Returns 0; repro_bow's error (nothing written); a repro_scan error
+ * less 16; a repro_answer error less 32. */
+int64_t repro_pass(const answer_pass *pass, const array_interface *questions)
+{
+    int64_t status = hop_arrays(pass->states[0], pass->u, pass->u_tile);
+    if (status < 0)
+        return status - 16;
+    status = repro_bow(questions, pass->encoding, pass->table, pass->u, NULL, NULL, 0);
+    if (status < 0)
+        return status;
+    const double *u = pass->u->data;
+    float *u_tile = pass->u_tile->data;
+    for (int64_t k = 0; k < pass->states[0]->nq * pass->states[0]->ed; k++)
+        u_tile[k] = (float)u[k];
+    for (int64_t hop = 0; hop < pass->hops; hop++) {
+        status = repro_scan(pass->states[hop], pass->plans[hop], pass->u_tile, pass->u);
+        if (status < 0)
+            return status - 16;
+        pass->kept[hop] = status;
+    }
+    status = repro_answer(pass->layer, pass->u_tile, pass->logits, pass->top, NULL);
+    return status < 0 ? status - 32 : 0;
+}
+
+/* matmul, for the tests: c = a b, C-ordered blocks but b, whose rows
+ * are ldb floats apart. */
+void repro_matmul(const blas_entries *b, int64_t m, int64_t n, int64_t k,
+                  const float *x, const float *y, int64_t ldb, float *c)
+{
+    matmul(b, m, n, k, x, k, y, ldb, c, n);
 }
 
 /* The fold's exponential over an array, for the tests. */

@@ -40,10 +40,10 @@ exponentials under the running max, and the zero-skip decision (§3.2)
 is taken on those exponentials — the ones the denominator just summed
 — as ``e >= th * S``, with only the kept rows' ``M_OUT`` read; the
 running-max rescale short-circuits when no question's maximum grew.  A
-resident memory is scanned over a tile plan built once per batch size,
-so a tile costs one score GEMM and one C call, and an engine hop's last
-call also takes the divide and advances ``u += o`` with its float32
-narrowing (:meth:`TileState.recur`).
+resident float32 memory is scanned in one C call over its tile plan
+(:meth:`TileState.scan`): per tile the score GEMM, made through the BLAS
+NumPy loaded, and the fold; an engine hop's scan also takes the divide
+and advances ``u += o`` with its float32 narrowing.
 Shifted scores are floored at ``log(tiny)`` before exponentiation, and
 the compiled fold writes a floored cell as exactly 0, so deeply
 improbable rows cost a normal-range multiply instead of a subnormal one
@@ -247,7 +247,6 @@ class TileState:
     __slots__ = (
         "_shape", "_threshold", "rows_kept",
         "_log_max", "_denom", "_acc", "_fold_ws", "_kernel", "_compiled",
-        "_hop_args",
     )  # fmt: skip
 
     def __init__(self, nq: int, ed: int, threshold: float = 0.0) -> None:
@@ -262,13 +261,11 @@ class TileState:
         self._fold_ws = None
         # The compiled float32 fold's library (None: the NumPy fold), and
         # from a compiled first fold on ``(repro_fold, repro_hop,
-        # FoldState, its address)``.
+        # repro_scan, FoldState, its address)``.
         self._kernel = compiled_fold.kernels()
         self._compiled = None
-        # recur()'s last ``(u, u_tile)``, their capsules and pointers.
-        self._hop_args = None
 
-    def fold(self, scores: np.ndarray, tile_out: np.ndarray, at=None) -> None:
+    def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
         **overwritten** — it is the fold's only ``(nq, n)`` float array;
         ``tile_out`` its ``(n, ed)`` output-memory rows — an array, or
@@ -294,23 +291,22 @@ class TileState:
         ``e``).  ``S`` never exceeds the final denominator, and the
         clamp only lowers the cut, so this skips a subset of what the
         exact rule (:func:`~repro.core.zero_skip.probability_mode_mask`)
-        would.
-
-        ``at``: the compiled fold's four pointers, taken by a tile plan."""
+        would."""
         if self._acc is None and self._kernel is not None:
             self._start_compiled(scores.dtype)
         if self._compiled is None:
             self._fold_numpy(scores, tile_out)
             return
-        kernel, _, fold_state, address = self._compiled
-        if at is None:
-            # The capsules stay referenced until the call returns: each
-            # owns the struct its pointer addresses.  The kernel checks
-            # every array against the state before it reads or writes one.
-            arrays = (scores, tile_out, None, None)
-            if type(tile_out) is RunRows:
-                arrays = (scores, tile_out._rows, tile_out._bounds, tile_out._shifts)
-            capsules, at = compiled_fold.structs(arrays)
+        kernel, _, _, fold_state, address = self._compiled
+        # The capsules stay referenced until the call returns: each owns
+        # the struct its pointer addresses.  The kernel checks every array
+        # against the state before it reads or writes one.
+        if type(tile_out) is RunRows:
+            capsules, at = compiled_fold.pair_structs(scores, tile_out._rows)
+            runs = compiled_fold.pair_structs(tile_out._bounds, tile_out._shifts)
+            at = (*at[:2], *runs[1][:2])
+        else:
+            capsules, at = compiled_fold.pair_structs(scores, tile_out)
         kept = kernel(address, *at)
         if kept < 0:
             raise ValueError(compiled_fold.FOLD_ERRORS[kept])
@@ -337,13 +333,14 @@ class TileState:
         self._log_max = state[nq * (ed + 1) :].view(dtype)[:nq]
         base = state.ctypes.data
         self._fold_ws = np.empty(self._shape, dtype)
+        library = self._kernel
         fold_state = compiled_fold.FoldState(
             nq, ed, base, base + 8 * nq, base + 8 * nq * (ed + 1), self._threshold,
             float(exp_floor(dtype)), 0, self._fold_ws.ctypes.data, 0,
+            ctypes.addressof(library.blas),
         )  # fmt: skip
-        library = self._kernel
         self._compiled = (
-            library.repro_fold, library.repro_hop, fold_state,
+            library.repro_fold, library.repro_hop, library.repro_scan, fold_state,
             ctypes.addressof(fold_state),
         )  # fmt: skip
 
@@ -442,54 +439,62 @@ class TileState:
         if self._compiled is None:
             self._log_max = self._denom = self._acc = self._fold_ws = None
         else:
-            self._compiled[2].folded = 0
+            self._compiled[3].folded = 0
         return self
 
-    def recur(
-        self,
-        u: np.ndarray,
-        u_tile: np.ndarray,
-        scores: np.ndarray | None = None,
-        tile_out: np.ndarray | None = None,
-        at: tuple | None = None,
-    ) -> np.ndarray:
-        """End a hop of ``u_{k+1} = u_k + o_k``, in place: fold the last
-        tile when given (as :meth:`fold`), take the divide ``o = acc /
-        denom``, add ``o`` into ``u`` (the float64 hop state) and write
-        ``u`` narrowed into ``u_tile``, the next GEMM's operand (``u``
-        itself under float64).  Returns ``o`` — on the compiled fold the
-        state's ``acc``, valid until the next scan.  The compiled fold is
-        one C call (two at threshold 0: a GEMM comes between), refusing a
-        bad ``u`` or ``u_tile`` before any write; the NumPy fold runs
-        ``np.add(u, o, out=u)`` and ``u_tile[...] = u``, the same IEEE
-        operations."""
-        if scores is not None:
-            if self._acc is None and self._kernel is not None:
-                self._start_compiled(scores.dtype)
-            compiled = self._compiled is not None and self._threshold
-            if not compiled or type(tile_out) is not np.ndarray:
-                self.fold(scores, tile_out, at)
-                scores = None
+    def address(self) -> int:
+        """The address of the compiled fold's ``FoldState``, the state
+        started for float32 tiles if need be (see :meth:`scans`)."""
+        if self._compiled is None:
+            self._start_compiled(np.dtype(np.float32))
+        return self._compiled[4]
+
+    def scans(self, dtype: np.dtype) -> bool:
+        """Whether :meth:`scan` runs here: the compiled fold, on
+        ``dtype`` tiles."""
+        return self._kernel is not None and dtype == np.float32
+
+    def scan(self, plan: int, u_tile: np.ndarray, u=None, at=None) -> np.ndarray | None:
+        """A new scan of this state over a tile plan, in one C call
+        (``repro_scan``; see :meth:`scans`): ``plan`` the address of its
+        :class:`~repro.core.compiled_fold.ScanPlan`, ``u_tile`` the
+        C-ordered float32 questions.  With ``u``, their float64 hop state,
+        the scan ends the hop as :meth:`recur` does and returns ``o``;
+        ``at``: ``compiled_fold.pair_structs(u, u_tile)``'s pointers, taken
+        by a caller once for all its hops."""
+        address = self.address()
+        if u is None:
+            held = u_tile.__array_struct__
+            at = (None, compiled_fold.struct_pointer(held, None))
+        elif at is None:  # (the capsules outlive the call)
+            held, at = compiled_fold.pair_structs(u, u_tile)
+        kept = self._compiled[2](address, plan, at[1], at[0])
+        if kept < 0:
+            raise ValueError(compiled_fold.FOLD_ERRORS[kept])
+        self.rows_kept = kept
+        return None if u is None else self._acc
+
+    def recur(self, u: np.ndarray, u_tile: np.ndarray, at=None) -> np.ndarray:
+        """End a hop of ``u_{k+1} = u_k + o_k`` whose tiles are folded, in
+        place: take the divide ``o = acc / denom``, add ``o`` into ``u``
+        (the float64 hop state) and write ``u`` narrowed into ``u_tile``,
+        the next GEMM's operand (``u`` itself under float64).  Returns
+        ``o`` — on the compiled fold the state's ``acc``, valid until the
+        next scan.  The compiled fold is one C call, refusing a bad ``u``
+        or ``u_tile`` before any write; the NumPy fold runs ``np.add(u,
+        o, out=u)`` and ``u_tile[...] = u``, the same IEEE operations.
+        ``at``: as :meth:`scan`'s."""
         if self._compiled is None:
             output = self.finalize()
             np.add(u, output, out=u)
             if u_tile is not u:
                 u_tile[...] = u
             return output
-        # Pointers are taken for a new u only: an answer's hops share it.
-        args = self._hop_args
-        if args is None or args[0] is not u or args[1] is not u_tile:
-            held, at_u = compiled_fold.pair_structs(u, u_tile)
-            args = self._hop_args = (u, u_tile, held, *at_u[:2])
-        if scores is None:
-            at = (None, None)
-        elif at is None:  # (the capsules outlive the call)
-            capsules, at = compiled_fold.structs((scores, tile_out))
-        _, hop, _, address = self._compiled
-        kept = hop(address, at[0], at[1], args[3], args[4])
-        if kept < 0:
-            raise ValueError(compiled_fold.FOLD_ERRORS[kept])
-        self.rows_kept += kept
+        if at is None:  # (the capsules outlive the call)
+            held, at = compiled_fold.pair_structs(u, u_tile)
+        status = self._compiled[1](self._compiled[4], at[0], at[1])
+        if status < 0:
+            raise ValueError(compiled_fold.FOLD_ERRORS[status])
         return self._acc
 
     def partial(self) -> PartialOutput:
@@ -517,15 +522,15 @@ class TileState:
 
     def _add_pending(self) -> None:
         """Add a pending threshold-0 weighted sum into ``acc``."""
-        if self._compiled is not None and self._compiled[2].pending:
+        if self._compiled is not None and self._compiled[3].pending:
             self._acc += self._fold_ws
-            self._compiled[2].pending = 0
+            self._compiled[3].pending = 0
 
     def _folded(self) -> bool:
         """Whether a tile was folded since the state was built or
         restarted."""
         if self._compiled is not None:
-            return self._compiled[2].folded > 0
+            return self._compiled[3].folded > 0
         return self._acc is not None
 
 
@@ -612,12 +617,19 @@ class ColumnMemNN:
         self.chunk = chunk if chunk is not None else ChunkConfig()
         self._store = memory_store(m_in, m_out, store, dtype)
         self.dtype = self._store.dtype
+        self._single = self.dtype == np.float32
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
-        #: The tile plans per batch size, as many as :attr:`_scans` has
-        #: (a chunk pipeline keeps them with the chunks they are cut from).
-        self._plans: dict[int, tuple] = {}
+        #: The resident memory's tile plan (:meth:`_plan`; a chunk
+        #: pipeline keeps its plans with the chunks they are cut from),
+        #: and the ``(ScanPlan, pointers)`` every one of them refills.
+        self._resident_plan: tuple | None = None
+        self._resident_scan: tuple | None = None
+        #: The one score workspace of every plan scan, with its capsule
+        #: and pointer: as many rows as the largest batch scanned, as
+        #: many columns as the widest tile.
+        self._workspace: tuple | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -670,7 +682,7 @@ class ColumnMemNN:
             raise ValueError("a chunk pipeline cannot be re-pointed")
         store = self._store
         store.m_in, store.m_out = m_in, m_out
-        self._plans = {}
+        self._resident_plan = None
 
     def close(self) -> None:
         """Join the chunk pipeline's fetch thread, if it started one.
@@ -684,6 +696,7 @@ class ColumnMemNN:
         zero_skip: ZeroSkipConfig | None = None,
         runs: np.ndarray | None = None,
         u_tile: np.ndarray | None = None,
+        at: tuple | None = None,
     ) -> InferenceResult | tuple[np.ndarray, int, int]:
         """Response vectors via the chunked lazy-softmax dataflow —
         over the whole memory, or over the ``(r, 2)`` row runs ``runs``
@@ -692,13 +705,13 @@ class ColumnMemNN:
         With ``u_tile`` this is one hop of the engine's recurrence, on a
         kernel without a chunk pipeline: ``u`` is the ``(nq, ed)``
         float64 hop state and ``u_tile`` its narrowing to the memory
-        dtype, the score GEMM's operand; :meth:`TileState.recur`
-        advances both in place.  The hop's ``(o, rows scanned, rows
-        kept)`` come back instead of an :class:`InferenceResult` — ``o``
-        valid until the next scan; the engine builds the hop's
-        :func:`column_op_stats` from the ints when they are read.  Over a
-        resident memory the hop is one ``np.matmul`` and one C call per
-        tile (:meth:`_plan`)."""
+        dtype, the score GEMM's operand; the scan advances both in place
+        (``at``: their pointers, as :meth:`TileState.scan` takes them).
+        The hop's ``(o, rows scanned, rows kept)`` come back instead of
+        an :class:`InferenceResult` — ``o`` valid until the next scan;
+        the engine builds the hop's :func:`column_op_stats` from the ints
+        when they are read.  Over a resident float32 memory the hop is
+        one C call (:meth:`_plan`)."""
         if u_tile is None:
             start = time.perf_counter()
             u = self.check_questions(u)
@@ -711,8 +724,8 @@ class ColumnMemNN:
         else:
             state.restart()
         if u_tile is not None:
-            ns, last = self._scan(u_tile, state, runs, hop=True)
-            return state.recur(u, u_tile, *last), ns, state.rows_kept
+            ns, output = self._scan(u_tile, state, runs, (u, at))
+            return output, ns, state.rows_kept
         ns, _ = self._scan(u, state, runs)
         pipeline = self._pipeline
         return InferenceResult(
@@ -746,68 +759,120 @@ class ColumnMemNN:
         )
         return state.partial(), stats
 
+    def compiled_hop(self, nq: int, threshold: float) -> tuple[int, int] | None:
+        """``(FoldState, ScanPlan)`` addresses of a compiled
+        ``nq``-question hop over the resident memory, the workspace ready:
+        an engine's one-call answer (``repro_pass``) scans with them.
+        ``None`` where a hop is not one C call (a chunk pipeline, the NumPy
+        fold)."""
+        if self._pipeline is not None:
+            return None
+        plan = self._plan()
+        state = self._scans.get((nq, threshold))
+        if state is None:
+            state = TileState(nq, self.embedding_dim, threshold)
+            self._scans[nq, threshold] = state
+        if plan[3] is None or not state.scans(self.dtype):
+            return None
+        return state.address(), self._scan_plan(plan, nq)
+
     def _scan(
         self, u: np.ndarray, state: TileState, runs: np.ndarray | None,
-        hop: bool = False,
-    ) -> tuple[int, tuple]:
-        """Fold ``u``'s scan into ``state``; the rows scanned, and for a
-        ``hop`` over a tile plan its last tile, scored and left for
-        :meth:`TileState.recur` to fold."""
-        nq = len(u)  # (a resident memory's plan comes without a call)
-        plan = None if runs is not None else self._plans.get(nq) or self._plan(nq)
-        if plan is None:
-            ns = 0
-            for scores, tile_out in self._streamed_tiles(u, runs):
-                ns += scores.shape[1]
-                state.fold(scores, tile_out)
-            return ns, ()
-        tiles, ns, _ = plan
-        last = tiles[-1][1] if hop and tiles else None
-        for tile_in, fold_args in tiles:
-            np.matmul(u, tile_in, out=fold_args[0])
-            if fold_args is last:
-                return ns, last
-            state.fold(*fold_args)
-        return ns, ()
+        hop: tuple | None = None,
+    ) -> tuple[int, np.ndarray | None]:
+        """Fold ``u``'s scan into ``state``; the rows scanned and, for
+        a ``hop`` — ``(float64 hop state, its pointers or None)``, ``u``
+        its narrowing — the hop's ``o``, the hop ended."""
+        plan = self._plan() if runs is None else None
+        if plan is not None and plan[3] is not None and state.scans(u.dtype) and (
+            u.flags.c_contiguous
+        ):
+            return plan[1], state.scan(self._scan_plan(plan, len(u)), u, *hop or ())
+        tiles = self._streamed_tiles(u, runs) if plan is None else self._tiles(plan, u)
+        ns = 0
+        for scores, tile_out in tiles:
+            ns += scores.shape[1]
+            state.fold(scores, tile_out)
+        return ns, None if hop is None else state.recur(hop[0], u, at=hop[1])
 
-    def _plan(self, nq: int) -> tuple | None:
-        """The tile plan of ``nq``-question scans, ``(tiles, rows,
-        capsules)`` (DESIGN.md §10, "Tile plan"): per tile ``M_IN.T``
-        and :meth:`TileState.fold`'s arguments — its columns of one
-        ``(nq, chunk)`` workspace, ``M_OUT``, the pointers to both.
-        Dropped by :meth:`repoint`; behind a pipeline, cut from the
-        chunks its resident tier holds and dropped with them
-        (``resident_pass`` charges the pass), else ``None``: the pass
-        streams."""
-        plans, pairs = self._plans, None
-        if self._pipeline is not None:
-            held = self._pipeline.resident_pass()
-            if held is None:
-                return None
-            pairs, plans = held
-        plan = plans.get(nq)
-        if plan is not None:
-            return plan
-        store = self._store
-        ns, c = store.num_rows, self.chunk.chunk_size
-        if pairs is None and 0 < ns <= c:
-            # One tile, the whole memory: rebuilt after each dialogue write.
-            scores, m_out = np.empty((nq, ns), self.dtype), store.m_out
-            held, at = compiled_fold.pair_structs(scores, m_out)
-            plan = plans[nq] = (((store.m_in.T, (scores, m_out, at)),), ns, held)
-            return plan
-        if pairs is None:  # zero-copy slices
-            pairs = [store.read_chunk(start, start + c) for start in range(0, ns, c)]
-        # The first tile is the widest: the workspace itself.
-        workspace = np.empty((nq, len(pairs[0][0]) if pairs else 0), self.dtype)
-        tiles, capsules = [], []
-        for chunk_in, chunk_out in pairs:
-            scores = workspace[:, : len(chunk_in)] if tiles else workspace
-            held, at = compiled_fold.pair_structs(scores, chunk_out)
-            capsules.append(held)  # each owns the struct its pointer addresses
-            tiles.append((chunk_in.T, (scores, chunk_out, at)))
-        plan = plans[nq] = (tuple(tiles), ns, capsules)
+    def _plan(self) -> tuple | None:
+        """The tile plan of this memory's scans (DESIGN.md §10, "Tile
+        plan"), ``(pieces, rows, widest tile, ScanPlan, capsules)``: its
+        ``(M_IN, M_OUT)`` pieces, each cut into tiles of ``chunk_size``
+        rows as it is scanned, and for the compiled fold their
+        :class:`~repro.core.compiled_fold.ScanPlan`.  The resident memory
+        is one piece, planned until :meth:`repoint`; behind a pipeline
+        the pieces are the chunks its resident tier holds, planned until
+        an eviction (``resident_pass`` charges the pass), else ``None``:
+        the pass streams."""
+        if self._pipeline is None:
+            if self._resident_plan is None:
+                store = self._store
+                self._resident_plan = self._cut(((store.m_in, store.m_out),))
+            return self._resident_plan
+        held = self._pipeline.resident_pass()
+        if held is None:
+            return None
+        pieces, plans = held
+        plan = plans.get("plan")
+        if plan is None:
+            plan = plans["plan"] = self._cut(pieces)
         return plan
+
+    def _cut(self, pieces) -> tuple:
+        """:meth:`_plan`'s plan of ``pieces``; the resident memory's one
+        piece refills the same ``ScanPlan`` after every write."""
+        rows = [len(m_in) for m_in, _ in pieces]
+        width = max(1, min(self.chunk.chunk_size, max(rows, default=0)))
+        if not self._single or compiled_fold.kernels() is None:
+            return pieces, sum(rows), width, None, None
+        arrays = [array for piece in pieces for array in piece]
+        resident = self._pipeline is None
+        if resident:
+            structs = compiled_fold.pair_structs(*arrays)
+        else:
+            structs = compiled_fold.structs(arrays)
+        scan = self._resident_scan if resident else None
+        if scan is None:
+            memory = (ctypes.c_void_p * len(arrays))()
+            address = ctypes.addressof(memory)
+            plan = compiled_fold.ScanPlan(len(pieces), self.chunk.chunk_size, address)
+            scan = (plan, memory)
+            if resident:
+                self._resident_scan = scan
+        scan[1][:] = structs[1][: len(arrays)]
+        return pieces, sum(rows), width, scan[0], (structs[0], scan[1])
+
+    def _scores(self, nq: int, width: int) -> tuple:
+        """The score workspace, grown to at least ``(nq, width)``:
+        ``(array, capsule, pointer)``."""
+        held, nq = self._workspace, max(nq, 1)  # (no zero-size array: zero strides)
+        if held is None or nq > held[0].shape[0] or width > held[0].shape[1]:
+            if held is not None:
+                nq, width = max(nq, held[0].shape[0]), max(width, held[0].shape[1])
+            workspace = np.empty((nq, width), self.dtype)
+            capsule = workspace.__array_struct__
+            held = self._workspace = (
+                workspace, capsule, compiled_fold.struct_pointer(capsule, None)
+            )
+        return held
+
+    def _scan_plan(self, plan: tuple, nq: int) -> int:
+        """The address of ``plan``'s ``ScanPlan``, its workspace ready
+        for ``nq`` questions."""
+        plan[3].scores = self._scores(nq, plan[2])[2]
+        return ctypes.addressof(plan[3])
+
+    def _tiles(self, plan: tuple, u: np.ndarray):
+        """``plan``'s tiles ``(u @ M_IN.T, M_OUT)`` in row order, scored
+        into the workspace."""
+        nq, c = len(u), self.chunk.chunk_size
+        workspace = self._scores(nq, plan[2])[0]
+        for m_in, m_out in plan[0]:
+            for lo in range(0, len(m_in), c):
+                chunk_in = m_in[lo : lo + c]
+                scores = workspace[:nq, : len(chunk_in)]
+                yield np.matmul(u, chunk_in.T, out=scores), m_out[lo : lo + c]
 
     def scored_tiles(
         self, u: np.ndarray, runs: np.ndarray | None = None
@@ -830,12 +895,11 @@ class ColumnMemNN:
         tiles of ``chunk_size`` columns, and the tile's output rows are
         a :class:`RunRows` view, so nothing is copied to scan a subset.
         """
-        plan = self._plan(len(u)) if runs is None else None
+        plan = self._plan() if runs is None else None
         if plan is None:
             yield from self._streamed_tiles(u, runs)
-            return
-        for tile_in, (scores, tile_out, _) in plan[0]:
-            yield np.matmul(u, tile_in, out=scores), tile_out
+        else:
+            yield from self._tiles(plan, u)
 
     def _streamed_tiles(
         self, u: np.ndarray, runs: np.ndarray | None

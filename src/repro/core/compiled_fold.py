@@ -18,6 +18,9 @@ referee, and the float32 answer layer (``repro_answer``), whose one
 caller is :class:`~repro.core.early_exit.AnswerLayer`, with ``u @ W.T``
 and the NumPy margin as its fallback and referee.
 
+A resident scan (``repro_scan``) calls the BLAS NumPy loaded from C
+(:func:`blas_entries`); where no entry resolves, the NumPy fold runs.
+
 Build and cache rules:
 
 * The source ships as package data (``repro/core/_fold.c``) and is
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import hashlib
 import importlib.resources
 import os
@@ -52,8 +56,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "FLAGS", "AnswerState", "FoldState", "bow_kernels", "exp", "fold_backend",
-    "kernels", "load", "structs",
+    "BLAS_ENTRIES", "FLAGS", "AnswerPass", "AnswerState", "FoldState", "ScanPlan",
+    "bow_kernels", "exp", "fold_backend", "kernels", "load", "structs",
 ]  # fmt: skip
 
 #: ``-march=native``: the vector width and FMA of the host (a generic
@@ -78,7 +82,15 @@ FOLD_ERRORS = {
     -4: "u must be a writable, C-ordered (nq, ed) float64 array",
     -5: "u_tile must be a writable, C-ordered (nq, ed) float32 array",
     -6: "cannot finalize a partial with an empty denominator",
+    -7: "a scan plan's memory must be (n, ed) float32 pairs, M_IN feature-major",
 }
+
+#: ``(sgemm's symbol, its integers' width)``, tried in this order in the
+#: OpenBLAS NumPy's wheel bundles; ``sdot`` and ``sgemv`` are named alike.
+BLAS_ENTRIES = (
+    ("scipy_cblas_sgemm64_", 64), ("cblas_sgemm64_", 64),
+    ("scipy_cblas_sgemm", 32), ("cblas_sgemm", 32),
+)  # fmt: skip
 
 #: ``repro_answer``'s negative returns: which argument failed its check
 #: (nothing was written).
@@ -114,17 +126,28 @@ def structs(arrays) -> tuple[list, list]:
 
 
 def pair_structs(a, b) -> tuple[tuple, tuple]:
-    """``structs((a, b, None, None))`` without its loops (≈ 0.5 us less;
-    taken per solver on every dialogue write and answer)."""
+    """``structs((a, b, None, None))`` without its loops (≈ 0.5 us less
+    a call): a tile's ``(scores, rows)``, or a hop's ``(u, u_tile)``."""
     held = (a.__array_struct__, b.__array_struct__)
     at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
     return held, at
 
 
+class BlasEntries(ctypes.Structure):
+    """``blas_entries`` of ``_fold.c``: ``sdot``, ``sgemv``, ``sgemm``
+    and the width of their integers."""
+
+    _fields_ = [
+        ("sdot", ctypes.c_void_p), ("sgemv", ctypes.c_void_p),
+        ("sgemm", ctypes.c_void_p), ("width", ctypes.c_int64),
+    ]  # fmt: skip
+
+
 class FoldState(ctypes.Structure):
     """``fold_state`` of ``_fold.c``: one scan's running state, by
     pointer into the arrays a :class:`~repro.core.column.TileState`
-    owns (they must outlive it); ``pending``: add ``contrib`` into ``acc``."""
+    owns (they must outlive it); ``pending``: add ``contrib`` into
+    ``acc``; ``blas``: the process's :class:`BlasEntries`."""
 
     _fields_ = [
         ("nq", ctypes.c_int64),
@@ -137,7 +160,32 @@ class FoldState(ctypes.Structure):
         ("folded", ctypes.c_int64),
         ("contrib", ctypes.c_void_p),
         ("pending", ctypes.c_int64),
+        ("blas", ctypes.c_void_p),
     ]
+
+
+class ScanPlan(ctypes.Structure):
+    """``scan_plan`` of ``_fold.c``: a memory's (M_IN, M_OUT) pieces'
+    and the score workspace's ``array_interface`` pointers."""
+
+    _fields_ = [
+        ("pieces", ctypes.c_int64), ("chunk", ctypes.c_int64),
+        ("memory", ctypes.c_void_p), ("scores", ctypes.c_void_p),
+    ]  # fmt: skip
+
+
+class AnswerPass(ctypes.Structure):
+    """``answer_pass`` of ``_fold.c``: a one-call answer's parts, by
+    address."""
+
+    _fields_ = [
+        ("hops", ctypes.c_int64), ("states", ctypes.c_void_p),
+        ("plans", ctypes.c_void_p), ("layer", ctypes.c_void_p),
+        ("encoding", ctypes.c_void_p), ("table", ctypes.c_void_p),
+        ("u", ctypes.c_void_p), ("u_tile", ctypes.c_void_p),
+        ("logits", ctypes.c_void_p), ("top", ctypes.c_void_p),
+        ("kept", ctypes.c_void_p),
+    ]  # fmt: skip
 
 
 class AnswerState(ctypes.Structure):
@@ -259,9 +307,15 @@ def _open(path: Path) -> ctypes.CDLL | None:
         # then array_interface() pointers (or None).
         library.repro_fold.argtypes = [ctypes.c_void_p] * 5
         library.repro_fold.restype = ctypes.c_int64
-        # (state, scores, rows, u, u_tile): as repro_fold's.
-        library.repro_hop.argtypes = [ctypes.c_void_p] * 5
+        # (state, u, u_tile): as repro_fold's.
+        library.repro_hop.argtypes = [ctypes.c_void_p] * 3
         library.repro_hop.restype = ctypes.c_int64
+        # (state, plan, u_tile, u): the ScanPlan's address, then as above.
+        library.repro_scan.argtypes = [ctypes.c_void_p] * 4
+        library.repro_scan.restype = ctypes.c_int64
+        # (pass, questions): the AnswerPass's address, an array_interface().
+        library.repro_pass.argtypes = [ctypes.c_void_p] * 2
+        library.repro_pass.restype = ctypes.c_int64
         # (layer, u, logits, top, confidence): the AnswerState's address,
         # then array_interface() pointers (or None).
         library.repro_answer.argtypes = [ctypes.c_void_p] * 5
@@ -272,15 +326,43 @@ def _open(path: Path) -> ctypes.CDLL | None:
         library.repro_bow.restype = ctypes.c_int64
         library.repro_exp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
         library.repro_exp.restype = None
+        # (entries, m, n, k, a, b, ldb, c): the BlasEntries' address, ...
+        library.repro_matmul.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [
+            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+        ]  # fmt: skip
+        library.repro_matmul.restype = None
     except (OSError, AttributeError):
         return None
     return library
 
 
+def blas_entries() -> BlasEntries | None:
+    """The first of :data:`BLAS_ENTRIES` that the BLAS bundled with NumPy
+    exports, all three of its functions, or ``None``."""
+    numpy_dir = os.path.dirname(np.__file__)
+    for pattern in ("../numpy.libs/*openblas*", ".dylibs/*openblas*"):
+        for path in sorted(glob.glob(os.path.join(numpy_dir, pattern))):
+            try:
+                blas = ctypes.CDLL(path)
+            except OSError:
+                continue
+            for symbol, width in BLAS_ENTRIES:
+                names = [symbol.replace("sgemm", f) for f in ("sdot", "sgemv", "sgemm")]
+                if all(hasattr(blas, name) for name in names):
+                    pointer = ctypes.c_void_p
+                    entries = [ctypes.cast(getattr(blas, n), pointer).value for n in names]
+                    return BlasEntries(*entries, width)
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def load() -> tuple[ctypes.CDLL | None, str]:
     """``(library, "c")``, or ``(None, reason)`` when the NumPy fold
-    must run.  Builds or loads once per process."""
+    must run.  Builds or loads once per process; the library carries the
+    process's :class:`BlasEntries` as ``blas``."""
+    blas = blas_entries()
+    if blas is None:
+        return None, "no BLAS entry of NumPy's found (BLAS_ENTRIES)"
     compiler = find_compiler()
     if compiler is None:
         return None, "no C compiler (cc) on PATH"
@@ -298,13 +380,15 @@ def load() -> tuple[ctypes.CDLL | None, str]:
             library = _open(target)
     if library is None:
         return None, f"cannot load {target}"
+    library.blas = blas
     return library, "c"
 
 
 def kernels() -> ctypes.CDLL | None:
-    """The library of the compiled float32 fold (``repro_fold``, and
-    ``repro_hop``, which ends a hop) and answer layer (``repro_answer``),
-    or ``None``."""
+    """The library of the compiled float32 fold (``repro_fold``;
+    ``repro_hop``, which ends a hop; ``repro_scan``, a resident scan),
+    answer layer (``repro_answer``) and answer pass (``repro_pass``), or
+    ``None``."""
     return load()[0]
 
 

@@ -13,6 +13,7 @@ question-embedding path to model (and measure) §3.3's dedicated cache.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import tempfile
 import time
@@ -42,7 +43,7 @@ from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
     from ..index.topk import TopKMemNN
-from .numerics import PAD_ID, BowEmbedder, position_encoding, softmax
+from .numerics import BAD_WORD, PAD_ID, BowEmbedder, position_encoding, softmax
 from .stats import OpStats
 
 __all__ = [
@@ -533,6 +534,9 @@ class MnnFastEngine:
         self._spilled: list[MmapStore] = []
         self._solver_cache_config = self.engine_config
         self._solver_cache: dict[int, BaselineMemNN | ColumnMemNN | ShardedMemNN] = {}
+        #: The one-call answers held per batch size (:meth:`_answer_pass`;
+        #: ``False``: the hop loop runs), dropped with the solvers and ``W``.
+        self._passes: dict[int, tuple | bool] = {}
         # Here, not on first use: DESIGN.md §10, "Where the copy of W is made".
         self._cast_answer_weight()
         self.clear_memories()
@@ -568,6 +572,7 @@ class MnnFastEngine:
 
     def _cast_answer_weight(self) -> AnswerLayer:
         self._answer_layer = AnswerLayer(self.weights.answer_weight, self._dtype)
+        self._passes = {}
         return self._answer_layer
 
     def store_story(self, sentences: np.ndarray) -> None:
@@ -719,6 +724,7 @@ class MnnFastEngine:
         while self._spilled:
             self._spilled.pop().close()
         self._solver_cache = {}
+        self._passes = {}
 
     def close(self) -> None:
         """Release engine-held resources: cached solvers (worker
@@ -829,6 +835,13 @@ class MnnFastEngine:
         start_time = time.perf_counter()
         if self.num_stored_sentences == 0:
             raise ValueError("no story stored: call store_story/set_memories first")
+        if cache is None and hop_hook is None:
+            questions = self._check_sentences(questions)
+            held = self._answer_pass(len(questions))
+            if held is not None:
+                result = self._answer_in_one_call(questions, held, start_time)
+                if result is not None:
+                    return result
         u, hits, misses = self.embed_question(questions, cache)
 
         ec = self.engine_config
@@ -845,6 +858,8 @@ class MnnFastEngine:
         # operand of every score GEMM and of the answer layer.
         dtype = self._dtype
         u_tile = u.astype(dtype, copy=False)
+        # Their pointers, taken once for every hop (again after a retirement).
+        held, at = compiled_fold.pair_structs(u, u_tile)
         # What the records are built from when read (AnswerResult).
         hop_records: list = []
         column = (self.config.embedding_dim, ec.chunk.chunk_size, dtype)
@@ -866,11 +881,11 @@ class MnnFastEngine:
             # fallback, end the hop with it (TileState.recur); here it
             # is the same two steps.
             if type(solver) is ColumnMemNN and solver.store_stats is None:
-                output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile)
+                output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile, at=at)
                 record = (len(u), rows, kept)
             else:
                 if indexed:
-                    record = solver.output(u, zero_skip, u_tile=u_tile)
+                    record = solver.output(u, zero_skip, u_tile=u_tile, at=at)
                 else:
                     record = solver.output(u, zero_skip=zero_skip)
                 if type(record) is tuple:
@@ -912,6 +927,7 @@ class MnnFastEngine:
             narrowed = u_tile is not u
             u = u[~exiting]
             u_tile = u_tile[~exiting] if narrowed else u
+            held, at = compiled_fold.pair_structs(u, u_tile)
             if len(active) == 0:
                 break
 
@@ -935,6 +951,91 @@ class MnnFastEngine:
             elapsed_seconds=time.perf_counter() - start_time,
             ledger=(hop_records, column, num_answers, checks, projected, trace),
         )
+
+    def _answer_pass(self, nq: int) -> tuple | None:
+        """The held one-call answer of ``nq`` questions (its
+        ``AnswerPass`` and held outputs), or ``None`` where the hop loop
+        runs: only a float32 engine on the compiled fold whose every hop
+        is a resident ``ColumnMemNN``'s, with no gate and no top-k tier,
+        has one."""
+        if self._solver_cache_config is not self.engine_config:
+            self._sync_config()
+        held = self._passes.get(nq)
+        if held is not None:
+            return held or None
+        ec, hops, layer = self.engine_config, self.config.hops, self.answer_layer
+        library = compiled_fold.kernels()
+        self._passes[nq] = False
+        if (
+            library is None or layer.packed is None or ec.topk.enabled
+            or (ec.early_exit.enabled and hops > 1)
+            or self._question_bow._kernel is None
+        ):  # fmt: skip
+            return None
+        solvers = [self._solver(pair) for pair in range(self._num_pairs)]
+        resident = [type(s) is ColumnMemNN and s.store_stats is None for s in solvers]
+        if not all(resident):
+            return None
+        ed = self.config.embedding_dim
+        outputs = (
+            np.empty((nq, ed)), np.empty((nq, ed), np.float32),
+            np.empty((nq, layer.num_answers)), np.empty(nq, np.intp),
+        )  # fmt: skip
+        kept = np.zeros(hops, np.int64)
+        capsules = [array.__array_struct__ for array in outputs]
+        states, plans = (ctypes.c_void_p * hops)(), (ctypes.c_void_p * hops)()
+        bow = self._question_bow
+        answer_pass = compiled_fold.AnswerPass(
+            hops, ctypes.addressof(states), ctypes.addressof(plans), layer._at,
+            bow._weights_at, bow._tables_at[0],
+            *[compiled_fold.struct_pointer(capsule, None) for capsule in capsules],
+            kept.ctypes.data,
+        )  # fmt: skip
+        pairs = [hop if self._num_pairs > 1 else 0 for hop in range(hops)]
+        held = self._passes[nq] = (
+            library.repro_pass, ctypes.addressof(answer_pass), solvers, pairs,
+            [None] * len(solvers), outputs, kept,
+            (answer_pass, capsules, (states, plans)),
+        )  # fmt: skip
+        return held
+
+    def _answer_in_one_call(
+        self, questions: np.ndarray, held: tuple, start_time: float
+    ) -> AnswerResult | None:
+        """:meth:`answer` in one ``repro_pass`` call (``held``:
+        :meth:`_answer_pass`'s); ``None``, before anything was written,
+        when the compiled embedding refuses the questions' array or a
+        solver's hop is not a compiled scan."""
+        kernel, address, solvers, pairs, hops_at, outputs, kept, arrays = held
+        nq, ec = len(questions), self.engine_config
+        threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
+        # Each solver re-plans after a write; the addresses hold still.
+        at = [solver.compiled_hop(nq, threshold) for solver in solvers]
+        if at != hops_at:
+            if None in at:
+                return None
+            hops_at[:] = at
+            states, plans = arrays[2]
+            for hop, pair in enumerate(pairs):
+                states[hop], plans[hop] = at[pair]
+        words = questions.__array_struct__
+        status = kernel(address, compiled_fold.struct_pointer(words, None))
+        if status == compiled_fold.BOW_REFUSED:
+            return None
+        if status == compiled_fold.BOW_BAD_WORD:
+            raise ValueError(BAD_WORD)
+        if status:
+            raise RuntimeError(f"repro_pass failed: {status}")
+        u, _, logits, top = outputs
+        rows = [solver.num_sentences for solver in solvers]
+        column = (self.config.embedding_dim, ec.chunk.chunk_size, self._dtype)
+        records = [(nq, rows[pair], k) for pair, k in zip(pairs, kept.tolist())]
+        trace = (ec.early_exit.threshold, len(pairs), nq, None, None)
+        return AnswerResult(
+            top.copy(), logits.copy(), u.copy(),
+            elapsed_seconds=time.perf_counter() - start_time,
+            ledger=(records, column, logits.shape[1], [], nq, trace),
+        )  # fmt: skip
 
     def _gate_confidence(
         self,

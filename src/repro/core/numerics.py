@@ -125,7 +125,7 @@ def bow_embed_each(
             f"{(sentences.shape[1], ed)}, got {encoding.shape}"
         )
     if sentences.min(initial=0) < 0 or sentences.max(initial=0) >= vocab:
-        raise ValueError(_BAD_WORD)
+        raise ValueError(BAD_WORD)
     if outs is not None and len(sentences) > EMBED_BLOCK_ROWS:
         # Slice by slice: the (nw, rows, ed) float64 gather stays
         # cache-sized however many sentences a story brings at once.
@@ -155,7 +155,7 @@ def bow_embed_each(
     return results
 
 
-_BAD_WORD = "sentence word IDs out of range for the embedding matrix"
+BAD_WORD = "sentence word IDs out of range for the embedding matrix"
 
 
 class BowEmbedder:
@@ -202,7 +202,7 @@ class BowEmbedder:
                 tables[lo + 1], outs_at[lo + 1], start,
             )  # fmt: skip
             if status == compiled_fold.BOW_BAD_WORD:
-                raise ValueError(_BAD_WORD)
+                raise ValueError(BAD_WORD)
             if status < 0:
                 return False
         return True

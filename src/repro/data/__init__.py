@@ -11,7 +11,6 @@ from .babi import (
 )
 from .babi_format import dump_examples, dumps_examples, load_examples, loads_examples
 from .corpus import ZipfCorpus
-from .kb import Fact, KbQuestion, KnowledgeBase, generate_movie_kb
 from .vocab import Vocabulary, tokenize
 
 __all__ = [
@@ -29,8 +28,4 @@ __all__ = [
     "ZipfCorpus",
     "Vocabulary",
     "tokenize",
-    "Fact",
-    "KbQuestion",
-    "KnowledgeBase",
-    "generate_movie_kb",
 ]

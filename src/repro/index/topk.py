@@ -159,6 +159,7 @@ class TopKMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
         u_tile: np.ndarray | None = None,
+        at: tuple | None = None,
     ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
         """Response vectors via probe -> candidate scan with the exact
         kernel.
@@ -169,14 +170,15 @@ class TopKMemNN:
 
         With ``u_tile``, an indexed pass over the cluster-major copy
         that records no recall or candidates is an engine hop, as in
-        ``ColumnMemNN.output``: ``u`` and ``u_tile`` advance in place and
+        ``ColumnMemNN.output`` (``at``: their pointers, as it takes them):
+        ``u`` and ``u_tile`` advance in place and
         ``(o, rows, kept, (num_rows, nlist, nprobe, build_seconds,
         probe_seconds))`` comes back, the engine's to build records from.
         So is a pass below ``min_rows`` over a plain resident memory,
         with ``nlist`` 0 (see :meth:`_exact_output`).
         """
         if not self.uses_index:
-            return self._exact_output(u, zero_skip, u_tile)
+            return self._exact_output(u, zero_skip, u_tile, at)
 
         start = time.perf_counter()
         index = self._ensure_index()
@@ -195,7 +197,7 @@ class TopKMemNN:
         probe_seconds = time.perf_counter() - probe_start
         if hop:
             output, rows, kept = self._cluster_scan.output(
-                u, zero_skip, runs=runs, u_tile=u_tile
+                u, zero_skip, runs=runs, u_tile=u_tile, at=at
             )
             tier = (
                 self.num_sentences, index.nlist, config.nprobe,
@@ -255,11 +257,12 @@ class TopKMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None,
         u_tile: np.ndarray | None,
+        at: tuple | None = None,
     ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
         """Exact-scan fallback: the configured kernel over every row,
         bit-identical to the tier being disabled.  An engine hop over a
-        plain resident kernel is that kernel's own (one matmul and one C
-        call per tile) and comes back as an indexed hop's record, with
+        plain resident kernel is that kernel's own (one C call) and comes
+        back as an indexed hop's record, with
         ``nlist`` 0: no index ran."""
         if self._exact_solver is None:
             self._exact_solver = self._build_solver(full_memory=True)
@@ -269,7 +272,7 @@ class TopKMemNN:
             and type(exact) is ColumnMemNN and exact.store_stats is None
         ):  # fmt: skip
             tier = (self.num_sentences, 0, self.config.nprobe, 0.0, 0.0)
-            return *exact.output(u, zero_skip, u_tile=u_tile), tier
+            return *exact.output(u, zero_skip, u_tile=u_tile, at=at), tier
         result = exact.output(u, zero_skip=zero_skip)
         result.index_stats = IndexStats(
             num_rows=self.num_sentences,

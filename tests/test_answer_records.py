@@ -81,10 +81,13 @@ def test_an_earlier_answer_is_unchanged_by_later_calls(key, tying, fold, request
 @pytest.mark.parametrize("tying", ("layer-wise", "adjacent"))
 def test_a_dialogue_crosses_the_traced_boundaries(tying, monkeypatch):
     """A bAbI-shaped dialogue on ``EngineConfig.mnnfast()``: with the
-    class attributes perfbench wraps replaced by counters, every hop is
-    one ``ColumnMemNN.output`` call and every answer one
-    ``embed_question`` call; the writes go through ``store_story`` and
-    ``clear_memories`` on the class."""
+    class attributes perfbench wraps replaced by counters, the writes go
+    through ``store_story`` and ``clear_memories`` on the class.  An
+    answer on the compiled fold is one ``repro_pass`` call, crossing
+    neither ``embed_question`` nor ``ColumnMemNN.output``; an answer with
+    a hop hook runs the hop loop, where every hop is one
+    ``ColumnMemNN.output`` call and every answer one ``embed_question``
+    call (as every answer is on the NumPy fold)."""
     counts = Counter()
     for owner, attr in (
         (ColumnMemNN, "output"),
@@ -109,10 +112,14 @@ def test_a_dialogue_crosses_the_traced_boundaries(tying, monkeypatch):
         for index, sentence in enumerate(story[turn * 7 : turn * 7 + 7]):
             engine.store_story(sentence)
             if index % 2:
-                engine.answer(questions[turn : turn + 1])
+                question = questions[turn : turn + 1]
+                one_call = engine.answer(question)
+                hooked = engine.answer(question, hop_hook=lambda hop, stats: None)
+                assert one_call.logits.tobytes() == hooked.logits.tobytes()
                 answers += 1
     engine.close()
-    assert counts["output"] == answers * config.hops
-    assert counts["embed_question"] == answers
+    looped = answers if compiled_fold.fold_backend() != "c" else 0
+    assert counts["output"] == (answers + looped) * config.hops
+    assert counts["embed_question"] == answers + looped
     assert counts["store_story"] == 14
     assert counts["clear_memories"] == 2 + 1  # the constructor clears once

@@ -319,11 +319,10 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
 @requires_compiler
 def test_the_recurrence_refuses_a_bad_hop_state_and_writes_nothing():
     """``TileState.recur``'s crossing (``repro_hop``) checks ``u`` and
-    ``u_tile`` against the state before it folds or divides: a wrong
-    shape, dtype, order or writability raises the ``ValueError``
-    ``FOLD_ERRORS`` names, and the tile, the state and both arrays are
-    left as they were — with a last tile to fold and without one.  Good
-    arrays then get the NumPy recurrence's bits."""
+    ``u_tile`` against the state before it divides: a wrong shape,
+    dtype, order or writability raises the ``ValueError``
+    ``FOLD_ERRORS`` names, and the state and both arrays are left as
+    they were.  Good arrays then get the NumPy recurrence's bits."""
     rng = np.random.default_rng(11)
     rows = rng.normal(size=(5, 8)).astype(np.float32)
     block = rng.normal(size=(2, 5)).astype(np.float32)
@@ -353,13 +352,10 @@ def test_the_recurrence_refuses_a_bad_hop_state_and_writes_nothing():
     kept_state = [partial.weighted.tobytes(), partial.denom.tobytes()]
     for hop_u, hop_tile, message in refused:
         before = [hop_u.tobytes(), hop_tile.tobytes()]
-        for tile in ((), (block.copy(), rows)):
-            scores = [array.tobytes() for array in tile[:1]]
-            with pytest.raises(ValueError, match=re.escape(message)):
-                state.recur(hop_u, hop_tile, *tile)
-            assert [array.tobytes() for array in tile[:1]] == scores
-            assert [hop_u.tobytes(), hop_tile.tobytes()] == before
-            assert [partial.weighted.tobytes(), partial.denom.tobytes()] == kept_state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            state.recur(hop_u, hop_tile)
+        assert [hop_u.tobytes(), hop_tile.tobytes()] == before
+        assert [partial.weighted.tobytes(), partial.denom.tobytes()] == kept_state
     assert state.rows_kept == kept
 
     want_o = partial.weighted / partial.denom[:, None]

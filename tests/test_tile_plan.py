@@ -1,10 +1,9 @@
 """The tile plan of ``ColumnMemNN`` (DESIGN.md §10, "Tile plan").
 
-A resident memory's scan runs over a plan built once per batch size —
-each tile's ``M_IN.T`` and ``M_OUT`` views, its columns of one kept
-score workspace and the array-interface pointers the compiled fold
-reads — and a chunk pipeline hands it the chunks its resident tier
-holds.  These tests hold the plan to the per-tile generator it replaced,
+A resident memory's scan runs over a plan — its ``(M_IN, M_OUT)``
+pieces, cut into tiles, with one score workspace for every batch size —
+in one compiled call, and a chunk pipeline hands it the chunks its
+resident tier holds.  These tests hold the plan to the per-tile generator it replaced,
 bit for bit, count what a hop calls, drop the plan on every write, and
 check that a cached pipeline pass charges the ledger as a chunk stream.
 """
@@ -138,7 +137,7 @@ class _Counted:
 
     def __getattr__(self, name):
         entry = getattr(self._library, name)
-        if name not in ("repro_fold", "repro_hop"):
+        if name not in self._calls:
             return entry
 
         def counted(*args):
@@ -149,19 +148,12 @@ class _Counted:
 
 
 @requires_compiler
-@pytest.mark.parametrize(
-    "threshold, matmuls, folds",
-    # At threshold 0 each tile's weighted sum is a second GEMM.
-    [(0.1, 9, 8), (0.0, 18, 9)],
-)
-def test_a_resident_hop_calls_one_gemm_and_one_fold_per_tile(
-    monkeypatch, threshold, matmuls, folds
-):
-    """A hop over a 9-tile resident memory: one score ``np.matmul`` and
-    one compiled call per tile, the last tile folded by ``repro_hop``
-    (at threshold 0 the readout GEMMs come between, and the hop is its
-    own call)."""
-    calls = {"repro_fold": 0, "repro_hop": 0, "matmul": 0}
+@pytest.mark.parametrize("threshold", (0.1, 0.0))
+def test_a_resident_hop_is_one_compiled_call(monkeypatch, threshold):
+    """A hop over a 9-tile resident memory is one ``repro_scan`` call:
+    the score GEMMs (and at threshold 0 the weighted-sum GEMMs) are made
+    in C, with no ``np.matmul``, ``repro_fold`` or ``repro_hop`` beside."""
+    calls = {"repro_fold": 0, "repro_hop": 0, "repro_scan": 0, "matmul": 0}
     library = compiled_fold.kernels()
     monkeypatch.setattr(compiled_fold, "kernels", lambda: _Counted(library, calls))
     m_in, m_out = _memories(8192)
@@ -177,9 +169,9 @@ def test_a_resident_hop_calls_one_gemm_and_one_fold_per_tile(
         return matmul(*args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted_matmul)
-    calls.update(repro_fold=0, repro_hop=0)
+    calls.update(repro_scan=0)
     solver.output(u, zero_skip, u_tile=u_tile)
-    assert calls == {"repro_fold": folds, "repro_hop": 1, "matmul": matmuls}
+    assert calls == {"repro_fold": 0, "repro_hop": 0, "repro_scan": 1, "matmul": 0}
 
 
 def _ledger(pipeline):
