@@ -83,9 +83,10 @@ perfbench-compare:
 # The CI step after tier-1: the harness's own tests (~9 s), short
 # story_turns and out_of_core_stream runs whose exit codes check the
 # answer-agreement floor, and three traced runs: story_turns (~2 s) —
-# the dialogue path, the only traced run whose writes and answers cross
-# store_story, clear_memories, embed_question and the one-tile
-# ColumnMemNN.output hop between every read —, table1_batch (~12 s) —
+# the dialogue path, the only traced run whose writes cross store_story
+# and clear_memories between reads; a read is one compiled call that
+# crosses neither embed_question nor ColumnMemNN.output, so those spans
+# read 0 there (tests/test_answer_records.py) —, table1_batch (~12 s) —
 # the only caller of EngineConfig.fused(4), the 2-worker process config
 # and the vars(cls)[attr] span boundaries, so a refactor that moves a
 # method off its class fails here — and docqa_sessions (~15 s), the

@@ -6,9 +6,15 @@ algorithm streams ``M_IN``/``M_OUT`` once per batch, so throughput
 must rise monotonically with batch size until the pool turns
 compute-bound, while batching delay shows up in the latency
 percentiles — the amortization-vs-latency tradeoff curve.
+
+``test_batched_bytes_vs_sequential`` prints the executed engine's side
+of the same claim: ``answer_batch``'s bytes read against a loop of
+one-question answers, and each member's logits against the batch's.
 """
 
-from repro.core import EngineConfig
+import numpy as np
+
+from repro.core import EngineConfig, EngineWeights, MemNNConfig, MnnFastEngine
 from repro.report import format_table
 from repro.serving import QaServer, ServerConfig, generate_workload
 
@@ -40,6 +46,7 @@ def _sweep():
             "throughput": metrics.throughput("question"),
             "p50_ms": metrics.latency_percentile(50) * 1e3,
             "p99_ms": metrics.latency_percentile(99) * 1e3,
+            "queueing_p99_ms": metrics.queueing_percentile(99) * 1e3,
             "batch_occupancy": metrics.batch_occupancy,
         })
     return points
@@ -50,12 +57,14 @@ def test_batching_amortization_curve(benchmark, report):
 
     report(
         format_table(
-            ["max batch", "throughput", "p50", "p99", "occupancy"],
+            ["max batch", "throughput", "p50", "p99", "queueing p99",
+             "occupancy"],
             [
                 [p["max_batch_size"],
                  f"{p['throughput']:,.0f}/s",
                  f"{p['p50_ms']:.2f} ms",
                  f"{p['p99_ms']:.2f} ms",
+                 f"{p['queueing_p99_ms']:.2f} ms",
                  f"{p['batch_occupancy']:.2f}"]
                 for p in points
             ],
@@ -80,3 +89,38 @@ def test_batching_amortization_curve(benchmark, report):
             f"batch {current['max_batch_size']}"
         )
     assert points[-1]["throughput"] > 2.0 * points[0]["throughput"]
+
+
+def test_batched_bytes_vs_sequential(report):
+    config = MemNNConfig(
+        embedding_dim=32, num_sentences=4000, num_questions=1,
+        vocab_size=2000, max_words=8,
+    )
+    rng = np.random.default_rng(0)
+    engine = MnnFastEngine(
+        config, EngineWeights.random(config, rng=rng),
+        engine_config=EngineConfig.mnnfast().with_batching(
+            BATCH_SIZES[-1], max_wait=1e-3
+        ),
+    )
+    engine.store_story(rng.integers(1, config.vocab_size, size=(1500, 8)))
+    rows = []
+    for nq in BATCH_SIZES:
+        questions = rng.integers(1, config.vocab_size, size=(nq, 8))
+        batched = engine.answer_batch(questions)
+        batch_bytes = batched.batch.stats.bytes_read
+        solo_bytes = sum(engine.answer(q[None]).stats.bytes_read for q in questions)
+        delta = max(
+            float(np.abs(r.logits - batched.batch.logits[i : i + 1]).max())
+            for i, r in enumerate(batched.results)
+        )
+        rows.append([
+            nq, f"{batch_bytes / 1e6:.2f} MB", f"{solo_bytes / 1e6:.2f} MB",
+            f"{solo_bytes / batch_bytes:.2f}x", f"{delta:.2e}",
+        ])
+    report(format_table(
+        ["batch nq", "batched bytes", "sequential bytes", "amortization",
+         "max |Δlogit| vs views"],
+        rows,
+        title="answer_batch — M_IN/M_OUT streamed once per batch (§5, Fig. 12)",
+    ))

@@ -154,20 +154,16 @@ def test_cluster_serving(report):
 
     report(
         format_table(
-            ["fleet", "timeouts", "timeout rate", "mean replicas"],
+            ["fleet", "timeouts", "timeout rate", "mean replicas", "decisions"],
             [
                 [
-                    "static",
-                    str(static.timed_out),
-                    f"{static.timeout_rate:.1%}",
-                    f"{static.mean_replicas():.2f}",
-                ],
-                [
-                    "autoscaled",
-                    str(autoscaled.timed_out),
-                    f"{autoscaled.timeout_rate:.1%}",
-                    f"{autoscaled.mean_replicas():.2f}",
-                ],
+                    label,
+                    str(fleet.timed_out),
+                    f"{fleet.timeout_rate:.1%}",
+                    f"{fleet.mean_replicas():.2f}",
+                    str(len(fleet.decisions)),
+                ]
+                for label, fleet in (("static", static), ("autoscaled", autoscaled))
             ],
             title=(
                 f"Flash crowd ({BURST_BASE:g}→{BURST_RATE:g} rps, "

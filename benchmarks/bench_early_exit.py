@@ -11,9 +11,12 @@ threshold's ``QaServer.run`` simulation at a fixed offered load, where
 ragged-depth batches charge each hop at the members still running
 (exits sampled per member).
 
+``test_early_exit_cost_model`` prints the serving model's ragged-depth
+batch: each hop charged at its expected survivor count.
+
 The speed-up floor is wall-clock and stays here.  The deterministic
 claims live in tier-1 (``tests/test_early_exit.py``): the agreement
-floor in ``test_sweep_quick_smoke``, and the overload claim (under 2x
+floor in ``TestEngineGate``, and the overload claim (under 2x
 saturation the exit-armed server sheds hops before requests) in
 ``TestOverload``.
 """
@@ -132,6 +135,7 @@ def _engine_sweep():
             "speedup_vs_full": full_seconds / seconds,
             "agreement": float(np.mean(result.answer_ids == full.answer_ids)),
             "mean_hops": result.hop_trace.mean_hops,
+            "exited": result.hop_trace.num_exited / NQ,
             "serve_p99_ms": metrics.latency_percentile(99) * 1e3,
             "serve_hops_saved_fraction": metrics.hops_saved_fraction,
         })
@@ -142,12 +146,13 @@ def test_early_exit_throughput_at_agreement_floor(benchmark, report):
     sweep = benchmark.pedantic(_engine_sweep, iterations=1, rounds=1)
 
     report(format_table(
-        ["threshold", "mean hops", "agree", "speedup", "throughput",
+        ["threshold", "mean hops", "exited", "agree", "speedup", "throughput",
          "serve p99", "serve hops saved"],
         [
             [
                 f"{p['threshold']:g}",
                 f"{p['mean_hops']:.2f} / {HOPS}",
+                f"{p['exited']:.0%}",
                 f"{p['agreement']:.3f}",
                 f"{p['speedup_vs_full']:.2f}x",
                 f"{p['throughput_qps']:,.0f}/s",
@@ -184,3 +189,26 @@ def test_early_exit_throughput_at_agreement_floor(benchmark, report):
             for p in sweep
         )
     )
+
+
+def test_early_exit_cost_model(report):
+    rows = []
+    for threshold in (0.0, 0.05, 0.2, 0.4):
+        server = QaServer(ServerConfig(
+            network=_serving_network(),
+            engine=EngineConfig.mnnfast().with_early_exit(threshold),
+        ))
+        survivors = server.expected_hop_survivors(64, exit_threshold=threshold)
+        rows.append([
+            f"{threshold:g}",
+            " ".join(str(s) for s in survivors),
+            f"{server.inference_seconds(batch_size=64) * 1e3:.3f} ms",
+            f"{server.inference_seconds(batch_size=1) * 1e3:.3f} ms",
+        ])
+    report(format_table(
+        ["exit threshold", "survivors/hop (batch 64)",
+         "batch-64 inference", "batch-1 inference"],
+        rows,
+        title="Serving cost model — ragged-depth batches charge each hop "
+        "at its expected survivor count",
+    ))

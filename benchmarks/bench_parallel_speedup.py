@@ -238,8 +238,9 @@ def test_parallel_execution_trajectory(benchmark, report):
     fused_vs_serial = series["sharded_serial"] / series["fused_serial"]
 
     report(format_table(
-        ["series", "wall-clock", "speedup vs seed"],
-        [[name, f"{seconds * 1e3:.1f} ms", f"{speedups[name]:.2f}x"]
+        ["series", "wall-clock", "speedup vs seed", "max |Δo| vs seed"],
+        [[name, f"{seconds * 1e3:.1f} ms", f"{speedups[name]:.2f}x",
+          f"{np.abs(outputs[name] - reference).max():.2e}"]
          for name, seconds in series.items()],
         title=(
             f"Core-engine wall-clock at ns={NS:,}, ed={ED}, nq={NQ} "

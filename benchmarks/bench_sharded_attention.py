@@ -3,13 +3,16 @@
 Sweeps the shard count K and both shard policies over one attention
 pass, verifying the exact-merge property (sharded output equals
 single-shard column mode to 1e-10) while measuring the fan-out's
-numerical cost and the per-shard work split.
+numerical cost and the per-shard work split.  A second table prints
+the serving model's sharded hop: max-of-shards compute plus the
+modeled exact-merge cost.
 """
 
 import numpy as np
 
-from repro.core import ChunkConfig, ColumnMemNN, ShardedMemNN
+from repro.core import ChunkConfig, ColumnMemNN, EngineConfig, ShardedMemNN
 from repro.report import format_table
+from repro.serving import QaServer, ServerConfig
 
 NS, ED, NQ = 20_000, 48, 16
 SHARD_COUNTS = (1, 2, 4, 8)
@@ -70,3 +73,25 @@ def test_sharded_attention_exact_merge(benchmark, report):
     # The merge overhead is negligible next to the O(ns*ed) scan.
     eight = results[("contiguous", 8)]
     assert eight.stats.flops < reference.stats.flops * 1.01
+
+
+def test_fan_out_cost_model(report):
+    rows = []
+    for shards in SHARD_COUNTS:
+        engine = (
+            EngineConfig(algorithm="column") if shards == 1
+            else EngineConfig.sharded(shards)
+        )
+        server = QaServer(ServerConfig(engine=engine))
+        hop = server.hop_seconds()
+        plan = server.shard_plan()
+        merge = server.shard_merge_seconds(plan) if plan is not None else 0.0
+        rows.append([
+            shards, f"{hop * 1e3:.3f} ms", f"{merge * 1e6:.2f} us",
+            f"{merge / hop:.1%}",
+        ])
+    report(format_table(
+        ["K", "hop latency", "merge cost", "merge share"],
+        rows,
+        title="Serving fan-out model — max-of-shards compute + exact-merge cost",
+    ))

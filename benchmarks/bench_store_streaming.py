@@ -20,15 +20,19 @@ differential acceptance is 1e-10, and the overlap acceptance is
 ``prefetch-on <= prefetch-off`` within measurement noise.  The
 exactness and the prefetch coverage are deterministic and tier-1 holds
 them (``tests/test_store.py``, ``tests/test_store_prefetch_parity.py``);
-the overlap acceptance is wall-clock and lives only here.
+the overlap acceptance is wall-clock and lives only here.  A second
+table prints the serving model's disk tier: per-hop disk stream time
+charged against ``ServerConfig.disk_bandwidth``, serialized with
+compute at prefetch depth 0 and overlapped with it above.
 """
 
 import time
 
 import numpy as np
 
-from repro.core import ChunkConfig, ColumnMemNN
+from repro.core import ChunkConfig, ColumnMemNN, EngineConfig
 from repro.report import format_table
+from repro.serving import QaServer, ServerConfig
 from repro.store import MmapStore
 
 NS = 150_000
@@ -98,12 +102,16 @@ def test_store_streaming_trajectory(benchmark, report, tmp_path):
     prefetch_speedup = series["mmap_demand"] / series["mmap_prefetch"]
 
     report(format_table(
-        ["series", "wall-clock", "disk bytes", "coverage", "stall"],
+        ["series", "wall-clock", "max |Δo|", "disk bytes", "RAM bytes",
+         "coverage", "stall"],
         [
             [
                 name,
                 f"{seconds * 1e3:.1f} ms",
+                f"{np.abs(outputs[name] - outputs['resident']).max():.2e}",
                 f"{stats[name].disk_bytes / 1e6:.0f} MB"
+                if name in stats else "-",
+                f"{stats[name].ram_bytes / 1e6:.0f} MB"
                 if name in stats else "-",
                 f"{stats[name].prefetch_coverage:.0%}"
                 if name in stats else "-",
@@ -134,3 +142,27 @@ def test_store_streaming_trajectory(benchmark, report, tmp_path):
         f"{series['mmap_prefetch'] * 1e3:.1f} ms vs "
         f"{series['mmap_demand'] * 1e3:.1f} ms"
     )
+
+
+def test_disk_tier_cost_model(report):
+    rows = []
+    for label, engine in [
+        ("resident", EngineConfig()),
+        ("out-of-core, no prefetch",
+         EngineConfig.out_of_core(resident_bytes=None, prefetch_depth=0)),
+        ("out-of-core, prefetch depth 2",
+         EngineConfig.out_of_core(resident_bytes=None)),
+        ("out-of-core, prefetch + 32 MB RAM tier", EngineConfig.out_of_core()),
+    ]:
+        server = QaServer(ServerConfig(engine=engine))
+        disk = server.disk_stream_seconds()
+        overlap = "overlapped" if engine.store.prefetch_depth else "serialized"
+        rows.append([
+            label, f"{server.hop_seconds() * 1e3:.3f} ms",
+            f"{disk * 1e3:.3f} ms", overlap if disk else "-",
+        ])
+    report(format_table(
+        ["configuration", "hop latency", "disk stream", "disk vs compute"],
+        rows,
+        title="Serving cost model — disk tier charged against disk_bandwidth",
+    ))

@@ -43,6 +43,10 @@ at ``with_topk()``'s sizing and at docqa's (nlist 64, nprobe 16).  Its
 gate: at twice ``min_rows`` the default-sized tier answers nq 4 no
 slower than the exact scan.  Run it with ``OPENBLAS_NUM_THREADS=1``, as
 perfbench pins BLAS.
+
+``test_topk_cost_model`` prints the serving model's hop at 200 000 rows
+with and without the tier: its candidates union across a batch, so big
+batches converge on the exact scan.
 """
 
 import sys
@@ -59,6 +63,7 @@ from repro.docqa import docqa_network, docqa_weights, generate_queries, syntheti
 from repro.index import TopKMemNN
 from repro.index.harness import synthetic_topical_workload
 from repro.report import format_table
+from repro.serving import QaServer, ServerConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "perfbench"))
 from host_ref import HostRef, RefSpec  # noqa: E402
@@ -361,3 +366,28 @@ def test_topk_crossover(benchmark, report):
         f"at {2 * min_rows:,} rows the default-sized tier answers nq 4 "
         f"{1 / default[2 * min_rows, 4]:.2f}x slower than the exact scan"
     )
+
+
+def test_topk_cost_model(report):
+    network = MemNNConfig(
+        embedding_dim=48, num_sentences=200_000, num_questions=1,
+        vocab_size=30_000,
+    )
+    rows = []
+    for label, engine in [
+        ("exact mnnfast", EngineConfig.mnnfast()),
+        ("+ top-k nprobe=8", EngineConfig.mnnfast().with_topk(nprobe=8)),
+        ("+ top-k nprobe=32", EngineConfig.mnnfast().with_topk(nprobe=32)),
+    ]:
+        server = QaServer(ServerConfig(network=network, engine=engine))
+        rows.append(
+            [label]
+            + [f"{server.hop_seconds(batch_size=b) * 1e3:.3f} ms" for b in (1, 8, 64)]
+            + [f"{server.probe_gather_seconds(batch_size=1) * 1e6:.1f} us"]
+        )
+    report(format_table(
+        ["configuration", "hop (batch 1)", "hop (batch 8)", "hop (batch 64)",
+         "probe+gather (b=1)"],
+        rows,
+        title=f"Serving cost model at ns={network.num_sentences:,}",
+    ))

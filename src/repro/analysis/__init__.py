@@ -2,12 +2,7 @@
 
 from .accuracy import TaskAccuracy, accuracy_table
 from .contention import ContentionResult, contention_experiment, contention_sweep
-from .early_exit import (
-    EarlyExitPoint,
-    EarlyExitSweep,
-    early_exit_workload,
-    sweep_early_exit,
-)
+from .early_exit import early_exit_workload
 from .offchip import OffchipResult, offchip_accesses
 from .platforms import (
     embedding_cache_effectiveness,
@@ -28,10 +23,7 @@ from .tradeoff import TradeoffCurve, TradeoffPoint, threshold_sweep
 __all__ = [
     "accuracy_table",
     "TaskAccuracy",
-    "EarlyExitPoint",
-    "EarlyExitSweep",
     "early_exit_workload",
-    "sweep_early_exit",
     "probability_distribution",
     "SparsityResult",
     "threshold_sweep",

@@ -26,9 +26,9 @@ dimension into a serving discipline:
   :class:`repro.serving.metrics.ServingMetrics` reports batch
   occupancy and per-request queueing percentiles.
 
-``python -m repro batching`` and ``benchmarks/bench_batching.py``
-sweep batch size against throughput and tail latency to reproduce the
-Fig. 12-style amortization curve on the simulated substrate.
+``benchmarks/bench_batching.py`` sweeps batch size against throughput
+and tail latency to reproduce the Fig. 12-style amortization curve on
+the simulated substrate.
 """
 
 from ..core.config import BatchConfig

@@ -21,16 +21,11 @@ which rows are examined.
   ``make topk-crossover``: the exact scan is faster below it).
 * :class:`IndexStats` — per-pass observability (candidates examined,
   probe/build time, attention-mass recall).
-* :func:`compare_topk_vs_exact` / :func:`synthetic_topical_workload` —
-  the recall-vs-exact differential harness (answer agreement +
-  attention-mass recall, not 1e-10 equality).
+* :func:`synthetic_topical_workload` — the topic-structured stories
+  and revisiting questions the tier's recall is measured on.
 """
 
-from .harness import (
-    TopKComparison,
-    compare_topk_vs_exact,
-    synthetic_topical_workload,
-)
+from .harness import synthetic_topical_workload
 from .ivf import IVFIndex
 from .stats import IndexStats
 from .topk import TopKMemNN
@@ -39,7 +34,5 @@ __all__ = [
     "IVFIndex",
     "IndexStats",
     "TopKMemNN",
-    "TopKComparison",
-    "compare_topk_vs_exact",
     "synthetic_topical_workload",
 ]

@@ -1,42 +1,25 @@
-"""Recall-vs-exact differential harness for the top-k tier.
+"""The topical workload the top-k tier's quality is measured on.
 
-The tier is approximate by design, so the exactness harness the other
-optimizations use (1e-10 output agreement) is the wrong instrument.
-What matters for an approximate retrieval stage is:
-
-* **answer agreement** — the fraction of questions whose argmax answer
-  ID matches the exact engine's (the end-to-end metric a deployment
-  cares about);
-* **attention-mass recall@k** — per hop, the fraction of the exact
-  softmax mass the candidate set captured (the retrieval-quality
-  metric; 1.0 means the skipped rows held zero attention mass).
-
-:func:`compare_topk_vs_exact` runs the same weights, memories and
-questions through an exact engine and a top-k engine and reports both
-metrics.  :func:`synthetic_topical_workload` generates the workload
-the comparison needs to be meaningful: bAbI-style stories with *topic*
-structure (sentences within a topic share anchor words), questions
-that revisit a stored sentence — the concentrated-attention regime
-MnnFast's own zero-skipping data (Fig. 6) shows trained MANNs live in.
-On structureless uniform-random stories attention is near-uniform and
-no sublinear retrieval scheme (nor zero-skipping) has anything to
-find.
+The tier is approximate by design, so it is judged by answer agreement
+with the exact engine and by per-hop attention-mass recall
+(``TopKConfig.measure_recall``), not by 1e-10 output agreement.  Those
+measures only mean something where attention concentrates:
+:func:`synthetic_topical_workload` generates bAbI-style stories with
+*topic* structure (sentences within a topic share anchor words) and
+questions that revisit a stored sentence — the concentrated-attention
+regime MnnFast's own zero-skipping data (Fig. 6) shows trained MANNs
+live in.  On structureless uniform-random stories attention is
+near-uniform and no sublinear retrieval scheme (nor zero-skipping) has
+anything to find.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..core.config import EngineConfig, MemNNConfig
-from ..core.engine import AnswerResult, EngineWeights, MnnFastEngine
+from ..core.config import MemNNConfig
 
-__all__ = [
-    "TopKComparison",
-    "compare_topk_vs_exact",
-    "synthetic_topical_workload",
-]
+__all__ = ["synthetic_topical_workload"]
 
 
 def synthetic_topical_workload(
@@ -86,99 +69,3 @@ def synthetic_topical_workload(
     revisit = rng.integers(0, ns, size=num_questions)
     questions = stories[revisit].copy()
     return stories, questions
-
-
-@dataclass(frozen=True)
-class TopKComparison:
-    """Outcome of one exact-vs-topk differential run.
-
-    Attributes:
-        num_questions: questions compared.
-        answer_agreement: fraction of questions whose argmax answer ID
-            matched the exact engine's.
-        mean_recall: attention-mass recall averaged over hops (``None``
-            when the tier ran in exact-scan fallback without
-            measurement).
-        min_recall: worst per-hop attention-mass recall.
-        mean_candidate_fraction: average fraction of memory rows the
-            top-k engine examined per hop (1.0 under fallback).
-        used_index: whether any hop actually went through the index.
-        exact: the exact engine's :class:`AnswerResult`.
-        topk: the top-k engine's :class:`AnswerResult`.
-    """
-
-    num_questions: int
-    answer_agreement: float
-    mean_recall: float | None
-    min_recall: float | None
-    mean_candidate_fraction: float
-    used_index: bool
-    exact: AnswerResult
-    topk: AnswerResult
-
-
-def compare_topk_vs_exact(
-    config: MemNNConfig,
-    questions: np.ndarray,
-    engine_config: EngineConfig,
-    weights: EngineWeights | None = None,
-    stories: np.ndarray | None = None,
-    memories: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TopKComparison:
-    """Run the same workload exactly and through the top-k tier.
-
-    The exact engine is ``engine_config`` with the tier disabled; the
-    top-k engine is ``engine_config`` with recall measurement forced on
-    (so per-hop :class:`~repro.index.stats.IndexStats` carry the
-    attention-mass recall).  Everything else — weights, memories,
-    algorithm, sharding, store tier, zero-skipping — is shared, so the
-    comparison isolates the retrieval approximation.
-
-    Args:
-        config: network shape.
-        questions: ``(nq, nw)`` question word IDs.
-        engine_config: the top-k configuration under test (its ``topk``
-            must be enabled).
-        weights: model parameters (random when omitted — shared by
-            both engines either way).
-        stories: ``(ns, nw)`` story word IDs to embed and store.
-        memories: pre-embedded ``(m_in, m_out)`` alternative to
-            ``stories`` (layer-wise tying only).
-    """
-    if not engine_config.topk.enabled:
-        raise ValueError("engine_config.topk must be enabled to compare")
-    if (stories is None) == (memories is None):
-        raise ValueError("pass exactly one of stories= or memories=")
-    weights = weights if weights is not None else EngineWeights.random(config)
-
-    exact_cfg = engine_config.with_topk(nprobe=0)
-    topk_cfg = engine_config.with_topk(
-        nprobe=engine_config.topk.nprobe, measure_recall=True
-    )
-
-    results: dict[str, AnswerResult] = {}
-    for name, cfg in (("exact", exact_cfg), ("topk", topk_cfg)):
-        engine = MnnFastEngine(config, weights=weights, engine_config=cfg)
-        if stories is not None:
-            engine.store_story(stories)
-        else:
-            engine.set_memories(*memories)
-        results[name] = engine.answer(questions)
-
-    exact, topk = results["exact"], results["topk"]
-    agreement = float(np.mean(exact.answer_ids == topk.answer_ids))
-    index_stats = [s for s in topk.tier_stats()["index"] if s is not None]
-    recalls = [s.recall for s in index_stats if s.recall is not None]
-    fractions = [s.candidate_fraction for s in index_stats]
-    return TopKComparison(
-        num_questions=len(questions),
-        answer_agreement=agreement,
-        mean_recall=float(np.mean(recalls)) if recalls else None,
-        min_recall=float(np.min(recalls)) if recalls else None,
-        mean_candidate_fraction=(
-            float(np.mean(fractions)) if fractions else 1.0
-        ),
-        used_index=any(s.used_index for s in index_stats),
-        exact=exact,
-        topk=topk,
-    )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import _FAST, EXPERIMENTS, main
 
 
 class TestCli:
@@ -12,11 +12,7 @@ class TestCli:
         for name in EXPERIMENTS:
             assert name in out
 
-    @pytest.mark.parametrize(
-        "experiment",
-        ["table1", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13",
-         "fig14", "energy"],
-    )
+    @pytest.mark.parametrize("experiment", _FAST)
     def test_fast_experiments_run(self, experiment, capsys):
         assert main([experiment]) == 0
         out = capsys.readouterr().out
