@@ -82,11 +82,15 @@ perfbench-compare:
 
 # The CI step after tier-1: the harness's own tests (~9 s), short
 # story_turns and out_of_core_stream runs whose exit codes check the
-# answer-agreement floor, and three traced runs: story_turns (~2 s) —
+# answer-agreement floor, and four traced runs: story_turns (~2 s) —
 # the dialogue path, the only traced run whose writes cross store_story
 # and clear_memories between reads; a read is one compiled call that
 # crosses neither embed_question nor ColumnMemNN.output, so those spans
-# read 0 there (tests/test_answer_records.py) —, table1_batch (~12 s) —
+# read 0 there (tests/test_answer_records.py) —, out_of_core_stream
+# (~3 s) — the only workload whose hops run through a chunk pipeline,
+# each one ColumnMemNN.output call in the hop form every solver takes
+# (DESIGN.md §10, "One crossing per hop"), so column.output must fire
+# and store.lru_hit_share read 1.0 —, table1_batch (~12 s) —
 # the only caller of EngineConfig.fused(4), the 2-worker process config
 # and the vars(cls)[attr] span boundaries, so a refactor that moves a
 # method off its class fails here — and docqa_sessions (~15 s), the
@@ -100,6 +104,7 @@ perfbench-smoke:
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --trace 1 > /dev/null
+	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --trace 1 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload table1_batch --trace 1 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload docqa_sessions --trace 1 > /dev/null
 

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from ..store.base import check_dtype, check_pair, check_questions
+from .column import end_hop
 from .config import FLOAT_BYTES, ZeroSkipConfig
 from .numerics import softmax
 from .results import InferenceResult
@@ -63,6 +64,8 @@ class BaselineMemNN:
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
         return_probabilities: bool = False,
+        u_tile: np.ndarray | None = None,
+        at: tuple | None = None,
     ) -> InferenceResult:
         """Response vectors ``o = softmax(u x M_IN) x M_OUT`` (Eq. 3).
 
@@ -74,9 +77,15 @@ class BaselineMemNN:
                 renormalized, matching §4.1.1).
             return_probabilities: attach the full ``(nq, ns)``
                 probability matrix to the result.
+            u_tile: an engine hop (``u`` the float64 hop state, ``u_tile``
+                its narrowing): scores ``u_tile`` and ends the hop with
+                :func:`~repro.core.column.end_hop` (``at`` is not needed).
         """
         start_time = time.perf_counter()
-        u = check_questions(u, self.dtype, self.embedding_dim)
+        hop_state = u
+        u = check_questions(
+            u if u_tile is None else u_tile, self.dtype, self.embedding_dim
+        )
         nq, ed = u.shape
         ns = self.num_sentences
 
@@ -92,6 +101,8 @@ class BaselineMemNN:
 
         # Narrow the probabilities: a mixed GEMM would widen all of M_OUT.
         o = weights.astype(self.dtype, copy=False) @ self.m_out
+        if u_tile is not None:
+            end_hop(hop_state, u_tile, o)
 
         kept = int(np.count_nonzero(keep))
         # bytes_read reflects the actual compute dtype via nbytes; the

@@ -76,6 +76,7 @@ __all__ = [
     "ColumnMemNN",
     "PartialOutput",
     "RunRows",
+    "ScanRecord",
     "TileState",
     "column_op_stats",
     "exp_floor",
@@ -136,6 +137,45 @@ def column_op_stats(
         rows_kept,  # rows_computed
         rows - rows_kept,  # rows_skipped
     )
+
+
+def end_hop(u: np.ndarray, u_tile: np.ndarray, output: np.ndarray) -> None:
+    """``u_{k+1} = u_k + o_k`` in NumPy, in place: add ``o`` into ``u``,
+    the float64 hop state, and write ``u`` narrowed into ``u_tile``, the
+    next score GEMM's operand (``u`` itself under float64).  The same
+    IEEE operations, in the same order, as the compiled recurrence
+    (:meth:`TileState.recur`); every pass that finalizes a partial ends
+    an engine hop here."""
+    np.add(u, output, out=u)
+    if u_tile is not u:
+        u_tile[...] = u
+
+
+class ScanRecord:
+    """One column scan's record, kept raw: ``output`` (``o``; on the
+    compiled fold the state's buffer, valid until the solver's next
+    scan), the scan's ``(nq, rows scanned, rows kept)``, the solver's
+    ``(ed, chunk_size, dtype)`` and its chunk pipeline's ledger
+    snapshot.  ``stats`` and :meth:`tier_stats` — what an
+    :class:`InferenceResult` of the same pass carries — are built when
+    read."""
+
+    __slots__ = ("output", "nq", "rows", "kept", "column", "store")
+
+    def __init__(
+        self, output: np.ndarray | None, nq: int, rows: int, kept: int,
+        column: tuple, store: StoreStats | None = None,
+    ) -> None:  # fmt: skip
+        self.output, self.nq, self.rows, self.kept = output, nq, rows, kept
+        self.column, self.store = column, store
+
+    @property
+    def stats(self) -> OpStats:
+        ed, chunk_size, dtype = self.column
+        return column_op_stats(self.nq, self.rows, ed, self.kept, chunk_size, dtype)
+
+    def tier_stats(self) -> dict:
+        return {"shards": None, "store": self.store, "index": None}
 
 
 @dataclass
@@ -481,14 +521,12 @@ class TileState:
         the next GEMM's operand (``u`` itself under float64).  Returns
         ``o`` — on the compiled fold the state's ``acc``, valid until the
         next scan.  The compiled fold is one C call, refusing a bad ``u``
-        or ``u_tile`` before any write; the NumPy fold runs ``np.add(u,
-        o, out=u)`` and ``u_tile[...] = u``, the same IEEE operations.
-        ``at``: as :meth:`scan`'s."""
+        or ``u_tile`` before any write; the NumPy fold runs
+        :func:`end_hop`, the same IEEE operations.  ``at``: as
+        :meth:`scan`'s."""
         if self._compiled is None:
             output = self.finalize()
-            np.add(u, output, out=u)
-            if u_tile is not u:
-                u_tile[...] = u
+            end_hop(u, u_tile, output)
             return output
         if at is None:  # (the capsules outlive the call)
             held, at = compiled_fold.pair_structs(u, u_tile)
@@ -618,6 +656,8 @@ class ColumnMemNN:
         self._store = memory_store(m_in, m_out, store, dtype)
         self.dtype = self._store.dtype
         self._single = self.dtype == np.float32
+        #: What a :class:`ScanRecord` builds its counters from.
+        self._column = (self._store.embedding_dim, self.chunk.chunk_size, self.dtype)
         #: :meth:`output`'s fold state per ``(nq, threshold)`` it has
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
@@ -697,21 +737,19 @@ class ColumnMemNN:
         runs: np.ndarray | None = None,
         u_tile: np.ndarray | None = None,
         at: tuple | None = None,
-    ) -> InferenceResult | tuple[np.ndarray, int, int]:
+    ) -> InferenceResult | ScanRecord:
         """Response vectors via the chunked lazy-softmax dataflow —
         over the whole memory, or over the ``(r, 2)`` row runs ``runs``
         (see :meth:`scored_tiles`).
 
-        With ``u_tile`` this is one hop of the engine's recurrence, on a
-        kernel without a chunk pipeline: ``u`` is the ``(nq, ed)``
-        float64 hop state and ``u_tile`` its narrowing to the memory
-        dtype, the score GEMM's operand; the scan advances both in place
-        (``at``: their pointers, as :meth:`TileState.scan` takes them).
-        The hop's ``(o, rows scanned, rows kept)`` come back instead of
-        an :class:`InferenceResult` — ``o`` valid until the next scan;
-        the engine builds the hop's :func:`column_op_stats` from the ints
-        when they are read.  Over a resident float32 memory the hop is
-        one C call (:meth:`_plan`)."""
+        With ``u_tile`` this is one hop of the engine's recurrence (the
+        hop form every solver the engine holds takes): ``u`` is the
+        ``(nq, ed)`` float64 hop state and ``u_tile`` its narrowing to
+        the memory dtype, the score GEMM's operand; the scan ends in
+        :meth:`TileState.recur`, advancing both in place (``at``: their
+        pointers, as :meth:`TileState.scan` takes them), and the hop's
+        :class:`ScanRecord` comes back.  Over a resident float32 memory
+        the hop is one C call (:meth:`_plan`)."""
         if u_tile is None:
             start = time.perf_counter()
             u = self.check_questions(u)
@@ -725,18 +763,20 @@ class ColumnMemNN:
             state.restart()
         if u_tile is not None:
             ns, output = self._scan(u_tile, state, runs, (u, at))
-            return output, ns, state.rows_kept
-        ns, _ = self._scan(u, state, runs)
+        else:
+            ns, _ = self._scan(u, state, runs)
+            output = state.finalize()
         pipeline = self._pipeline
+        record = ScanRecord(
+            output, len(u), ns, state.rows_kept, self._column,
+            pipeline.stats.snapshot() if pipeline is not None else None,
+        )  # fmt: skip
+        if u_tile is not None:
+            return record
         return InferenceResult(
-            output=state.finalize(),
-            stats=column_op_stats(
-                len(u), ns, u.shape[1], state.rows_kept, self.chunk.chunk_size,
-                self.dtype,
-            ),  # fmt: skip
-            elapsed_seconds=time.perf_counter() - start,
-            store_stats=pipeline.stats.snapshot() if pipeline is not None else None,
-        )
+            output, record.stats, elapsed_seconds=time.perf_counter() - start,
+            store_stats=record.store,
+        )  # fmt: skip
 
     def partial_output(
         self,
@@ -754,10 +794,8 @@ class ColumnMemNN:
         u = self.check_questions(u)
         state = TileState(*u.shape, zero_skip.threshold if zero_skip else 0.0)
         ns, _ = self._scan(u, state, runs)
-        stats = column_op_stats(
-            len(u), ns, u.shape[1], state.rows_kept, self.chunk.chunk_size, self.dtype
-        )
-        return state.partial(), stats
+        record = ScanRecord(None, len(u), ns, state.rows_kept, self._column)
+        return state.partial(), record.stats
 
     def compiled_hop(self, nq: int, threshold: float) -> tuple[int, int] | None:
         """``(FoldState, ScanPlan)`` addresses of a compiled

@@ -28,7 +28,7 @@ from ..store.mmap_store import MmapStore
 from .baseline import BaselineMemNN
 from .cache import VectorCache
 from . import compiled_fold
-from .column import ColumnMemNN, column_op_stats
+from .column import ColumnMemNN, ScanRecord
 from .config import EngineConfig, MemNNConfig
 from .early_exit import (
     EXIT_CONFIDENCE,
@@ -38,7 +38,6 @@ from .early_exit import (
     logit_margin_confidence,
 )
 from .plan import InferencePlan, plan_engine_pass
-from .results import InferenceResult
 from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
@@ -244,13 +243,12 @@ class AnswerResult:
 
     The records — ``stats``, ``hop_stats``, ``tier_stats()`` (the one
     read surface of the per-hop shard, store and index statistics) and
-    ``hop_trace`` — are built on first read from what the pass kept of
-    each hop: a solver's :class:`~repro.core.results.InferenceResult`,
-    or a resident column scan's row counts (with the tier's record, on
-    a top-k hop: over the cluster-major copy, or below ``min_rows``).
-    An answer nobody inspects pays for none of them; every counter has
-    the value the pass produced.  (The per-question views of a batch are
-    given theirs.)
+    ``hop_trace`` — are built on first read from each hop's record (a
+    :class:`~repro.core.column.ScanRecord`, or the
+    :class:`~repro.core.results.InferenceResult` of a pass that builds
+    one; both answer ``stats`` and ``tier_stats()``).  An answer nobody
+    inspects pays for none of them; every counter has the value the pass
+    produced.  (The per-question views of a batch are given theirs.)
     """
 
     def __init__(
@@ -267,7 +265,7 @@ class AnswerResult:
         self.answer_ids, self.logits, self.response = answer_ids, logits, response
         self.cache_hits, self.cache_misses = cache_hits, cache_misses
         self.elapsed_seconds = elapsed_seconds
-        # answer()'s (hops, column, answers, checks, projected, trace).
+        # answer()'s (hop records, ed, answers, checks, projected, trace).
         self._ledger = ledger
         # Given records shadow the properties below.
         self.__dict__.update(records)
@@ -277,9 +275,13 @@ class AnswerResult:
         return softmax(self.logits)
 
     @_Record
+    def _hops(self) -> list:
+        """The hops' records (the one-call pass hands them over unbuilt)."""
+        return list(self._ledger[0])
+
+    @_Record
     def hop_stats(self) -> list[OpStats]:
-        hops, column = self._ledger[:2]
-        return [_hop_stats(hop, column) for hop in hops]
+        return [hop.stats for hop in self._hops]
 
     @_Record
     def stats(self) -> OpStats:
@@ -288,7 +290,7 @@ class AnswerResult:
         total = OpStats()
         for stats in self.hop_stats:
             total.accumulate(stats)
-        _, (ed, _, _), answers, checks, projected, _ = self._ledger
+        _, ed, answers, checks, projected, _ = self._ledger
         for nq in checks:
             total.flops += 2 * nq * ed + 2 * nq * answers * ed
             total.exp_calls += nq * answers
@@ -299,14 +301,12 @@ class AnswerResult:
     def _tiers(self) -> tuple[list, list, list]:
         """Per hop: shard counters (empty off the sharded path), store
         ledger and index statistics (``None`` where the tier did not
-        run; a resident column hop runs none, a top-k hop over the
-        cluster-major copy only the index)."""
-        hops = self._ledger[0]
-        tiers = [_hop_tiers(hop) for hop in hops]
+        run)."""
+        tiers = [hop.tier_stats() for hop in self._hops]
         return (
-            [list(tier["shards"] or ()) if tier else [] for tier in tiers],
-            [tier and tier["store"] for tier in tiers],
-            [tier and tier["index"] for tier in tiers],
+            [list(tier["shards"] or ()) for tier in tiers],
+            [tier["store"] for tier in tiers],
+            [tier["index"] for tier in tiers],
         )
 
     @_Record
@@ -333,36 +333,6 @@ class AnswerResult:
         shards, store, index = self._tiers
         return {"shards": shards, "store": store, "index": index,
                 "hops": self.hop_trace}  # fmt: skip
-
-
-def _hop_stats(hop: InferenceResult | tuple, column: tuple) -> OpStats:
-    """A hop's counters: its solver's, or those of a resident column
-    scan from its ``(nq, rows scanned, rows kept)`` and the solver's
-    ``(ed, chunk_size, dtype)`` — plus the centroid probe's, for a top-k
-    hop's ``(nq, rows, kept, (num_rows, nlist, ...))``."""
-    if type(hop) is not tuple:
-        return hop.stats
-    stats = column_op_stats(hop[0], hop[1], column[0], hop[2], *column[1:])
-    if len(hop) == 3:
-        return stats
-    from ..index.topk import probe_stats
-
-    return stats + probe_stats(hop[0], hop[3][1], column[0])
-
-
-def _hop_tiers(hop: InferenceResult | tuple) -> Dict[str, Any] | None:
-    """A hop's ``tier_stats()``: its solver's, none for a resident
-    column scan, and the index's alone for a top-k hop's record (``nlist``
-    0: the tier's exact fallback, which probed nothing)."""
-    if type(hop) is not tuple:
-        return hop.tier_stats()
-    if len(hop) == 3:
-        return None
-    from ..index.stats import IndexStats
-
-    num_rows, nlist, nprobe, build, probe = hop[3]
-    index = IndexStats(num_rows, hop[1], nlist, nprobe, nlist > 0, build, probe)
-    return {"shards": None, "store": None, "index": index}
 
 
 @dataclass
@@ -849,8 +819,6 @@ class MnnFastEngine:
         hops = self.config.hops
         zero_skip = ec.zero_skip if ec.zero_skip.enabled else None
         gated = ee.enabled and hops > 1
-        # The solvers are TopKMemNN tiers, which take the hop pair too.
-        indexed = ec.topk.enabled
         num_answers = len(self.weights.answer_weight)
         nq_total = len(u)
         # u is the float64 hop state, updated in place; u_tile is u
@@ -862,7 +830,6 @@ class MnnFastEngine:
         held, at = compiled_fold.pair_structs(u, u_tile)
         # What the records are built from when read (AnswerResult).
         hop_records: list = []
-        column = (self.config.embedding_dim, ec.chunk.chunk_size, dtype)
         checks: list[int] = []
         if gated:
             # Ragged-depth loop: exited questions are scattered into
@@ -876,36 +843,26 @@ class MnnFastEngine:
             confidences: list[np.ndarray] = []
         for hop in range(hops):
             solver = self._solver(hop if self._num_pairs > 1 else 0)
-            # u_{k+1} = u_k + o_k: a resident column kernel, and the
-            # top-k tier's scan of its cluster-major copy or its exact
-            # fallback, end the hop with it (TileState.recur); here it
-            # is the same two steps.
-            if type(solver) is ColumnMemNN and solver.store_stats is None:
-                output, rows, kept = solver.output(u, zero_skip, u_tile=u_tile, at=at)
-                record = (len(u), rows, kept)
-            else:
-                if indexed:
-                    record = solver.output(u, zero_skip, u_tile=u_tile, at=at)
-                else:
-                    record = solver.output(u, zero_skip=zero_skip)
-                if type(record) is tuple:
-                    output, rows, kept, tier = record
-                    record = (len(u), rows, kept, tier)
-                else:
-                    output = record.output
-                    np.add(u, output, out=u)
-                    if u_tile is not u:
-                        u_tile[...] = u
+            # u_{k+1} = u_k + o_k: every solver ends its own hop, in
+            # place, and returns the hop's record.
+            record = solver.output(u, zero_skip, u_tile=u_tile, at=at)
             hop_records.append(record)
             if hop_hook is not None:
-                hop_hook(hop, _hop_stats(record, column))
+                hop_hook(hop, record.stats)
             if not gated:
                 continue
             hops_run[active] += 1
             remaining = hops - (hop + 1)
             if remaining == 0 or hop + 1 < ee.min_hops:
                 continue
-            confidence, gate_logits = self._gate_confidence(u, output, remaining)
+            # The active questions' logit-margin confidence and the
+            # extrapolated logits it was read from (an exit's final
+            # ones); AnswerResult.stats counts the check.
+            output, layer = record.output, self.answer_layer
+            gate_logits = np.empty((len(u), num_answers), layer.dtype)
+            confidence = logit_margin_confidence(
+                u, output, remaining, layer, out=gate_logits
+            )
             checks.append(len(u))
             row = np.full(nq_total, np.nan)
             row[active] = confidence
@@ -949,7 +906,10 @@ class MnnFastEngine:
             cache_hits=hits,
             cache_misses=misses,
             elapsed_seconds=time.perf_counter() - start_time,
-            ledger=(hop_records, column, num_answers, checks, projected, trace),
+            ledger=(
+                hop_records, self.config.embedding_dim, num_answers, checks,
+                projected, trace,
+            ),  # fmt: skip
         )
 
     def _answer_pass(self, nq: int) -> tuple | None:
@@ -973,8 +933,7 @@ class MnnFastEngine:
         ):  # fmt: skip
             return None
         solvers = [self._solver(pair) for pair in range(self._num_pairs)]
-        resident = [type(s) is ColumnMemNN and s.store_stats is None for s in solvers]
-        if not all(resident):
+        if not all(type(s) is ColumnMemNN and s.store_stats is None for s in solvers):
             return None
         ed = self.config.embedding_dim
         outputs = (
@@ -1029,33 +988,17 @@ class MnnFastEngine:
         u, _, logits, top = outputs
         rows = [solver.num_sentences for solver in solvers]
         column = (self.config.embedding_dim, ec.chunk.chunk_size, self._dtype)
-        records = [(nq, rows[pair], k) for pair, k in zip(pairs, kept.tolist())]
+        # Built when read: the scan records of the kept-row counts.
+        records = (
+            ScanRecord(None, nq, rows[pair], k, column)
+            for pair, k in zip(pairs, kept.tolist())
+        )
         trace = (ec.early_exit.threshold, len(pairs), nq, None, None)
         return AnswerResult(
             top.copy(), logits.copy(), u.copy(),
             elapsed_seconds=time.perf_counter() - start_time,
-            ledger=(records, column, logits.shape[1], [], nq, trace),
+            ledger=(records, column[0], logits.shape[1], [], nq, trace),
         )  # fmt: skip
-
-    def _gate_confidence(
-        self,
-        u: np.ndarray,
-        last_output: np.ndarray,
-        remaining_hops: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The logit-margin confidence of the active questions.
-
-        Returns the ``(len(u),)`` confidence array and the extrapolated
-        answer logits it was read from (an exiting question's final
-        logits).  The check is not free: the pass's ``stats`` count it
-        (extrapolation, answer GEMM, softmax: ``AnswerResult.stats``).
-        """
-        layer = self.answer_layer
-        gate_logits = np.empty((len(u), layer.num_answers), layer.dtype)
-        confidence = logit_margin_confidence(
-            u, last_output, remaining_hops, layer, out=gate_logits
-        )
-        return confidence, gate_logits
 
     def answer_batch(
         self,

@@ -52,6 +52,7 @@ from .column import (
     PartialOutput,
     TileState,
     column_op_stats,
+    end_hop,
     merge_partials,
 )
 from .config import ChunkConfig, ExecutionConfig, ZeroSkipConfig
@@ -478,11 +479,20 @@ class ShardedMemNN:
         self,
         u: np.ndarray,
         zero_skip: ZeroSkipConfig | None = None,
+        u_tile: np.ndarray | None = None,
+        at: tuple | None = None,
     ) -> InferenceResult:
-        """Response vectors via shard fan-out + exact merge."""
+        """Response vectors via shard fan-out + exact merge.  With
+        ``u_tile``, an engine hop as ``ColumnMemNN.output``'s: the shards
+        scan ``u_tile`` and the merged partial's divide ends the hop
+        (:func:`~repro.core.column.end_hop`; ``at`` is not needed)."""
         start = time.perf_counter()
-        partial, stats, shard_stats = self._merged(u, zero_skip)
+        partial, stats, shard_stats = self._merged(
+            u if u_tile is None else u_tile, zero_skip
+        )
         output = partial.finalize()
+        if u_tile is not None:
+            end_hop(u, u_tile, output)
         store_stats = self.store_stats
         return InferenceResult(
             output=output,

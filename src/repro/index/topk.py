@@ -45,12 +45,47 @@ from ..core.config import ChunkConfig, ExecutionConfig, TopKConfig, ZeroSkipConf
 from ..core.results import InferenceResult
 from ..core.sharded import ShardedMemNN
 from ..core.stats import OpStats
-from ..store.base import MemoryStore, RowSubsetStore, StoreStats, check_questions
+from ..store.base import MemoryStore, RowSubsetStore, StoreStats
 from ..store.resident import memory_store
 from .ivf import IVFIndex
 from .stats import IndexStats
 
-__all__ = ["TopKMemNN", "probe_stats"]
+__all__ = ["IndexedHop", "TopKMemNN", "probe_stats"]
+
+
+class IndexedHop:
+    """A top-k pass's record: ``kernel``, the record of the exact
+    kernel's scan of the candidates (every row below ``min_rows``), the
+    tier's cumulative store ledger and the raw probe record
+    ``(num_rows, runs, nlist, nprobe, build_seconds, probe_seconds,
+    recall, candidates)`` — ``runs`` ``None`` where no index ran.
+    ``stats`` adds the centroid probe's counters to the kernel's, and
+    :meth:`tier_stats` the :class:`IndexStats`, when read."""
+
+    __slots__ = ("kernel", "_ed", "_store", "_index")
+
+    def __init__(self, kernel, ed: int, store: StoreStats | None, index: tuple) -> None:
+        self.kernel, self._ed, self._store, self._index = kernel, ed, store, index
+
+    @property
+    def output(self) -> np.ndarray:
+        return self.kernel.output
+
+    @property
+    def stats(self) -> OpStats:
+        nq = len(self.kernel.output)
+        return self.kernel.stats + probe_stats(nq, self._index[2], self._ed)
+
+    def tier_stats(self) -> dict:
+        num_rows, runs, nlist, nprobe, build, probe, recall, candidates = self._index
+        index = IndexStats(
+            num_rows, num_rows if runs is None else int(np.diff(runs).sum()),
+            nlist, nprobe, runs is not None, build, probe, recall,
+            None if candidates is None else tuple(int(row) for row in candidates),
+        )  # fmt: skip
+        shards = self.kernel.tier_stats()["shards"]
+        return {"shards": shards, "store": self._store, "index": index}
+
 
 class TopKMemNN:
     """Top-k candidate retrieval feeding the exact column kernels.
@@ -160,129 +195,82 @@ class TopKMemNN:
         zero_skip: ZeroSkipConfig | None = None,
         u_tile: np.ndarray | None = None,
         at: tuple | None = None,
-    ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
+    ) -> InferenceResult | IndexedHop:
         """Response vectors via probe -> candidate scan with the exact
         kernel.
 
         Mirrors the exact solvers' ``output`` signature so the engine
         dispatches to it interchangeably; the result additionally
-        carries an :class:`~repro.index.stats.IndexStats`.
-
-        With ``u_tile``, an indexed pass over the cluster-major copy
-        that records no recall or candidates is an engine hop, as in
-        ``ColumnMemNN.output`` (``at``: their pointers, as it takes them):
-        ``u`` and ``u_tile`` advance in place and
-        ``(o, rows, kept, (num_rows, nlist, nprobe, build_seconds,
-        probe_seconds))`` comes back, the engine's to build records from.
-        So is a pass below ``min_rows`` over a plain resident memory,
-        with ``nlist`` 0 (see :meth:`_exact_output`).
+        carries an :class:`~repro.index.stats.IndexStats`.  With
+        ``u_tile`` this is an engine hop, as ``ColumnMemNN.output``'s
+        (``at``: their pointers, as it takes them): the exact kernel
+        scanning the candidates ends it, and the hop's
+        :class:`IndexedHop` comes back.  Below ``min_rows`` that kernel
+        scans every row and no index is built (the record's ``nlist``
+        is 0).
         """
-        if not self.uses_index:
-            return self._exact_output(u, zero_skip, u_tile, at)
-
         start = time.perf_counter()
-        index = self._ensure_index()
-        build_seconds = 0.0 if self._build_charged else self._build_seconds
-        self._build_charged = True
         config = self.config
-        recorded = config.measure_recall or config.record_candidates
-        # An engine hop's one question check is the probe's: the scan
-        # takes the hop state as it is and advances it in place.
-        hop = u_tile is not None and self._cluster_scan is not None and not recorded
-        if not hop:
-            u_checked = check_questions(u, self.dtype, self.embedding_dim)
-        probe_start = time.perf_counter()
-        # The few centroids are float64: only the scan takes u narrowed.
-        runs, _ = index.probe(u, config.nprobe)
-        probe_seconds = time.perf_counter() - probe_start
-        if hop:
-            output, rows, kept = self._cluster_scan.output(
-                u, zero_skip, runs=runs, u_tile=u_tile, at=at
-            )
-            tier = (
-                self.num_sentences, index.nlist, config.nprobe,
-                build_seconds, probe_seconds,
-            )  # fmt: skip
-            return output, rows, kept, tier
-
-        # Original row ids: what the gather paths read by, and
-        # measurement machinery on the run path.
-        candidates = None
-        if self._cluster_scan is None or recorded:
-            candidates = index.rows(runs)
-        if self._cluster_scan is not None:
-            result = self._cluster_scan.output(
-                u_checked, zero_skip=zero_skip, runs=runs
-            )
+        runs = candidates = None
+        nlist, build_seconds, probe_seconds = 0, 0.0, 0.0
+        if self.uses_index:
+            index = self._ensure_index()
+            build_seconds = 0.0 if self._build_charged else self._build_seconds
+            self._build_charged = True
+            probe_start = time.perf_counter()
+            # The few centroids are float64: only the scan takes u narrowed.
+            runs, _ = index.probe(u, config.nprobe)
+            probe_seconds = time.perf_counter() - probe_start
+            nlist = index.nlist
+            if config.measure_recall:
+                # Recall is measured on the questions the pass started
+                # from, after the scan: a hop advances u in place.
+                before = np.array(u, self.dtype)
+            if (
+                self._cluster_scan is None
+                or config.measure_recall or config.record_candidates
+            ):  # fmt: skip
+                # Original row ids: what the gather paths read by, and
+                # measurement machinery on the run path.
+                candidates = index.rows(runs)
+            if self._cluster_scan is not None:
+                kernel = self._cluster_scan.output(
+                    u, zero_skip, runs=runs, u_tile=u_tile, at=at
+                )
+            else:
+                solver = self._build_solver(candidates=candidates)
+                kernel = solver.output(u, zero_skip, u_tile=u_tile, at=at)
+                self._absorb_subset_ledger(solver)
+                solver.close()
         else:
-            solver = self._build_solver(candidates=candidates)
-            result = solver.output(u_checked, zero_skip=zero_skip)
-            self._absorb_subset_ledger(solver)
-            solver.close()
-        result.stats = result.stats + probe_stats(
-            len(u_checked), index.nlist, self.embedding_dim
-        )
+            # Exact-scan fallback: the configured kernel over every row,
+            # bit-identical to the tier being disabled.
+            if self._exact_solver is None:
+                self._exact_solver = self._build_solver(full_memory=True)
+            kernel = self._exact_solver.output(u, zero_skip, u_tile=u_tile, at=at)
         elapsed = time.perf_counter() - start
-
         recall = None
         if config.measure_recall:
             # Diagnostics-only O(ns*ed) pass, outside the timed window.
-            recall = self._attention_mass_recall(u_checked, candidates)
-        result.index_stats = IndexStats(
-            num_rows=self.num_sentences,
-            candidate_rows=int(np.diff(runs).sum()),
-            nlist=index.nlist,
-            nprobe=config.nprobe,
-            used_index=True,
-            build_seconds=build_seconds,
-            probe_seconds=probe_seconds,
-            recall=recall,
-            candidates=(
-                tuple(int(row) for row in candidates)
-                if config.record_candidates
-                else None
-            ),
-        )
-        result.elapsed_seconds = elapsed
-        # Replace the subset solver's per-pass ledger with the tier's
-        # cumulative one (private storage: tier_stats() is the only
-        # read surface since the attribute shims were removed).
-        result._store_stats = self.store_stats
-        return result
+            recall = (
+                1.0 if runs is None
+                else self._attention_mass_recall(before, candidates)
+            )  # fmt: skip
+        record = IndexedHop(
+            kernel, self.embedding_dim, self.store_stats,
+            (self.num_sentences, runs, nlist, config.nprobe, build_seconds,
+             probe_seconds, recall, candidates if config.record_candidates else None),
+        )  # fmt: skip
+        if u_tile is not None:
+            return record
+        tiers = record.tier_stats()
+        return InferenceResult(
+            record.output, record.stats, shard_stats=tiers["shards"],
+            elapsed_seconds=elapsed, store_stats=tiers["store"],
+            index_stats=tiers["index"],
+        )  # fmt: skip
 
     # --- internals -----------------------------------------------------------
-
-    def _exact_output(
-        self,
-        u: np.ndarray,
-        zero_skip: ZeroSkipConfig | None,
-        u_tile: np.ndarray | None,
-        at: tuple | None = None,
-    ) -> InferenceResult | tuple[np.ndarray, int, int, tuple]:
-        """Exact-scan fallback: the configured kernel over every row,
-        bit-identical to the tier being disabled.  An engine hop over a
-        plain resident kernel is that kernel's own (one C call) and comes
-        back as an indexed hop's record, with
-        ``nlist`` 0: no index ran."""
-        if self._exact_solver is None:
-            self._exact_solver = self._build_solver(full_memory=True)
-        exact = self._exact_solver
-        if (
-            u_tile is not None and not self.config.measure_recall
-            and type(exact) is ColumnMemNN and exact.store_stats is None
-        ):  # fmt: skip
-            tier = (self.num_sentences, 0, self.config.nprobe, 0.0, 0.0)
-            return *exact.output(u, zero_skip, u_tile=u_tile, at=at), tier
-        result = exact.output(u, zero_skip=zero_skip)
-        result.index_stats = IndexStats(
-            num_rows=self.num_sentences,
-            candidate_rows=self.num_sentences,
-            nlist=0,
-            nprobe=self.config.nprobe,
-            used_index=False,
-            recall=1.0 if self.config.measure_recall else None,
-        )
-        return result
 
     def _ensure_index(self) -> IVFIndex:
         if self._index is None:

@@ -1,20 +1,28 @@
 """What an answer hands back, and where a traced run sees it happen.
 
-``MnnFastEngine.answer`` builds its records — ``stats``, ``hop_stats``,
-the tier lists, ``hop_trace`` — when they are first read, and a
-resident column hop advances the question state in place (DESIGN.md
-§10, "Solvers across writes").  So an earlier answer must not change
-when the same engine answers and writes again before anyone reads it.
-Then the span boundaries perfbench patches (``spans.py`` wraps
-``vars(cls)[attr]``) must still be crossed once per hop and once per
-answer.
+Every solver the engine holds ends its own hop in place and returns one
+record (DESIGN.md §10, "One crossing per hop"); ``MnnFastEngine.answer``
+builds its records — ``stats``, ``hop_stats``, the tier lists,
+``hop_trace`` — from them when they are first read.  So an earlier
+answer must not change when the same engine answers and writes again
+before anyone reads it.  Then the span boundaries perfbench patches
+(``spans.py`` wraps ``vars(cls)[attr]``) must still be crossed once per
+hop and once per answer, on every tier: one ``output`` call on the
+solver's class per hop.
 """
 
 from collections import Counter
 
 import pytest
 
-from repro.core import ColumnMemNN, EngineConfig, MnnFastEngine, compiled_fold
+from repro.core import (
+    ColumnMemNN,
+    EngineConfig,
+    MnnFastEngine,
+    ShardedMemNN,
+    compiled_fold,
+)
+from repro.index import TopKMemNN
 
 from .test_dialogue_writes import _weights
 from .test_differential_paths import _random_problem
@@ -123,3 +131,51 @@ def test_a_dialogue_crosses_the_traced_boundaries(tying, monkeypatch):
     assert counts["embed_question"] == answers + looped
     assert counts["store_story"] == 14
     assert counts["clear_memories"] == 2 + 1  # the constructor clears once
+
+
+def _count_outputs(monkeypatch, counts):
+    """Count the ``output`` calls on every class perfbench wraps one of."""
+    for owner in (ColumnMemNN, ShardedMemNN, TopKMemNN):
+        original = vars(owner)["output"]
+
+        def counted(*args, _original=original, _owner=owner, **kwargs):
+            counts[_owner] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "output", counted)
+
+
+#: Per tier: the config and the ``output`` calls one engine hop makes,
+#: per class.  A top-k hop's exact kernel is a ``ColumnMemNN`` (over the
+#: cluster-major copy, or every row below ``min_rows``).
+TIERS = {
+    "out_of_core": (EngineConfig.out_of_core(), {ColumnMemNN: 1}),
+    "sharded": (EngineConfig.sharded(2, chunk_size=4), {ShardedMemNN: 1}),
+    "topk_indexed": (
+        EngineConfig.mnnfast().with_topk(nprobe=2, nlist=4, min_rows=0),
+        {TopKMemNN: 1, ColumnMemNN: 1},
+    ),
+    "topk_below_min_rows": (
+        EngineConfig.mnnfast().with_topk(nprobe=2).with_early_exit(0.99875),
+        {TopKMemNN: 1, ColumnMemNN: 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(TIERS))
+def test_every_tier_crosses_one_traced_output_per_hop(key, monkeypatch):
+    """Out of core (the hops perfbench's ``out_of_core_stream`` runs
+    through a chunk pipeline), sharded and top-k: every engine hop is
+    one ``output`` call on the class perfbench wraps for that tier, so
+    ``column.output`` / ``sharded.output`` / ``topk.output`` count hops."""
+    config, per_hop = TIERS[key]
+    counts = Counter()
+    _count_outputs(monkeypatch, counts)
+    problem, weights, story, questions = _random_problem(6)
+    engine = MnnFastEngine(problem, weights, engine_config=config)
+    engine.store_story(story)
+    hops = 0
+    for batch in (questions, questions[:1], questions[1:]):
+        hops += len(engine.answer(batch).hop_stats)
+    engine.close()
+    assert counts == {owner: calls * hops for owner, calls in per_hop.items()}

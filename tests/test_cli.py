@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import contention
 from repro.cli import _FAST, EXPERIMENTS, main
 
 
@@ -18,9 +19,16 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.strip()
 
-    def test_fig4_runs(self, capsys):
+    def test_fig4_runs(self, capsys, monkeypatch):
+        """``main`` through ``_cmd_fig4`` and ``contention_sweep`` to the
+        1/2/4/8-thread table, at the smallest scale (the sweep's own
+        check is ``tests/test_analysis.py::test_sweep_structure``)."""
+        small = {"small": contention.DEFAULT_SCALES["small"]}
+        monkeypatch.setattr(contention, "DEFAULT_SCALES", small)
         assert main(["fig4"]) == 0
-        assert "Fig. 4" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Fig. 4" in out
+        assert "small" in out and "medium" not in out
 
     def test_unknown_experiment_errors(self, capsys):
         with pytest.raises(SystemExit):

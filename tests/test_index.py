@@ -24,6 +24,7 @@ from repro.core import (
     TopKConfig,
     compiled_fold,
 )
+from repro.core.column import ScanRecord
 from repro.docqa import (
     docqa_network,
     docqa_weights,
@@ -485,7 +486,9 @@ class TestClusterMajorScan:
         hops = sum(len(answer._ledger[0]) for answer in answers)
         assert calls == {TopKMemNN: hops, IVFIndex: hops, ColumnMemNN: hops}
         # Every hop took the lean path: no InferenceResult was kept.
-        assert all(type(hop) is tuple for a in answers for hop in a._ledger[0])
+        assert all(
+            type(hop.kernel) is ScanRecord for a in answers for hop in a._ledger[0]
+        )
         wants = [full.answer(batch) for batch in batches]
 
         def untimed(index):
@@ -663,7 +666,9 @@ class TestBelowTheCrossover:
         ]
         hops = sum(len(answer._ledger[0]) for answer in answers)
         assert calls == {"output hop": hops}
-        assert all(type(hop) is tuple for a in answers for hop in a._ledger[0])
+        assert all(
+            type(hop.kernel) is ScanRecord for a in answers for hop in a._ledger[0]
+        )
 
     def test_a_story_grown_across_min_rows_switches_to_the_index(self):
         """``store_story`` past ``min_rows`` drops the fallback solver;

@@ -7,6 +7,11 @@ its own row intake but shares the question check, and the IVF probe
 shares it in float64.  Each refuses the same inputs with the same
 message, so a private copy of either rule cannot drift back in.
 
+Every solver the engine holds also takes one hop form, ``output(u,
+zero_skip, u_tile=...)``: it ends the hop ``u += o`` in place and
+returns one record, whose ``stats`` and ``tier_stats()`` are the public
+``InferenceResult``'s (DESIGN.md §10, "One crossing per hop").
+
 A process-backed sharded engine hands its solver resident rows and the
 solver spills them itself (DESIGN.md §10, "Spill-on-demand"): its
 answers equal the serial sharded engine's bitwise, and neither a write
@@ -15,6 +20,7 @@ nor ``close()`` leaves a spill directory or a pool worker behind.
 
 import multiprocessing
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +28,19 @@ import pytest
 
 from repro.core import (
     BaselineMemNN,
+    ChunkConfig,
     ColumnMemNN,
     EngineConfig,
     ExecutionConfig,
     MnnFastEngine,
     ShardedMemNN,
+    ZeroSkipConfig,
+    compiled_fold,
 )
 from repro.core.config import TopKConfig
 from repro.index.ivf import IVFIndex
 from repro.index.topk import TopKMemNN
-from repro.store import ResidentStore
+from repro.store import MmapStore, ResidentStore
 
 from .test_core_multicore import _problem
 
@@ -97,6 +106,76 @@ def test_the_ivf_probe_refuses_the_same_question_batches(case):
         _refusal(lambda: index.probe(np.ones(shape), 2))
         == f"questions must be (nq, {ED}), got {shape}"
     )
+
+
+def _topk(**config):
+    return lambda **kw: TopKMemNN(
+        config=TopKConfig(nprobe=1, nlist=4, **config), chunk=ChunkConfig(16), **kw
+    )
+
+
+#: One cell per kind of hop the engine can hold; ``store`` cells read
+#: the rows from an ``MmapStore`` through a chunk pipeline.
+HOPS = {
+    "resident column": (False, lambda **kw: ColumnMemNN(chunk=ChunkConfig(16), **kw)),
+    # The first pass streams and admits every chunk; the second runs
+    # over the plan cut from the resident tier.
+    "pipeline column": (
+        True,
+        lambda **kw: ColumnMemNN(chunk=ChunkConfig(16), resident_bytes=1 << 20, **kw),
+    ),
+    "sharded serial": (False, lambda **kw: ShardedMemNN(num_shards=3, **kw)),
+    "sharded mmap": (True, lambda **kw: ShardedMemNN(num_shards=3, **kw)),
+    "baseline": (False, BaselineMemNN),
+    "topk indexed": (False, _topk(min_rows=0)),
+    "topk below min_rows": (False, _topk()),
+    "topk recall": (False, _topk(min_rows=0, measure_recall=True)),
+}
+
+
+def _untimed(tiers):
+    index, store = tiers["index"], tiers["store"]
+    if index is not None:
+        index = replace(index, build_seconds=0.0, probe_seconds=0.0)
+    if store is not None:
+        store = replace(store, stall_seconds=0.0)
+    return {**tiers, "index": index, "store": store}
+
+
+@pytest.mark.parametrize("fold", ("compiled", "numpy"))
+@pytest.mark.parametrize("cell", HOPS)
+def test_a_hop_is_the_public_output_then_the_recurrence(cell, fold, tmp_path, request):
+    """Twice over two twin solvers: the hop form leaves ``u`` and
+    ``u_tile`` byte-equal to ``u + output(u).output`` and its float32
+    narrowing, and its record reads the public result's ``stats`` and
+    ``tier_stats()`` but for timings."""
+    if fold == "numpy":
+        request.getfixturevalue("numpy_fold")
+    elif compiled_fold.fold_backend() != "c":
+        pytest.skip(compiled_fold.fold_backend())
+    stored, make = HOPS[cell]
+    m_in, m_out = (m.astype(np.float32) for m in _memories())
+    if stored:
+        stores = [MmapStore.save(tmp_path / name, m_in, m_out) for name in "ab"]
+        public, hop = (make(store=store) for store in stores)
+    else:
+        stores = []
+        public, hop = (make(m_in=m_in, m_out=m_out, dtype=np.float32) for _ in "ab")
+    zero_skip = ZeroSkipConfig(0.1)
+    rng = np.random.default_rng(1)
+    for _ in range(2):
+        u = m_in[rng.integers(0, NS, size=3)] + rng.normal(0.0, 0.1, (3, ED))
+        want = public.output(u, zero_skip)
+        hop_u = u.copy()
+        hop_tile = hop_u.astype(np.float32)
+        record = hop.output(hop_u, zero_skip, u_tile=hop_tile)
+        assert record.output.tobytes() == want.output.tobytes()
+        assert hop_u.tobytes() == (u + want.output).tobytes()
+        assert hop_tile.tobytes() == (u + want.output).astype(np.float32).tobytes()
+        assert record.stats == want.stats
+        assert _untimed(record.tier_stats()) == _untimed(want.tier_stats())
+    for closing in (public, hop, *stores):
+        getattr(closing, "close", lambda: None)()
 
 
 def _spills(root: Path) -> list[Path]:

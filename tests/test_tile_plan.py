@@ -92,9 +92,9 @@ def test_a_plan_scan_equals_the_tile_generator(fold, ns, threshold):
         want_u = u.copy()
         want_o = want.recur(want_u, want_u.astype(np.float32))
         hop_u, hop_tile = u.copy(), u_tile.copy()
-        o, rows, kept = solver.output(hop_u, zero_skip, u_tile=hop_tile)
-        assert (rows, kept) == (ns, want.rows_kept)
-        assert o.tobytes() == want_o.tobytes() == got.output.tobytes()
+        hop = solver.output(hop_u, zero_skip, u_tile=hop_tile)
+        assert (hop.rows, hop.kept) == (ns, want.rows_kept)
+        assert hop.output.tobytes() == want_o.tobytes() == got.output.tobytes()
         assert hop_u.tobytes() == want_u.tobytes()
         assert hop_tile.tobytes() == want_u.astype(np.float32).tobytes()
 
