@@ -1,5 +1,7 @@
 # Developer entry points.  `make check` is the tier-1 gate: lint (when
-# ruff is available) plus the unit/integration test suite.
+# ruff is available) plus the unit/integration test suite.  pytest is
+# quiet already (pyproject.toml's addopts = "-q"): another -q here would
+# drop the "N passed" summary line.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -17,7 +19,7 @@ lint:
 	fi
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 # Build (or load from the cache) the compiled tile fold, src/repro/core/
 # _fold.c, and print which fold TileState runs: "c", or "numpy: <why>".
@@ -38,26 +40,26 @@ kernel:
 
 # Skip the slow (model-training) tests for a quick local loop.
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not slow"
+	$(PYTHON) -m pytest -x -m "not slow"
 
 # Where does the suite's time go?  Top 15 slowest test phases.  Set
 # PYTEST_MAX_TEST_SECONDS (as CI does) to fail any single test that
 # exceeds the budget — the runaway-test gate lives in tests/conftest.py.
 test-slowest:
-	$(PYTHON) -m pytest -q --durations=15
+	$(PYTHON) -m pytest --durations=15
 
 # Every bench at its full scale, by hand: the paper figures and the
 # extension benches' wall-clock gates.  Their deterministic gates live
 # in tier-1 (tests/); perfbench is the timing system CI runs.
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks
 
 # Full-scale core-engine trajectory (serial vs process/fused
 # arrangements), rewriting BENCH_core.json.  On a >= 4-CPU host this
 # enforces the multicore acceptance gates; below that BENCH_core.json
 # records an explicit parallel_gate.skipped_reason.
 bench-core:
-	$(PYTHON) -m pytest benchmarks/bench_parallel_speedup.py -q
+	$(PYTHON) -m pytest benchmarks/bench_parallel_speedup.py
 
 serving:
 	$(PYTHON) -m repro serving
@@ -100,7 +102,7 @@ perfbench-compare:
 # TopKConfig.min_rows, so it reads index.fallback_share 1.0 and never
 # reaches IVFIndex.build/probe: tests/test_index.py holds those.
 perfbench-smoke:
-	$(PYTHON) -m pytest benchmarks/perfbench -q
+	$(PYTHON) -m pytest benchmarks/perfbench
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload out_of_core_stream --seconds 5 > /dev/null
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --trace 1 > /dev/null
@@ -113,7 +115,7 @@ perfbench-smoke:
 # 32 768 rows, nq 1/4/8, in host-reference units (~10 s).  BLAS is
 # pinned to one thread, as perfbench pins it.
 topk-crossover:
-	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest benchmarks/bench_topk_recall.py -q -s -k crossover
+	OPENBLAS_NUM_THREADS=1 $(PYTHON) -m pytest benchmarks/bench_topk_recall.py -s -k crossover
 
 # Line counts ROADMAP.md tracks (aim 2: src/ should go down); src/
 # counts its C source too.

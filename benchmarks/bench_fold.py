@@ -314,7 +314,7 @@ def _bare_hop(solver, u, u_tile):
         fold_state.folded = 0
         for tile_in, block, block_at, rows in calls:
             matmul(u_tile, tile_in, out=block)
-            fold(address, block_at, rows, None, None)
+            fold(address, block_at, rows)
         finish(address, *pointers[-2:])
 
     def gemms():

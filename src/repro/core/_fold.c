@@ -17,9 +17,11 @@
  * fold in column.py is the reference this file is tested against
  * (tests/test_compiled_fold.py).
  *
- * repro_scan walks a whole resident memory in one call: per tile the
- * score product, the fold (and at threshold 0 the weighted-sum product),
- * the products made by NumPy's own BLAS as np.matmul makes them (matmul).
+ * repro_scan walks a whole tile plan in one call -- the resident memory,
+ * a chunk pipeline's held chunks, or a probe's row spans of the top-k
+ * tier's cluster-major copy: per tile the score products, the fold (and
+ * at threshold 0 the weighted-sum product), the products made by NumPy's
+ * own BLAS as np.matmul makes them (matmul).
  * repro_hop and a hop's repro_scan end with the divide and the hop
  * recurrence u += acc / denom, then u narrowed to float32 for the next
  * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.
@@ -120,10 +122,10 @@ static inline int is_array(
         && a->itemsize == itemsize && (a->flags & flags) == flags;
 }
 
-/* repro_fold's errors (compiled_fold.FOLD_ERRORS). */
+/* repro_fold's, repro_hop's and repro_scan's errors
+ * (compiled_fold.FOLD_ERRORS). */
 #define FOLD_BAD_SCORES (-1)
 #define FOLD_BAD_ROWS (-2)
-#define FOLD_BAD_RUNS (-3)
 #define FOLD_BAD_U (-4)
 #define FOLD_BAD_U_TILE (-5)
 #define FOLD_EMPTY (-6)
@@ -192,12 +194,14 @@ static inline __attribute__((always_inline)) int block_reaches(
 }
 
 /* One question row.  cs, ocol: column strides in elements.  Inlined
- * into fold() twice, once with cs = 1, so the common case vectorizes. */
+ * into fold() twice, once with cs = 1, so the common case vectorizes.
+ * The tile's columns are the rows of `out` that the [start, stop) pairs
+ * from `span` on hold, in order, the first read from row `row0`. */
 static inline __attribute__((always_inline)) int64_t fold_row(
     fold_state *st, int64_t q, int first, int64_t n,
     float *s, ptrdiff_t cs,
     const float *out, ptrdiff_t orow, ptrdiff_t ocol,
-    const int64_t *bounds, const int64_t *shifts)
+    const int64_t *span, int64_t row0)
 {
     float *log_max = st->log_max;
     double *acc = st->acc + q * st->ed;
@@ -292,9 +296,9 @@ static inline __attribute__((always_inline)) int64_t fold_row(
     if (!(top >= cut))
         return 0;
 
-    /* Keep e >= cut, adding the kept rows' outputs.  A RunRows tile
-     * maps column j to row j + shifts[p], bounds[p] <= j < bounds[p+1]. */
-    int64_t kept = 0, piece = 0, shift = 0;
+    /* Keep e >= cut, adding the kept rows' outputs: column k is row
+     * k + shift while k < stop, the column past the span's last. */
+    int64_t kept = 0, shift = row0, stop = span[1] - row0;
     for (j = 0; j < n; j += LANES) {
         const int64_t end = j + LANES < n ? j + LANES : n;
         if (end - j == LANES && !block_reaches(s + j * cs, cs, cut))
@@ -303,10 +307,10 @@ static inline __attribute__((always_inline)) int64_t fold_row(
             const double e = s[k * cs];
             if (!(e >= cut))
                 continue;
-            if (bounds) {
-                while (k >= bounds[piece + 1])
-                    piece++;
-                shift = shifts[piece];
+            while (k >= stop) {
+                span += 2;
+                shift = span[0] - stop;
+                stop += span[1] - span[0];
             }
             const float *row = out + (k + shift) * orow;
             int64_t d;
@@ -357,11 +361,12 @@ static void matmul(const blas_entries *b, int64_t m, int64_t n, int64_t k,
 }
 
 /* Fold the (nq, n) block s (row and column strides rs, cs) against its
- * output rows; repro_fold's arithmetic, its arguments checked. */
+ * output rows (fold_row's `out`, `span`, `row0`); repro_fold's
+ * arithmetic, its arguments checked. */
 static int64_t fold_tile(
     fold_state *st, float *s, ptrdiff_t rs, ptrdiff_t cs, int64_t n,
     const float *out, ptrdiff_t orow, ptrdiff_t ocol,
-    const int64_t *bound, const int64_t *shift)
+    const int64_t *span, int64_t row0)
 {
     /* Before any rescale (a scan's first fold then zeroes acc). */
     add_pending(st);
@@ -369,59 +374,39 @@ static int64_t fold_tile(
     int64_t kept = 0, q;
     for (q = 0; q < st->nq; q++)
         kept += cs == 1
-            ? fold_row(st, q, first, n, s + q * rs, 1, out, orow, ocol, bound, shift)
-            : fold_row(st, q, first, n, s + q * rs, cs, out, orow, ocol, bound, shift);
+            ? fold_row(st, q, first, n, s + q * rs, 1, out, orow, ocol, span, row0)
+            : fold_row(st, q, first, n, s + q * rs, cs, out, orow, ocol, span, row0);
     st->folded++;
     return kept;
 }
 
 /* Fold one tile: `scores` the writable (nq, n) score block (overwritten
- * with its exponentials), `rows` the tile's (n, ed) output rows -- or,
- * with `bounds`/`shifts`, the (ns, ed) memory a RunRows view indexes --
- * unread when the threshold is 0 (the caller's GEMM then leaves the
- * tile's weighted sum pending in contrib, added by the next call).
- * Every array is checked against the state before a pointer is
- * followed.  Returns the question-rows kept, or FOLD_BAD_SCORES /
- * FOLD_BAD_ROWS / FOLD_BAD_RUNS. */
+ * with its exponentials), `rows` the tile's (n, ed) output rows, unread
+ * when the threshold is 0 (the caller's GEMM then leaves the tile's
+ * weighted sum pending in contrib, added by the next call).  Every array
+ * is checked against the state before a pointer is followed.  Returns
+ * the question-rows kept, or FOLD_BAD_SCORES / FOLD_BAD_ROWS. */
 int64_t repro_fold(
-    fold_state *st, const array_interface *scores, const array_interface *rows,
-    const array_interface *bounds, const array_interface *shifts)
+    fold_state *st, const array_interface *scores, const array_interface *rows)
 {
     const int size = (int)sizeof(float);
     if (!is_array(scores, 2, 'f', size, ARRAY_WRITEABLE)
         || scores->shape[0] != st->nq)
         return FOLD_BAD_SCORES;
     const int64_t n = scores->shape[1];
-    const int64_t *bound = NULL, *shift = NULL;
     const float *out = NULL;
     ptrdiff_t orow = 0, ocol = 0;
+    const int64_t whole[2] = {0, n};
     if (st->threshold != 0.0) {
-        if (!is_array(rows, 2, 'f', size, 0) || rows->shape[1] != st->ed)
+        if (!is_array(rows, 2, 'f', size, 0) || rows->shape[0] != n
+            || rows->shape[1] != st->ed)
             return FOLD_BAD_ROWS;
-        if (bounds == NULL) {
-            if (rows->shape[0] != n)
-                return FOLD_BAD_ROWS;
-        } else {
-            if (!is_array(bounds, 1, 'i', 8, ARRAY_C_CONTIGUOUS)
-                || !is_array(shifts, 1, 'i', 8, ARRAY_C_CONTIGUOUS)
-                || bounds->shape[0] != shifts->shape[0] + 1)
-                return FOLD_BAD_RUNS;
-            bound = bounds->data;
-            shift = shifts->data;
-            const int64_t pieces = shifts->shape[0];
-            if (bound[0] != 0 || bound[pieces] != n)
-                return FOLD_BAD_RUNS;
-            for (int64_t p = 0; p < pieces; p++)
-                if (bound[p] > bound[p + 1] || bound[p] + shift[p] < 0
-                    || bound[p + 1] + shift[p] > rows->shape[0])
-                    return FOLD_BAD_RUNS;
-        }
         out = rows->data;
         orow = rows->strides[0] / size;
         ocol = rows->strides[1] / size;
     }
     return fold_tile(st, scores->data, scores->strides[0] / size,
-                     scores->strides[1] / size, n, out, orow, ocol, bound, shift);
+                     scores->strides[1] / size, n, out, orow, ocol, whole, 0);
 }
 
 /* Whether `u` is the C-ordered, writable (nq, ed) float64 hop state and
@@ -464,62 +449,134 @@ int64_t repro_hop(fold_state *st, const array_interface *u, const array_interfac
     return 0;
 }
 
-/* A memory's tiles (compiled_fold.ScanPlan): `pieces` (M_IN, M_OUT)
- * pairs of (n, ed) float32 arrays, M_IN feature-major, cut into tiles of
- * at most `chunk` rows, each scored into the workspace `scores`. */
+/* A tile plan (compiled_fold.ScanPlan): `pieces` (M_IN, M_OUT, spans)
+ * triples -- (n, ed) float32 arrays, M_IN feature-major, and NULL (the
+ * whole piece) or a C-ordered (r, 2) int64 array of [start, stop) rows.
+ * A piece's spans pack, in order, into tiles of at most `chunk` columns,
+ * scored into the workspace `scores`; a tile may cross a span's end, two
+ * pieces never share one.  `gather`: float32 rows, C order, that a
+ * threshold-0 tile over two spans gathers its M_OUT rows into. */
 typedef struct {
     int64_t pieces, chunk;
-    const array_interface *const *memory; /* M_IN, M_OUT of each piece */
-    const array_interface *scores;
+    const array_interface *const *memory; /* M_IN, M_OUT, spans of each piece */
+    const array_interface *scores, *gather;
 } scan_plan;
+
+/* Whether every piece of `plan` is as scan_plan says, each span inside
+ * its piece's rows, and its widest tile fits the workspace (and at
+ * threshold 0 over two spans or more, the gather rows): 0, or
+ * FOLD_BAD_MEMORY / FOLD_BAD_SCORES. */
+static int64_t check_plan(const fold_state *st, const scan_plan *plan)
+{
+    const int64_t ed = st->ed, size = (int64_t)sizeof(float);
+    const array_interface *gather = plan->gather;
+    if (plan->chunk < 1)
+        return FOLD_BAD_MEMORY;
+    for (int64_t p = 0; p < plan->pieces; p++) {
+        const array_interface *in = plan->memory[3 * p], *out = plan->memory[3 * p + 1];
+        const array_interface *spans = plan->memory[3 * p + 2];
+        if (!is_array(in, 2, 'f', size, 0) || in->shape[1] != ed
+            || !is_array(out, 2, 'f', size, 0) || out->shape[0] != in->shape[0]
+            || out->shape[1] != ed
+            || (spans != NULL && (!is_array(spans, 2, 'i', 8, ARRAY_C_CONTIGUOUS)
+                                  || spans->shape[1] != 2)))
+            return FOLD_BAD_MEMORY;
+        /* (an empty array's strides may be anything) */
+        if (in->shape[0] > 0 && (in->strides[0] != size || out->strides[1] != size))
+            return FOLD_BAD_MEMORY;
+        const int64_t whole[2] = {0, in->shape[0]}, *span = spans ? spans->data : whole;
+        const int64_t *end = span + (spans ? 2 * spans->shape[0] : 2);
+        int64_t count = 0;
+        for (const int64_t *s = span; s < end; s += 2) {
+            if (s[0] < 0 || s[0] > s[1] || s[1] > in->shape[0])
+                return FOLD_BAD_MEMORY;
+            count += s[1] - s[0];
+        }
+        const int64_t width = count < plan->chunk ? count : plan->chunk;
+        if (width > plan->scores->shape[1])
+            return FOLD_BAD_SCORES;
+        if (st->threshold == 0.0 && end - span > 2
+            && (!is_array(gather, 2, 'f', size, ARRAY_C_CONTIGUOUS | ARRAY_WRITEABLE)
+                || gather->shape[0] < width || gather->shape[1] != ed))
+            return FOLD_BAD_MEMORY;
+    }
+    return 0;
+}
 
 /* A new scan of `st` over `plan` with the C-ordered (nq, ed) float32
  * questions `u_tile`; with the hop state `u` (u_tile its narrowing) the
- * hop ends in the same call, as repro_hop's.  Arrays are checked before
- * they are read; u and u_tile are written after the last fold.  Returns
- * the question-rows kept, or a FOLD_* error. */
+ * hop ends in the same call, as repro_hop's.  Every array and span is
+ * checked before the first product; u and u_tile are written after the
+ * last fold.  Returns the question-rows kept, or a FOLD_* error. */
 int64_t repro_scan(
     fold_state *st, const scan_plan *plan, const array_interface *u_tile,
     const array_interface *u)
 {
     const int64_t nq = st->nq, ed = st->ed, size = (int64_t)sizeof(float);
     const array_interface *ws = plan->scores;
-    const int64_t bad = u != NULL ? hop_arrays(st, u, u_tile)
+    int64_t status = u != NULL ? hop_arrays(st, u, u_tile)
         : !is_array(u_tile, 2, 'f', size, ARRAY_C_CONTIGUOUS) || u_tile->shape[0] != nq
                 || u_tile->shape[1] != ed ? FOLD_BAD_U_TILE : 0;
-    if (bad < 0)
-        return bad;
-    if (!is_array(ws, 2, 'f', size, ARRAY_WRITEABLE) || ws->shape[0] < nq
-        || ws->strides[1] != size)
-        return FOLD_BAD_SCORES;
+    if (status == 0 && (!is_array(ws, 2, 'f', size, ARRAY_WRITEABLE)
+                        || ws->shape[0] < nq || ws->strides[1] != size))
+        status = FOLD_BAD_SCORES;
+    if (status == 0)
+        status = check_plan(st, plan);
+    if (status < 0)
+        return status;
     float *scores = ws->data;
-    const int64_t ld = ws->strides[0] / size;
+    const int64_t ld = ws->strides[0] / size, chunk = plan->chunk;
     int64_t kept = 0;
     st->folded = 0;
     for (int64_t p = 0; p < plan->pieces; p++) {
-        const array_interface *in = plan->memory[2 * p], *out = plan->memory[2 * p + 1];
-        if (!is_array(in, 2, 'f', size, 0) || in->shape[1] != ed
-            || !is_array(out, 2, 'f', size, 0) || out->shape[0] != in->shape[0]
-            || out->shape[1] != ed)
-            return FOLD_BAD_MEMORY;
-        if (in->shape[0] == 0) /* (an empty array's strides may be anything) */
-            continue;
-        if (in->strides[0] != size || out->strides[1] != size)
-            return FOLD_BAD_MEMORY;
-        const int64_t rows = in->shape[0], ldi = in->strides[1] / size;
-        const int64_t ldo = out->strides[0] / size;
-        for (int64_t lo = 0; lo < rows; lo += plan->chunk) {
-            const int64_t n = rows - lo < plan->chunk ? rows - lo : plan->chunk;
-            const float *tile_out = (const float *)out->data + lo * ldo;
-            if (n > ws->shape[1])
-                return FOLD_BAD_SCORES;
-            matmul(st->blas, nq, n, ed, u_tile->data, ed, (const float *)in->data + lo,
-                   ldi, scores, ld);
-            kept += fold_tile(st, scores, ld, 1, n, tile_out, ldo, 1, NULL, NULL);
-            if (st->threshold == 0.0) {
-                matmul(st->blas, nq, ed, n, scores, ld, tile_out, ldo, st->contrib, ed);
-                st->pending = 1;
+        const array_interface *in = plan->memory[3 * p], *out = plan->memory[3 * p + 1];
+        const array_interface *spans = plan->memory[3 * p + 2];
+        const float *m_in = in->data, *m_out = out->data;
+        const int64_t ldi = in->strides[1] / size, ldo = out->strides[0] / size;
+        const int64_t whole[2] = {0, in->shape[0]}, *span = spans ? spans->data : whole;
+        const int64_t *end = span + (spans ? 2 * spans->shape[0] : 2);
+        /* One tile a turn, from row `row` of `span` on: each span's
+         * product into its columns, then the fold. */
+        int64_t row = span < end ? span[0] : 0;
+        while (span < end) {
+            if (row == span[1]) { /* an empty span */
+                if ((span += 2) < end)
+                    row = span[0];
+                continue;
             }
+            const int64_t *lead = span, row0 = row;
+            int64_t n = 0;
+            while (n < chunk && span < end) {
+                const int64_t take = span[1] - row < chunk - n ? span[1] - row : chunk - n;
+                matmul(st->blas, nq, take, ed, u_tile->data, ed, m_in + row, ldi,
+                       scores + n, ld);
+                n += take;
+                row += take;
+                if (row == span[1] && (span += 2) < end)
+                    row = span[0];
+            }
+            kept += fold_tile(st, scores, ld, 1, n, m_out, ldo, 1, lead, row0);
+            if (st->threshold != 0.0)
+                continue;
+            /* The readout product, over the M_OUT rows gathered where the
+             * tile crosses a span's end (NumPy concatenates them). */
+            const float *rows = m_out + row0 * ldo;
+            int64_t ldr = ldo;
+            if (n > lead[1] - row0) {
+                float *gathered = plan->gather->data;
+                for (int64_t j = 0, at = row0;; lead += 2, at = lead[0]) {
+                    const int64_t take = lead[1] - at < n - j ? lead[1] - at : n - j;
+                    for (int64_t i = 0; i < take; i++, j++)
+                        memcpy(gathered + j * ed, m_out + (at + i) * ldo,
+                               (size_t)ed * sizeof(float));
+                    if (j == n)
+                        break;
+                }
+                rows = gathered;
+                ldr = ed;
+            }
+            matmul(st->blas, nq, ed, n, scores, ld, rows, ldr, st->contrib, ed);
+            st->pending = 1;
         }
     }
     if (u == NULL)
@@ -909,12 +966,12 @@ int64_t repro_pass(const answer_pass *pass, const array_interface *questions)
     return status < 0 ? status - 32 : 0;
 }
 
-/* matmul, for the tests: c = a b, C-ordered blocks but b, whose rows
- * are ldb floats apart. */
+/* matmul, for the tests: c = a b, a C-ordered, the rows of b and c ldb
+ * and ldc floats apart. */
 void repro_matmul(const blas_entries *b, int64_t m, int64_t n, int64_t k,
-                  const float *x, const float *y, int64_t ldb, float *c)
+                  const float *x, const float *y, int64_t ldb, float *c, int64_t ldc)
 {
-    matmul(b, m, n, k, x, k, y, ldb, c, n);
+    matmul(b, m, n, k, x, k, y, ldb, c, ldc);
 }
 
 /* The fold's exponential over an array, for the tests. */

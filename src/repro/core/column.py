@@ -39,11 +39,14 @@ only ``(nq, n)`` float array of a fold: it is turned in place into
 exponentials under the running max, and the zero-skip decision (§3.2)
 is taken on those exponentials — the ones the denominator just summed
 — as ``e >= th * S``, with only the kept rows' ``M_OUT`` read; the
-running-max rescale short-circuits when no question's maximum grew.  A
-resident float32 memory is scanned in one C call over its tile plan
-(:meth:`TileState.scan`): per tile the score GEMM, made through the BLAS
-NumPy loaded, and the fold; an engine hop's scan also takes the divide
-and advances ``u += o`` with its float32 narrowing.
+running-max rescale short-circuits when no question's maximum grew.
+A scan runs over a tile plan: ``(M_IN, M_OUT)`` pieces with ``[start,
+stop)`` row spans (the resident memory whole, a chunk pipeline's
+chunks, or the top-k tier's probed runs of its cluster-major copy),
+packed into tiles of ``chunk_size`` columns.  A float32 plan held in RAM
+is scanned in one C call (:meth:`TileState.scan`): per tile the score
+GEMMs, made through the BLAS NumPy loaded, and the fold; an engine
+hop's scan also takes the divide and advances ``u += o``.
 Shifted scores are floored at ``log(tiny)`` before exponentiation, and
 the compiled fold writes a floored cell as exactly 0, so deeply
 improbable rows cost a normal-range multiply instead of a subnormal one
@@ -75,7 +78,6 @@ from .stats import OpStats
 __all__ = [
     "ColumnMemNN",
     "PartialOutput",
-    "RunRows",
     "ScanRecord",
     "TileState",
     "column_op_stats",
@@ -308,9 +310,7 @@ class TileState:
     def fold(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """Fold one tile: ``scores`` is its ``(nq, n)`` raw score block,
         **overwritten** — it is the fold's only ``(nq, n)`` float array;
-        ``tile_out`` its ``(n, ed)`` output-memory rows — an array, or
-        a lazy view (:class:`RunRows`) from which only the rows the
-        readout needs are read.
+        ``tile_out`` its ``(n, ed)`` output-memory rows.
 
         On return every cell of ``scores`` holds its floored exponential
         under the running max, ``exp(max(s - log_max, exp_floor))`` in
@@ -341,12 +341,7 @@ class TileState:
         # The capsules stay referenced until the call returns: each owns
         # the struct its pointer addresses.  The kernel checks every array
         # against the state before it reads or writes one.
-        if type(tile_out) is RunRows:
-            capsules, at = compiled_fold.pair_structs(scores, tile_out._rows)
-            runs = compiled_fold.pair_structs(tile_out._bounds, tile_out._shifts)
-            at = (*at[:2], *runs[1][:2])
-        else:
-            capsules, at = compiled_fold.pair_structs(scores, tile_out)
+        capsules, at = compiled_fold.pair_structs(scores, tile_out)
         kept = kernel(address, *at)
         if kept < 0:
             raise ValueError(compiled_fold.FOLD_ERRORS[kept])
@@ -384,7 +379,7 @@ class TileState:
             ctypes.addressof(fold_state),
         )  # fmt: skip
 
-    def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray, *_) -> None:
+    def _fold_numpy(self, scores: np.ndarray, tile_out: np.ndarray) -> None:
         """The fold in NumPy passes (:meth:`fold`'s arguments): the
         reference the compiled fold is tested against, and the fold
         wherever it cannot be built.  A
@@ -460,8 +455,6 @@ class TileState:
             self.rows_kept += int(np.count_nonzero(keep))
             exp_scores *= keep
 
-        # A lazy ``tile_out`` the sparse readout did not index is
-        # densified here, by ``np.matmul`` calling its ``__array__``.
         if first:
             self._acc = np.matmul(exp_scores, tile_out)
         else:
@@ -572,49 +565,6 @@ class TileState:
         return self._acc is not None
 
 
-class RunRows:
-    """The output-memory rows under one tile of a run scan
-    (:meth:`ColumnMemNN.scored_tiles` with ``runs``), unread until
-    asked for: tile column ``j`` is row ``j + shift`` of ``rows``, with
-    one shift per run piece in the tile.  Indexing by tile columns
-    gathers just those rows (the sparse zero-skip readout); converting
-    to an array gathers the whole tile.
-
-    Args:
-        rows: the ``(ns, ed)`` memory the runs index.
-        bounds: ``(k + 1,)`` tile-column bounds of the ``k`` pieces.
-        shifts: ``(k,)`` row-minus-column offset of each piece.
-    """
-
-    __slots__ = ("_rows", "_bounds", "_shifts")
-
-    def __init__(
-        self, rows: np.ndarray, bounds: Sequence[int], shifts: Sequence[int]
-    ) -> None:
-        self._rows = rows
-        # int64 whatever the platform: the compiled fold reads them.
-        self._bounds = np.asarray(bounds, dtype=np.int64)
-        self._shifts = np.asarray(shifts, dtype=np.int64)
-
-    def __getitem__(self, cols: np.ndarray) -> np.ndarray:
-        piece = np.searchsorted(self._bounds, cols, side="right") - 1
-        return self._rows[cols + self._shifts[piece]]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The tile's rows, gathered: always a new array, so NumPy 2's
-        ``copy=False`` (no copy allowed) is refused."""
-        if copy is False:
-            raise ValueError("RunRows gathers its rows: an array of them is a copy")
-        bounds = self._bounds
-        rows = np.concatenate(
-            [
-                self._rows[lo + shift : hi + shift]
-                for lo, hi, shift in zip(bounds[:-1], bounds[1:], self._shifts)
-            ]
-        )
-        return rows if dtype is None else rows.astype(dtype, copy=False)
-
-
 class ColumnMemNN:
     """Column-based inference over fixed input/output memories.
 
@@ -670,6 +620,9 @@ class ColumnMemNN:
         #: and pointer: as many rows as the largest batch scanned, as
         #: many columns as the widest tile.
         self._workspace: tuple | None = None
+        #: Likewise the rows a tile over two row spans or more gathers
+        #: its ``M_OUT`` rows into (:meth:`_span_plan`).
+        self._gather: tuple | None = None
         # Explicit stores and any caching/lookahead knobs go through
         # the prefetch pipeline (which also keeps the StoreStats
         # ledger); the plain-array path stays pipeline-free so the hot
@@ -739,8 +692,9 @@ class ColumnMemNN:
         at: tuple | None = None,
     ) -> InferenceResult | ScanRecord:
         """Response vectors via the chunked lazy-softmax dataflow —
-        over the whole memory, or over the ``(r, 2)`` row runs ``runs``
-        (see :meth:`scored_tiles`).
+        over the whole memory, or over ``runs``: ``(r, 2)`` disjoint
+        ``[start, stop)`` row spans of it, in scan order
+        (:meth:`_span_plan`).
 
         With ``u_tile`` this is one hop of the engine's recurrence (the
         hop form every solver the engine holds takes): ``u`` is the
@@ -748,8 +702,8 @@ class ColumnMemNN:
         the memory dtype, the score GEMM's operand; the scan ends in
         :meth:`TileState.recur`, advancing both in place (``at``: their
         pointers, as :meth:`TileState.scan` takes them), and the hop's
-        :class:`ScanRecord` comes back.  Over a resident float32 memory
-        the hop is one C call (:meth:`_plan`)."""
+        :class:`ScanRecord` comes back.  Over a resident float32 memory,
+        or its row spans, the hop is one C call (:meth:`_plan`)."""
         if u_tile is None:
             start = time.perf_counter()
             u = self.check_questions(u)
@@ -821,65 +775,85 @@ class ColumnMemNN:
         """Fold ``u``'s scan into ``state``; the rows scanned and, for
         a ``hop`` — ``(float64 hop state, its pointers or None)``, ``u``
         its narrowing — the hop's ``o``, the hop ended."""
-        plan = self._plan() if runs is None else None
-        if plan is not None and plan[3] is not None and state.scans(u.dtype) and (
-            u.flags.c_contiguous
-        ):
+        plan = self._plan() if runs is None else self._span_plan(runs)
+        if plan[3] is not None and state.scans(u.dtype) and u.flags.c_contiguous:
             return plan[1], state.scan(self._scan_plan(plan, len(u)), u, *hop or ())
-        tiles = self._streamed_tiles(u, runs) if plan is None else self._tiles(plan, u)
         ns = 0
-        for scores, tile_out in tiles:
+        for scores, tile_out in self._tiles(plan, u):
             ns += scores.shape[1]
             state.fold(scores, tile_out)
         return ns, None if hop is None else state.recur(hop[0], u, at=hop[1])
 
-    def _plan(self) -> tuple | None:
+    def _plan(self) -> tuple:
         """The tile plan of this memory's scans (DESIGN.md §10, "Tile
         plan"), ``(pieces, rows, widest tile, ScanPlan, capsules)``: its
-        ``(M_IN, M_OUT)`` pieces, each cut into tiles of ``chunk_size``
-        rows as it is scanned, and for the compiled fold their
+        ``(M_IN, M_OUT, spans)`` pieces, whose spans (``None``: the whole
+        piece) are packed into tiles of ``chunk_size`` columns as they
+        are scanned, and for the compiled fold their
         :class:`~repro.core.compiled_fold.ScanPlan`.  The resident memory
         is one piece, planned until :meth:`repoint`; behind a pipeline
         the pieces are the chunks its resident tier holds, planned until
-        an eviction (``resident_pass`` charges the pass), else ``None``:
-        the pass streams."""
+        an eviction (``resident_pass`` charges the pass), else the
+        chunks it streams, read as they are scanned (no ``ScanPlan``)."""
         if self._pipeline is None:
             if self._resident_plan is None:
                 store = self._store
-                self._resident_plan = self._cut(((store.m_in, store.m_out),))
+                pieces = ((store.m_in, store.m_out, None),)
+                self._resident_plan = self._cut(pieces, resident=True)
             return self._resident_plan
         held = self._pipeline.resident_pass()
         if held is None:
-            return None
+            pieces = ((*chunk, None) for chunk in self._pipeline.chunks())
+            ns = self.num_sentences
+            return pieces, ns, max(1, min(self.chunk.chunk_size, ns)), None, None
         pieces, plans = held
         plan = plans.get("plan")
         if plan is None:
-            plan = plans["plan"] = self._cut(pieces)
+            plan = plans["plan"] = self._cut([(*piece, None) for piece in pieces])
         return plan
 
-    def _cut(self, pieces) -> tuple:
+    def _span_plan(self, runs: np.ndarray) -> tuple:
+        """The plan of a scan over ``runs`` (see :meth:`output`): the
+        memory as one piece with those spans, checked before any tile is
+        scored; a tile over two spans or more has its ``M_OUT`` rows
+        gathered into the solver's gather rows."""
+        store, ns = self._store, self.num_sentences
+        spans = np.ascontiguousarray(runs, dtype=np.int64)  # (C reads int64)
+        if spans.shape[1:] != (2,) or not (
+            (0 <= spans[:, 0]) & (spans[:, 0] <= spans[:, 1]) & (spans[:, 1] <= ns)
+        ).all():
+            raise ValueError(f"runs must be (r, 2) [start, stop) spans of {ns} rows")
+        plan = self._cut(((store.m_in, store.m_out, spans),))
+        if len(spans) > 1:
+            if self._gather is None or len(self._gather[0]) < plan[2]:
+                rows = np.empty((plan[2], self.embedding_dim), self.dtype)
+                self._gather = (rows, *compiled_fold.structs([rows]))
+            if plan[3] is not None:
+                plan[3].gather = self._gather[2][0]
+        return plan
+
+    def _cut(self, pieces, resident: bool = False) -> tuple:
         """:meth:`_plan`'s plan of ``pieces``; the resident memory's one
-        piece refills the same ``ScanPlan`` after every write."""
-        rows = [len(m_in) for m_in, _ in pieces]
+        piece (``resident``) refills the same ``ScanPlan`` after every
+        write."""
+        rows = [
+            len(m_in) if spans is None else int((spans[:, 1] - spans[:, 0]).sum())
+            for m_in, _, spans in pieces
+        ]
         width = max(1, min(self.chunk.chunk_size, max(rows, default=0)))
         if not self._single or compiled_fold.kernels() is None:
             return pieces, sum(rows), width, None, None
-        arrays = [array for piece in pieces for array in piece]
-        resident = self._pipeline is None
-        if resident:
-            structs = compiled_fold.pair_structs(*arrays)
-        else:
-            structs = compiled_fold.structs(arrays)
+        held, at = compiled_fold.structs([a for piece in pieces for a in piece])
         scan = self._resident_scan if resident else None
         if scan is None:
-            memory = (ctypes.c_void_p * len(arrays))()
+            memory = (ctypes.c_void_p * len(at))()
             address = ctypes.addressof(memory)
             plan = compiled_fold.ScanPlan(len(pieces), self.chunk.chunk_size, address)
             scan = (plan, memory)
             if resident:
                 self._resident_scan = scan
-        scan[1][:] = structs[1][: len(arrays)]
-        return pieces, sum(rows), width, scan[0], (structs[0], scan[1])
+        scan[1][:] = at
+        return pieces, sum(rows), width, scan[0], (held, scan[1])
 
     def _scores(self, nq: int, width: int) -> tuple:
         """The score workspace, grown to at least ``(nq, width)``:
@@ -902,83 +876,45 @@ class ColumnMemNN:
         return ctypes.addressof(plan[3])
 
     def _tiles(self, plan: tuple, u: np.ndarray):
-        """``plan``'s tiles ``(u @ M_IN.T, M_OUT)`` in row order, scored
-        into the workspace."""
+        """``plan``'s tiles ``(u @ M_IN.T, M_OUT)`` in scan order, as
+        ``repro_scan`` walks them: each span's product written into its
+        columns of the one workspace, and the ``M_OUT`` rows of a tile
+        over two spans or more gathered."""
         nq, c = len(u), self.chunk.chunk_size
-        workspace = self._scores(nq, plan[2])[0]
-        for m_in, m_out in plan[0]:
-            for lo in range(0, len(m_in), c):
-                chunk_in = m_in[lo : lo + c]
-                scores = workspace[:nq, : len(chunk_in)]
-                yield np.matmul(u, chunk_in.T, out=scores), m_out[lo : lo + c]
+        workspace = self._scores(nq, plan[2])[0][:nq]
 
-    def scored_tiles(
-        self, u: np.ndarray, runs: np.ndarray | None = None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | RunRows]]:
+        def tile(n, taken):
+            if len(taken) > 1:
+                taken = [np.concatenate(taken, out=self._gather[0][:n])]
+            return workspace[:, :n], taken[0]
+
+        for m_in, m_out, spans in plan[0]:
+            n, taken = 0, []
+            for start, stop in ((0, len(m_in)),) if spans is None else spans.tolist():
+                while start < stop:
+                    end = min(stop, start + c - n)
+                    scores = workspace[:, n : n + end - start]
+                    np.matmul(u, m_in[start:end].T, out=scores)
+                    taken.append(m_out[start:end])
+                    n, start = n + end - start, end
+                    if n == c:
+                        yield tile(n, taken)
+                        n, taken = 0, []
+            if n:
+                yield tile(n, taken)
+
+    def scored_tiles(self, u: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Tile source -> score GEMM: ``(u @ chunk_in.T, chunk_out)``
         for every chunk of the memory, in row order.
 
-        ``u`` must already be checked (:meth:`check_questions`).  Every
-        tile's score array is a view of one workspace (a chunk source
-        never yields a tile wider than its first), so a yielded
+        ``u`` must already be checked (:meth:`check_questions`).  The
+        tiles are the tile plan's (:meth:`_plan`), and every tile's score
+        array is a view of the solver's one workspace, so a yielded
         ``scores`` is only valid until the next tile is drawn — and is
         always the consumer's to overwrite (:meth:`TileState.fold`
-        exponentiates it in place).  Resident chunks come from the tile
-        plan (:meth:`_plan`).
-
-        With ``runs`` — ``(r, 2)`` disjoint ``[start, stop)`` row spans
-        of a resident memory, in scan order — only those rows are
-        scored: each run's GEMM writes straight from its ``M_IN`` slice
-        into the tile's score columns, runs are packed (and split) into
-        tiles of ``chunk_size`` columns, and the tile's output rows are
-        a :class:`RunRows` view, so nothing is copied to scan a subset.
+        exponentiates it in place).
         """
-        plan = self._plan() if runs is None else None
-        if plan is None:
-            yield from self._streamed_tiles(u, runs)
-        else:
-            yield from self._tiles(plan, u)
-
-    def _streamed_tiles(
-        self, u: np.ndarray, runs: np.ndarray | None
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | RunRows]]:
-        """The tiles no plan holds: ``runs``' rows, or a pipeline pass
-        that reads past its resident tier."""
-        if runs is not None:
-            yield from self._scored_runs(u, runs)
-            return
-        workspace = None
-        for chunk_in, chunk_out in self._pipeline.chunks():
-            if workspace is None:
-                workspace = scores = np.matmul(u, chunk_in.T)  # (nq, c)
-            else:
-                scores = workspace[:, : chunk_in.shape[0]]
-                np.matmul(u, chunk_in.T, out=scores)
-            yield scores, chunk_out
-
-    def _scored_runs(
-        self, u: np.ndarray, runs: np.ndarray
-    ) -> Iterator[tuple[np.ndarray, RunRows]]:
-        m_in, m_out = self.m_in, self.m_out
-        runs = runs.tolist()
-        width = min(self.chunk.chunk_size, sum(stop - start for start, stop in runs))
-        workspace = np.empty((len(u), width), dtype=self.dtype)
-        n, bounds, shifts = 0, [0], []
-        for start, stop in runs:
-            while start < stop:
-                end = min(stop, start + width - n)
-                np.matmul(
-                    u, m_in[start:end].T, out=workspace[:, n : n + end - start]
-                )
-                shifts.append(start - n)
-                n += end - start
-                bounds.append(n)
-                start = end
-                if n == width:
-                    yield workspace, RunRows(m_out, bounds, shifts)
-                    n, bounds, shifts = 0, [0], []
-        if n:
-            yield workspace[:, :n], RunRows(m_out, bounds, shifts)
+        yield from self._tiles(self._plan(), u)
 
     def check_questions(self, u: np.ndarray) -> np.ndarray:
         """``u`` as an ``(nq, ed)`` array of the memory's dtype."""

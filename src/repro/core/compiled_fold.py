@@ -18,8 +18,9 @@ referee, and the float32 answer layer (``repro_answer``), whose one
 caller is :class:`~repro.core.early_exit.AnswerLayer`, with ``u @ W.T``
 and the NumPy margin as its fallback and referee.
 
-A resident scan (``repro_scan``) calls the BLAS NumPy loaded from C
-(:func:`blas_entries`); where no entry resolves, the NumPy fold runs.
+A scan over a tile plan (``repro_scan``) calls the BLAS NumPy loaded
+from C (:func:`blas_entries`); where no entry resolves, the NumPy fold
+runs.
 
 Build and cache rules:
 
@@ -73,16 +74,17 @@ FLAGS = (
 #: A build slower than this is abandoned (the NumPy fold runs).
 BUILD_TIMEOUT_S = 120
 
-#: ``repro_fold``'s and ``repro_hop``'s negative returns: which
-#: argument failed its check (nothing was written), or an empty scan.
+#: ``repro_fold``'s, ``repro_hop``'s and ``repro_scan``'s negative
+#: returns: which argument failed its check (nothing was written), or an
+#: empty scan.
 FOLD_ERRORS = {
     -1: "scores must be a writable, aligned (nq, n) float32 block",
     -2: "output rows must be an aligned (n, ed) float32 array",
-    -3: "RunRows pieces must tile the block and index rows of the memory",
     -4: "u must be a writable, C-ordered (nq, ed) float64 array",
     -5: "u_tile must be a writable, C-ordered (nq, ed) float32 array",
     -6: "cannot finalize a partial with an empty denominator",
-    -7: "a scan plan's memory must be (n, ed) float32 pairs, M_IN feature-major",
+    -7: "a scan plan's pieces must be (n, ed) float32 pairs, M_IN feature-major, "
+    "with [start, stop) spans inside their rows",
 }
 
 #: ``(sgemm's symbol, its integers' width)``, tried in this order in the
@@ -126,11 +128,10 @@ def structs(arrays) -> tuple[list, list]:
 
 
 def pair_structs(a, b) -> tuple[tuple, tuple]:
-    """``structs((a, b, None, None))`` without its loops (≈ 0.5 us less
-    a call): a tile's ``(scores, rows)``, or a hop's ``(u, u_tile)``."""
+    """``structs((a, b))`` without its loops (≈ 0.5 us less a call): a
+    tile's ``(scores, rows)``, or a hop's ``(u, u_tile)``."""
     held = (a.__array_struct__, b.__array_struct__)
-    at = struct_pointer(held[0], None), struct_pointer(held[1], None), None, None
-    return held, at
+    return held, (struct_pointer(held[0], None), struct_pointer(held[1], None))
 
 
 class BlasEntries(ctypes.Structure):
@@ -165,12 +166,14 @@ class FoldState(ctypes.Structure):
 
 
 class ScanPlan(ctypes.Structure):
-    """``scan_plan`` of ``_fold.c``: a memory's (M_IN, M_OUT) pieces'
-    and the score workspace's ``array_interface`` pointers."""
+    """``scan_plan`` of ``_fold.c``: a tile plan's ``(M_IN, M_OUT,
+    spans)`` pieces' ``array_interface`` pointers (``None``: no spans),
+    the score workspace's and the threshold-0 gather rows'."""
 
     _fields_ = [
         ("pieces", ctypes.c_int64), ("chunk", ctypes.c_int64),
         ("memory", ctypes.c_void_p), ("scores", ctypes.c_void_p),
+        ("gather", ctypes.c_void_p),
     ]  # fmt: skip
 
 
@@ -303,9 +306,9 @@ def _open(path: Path) -> ctypes.CDLL | None:
     if it will not load."""
     try:
         library = ctypes.CDLL(str(path))
-        # (state, scores, rows, bounds, shifts): the FoldState's address,
-        # then array_interface() pointers (or None).
-        library.repro_fold.argtypes = [ctypes.c_void_p] * 5
+        # (state, scores, rows): the FoldState's address, then
+        # array_interface() pointers (rows None at threshold 0).
+        library.repro_fold.argtypes = [ctypes.c_void_p] * 3
         library.repro_fold.restype = ctypes.c_int64
         # (state, u, u_tile): as repro_fold's.
         library.repro_hop.argtypes = [ctypes.c_void_p] * 3
@@ -326,9 +329,10 @@ def _open(path: Path) -> ctypes.CDLL | None:
         library.repro_bow.restype = ctypes.c_int64
         library.repro_exp.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
         library.repro_exp.restype = None
-        # (entries, m, n, k, a, b, ldb, c): the BlasEntries' address, ...
+        # (entries, m, n, k, a, b, ldb, c, ldc): the BlasEntries' address, ...
         library.repro_matmul.argtypes = [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [
             ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.c_int64,
         ]  # fmt: skip
         library.repro_matmul.restype = None
     except (OSError, AttributeError):
@@ -386,7 +390,7 @@ def load() -> tuple[ctypes.CDLL | None, str]:
 
 def kernels() -> ctypes.CDLL | None:
     """The library of the compiled float32 fold (``repro_fold``;
-    ``repro_hop``, which ends a hop; ``repro_scan``, a resident scan),
+    ``repro_hop``, which ends a hop; ``repro_scan``, a tile plan's scan),
     answer layer (``repro_answer``) and answer pass (``repro_pass``), or
     ``None``."""
     return load()[0]

@@ -39,7 +39,7 @@ from repro.core import (
     ZeroSkipConfig,
     compiled_fold,
 )
-from repro.core.column import RunRows, TileState, exp_floor
+from repro.core.column import TileState, exp_floor
 
 from .conftest import float64
 from .test_differential_paths import _random_problem
@@ -67,43 +67,29 @@ def _state(nq, ed, threshold, backend):
         return TileState(nq, ed, threshold)
 
 
-def _tile_args(source, block, rows, rng):
+def _tile_args(source, block, rows):
     """``(scores, tile_out)`` as a caller of ``source`` hands them to
-    ``fold``: a contiguous block; a fused shard's strided segment of a
-    wider tile (slice or index array); or a run scan's ``RunRows``."""
+    ``fold``: a contiguous block, or a fused shard's strided segment of
+    a wider tile (slice or index array)."""
     nq, width = block.shape
     if source == "array":
         return block.copy(), rows
-    if source in ("slice", "index"):
-        wide = np.zeros((nq, 2 * width), block.dtype)
-        wide_rows = np.zeros((2 * width, rows.shape[1]), rows.dtype)
-        wide[:, 1::2], wide_rows[1::2] = block, rows
-        sel = slice(1, None, 2) if source == "slice" else np.arange(1, 2 * width, 2)
-        return wide[:, sel], wide_rows[sel]
-    # Runs: the tile's columns in up to three pieces, each stored at its
-    # own offset in a larger memory.
-    cuts = np.unique(rng.integers(0, width + 1, size=2))
-    bounds = np.unique(np.concatenate([[0], cuts, [width]]))
-    memory = np.full((3 * width + 3, rows.shape[1]), np.nan, rows.dtype)
-    shifts, at = [], 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        at += int(rng.integers(0, 2))
-        memory[at : at + hi - lo] = rows[lo:hi]
-        shifts.append(at - lo)
-        at += hi - lo
-    return block.copy(), RunRows(memory, bounds, shifts)
+    wide = np.zeros((nq, 2 * width), block.dtype)
+    wide_rows = np.zeros((2 * width, rows.shape[1]), rows.dtype)
+    wide[:, 1::2], wide_rows[1::2] = block, rows
+    sel = slice(1, None, 2) if source == "slice" else np.arange(1, 2 * width, 2)
+    return wide[:, sel], wide_rows[sel]
 
 
-def _scan(scores, m_out, widths, threshold, backend, source, seed):
+def _scan(scores, m_out, widths, threshold, backend, source):
     """Fold ``scores`` tile by tile; the state and, per tile, the
     ``(log_max, denom)`` its decisions were taken against."""
     nq, ed = len(scores), m_out.shape[1]
     state = _state(nq, ed, threshold, backend)
-    rng = np.random.default_rng(seed)
     snapshots, lo = [], 0
     for width in widths:
         hi = lo + width
-        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi], rng)
+        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi])
         state.fold(block, tile_out)
         # The block's cells are exponentials (or dropped zeros): normal.
         assert not (block[block != 0] < np.finfo(scores.dtype).tiny).any()
@@ -155,9 +141,9 @@ def scans(draw):
         for _ in range(abs(ulps)):
             edge = np.nextafter(edge, dtype.type(np.inf if ulps > 0 else -np.inf))
         scores[:, -1] = edge
-    source = draw(st.sampled_from(("array", "slice", "index", "runs")))
+    source = draw(st.sampled_from(("array", "slice", "index")))
     m_out = rng.normal(size=(ns, 8)).astype(dtype)
-    return scores, m_out, widths, threshold, source, seed
+    return scores, m_out, widths, threshold, source
 
 
 @requires_compiler
@@ -170,17 +156,14 @@ def scans(draw):
         [25, 5],
         0.1,
         "array",
-        0,
     )
 )
 def test_compiled_fold_agrees_with_the_numpy_fold(scan):
-    scores, m_out, widths, threshold, source, seed = scan
+    scores, m_out, widths, threshold, source = scan
     dtype, tolerance = scores.dtype, FLOAT32_LOGIT_TOLERANCE
     states, kept = {}, {}
     for backend in ("c", "numpy"):
-        state, snapshots = _scan(
-            scores, m_out, widths, threshold, backend, source, seed
-        )
+        state, snapshots = _scan(scores, m_out, widths, threshold, backend, source)
         exps, cuts, keep = _decisions(scores, snapshots, threshold, backend)
         if threshold:
             # Each fold kept exactly the cells its own rule keeps.
@@ -237,7 +220,7 @@ def _peaked_scan():
     rng = np.random.default_rng(3)
     scores = (rng.normal(size=(16, 1000)) * 300).astype(np.float32)
     m_out = (rng.normal(size=(1000, 8)) * 0.1).astype(np.float32)
-    return scores, m_out, [600, 400], 0.0, "array", 3
+    return scores, m_out, [600, 400], 0.0, "array"
 
 
 @requires_compiler
@@ -250,15 +233,14 @@ def test_the_compiled_fold_writes_zero_below_the_floor(scan):
     ``exp(floor)``, so the block the readout multiplies by ``M_OUT``
     holds no ``exp(floor)`` whose products with small entries would be
     subnormal.  At th 0 every question-row still counts as kept."""
-    scores, m_out, widths, threshold, source, seed = scan
+    scores, m_out, widths, threshold, source = scan
     floor = exp_floor(scores.dtype)
     smallest = compiled_fold.exp(np.array([floor]))[0]
     state = _state(len(scores), m_out.shape[1], threshold, "c")
-    rng = np.random.default_rng(seed)
     lo = 0
     for width in widths:
         hi = lo + width
-        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi], rng)
+        block, tile_out = _tile_args(source, scores[:, lo:hi], m_out[lo:hi])
         state.fold(block, tile_out)
         shifted = scores[:, lo:hi] - state.partial().log_max[:, None]
         assert (block[shifted < floor] == 0).all()
@@ -281,7 +263,7 @@ def test_a_nan_score_turns_its_question_nan_in_both_folds():
     for threshold in (0.0, 0.1):
         outputs, kept = {}, {}
         for backend in ("c", "numpy"):
-            state, _ = _scan(scores, m_out, [16, 24], threshold, backend, "array", 0)
+            state, _ = _scan(scores, m_out, [16, 24], threshold, backend, "array")
             partial = state.partial()
             assert np.isnan(partial.denom[1])
             assert not np.isnan(partial.denom[[0, 2]]).any()
@@ -305,7 +287,6 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
         (block[:1].copy(), np.zeros((5, 8), np.float32)),  # nq
         (block.copy(), np.zeros((4, 8), np.float32)),  # rows
         (block.copy(), np.zeros((5, 7), np.float32)),  # ed
-        (block.copy(), RunRows(np.zeros((5, 8), np.float32), [0, 5], [1])),
     ]
     read_only = block.copy()
     read_only.flags.writeable = False
@@ -314,6 +295,97 @@ def test_mismatched_arrays_are_refused_before_the_kernel_reads_them():
         with pytest.raises(ValueError):
             state.fold(scores, tile_out)
     assert state.rows_kept == 10  # only the first fold counted
+
+
+@st.composite
+def run_scans(draw):
+    """A scan over row runs of a float32 memory: sorted, disjoint
+    ``[start, stop)`` runs — 1-row runs, runs across tile edges,
+    adjacent runs —, 0, 1 or 16 questions, a threshold of 0 or above."""
+    ns = draw(st.integers(2, 300))
+    chunk = draw(st.integers(1, 64))
+    cuts = draw(st.lists(st.integers(0, ns), min_size=2, max_size=16, unique=True))
+    cuts.sort()
+    pairs = list(zip(cuts[:-1], cuts[1:]))
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # Consecutive chosen pairs are adjacent runs.
+    runs = [pair for pair, keep in zip(pairs, chosen) if keep] or pairs[:1]
+    if draw(st.booleans()):
+        runs = [(start, start + 1) for start, _ in runs]
+    nq = draw(st.sampled_from((0, 1, 16)))
+    threshold = draw(st.sampled_from((0.0, 0.01, 0.1, 0.5)))
+    seed = draw(st.integers(0, 2**16))
+    return ns, chunk, np.array(runs, dtype=np.int64), nq, threshold, seed
+
+
+@requires_compiler
+@settings(max_examples=100, deadline=None)
+@given(run_scans())
+def test_a_run_scan_agrees_with_the_numpy_fold(scan):
+    """``ColumnMemNN.output(u, zero_skip, runs=...)`` on the compiled
+    fold — one ``repro_scan`` over the memory's spans — against the NumPy
+    fold's tiles: the same rows scanned, outputs within
+    ``FLOAT32_LOGIT_TOLERANCE`` (a cell one fold keeps and the other
+    drops, one ulp from the cut, moves its question by at most the
+    threshold times an ``M_OUT`` entry).  As a hop, each fold's scan
+    ends with the same ``o`` and ``u += o``."""
+    ns, chunk, runs, nq, threshold, seed = scan
+    rng = np.random.default_rng(seed)
+    m_in = rng.normal(0.0, 0.5, (ns, 8)).astype(np.float32)
+    m_out = rng.normal(0.0, 1.0, (ns, 8)).astype(np.float32)
+    # Questions near memory rows: peaked attention, so rows are skipped.
+    u = 4.0 * m_in[rng.integers(0, ns, nq)] + rng.normal(0.0, 0.1, (nq, 8))
+    zero_skip = ZeroSkipConfig(threshold)
+    results = {}
+    for backend in ("c", "numpy"):
+        with pytest.MonkeyPatch.context() as patch:
+            if backend == "numpy":
+                patch.setattr(compiled_fold, "kernels", lambda: None)
+            solver = ColumnMemNN(
+                m_in, m_out, chunk=ChunkConfig(chunk), dtype=np.float32
+            )
+            result = solver.output(u, zero_skip, runs=runs)
+            hop_u, hop_tile = u.copy(), u.astype(np.float32)
+            hop = solver.output(hop_u, zero_skip, runs=runs, u_tile=hop_tile)
+        assert hop.output.tobytes() == result.output.tobytes()
+        assert hop_u.tobytes() == (u + result.output).tobytes()
+        assert hop_tile.tobytes() == hop_u.astype(np.float32).tobytes()
+        results[backend] = result
+    c, reference = results["c"], results["numpy"]
+    assert c.stats.exp_calls == reference.stats.exp_calls == nq * np.diff(runs).sum()
+    flips = abs(c.stats.rows_computed - reference.stats.rows_computed)
+    bound = FLOAT32_LOGIT_TOLERANCE * (1 + np.abs(reference.output))
+    bound += threshold * np.abs(m_out).max() * flips
+    assert (np.abs(c.output - reference.output) <= bound).all()
+
+
+@pytest.mark.parametrize("backend", ("c", "numpy"))
+def test_a_span_past_its_rows_is_refused_before_any_write(backend, request):
+    """A run reaching past the memory's rows raises ``ValueError``
+    before the first product: the hop's ``u`` and ``u_tile`` stay as
+    they were.  The compiled scan checks the spans itself too, so a plan
+    cut around that check is refused as well."""
+    if backend == "c" and compiled_fold.fold_backend() != "c":
+        pytest.skip(compiled_fold.fold_backend())
+    if backend == "numpy":
+        request.getfixturevalue("numpy_fold")
+    rng = np.random.default_rng(5)
+    m_in, m_out = rng.normal(size=(2, 40, 8)).astype(np.float32)
+    solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(16), dtype=np.float32)
+    runs = np.array([[0, 5], [30, 41]])
+    u = rng.normal(size=(2, 8))
+    u_tile = u.astype(np.float32)
+    before = u.tobytes(), u_tile.tobytes()
+    with pytest.raises(ValueError, match="spans of 40 rows"):
+        solver.output(u, ZeroSkipConfig(0.1), runs=runs, u_tile=u_tile)
+    assert (u.tobytes(), u_tile.tobytes()) == before
+    if backend == "c":
+        store = solver.store
+        plan = solver._cut(((store.m_in, store.m_out, runs),))
+        state = TileState(2, 8, 0.1)
+        with pytest.raises(ValueError, match=re.escape(compiled_fold.FOLD_ERRORS[-7])):
+            state.scan(solver._scan_plan(plan, 2), u_tile, u)
+        assert (u.tobytes(), u_tile.tobytes()) == before
 
 
 @requires_compiler

@@ -29,7 +29,6 @@ from repro.core import (
 from repro.core.column import (
     SPARSE_MAX_KEPT_INVERSE,
     SPARSE_MIN_COLUMNS,
-    RunRows,
     column_op_stats,
 )
 
@@ -165,37 +164,7 @@ def test_narrow_tiles_keep_the_dense_readout(rng):
     assert partial.weighted.tobytes() == weighted.tobytes()
 
 
-class TestRunRows:
-    def test_indexes_and_densifies_like_the_gathered_rows(self, rng):
-        rows = rng.normal(size=(50, 4))
-        # Tile columns 0-2 -> rows 10-12, 3-9 -> rows 30-36, 10 -> row 2.
-        view = RunRows(rows, bounds=[0, 3, 10, 11], shifts=[10, 27, -8])
-        gathered = rows[np.r_[10:13, 30:37, 2:3]]
-        np.testing.assert_array_equal(np.asarray(view), gathered)
-        cols = np.array([0, 2, 3, 9, 10])
-        np.testing.assert_array_equal(view[cols], gathered[cols])
-        assert view[np.array([], dtype=np.intp)].shape == (0, 4)
-
-    def test_the_array_protocol_gathers_a_copy_and_honours_dtype(self, rng):
-        """``__array__`` always gathers: ``copy=False`` (NumPy 2: no copy
-        allowed) raises instead of handing back a silent copy; ``dtype``
-        is the gathered rows' cast."""
-        rows = rng.normal(size=(20, 3))
-        view = RunRows(rows, bounds=[0, 2, 5], shifts=[4, 10])
-        gathered = rows[np.r_[4:6, 12:15]]
-        with pytest.raises(ValueError, match="copy"):
-            view.__array__(copy=False)
-        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
-            with pytest.raises(ValueError, match="copy"):
-                np.asarray(view, copy=False)
-        for copy in (None, True):
-            dense = view.__array__(copy=copy)
-            assert dense.tobytes() == gathered.tobytes()
-            assert not np.shares_memory(dense, rows)
-        narrow = np.asarray(view, dtype=np.float32)
-        assert narrow.dtype == np.float32
-        assert narrow.tobytes() == gathered.astype(np.float32).tobytes()
-
+class TestRunScan:
     def test_run_scan_equals_scan_of_the_gathered_rows(self, rng):
         """Runs packed and split into ``chunk_size`` tiles are the same
         tiles a kernel over the gathered rows scans (the score GEMM

@@ -174,6 +174,35 @@ def test_a_resident_hop_is_one_compiled_call(monkeypatch, threshold):
     assert calls == {"repro_fold": 0, "repro_hop": 0, "repro_scan": 1, "matmul": 0}
 
 
+@requires_compiler
+@pytest.mark.parametrize("threshold", (0.1, 0.0))
+def test_a_run_scan_hop_is_one_compiled_call(monkeypatch, threshold):
+    """A hop over row runs — the top-k tier's probed clusters, packed
+    into tiles that cross run ends — is one ``repro_scan`` call too, its
+    per-run score products and threshold-0 gathers made in C."""
+    calls = {"repro_fold": 0, "repro_hop": 0, "repro_scan": 0, "matmul": 0}
+    library = compiled_fold.kernels()
+    monkeypatch.setattr(compiled_fold, "kernels", lambda: _Counted(library, calls))
+    m_in, m_out = _memories(8192)
+    solver = ColumnMemNN(m_in, m_out, chunk=ChunkConfig(CHUNK), dtype=np.float32)
+    runs = np.array([[5, 900], [900, 901], [1500, 3100], [4000, 4001], [6000, 8192]])
+    u = _questions(m_in, 16, 0)
+    u_tile = u.astype(np.float32)
+    zero_skip = ZeroSkipConfig(threshold)
+    solver.output(u, zero_skip, runs=runs, u_tile=u_tile)  # builds the state
+    matmul = np.matmul
+
+    def counted_matmul(*args, **kwargs):
+        calls["matmul"] += 1
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    calls.update(repro_scan=0)
+    hop = solver.output(u, zero_skip, runs=runs, u_tile=u_tile)
+    assert calls == {"repro_fold": 0, "repro_hop": 0, "repro_scan": 1, "matmul": 0}
+    assert hop.rows == int(np.diff(runs).sum())
+
+
 def _ledger(pipeline):
     """The ledger but for timings: whether a lookahead fetch from disk
     was done when demanded (a prefetch hit, else late) is one too."""
