@@ -612,10 +612,10 @@ class ColumnMemNN:
         #: scanned with: as many as the distinct batch sizes it served.
         self._scans: dict[tuple[int, float], TileState] = {}
         #: The resident memory's tile plan (:meth:`_plan`; a chunk
-        #: pipeline keeps its plans with the chunks they are cut from),
-        #: and the ``(ScanPlan, pointers)`` every one of them refills.
+        #: pipeline keeps its plans with the chunks they are cut from)
+        #: and a bound memory's ``[[0, stop]]`` span (:meth:`repoint`).
         self._resident_plan: tuple | None = None
-        self._resident_scan: tuple | None = None
+        self._rows: np.ndarray | None = None
         #: The one score workspace of every plan scan, with its capsule
         #: and pointer: as many rows as the largest batch scanned, as
         #: many columns as the widest tile.
@@ -649,33 +649,42 @@ class ColumnMemNN:
     @property
     def m_in(self) -> np.ndarray:
         """``M_IN`` as an array-like (a memmap for disk-backed stores)."""
-        return self._store.m_in  # type: ignore[attr-defined]
+        m_in = self._store.m_in  # type: ignore[attr-defined]
+        return m_in if self._rows is None else m_in[: self._rows[0, 1]]
 
     @property
     def m_out(self) -> np.ndarray:
-        return self._store.m_out  # type: ignore[attr-defined]
+        m_out = self._store.m_out  # type: ignore[attr-defined]
+        return m_out if self._rows is None else m_out[: self._rows[0, 1]]
 
     @property
     def num_sentences(self) -> int:
-        return self._store.num_rows
+        return self._store.num_rows if self._rows is None else int(self._rows[0, 1])
 
     @property
     def embedding_dim(self) -> int:
         return self._store.embedding_dim
 
-    def repoint(self, m_in: np.ndarray, m_out: np.ndarray) -> None:
-        """Scan ``(m_in, m_out)`` from now on — the engine's views after
-        a write — keeping the fold states (DESIGN.md §10, "Solvers
-        across writes").  Only a kernel without a chunk pipeline can: a
-        pipeline's LRU and lookahead hold chunks of the old rows.  The
-        views are taken as they are, unconverted and unchecked: an
-        engine buffer's dtype and layout (feature-major ``M_IN``) are
-        the solver's, fixed when the buffer was allocated."""
+    def repoint(
+        self, m_in: np.ndarray, m_out: np.ndarray, rows: np.ndarray | None = None
+    ) -> None:
+        """Scan ``(m_in, m_out)`` from now on, keeping the fold states
+        (DESIGN.md §10, "Solvers across writes"), and plan once for them.
+        With ``rows`` — a C-ordered ``(1, 2)`` int64 ``[[0, stop]]`` its
+        caller owns — the memory is *bound*: scans, records and
+        :attr:`num_sentences` read rows ``[0, stop)`` of the whole arrays
+        (an engine's append buffers), whatever ``stop`` is when they run,
+        so a write that moves ``stop`` costs this kernel nothing.  Only a
+        kernel without a chunk pipeline can: a pipeline's LRU and
+        lookahead hold chunks of the old rows.  The arrays are taken as
+        they are, unconverted and unchecked: an engine buffer's dtype and
+        layout (feature-major ``M_IN``) are the solver's, fixed when the
+        buffer was allocated."""
         if self._pipeline is not None:
             raise ValueError("a chunk pipeline cannot be re-pointed")
         store = self._store
         store.m_in, store.m_out = m_in, m_out
-        self._resident_plan = None
+        self._rows, self._resident_plan = rows, None
 
     def close(self) -> None:
         """Join the chunk pipeline's fetch thread, if it started one.
@@ -776,11 +785,10 @@ class ColumnMemNN:
         a ``hop`` — ``(float64 hop state, its pointers or None)``, ``u``
         its narrowing — the hop's ``o``, the hop ended."""
         plan = self._plan() if runs is None else self._span_plan(runs)
+        ns = self.num_sentences if runs is None else plan[1]
         if plan[3] is not None and state.scans(u.dtype) and u.flags.c_contiguous:
-            return plan[1], state.scan(self._scan_plan(plan, len(u)), u, *hop or ())
-        ns = 0
+            return ns, state.scan(self._scan_plan(plan, len(u)), u, *hop or ())
         for scores, tile_out in self._tiles(plan, u):
-            ns += scores.shape[1]
             state.fold(scores, tile_out)
         return ns, None if hop is None else state.recur(hop[0], u, at=hop[1])
 
@@ -791,14 +799,15 @@ class ColumnMemNN:
         piece) are packed into tiles of ``chunk_size`` columns as they
         are scanned, and for the compiled fold their
         :class:`~repro.core.compiled_fold.ScanPlan`.  The resident memory
-        is one piece, planned until :meth:`repoint`; behind a pipeline
+        is one piece, planned until :meth:`repoint` (a bound one's span is
+        the caller's ``[[0, stop]]``, read when scanned); behind a pipeline
         the pieces are the chunks its resident tier holds, planned until
         an eviction (``resident_pass`` charges the pass), else the
         chunks it streams, read as they are scanned (no ``ScanPlan``)."""
         if self._pipeline is None:
             if self._resident_plan is None:
                 store = self._store
-                pieces = ((store.m_in, store.m_out, None),)
+                pieces = ((store.m_in, store.m_out, self._rows),)
                 self._resident_plan = self._cut(pieces, resident=True)
             return self._resident_plan
         held = self._pipeline.resident_pass()
@@ -834,26 +843,21 @@ class ColumnMemNN:
 
     def _cut(self, pieces, resident: bool = False) -> tuple:
         """:meth:`_plan`'s plan of ``pieces``; the resident memory's one
-        piece (``resident``) refills the same ``ScanPlan`` after every
-        write."""
+        piece (``resident``) is cut once per :meth:`repoint`, its tiles
+        as wide as its whole arrays allow, whatever its span's stop."""
         rows = [
-            len(m_in) if spans is None else int((spans[:, 1] - spans[:, 0]).sum())
+            len(m_in) if spans is None or resident
+            else int((spans[:, 1] - spans[:, 0]).sum())
             for m_in, _, spans in pieces
         ]
         width = max(1, min(self.chunk.chunk_size, max(rows, default=0)))
         if not self._single or compiled_fold.kernels() is None:
             return pieces, sum(rows), width, None, None
         held, at = compiled_fold.structs([a for piece in pieces for a in piece])
-        scan = self._resident_scan if resident else None
-        if scan is None:
-            memory = (ctypes.c_void_p * len(at))()
-            address = ctypes.addressof(memory)
-            plan = compiled_fold.ScanPlan(len(pieces), self.chunk.chunk_size, address)
-            scan = (plan, memory)
-            if resident:
-                self._resident_scan = scan
-        scan[1][:] = at
-        return pieces, sum(rows), width, scan[0], (held, scan[1])
+        memory = (ctypes.c_void_p * len(at))(*at)
+        address = ctypes.addressof(memory)
+        plan = compiled_fold.ScanPlan(len(pieces), self.chunk.chunk_size, address)
+        return pieces, sum(rows), width, plan, (held, memory)
 
     def _scores(self, nq: int, width: int) -> tuple:
         """The score workspace, grown to at least ``(nq, width)``:

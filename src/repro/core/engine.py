@@ -89,7 +89,7 @@ def _readonly(view: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _empty_pair(width: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     """A read-only ``(0, width)`` ``(M_IN, M_OUT)`` pair — ``M_IN``
-    feature-major — for :meth:`MnnFastEngine.clear_memories` to view."""
+    feature-major — for :meth:`MnnFastEngine.clear_memories` to install."""
     m_in = _readonly(np.empty((0, width), dtype, order="F"))
     return m_in, _readonly(np.empty((0, width), dtype))
 
@@ -507,6 +507,12 @@ class MnnFastEngine:
         #: The one-call answers held per batch size (:meth:`_answer_pass`;
         #: ``False``: the hop loop runs), dropped with the solvers and ``W``.
         self._passes: dict[int, tuple | bool] = {}
+        #: Whether a cached solver is one a write drops (not bound).
+        self._write_drops = False
+        #: The stored rows: ``[[0, count]]`` of every pair's whole arrays,
+        #: the one span every bound solver reads (DESIGN.md §10).
+        self._rows = np.zeros((1, 2), np.int64)
+        self._capacity = 0
         # Here, not on first use: DESIGN.md §10, "Where the copy of W is made".
         self._cast_answer_weight()
         self.clear_memories()
@@ -515,15 +521,27 @@ class MnnFastEngine:
 
     @property
     def num_stored_sentences(self) -> int:
-        return self._memories[0][0].shape[0]
+        return int(self._rows[0, 1])
 
     @property
     def memories(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only views of the first hop's (M_IN, M_OUT) — the one
         resident copy: solvers and spills use these rows unconverted.
         ``M_IN`` is feature-major (``strides[0] == itemsize``, DESIGN.md
-        §10), ``M_OUT`` row-major; both index as ``(ns, ed)``."""
+        §10), ``M_OUT`` row-major; both index as ``(ns, ed)``.  A view
+        handed out here never changes: the next :meth:`clear_memories`
+        leaves the buffers it views to it."""
+        self._handed_out = True
         return self._memories[0]
+
+    @property
+    def _memories(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every pair's stored rows, cut from its whole arrays when read
+        (the whole arrays themselves when every row is stored)."""
+        count, whole = self._rows[0, 1], self._whole
+        if count == len(whole[0][0]):
+            return whole
+        return [(m_in[:count], m_out[:count]) for m_in, m_out in whole]
 
     @property
     def _dtype(self) -> np.dtype:
@@ -554,8 +572,8 @@ class MnnFastEngine:
         story sentence by sentence copies each row O(1) times.  A bag
         sum is accumulated in float64 and rounded once, into its row.
         A write that fits the buffers embeds in one compiled call per
-        memory pair, cuts the new read-only views and re-points a
-        surviving solver: nothing else.
+        memory pair and moves the stored-row count, which every bound
+        solver reads: nothing else.
 
         Args:
             sentences: ``(n, nw)`` padded word IDs.
@@ -576,14 +594,15 @@ class MnnFastEngine:
             self._reserve(end)
         buffers, bound = self._bound
         self._story_bow(sentences, buffers, stored, bound)
-        # Views of the read-only views are read-only: a slice is all.
-        self._memories = [(m_in[:end], m_out[:end]) for m_in, m_out in self._readable]
-        self._memories_written()
+        self._rows[0, 1] = end
+        if self._write_drops:
+            self._invalidate_solvers()
 
     def _reserve(self, rows: int) -> None:
         """New append buffers with room for ``rows`` rows each (the
         capacity at least doubles), holding a copy of the stored rows,
-        one matrix at a time; the old ones are never written again."""
+        one matrix at a time; the old ones are never written again, and
+        no view of the new ones is handed out yet."""
         capacity = min(
             max(rows, 2 * self._capacity, _MIN_BUFFER_ROWS), self.config.num_sentences
         )
@@ -600,10 +619,11 @@ class MnnFastEngine:
                 grown[: len(stored)] = stored
                 buffers.append(grown)
         readable = [_readonly(buffer.view()) for buffer in buffers]
-        self._capacity = capacity
+        self._capacity, self._handed_out = capacity, False
         self._buffers = list(zip(buffers[::2], buffers[1::2]))
-        self._readable = list(zip(readable[::2], readable[1::2]))
+        self._whole = list(zip(readable[::2], readable[1::2]))
         self._bound = (buffers, compiled_fold.structs(buffers))
+        self._memories_written(moved=True)
 
     def set_memories(self, m_in: np.ndarray, m_out: np.ndarray) -> None:
         """Install pre-embedded memories directly (§4.1.1: the knowledge
@@ -631,21 +651,29 @@ class MnnFastEngine:
         self._install([(_readonly(m_in.view()), _readonly(m_out.view()))])
 
     def clear_memories(self) -> None:
-        """Forget every stored row.  The memories become new views of
-        one cached empty read-only pair: nothing is allocated, and no
-        array handed out before is the one installed now."""
+        """Forget every stored row.  The append buffers stay, for the
+        next write to fill from row 0 — unless :attr:`memories` handed
+        out a view of them since they were allocated: then (and when the
+        engine owns no buffers) the memories become one cached empty
+        read-only pair, and the next write allocates, so no view handed
+        out ever changes (DESIGN.md §10, "Solvers across writes")."""
+        if self._capacity and not self._handed_out:
+            self._rows[0, 1] = 0
+            self._memories_written()
+            return
         m_in, m_out = _empty_pair(self.config.embedding_dim, self._dtype)
-        self._install([(m_in[:], m_out[:]) for _ in range(self._num_pairs)])
+        self._install([(m_in, m_out)] * self._num_pairs)
 
     def _install(self, memories: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Replace the memories with arrays the engine does not own:
-        the append buffers restart at zero capacity, so the next
+        """Replace the memories with whole arrays the engine does not
+        own: the append buffers restart at zero capacity, so the next
         :meth:`store_story` allocates fresh ones and neither writes
         into ``memories`` nor shows through views handed out earlier."""
-        self._memories = memories
+        self._whole = memories
+        self._rows[0, 1] = len(memories[0][0])
         self._capacity = 0
-        self._buffers, self._readable, self._bound = [], None, None
-        self._memories_written()
+        self._buffers, self._bound = [], None
+        self._memories_written(moved=True)
 
     def _sync_config(self) -> None:
         """``engine_config`` was swapped: the cached solvers go, and
@@ -660,22 +688,20 @@ class MnnFastEngine:
             for pair in self._memories
         ])
 
-    def _memories_written(self) -> None:
+    def _memories_written(self, moved: bool = False) -> None:
         """The memories changed under the cached solvers.  Plain
-        resident column kernels (no chunk pipeline) are re-pointed at
-        the new views and keep their fold state; every other solver
-        holds something made from the old rows — a spill, a chunk LRU,
-        a worker pool, a shard plan, an index — and is dropped
+        resident column kernels (no chunk pipeline) are bound to the
+        whole arrays and the stored-row span, and keep their plan and
+        fold states; only where the arrays themselves ``moved`` are they
+        re-pointed.  Every other solver holds something made from the
+        old rows — a spill, a chunk LRU, a worker pool, a shard plan, an
+        index — and is dropped, as all are under a swapped config
         (DESIGN.md §10, "Solvers across writes")."""
-        cache = self._solver_cache
-        if self._solver_cache_config is self.engine_config and all(
-            type(solver) is ColumnMemNN and solver.store_stats is None
-            for solver in cache.values()
-        ):
-            for pair_index, solver in cache.items():
-                solver.repoint(*self._memories[pair_index])
-        else:
+        if self._write_drops or self._solver_cache_config is not self.engine_config:
             self._invalidate_solvers()
+        elif moved:
+            for pair_index, solver in self._solver_cache.items():
+                solver.repoint(*self._whole[pair_index], self._rows)
 
     def _invalidate_solvers(self) -> None:
         """Drop the solver cache, releasing backend resources first.
@@ -695,6 +721,7 @@ class MnnFastEngine:
             self._spilled.pop().close()
         self._solver_cache = {}
         self._passes = {}
+        self._write_drops = False
 
     def close(self) -> None:
         """Release engine-held resources: cached solvers (worker
@@ -968,7 +995,8 @@ class MnnFastEngine:
         kernel, address, solvers, pairs, hops_at, outputs, kept, arrays = held
         nq, ec = len(questions), self.engine_config
         threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
-        # Each solver re-plans after a write; the addresses hold still.
+        # A re-point cuts a new plan, and a larger batch grows the
+        # workspace: the held addresses follow when they moved.
         at = [solver.compiled_hop(nq, threshold) for solver in solvers]
         if at != hops_at:
             if None in at:
@@ -1047,11 +1075,12 @@ class MnnFastEngine:
 
         Solver construction spills the memories or (in sharded mode)
         slices them into shards — work worth paying once per stored
-        story, not once per request.  When the memories mutate
-        (:meth:`store_story` / :meth:`set_memories` /
-        :meth:`clear_memories`) a plain resident column kernel is
-        re-pointed at the new rows and every other solver is dropped;
-        a swapped ``engine_config`` drops them all.
+        story, not once per request.  A plain resident column kernel is
+        bound to the pair's whole arrays and the stored-row span, so it
+        reads every later write; every other solver is dropped when the
+        memories mutate (:meth:`store_story` / :meth:`set_memories` /
+        :meth:`clear_memories`), and a swapped ``engine_config`` drops
+        them all.
         """
         if self._solver_cache_config is not self.engine_config:
             self._sync_config()
@@ -1059,6 +1088,10 @@ class MnnFastEngine:
         if solver is None:
             m_in, m_out = self._memories[pair_index]
             solver = self._build_solver(m_in, m_out, pair_index)
+            if type(solver) is ColumnMemNN and solver.store_stats is None:
+                solver.repoint(*self._whole[pair_index], self._rows)
+            else:
+                self._write_drops = True
             self._solver_cache[pair_index] = solver
         return solver
 

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.core.numerics import PAD_ID, softmax
 
 from .conftest import float64
+from .test_float32_bytes import _peak_bytes
 
 
 @pytest.fixture
@@ -156,6 +157,52 @@ class TestAppendBuffers:
         np.testing.assert_array_equal(
             engine.answer(questions).logits, before.logits
         )
+
+    def test_a_clear_with_no_view_handed_out_keeps_the_buffers(self, config, rng):
+        """A clear resets the row count and keeps the append buffers:
+        the next write allocates no more than a later one (the NumPy
+        embedding's temporaries: nothing with the compiled one) and lands
+        in the same buffers, and the answers are a fresh engine's."""
+        eng = MnnFastEngine(config)
+        story = rng.integers(1, 50, size=(30, 6))
+        questions = rng.integers(1, 50, size=(2, 6))
+        eng.store_story(story[:12])
+        eng.answer(questions)
+        buffers = [matrix for pair in eng._buffers for matrix in pair]
+        eng.clear_memories()
+        assert eng.num_stored_sentences == 0
+        first = _peak_bytes(lambda: eng.store_story(story[12:13]))
+        later = _peak_bytes(lambda: eng.store_story(story[13:14]))
+        assert first < later + buffers[0].nbytes
+        eng.store_story(story[14:20])
+        kept = [matrix for pair in eng._buffers for matrix in pair]
+        assert all(now is before for now, before in zip(kept, buffers))
+        fresh = MnnFastEngine(config, eng.weights)
+        fresh.store_story(story[12:20])
+        want = fresh.answer(questions).logits
+        assert eng.answer(questions).logits.tobytes() == want.tobytes()
+
+    def test_a_view_handed_out_keeps_its_bytes_through_writes_and_clears(
+        self, config, rng
+    ):
+        """``memories`` taken between writes, and right before a clear,
+        read the same bytes after later writes and clears: the clear
+        after a hand-out leaves the viewed buffers alone, and the next
+        write allocates new ones."""
+        eng = MnnFastEngine(config)
+        story = rng.integers(1, 50, size=(80, 6))
+        eng.store_story(story[:4])
+        between = eng.memories
+        eng.store_story(story[4:9])
+        before_clear = eng.memories
+        views = (*between, *before_clear)
+        held = [view.tobytes() for view in views]
+        for turn in range(3):
+            eng.clear_memories()
+            eng.store_story(story[10 + 20 * turn : 20 + 20 * turn])
+            eng.store_story(story[20 + 20 * turn : 30 + 20 * turn])
+        assert [view.tobytes() for view in views] == held
+        assert not np.shares_memory(eng._buffers[0][0], before_clear[0])
 
     def test_rejected_story_writes_no_row(self, config, rng):
         """Overflow and out-of-range word IDs raise before any row

@@ -4,8 +4,9 @@ A resident memory's scan runs over a plan — its ``(M_IN, M_OUT)``
 pieces, cut into tiles, with one score workspace for every batch size —
 in one compiled call, and a chunk pipeline hands it the chunks its
 resident tier holds.  These tests hold the plan to the per-tile generator it replaced,
-bit for bit, count what a hop calls, drop the plan on every write, and
-check that a cached pipeline pass charges the ledger as a chunk stream.
+bit for bit, count what a hop calls, drop the plan on every re-point, and
+check that a cached pipeline pass charges the ledger as a chunk stream
+— and that an engine's writes inside its buffers leave the plan alone.
 """
 
 import weakref
@@ -13,7 +14,16 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.core import ChunkConfig, ColumnMemNN, ZeroSkipConfig, compiled_fold
+from repro.core import (
+    ChunkConfig,
+    ColumnMemNN,
+    EngineConfig,
+    EngineWeights,
+    MemNNConfig,
+    MnnFastEngine,
+    ZeroSkipConfig,
+    compiled_fold,
+)
 from repro.core.column import TileState
 from repro.store import ChunkPrefetcher, MmapStore, ResidentStore
 
@@ -290,3 +300,50 @@ def test_an_eviction_drops_the_plans_cut_from_the_held_chunks(tmp_path):
     assert evicted() is None
     solver.close()
     store.close()
+
+
+@pytest.mark.parametrize("threshold", (0.0, 0.1))
+def test_a_write_costs_the_plan_nothing(monkeypatch, fold, threshold):
+    """An engine's resident kernel is bound to the append buffers and
+    the stored-row span: a write inside their capacity moves the span's
+    stop and leaves the plan as it is.  Told sentence by sentence up to
+    the 64-row capacity, with 16-column tiles, the span crosses tile
+    ends inside each buffer; at every size the one-call answer and the
+    hop loop equal a fresh engine's bytes, and the plan is cut once per
+    buffer allocation, not once per write."""
+    monkeypatch.setattr("repro.core.engine._MIN_BUFFER_ROWS", 16)
+    cuts = []
+    cut = vars(ColumnMemNN)["_cut"]
+
+    def counted(solver, *args, **kwargs):
+        cuts.append(solver)
+        return cut(solver, *args, **kwargs)
+
+    monkeypatch.setattr(ColumnMemNN, "_cut", counted)
+    network = MemNNConfig(
+        embedding_dim=ED, num_sentences=64, vocab_size=60, max_words=6, hops=2
+    )
+    rng = np.random.default_rng(5)
+    weights = EngineWeights.random(network, rng=rng, scale=0.5)
+    story = rng.integers(1, 60, size=(64, 6))
+    questions = rng.integers(1, 60, size=(3, 6))
+    config = EngineConfig.mnnfast(16, threshold)
+    engine = MnnFastEngine(network, weights, engine_config=config)
+    allocations = []
+    for rows in range(1, 65):
+        engine.store_story(story[rows - 1])
+        buffer = engine._buffers[0][0]
+        if not allocations or buffer is not allocations[-1]:
+            allocations.append(buffer)
+        got = engine.answer(questions).logits
+        hooked = engine.answer(questions, hop_hook=lambda hop, stats: None)
+        fresh = MnnFastEngine(network, weights, engine_config=config)
+        fresh.store_story(story[:rows])
+        want = fresh.answer(questions)
+        assert got.tobytes() == hooked.logits.tobytes() == want.logits.tobytes()
+        assert hooked.hop_stats == want.hop_stats
+        fresh.close()
+    assert len(allocations) == 3  # capacities 16, 32 and 64
+    solver = engine._solver_cache[0]
+    assert [s for s in cuts if s is solver] == [solver] * len(allocations)
+    engine.close()
