@@ -7,7 +7,8 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test test-fast test-slowest bench bench-core serving \
-	perfbench perfbench-compare perfbench-smoke loc kernel topk-crossover
+	perfbench perfbench-compare perfbench-smoke loc kernel kernel-sanitize \
+	topk-crossover
 
 check: lint test
 
@@ -37,6 +38,28 @@ kernel:
 			-Wall -Wextra -Werror -fsyntax-only src/repro/core/_fold.c; \
 	fi
 	@$(PYTHON) -c 'from repro.core import fold_backend; print("fold:", fold_backend())'
+
+# The kernel-path tests against an AddressSanitizer + UBSan build of
+# _fold.c: tests/kernel_sanitize.py appends the sanitizer flags to
+# compiled_fold.FLAGS (a separate library cache entry) and fails the
+# session unless that build is the fold that runs.  Both runtimes are
+# preloaded into python (the sanitized library is loaded by ctypes, after
+# the interpreter started); leak checking is off because the interpreter
+# itself never frees everything.  --capture=sys leaves file descriptor 2
+# alone, so a report (printed just before the sanitizer aborts the
+# process) is not lost in pytest's capture file.  The cache directory is
+# temporary, so the sanitized library never lands in the user's cache.
+SANITIZE_TESTS = tests/test_compiled_fold.py tests/test_tile_plan.py \
+	tests/test_scan_blas.py tests/test_core_sparse_readout.py \
+	tests/test_index.py tests/test_answer_records.py \
+	tests/test_solver_intake.py tests/test_float32_grid.py \
+	tests/test_differential_paths.py tests/test_dialogue_writes.py
+
+kernel-sanitize:
+	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
+	LD_PRELOAD="$$(cc -print-file-name=libasan.so) $$(cc -print-file-name=libubsan.so)" \
+	ASAN_OPTIONS=detect_leaks=0 XDG_CACHE_HOME="$$cache" \
+		$(PYTHON) -m pytest -p tests.kernel_sanitize --capture=sys $(SANITIZE_TESTS)
 
 # Skip the slow (model-training) tests for a quick local loop.
 test-fast:

@@ -19,9 +19,7 @@ The sweep mirrors the serving stack's approximation levers:
 
 A traffic section exercises the workload generator: batch fill of
 session-shaped against rate-matched uniform arrivals
-(:func:`repro.batching.batcher.form_batches`), and chunk hit rate of
-document-affine sessions under cache-affinity against round-robin
-routing (:class:`repro.cluster.simulation.ClusterSim`).
+(:func:`repro.batching.batcher.form_batches`).
 
 Every number here is deterministic, so this bench only reports them;
 ``tests/test_docqa.py`` (``TestQualityGates``) gates the same measures
@@ -31,7 +29,6 @@ on a 16 x 64-row corpus.
 import numpy as np
 
 from repro.batching.batcher import form_batches
-from repro.cluster import ClusterConfig, ClusterSim
 from repro.core import EngineConfig
 from repro.core.config import BatchConfig
 from repro.docqa import (
@@ -41,7 +38,6 @@ from repro.docqa import (
     generate_queries,
     sweep_docqa_configs,
     synthetic_corpus,
-    to_cluster_requests,
 )
 from repro.report import format_table
 
@@ -65,10 +61,9 @@ CHUNK_SIZE = 256
 NPROBE_LADDER = (2, 4, 8, 16, 32)
 EXIT_THRESHOLD = 0.8
 
-#: Traffic section: session shape and cluster routing.
+#: Traffic section: session shape.
 QUESTIONS_PER_SESSION = 4
 SESSION_RATE = 20.0
-ROUTING_CHUNK = 16
 
 
 def _measure() -> dict:
@@ -112,33 +107,9 @@ def _measure() -> dict:
         for label, stream in (("sessioned", sessioned), ("uniform", uniform))
     }
 
-    chunk_bytes = 2 * ROUTING_CHUNK * ED * 8
-    doc_chunks = ROWS_PER_DOC // ROUTING_CHUNK
-    cluster_config = ClusterConfig(
-        num_rows=corpus.num_rows, embedding_dim=ED, chunk_size=ROUTING_CHUNK,
-        replicas=4, resident_bytes=3 * doc_chunks * chunk_bytes,
-        disk_bandwidth=2e8,
-    )
-    cluster_stream = docqa_workload(
-        queries, session_rate=150.0,
-        questions_per_session=QUESTIONS_PER_SESSION,
-        num_sessions=250, seed=19,
-    )
-    cluster_requests = to_cluster_requests(
-        cluster_stream, corpus, chunk_size=ROUTING_CHUNK,
-        total_chunks=cluster_config.total_chunks,
-    )
-    hit_rates = {
-        routing: ClusterSim(cluster_config, policy=routing)
-        .run(cluster_requests)
-        .chunk_hit_rate
-        for routing in ("round_robin", "cache_affinity")
-    }
-
     return {
         "evaluations": evaluations,
         "batch_fill": fills,
-        "chunk_hit_rate": hit_rates,
     }
 
 
@@ -166,7 +137,5 @@ def test_docqa_quality_report(benchmark, report):
     ))
     report(
         f"batch fill: sessioned {result['batch_fill']['sessioned']:.3f} vs "
-        f"uniform {result['batch_fill']['uniform']:.3f}; chunk hit-rate: "
-        f"affinity {result['chunk_hit_rate']['cache_affinity']:.3f} vs "
-        f"round-robin {result['chunk_hit_rate']['round_robin']:.3f}"
+        f"uniform {result['batch_fill']['uniform']:.3f}"
     )

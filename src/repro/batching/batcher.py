@@ -125,10 +125,6 @@ class BatchFormation:
         return sum(self.queue_waits) / self.size if self.size else 0.0
 
     @property
-    def max_queue_wait(self) -> float:
-        return max(self.queue_waits) if self.queue_waits else 0.0
-
-    @property
     def min_deadline_slack(self) -> float:
         """Tightest member slack (``inf`` when no member has one)."""
         return min(self.deadline_slacks) if self.deadline_slacks else float("inf")

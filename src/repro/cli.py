@@ -11,7 +11,7 @@ Each command prints the same paper-vs-measured tables the benchmark
 harness produces; ``--quick`` shrinks the trained experiments' budgets
 (fig6, fig7), serving's arrival window and accuracy's task list.  The
 extension benches (sharding, stores, top-k, early exit, batching,
-cluster, document QA) print their tables from ``benchmarks/`` only:
+document QA) print their tables from ``benchmarks/`` only:
 ``python -m pytest benchmarks/bench_<name>.py -q -s``.
 """
 

@@ -37,7 +37,7 @@ from .early_exit import (
     HopTrace,
     logit_margin_confidence,
 )
-from .plan import InferencePlan, plan_engine_pass
+from .plan import InferencePlan, plan_inference
 from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
@@ -736,30 +736,34 @@ class MnnFastEngine:
 
     # --- planning ------------------------------------------------------------
 
-    def plan(
-        self,
-        batch_size: int = 1,
-        exit_rate: float = 0.0,
-        chunks: tuple[int, ...] | None = None,
-    ) -> InferencePlan:
+    def plan(self, batch_size: int = 1, exit_rate: float = 0.0) -> InferencePlan:
         """Describe what one :meth:`answer` pass over ``batch_size``
-        questions would do, without running it.
+        questions would do, without running it: the bytes each hop
+        streams, the expected candidate rows under the top-k tier, and
+        the expected survivor schedule of the early-exit gate.
 
-        The plan is pure — chunk coverage, expected candidate rows
-        under the top-k tier, and the expected survivor schedule of
-        the early-exit gate — so a placement layer can reason about
-        the pass's memory footprint before choosing where it runs.
-
-        ``exit_rate`` is the calibrated per-check exit probability;
-        core does not know the threshold→rate calibration (a serving
-        policy concern), so callers with an active gate supply it
-        (:meth:`repro.serving.server.QaServer.plan` does).  ``chunks``
-        narrows the planned chunk set below full coverage when the
-        caller knows the pass's rows cluster (topic locality).
+        ``exit_rate`` is the calibrated per-check exit probability
+        (counted only when the gate is enabled); core does not know the
+        threshold→rate calibration (a serving policy concern), so
+        callers with an active gate supply it.
         """
         rows = max(1, self.num_stored_sentences or self.config.num_sentences)
-        return plan_engine_pass(
-            self.config, self.engine_config, rows, batch_size, exit_rate, chunks
+        engine = self.engine_config
+        return plan_inference(
+            num_rows=rows,
+            embedding_dim=self.config.embedding_dim,
+            batch_size=batch_size,
+            chunk_size=engine.chunk.chunk_size,
+            hops=self.config.hops,
+            min_hops=engine.early_exit.min_hops,
+            exit_rate=exit_rate if engine.early_exit.enabled else 0.0,
+            candidate_rows=(
+                engine.topk.expected_candidates(rows, batch_size=batch_size)
+                if engine.topk.enabled
+                else rows
+            ),
+            num_shards=engine.num_shards,
+            shard_policy=engine.shard_policy,
         )
 
     # --- question path -------------------------------------------------------

@@ -1,13 +1,13 @@
 """Planner side of the planner/executor split.
 
 An :class:`InferencePlan` is a pure description of what one inference
-pass *would* do — which chunks it streams, how many candidate rows the
-top-k tier admits, how deep the early-exit gate is expected to let the
-batch run — computed without touching the memories.  Execution stays
-in :class:`~repro.core.engine.MnnFastEngine`; the plan exists so a
-placement layer (the cluster router) can reason about a request's
-memory footprint *before* deciding where it runs, and so cost models
-and the executed pass agree on one description of the work.
+pass *would* do — how many bytes each hop streams, how many candidate
+rows the top-k tier admits, how deep the early-exit gate is expected to
+let the batch run — computed without touching the memories.  Execution
+stays in :class:`~repro.core.engine.MnnFastEngine`; the plan exists so
+cost models and the executed pass agree on one description of the
+work (``tests/test_float32_bytes.py`` holds an executed hop's bytes to
+:attr:`InferencePlan.hop_bytes`).
 
 The early-exit survivor model lives here as the pure function
 :func:`expected_hop_survivors`, parameterized by a plain ``exit_rate``
@@ -18,14 +18,11 @@ exit_rate_for_threshold`), and core must not import serving.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .config import FLOAT_BYTES, EngineConfig, MemNNConfig
+from .config import FLOAT_BYTES
 
-__all__ = [
-    "InferencePlan", "expected_hop_survivors", "plan_engine_pass", "plan_inference"
-]
+__all__ = ["InferencePlan", "expected_hop_survivors", "plan_inference"]
 
 
 def expected_hop_survivors(
@@ -67,11 +64,6 @@ class InferencePlan:
         num_rows: memory rows backing the pass (the full store).
         embedding_dim: embedding width ``ed``.
         chunk_size: rows per streamed chunk of the column dataflow.
-        chunks: global chunk indices the pass streams, in stream
-            order.  Full coverage by default; a retrieval tier or a
-            topic-locality workload narrows this to the chunks its
-            candidate rows actually occupy — the set the router
-            intersects with replica LRU contents.
         candidate_rows: expected rows the exact kernel scans per hop
             (``num_rows`` without a top-k tier).
         hops: configured hop count.
@@ -88,7 +80,6 @@ class InferencePlan:
     num_rows: int
     embedding_dim: int
     chunk_size: int
-    chunks: tuple[int, ...]
     candidate_rows: int
     hops: int
     min_hops: int
@@ -105,30 +96,11 @@ class InferencePlan:
             raise ValueError(
                 f"chunk_size must be positive, got {self.chunk_size}"
             )
-        if not self.chunks:
-            raise ValueError("a plan must stream at least one chunk")
-        total = self.total_chunks
-        bad = [c for c in self.chunks if not 0 <= c < total]
-        if bad:
-            raise ValueError(
-                f"chunk indices {bad} outside [0, {total}) for "
-                f"{self.num_rows} rows at chunk_size {self.chunk_size}"
-            )
         if len(self.survivors) != self.hops:
             raise ValueError(
                 f"survivors has {len(self.survivors)} entries for "
                 f"{self.hops} hops"
             )
-
-    @property
-    def total_chunks(self) -> int:
-        """Chunks covering the whole store (the plan may touch fewer)."""
-        return math.ceil(self.num_rows / self.chunk_size)
-
-    @property
-    def num_chunks(self) -> int:
-        """Chunks this pass streams."""
-        return len(self.chunks)
 
     @property
     def executed_hops(self) -> int:
@@ -142,21 +114,10 @@ class InferencePlan:
 
     @property
     def hop_bytes(self) -> int:
-        """Memory traffic of one hop: the planned chunks of both
-        ``M_IN`` and ``M_OUT``, streamed once per hop regardless of
-        batch size (the column dataflow's amortization)."""
-        per_chunk = self.chunk_rows_total * self.embedding_dim
-        return 2 * per_chunk * self.dtype_bytes
-
-    @property
-    def chunk_rows_total(self) -> int:
-        """Rows covered by the planned chunks (the tail chunk may be
-        short)."""
-        full, tail = divmod(self.num_rows, self.chunk_size)
-        rows = 0
-        for c in self.chunks:
-            rows += self.chunk_size if c < full else tail
-        return rows
+        """Memory traffic of one hop: every row of both ``M_IN`` and
+        ``M_OUT``, streamed once per hop regardless of batch size (the
+        column dataflow's amortization)."""
+        return 2 * self.num_rows * self.embedding_dim * self.dtype_bytes
 
     @property
     def bytes_streamed(self) -> int:
@@ -174,20 +135,14 @@ def plan_inference(
     min_hops: int = 1,
     exit_rate: float = 0.0,
     candidate_rows: int | None = None,
-    chunks: tuple[int, ...] | None = None,
     num_shards: int = 1,
     shard_policy: str = "contiguous",
     dtype_bytes: int = FLOAT_BYTES,
 ) -> InferencePlan:
     """Build an :class:`InferencePlan` from first principles.
 
-    ``chunks`` defaults to full coverage of the store; pass an
-    explicit subset when a retrieval tier (or workload topic locality)
-    bounds which chunks the candidate rows can occupy.
     ``candidate_rows`` defaults to a full scan.
     """
-    if chunks is None:
-        chunks = tuple(range(math.ceil(num_rows / chunk_size)))
     if candidate_rows is None:
         candidate_rows = num_rows
     survivors = tuple(
@@ -198,7 +153,6 @@ def plan_inference(
         num_rows=num_rows,
         embedding_dim=embedding_dim,
         chunk_size=chunk_size,
-        chunks=chunks,
         candidate_rows=candidate_rows,
         hops=hops,
         min_hops=min_hops,
@@ -207,37 +161,4 @@ def plan_inference(
         num_shards=num_shards,
         shard_policy=shard_policy,
         dtype_bytes=dtype_bytes,
-    )
-
-
-def plan_engine_pass(
-    network: MemNNConfig,
-    engine: EngineConfig,
-    rows: int,
-    batch_size: int,
-    exit_rate: float,
-    chunks: tuple[int, ...] | None = None,
-) -> InferencePlan:
-    """:func:`plan_inference` of one pass of ``network`` under
-    ``engine`` over ``rows`` memory rows — what
-    :meth:`~repro.core.engine.MnnFastEngine.plan` and
-    :meth:`~repro.serving.server.QaServer.plan` both describe.  The
-    top-k tier narrows the candidate rows when enabled, and
-    ``exit_rate`` counts only when the early-exit gate is."""
-    return plan_inference(
-        num_rows=rows,
-        embedding_dim=network.embedding_dim,
-        batch_size=batch_size,
-        chunk_size=engine.chunk.chunk_size,
-        hops=network.hops,
-        min_hops=engine.early_exit.min_hops,
-        exit_rate=exit_rate if engine.early_exit.enabled else 0.0,
-        candidate_rows=(
-            engine.topk.expected_candidates(rows, batch_size=batch_size)
-            if engine.topk.enabled
-            else rows
-        ),
-        chunks=chunks,
-        num_shards=engine.num_shards,
-        shard_policy=engine.shard_policy,
     )

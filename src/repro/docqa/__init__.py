@@ -17,8 +17,8 @@ standard retrieval metrics.
   rate / attention mass against the ledger, and sweep engine configs
   (exact vs top-k vs early exit) over one shared network.
 * :mod:`repro.docqa.workload` — session-shaped many-questions-per-
-  document traffic, with adapters into the batching, serving, and
-  cluster tiers.
+  document traffic, fed to the batcher directly and to the serving
+  simulator through an adapter.
 """
 
 from .corpus import DocqaCorpus, RowProvenance, ingest_documents, synthetic_corpus
@@ -36,7 +36,6 @@ from .queries import DocqaQuery, QrelsLedger, generate_queries
 from .workload import (
     DocqaRequest,
     docqa_workload,
-    to_cluster_requests,
     to_serving_workload,
 )
 
@@ -59,5 +58,4 @@ __all__ = [
     "DocqaRequest",
     "docqa_workload",
     "to_serving_workload",
-    "to_cluster_requests",
 ]

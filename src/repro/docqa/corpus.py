@@ -11,9 +11,8 @@ what turns retrieval statistics (which rows did the top-k tier probe?
 where did the attention mass land?) into scorable qrels judgments
 (:mod:`repro.docqa.queries`, :mod:`repro.docqa.evaluate`).
 
-A document's rows are **contiguous** in the store, in document order —
-the locality that makes document-affine traffic map onto chunk-level
-cache affinity in the cluster tier (:func:`repro.cluster.workload.row_span_chunks`).
+A document's rows are **contiguous** in the store, in document order,
+so a session of questions about one document reads one row span.
 
 Two ingestion paths:
 

@@ -9,18 +9,14 @@ can exploit:
   (:func:`repro.batching.batcher.form_batches` sees tight arrival
   gaps inside a session);
 * **document locality** — consecutive requests touch the same
-  document's contiguous row span, i.e. the same memory chunks, which
-  is exactly what the cluster tier's cache-affinity routing keys on
-  (:func:`repro.cluster.workload.row_span_chunks`).
+  document's contiguous row span, i.e. the same memory chunks.
 
-:func:`docqa_workload` generates the stream; the ``to_*`` adapters
-project it onto the existing request containers — serving
+:func:`docqa_workload` generates the stream; :func:`to_serving_workload`
+projects it onto serving's request container
 (:class:`~repro.serving.requests.QuestionRequest` for
-``QaServer.run``) and cluster
-(:class:`~repro.cluster.workload.ClusterRequest` for ``ClusterSim``).
-A :class:`DocqaRequest` itself carries ``arrival``/``deadline``, so
-the stream also feeds :func:`~repro.batching.batcher.form_batches`
-directly.
+``QaServer.run``).  A :class:`DocqaRequest` itself carries
+``arrival``/``deadline``, so the stream also feeds
+:func:`~repro.batching.batcher.form_batches` directly.
 """
 
 from __future__ import annotations
@@ -29,17 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.workload import ClusterRequest, row_span_chunks
 from ..core.numerics import PAD_ID
 from ..serving.requests import QuestionRequest, Workload
-from .corpus import DocqaCorpus
 from .queries import DocqaQuery
 
 __all__ = [
     "DocqaRequest",
     "docqa_workload",
     "to_serving_workload",
-    "to_cluster_requests",
 ]
 
 
@@ -164,35 +157,3 @@ def to_serving_workload(requests: list[DocqaRequest]) -> Workload:
             for request in requests
         ]
     )
-
-
-def to_cluster_requests(
-    requests: list[DocqaRequest],
-    corpus: DocqaCorpus,
-    chunk_size: int,
-    total_chunks: int | None = None,
-    batch_size: int = 1,
-) -> list[ClusterRequest]:
-    """Project a docqa stream onto the cluster simulator.
-
-    Each request's *topic* is its document, and its planned chunk set
-    is the document's contiguous row span mapped onto the chunk grid
-    (:func:`~repro.cluster.workload.row_span_chunks`) — so sessions
-    about the same document hit the same chunks, and cache-affinity
-    routing (:class:`~repro.cluster.router.CacheAffinityPolicy`) can
-    keep them on the replica that already holds those chunks.
-    """
-    return [
-        ClusterRequest(
-            arrival=request.arrival,
-            topic=request.query.doc_id,
-            chunks=row_span_chunks(
-                *corpus.row_range(request.query.doc_id),
-                chunk_size=chunk_size,
-                total_chunks=total_chunks,
-            ),
-            batch_size=batch_size,
-            deadline=request.deadline,
-        )
-        for request in requests
-    ]

@@ -52,10 +52,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
     def _stream(self, stream: str) -> "CacheStats":
         if stream not in self.by_stream:
             self.by_stream[stream] = CacheStats()

@@ -107,9 +107,6 @@ class MemN2N:
             params += list(self.temporal)
         return params
 
-    def zero_grads(self) -> list[np.ndarray]:
-        return [np.zeros_like(p) for p in self.parameters()]
-
     # --- forward -------------------------------------------------------------------
 
     def forward(

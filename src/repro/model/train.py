@@ -225,10 +225,3 @@ def train_jointly(
         s, q, a = vectorize(examples, vocab, max_words, max_sentences)
         accuracies[task_id] = trainer.accuracy(s, q, a)
     return trainer, accuracies, vocab
-
-
-def example_memory_usage(examples: list[Example]) -> float:
-    """Mean sentences per story (sanity metric for memory sizing)."""
-    if not examples:
-        return 0.0
-    return float(np.mean([e.num_sentences for e in examples]))

@@ -49,8 +49,8 @@ serving batches of one.  The rules, identical for every batch size:
   threshold)``, sampled from the server's ``rng``; the batch ends when
   its last member retires and every member completes when the batch
   does.  ``BatchSample.hop_survivors`` holds the realised counts;
-  :meth:`QaServer.expected_hop_survivors`, ``inference_seconds`` and
-  ``plan`` stay the pure expected model.
+  :meth:`QaServer.expected_hop_survivors` and ``inference_seconds``
+  stay the pure expected model.
 
 Every request carries a :class:`~repro.serving.trace.RequestTrace`
 span record (``queue`` → ``embed`` → ``hop<k>``, ``backoff`` between
@@ -81,7 +81,6 @@ from ..core.config import (
     EngineConfig,
     MemNNConfig,
 )
-from ..core.plan import InferencePlan, plan_engine_pass
 from ..core.plan import expected_hop_survivors as _plan_survivors
 from ..core.sharded import ShardPlan
 from ..memsim.embedding_cache import EmbeddingCache
@@ -509,31 +508,6 @@ class QaServer:
             hops,
             min_hops=early_exit.min_hops,
             exit_rate=exit_rate_for_threshold(exit_threshold),
-        )
-
-    def plan(
-        self,
-        batch_size: int | None = None,
-        chunks: tuple[int, ...] | None = None,
-    ) -> InferencePlan:
-        """The :class:`~repro.core.plan.InferencePlan` of one question
-        batch on this server — the placement-facing description a
-        cluster router scores replicas against.
-
-        The server (not core) owns the threshold→rate calibration of
-        the early-exit gate, so the plan's ``exit_rate`` is
-        :func:`~repro.serving.policy.exit_rate_for_threshold` of the
-        configured gate threshold.  ``chunks`` narrows planned chunk
-        coverage when the caller knows the pass's rows cluster.
-        """
-        network, engine = self.config.network, self.config.engine
-        return plan_engine_pass(
-            network,
-            engine,
-            network.num_sentences,
-            batch_size if batch_size is not None else network.num_questions,
-            exit_rate_for_threshold(engine.early_exit.threshold),
-            chunks,
         )
 
     def inference_seconds(

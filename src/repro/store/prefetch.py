@@ -16,9 +16,9 @@ Every hop and every request re-walks the memory in the same order, so
 under LRU a budget one chunk short of the footprint evicts each chunk
 just before it is needed again and never hits; keeping the first
 chunks that fit serves ``floor(budget / chunk_bytes)`` chunks from RAM
-on every later pass.  Random-access :meth:`ChunkPrefetcher.fetch` (a
-cluster replica pulling the spans its plan names) keeps LRU eviction,
-where recency does predict reuse.  The
+on every later pass.  Random-access :meth:`ChunkPrefetcher.fetch` (one
+named span on demand) keeps LRU eviction, where recency does predict
+reuse.  The
 :class:`~repro.store.base.StoreStats` ledger records which bytes came
 from where, the prefetch hit rate, and the stall seconds the overlap
 failed to hide.
@@ -174,14 +174,12 @@ class ChunkPrefetcher:
         tier evicts its coldest chunks to admit this one), with full
         ledger accounting.
 
-        The random-access sibling of :meth:`chunks` — a cluster
-        replica's executor pulls exactly the spans its plan names
-        rather than walking the whole store.  Returns
+        The random-access sibling of :meth:`chunks`: it pulls one
+        named span rather than walking the whole store.  Returns
         ``((chunk_in, chunk_out), lru_hit)``; ``lru_hit`` is ``True``
         only when the span came out of the resident-chunk LRU (a
-        resident backing store that is *not* cached reports ``False``,
-        so routing experiments see cache locality, not store
-        residency).
+        resident backing store that is *not* cached reports ``False``:
+        the flag reports cache locality, not store residency).
         """
         with self._lock:
             was_cached = span in self._lru
@@ -192,19 +190,10 @@ class ChunkPrefetcher:
 
     def resident_spans(self) -> tuple[tuple[int, int], ...]:
         """The spans currently held by the resident-chunk LRU, coldest
-        first — the live cache-contents view cache-affinity routing
-        scores against.  A snapshot: safe to iterate while the
-        prefetch thread runs."""
+        first.  A snapshot: safe to iterate while the prefetch thread
+        runs."""
         with self._lock:
             return tuple(self._lru.keys())
-
-    def resident_chunk_ids(self) -> frozenset[int]:
-        """LRU contents as global chunk indices (``start //
-        chunk_size``) — the set form the router intersects with an
-        :class:`~repro.core.plan.InferencePlan`'s ``chunks``."""
-        return frozenset(
-            start // self.chunk_size for start, _ in self.resident_spans()
-        )
 
     # --- the RAM tier --------------------------------------------------------
 

@@ -8,6 +8,8 @@ from repro.core import (
     EngineWeights,
     MemNNConfig,
     MnnFastEngine,
+    expected_hop_survivors,
+    plan_inference,
 )
 from repro.core.numerics import PAD_ID, softmax
 
@@ -496,3 +498,43 @@ class TestTierStats:
         shards = result.tier_stats()["shards"]
         assert len(shards) == config.hops
         assert all(len(per_hop) == 3 for per_hop in shards)
+
+
+class TestInferencePlan:
+    def test_survivor_schedule_matches_pure_model(self):
+        plan = plan_inference(
+            num_rows=100, embedding_dim=8, batch_size=64,
+            hops=4, min_hops=1, exit_rate=0.5,
+        )
+        assert list(plan.survivors) == expected_hop_survivors(64, 4, 1, 0.5)
+        assert plan.expected_hops < 4
+        assert plan.executed_hops <= 4
+
+    def test_gate_disabled_is_full_depth(self):
+        survivors = expected_hop_survivors(32, 3, exit_rate=0.0)
+        assert survivors == [32, 32, 32]
+
+    def test_bytes_streamed_counts_both_memories(self):
+        plan = plan_inference(
+            num_rows=1_000, embedding_dim=10, chunk_size=500, hops=2
+        )
+        # 1000 rows x 10 wide x 4 bytes x 2 matrices x 2 hops
+        assert plan.bytes_streamed == 1_000 * 10 * 4 * 2 * 2
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match="exit_rate"):
+            expected_hop_survivors(8, 2, exit_rate=1.5)
+        with pytest.raises(ValueError, match="batch_size"):
+            expected_hop_survivors(0, 2)
+
+    def test_engine_plan_describes_engine_state(self, rng):
+        config = MemNNConfig(
+            embedding_dim=16, num_sentences=100, num_questions=1,
+            vocab_size=50, max_words=6, hops=2,
+        )
+        engine = MnnFastEngine(config)
+        engine.store_story(rng.integers(1, 50, size=(40, 6)))
+        plan = engine.plan(batch_size=4)
+        assert plan.num_rows == 40
+        assert plan.hops == 2
+        assert plan.batch_size == 4

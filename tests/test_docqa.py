@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from repro.batching import BatchConfig, form_batches
-from repro.cluster import ClusterConfig, ClusterSim, row_span_chunks
 from repro.core import EngineConfig, MnnFastEngine
 from repro.data import tokenize
 from repro.docqa import (
@@ -40,7 +39,6 @@ from repro.docqa import (
     run_retriever,
     sweep_docqa_configs,
     synthetic_corpus,
-    to_cluster_requests,
     to_serving_workload,
 )
 from repro.docqa.queries import RELEVANCE_SAME_DOC, RELEVANCE_SUPPORTING
@@ -314,26 +312,6 @@ class TestWorkloadAdapters:
                 np.count_nonzero(docqa.query.words != 0)
             )
 
-    def test_cluster_adapter_maps_doc_spans_to_chunks(self):
-        corpus, requests = self._stream()
-        cluster = to_cluster_requests(requests, corpus, chunk_size=4)
-        for docqa, request in zip(requests, cluster):
-            assert request.topic == docqa.query.doc_id
-            start, stop = corpus.row_range(docqa.query.doc_id)
-            assert request.chunks == row_span_chunks(start, stop, chunk_size=4)
-            # Every supporting row's chunk is in the planned set.
-            for row in docqa.query.supporting_rows:
-                assert row // 4 in request.chunks
-
-    def test_row_span_chunks_grid(self):
-        assert row_span_chunks(0, 8, chunk_size=4) == (0, 1)
-        assert row_span_chunks(7, 9, chunk_size=4) == (1, 2)
-        assert row_span_chunks(4, 5, chunk_size=4) == (1,)
-        with pytest.raises(ValueError):
-            row_span_chunks(5, 5, chunk_size=4)
-        with pytest.raises(ValueError):
-            row_span_chunks(0, 4, chunk_size=0)
-
 
 # --- quality gates (benchmarks/bench_docqa.py reports them at 32 x 128 rows) --
 
@@ -404,26 +382,3 @@ class TestQualityGates:
             return np.mean([batch.formation.fill_ratio for batch in batches])
 
         assert fill(sessioned) > fill(uniform)
-
-    def test_affinity_routing_hits_at_least_round_robin(self, gate_problem):
-        corpus, queries, _ = gate_problem
-        chunk = 16
-        chunk_bytes = 2 * chunk * GATE_ED * 8
-        # Each replica's LRU holds three documents' chunks.
-        config = ClusterConfig(
-            num_rows=corpus.num_rows, embedding_dim=GATE_ED, chunk_size=chunk,
-            replicas=4, resident_bytes=3 * (GATE_ROWS // chunk) * chunk_bytes,
-            disk_bandwidth=2e8,
-        )
-        stream = docqa_workload(
-            queries, session_rate=150.0, questions_per_session=4,
-            num_sessions=250, seed=19,
-        )
-        requests = to_cluster_requests(
-            stream, corpus, chunk_size=chunk, total_chunks=config.total_chunks
-        )
-        hit_rate = {
-            policy: ClusterSim(config, policy=policy).run(requests).chunk_hit_rate
-            for policy in ("round_robin", "cache_affinity")
-        }
-        assert hit_rate["cache_affinity"] >= hit_rate["round_robin"]

@@ -311,11 +311,55 @@ class TestChunkPrefetcher:
             mmap_store, chunk_size=64, resident_bytes=2 * chunk_bytes
         )
         list(pipeline.chunks())  # admits chunks 0 and 1, then is full
-        assert pipeline.resident_chunk_ids() == {0, 1}
+        assert pipeline.resident_spans() == ((0, 64), (64, 128))
         _, hit = pipeline.fetch((192, 256))
         assert not hit
         assert pipeline.resident_spans() == ((64, 128), (192, 256))
         assert pipeline.cached_bytes <= 2 * chunk_bytes
+
+    @staticmethod
+    def _resident_store(rows=2_000, ed=8):
+        rng = np.random.default_rng(1)
+        return ResidentStore(
+            rng.standard_normal((rows, ed)), rng.standard_normal((rows, ed))
+        )
+
+    def test_fetch_reports_lru_hits(self):
+        pair_bytes = 2 * 500 * 8 * 8
+        fetcher = ChunkPrefetcher(
+            self._resident_store(), 500, resident_bytes=2 * pair_bytes
+        )
+        _, hit = fetcher.fetch((0, 500))
+        assert not hit
+        _, hit = fetcher.fetch((0, 500))
+        assert hit
+
+    def test_resident_spans_track_lru(self):
+        pair_bytes = 2 * 500 * 8 * 8
+        fetcher = ChunkPrefetcher(
+            self._resident_store(), 500, resident_bytes=2 * pair_bytes
+        )
+        fetcher.fetch((0, 500))
+        fetcher.fetch((500, 1000))
+        assert fetcher.resident_spans() == ((0, 500), (500, 1000))
+        # A third chunk evicts the coldest.
+        fetcher.fetch((1000, 1500))
+        assert fetcher.resident_spans() == ((500, 1000), (1000, 1500))
+
+    def test_fetch_accounts_in_ledger(self):
+        fetcher = ChunkPrefetcher(
+            self._resident_store(), 500, resident_bytes=10 * 2 * 500 * 32 * 8
+        )
+        fetcher.fetch((0, 500))
+        assert fetcher.stats.chunks_served == 1
+        assert fetcher.stats.demand_fetches == 1
+
+    def test_no_lru_means_no_hits(self):
+        fetcher = ChunkPrefetcher(self._resident_store(), 500, resident_bytes=None)
+        _, hit = fetcher.fetch((0, 500))
+        _, hit2 = fetcher.fetch((0, 500))
+        assert not hit and not hit2
+        assert fetcher.resident_spans() == ()
 
     def test_fetch_thread_lives_until_close(self, mmap_store):
         started = threading.active_count()
