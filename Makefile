@@ -53,7 +53,8 @@ SANITIZE_TESTS = tests/test_compiled_fold.py tests/test_tile_plan.py \
 	tests/test_scan_blas.py tests/test_core_sparse_readout.py \
 	tests/test_index.py tests/test_answer_records.py \
 	tests/test_solver_intake.py tests/test_float32_grid.py \
-	tests/test_differential_paths.py tests/test_dialogue_writes.py
+	tests/test_differential_paths.py tests/test_dialogue_writes.py \
+	tests/test_core_sharded.py
 
 kernel-sanitize:
 	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \

@@ -1,9 +1,9 @@
 """Extension bench: sharded lazy-softmax attention (§3.1 scale-out).
 
-Sweeps the shard count K and both shard policies over one attention
-pass, verifying the exact-merge property (sharded output equals
-single-shard column mode to 1e-10) while measuring the fan-out's
-numerical cost and the per-shard work split.  A second table prints
+Sweeps the shard count K over one attention pass, verifying the
+exact-merge property (sharded output equals single-shard column mode
+to 1e-10) while measuring the fan-out's numerical cost and the
+per-shard work split.  A second table prints
 the serving model's sharded hop: max-of-shards compute plus the
 modeled exact-merge cost.
 """
@@ -32,27 +32,22 @@ def test_sharded_attention_exact_merge(benchmark, report):
     reference = ColumnMemNN(m_in, m_out, chunk=chunk).output(u)
 
     def sweep():
-        results = {}
-        for policy in ("contiguous", "strided"):
-            for shards in SHARD_COUNTS:
-                solver = ShardedMemNN(
-                    m_in, m_out, num_shards=shards, policy=policy, chunk=chunk
-                )
-                results[(policy, shards)] = solver.output(u)
-        return results
+        return {
+            shards: ShardedMemNN(m_in, m_out, num_shards=shards, chunk=chunk).output(u)
+            for shards in SHARD_COUNTS
+        }
 
     results = benchmark(sweep)
 
     rows = []
     worst = 0.0
-    for (policy, shards), result in results.items():
+    for shards, result in results.items():
         delta = float(np.abs(result.output - reference.output).max())
         worst = max(worst, delta)
         shard_rows = [
             s.rows_computed // NQ for s in result.tier_stats()["shards"]
         ]
         rows.append([
-            policy,
             shards,
             f"{delta:.2e}",
             f"{min(shard_rows)}..{max(shard_rows)}",
@@ -60,9 +55,9 @@ def test_sharded_attention_exact_merge(benchmark, report):
         ])
     report(
         format_table(
-            ["policy", "K", "max |Δ| vs column", "rows/shard", "flops ratio"],
+            ["K", "max |Δ| vs column", "rows/shard", "flops ratio"],
             rows,
-            title="Sharded attention — exact merge across K and policy "
+            title="Sharded attention — exact merge across K "
             "(paper §3.1: partials combine with negligible overhead)",
         )
     )
@@ -71,7 +66,7 @@ def test_sharded_attention_exact_merge(benchmark, report):
     # The merge is exact, not approximate: machine-epsilon agreement.
     assert worst < 1e-10
     # The merge overhead is negligible next to the O(ns*ed) scan.
-    eight = results[("contiguous", 8)]
+    eight = results[8]
     assert eight.stats.flops < reference.stats.flops * 1.01
 
 

@@ -35,8 +35,7 @@ from .early_exit import (
 )
 from .engine import AnswerResult, BatchAnswer, EngineWeights, MnnFastEngine
 from .execution import FLOAT32_LOGIT_TOLERANCE
-from .plan import InferencePlan, expected_hop_survivors, plan_inference
-from .sharded import SHARD_POLICIES, ShardedMemNN, ShardPlan
+from .sharded import ShardedMemNN, ShardPlan
 from .numerics import bow_embed, position_encoding, softmax, unstable_softmax
 from .results import InferenceResult
 from .stats import OpStats, PhaseCost, baseline_phase_costs, column_phase_costs
@@ -49,7 +48,6 @@ __all__ = [
     "fold_backend",
     "ShardedMemNN",
     "ShardPlan",
-    "SHARD_POLICIES",
     "MemNNConfig",
     "BatchConfig",
     "ChunkConfig",
@@ -77,9 +75,6 @@ __all__ = [
     "TraceVectorCache",
     "TraceCacheMixin",
     "InferenceResult",
-    "InferencePlan",
-    "plan_inference",
-    "expected_hop_survivors",
     "OpStats",
     "PhaseCost",
     "baseline_phase_costs",

@@ -117,8 +117,9 @@ def column_op_stats(
     chunk loop, fused tile kernel, worker-process shard) reports
     through, so stats are comparable across execution backends.
     ``bytes_read`` counts the memory's own item size — ``FLOAT_BYTES``
-    under the default float32, the footprint ``InferencePlan`` models;
-    the write/intermediate terms are modeled at ``FLOAT_BYTES`` always."""
+    under the default float32, the footprint the serving disk model
+    charges; the write/intermediate terms are modeled at ``FLOAT_BYTES``
+    always."""
     rows = nq * ns
     # Matrix size from store metadata, not .nbytes — a row-subset
     # view would have to gather every row just to be measured.
@@ -763,8 +764,10 @@ class ColumnMemNN:
     def compiled_hop(self, nq: int, threshold: float) -> tuple[int, int] | None:
         """``(FoldState, ScanPlan)`` addresses of a compiled
         ``nq``-question hop over the resident memory, the workspace ready:
-        an engine's one-call answer (``repro_pass``) scans with them.
-        ``None`` where a hop is not one C call (a chunk pipeline, the NumPy
+        an engine's one-call answer (``repro_pass``) takes them once and
+        scans with them until a :meth:`repoint` cuts a new plan (a grown
+        workspace is written into the plan, :meth:`_scores`).  ``None``
+        where a hop is not one C call (a chunk pipeline, the NumPy
         fold)."""
         if self._pipeline is not None:
             return None
@@ -861,7 +864,10 @@ class ColumnMemNN:
 
     def _scores(self, nq: int, width: int) -> tuple:
         """The score workspace, grown to at least ``(nq, width)``:
-        ``(array, capsule, pointer)``."""
+        ``(array, capsule, pointer)``.  A grown one is written into the
+        resident ``ScanPlan`` at once, whichever scan grew it: an
+        engine's one-call answer holds that plan's address, not the
+        workspace's (:meth:`compiled_hop`)."""
         held, nq = self._workspace, max(nq, 1)  # (no zero-size array: zero strides)
         if held is None or nq > held[0].shape[0] or width > held[0].shape[1]:
             if held is not None:
@@ -871,6 +877,9 @@ class ColumnMemNN:
             held = self._workspace = (
                 workspace, capsule, compiled_fold.struct_pointer(capsule, None)
             )
+            resident = self._resident_plan
+            if resident is not None and resident[3] is not None:
+                resident[3].scores = held[2]
         return held
 
     def _scan_plan(self, plan: tuple, nq: int) -> int:

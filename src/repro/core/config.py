@@ -589,7 +589,6 @@ class EngineConfig:
             sharded mode).
         num_shards: shard count ``K`` for the sharded algorithm (must
             be 1 otherwise).
-        shard_policy: ``"contiguous"`` or ``"strided"`` row partition.
         batch: continuous-batching policy a serving layer applies when
             coalescing questions into engine passes.
         execution: how the engine runs — backend (serial vs
@@ -606,7 +605,6 @@ class EngineConfig:
     chunk: ChunkConfig = field(default_factory=ChunkConfig)
     zero_skip: ZeroSkipConfig = field(default_factory=lambda: ZeroSkipConfig(0.0))
     num_shards: int = 1
-    shard_policy: str = "contiguous"
     batch: BatchConfig = field(default_factory=BatchConfig)
     execution: ExecutionConfig = field(default_factory=ExecutionConfig)
     store: StoreConfig = field(default_factory=StoreConfig)
@@ -614,7 +612,6 @@ class EngineConfig:
     early_exit: EarlyExitConfig = field(default_factory=EarlyExitConfig)
 
     _ALGORITHMS = ("baseline", "column", "sharded")
-    _SHARD_POLICIES = ("contiguous", "strided")
 
     def __post_init__(self) -> None:
         # Only *own-field* validation happens at construction; the
@@ -627,11 +624,6 @@ class EngineConfig:
             )
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.shard_policy not in self._SHARD_POLICIES:
-            raise ValueError(
-                f"shard_policy must be one of {self._SHARD_POLICIES}, "
-                f"got {self.shard_policy!r}"
-            )
 
     def validate(self) -> "EngineConfig":
         """Check the cross-field constraints of the *composed* config.
@@ -691,17 +683,10 @@ class EngineConfig:
         keyword; omitted ones keep their current values."""
         return replace(self, chunk=replace(self.chunk, **changes))
 
-    def with_sharding(
-        self, num_shards: int, shard_policy: str = "contiguous"
-    ) -> "EngineConfig":
-        """A copy fanning attention over ``num_shards`` memory shards
-        (sets ``algorithm='sharded'``; the merge stays exact)."""
-        return replace(
-            self,
-            algorithm="sharded",
-            num_shards=num_shards,
-            shard_policy=shard_policy,
-        )
+    def with_sharding(self, num_shards: int) -> "EngineConfig":
+        """A copy fanning attention over ``num_shards`` contiguous memory
+        shards (sets ``algorithm='sharded'``; the merge stays exact)."""
+        return replace(self, algorithm="sharded", num_shards=num_shards)
 
     def with_zero_skip(self, threshold: float) -> "EngineConfig":
         """A copy with §3.2 zero-skipping at ``threshold`` (0 disables)."""
@@ -783,7 +768,6 @@ class EngineConfig:
     def sharded(
         cls,
         num_shards: int,
-        shard_policy: str = "contiguous",
         chunk_size: int = 1000,
         threshold: float = 0.0,
     ) -> "EngineConfig":
@@ -793,22 +777,17 @@ class EngineConfig:
             cls()
             .with_chunking(chunk_size=chunk_size, streaming=True)
             .with_zero_skip(threshold)
-            .with_sharding(num_shards, shard_policy=shard_policy)
+            .with_sharding(num_shards)
         )
 
     @classmethod
-    def fused(
-        cls,
-        num_shards: int,
-        shard_policy: str = "contiguous",
-        chunk_size: int = 1000,
-    ) -> "EngineConfig":
+    def fused(cls, num_shards: int, chunk_size: int = 1000) -> "EngineConfig":
         """Sharded algorithm as one fused batch x shard tile sweep: one
         BLAS score call per ``chunk_size x num_shards``-row tile across
         every shard, parallelism delegated to BLAS's own thread pool."""
-        return cls.sharded(
-            num_shards, shard_policy=shard_policy, chunk_size=chunk_size
-        ).with_execution(backend="serial", fused=True)
+        return cls.sharded(num_shards, chunk_size=chunk_size).with_execution(
+            backend="serial", fused=True
+        )
 
     @classmethod
     def out_of_core(
@@ -819,7 +798,6 @@ class EngineConfig:
         chunk_size: int = 1000,
         threshold: float = 0.0,
         num_shards: int = 1,
-        shard_policy: str = "contiguous",
     ) -> "EngineConfig":
         """Column algorithm streaming ``M_IN``/``M_OUT`` from a disk
         tier: the engine spills its memories to an
@@ -841,12 +819,9 @@ class EngineConfig:
                 prefetch_depth=prefetch_depth,
             )
         )
-        if num_shards > 1:
-            return cfg.with_sharding(num_shards, shard_policy=shard_policy)
-        # A single shard historically stays on the plain column path
-        # (with_sharding would flip the algorithm), so only carry the
-        # policy through.
-        return replace(cfg, shard_policy=shard_policy)
+        # A single shard stays on the plain column path (with_sharding
+        # would flip the algorithm).
+        return cfg.with_sharding(num_shards) if num_shards > 1 else cfg
 
 
 # --- Table 1: memory network configurations used in the evaluation. ----------

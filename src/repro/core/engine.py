@@ -37,7 +37,6 @@ from .early_exit import (
     HopTrace,
     logit_margin_confidence,
 )
-from .plan import InferencePlan, plan_inference
 from .sharded import ShardedMemNN
 
 if TYPE_CHECKING:
@@ -693,15 +692,17 @@ class MnnFastEngine:
         resident column kernels (no chunk pipeline) are bound to the
         whole arrays and the stored-row span, and keep their plan and
         fold states; only where the arrays themselves ``moved`` are they
-        re-pointed.  Every other solver holds something made from the
-        old rows — a spill, a chunk LRU, a worker pool, a shard plan, an
-        index — and is dropped, as all are under a swapped config
-        (DESIGN.md §10, "Solvers across writes")."""
+        re-pointed, which cuts new plans and so drops the held one-call
+        answers (:meth:`_answer_pass`).  Every other solver holds
+        something made from the old rows — a spill, a chunk LRU, a worker
+        pool, a shard plan, an index — and is dropped, as all are under a
+        swapped config (DESIGN.md §10, "Solvers across writes")."""
         if self._write_drops or self._solver_cache_config is not self.engine_config:
             self._invalidate_solvers()
         elif moved:
             for pair_index, solver in self._solver_cache.items():
                 solver.repoint(*self._whole[pair_index], self._rows)
+            self._passes = {}
 
     def _invalidate_solvers(self) -> None:
         """Drop the solver cache, releasing backend resources first.
@@ -733,38 +734,6 @@ class MnnFastEngine:
         spill, self._spill_tmp = self._spill_tmp, None
         if spill is not None:
             spill.cleanup()
-
-    # --- planning ------------------------------------------------------------
-
-    def plan(self, batch_size: int = 1, exit_rate: float = 0.0) -> InferencePlan:
-        """Describe what one :meth:`answer` pass over ``batch_size``
-        questions would do, without running it: the bytes each hop
-        streams, the expected candidate rows under the top-k tier, and
-        the expected survivor schedule of the early-exit gate.
-
-        ``exit_rate`` is the calibrated per-check exit probability
-        (counted only when the gate is enabled); core does not know the
-        threshold→rate calibration (a serving policy concern), so
-        callers with an active gate supply it.
-        """
-        rows = max(1, self.num_stored_sentences or self.config.num_sentences)
-        engine = self.engine_config
-        return plan_inference(
-            num_rows=rows,
-            embedding_dim=self.config.embedding_dim,
-            batch_size=batch_size,
-            chunk_size=engine.chunk.chunk_size,
-            hops=self.config.hops,
-            min_hops=engine.early_exit.min_hops,
-            exit_rate=exit_rate if engine.early_exit.enabled else 0.0,
-            candidate_rows=(
-                engine.topk.expected_candidates(rows, batch_size=batch_size)
-                if engine.topk.enabled
-                else rows
-            ),
-            num_shards=engine.num_shards,
-            shard_policy=engine.shard_policy,
-        )
 
     # --- question path -------------------------------------------------------
 
@@ -948,7 +917,10 @@ class MnnFastEngine:
         ``AnswerPass`` and held outputs), or ``None`` where the hop loop
         runs: only a float32 engine on the compiled fold whose every hop
         is a resident ``ColumnMemNN``'s, with no gate and no top-k tier,
-        has one."""
+        has one.  Each hop's ``(FoldState, ScanPlan)`` addresses are
+        taken here, once: a re-point drops the pass
+        (:meth:`_memories_written`), and a solver keeps its resident
+        ``ScanPlan`` pointed at its score workspace as it grows."""
         if self._solver_cache_config is not self.engine_config:
             self._sync_config()
         held = self._passes.get(nq)
@@ -966,6 +938,10 @@ class MnnFastEngine:
         solvers = [self._solver(pair) for pair in range(self._num_pairs)]
         if not all(type(s) is ColumnMemNN and s.store_stats is None for s in solvers):
             return None
+        threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
+        at = [solver.compiled_hop(nq, threshold) for solver in solvers]
+        if None in at:
+            return None
         ed = self.config.embedding_dim
         outputs = (
             np.empty((nq, ed)), np.empty((nq, ed), np.float32),
@@ -982,10 +958,11 @@ class MnnFastEngine:
             kept.ctypes.data,
         )  # fmt: skip
         pairs = [hop if self._num_pairs > 1 else 0 for hop in range(hops)]
+        for hop, pair in enumerate(pairs):
+            states[hop], plans[hop] = at[pair]
         held = self._passes[nq] = (
             library.repro_pass, ctypes.addressof(answer_pass), solvers, pairs,
-            [None] * len(solvers), outputs, kept,
-            (answer_pass, capsules, (states, plans)),
+            outputs, kept, (answer_pass, capsules, (states, plans)),
         )  # fmt: skip
         return held
 
@@ -994,21 +971,9 @@ class MnnFastEngine:
     ) -> AnswerResult | None:
         """:meth:`answer` in one ``repro_pass`` call (``held``:
         :meth:`_answer_pass`'s); ``None``, before anything was written,
-        when the compiled embedding refuses the questions' array or a
-        solver's hop is not a compiled scan."""
-        kernel, address, solvers, pairs, hops_at, outputs, kept, arrays = held
+        when the compiled embedding refuses the questions' array."""
+        kernel, address, solvers, pairs, outputs, kept, _ = held
         nq, ec = len(questions), self.engine_config
-        threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
-        # A re-point cuts a new plan, and a larger batch grows the
-        # workspace: the held addresses follow when they moved.
-        at = [solver.compiled_hop(nq, threshold) for solver in solvers]
-        if at != hops_at:
-            if None in at:
-                return None
-            hops_at[:] = at
-            states, plans = arrays[2]
-            for hop, pair in enumerate(pairs):
-                states[hop], plans[hop] = at[pair]
         words = questions.__array_struct__
         status = kernel(address, compiled_fold.struct_pointer(words, None))
         if status == compiled_fold.BOW_REFUSED:
@@ -1169,7 +1134,6 @@ class MnnFastEngine:
                 config=ec.topk,
                 chunk=ec.chunk,
                 num_shards=ec.num_shards,
-                shard_policy=ec.shard_policy,
                 execution=ec.execution,
                 resident_bytes=sc.resident_bytes,
                 prefetch_depth=sc.prefetch_depth,
@@ -1178,7 +1142,6 @@ class MnnFastEngine:
         if ec.algorithm == "sharded":
             return ShardedMemNN(
                 num_shards=ec.num_shards,
-                policy=ec.shard_policy,
                 chunk=ec.chunk,
                 execution=ec.execution,
                 resident_bytes=sc.resident_bytes,
@@ -1191,33 +1154,6 @@ class MnnFastEngine:
             prefetch_depth=sc.prefetch_depth,
             **tier,
         )
-
-    def attention(
-        self,
-        questions: np.ndarray,
-        cache: VectorCache | None = None,
-    ) -> np.ndarray:
-        """First-hop attention probabilities (for Fig. 6-style analysis).
-
-        Honors ``engine_config``'s algorithm and accepts the same
-        optional embedding cache as :meth:`answer`.
-        """
-        if self.num_stored_sentences == 0:
-            raise ValueError("no story stored: call store_story/set_memories first")
-        u, _, _ = self.embed_question(questions, cache)
-        m_in, m_out = self._memories[0]
-        if self.engine_config.algorithm == "baseline":
-            solver = BaselineMemNN(m_in, m_out, dtype=self._dtype)
-            result = solver.output(u, return_probabilities=True)
-            assert result.probabilities is not None
-            return result.probabilities
-        # Column/sharded paths: the lazy softmax normalizes once at the
-        # end (after the exact shard merge, in sharded mode), so the
-        # probabilities equal softmax(u . M_IN^T) — reconstruct them.
-        # tests/test_core_engine.py guards this shortcut against the
-        # baseline's explicit softmax.
-        # u is narrowed: a mixed GEMM would widen all of M_IN.
-        return softmax(np.asarray(u, dtype=m_in.dtype) @ m_in.T)
 
     # --- helpers -------------------------------------------------------------
 

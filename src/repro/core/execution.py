@@ -72,14 +72,13 @@ class _ShardSpec:
     store_path: str
     shard: int
     num_shards: int
-    policy: str
     chunk_size: int
 
 
-#: Per-worker-process solver cache: reopening the store and gathering
-#: a strided shard are one-time costs per (store, geometry), not
-#: per-request ones.  Lives at module level so it survives across
-#: tasks in the same worker.
+#: Per-worker-process solver cache: reopening the store and mapping a
+#: shard are one-time costs per (store, geometry), not per-request
+#: ones.  Lives at module level so it survives across tasks in the
+#: same worker.
 _WORKER_SOLVERS: dict[_ShardSpec, ColumnMemNN] = {}
 
 
@@ -100,8 +99,10 @@ def _worker_solver(spec: _ShardSpec) -> ColumnMemNN:
         from .sharded import ShardPlan
 
         store = MmapStore.open(spec.store_path)
-        plan = ShardPlan(store.num_rows, spec.num_shards, spec.policy)
-        m_in, m_out = store.map_rows(plan.indices(spec.shard))
+        rows = ShardPlan(store.num_rows, spec.num_shards).selectors()[spec.shard]
+        # Plain memmap slices: every worker mapping this store shares
+        # the same physical pages.
+        m_in, m_out = store.m_in[rows], store.m_out[rows]
         store.close()  # the mappings outlive the read descriptors
         solver = ColumnMemNN(
             m_in,
@@ -142,16 +143,15 @@ class ProcessShardRunner:
     Owned by a :class:`~repro.core.sharded.ShardedMemNN` configured
     with the ``"process"`` backend.  The pool is created lazily on the
     first run (so merely *constructing* a process-configured solver is
-    cheap) and persists across requests — worker startup and the
-    strided shards' one-time row gather amortize over the solver's
-    life.  Callers must :meth:`close` when invalidating the solver;
-    ``__del__`` is a best-effort backstop.
+    cheap) and persists across requests — worker startup and each
+    worker's store mapping amortize over the solver's life.  Callers
+    must :meth:`close` when invalidating the solver; ``__del__`` is a
+    best-effort backstop.
 
     Args:
         store_path: directory of the spilled :class:`MmapStore` every
             worker maps read-only.
         num_shards: shard count ``K`` (one task per shard per run).
-        policy: row-partition policy of the shard plan.
         chunk_size: per-shard chunk size (must match the serial path's
             for bit-identity).
         num_workers: pool width (clamped to the shard count).
@@ -164,7 +164,6 @@ class ProcessShardRunner:
         self,
         store_path: str,
         num_shards: int,
-        policy: str,
         chunk_size: int,
         num_workers: int,
         blas_threads: int | None = None,
@@ -174,7 +173,6 @@ class ProcessShardRunner:
                 store_path=str(store_path),
                 shard=shard,
                 num_shards=num_shards,
-                policy=policy,
                 chunk_size=chunk_size,
             )
             for shard in range(num_shards)

@@ -13,12 +13,12 @@ memories and hierarchical memory schemes).
 
 Two layers live here:
 
-* :class:`ShardPlan` — a deterministic row partition of the memory.
-  ``"contiguous"`` slices the rows into K runs (what a range-sharded
-  database does); ``"strided"`` deals rows round-robin (what a
-  load-balancing row-cyclic layout does).  Both cover every row
-  exactly once, and both tolerate ``K > num_rows`` by leaving trailing
-  shards empty.  The plan is shared infrastructure: the numerical
+* :class:`ShardPlan` — a deterministic row partition of the memory
+  into K contiguous ``[start, stop)`` ranges (what a range-sharded
+  database does).  It covers every row exactly once and tolerates
+  ``K > num_rows`` by leaving trailing shards empty.  The exact merge
+  gives the same answer, to rounding, for any row partition, so one
+  layout suffices.  The plan is shared infrastructure: the numerical
   engine below, the serving fan-out model
   (:meth:`repro.serving.server.QaServer.hop_seconds`) and the cluster
   model (:class:`repro.perf.cluster.ClusterModel`) all consume it, so
@@ -60,68 +60,50 @@ from .execution import ProcessShardRunner
 from .results import InferenceResult
 from .stats import OpStats
 
-__all__ = ["ShardPlan", "ShardedMemNN", "SHARD_POLICIES"]
-
-#: Supported row-partition policies.
-SHARD_POLICIES = ("contiguous", "strided")
+__all__ = ["ShardPlan", "ShardedMemNN"]
 
 
 @dataclass(frozen=True)
 class ShardPlan:
     """A deterministic partition of ``num_rows`` memory rows into
-    ``num_shards`` disjoint shards.
+    ``num_shards`` contiguous ``[start, stop)`` ranges.
 
     Attributes:
         num_rows: rows being partitioned (``ns``).
         num_shards: shard count ``K`` (may exceed ``num_rows``; the
             surplus shards are empty).
-        policy: ``"contiguous"`` (range sharding) or ``"strided"``
-            (round-robin row-cyclic sharding).
     """
 
     num_rows: int
     num_shards: int
-    policy: str = "contiguous"
 
     def __post_init__(self) -> None:
         if self.num_rows < 0:
             raise ValueError(f"num_rows must be non-negative, got {self.num_rows}")
         if self.num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {self.num_shards}")
-        if self.policy not in SHARD_POLICIES:
-            raise ValueError(
-                f"policy must be one of {SHARD_POLICIES}, got {self.policy!r}"
-            )
 
     def indices(self, shard: int) -> np.ndarray:
         """Row indices owned by ``shard`` (sorted, possibly empty)."""
         rows = self._rows(shard)
-        return np.arange(rows.start, rows.stop, rows.step)
+        return np.arange(rows.start, rows.stop)
 
     def _rows(self, shard: int) -> range:
         if not 0 <= shard < self.num_shards:
             raise ValueError(
                 f"shard must be in [0, {self.num_shards}), got {shard}"
             )
-        if self.policy == "contiguous":
-            bounds = self._bounds()
-            return range(bounds[shard], bounds[shard + 1])
-        return range(shard, self.num_rows, self.num_shards)
+        bounds = self._bounds()
+        return range(bounds[shard], bounds[shard + 1])
 
     def _bounds(self) -> np.ndarray:
         return np.linspace(0, self.num_rows, self.num_shards + 1, dtype=int)
 
-    def selectors(self) -> list[slice | np.ndarray]:
-        """Per-shard row selectors for indexing resident arrays: a
-        ``slice`` (zero-copy view) under range sharding, the index
-        array (one gather at plan time, then contiguous chunk reads)
-        under round-robin."""
-        if self.policy == "contiguous":
-            bounds = self._bounds()
-            return [
-                slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-        return list(self)
+    def selectors(self) -> list[slice]:
+        """Per-shard row selectors for indexing resident arrays: one
+        ``slice`` (a zero-copy view) per shard."""
+        bounds = self._bounds()
+        return [slice(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def shard_rows(self, shard: int) -> int:
         """Number of rows in ``shard`` — counted, not enumerated (the
@@ -176,7 +158,7 @@ class _FusedShardKernel:
         self.chunk_size = chunk_size
         #: The whole memory, chunked in global tiles.
         self._column = column
-        self._ranges = plan.selectors() if plan.policy == "contiguous" else None
+        self._ranges = plan.selectors()
 
     @property
     def store_stats(self) -> StoreStats | None:
@@ -186,21 +168,13 @@ class _FusedShardKernel:
         self._column.close()
 
     def _segments(self, t0: int, n: int):
-        """``(shard, column selector)`` for every shard with rows in
-        the tile ``[t0, t0 + n)`` — a contiguous sub-slice per shard
-        under range sharding, a ``step=K`` stride under round-robin.
-        Selectors index both the tile's score columns and its rows."""
-        if self._ranges is not None:
-            for k, rows in enumerate(self._ranges):
-                lo, hi = max(rows.start, t0), min(rows.stop, t0 + n)
-                if lo < hi:
-                    yield k, slice(lo - t0, hi - t0)
-        else:
-            num_shards = self.plan.num_shards
-            for k in range(num_shards):
-                offset = (k - t0) % num_shards
-                if offset < n:
-                    yield k, slice(offset, n, num_shards)
+        """``(shard, column slice)`` for every shard with rows in the
+        tile ``[t0, t0 + n)``: the shard's range cut to the tile.  The
+        slice indexes both the tile's score columns and its rows."""
+        for k, rows in enumerate(self._ranges):
+            lo, hi = max(rows.start, t0), min(rows.stop, t0 + n)
+            if lo < hi:
+                yield k, slice(lo - t0, hi - t0)
 
     def shard_partials(
         self,
@@ -248,11 +222,10 @@ class ShardedMemNN:
     is exact — not an approximation of single-shard column mode.
 
     Args:
-        m_in: ``(ns, ed)`` input memory ``M_IN`` (contiguous shards
-            are views; a strided one is laid out feature-major once).
+        m_in: ``(ns, ed)`` input memory ``M_IN`` (each shard is a
+            view of its row range).
         m_out: ``(ns, ed)`` output memory ``M_OUT``.
-        num_shards: shard count ``K``.
-        policy: row-partition policy (see :class:`ShardPlan`).
+        num_shards: shard count ``K`` (see :class:`ShardPlan`).
         chunk: per-shard chunking configuration.
         dtype: compute precision, applied to every shard.
         execution: execution backend.  ``"serial"`` loops over the
@@ -283,7 +256,6 @@ class ShardedMemNN:
         m_in: np.ndarray | None = None,
         m_out: np.ndarray | None = None,
         num_shards: int = 1,
-        policy: str = "contiguous",
         chunk: ChunkConfig | None = None,
         dtype=np.float64,
         execution: ExecutionConfig | None = None,
@@ -297,7 +269,7 @@ class ShardedMemNN:
         # only an explicit store is handed on as a store.
         explicit = store is not None
         store = memory_store(m_in, m_out, store, dtype)
-        self.plan = ShardPlan(store.num_rows, num_shards, policy)
+        self.plan = ShardPlan(store.num_rows, num_shards)
         self._embedding_dim = store.embedding_dim
         self.dtype = store.dtype
         # The LRU budget is a whole-memory budget: split it across the
@@ -339,7 +311,6 @@ class ShardedMemNN:
             self._runner = ProcessShardRunner(
                 str(store_path),
                 self.plan.num_shards,
-                self.plan.policy,
                 self.chunk.chunk_size,
                 execution.num_workers,
                 execution.worker_blas_threads(),

@@ -103,7 +103,6 @@ class TopKMemNN:
             :class:`~repro.store.base.RowSubsetStore` views of it.
         num_shards: fan the candidate subset out over this many shards
             (1 runs the plain column kernel).
-        shard_policy: row-partition policy of the candidate fan-out.
         execution: execution backend for the sharded fan-out.
         resident_bytes: chunk-LRU budget of store-backed passes.
         prefetch_depth: chunk lookahead of store-backed passes.
@@ -118,7 +117,6 @@ class TopKMemNN:
         dtype=np.float64,
         store: MemoryStore | None = None,
         num_shards: int = 1,
-        shard_policy: str = "contiguous",
         execution: ExecutionConfig | None = None,
         resident_bytes: int | None = None,
         prefetch_depth: int = 0,
@@ -131,7 +129,6 @@ class TopKMemNN:
             )
         self.chunk = chunk if chunk is not None else ChunkConfig()
         self.num_shards = num_shards
-        self.shard_policy = shard_policy
         self.execution = execution
         self._resident_bytes = resident_bytes
         self._prefetch_depth = prefetch_depth
@@ -323,7 +320,6 @@ class TopKMemNN:
         if self.num_shards > 1:
             return ShardedMemNN(
                 num_shards=self.num_shards,
-                policy=self.shard_policy,
                 chunk=self.chunk,
                 execution=execution,
                 **tier,

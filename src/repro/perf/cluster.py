@@ -95,23 +95,20 @@ class ClusterModel:
         )
         return rounds * per_round
 
-    def shard_plan(
-        self, config: MemNNConfig, nodes: int, policy: str = "contiguous"
-    ) -> ShardPlan:
+    def shard_plan(self, config: MemNNConfig, nodes: int) -> ShardPlan:
         """The cross-node memory partition — the same
         :class:`~repro.core.sharded.ShardPlan` the numerical
         :class:`~repro.core.sharded.ShardedMemNN` executes, so the
         timing model and the numerics agree on shard geometry."""
         if nodes <= 0:
             raise ValueError(f"nodes must be positive, got {nodes}")
-        return ShardPlan(config.num_sentences, nodes, policy)
+        return ShardPlan(config.num_sentences, nodes)
 
     def run(
         self,
         config: MemNNConfig,
         nodes: int,
         gpus_per_node: int = 4,
-        shard_policy: str = "contiguous",
     ) -> ClusterRunResult:
         """Cluster-wide inference over an evenly sharded memory.
 
@@ -123,7 +120,7 @@ class ClusterModel:
             raise ValueError(
                 f"gpus_per_node must be >= 1, got {gpus_per_node}"
             )
-        plan = self.shard_plan(config, nodes, shard_policy)
+        plan = self.shard_plan(config, nodes)
         shard_sentences = max(1, plan.max_shard_rows)
         shard = replace(config, num_sentences=shard_sentences)
         node_result = self.gpu.run_multi_gpu(shard, gpus_per_node)

@@ -81,7 +81,6 @@ from ..core.config import (
     EngineConfig,
     MemNNConfig,
 )
-from ..core.plan import expected_hop_survivors as _plan_survivors
 from ..core.sharded import ShardPlan
 from ..memsim.embedding_cache import EmbeddingCache
 from ..perf.cpu import CpuModel
@@ -308,7 +307,7 @@ class QaServer:
             return None
         if num_rows is None:
             num_rows = self.config.network.num_sentences
-        return ShardPlan(num_rows, engine.num_shards, engine.shard_policy)
+        return ShardPlan(num_rows, engine.num_shards)
 
     def shard_merge_seconds(
         self, plan: ShardPlan, batch_size: int | None = None
@@ -489,26 +488,36 @@ class QaServer:
     ) -> list[int]:
         """Expected questions still running at each hop under the gate.
 
-        Delegates to the pure survivor model in
-        :func:`repro.core.plan.expected_hop_survivors`, calibrating
-        the gate threshold into a per-check exit rate with
-        :func:`~repro.serving.policy.exit_rate_for_threshold` — entry
+        The early-exit cost model: every question runs hop 1; after each
+        gate check (hops ``min_hops .. hops - 1`` — the engine never
+        checks after the last hop) a fraction of the survivors retires,
+        so the expected depth histogram is geometric.  The fraction is
+        the gate threshold calibrated into a per-check exit rate by
+        :func:`~repro.serving.policy.exit_rate_for_threshold`.  Entry
         ``h`` is the batch size hop ``h`` is expected to be charged at.
         :meth:`run` samples exits per member instead and realises this
-        shape on average.  With the gate disabled (``exit_threshold`` 0) every entry is
-        ``batch_size``.
+        shape on average.  With the gate disabled (``exit_threshold`` 0)
+        every entry is ``batch_size``.
         """
         if hops is None:
             hops = self.config.network.hops
         early_exit = self.config.engine.early_exit
         if exit_threshold is None:
             exit_threshold = early_exit.threshold
-        return _plan_survivors(
-            batch_size,
-            hops,
-            min_hops=early_exit.min_hops,
-            exit_rate=exit_rate_for_threshold(exit_threshold),
-        )
+        exit_rate = exit_rate_for_threshold(exit_threshold)
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if hops < 1:
+            raise ValueError(f"hops must be positive, got {hops}")
+        if not 0.0 <= exit_rate <= 1.0:
+            raise ValueError(f"exit_rate must be in [0, 1], got {exit_rate}")
+        survivors: list[int] = []
+        current = float(batch_size)
+        for hop in range(hops):
+            survivors.append(int(round(current)))
+            if exit_rate > 0.0 and early_exit.min_hops <= hop + 1 < hops:
+                current *= 1.0 - exit_rate
+        return survivors
 
     def inference_seconds(
         self,

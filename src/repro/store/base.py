@@ -194,8 +194,8 @@ class MemoryStore(Protocol):
         ...
 
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gather arbitrary rows (the strided-shard access pattern),
-        laid out as :meth:`read_chunk` lays a span out."""
+        """Gather arbitrary rows (a top-k candidate subset's access
+        pattern), laid out as :meth:`read_chunk` lays a span out."""
         ...
 
     def select(self, indices: Sequence[int]) -> "MemoryStore":
@@ -214,11 +214,12 @@ def iter_chunk_spans(num_rows: int, chunk_size: int) -> Iterator[tuple[int, int]
 class RowSubsetStore:
     """A lazy row-subset view over a base store.
 
-    Used to hand each shard of a :class:`~repro.core.sharded.ShardPlan`
-    its slice of an out-of-core tier without materializing it: chunk
-    ``[start, stop)`` of the subset gathers only the mapped base rows,
-    so a strided shard of a 100M-row memmap still reads one chunk's
-    worth of rows at a time.
+    Used to hand the top-k tier's candidate subset, and each shard of a
+    :class:`~repro.core.sharded.ShardPlan`, its rows of an out-of-core
+    tier without materializing them: chunk ``[start, stop)`` of the
+    subset gathers only the mapped base rows, so scattered candidates
+    of a 100M-row memmap still read one chunk's worth of rows at a
+    time.
     """
 
     def __init__(self, base: MemoryStore, indices: Sequence[int]) -> None:

@@ -31,8 +31,8 @@ offset and releases the GIL for the whole transfer, so
 :class:`~repro.store.prefetch.ChunkPrefetcher`'s fetch thread overlaps
 the compute thread's BLAS calls (the paper's §3.1 load/compute
 overlap), and a file that shrank since :meth:`MmapStore.open` is an
-``OSError``, not a shorter chunk.  Row gathers for strided shards use
-the mapping (page-granular random access).
+``OSError``, not a shorter chunk.  Row gathers for the top-k tier's
+candidate subsets use the mapping (page-granular random access).
 """
 
 from __future__ import annotations
@@ -243,22 +243,6 @@ class MmapStore:
     def read_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         indices = np.asarray(indices, dtype=np.intp)
         return feature_major(self.m_in[indices]), np.asarray(self.m_out[indices])
-
-    def map_rows(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The worker-side open path of the process execution backend:
-        ``(m_in, m_out)`` restricted to ``indices``, *without copying*
-        when the indices form one ascending contiguous run (a
-        contiguous shard) — the returned arrays are then plain memmap
-        slices, so every worker process that maps this store shares
-        the same physical pages.  Scattered indices (a strided shard)
-        fall back to a one-time gather."""
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and np.array_equal(
-            indices, np.arange(indices[0], indices[-1] + 1)
-        ):
-            lo, hi = int(indices[0]), int(indices[-1]) + 1
-            return self.m_in[lo:hi], self.m_out[lo:hi]
-        return self.read_rows(indices)
 
     def select(self, indices: Sequence[int]) -> RowSubsetStore:
         """A lazy row-subset view (shards never materialize the tier)."""

@@ -62,6 +62,12 @@ def float64(config: "EngineConfig | None" = None) -> EngineConfig:
     return config.with_execution(dtype="float64")
 
 
+def contiguous(value):
+    """Test id of one cell of a shard grid; every shard is one contiguous
+    row range."""
+    return f"{value}-contiguous"
+
+
 def kept_rows(make_solver, m_in, u, threshold: float) -> np.ndarray:
     """The ``(nq, ns)`` rows a zero-skipped scan keeps, read off its
     response: ``make_solver(m_in, m_out)`` gets ``M_IN`` zero-padded to

@@ -69,8 +69,8 @@ def _state(nq, ed, threshold, backend):
 
 def _tile_args(source, block, rows):
     """``(scores, tile_out)`` as a caller of ``source`` hands them to
-    ``fold``: a contiguous block, or a fused shard's strided segment of
-    a wider tile (slice or index array)."""
+    ``fold``: a contiguous block, or a strided segment of a wider tile
+    (slice or index array) — ``fold`` takes any layout NumPy hands it."""
     nq, width = block.shape
     if source == "array":
         return block.copy(), rows

@@ -159,11 +159,11 @@ class TestBuilders:
         )
 
     def test_sharded_equals_builder_chain(self):
-        assert EngineConfig.sharded(4, shard_policy="strided") == (
+        assert EngineConfig.sharded(4, 500) == (
             EngineConfig()
-            .with_chunking(chunk_size=1000, streaming=True)
+            .with_chunking(chunk_size=500, streaming=True)
             .with_zero_skip(0.0)
-            .with_sharding(4, shard_policy="strided")
+            .with_sharding(4)
         )
 
     def test_out_of_core_equals_builder_chain(self):

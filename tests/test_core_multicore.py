@@ -45,7 +45,7 @@ from repro.core.thread_limits import apply_blas_limit, blas_thread_info
 from repro.core.zero_skip import probability_mode_mask
 from repro.store import MmapStore
 
-from .conftest import float64, kept_rows
+from .conftest import contiguous, float64, kept_rows
 
 LOGIT_TOLERANCE = 1e-10
 
@@ -91,17 +91,13 @@ def _random_memories(seed=0, ns=300, ed=12, nq=5):
 @pytest.mark.process_pool
 class TestProcessBackendBitIdentity:
     @pytest.mark.parametrize("num_workers", (1, 2, 4))
-    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
-    def test_process_solver_matches_serial_bitwise(self, num_workers, policy):
+    def test_process_solver_matches_serial_bitwise(self, num_workers):
         m_in, m_out, u = _random_memories()
-        serial = ShardedMemNN(
-            m_in, m_out, num_shards=4, policy=policy, chunk=ChunkConfig(32)
-        )
+        serial = ShardedMemNN(m_in, m_out, num_shards=4, chunk=ChunkConfig(32))
         process = ShardedMemNN(
             m_in,
             m_out,
             num_shards=4,
-            policy=policy,
             chunk=ChunkConfig(32),
             execution=ExecutionConfig(backend="process", num_workers=num_workers),
         )
@@ -274,18 +270,14 @@ class TestProcessWorkerCrash:
 
 
 class TestFusedKernel:
-    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
-    @pytest.mark.parametrize("num_shards", (1, 3, 4))
-    def test_fused_matches_per_shard(self, policy, num_shards):
+    @pytest.mark.parametrize("num_shards", (1, 3, 4), ids=contiguous)
+    def test_fused_matches_per_shard(self, num_shards):
         m_in, m_out, u = _random_memories()
-        serial = ShardedMemNN(
-            m_in, m_out, num_shards=num_shards, policy=policy, chunk=ChunkConfig(32)
-        )
+        serial = ShardedMemNN(m_in, m_out, num_shards=num_shards, chunk=ChunkConfig(32))
         fused = ShardedMemNN(
             m_in,
             m_out,
             num_shards=num_shards,
-            policy=policy,
             chunk=ChunkConfig(32),
             execution=ExecutionConfig(fused=True),
         )
@@ -298,9 +290,8 @@ class TestFusedKernel:
         assert got.stats.flops == ref.stats.flops
         assert got.stats.rows_computed == ref.stats.rows_computed
 
-    @pytest.mark.parametrize("policy", ("contiguous", "strided"))
-    @pytest.mark.parametrize("num_shards", (1, 3, 4))
-    def test_fused_zero_skip_keeps_exact_rows(self, policy, num_shards):
+    @pytest.mark.parametrize("num_shards", (1, 3, 4), ids=contiguous)
+    def test_fused_zero_skip_keeps_exact_rows(self, num_shards):
         # The skip rule reads each tile's running denominator, so the
         # fused and per-shard arrangements may keep different rows; both
         # keep every row the exact rule keeps.
@@ -310,7 +301,7 @@ class TestFusedKernel:
         for fused in (False, True):
             kept = kept_rows(
                 lambda a, b: ShardedMemNN(
-                    a, b, num_shards=num_shards, policy=policy,
+                    a, b, num_shards=num_shards,
                     chunk=ChunkConfig(32), execution=ExecutionConfig(fused=fused),
                 ),
                 m_in, u, 1e-2,
@@ -457,13 +448,12 @@ class TestFoldOrderInvariance:
     @given(
         seed=st.integers(0, 2**16),
         num_shards=st.integers(1, 6),
-        policy=st.sampled_from(("contiguous", "strided")),
         backend=st.sampled_from(("serial", "fused")),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
     def test_fold_order_invariant_under_backend(
-        self, seed, num_shards, policy, backend, data
+        self, seed, num_shards, backend, data
     ):
         """Folding the per-shard partials in any order agrees with the
         shard-order fold to 1e-10, whichever backend produced them —
@@ -484,7 +474,6 @@ class TestFoldOrderInvariance:
             m_in,
             m_out,
             num_shards=num_shards,
-            policy=policy,
             chunk=ChunkConfig(8),
             execution=execution,
         )

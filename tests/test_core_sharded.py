@@ -1,8 +1,8 @@
 """Differential tests for sharded lazy-softmax attention (ISSUE 2).
 
-The sharded path must be *exact*: for any shard count and policy the
-merged output equals single-shard column mode (and the baseline) to
-1e-10, the merge must be associative/commutative up to max-rescaling
+The sharded path must be *exact*: for any shard count the merged
+output equals single-shard column mode (and the baseline) to 1e-10, the
+merge must be associative/commutative up to max-rescaling
 round-off, and degenerate partitions (more shards than rows, empty
 shards, single-row shards) must still cover every row exactly once.
 """
@@ -24,18 +24,17 @@ from repro.core import (
 from repro.core.column import PartialOutput
 from repro.core.zero_skip import probability_mode_mask
 
-from .conftest import float64, kept_rows
+from .conftest import contiguous, float64, kept_rows
 
 #: Documented agreement bound between answer-producing paths.
 TOLERANCE = 1e-10
 
 SHARD_COUNTS = (1, 2, 3, 8)
-POLICIES = ("contiguous", "strided")
 
 
 @pytest.fixture
 def memories(rng):
-    ns, ed = 97, 8  # prime row count: uneven shards under both policies
+    ns, ed = 97, 8  # prime row count: uneven shards
     return rng.normal(size=(ns, ed)), rng.normal(size=(ns, ed))
 
 
@@ -45,39 +44,30 @@ def u(rng):
 
 
 class TestShardPlan:
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("num_shards", (1, 2, 3, 8, 97, 150))
-    def test_covers_every_row_exactly_once(self, policy, num_shards):
-        plan = ShardPlan(97, num_shards, policy)
+    @pytest.mark.parametrize("num_shards", (1, 2, 3, 8, 97, 150), ids=contiguous)
+    def test_covers_every_row_exactly_once(self, num_shards):
+        plan = ShardPlan(97, num_shards)
         seen = np.concatenate([plan.indices(k) for k in range(num_shards)])
         np.testing.assert_array_equal(np.sort(seen), np.arange(97))
 
     def test_contiguous_shards_are_runs(self):
-        plan = ShardPlan(10, 3, "contiguous")
+        plan = ShardPlan(10, 3)
         for k in range(3):
             idx = plan.indices(k)
             np.testing.assert_array_equal(idx, np.arange(idx[0], idx[-1] + 1))
 
-    def test_strided_shards_interleave(self):
-        plan = ShardPlan(10, 3, "strided")
-        np.testing.assert_array_equal(plan.indices(0), [0, 3, 6, 9])
-        np.testing.assert_array_equal(plan.indices(1), [1, 4, 7])
-
     def test_more_shards_than_rows_leaves_empty_shards(self):
-        plan = ShardPlan(3, 8, "contiguous")
+        plan = ShardPlan(3, 8)
         assert sum(plan.shard_sizes) == 3
         assert plan.num_nonempty <= 3
         assert 0 in plan.shard_sizes
 
     def test_max_shard_rows(self):
-        assert ShardPlan(10, 3, "contiguous").max_shard_rows == 4
-        assert ShardPlan(10, 3, "strided").max_shard_rows == 4
+        assert ShardPlan(10, 3).max_shard_rows == 4
 
     def test_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             ShardPlan(10, 0)
-        with pytest.raises(ValueError, match="policy"):
-            ShardPlan(10, 2, "random")
         with pytest.raises(ValueError, match="num_rows"):
             ShardPlan(-1, 2)
         with pytest.raises(ValueError, match="shard must be"):
@@ -85,17 +75,14 @@ class TestShardPlan:
 
 
 class TestShardedMatchesSingleShard:
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_output_matches_column_and_baseline(
-        self, memories, u, num_shards, policy
-    ):
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS, ids=contiguous)
+    def test_output_matches_column_and_baseline(self, memories, u, num_shards):
         m_in, m_out = memories
         chunk = ChunkConfig(16)
         column = ColumnMemNN(m_in, m_out, chunk=chunk).output(u)
         baseline = BaselineMemNN(m_in, m_out).output(u)
         sharded = ShardedMemNN(
-            m_in, m_out, num_shards=num_shards, policy=policy, chunk=chunk
+            m_in, m_out, num_shards=num_shards, chunk=chunk
         ).output(u)
         np.testing.assert_allclose(
             sharded.output, column.output, rtol=TOLERANCE, atol=TOLERANCE
@@ -104,15 +91,15 @@ class TestShardedMatchesSingleShard:
             sharded.output, baseline.output, rtol=TOLERANCE, atol=TOLERANCE
         )
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    def test_zero_skip_keeps_exact_rows(self, memories, u, policy):
+    @pytest.mark.parametrize("num_shards", (4,), ids=["contiguous"])
+    def test_zero_skip_keeps_exact_rows(self, memories, u, num_shards):
         # A shard decides against its own running denominator, never
         # larger than the merged one: it keeps every row the exact rule
         # keeps (and, the merge being exact, nothing else changes).
         m_in, _ = memories
         exact = probability_mode_mask(u @ m_in.T, 0.01)
         kept = kept_rows(
-            lambda a, b: ShardedMemNN(a, b, num_shards=4, policy=policy),
+            lambda a, b: ShardedMemNN(a, b, num_shards=num_shards),
             m_in, u, 0.01,
         )
         assert exact.any() and not (exact & ~kept).any()
@@ -199,15 +186,14 @@ class TestMergeAssociativity:
 class TestEdgeCases:
     def test_more_shards_than_sentences(self, rng, u):
         m_in, m_out = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
-        for policy in POLICIES:
-            sharded = ShardedMemNN(m_in, m_out, num_shards=8, policy=policy)
-            column = ColumnMemNN(m_in, m_out)
-            np.testing.assert_allclose(
-                sharded.output(u).output,
-                column.output(u).output,
-                rtol=TOLERANCE,
-                atol=TOLERANCE,
-            )
+        sharded = ShardedMemNN(m_in, m_out, num_shards=8)
+        column = ColumnMemNN(m_in, m_out)
+        np.testing.assert_allclose(
+            sharded.output(u).output,
+            column.output(u).output,
+            rtol=TOLERANCE,
+            atol=TOLERANCE,
+        )
 
     def test_empty_shard_contributes_identity(self, rng, u):
         m_in, m_out = rng.normal(size=(3, 8)), rng.normal(size=(3, 8))
@@ -257,13 +243,12 @@ class TestEngineSharded:
         engine.store_story(story)
         return engine.answer(questions)
 
-    @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("num_shards", SHARD_COUNTS)
-    def test_engine_logits_match_all_paths(self, setup, num_shards, policy):
+    @pytest.mark.parametrize("num_shards", SHARD_COUNTS, ids=contiguous)
+    def test_engine_logits_match_all_paths(self, setup, num_shards):
         baseline = self._answer(setup, EngineConfig.baseline())
         column = self._answer(setup, float64())
         sharded = self._answer(
-            setup, float64(EngineConfig.sharded(num_shards, policy))
+            setup, float64(EngineConfig.sharded(num_shards))
         )
         np.testing.assert_allclose(
             sharded.logits, column.logits, rtol=TOLERANCE, atol=TOLERANCE
@@ -276,8 +261,7 @@ class TestEngineSharded:
     def test_contiguous_resident_shards_alias_the_engine_buffer(self, setup):
         """Range shards are slice views of the engine's memory — no
         per-shard copy at solver build — and a view computes the same
-        bits as the gathered copy it replaced.  Round-robin shards keep
-        their one gather (chunk reads need contiguous rows)."""
+        bits as the gathered copy it replaced."""
         config, weights, story, questions = setup
         engine = MnnFastEngine(config, weights, engine_config=EngineConfig.sharded(3))
         engine.store_story(story)
@@ -296,10 +280,6 @@ class TestEngineSharded:
             want, _ = copied.partial_output(u)
             assert got.weighted.tobytes() == want.weighted.tobytes()
             assert got.denom.tobytes() == want.denom.tobytes()
-        strided = ShardedMemNN(
-            m_in, m_out, num_shards=3, policy="strided", dtype=m_in.dtype
-        )
-        assert not any(np.shares_memory(s.m_in, m_in) for s in strided._shards)
 
     def test_engine_reports_per_hop_shard_stats(self, setup):
         result = self._answer(setup, EngineConfig.sharded(3))
@@ -312,8 +292,6 @@ class TestEngineSharded:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="num_shards"):
             EngineConfig(algorithm="sharded", num_shards=0)
-        with pytest.raises(ValueError, match="shard_policy"):
-            EngineConfig(algorithm="sharded", num_shards=2, shard_policy="x")
         # Cross-field coupling surfaces at validate() time, so builder
         # chains can pass through the intermediate state.
         with pytest.raises(ValueError, match="requires algorithm='sharded'"):

@@ -57,13 +57,6 @@ def _engine_configs(pin=float64):
         "sharded-contig": EngineConfig(
             algorithm="sharded",
             num_shards=3,
-            shard_policy="contiguous",
-            chunk=ChunkConfig(16),
-        ),
-        "sharded-strided": EngineConfig(
-            algorithm="sharded",
-            num_shards=4,
-            shard_policy="strided",
             chunk=ChunkConfig(16),
         ),
         "zero_skip_off": EngineConfig(
@@ -72,14 +65,12 @@ def _engine_configs(pin=float64):
         "sharded-process2": EngineConfig(
             algorithm="sharded",
             num_shards=4,
-            shard_policy="contiguous",
             chunk=ChunkConfig(16),
             execution=ExecutionConfig(backend="process", num_workers=2),
         ),
         "sharded-fused": EngineConfig(
             algorithm="sharded",
             num_shards=3,
-            shard_policy="strided",
             chunk=ChunkConfig(16),
             execution=ExecutionConfig(fused=True),
         ),
@@ -351,7 +342,7 @@ def test_append_then_answer_under_adjacent_tying(seed):
         ]
     )
     grid = _engine_configs()
-    for key in ("baseline", "column", "sharded-strided", "sharded-fused"):
+    for key in ("baseline", "column", "sharded-contig", "sharded-fused"):
         def engine():
             return MnnFastEngine(config, weights, engine_config=grid[key])
 

@@ -475,6 +475,18 @@ class TestServingLever:
         assert survivors[:3] == [32, 32, 32]
         assert survivors[3] < 32
 
+    def test_expected_hop_survivors_validation(self, monkeypatch):
+        server = QaServer(ServerConfig(engine=EngineConfig.mnnfast()))
+        with pytest.raises(ValueError, match="batch_size"):
+            server.expected_hop_survivors(0)
+        # The calibration caps its rate below 1; one that did not is
+        # refused rather than charging negative survivors.
+        monkeypatch.setattr(
+            "repro.serving.server.exit_rate_for_threshold", lambda threshold: 1.5
+        )
+        with pytest.raises(ValueError, match="exit_rate"):
+            server.expected_hop_survivors(8)
+
     def test_inference_seconds_cheaper_with_gate(self):
         server = QaServer(ServerConfig(engine=EngineConfig.mnnfast()))
         full = server.inference_seconds(batch_size=16, hops=4)

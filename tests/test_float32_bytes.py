@@ -1,12 +1,13 @@
 """Where the bytes are, under the default (float32-memory) config.
 
 ROADMAP aim 1, after ``tests/test_store_prefetch_parity.py``: the
-*modeled* footprint — ``InferencePlan.hop_bytes``,
-``QaServer.disk_stream_seconds`` — has always been ``FLOAT_BYTES`` = 4
-per element; the executed engine's counters, spill and resident tier
-now equal it exactly, and no ``(ns, ed)`` float64 array exists at any
-layer — not stored, and not as the hidden temporary NumPy makes when a
-float64 ``(nq, ed)`` operand meets a float32 ``(ns, ed)`` one.
+*modeled* footprint — ``2 * MATRIX_BYTES`` a hop (every row of ``M_IN``
+and ``M_OUT``, once), ``QaServer.disk_stream_seconds`` — has always
+been ``FLOAT_BYTES`` = 4 per element; the executed engine's counters,
+spill and resident tier now equal it exactly, and no ``(ns, ed)``
+float64 array exists at any layer — not stored, and not as the hidden
+temporary NumPy makes when a float64 ``(nq, ed)`` operand meets a
+float32 ``(ns, ed)`` one.
 """
 
 import tracemalloc
@@ -37,6 +38,9 @@ from .conftest import float64
 NS, ED, NQ, HOPS = 6000, 32, 2, 2
 CHUNK = 1000
 MATRIX_BYTES = NS * ED * FLOAT_BYTES
+#: What one hop streams: every row of both memories, once, whatever the
+#: batch size (the column dataflow's amortization).
+HOP_BYTES = 2 * MATRIX_BYTES
 
 
 def _network(hops=HOPS):
@@ -75,24 +79,20 @@ def test_executed_bytes_equal_the_modeled_footprint(
     resident_chunks, prefetch_depth
 ):
     """``OpStats.bytes_read``, the store ledger per pass and the spill's
-    size on disk are the plan's ``FLOAT_BYTES`` footprint, to the byte;
-    the disk share of a warm pass is the serving model's."""
+    size on disk are the ``FLOAT_BYTES`` footprint, to the byte; the
+    disk share of a warm pass is the serving model's."""
     chunk_bytes = 2 * CHUNK * ED * FLOAT_BYTES
     budget = None if resident_chunks is None else int(resident_chunks * chunk_bytes)
     engine_config = EngineConfig.out_of_core(
         resident_bytes=budget, prefetch_depth=prefetch_depth, chunk_size=CHUNK
     )
     engine, questions = _loaded(engine_config)
-    plan = engine.plan(batch_size=NQ)
-    assert plan.dtype_bytes == FLOAT_BYTES
-    assert plan.hop_bytes == 2 * MATRIX_BYTES
-
     result = engine.answer(questions)
-    assert result.stats.bytes_read == plan.bytes_streamed
-    assert [hop.bytes_read for hop in result.hop_stats] == [plan.hop_bytes] * HOPS
+    assert result.stats.bytes_read == HOP_BYTES * HOPS
+    assert [hop.bytes_read for hop in result.hop_stats] == [HOP_BYTES] * HOPS
     # The ledger is cumulative: each hop is one pass over the store.
     served = [ledger.bytes_served for ledger in result.tier_stats()["store"]]
-    assert served == [plan.hop_bytes * (hop + 1) for hop in range(HOPS)]
+    assert served == [HOP_BYTES * (hop + 1) for hop in range(HOPS)]
 
     spill = Path(engine._spill_tmp.name) / "pair0"
     assert sorted(
@@ -101,7 +101,7 @@ def test_executed_bytes_equal_the_modeled_footprint(
 
     server = QaServer(ServerConfig(network=_network(), engine=engine_config))
     modeled = server.disk_stream_seconds() * server.config.disk_bandwidth
-    assert modeled == max(0, plan.hop_bytes - (budget or 0))
+    assert modeled == max(0, HOP_BYTES - (budget or 0))
     before = result.tier_stats()["store"][-1].disk_bytes
     warm = engine.answer(questions).tier_stats()["store"][-1].disk_bytes
     # One chunk may not fit the budget's remainder (the parity test's bound).
@@ -112,7 +112,7 @@ def test_executed_bytes_equal_the_modeled_footprint(
 def test_resident_column_bytes_equal_the_plan():
     engine, questions = _loaded(EngineConfig.mnnfast(CHUNK, 0.0))
     result = engine.answer(questions)
-    assert result.stats.bytes_read == engine.plan(batch_size=NQ).bytes_streamed
+    assert result.stats.bytes_read == HOP_BYTES * HOPS
     reference, _ = _loaded(float64(EngineConfig.mnnfast(CHUNK, 0.0)))
     assert reference.answer(questions).stats.bytes_read == 2 * result.stats.bytes_read
 
@@ -122,8 +122,7 @@ def test_resident_column_bytes_equal_the_plan():
     (
         (EngineConfig.mnnfast(CHUNK, 0.1), True),
         (EngineConfig.fused(4, chunk_size=CHUNK), True),
-        # Strided shards gather their rows — a copy, in float32.
-        (EngineConfig.sharded(3, "strided", chunk_size=CHUNK), False),
+        (EngineConfig.sharded(3, chunk_size=CHUNK), True),
         (EngineConfig.out_of_core(resident_bytes=1 << 20, chunk_size=CHUNK), False),
         # min_rows=0: NS is below the measured crossover, and these two
         # cells must reach the indexed path.
@@ -251,7 +250,7 @@ def test_a_fold_holds_one_score_block_and_its_state(arrangement, fold, request):
 
 
 def test_small_operand_is_cast_not_the_memory():
-    """Three calls hand NumPy a float64 ``(nq, ed)`` state and a float32
+    """Two calls hand NumPy a float64 ``(nq, ed)`` state and a float32
     ``(ns, ed)`` memory.  Each must narrow the state (or widen the
     ``(nq, block)`` scores), so its temporaries are O(nq x ns) — never
     the O(ns x ed x 8) float64 copy of the memory a mixed GEMM makes."""
@@ -270,7 +269,6 @@ def test_small_operand_is_cast_not_the_memory():
     topk = engine._solver_cache[0]
 
     calls = {
-        "attention": lambda: engine.attention(questions),
         "recall": lambda: topk._attention_mass_recall(
             u.astype(np.float32), np.arange(0, NS, 7)
         ),

@@ -120,19 +120,14 @@ def _topk_cluster_major(m_in, m_out, tmp_path):
     yield members[50:200], *scan.store.read_chunk(50, 200)
 
 
-def _sharded(policy):
-    def source(m_in, m_out, tmp_path):
-        held = _in_capacity_buffer(m_in)
-        solver = ShardedMemNN(
-            held, m_out, num_shards=2, policy=policy,
-            chunk=ChunkConfig(CHUNK), dtype=m_in.dtype,
-        )  # fmt: skip
-        for rows, shard in zip(solver.plan, solver._shards):
-            if policy == "contiguous":
-                assert np.shares_memory(shard.m_in, held)  # a view
-            yield rows[:CHUNK], *shard.store.read_chunk(0, CHUNK)
-
-    return source
+def _sharded(m_in, m_out, tmp_path):
+    held = _in_capacity_buffer(m_in)
+    solver = ShardedMemNN(
+        held, m_out, num_shards=2, chunk=ChunkConfig(CHUNK), dtype=m_in.dtype
+    )
+    for rows, shard in zip(solver.plan, solver._shards):
+        assert np.shares_memory(shard.m_in, held)  # a view
+        yield rows[:CHUNK], *shard.store.read_chunk(0, CHUNK)
 
 
 SOURCES = {
@@ -142,8 +137,7 @@ SOURCES = {
     "row-subset": _row_subset,
     "mmap": _mmap_chunks,
     "topk-cluster-major": _topk_cluster_major,
-    "sharded-contiguous": _sharded("contiguous"),
-    "sharded-strided": _sharded("strided"),
+    "sharded-contiguous": _sharded,
 }
 
 
@@ -301,9 +295,9 @@ def test_set_memories_converts_a_row_major_m_in_once(appended):
 
 
 def test_score_only_callers_take_m_in_as_it_is(appended):
-    """``engine.attention``, the recall scan and the baseline all write
-    ``u @ m_in.T`` against the feature-major rows; none forces a C-order
-    copy of them."""
+    """The recall scan and the baseline both write ``u @ m_in.T``
+    against the feature-major rows; neither forces a C-order copy of
+    them."""
     engine, questions = appended
     m_in, m_out = engine.memories
     u, _, _ = engine.embed_question(questions)
@@ -314,7 +308,6 @@ def test_score_only_callers_take_m_in_as_it_is(appended):
     baseline = BaselineMemNN(m_in, m_out, dtype=np.float32)
     assert np.shares_memory(baseline.m_in, m_in)
     calls = {
-        "attention": lambda: engine.attention(questions),
         "recall": lambda: recall._attention_mass_recall(
             u.astype(np.float32), np.arange(0, ROWS, 7)
         ),

@@ -24,8 +24,6 @@ from repro.core import (
 from repro.memsim.embedding_cache import EmbeddingCache
 from repro.serving import QaServer, ServerConfig, generate_workload
 
-from .conftest import float64
-
 
 def _small_network() -> MemNNConfig:
     return MemNNConfig(
@@ -113,29 +111,6 @@ class TestEngineUnification:
         config = _small_network()
         rng = np.random.default_rng(seed)
         return rng.integers(1, config.vocab_size, size=(2, config.max_words))
-
-    def test_attention_honors_algorithm_and_agrees(self):
-        questions = self._questions()
-        baseline = self._engine(EngineConfig.baseline()).attention(questions)
-        column = self._engine(float64(EngineConfig.mnnfast())).attention(questions)
-        np.testing.assert_allclose(baseline, column, rtol=1e-12)
-        np.testing.assert_allclose(baseline.sum(axis=1), 1.0)
-
-    def test_attention_accepts_vector_cache(self):
-        config = _small_network()
-        cache = EmbeddingCache(
-            EmbeddingCacheConfig(
-                size_bytes=config.vocab_size * config.embedding_dim * 4,
-                embedding_dim=config.embedding_dim,
-            )
-        )
-        questions = self._questions()
-        without = self._engine(EngineConfig.mnnfast()).attention(questions)
-        with_cache = self._engine(EngineConfig.mnnfast()).attention(
-            questions, cache=cache
-        )
-        np.testing.assert_allclose(with_cache, without, rtol=1e-12)
-        assert cache.stats.accesses > 0  # the cache really sat on the path
 
     def test_answer_reports_per_hop_stats(self):
         engine = self._engine(EngineConfig.mnnfast())

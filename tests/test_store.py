@@ -33,7 +33,7 @@ from repro.store import (
     iter_chunk_spans,
 )
 
-from .conftest import float64
+from .conftest import contiguous, float64
 
 NS, ED, NQ = 257, 24, 5
 
@@ -487,44 +487,37 @@ class TestDifferentialGrid:
             solver.output(questions).output, reference, rtol=1e-10, atol=1e-10
         )
 
-    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
-    @pytest.mark.parametrize("num_shards", [1, 3, 4])
-    def test_sharded_mmap_grid(
-        self, memories, questions, mmap_store, num_shards, policy
-    ):
+    @pytest.mark.parametrize("num_shards", [1, 3, 4], ids=contiguous)
+    def test_sharded_mmap_grid(self, memories, questions, mmap_store, num_shards):
         self._check_sharded(
-            memories, questions, mmap_store, num_shards, policy,
+            memories, questions, mmap_store, num_shards,
             resident_bytes=1 << 20, prefetch_depth=2,
         )
 
-    @pytest.mark.parametrize("policy", ["contiguous", "strided"])
-    @pytest.mark.parametrize("prefetch_depth", [0, 2])
+    @pytest.mark.parametrize("prefetch_depth", [0, 2], ids=contiguous)
     @pytest.mark.parametrize("resident_bytes", [None, 3 * _CHUNK_PAIR_BYTES])
     def test_sharded_mmap_budget_grid(
-        self, memories, questions, mmap_store, policy, prefetch_depth,
-        resident_bytes,
+        self, memories, questions, mmap_store, prefetch_depth, resident_bytes,
     ):
         # 3 * _CHUNK_PAIR_BYTES over two shards of ~2 chunks each: one
         # chunk and the tail of every shard stay resident.
         self._check_sharded(
-            memories, questions, mmap_store, 2, policy,
+            memories, questions, mmap_store, 2,
             resident_bytes=resident_bytes, prefetch_depth=prefetch_depth,
         )
 
     @staticmethod
     def _check_sharded(
-        memories, questions, mmap_store, num_shards, policy,
-        resident_bytes, prefetch_depth,
+        memories, questions, mmap_store, num_shards, resident_bytes, prefetch_depth,
     ):
         chunk = ChunkConfig(chunk_size=64)
         reference = ColumnMemNN(*memories).output(questions).output
         same_geometry = ShardedMemNN(
-            *memories, num_shards=num_shards, policy=policy, chunk=chunk
+            *memories, num_shards=num_shards, chunk=chunk
         ).output(questions)
         solver = ShardedMemNN(
             store=mmap_store,
             num_shards=num_shards,
-            policy=policy,
             chunk=chunk,
             resident_bytes=resident_bytes,
             prefetch_depth=prefetch_depth,
@@ -628,7 +621,7 @@ class TestEngineOutOfCore:
     def test_sharded_out_of_core_matches_resident(self):
         resident, questions = self._setup(float64())
         streamed, _ = self._setup(
-            float64(EngineConfig.out_of_core(num_shards=3, shard_policy="strided"))
+            float64(EngineConfig.out_of_core(num_shards=3))
         )
         np.testing.assert_allclose(
             streamed.answer(questions).logits,

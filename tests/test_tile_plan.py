@@ -347,3 +347,56 @@ def test_a_write_costs_the_plan_nothing(monkeypatch, fold, threshold):
     solver = engine._solver_cache[0]
     assert [s for s in cuts if s is solver] == [solver] * len(allocations)
     engine.close()
+
+
+@requires_compiler
+@pytest.mark.parametrize("threshold", (0.0, 0.1))
+def test_a_held_pass_follows_the_workspace_its_solver_grows(monkeypatch, threshold):
+    """An engine's one-call answer takes its hops' ``(FoldState,
+    ScanPlan)`` addresses once, when it builds the pass.  A score
+    workspace grown by a scan that is not the pass's — the tile generator
+    at a larger batch, a question block that is not C-ordered — is
+    written into the resident plan the pass holds, and a buffer
+    re-allocation drops the pass: every answer equals a fresh engine's
+    bytes."""
+    monkeypatch.setattr("repro.core.engine._MIN_BUFFER_ROWS", 16)
+    network = MemNNConfig(
+        embedding_dim=ED, num_sentences=64, vocab_size=60, max_words=6, hops=2
+    )
+    rng = np.random.default_rng(11)
+    weights = EngineWeights.random(network, rng=rng, scale=0.5)
+    story = rng.integers(1, 60, size=(20, 6))
+    questions = rng.integers(1, 60, size=(4, 6))
+    config = EngineConfig.mnnfast(16, threshold)
+
+    def fresh_logits():
+        fresh = MnnFastEngine(network, weights, engine_config=config)
+        fresh.store_story(story)
+        logits = fresh.answer(questions).logits
+        fresh.close()
+        return logits.tobytes()
+
+    want = fresh_logits()
+    engine = MnnFastEngine(network, weights, engine_config=config)
+    engine.store_story(story)
+    assert engine.answer(questions).logits.tobytes() == want
+    held = engine._passes[len(questions)]
+    solver = engine._solver(0)
+    plan = solver._resident_plan[3]
+    m_in = solver.m_in
+    u = np.asarray(m_in[rng.integers(0, len(m_in), size=16)], np.float32)
+    grown = (
+        lambda: list(solver.scored_tiles(u)),
+        lambda: solver.output(np.asfortranarray(np.vstack([u, u]))),
+    )
+    for grow in grown:
+        workspace = solver._workspace[0]
+        grow()
+        assert solver._workspace[0] is not workspace  # grown, the old one freed
+        assert plan.scores == solver._workspace[2]
+        assert engine._passes[len(questions)] is held
+        assert engine.answer(questions).logits.tobytes() == want
+    engine._reserve(engine._capacity + 1)
+    assert engine._passes == {}
+    assert engine.answer(questions).logits.tobytes() == want
+    engine.close()
