@@ -10,6 +10,7 @@ from repro.core import (
     MnnFastEngine,
 )
 from repro.core.numerics import PAD_ID, softmax
+from repro.serving import QaServer, ServerConfig
 
 from .conftest import float64
 from .test_float32_bytes import _peak_bytes
@@ -453,3 +454,12 @@ class TestTierStats:
         shards = result.tier_stats()["shards"]
         assert len(shards) == config.hops
         assert all(len(per_hop) == 3 for per_hop in shards)
+
+
+class TestInferencePlan:
+    """The per-hop batch schedule a pass is planned at, before it runs."""
+
+    def test_gate_disabled_is_full_depth(self):
+        server = QaServer(ServerConfig(engine=EngineConfig.mnnfast()))
+        survivors = server.expected_hop_survivors(32, hops=3, exit_threshold=0.0)
+        assert survivors == [32, 32, 32]
