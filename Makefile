@@ -54,7 +54,7 @@ SANITIZE_TESTS = tests/test_compiled_fold.py tests/test_tile_plan.py \
 	tests/test_index.py tests/test_answer_records.py \
 	tests/test_solver_intake.py tests/test_float32_grid.py \
 	tests/test_differential_paths.py tests/test_dialogue_writes.py \
-	tests/test_core_sharded.py
+	tests/test_core_sharded.py tests/test_out_of_core_pass.py
 
 kernel-sanitize:
 	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
@@ -113,10 +113,11 @@ perfbench-compare:
 # and clear_memories between reads; a read is one compiled call that
 # crosses neither embed_question nor ColumnMemNN.output, so those spans
 # read 0 there (tests/test_answer_records.py) —, out_of_core_stream
-# (~3 s) — the only workload whose hops run through a chunk pipeline,
-# each one ColumnMemNN.output call in the hop form every solver takes
-# (DESIGN.md §10, "One crossing per hop"), so column.output must fire
-# and store.lru_hit_share read 1.0 —, table1_batch (~12 s) —
+# (~3 s) — the only workload whose hops run through a chunk pipeline;
+# its tier holds every chunk, so only a set-up's cold answer crosses
+# ColumnMemNN.output and the others are one compiled call each
+# (DESIGN.md §11, "The held pass"), while store.lru_hit_share must
+# read 1.0 —, table1_batch (~12 s) —
 # the only caller of EngineConfig.fused(4), the 2-worker process config
 # and the vars(cls)[attr] span boundaries, so a refactor that moves a
 # method off its class fails here — and docqa_sessions (~15 s), the

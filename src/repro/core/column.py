@@ -763,15 +763,16 @@ class ColumnMemNN:
 
     def compiled_hop(self, nq: int, threshold: float) -> tuple[int, int] | None:
         """``(FoldState, ScanPlan)`` addresses of a compiled
-        ``nq``-question hop over the resident memory, the workspace ready:
-        an engine's one-call answer (``repro_pass``) takes them once and
-        scans with them until a :meth:`repoint` cuts a new plan (a grown
-        workspace is written into the plan, :meth:`_scores`).  ``None``
-        where a hop is not one C call (a chunk pipeline, the NumPy
-        fold)."""
-        if self._pipeline is not None:
-            return None
-        plan = self._plan()
+        ``nq``-question hop, the workspace ready: over the resident
+        memory, or over the chunks a pipeline's resident tier holds (read
+        without charging the ledger: the caller charges each pass it
+        runs, ``ChunkPrefetcher.charge_pass``).  An engine's one-call
+        answer (``repro_pass``) takes them once and scans with them until
+        a :meth:`repoint` cuts a new plan or an eviction drops the chunks
+        (a grown workspace is written into the plan, :meth:`_scores`).
+        ``None`` where a hop is not one C call (a pipeline whose tier does
+        not hold every chunk, the NumPy fold)."""
+        plan = self._plan(charge=False)
         state = self._scans.get((nq, threshold))
         if state is None:
             state = TileState(nq, self.embedding_dim, threshold)
@@ -795,7 +796,7 @@ class ColumnMemNN:
             state.fold(scores, tile_out)
         return ns, None if hop is None else state.recur(hop[0], u, at=hop[1])
 
-    def _plan(self) -> tuple:
+    def _plan(self, charge: bool = True) -> tuple:
         """The tile plan of this memory's scans (DESIGN.md §10, "Tile
         plan"), ``(pieces, rows, widest tile, ScanPlan, capsules)``: its
         ``(M_IN, M_OUT, spans)`` pieces, whose spans (``None``: the whole
@@ -805,15 +806,16 @@ class ColumnMemNN:
         is one piece, planned until :meth:`repoint` (a bound one's span is
         the caller's ``[[0, stop]]``, read when scanned); behind a pipeline
         the pieces are the chunks its resident tier holds, planned until
-        an eviction (``resident_pass`` charges the pass), else the
-        chunks it streams, read as they are scanned (no ``ScanPlan``)."""
+        an eviction (``resident_pass`` charges the pass, if ``charge``),
+        else the chunks it streams, read as they are scanned (no
+        ``ScanPlan``)."""
         if self._pipeline is None:
             if self._resident_plan is None:
                 store = self._store
                 pieces = ((store.m_in, store.m_out, self._rows),)
                 self._resident_plan = self._cut(pieces, resident=True)
             return self._resident_plan
-        held = self._pipeline.resident_pass()
+        held = self._pipeline.resident_pass(charge)
         if held is None:
             pieces = ((*chunk, None) for chunk in self._pipeline.chunks())
             ns = self.num_sentences
@@ -864,10 +866,11 @@ class ColumnMemNN:
 
     def _scores(self, nq: int, width: int) -> tuple:
         """The score workspace, grown to at least ``(nq, width)``:
-        ``(array, capsule, pointer)``.  A grown one is written into the
-        resident ``ScanPlan`` at once, whichever scan grew it: an
-        engine's one-call answer holds that plan's address, not the
-        workspace's (:meth:`compiled_hop`)."""
+        ``(array, capsule, pointer)``.  A grown one is written at once,
+        whichever scan grew it, into the ``ScanPlan`` an engine's one-call
+        answer may hold the address of (:meth:`compiled_hop`): the
+        resident plan, or the one cut from the chunks a pipeline's tier
+        holds."""
         held, nq = self._workspace, max(nq, 1)  # (no zero-size array: zero strides)
         if held is None or nq > held[0].shape[0] or width > held[0].shape[1]:
             if held is not None:
@@ -877,9 +880,12 @@ class ColumnMemNN:
             held = self._workspace = (
                 workspace, capsule, compiled_fold.struct_pointer(capsule, None)
             )
-            resident = self._resident_plan
-            if resident is not None and resident[3] is not None:
-                resident[3].scores = held[2]
+            plan = self._resident_plan
+            if self._pipeline is not None:
+                chunks = self._pipeline.resident_pass(charge=False)
+                plan = chunks and chunks[1].get("plan")
+            if plan is not None and plan[3] is not None:
+                plan[3].scores = held[2]
         return held
 
     def _scan_plan(self, plan: tuple, nq: int) -> int:

@@ -916,11 +916,16 @@ class MnnFastEngine:
         """The held one-call answer of ``nq`` questions (its
         ``AnswerPass`` and held outputs), or ``None`` where the hop loop
         runs: only a float32 engine on the compiled fold whose every hop
-        is a resident ``ColumnMemNN``'s, with no gate and no top-k tier,
-        has one.  Each hop's ``(FoldState, ScanPlan)`` addresses are
+        is a ``ColumnMemNN``'s — resident, or behind a chunk pipeline
+        whose resident tier holds every chunk — with no gate and no top-k
+        tier, has one.  Each hop's ``(FoldState, ScanPlan)`` addresses are
         taken here, once: a re-point drops the pass
-        (:meth:`_memories_written`), and a solver keeps its resident
-        ``ScanPlan`` pointed at its score workspace as it grows."""
+        (:meth:`_memories_written`), an eviction from a pipeline's tier
+        drops it at the next answer (:meth:`_answer_in_one_call`), and a
+        solver keeps the plan the pass holds pointed at its score
+        workspace as it grows.  A pipeline whose tier does not hold every
+        chunk yet leaves no ``False`` behind: the answer that runs the hop
+        loop admits the chunks, and the next one asks again."""
         if self._solver_cache_config is not self.engine_config:
             self._sync_config()
         held = self._passes.get(nq)
@@ -936,11 +941,20 @@ class MnnFastEngine:
         ):  # fmt: skip
             return None
         solvers = [self._solver(pair) for pair in range(self._num_pairs)]
-        if not all(type(s) is ColumnMemNN and s.store_stats is None for s in solvers):
+        if not all(type(s) is ColumnMemNN for s in solvers):
             return None
         threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
         at = [solver.compiled_hop(nq, threshold) for solver in solvers]
+        # Per pair, the chunk pipeline an answer charges and its eviction
+        # count now (none on a resident engine).
+        pipelines = [
+            (s._pipeline, s._pipeline.evictions)
+            for s in solvers
+            if s._pipeline is not None
+        ]
         if None in at:
+            if pipelines:
+                del self._passes[nq]
             return None
         ed = self.config.embedding_dim
         outputs = (
@@ -960,9 +974,11 @@ class MnnFastEngine:
         pairs = [hop if self._num_pairs > 1 else 0 for hop in range(hops)]
         for hop, pair in enumerate(pairs):
             states[hop], plans[hop] = at[pair]
+        column = (ed, ec.chunk.chunk_size, self._dtype)  # (a ScanRecord's)
         held = self._passes[nq] = (
             library.repro_pass, ctypes.addressof(answer_pass), solvers, pairs,
-            outputs, kept, (answer_pass, capsules, (states, plans)),
+            outputs, kept, pipelines, column,
+            (answer_pass, capsules, (states, plans)),
         )  # fmt: skip
         return held
 
@@ -971,9 +987,17 @@ class MnnFastEngine:
     ) -> AnswerResult | None:
         """:meth:`answer` in one ``repro_pass`` call (``held``:
         :meth:`_answer_pass`'s); ``None``, before anything was written,
-        when the compiled embedding refuses the questions' array."""
-        kernel, address, solvers, pairs, outputs, kept, _ = held
-        nq, ec = len(questions), self.engine_config
+        when the compiled embedding refuses the questions' array, or when
+        a pipeline's tier evicted a chunk since the pass was built (the
+        pass is dropped: its plans are cut from the chunks the eviction
+        dropped).  Each hop charges its pipeline's ledger and LRU as the
+        hop loop's scan of the held chunks does."""
+        kernel, address, solvers, pairs, outputs, kept, pipelines, column, _ = held
+        nq = len(questions)
+        for pipeline, evictions in pipelines:
+            if pipeline.evictions != evictions:
+                del self._passes[nq]
+                return None
         words = questions.__array_struct__
         status = kernel(address, compiled_fold.struct_pointer(words, None))
         if status == compiled_fold.BOW_REFUSED:
@@ -984,13 +1008,18 @@ class MnnFastEngine:
             raise RuntimeError(f"repro_pass failed: {status}")
         u, _, logits, top = outputs
         rows = [solver.num_sentences for solver in solvers]
-        column = (self.config.embedding_dim, ec.chunk.chunk_size, self._dtype)
+        stores = [None] * len(pairs)
+        if pipelines:
+            for hop, pair in enumerate(pairs):
+                pipeline = pipelines[pair][0]
+                pipeline.charge_pass()
+                stores[hop] = pipeline.stats.snapshot()
         # Built when read: the scan records of the kept-row counts.
         records = (
-            ScanRecord(None, nq, rows[pair], k, column)
-            for pair, k in zip(pairs, kept.tolist())
+            ScanRecord(None, nq, rows[pair], k, column, store)
+            for pair, k, store in zip(pairs, kept.tolist(), stores)
         )
-        trace = (ec.early_exit.threshold, len(pairs), nq, None, None)
+        trace = (self.engine_config.early_exit.threshold, len(pairs), nq, None, None)
         return AnswerResult(
             top.copy(), logits.copy(), u.copy(),
             elapsed_seconds=time.perf_counter() - start_time,

@@ -89,6 +89,9 @@ class ChunkPrefetcher:
         self._lru_bytes = 0
         # resident_pass()'s (chunks, what is cut from them, bytes), if held.
         self._held: tuple[tuple, dict, int] | None = None
+        #: Chunks evicted so far: an unchanged count means the chunks
+        #: resident_pass() handed out are still the ones it holds.
+        self.evictions = 0
         self._lock = threading.Lock()
         self._pool: ThreadPoolExecutor | None = None
 
@@ -131,13 +134,13 @@ class ChunkPrefetcher:
             self._account(_nbytes(pair), from_ram, stalled, ready=ready)
             yield pair
 
-    def resident_pass(self) -> tuple[tuple, dict] | None:
+    def resident_pass(self, charge: bool = True) -> tuple[tuple, dict] | None:
         """One in-order pass's chunks when the resident tier holds them
-        all, charged to the ledger and LRU recency as a :meth:`chunks`
-        pass of hits is (with no stall); else ``None``, nothing charged.
-        Returns ``(chunks, derived)``: the same pair until an eviction
-        drops both, ``derived`` a dict the caller keeps what it builds
-        from the chunks in (a kernel's tile plans)."""
+        all, charged as :meth:`charge_pass` charges them unless not
+        ``charge``; else ``None``, nothing charged.  Returns ``(chunks,
+        derived)``: the same pair until an eviction drops both (and
+        counts in :attr:`evictions`), ``derived`` a dict the caller keeps
+        what it builds from the chunks in (a kernel's tile plans)."""
         with self._lock:
             held = self._held
             if held is None:
@@ -145,11 +148,20 @@ class ChunkPrefetcher:
                 if None in chunks:
                     return None
                 held = self._held = (chunks, {}, sum(map(_nbytes, chunks)))
+        if charge:
+            self.charge_pass()
+        return held[0], held[1]
+
+    def charge_pass(self) -> None:
+        """Charge one pass over the chunks :meth:`resident_pass` holds to
+        the ledger and the LRU recency (``move_to_end`` in pass order), as
+        a :meth:`chunks` pass of hits is charged (with no stall)."""
+        with self._lock:
+            chunks, _, size = self._held
             for span in self._spans:
                 self._lru.move_to_end(span)
         ready = True if self.prefetch_depth else None
-        self._account(held[2], True, 0.0, served=len(held[0]), ready=ready)
-        return held[0], held[1]
+        self._account(size, True, 0.0, served=len(chunks), ready=ready)
 
     def _fetch_ahead(self, span: tuple[int, int]) -> Future:
         """Start serving ``span`` ahead of demand: a chunk already in
@@ -221,6 +233,7 @@ class ChunkPrefetcher:
                     _, evicted = self._lru.popitem(last=False)
                     self._lru_bytes -= _nbytes(evicted)
                     self._held = None
+                    self.evictions += 1
         return pair, self.store.resident
 
     def _account(

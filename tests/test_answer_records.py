@@ -147,9 +147,11 @@ def _count_outputs(monkeypatch, counts):
 
 #: Per tier: the config and the ``output`` calls one engine hop makes,
 #: per class.  A top-k hop's exact kernel is a ``ColumnMemNN`` (over the
-#: cluster-major copy, or every row below ``min_rows``).
+#: cluster-major copy, or every row below ``min_rows``).  The out-of-core
+#: tier's 1 KiB budget is below the memory's footprint (53 rows of 16
+#: float32 columns, twice): every pass streams.
 TIERS = {
-    "out_of_core": (EngineConfig.out_of_core(), {ColumnMemNN: 1}),
+    "out_of_core": (EngineConfig.out_of_core(resident_bytes=1 << 10), {ColumnMemNN: 1}),
     "sharded": (EngineConfig.sharded(2, chunk_size=4), {ShardedMemNN: 1}),
     "topk_indexed": (
         EngineConfig.mnnfast().with_topk(nprobe=2, nlist=4, min_rows=0),
@@ -162,20 +164,37 @@ TIERS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(TIERS))
-def test_every_tier_crosses_one_traced_output_per_hop(key, monkeypatch):
-    """Out of core (the hops perfbench's ``out_of_core_stream`` runs
-    through a chunk pipeline), sharded and top-k: every engine hop is
-    one ``output`` call on the class perfbench wraps for that tier, so
-    ``column.output`` / ``sharded.output`` / ``topk.output`` count hops."""
-    config, per_hop = TIERS[key]
-    counts = Counter()
-    _count_outputs(monkeypatch, counts)
+def _traced_hops(config):
+    """Three answers of one engine on ``config``: the hops each ran."""
     problem, weights, story, questions = _random_problem(6)
     engine = MnnFastEngine(problem, weights, engine_config=config)
     engine.store_story(story)
-    hops = 0
-    for batch in (questions, questions[:1], questions[1:]):
-        hops += len(engine.answer(batch).hop_stats)
+    hops = [
+        len(engine.answer(batch).hop_stats)
+        for batch in (questions, questions[:1], questions[1:])
+    ]
     engine.close()
+    return hops
+
+
+@pytest.mark.parametrize("key", sorted(TIERS))
+def test_every_tier_crosses_one_traced_output_per_hop(key, monkeypatch):
+    """Out of core with a budget below the memory's footprint (the
+    hops run through a streaming chunk pipeline), sharded and top-k:
+    every engine hop is one ``output`` call on the class perfbench wraps
+    for that tier, so ``column.output`` / ``sharded.output`` /
+    ``topk.output`` count hops.  Out of core with a tier that holds every
+    chunk, only the cold answer, which admits them, crosses ``output``;
+    on the compiled fold every later answer is one ``repro_pass`` call
+    and crosses none, as a resident engine's does
+    (:func:`test_a_dialogue_crosses_the_traced_boundaries`)."""
+    config, per_hop = TIERS[key]
+    counts = Counter()
+    _count_outputs(monkeypatch, counts)
+    hops = sum(_traced_hops(config))
     assert counts == {owner: calls * hops for owner, calls in per_hop.items()}
+    if key == "out_of_core":
+        counts.clear()
+        hops = _traced_hops(EngineConfig.out_of_core())
+        looped = hops[0] if compiled_fold.fold_backend() == "c" else sum(hops)
+        assert counts == {ColumnMemNN: looped}
