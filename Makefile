@@ -54,7 +54,8 @@ SANITIZE_TESTS = tests/test_compiled_fold.py tests/test_tile_plan.py \
 	tests/test_index.py tests/test_answer_records.py \
 	tests/test_solver_intake.py tests/test_float32_grid.py \
 	tests/test_differential_paths.py tests/test_dialogue_writes.py \
-	tests/test_core_sharded.py tests/test_out_of_core_pass.py
+	tests/test_core_sharded.py tests/test_out_of_core_pass.py \
+	tests/test_gated_pass.py tests/test_early_exit.py tests/test_answer_layer.py
 
 kernel-sanitize:
 	@cache=$$(mktemp -d) && trap 'rm -rf "$$cache"' EXIT && \
@@ -121,11 +122,13 @@ perfbench-compare:
 # the only caller of EngineConfig.fused(4), the 2-worker process config
 # and the vars(cls)[attr] span boundaries, so a refactor that moves a
 # method off its class fails here — and docqa_sessions (~15 s), the
-# only traced run that crosses the early_exit.gate and batching.*
-# boundaries (the engine module's logit_margin_confidence,
-# ContinuousBatcher.submit/poll).  Its 4 096 rows are below
+# only traced run that crosses the batching.* boundaries
+# (ContinuousBatcher.submit/poll).  Its 4 096 rows are below
 # TopKConfig.min_rows, so it reads index.fallback_share 1.0 and never
-# reaches IVFIndex.build/probe: tests/test_index.py holds those.
+# reaches IVFIndex.build/probe: tests/test_index.py holds those.  Each
+# of its answers is one gated repro_pass call, so the early_exit.gate
+# span (the engine module's logit_margin_confidence, which the hop loop
+# still calls) reads 0 there: tests/test_answer_layer.py holds it.
 perfbench-smoke:
 	$(PYTHON) -m pytest benchmarks/perfbench
 	$(PYTHON) benchmarks/perfbench/run.py --workload story_turns --seconds 5 > /dev/null

@@ -26,7 +26,8 @@
  * recurrence u += acc / denom, then u narrowed to float32 for the next
  * GEMM -- NumPy's IEEE operations in NumPy's order, so no bit moves.
  * repro_pass is a whole float32 answer: the question's embedding, every
- * hop's scan and the answer layer.
+ * hop's scan, the early-exit gate's checks with the retirement of the
+ * questions that pass one, and the answer layer.
  *
  * repro_answer is the answer layer after the last hop (and the early-exit
  * gate's check): logits u W^T against a copy of W packed once in
@@ -611,10 +612,11 @@ typedef float lanes_t __attribute__((vector_size(LANES * sizeof(float)), aligned
  * apart) against `panels` panels from panel p, each one MADDF chain over
  * k from 0, so that a logit's bits depend on its row and answer alone;
  * the first `stored` rows are written into the (nq, na) logits, float32
- * or (wide) float64. */
+ * or (wide) float64: row r into row `index[r]` (NULL: r). */
 static inline __attribute__((always_inline)) void answer_block(
     const answer_layer *w, const float *u, int rows, int panels, int64_t q,
-    int stored, int64_t p, void *logits, int wide, ptrdiff_t stride)
+    int stored, int64_t p, void *logits, int wide, ptrdiff_t stride,
+    const int64_t *index)
 {
     const int64_t ed = w->ed;
     const float *packed = w->packed + p * ed * LANES;
@@ -637,7 +639,7 @@ static inline __attribute__((always_inline)) void answer_block(
         for (int b = 0; b < panels; b++) {
             const int64_t j = (p + b) * LANES;
             const int n = w->na - j < LANES ? (int)(w->na - j) : LANES;
-            const ptrdiff_t at = (q + r) * stride + j;
+            const ptrdiff_t at = (index != NULL ? index[q + r] : q + r) * stride + j;
             const lanes_t a = acc[r * panels + b];
             if (wide)
                 for (l = 0; l < n; l++)
@@ -655,33 +657,35 @@ static inline __attribute__((always_inline)) void answer_block(
  * panels' chains in flight. */
 static __attribute__((noinline)) void answer_4x4(
     const answer_layer *w, const float *u, int64_t q, int stored, int64_t p,
-    void *logits, int wide, ptrdiff_t stride)
+    void *logits, int wide, ptrdiff_t stride, const int64_t *index)
 {
-    answer_block(w, u, 4, 4, q, stored, p, logits, wide, stride);
+    answer_block(w, u, 4, 4, q, stored, p, logits, wide, stride, index);
 }
 
 static __attribute__((noinline)) void answer_1x8(
-    const answer_layer *w, const float *u, int64_t p, void *logits, int wide)
+    const answer_layer *w, const float *u, int64_t p, void *logits, int wide,
+    ptrdiff_t stride, const int64_t *index)
 {
-    answer_block(w, u, 1, 8, 0, 1, p, logits, wide, 0);
+    answer_block(w, u, 1, 8, 0, 1, p, logits, wide, stride, index);
 }
 
 /* Every row's logits, the packed panels walked once: a group of 8
- * panels stays in L1 while each block of 4 rows (`u` holds zero rows up
- * to a multiple of 4) reads it. */
+ * panels stays in L1 while each block of 4 rows (`u` holds rows up to a
+ * multiple of 4) reads it.  Row q lands in row `index[q]` (NULL: q). */
 static void answer_logits(
     const answer_layer *w, const float *u, int64_t nq, void *logits, int wide,
-    ptrdiff_t stride)
+    ptrdiff_t stride, const int64_t *index)
 {
     for (int64_t p = 0; p < w->panels; p += 8) {
         const int64_t end = w->panels - p >= 8 ? p + 8 : p + 4;
         if (nq == 1 && end == p + 8) {
-            answer_1x8(w, u, p, logits, wide);
+            answer_1x8(w, u, p, logits, wide, stride, index);
             continue;
         }
         for (int64_t q = 0; q < nq; q += 4)
             for (int64_t b = p; b < end; b += 4)
-                answer_4x4(w, u, q, nq - q < 4 ? (int)(nq - q) : 4, b, logits, wide, stride);
+                answer_4x4(w, u, q, nq - q < 4 ? (int)(nq - q) : 4, b, logits, wide,
+                           stride, index);
     }
 }
 
@@ -803,7 +807,7 @@ int64_t repro_answer(
                 : (float)((const double *)u->data)[q * rs + k * cs];
     const int wide = logits->itemsize == 8;
     const ptrdiff_t stride = logits->strides[0] / logits->itemsize;
-    answer_logits(w, narrow, nq, logits->data, wide, stride);
+    answer_logits(w, narrow, nq, logits->data, wide, stride, NULL);
     free(narrow);
     if (top == NULL && confidence == NULL)
         return 0;
@@ -928,42 +932,105 @@ int64_t repro_bow(
     return 0;
 }
 
-/* One resident float32 answer (compiled_fold.AnswerPass, held by the
- * engine per batch size): the questions' bag sums under `table` (and
- * `encoding`) into the (nq, ed) float64 hop state u, u_tile = (float)u,
- * each hop's scan of its plan with its state, then the answer layer's
- * logits and argmax of u_tile; `kept` takes each hop's kept count. */
+/* One float32 answer (compiled_fold.AnswerPass, held by the engine per
+ * batch size): the questions' bag sums under `table` (and `encoding`)
+ * into the (nq, ed) float64 hop state u, u_tile = (float)u, each hop's
+ * scan of its plan with its state, then the answer layer's logits and
+ * argmax.  After hop k >= min_hops (min_hops = hops: never) with
+ * `remaining` hops left, the early-exit gate projects (float)(u +
+ * remaining o), o the state's acc, as NumPy computes it, into each
+ * question's row of `logits`, and its margin into this check's row of
+ * `confidence` (NaN: retired).  A question whose margin reaches
+ * `required` exits with that state; the survivors move to the front of
+ * u and u_tile, and later hops scan them alone.  Per question, its final
+ * state (`response`), hops run (`depth`) and row (`active`); per hop, the
+ * rows kept (`kept`) and scanned (`asked`).  u_tile's buffer and `gate`
+ * (the projected states) hold nq rows rounded up to a multiple of 4. */
 typedef struct {
-    int64_t hops;
+    int64_t hops, min_hops;
     fold_state *const *states;
     const scan_plan *const *plans;
     const answer_layer *layer;
     const array_interface *encoding, *table, *u, *u_tile, *logits, *top;
-    int64_t *kept;
+    double required;
+    double *response, *confidence;
+    float *gate;
+    int64_t *kept, *asked, *depth, *active;
 } answer_pass;
 
-/* Returns 0; repro_bow's error (nothing written); a repro_scan error
- * less 16; a repro_answer error less 32. */
+/* Returns the hops run; repro_bow's error (nothing written); a repro_scan
+ * error less 16; a repro_answer error less 32. */
 int64_t repro_pass(const answer_pass *pass, const array_interface *questions)
 {
+    const int flags = ARRAY_C_CONTIGUOUS | ARRAY_WRITEABLE;
+    const answer_layer *w = pass->layer;
+    const array_interface *logits = pass->logits, *top = pass->top;
+    const int64_t nq = pass->states[0]->nq, ed = w->ed, na = w->na;
     int64_t status = hop_arrays(pass->states[0], pass->u, pass->u_tile);
     if (status < 0)
         return status - 16;
+    if (!is_array(logits, 2, 'f', 8, flags) || logits->shape[0] != nq
+        || logits->shape[1] != na)
+        return ANSWER_BAD_LOGITS - 32;
+    if (!is_array(top, 1, 'i', 8, flags) || top->shape[0] != nq)
+        return ANSWER_BAD_TOP - 32;
     status = repro_bow(questions, pass->encoding, pass->table, pass->u, NULL, NULL, 0);
     if (status < 0)
         return status;
-    const double *u = pass->u->data;
+    double *u = pass->u->data, *rows = logits->data, *response = pass->response;
     float *u_tile = pass->u_tile->data;
-    for (int64_t k = 0; k < pass->states[0]->nq * pass->states[0]->ed; k++)
+    int64_t *active = pass->active, m = nq, hop, checks = 0, q, k;
+    for (k = 0; k < nq * ed; k++)
         u_tile[k] = (float)u[k];
-    for (int64_t hop = 0; hop < pass->hops; hop++) {
-        status = repro_scan(pass->states[hop], pass->plans[hop], pass->u_tile, pass->u);
+    for (q = 0; q < nq; q++) {
+        active[q] = q;
+        pass->depth[q] = 0;
+    }
+    /* u and u_tile as the survivors' (m, ed) blocks. */
+    intptr_t shape[2] = {nq, ed};
+    array_interface u_m = *pass->u, tile_m = *pass->u_tile;
+    u_m.shape = tile_m.shape = shape;
+    for (hop = 0; hop < pass->hops && (m > 0 || nq == 0); hop++) {
+        fold_state *st = pass->states[hop];
+        shape[0] = st->nq = pass->asked[hop] = m;
+        status = repro_scan(st, pass->plans[hop], &tile_m, &u_m);
+        st->nq = nq;
         if (status < 0)
             return status - 16;
         pass->kept[hop] = status;
+        for (q = 0; q < m; q++)
+            pass->depth[active[q]]++;
+        const int64_t remaining = pass->hops - hop - 1;
+        if (remaining == 0 || hop + 1 < pass->min_hops)
+            continue;
+        const double *o = st->acc;
+        double *confidence = pass->confidence + checks++ * nq;
+        for (k = 0; k < m * ed; k++)
+            pass->gate[k] = (float)(u[k] + (double)remaining * o[k]);
+        answer_logits(w, pass->gate, m, rows, 1, na, active);
+        for (q = 0; q < nq; q++)
+            confidence[q] = NAN;
+        int64_t left = 0;
+        for (q = 0; q < m; q++) {
+            const int64_t at = active[q];
+            answer_row(rows + at * na, 1, na, w->floor, NULL, confidence + at);
+            if (confidence[at] >= pass->required) {
+                for (k = 0; k < ed; k++)
+                    response[at * ed + k] = u[q * ed + k] + (double)remaining * o[q * ed + k];
+                continue;
+            }
+            memmove(u + left * ed, u + q * ed, (size_t)ed * sizeof(double));
+            memmove(u_tile + left * ed, u_tile + q * ed, (size_t)ed * sizeof(float));
+            active[left++] = at;
+        }
+        m = left;
     }
-    status = repro_answer(pass->layer, pass->u_tile, pass->logits, pass->top, NULL);
-    return status < 0 ? status - 32 : 0;
+    for (q = 0; q < m; q++)
+        memcpy(response + active[q] * ed, u + q * ed, (size_t)ed * sizeof(double));
+    answer_logits(w, u_tile, m, rows, 1, na, active);
+    for (q = 0; q < nq; q++)
+        answer_row(rows + q * na, 1, na, w->floor, (int64_t *)top->data + q, NULL);
+    return hop;
 }
 
 /* matmul, for the tests: c = a b, a C-ordered, the rows of b and c ldb

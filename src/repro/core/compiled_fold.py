@@ -179,15 +179,19 @@ class ScanPlan(ctypes.Structure):
 
 class AnswerPass(ctypes.Structure):
     """``answer_pass`` of ``_fold.c``: a one-call answer's parts, by
-    address."""
+    address, and its early-exit gate (``min_hops`` = ``hops``: none)."""
 
     _fields_ = [
-        ("hops", ctypes.c_int64), ("states", ctypes.c_void_p),
-        ("plans", ctypes.c_void_p), ("layer", ctypes.c_void_p),
-        ("encoding", ctypes.c_void_p), ("table", ctypes.c_void_p),
-        ("u", ctypes.c_void_p), ("u_tile", ctypes.c_void_p),
-        ("logits", ctypes.c_void_p), ("top", ctypes.c_void_p),
-        ("kept", ctypes.c_void_p),
+        ("hops", ctypes.c_int64), ("min_hops", ctypes.c_int64),
+        ("states", ctypes.c_void_p), ("plans", ctypes.c_void_p),
+        ("layer", ctypes.c_void_p), ("encoding", ctypes.c_void_p),
+        ("table", ctypes.c_void_p), ("u", ctypes.c_void_p),
+        ("u_tile", ctypes.c_void_p), ("logits", ctypes.c_void_p),
+        ("top", ctypes.c_void_p), ("required", ctypes.c_double),
+        ("response", ctypes.c_void_p), ("confidence", ctypes.c_void_p),
+        ("gate", ctypes.c_void_p), ("kept", ctypes.c_void_p),
+        ("asked", ctypes.c_void_p), ("depth", ctypes.c_void_p),
+        ("active", ctypes.c_void_p),
     ]  # fmt: skip
 
 

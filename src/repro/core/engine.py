@@ -916,16 +916,17 @@ class MnnFastEngine:
         """The held one-call answer of ``nq`` questions (its
         ``AnswerPass`` and held outputs), or ``None`` where the hop loop
         runs: only a float32 engine on the compiled fold whose every hop
-        is a ``ColumnMemNN``'s — resident, or behind a chunk pipeline
-        whose resident tier holds every chunk — with no gate and no top-k
-        tier, has one.  Each hop's ``(FoldState, ScanPlan)`` addresses are
-        taken here, once: a re-point drops the pass
-        (:meth:`_memories_written`), an eviction from a pipeline's tier
-        drops it at the next answer (:meth:`_answer_in_one_call`), and a
-        solver keeps the plan the pass holds pointed at its score
-        workspace as it grows.  A pipeline whose tier does not hold every
-        chunk yet leaves no ``False`` behind: the answer that runs the hop
-        loop admits the chunks, and the next one asks again."""
+        is a ``ColumnMemNN``'s — resident, behind a chunk pipeline whose
+        resident tier holds every chunk, or a top-k tier's below its
+        crossover — has one, gated or not.  Each hop's ``(FoldState,
+        ScanPlan)`` addresses are taken here, once: a re-point drops the
+        pass (:meth:`_memories_written`), an eviction from a pipeline's
+        tier drops it at the next answer (:meth:`_answer_in_one_call`),
+        and a solver keeps the plan the pass holds pointed at its score
+        workspace as it grows.  A pipeline whose tier can hold every
+        chunk but does not yet leaves no ``False`` behind: the answer
+        that runs the hop loop admits the chunks, and the next one asks
+        again."""
         if self._solver_cache_config is not self.engine_config:
             self._sync_config()
         held = self._passes.get(nq)
@@ -934,13 +935,15 @@ class MnnFastEngine:
         ec, hops, layer = self.engine_config, self.config.hops, self.answer_layer
         library = compiled_fold.kernels()
         self._passes[nq] = False
-        if (
-            library is None or layer.packed is None or ec.topk.enabled
-            or (ec.early_exit.enabled and hops > 1)
-            or self._question_bow._kernel is None
-        ):  # fmt: skip
+        bow = self._question_bow
+        if library is None or layer.packed is None or bow._kernel is None:
             return None
-        solvers = [self._solver(pair) for pair in range(self._num_pairs)]
+        tiers = [self._solver(pair) for pair in range(self._num_pairs)]
+        # A top-k tier below its crossover scans with its exact solver.
+        solvers = [
+            tier.exact_solver() if not getattr(tier, "uses_index", True) else tier
+            for tier in tiers
+        ]
         if not all(type(s) is ColumnMemNN for s in solvers):
             return None
         threshold = ec.zero_skip.threshold if ec.zero_skip.enabled else 0.0
@@ -953,32 +956,48 @@ class MnnFastEngine:
             if s._pipeline is not None
         ]
         if None in at:
-            if pipelines:
+            # False stays unless every tier can hold its memory's M_IN and
+            # M_OUT: the answer running the hop loop then admits the chunks.
+            if pipelines and all(
+                (p.resident_bytes or 0) >= 2 * p.store.m_in.nbytes for p, _ in pipelines
+            ):  # fmt: skip
                 del self._passes[nq]
             return None
-        ed = self.config.embedding_dim
-        outputs = (
-            np.empty((nq, ed)), np.empty((nq, ed), np.float32),
-            np.empty((nq, layer.num_answers)), np.empty(nq, np.intp),
+        ee, ed = ec.early_exit, self.config.embedding_dim
+        min_hops = min(ee.min_hops, hops) if ee.enabled else hops
+        # The hop state u, u_tile and the gate's states (rows rounded up to
+        # a multiple of 4, the answer layer's blocks), the logits (a gated
+        # pass makes them per answer and hands them over), the answer ids,
+        # the final states, per check the confidence, per hop the rows kept
+        # and scanned, per question its hops run and its row among the survivors.
+        narrow = np.zeros((2, -(-nq // 4) * 4, ed), np.float32)
+        arrays = (
+            np.empty((nq, ed)), narrow[0, :nq],
+            None if min_hops < hops else np.empty((nq, layer.num_answers)),
+            np.empty(nq, np.intp), np.empty((nq, ed)), np.empty((hops - min_hops, nq)),
+            np.empty((2, hops), np.int64), np.empty((2, nq), np.int64),
         )  # fmt: skip
-        kept = np.zeros(hops, np.int64)
-        capsules = [array.__array_struct__ for array in outputs]
+        capsules, at_arrays = compiled_fold.structs(arrays[:4])
+        response, confidence, counts, rows = arrays[4:]
         states, plans = (ctypes.c_void_p * hops)(), (ctypes.c_void_p * hops)()
-        bow = self._question_bow
         answer_pass = compiled_fold.AnswerPass(
-            hops, ctypes.addressof(states), ctypes.addressof(plans), layer._at,
-            bow._weights_at, bow._tables_at[0],
-            *[compiled_fold.struct_pointer(capsule, None) for capsule in capsules],
-            kept.ctypes.data,
+            hops, min_hops, ctypes.addressof(states), ctypes.addressof(plans),
+            layer._at, bow._weights_at, bow._tables_at[0], *at_arrays,
+            ee.required_confidence, response.ctypes.data, confidence.ctypes.data,
+            narrow[1].ctypes.data, *[row.ctypes.data for row in (*counts, *rows)],
         )  # fmt: skip
         pairs = [hop if self._num_pairs > 1 else 0 for hop in range(hops)]
         for hop, pair in enumerate(pairs):
             states[hop], plans[hop] = at[pair]
         column = (ed, ec.chunk.chunk_size, self._dtype)  # (a ScanRecord's)
+        # Per pair, the record of a hop: its ScanRecord, or a top-k tier's.
+        wraps = [
+            (lambda r: r) if t is s else t.exact_hop for t, s in zip(tiers, solvers)
+        ]
         held = self._passes[nq] = (
-            library.repro_pass, ctypes.addressof(answer_pass), solvers, pairs,
-            outputs, kept, pipelines, column,
-            (answer_pass, capsules, (states, plans)),
+            library.repro_pass, answer_pass, ctypes.addressof(answer_pass), solvers,
+            pairs, arrays, pipelines, column, wraps, min_hops,
+            (capsules, states, plans),
         )  # fmt: skip
         return held
 
@@ -990,40 +1009,54 @@ class MnnFastEngine:
         when the compiled embedding refuses the questions' array, or when
         a pipeline's tier evicted a chunk since the pass was built (the
         pass is dropped: its plans are cut from the chunks the eviction
-        dropped).  Each hop charges its pipeline's ledger and LRU as the
-        hop loop's scan of the held chunks does."""
-        kernel, address, solvers, pairs, outputs, kept, pipelines, column, _ = held
+        dropped).  Each hop run charges its pipeline's ledger as the hop
+        loop's scan of the held chunks does; the LRU recency, once per
+        pipeline (a second sweep in a row leaves the order as it was)."""
+        (kernel, answer_pass, address, solvers, pairs, arrays, pipelines, column,
+         wraps, min_hops, _) = held  # fmt: skip
         nq = len(questions)
         for pipeline, evictions in pipelines:
             if pipeline.evictions != evictions:
                 del self._passes[nq]
                 return None
+        _, _, logits, top, response, confidence, counts, depth = arrays
+        gated = logits is None
+        if gated:
+            logits = np.empty((nq, self.answer_layer.num_answers))
+            held_logits = logits.__array_struct__  # (alive until the call returns)
+            answer_pass.logits = compiled_fold.struct_pointer(held_logits, None)
         words = questions.__array_struct__
-        status = kernel(address, compiled_fold.struct_pointer(words, None))
-        if status == compiled_fold.BOW_REFUSED:
+        run = kernel(address, compiled_fold.struct_pointer(words, None))
+        if run == compiled_fold.BOW_REFUSED:
             return None
-        if status == compiled_fold.BOW_BAD_WORD:
+        if run == compiled_fold.BOW_BAD_WORD:
             raise ValueError(BAD_WORD)
-        if status:
-            raise RuntimeError(f"repro_pass failed: {status}")
-        u, _, logits, top = outputs
+        if run < 0:
+            raise RuntimeError(f"repro_pass failed: {run}")
+        kept, asked = counts.tolist()
         rows = [solver.num_sentences for solver in solvers]
-        stores = [None] * len(pairs)
+        stores = [None] * run  # (the records stop at the hops run)
         if pipelines:
-            for hop, pair in enumerate(pairs):
+            for hop, pair in enumerate(pairs[:run]):
                 pipeline = pipelines[pair][0]
-                pipeline.charge_pass()
+                pipeline.charge_pass(sweep=hop == pair)
                 stores[hop] = pipeline.stats.snapshot()
         # Built when read: the scan records of the kept-row counts.
         records = (
-            ScanRecord(None, nq, rows[pair], k, column, store)
-            for pair, k, store in zip(pairs, kept.tolist(), stores)
+            wraps[pair](ScanRecord(None, n, rows[pair], k, column, store))
+            for pair, n, k, store in zip(pairs, asked, kept, stores)
         )
-        trace = (self.engine_config.early_exit.threshold, len(pairs), nq, None, None)
+        hops, checks, projected = len(pairs), [], nq
+        trace = (self.engine_config.early_exit.threshold, hops, nq, None, None)
+        if gated:
+            checks = asked[min_hops - 1 : min(run, hops - 1)]  # (its hop's rows)
+            projected = asked[-1] if run == hops else 0
+            confidences = list(confidence[: len(checks)].copy())
+            trace = (*trace[:3], depth[0].copy(), confidences)
         return AnswerResult(
-            top.copy(), logits.copy(), u.copy(),
+            top.copy(), logits if gated else logits.copy(), response.copy(),
             elapsed_seconds=time.perf_counter() - start_time,
-            ledger=(records, column[0], logits.shape[1], [], nq, trace),
+            ledger=(records, column[0], logits.shape[1], checks, projected, trace),
         )  # fmt: skip
 
     def answer_batch(

@@ -73,7 +73,8 @@ class IndexedHop:
 
     @property
     def stats(self) -> OpStats:
-        nq = len(self.kernel.output)
+        # (No probe below min_rows, where a one-call hop keeps no output.)
+        nq = len(self.kernel.output) if self._index[2] else 0
         return self.kernel.stats + probe_stats(nq, self._index[2], self._ed)
 
     def tier_stats(self) -> dict:
@@ -240,11 +241,7 @@ class TopKMemNN:
                 self._absorb_subset_ledger(solver)
                 solver.close()
         else:
-            # Exact-scan fallback: the configured kernel over every row,
-            # bit-identical to the tier being disabled.
-            if self._exact_solver is None:
-                self._exact_solver = self._build_solver(full_memory=True)
-            kernel = self._exact_solver.output(u, zero_skip, u_tile=u_tile, at=at)
+            kernel = self.exact_solver().output(u, zero_skip, u_tile=u_tile, at=at)
         elapsed = time.perf_counter() - start
         recall = None
         if config.measure_recall:
@@ -266,6 +263,22 @@ class TopKMemNN:
             elapsed_seconds=elapsed, store_stats=tiers["store"],
             index_stats=tiers["index"],
         )  # fmt: skip
+
+    def exact_solver(self) -> ColumnMemNN | ShardedMemNN:
+        """The exact-scan fallback below ``min_rows``: the configured
+        kernel over every row, bit-identical to the tier being disabled
+        (an engine's one-call answer scans with it too: :meth:`exact_hop`)."""
+        if self._exact_solver is None:
+            self._exact_solver = self._build_solver(full_memory=True)
+        return self._exact_solver
+
+    def exact_hop(self, kernel) -> IndexedHop:
+        """The record :meth:`output` makes of a fallback hop whose
+        :meth:`exact_solver` record is ``kernel``: no index, no timings."""
+        config = self.config
+        recall = 1.0 if config.measure_recall else None
+        index = (self.num_sentences, None, 0, config.nprobe, 0.0, 0.0, recall, None)
+        return IndexedHop(kernel, self.embedding_dim, kernel.store, index)
 
     # --- internals -----------------------------------------------------------
 

@@ -152,14 +152,16 @@ class ChunkPrefetcher:
             self.charge_pass()
         return held[0], held[1]
 
-    def charge_pass(self) -> None:
+    def charge_pass(self, sweep: bool = True) -> None:
         """Charge one pass over the chunks :meth:`resident_pass` holds to
-        the ledger and the LRU recency (``move_to_end`` in pass order), as
-        a :meth:`chunks` pass of hits is charged (with no stall)."""
-        with self._lock:
-            chunks, _, size = self._held
-            for span in self._spans:
-                self._lru.move_to_end(span)
+        the ledger and, if ``sweep``, the LRU recency (``move_to_end`` in
+        pass order; a repeat sweep leaves the order as it was), as a
+        :meth:`chunks` pass of hits is charged (with no stall)."""
+        chunks, _, size = self._held
+        if sweep:
+            with self._lock:
+                for span in self._spans:
+                    self._lru.move_to_end(span)
         ready = True if self.prefetch_depth else None
         self._account(size, True, 0.0, served=len(chunks), ready=ready)
 

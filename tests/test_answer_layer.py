@@ -175,9 +175,12 @@ def test_the_floored_numpy_margin_keeps_its_sums(scale):
 def test_the_gate_crosses_the_engine_modules_margin_once_per_check(
     monkeypatch, fold
 ):
-    """Each gate check calls ``repro.core.engine.logit_margin_confidence``
-    once (perfbench's ``early_exit.gate`` span wraps that name), handing
-    it the engine's answer layer."""
+    """Each gate check of the hop loop calls
+    ``repro.core.engine.logit_margin_confidence`` once (perfbench's
+    ``early_exit.gate`` span wraps that name), handing it the engine's
+    answer layer.  On the compiled fold an answer without a hop hook is
+    one ``repro_pass`` call, whose gate is in C: it crosses that name not
+    at all, and its bytes are the hooked answer's."""
     network = MemNNConfig(
         embedding_dim=16, num_sentences=64, vocab_size=300, max_words=6, hops=4
     )
@@ -197,7 +200,16 @@ def test_the_gate_crosses_the_engine_modules_margin_once_per_check(
         return margin(*args, **kwargs)
 
     monkeypatch.setitem(vars(engine_module), "logit_margin_confidence", spy)
-    result = engine.answer(rng.integers(1, 300, size=(6, 6)))
-    assert len(calls) == len(result.hop_trace.confidence) > 0
+    questions = rng.integers(1, 300, size=(6, 6))
+    result = engine.answer(questions)
+    checks = len(result.hop_trace.confidence)
+    assert len(calls) == (0 if fold == "compiled" else checks)
+    hooked = engine.answer(questions, hop_hook=lambda hop, stats: None)
+    assert len(calls) == (1 if fold == "compiled" else 2) * checks > 0
     assert all(layer is engine.answer_layer for layer in calls)
     assert 0 < result.hop_trace.num_exited
+    assert result.logits.tobytes() == hooked.logits.tobytes()
+    assert result.response.tobytes() == hooked.response.tobytes()
+    assert [c.tobytes() for c in result.hop_trace.confidence] == [
+        c.tobytes() for c in hooked.hop_trace.confidence
+    ]

@@ -483,11 +483,11 @@ class TestClusterMajorScan:
         questions = problem[3]
         batches = [questions[start : start + 4] for start in range(0, 24, 4)]
         answers = [lean.answer(batch) for batch in batches]
-        hops = sum(len(answer._ledger[0]) for answer in answers)
+        hops = sum(len(answer._hops) for answer in answers)
         assert calls == {TopKMemNN: hops, IVFIndex: hops, ColumnMemNN: hops}
         # Every hop took the lean path: no InferenceResult was kept.
         assert all(
-            type(hop.kernel) is ScanRecord for a in answers for hop in a._ledger[0]
+            type(hop.kernel) is ScanRecord for a in answers for hop in a._hops
         )
         wants = [full.answer(batch) for batch in batches]
 
@@ -664,10 +664,13 @@ class TestBelowTheCrossover:
         answers = [
             engine.answer(questions[start : start + 4]) for start in range(0, 24, 4)
         ]
-        hops = sum(len(answer._ledger[0]) for answer in answers)
-        assert calls == {"output hop": hops}
+        hops = sum(len(answer._hops) for answer in answers)
+        # On the compiled fold each answer is one repro_pass call through
+        # the exact solver: no hop crosses output.
+        looped = hops if compiled_fold.fold_backend() != "c" else 0
+        assert calls == ({"output hop": looped} if looped else {})
         assert all(
-            type(hop.kernel) is ScanRecord for a in answers for hop in a._ledger[0]
+            type(hop.kernel) is ScanRecord for a in answers for hop in a._hops
         )
 
     def test_a_story_grown_across_min_rows_switches_to_the_index(self):

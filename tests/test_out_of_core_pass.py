@@ -12,17 +12,20 @@ re-admissions, a grown workspace and ``close()``.
 
 import dataclasses
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    ColumnMemNN,
     EngineConfig,
     EngineWeights,
     MemNNConfig,
     MnnFastEngine,
     compiled_fold,
 )
+from repro.store.prefetch import ChunkPrefetcher
 
 from .test_dialogue_writes import _weights
 from .test_differential_paths import _random_problem
@@ -201,4 +204,73 @@ def test_a_held_chunk_pass_follows_the_workspace_its_solver_grows(threshold):
         assert plan.scores == solver._workspace[2]
         assert engine._passes[len(questions)] is held
         assert engine.answer(questions).logits.tobytes() == want
+    engine.close()
+
+
+@requires_compiler
+@pytest.mark.parametrize("tying", ("layer-wise", "adjacent"))
+def test_a_one_call_answer_sweeps_each_tier_once(tying, monkeypatch):
+    """A one-call answer charges every hop's pass to its pipeline's
+    ledger but sweeps each pipeline's LRU recency once (a second sweep in
+    a row would leave the order as the first left it).  Between answers a
+    ``fetch`` moves a held chunk to the recent end; after every answer
+    the LRU order and each hop's ledger equal the hop loop's, whose every
+    hop sweeps."""
+    config, weights, story, questions = _random_problem(9)
+    weights = _weights(tying, config, weights, 9)
+    plain, hooked = (
+        MnnFastEngine(config, weights, engine_config=_config(story)) for _ in range(2)
+    )
+    for engine in (plain, hooked):
+        engine.store_story(story)
+        engine.answer(questions, hop_hook=lambda hop, stats: None)  # admits
+    sweeps = Counter()
+    charge = vars(ChunkPrefetcher)["charge_pass"]
+
+    def counted(self, sweep=True):
+        sweeps[sweep] += 1
+        return charge(self, sweep)
+
+    answers = 5
+    for _ in range(answers):
+        for engine in (plain, hooked):
+            engine._solver(0)._pipeline.fetch((0, CHUNK))
+        monkeypatch.setattr(ChunkPrefetcher, "charge_pass", counted)
+        got = plain.answer(questions)
+        monkeypatch.setattr(ChunkPrefetcher, "charge_pass", charge)
+        assert plain._passes[len(questions)]
+        _assert_same_answer(got, hooked.answer(questions, hop_hook=lambda h, s: None))
+        assert _tier(plain) == _tier(hooked)
+    pipelines = plain._num_pairs
+    assert sweeps[True] == answers * pipelines
+    assert sweeps[False] == answers * (config.hops - pipelines)
+    plain.close()
+    hooked.close()
+
+
+@requires_compiler
+def test_a_tier_that_cannot_hold_the_memory_is_asked_once(monkeypatch):
+    """A chunk budget below the memory's bytes can never hold every
+    chunk: the first answer finds no one-call pass and leaves ``False``
+    behind, so later answers at that batch size run the hop loop without
+    asking ``compiled_hop`` again."""
+    config, weights, story, questions = _random_problem(10)
+    engine_config = EngineConfig.out_of_core(resident_bytes=1 << 10, chunk_size=CHUNK)
+    engine = MnnFastEngine(config, weights, engine_config=engine_config)
+    engine.store_story(story)
+    calls = Counter()
+    hop = vars(ColumnMemNN)["compiled_hop"]
+
+    def counted(*args, **kwargs):
+        calls["compiled_hop"] += 1
+        return hop(*args, **kwargs)
+
+    monkeypatch.setattr(ColumnMemNN, "compiled_hop", counted)
+    want = engine.answer(questions, hop_hook=lambda h, s: None)
+    for _ in range(4):
+        got = engine.answer(questions)
+        assert got.logits.tobytes() == want.logits.tobytes()
+        assert got.hop_stats == want.hop_stats
+        assert engine._passes[len(questions)] is False
+    assert calls == {"compiled_hop": 1}
     engine.close()
